@@ -1,9 +1,7 @@
 """One interface over every parallelism: the strategy layer (Sec. III-C).
 
-Before this module, each parallelism was driven by bespoke glue in three
-places (``train/distributed_trainer.py``, the equivalence oracle's six
-``_run_*`` runners, and the analytic perf model).  :class:`ParallelStrategy`
-gives them all one shape:
+:class:`ParallelStrategy` gives every parallelism one shape, shared by
+the training engine, the equivalence oracle and the analytic perf model:
 
 * ``setup(model_factory, group)`` — build the engine(s) on a process group;
 * ``forward(inputs)`` — full-batch inference for output comparison;

@@ -36,17 +36,6 @@ class SimClock:
         self._t0 = wall()
         self._offsets: dict[int, float] = {}
 
-    @classmethod
-    def frozen(cls) -> "SimClock":
-        """A clock with no wall component: time moves only by ``advance``.
-
-        This is the pure discrete-event mode used by :mod:`repro.serve`:
-        every rank's ``now`` is exactly the modeled seconds accumulated
-        on it, so a simulation's timestamps are bit-reproducible across
-        runs and machines.
-        """
-        return cls(wall=lambda: 0.0)
-
     def now(self, rank: int = 0) -> float:
         """Current simulated time (seconds) on ``rank``'s timeline."""
         return self._wall() - self._t0 + self._offsets.get(rank, 0.0)

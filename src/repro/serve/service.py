@@ -1,19 +1,22 @@
 """The production downscaling service: queue, batcher, cache, replicas.
 
 :class:`DownscalingService` turns the bare ``predict_dataset`` loop into
-a *system*: requests arrive on a simulated clock, a dynamic batcher
-coalesces them under a max-batch/max-wait policy, an LRU tile cache
-short-circuits repeat coarse inputs by content hash, and N model
-replicas — each owning a contiguous slice of the virtual cluster —
-serve batches in parallel.  Everything runs as a deterministic
-discrete-event simulation: *time* is modeled (dispatch overhead +
-per-sample roofline inference time, the same pricing family as
-``repro.distributed.perf_model``), while *outputs* are real — each
-request's coarse field goes through the actual model.
+a *system*: requests arrive on a simulated clock and split into *work
+units* — one per request, or one per halo tile under ``tile_serving``.
+An LRU cache short-circuits units already computed (keyed by content
+hash + plan epoch), a dynamic batcher coalesces the misses under a
+max-batch/max-wait policy, and N model replicas — each owning a
+contiguous slice of the virtual cluster — serve batches in parallel.
+One discrete-event loop (:meth:`DownscalingService.run`) schedules
+both modes; what differs between them (keys, in-flight coalescing,
+execute + finish, pricing, metric vocabulary) sits behind a private
+unit policy (``_WholeUnits`` / ``_TileUnits``, DESIGN.md §11).  *Time*
+is modeled (dispatch overhead + per-sample roofline inference time, as
+in ``repro.distributed.perf_model``), while *outputs* are real.
 
 **Determinism contract.**  Served outputs are bit-identical to a direct
 :func:`repro.train.predict_dataset` pass over the same inputs,
-regardless of how requests were batched, cached, or placed on replicas:
+regardless of how units were batched, cached, or placed on replicas:
 
 * a coalesced batch executes its members through the same per-sample
   kernel path as ``predict_dataset`` (the engine is batch-invariant;
@@ -24,23 +27,24 @@ regardless of how requests were batched, cached, or placed on replicas:
   returns exactly the bytes a miss would have computed;
 * replicas share one set of weights, so placement cannot matter.
 
-That contract is what makes the layer testable: the equivalence suite
-asserts bitwise equality over the full scenario × replica × cache grid.
+The equivalence suites assert that over the scenario × replica × cache
+grid; ``tests/serve/test_scheduler_golden.py`` pins the scheduler itself
+(responses, spans, metrics, monitor stream) by digest.
 
-Instrumentation is first-class ``repro.obs``: per-request latency and
-queue-wait histograms (p50/p99 in the metrics dump), queue depth
-sampled at every arrival, cache hit-rate, and per-replica utilization —
-plus trace spans (one ``serve/replica`` root per replica covering the
-run, one ``serve/batch`` child per dispatch) that export to the same
-Perfetto-loadable Chrome format as training traces, and whose coverage
-reproduces the utilization gauges exactly (the metrics-contract tests
-gate this).
+Instrumentation is first-class ``repro.obs``: latency and queue-wait
+histograms, queue depth at every arrival, cache hit-rate, per-replica
+utilization — plus trace spans (a ``serve/replica`` root per replica, a
+``serve/batch`` child per dispatch, ``serve/tile`` grandchildren under
+tile serving) in the same Chrome format as training traces, whose
+coverage reproduces the utilization gauges exactly (gated by the
+metrics-contract tests).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -49,7 +53,6 @@ from ..distributed.comm import VirtualCluster
 from ..distributed.perf_model import (DEFAULT_SERVICE_TIME, SERVE_DISPATCH_S,
                                       service_time_model,
                                       tile_service_time_model)
-from ..obs.clock import SimClock
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Span
 from ..tensor import Tensor, no_grad
@@ -212,6 +215,144 @@ _COMPLETE, _ARRIVAL, _DEADLINE = 0, 1, 2
 _MISS_SENTINEL = object()
 
 
+@dataclass(slots=True)
+class _Job:
+    """One queued or in-flight unit compute."""
+
+    key: str
+    unit: int
+    sig: tuple
+    arrival_s: float
+    input: np.ndarray | None
+    waiters: list[tuple[int, int]]   # (rid, unit) pairs this job resolves
+
+
+@dataclass(slots=True)
+class _Ticket:
+    """An admitted request waiting on its missed units."""
+
+    req: Request
+    results: list | None             # per-unit results; None latency-only
+    remaining: int = 0
+    hits: int = 0
+    computed: int = 0
+    dispatch_s: float | None = None
+
+
+class _WholeUnits:
+    """Unit policy of whole-request serving: the request is its one unit."""
+
+    #: counter of units that joined an in-flight duplicate; None: each
+    #: duplicate runs its own forward (the metrics contract pins
+    #: ``batch_size.total == misses``)
+    coalesced = None
+    hits, misses = "serve/cache/hits", "serve/cache/misses"
+    counts_uncached = False          # no cache, no lookup counters
+    miss_feed = None
+
+    def __init__(self, svc: "DownscalingService"):
+        self.svc = svc
+
+    def split(self, req: Request) -> list[tuple[str, tuple]]:
+        """The request's units as (cache key, batching signature)."""
+        content = (content_key(req.input) if req.input is not None
+                   else f"sample:{req.sample}")
+        return [(f"{content}/e:{self.svc.plan_epoch}", ())]
+
+    def price(self, n: int, sig: tuple) -> float:
+        return self.svc.service_time(n)
+
+    def execute(self, x: np.ndarray, unit: int) -> np.ndarray:
+        """The per-sample ``predict_dataset`` pipeline."""
+        with no_grad():
+            pred = self.svc._runner(Tensor(x[None])).data[0]
+        return self.svc._denormalize(pred)
+
+    def finish(self, results: list) -> np.ndarray:
+        return results[0]
+
+    def response_fields(self, hits: int, computed: int) -> dict:
+        return {}
+
+    def batch_args(self, batch: list[_Job], sig: tuple) -> dict:
+        return {"rids": [job.waiters[0][0] for job in batch]}
+
+    def trace_batch(self, batch, rank, start, dur, metrics, spans) -> None:
+        pass
+
+    def close_out(self, metrics: MetricsRegistry) -> None:
+        pass
+
+
+class _TileUnits:
+    """Unit policy of tile serving: one unit per halo tile of the plan."""
+
+    coalesced = "serve/tile/coalesced"   # identical tiles share a forward
+    hits, misses = "serve/tile/hits", "serve/tile/misses"
+    counts_uncached = True
+    miss_feed = "serve/tile_miss_rate"
+
+    def __init__(self, svc: "DownscalingService"):
+        self.svc = svc
+        self.plan = svc.tile_plan
+
+    def split(self, req: Request) -> list[tuple[str, tuple]]:
+        plan, epoch = self.plan, self.svc.plan_epoch
+        return [(plan.tile_key(i, input=req.input, versions=req.tile_versions,
+                               sample=req.sample, epoch=epoch),
+                 plan.signature(i)) for i in range(plan.n_tiles)]
+
+    def price(self, n: int, sig: tuple) -> float:
+        return self.svc.tile_service_time(n, sig)
+
+    def execute(self, x: np.ndarray, unit: int) -> np.ndarray:
+        """One tile forward, exactly as :class:`TiledDownscaler` runs it:
+        slice the halo-extended region, run the *inner* model (the
+        compiled per-tile program when ``compile=True``), crop the core.
+        Returns the frozen normalized core the cache stores."""
+        spec = self.plan.specs[unit]
+        with no_grad():
+            out = self.svc._runner.model(
+                extract_tile(Tensor(x[None]), spec)).data
+        return self.plan.crop_core(out, unit)
+
+    def finish(self, cores: list) -> np.ndarray:
+        """Reassemble cached/computed cores into the served output:
+        concatenate normalized cores (the ``stitch_tiles`` arithmetic),
+        then denormalize the assembled field — operation for operation
+        what a whole-request forward does, so the bytes match it
+        regardless of which tiles were hits."""
+        return self.svc._denormalize(self.plan.assemble(cores))
+
+    def response_fields(self, hits: int, computed: int) -> dict:
+        return {"tiles": self.plan.n_tiles, "tiles_hit": hits,
+                "tiles_computed": computed}
+
+    def batch_args(self, batch: list[_Job], sig: tuple) -> dict:
+        return {"tiles": [job.unit for job in batch], "signature": list(sig)}
+
+    def trace_batch(self, batch, rank, start, dur, metrics, spans) -> None:
+        metrics.observe("serve/tile/batch_occupancy",
+                        len(batch) / self.svc.policy.max_batch)
+        # child spans: the dispatch overhead leads, then the tiles run
+        # back to back inside the batch window
+        dispatch_s = getattr(self.svc.tile_service_time, "dispatch_s", 0.0)
+        tile_s = max(0.0, dur - dispatch_s) / len(batch)
+        t0 = start + (dur - tile_s * len(batch))
+        for k, job in enumerate(batch):
+            spans.append(Span(
+                name="serve/tile", cat="serve", rank=rank,
+                start_s=t0 + k * tile_s, dur_s=tile_s, depth=2,
+                args={"tile": job.unit, "waiters": len(job.waiters),
+                      "modeled": True}))
+
+    def close_out(self, metrics: MetricsRegistry) -> None:
+        th = metrics.counters.get("serve/tile/hits", 0.0)
+        tm = metrics.counters.get("serve/tile/misses", 0.0)
+        metrics.gauge("serve/tile/hit_rate",
+                      th / (th + tm) if th + tm else 0.0)
+
+
 class DownscalingService:
     """Queue + batcher + cache + replicas over a virtual cluster.
 
@@ -249,9 +390,9 @@ class DownscalingService:
         identical to the whole-request path (the reassembly transcribes
         ``stitch_tiles`` exactly).
     plan_epoch:
-        Starting epoch folded into every tile key;
-        :meth:`bump_plan_epoch` (call it after a reshard / weight swap)
-        invalidates all resident tile entries without touching the
+        Starting epoch folded into every cache key (whole-request and
+        tile); :meth:`bump_plan_epoch` (call it after a reshard / weight
+        swap) invalidates all resident entries without touching the
         cache.
     service_time:
         ``batch_size -> seconds`` pricing of one dispatched batch;
@@ -261,11 +402,12 @@ class DownscalingService:
     hit_latency_s:
         Modeled latency of answering from the cache.
     max_queue_depth:
-        Admission control: cache misses arriving while this many
-        requests are already pending are *shed* — answered immediately
-        with ``status="shed"`` and no output, counted on ``serve/shed``
-        — so the queue (and tail latency) stays bounded under overload.
-        ``None`` (default) admits everything.
+        Admission control: a request that would add a job while this
+        many are already pending is *shed* — answered immediately with
+        ``status="shed"`` and no output, counted on ``serve/shed``,
+        decided before any cache counter moves — so the queue (and tail
+        latency) stays bounded under overload.  ``None`` (default)
+        admits everything.
     autoscale:
         An :class:`AutoscalePolicy` enabling queue-depth replica
         autoscaling; ``n_replicas`` is then the *maximum* fleet and the
@@ -353,8 +495,7 @@ class DownscalingService:
             else:
                 # derive per-tile pricing from whatever request-level
                 # model was supplied (or the generic default)
-                base = service_time if service_time is not None \
-                    else DEFAULT_SERVICE_TIME
+                base = self.service_time
                 self.tile_service_time = tile_service_time_model(
                     None, coarse_shape=self.tile_plan.coarse_shape,
                     n_tiles=n_tiles, halo=halo,
@@ -363,9 +504,15 @@ class DownscalingService:
                     dispatch_s=getattr(base, "dispatch_s",
                                        SERVE_DISPATCH_S))
 
-    # ------------------------------------------------------------------ #
-    # replica layout
-    # ------------------------------------------------------------------ #
+        self._units = (_TileUnits(self) if self.tile_plan is not None
+                       else _WholeUnits(self))
+
+    def _denormalize(self, pred: np.ndarray) -> np.ndarray:
+        """Model output to physical units, as ``predict_dataset`` does."""
+        if self._target_normalizer is None:
+            return pred
+        return self._target_normalizer.denormalize(pred)
+
     def replica_ranks(self, replica: int) -> list[int]:
         g = self.gpus_per_replica
         return list(range(replica * g, (replica + 1) * g))
@@ -373,58 +520,15 @@ class DownscalingService:
     def home_rank(self, replica: int) -> int:
         return replica * self.gpus_per_replica
 
-    # ------------------------------------------------------------------ #
-    # execution (real outputs; the per-sample predict_dataset pipeline)
-    # ------------------------------------------------------------------ #
-    def _execute(self, x: np.ndarray) -> np.ndarray:
-        with no_grad():
-            pred = self._runner(Tensor(x[None])).data
-        if self._target_normalizer is not None:
-            pred = np.stack([self._target_normalizer.denormalize(p)
-                             for p in pred])
-        return pred[0]
-
-    @staticmethod
-    def _key(req: Request) -> str:
-        if req.input is not None:
-            return content_key(req.input)
-        return f"sample:{req.sample}"
-
-    # ------------------------------------------------------------------ #
-    # tile-granular serving helpers
-    # ------------------------------------------------------------------ #
     def bump_plan_epoch(self) -> int:
-        """Invalidate every tile key — call after a reshard/weight swap.
+        """Invalidate every cache key — call after a reshard/weight swap.
 
-        The epoch participates in every key :class:`TilePlan` derives,
-        so bumping it orphans all resident entries (they age out of the
-        LRU) without clearing the cache or blocking traffic.
+        The epoch participates in every unit key, whole-request and
+        tile alike, so bumping it orphans all resident entries (they age
+        out of the LRU) without clearing the cache or blocking traffic.
         """
         self.plan_epoch += 1
         return self.plan_epoch
-
-    def _execute_tile(self, x: np.ndarray, i: int) -> np.ndarray:
-        """One tile forward, exactly as :class:`TiledDownscaler` runs it:
-        slice the halo-extended region, run the *inner* model (the
-        compiled per-tile program when ``compile=True``), crop the core.
-        Returns the frozen normalized core the cache stores."""
-        spec = self.tile_plan.specs[i]
-        with no_grad():
-            out = self._runner.model(extract_tile(Tensor(x[None]), spec)).data
-        return self.tile_plan.crop_core(out, i)
-
-    def _assemble(self, cores: list[np.ndarray]) -> np.ndarray:
-        """Reassemble cached/computed cores into the served output.
-
-        Mirrors :meth:`_execute` operation for operation — concatenate
-        normalized cores (the same ``stitch_tiles`` arithmetic), then
-        denormalize the assembled field — so the bytes match a
-        whole-request forward regardless of which tiles were hits.
-        """
-        pred = self.tile_plan.assemble(cores)
-        if self._target_normalizer is not None:
-            pred = self._target_normalizer.denormalize(pred)
-        return pred
 
     # ------------------------------------------------------------------ #
     # the discrete-event loop
@@ -435,26 +539,33 @@ class DownscalingService:
         Deterministic: the same request list on the same service
         configuration produces the identical result, event for event.
 
+        Each admitted request splits into work units (one, or one per
+        tile).  Units found in the cache resolve at arrival; the rest
+        become jobs — deduplicated by key across requests where the unit
+        policy coalesces — and are batched per signature, oldest first.
+        A request responds when its last unit resolves.
+
         ``monitor`` (a :class:`repro.obs.monitor.Monitor`) receives the
         health stream on the simulated clock: per-request latency
-        (``serve/latency_s``), queue depth and a shed indicator at every
-        arrival, and ``scale_up``/``scale_down`` events annotating the
-        autoscaler's decisions — so SLO-burn/queue/shed rules evaluate
-        at deterministic timestamps and replay bitwise.
+        (``serve/latency_s``), queue depth, a shed indicator and (tile
+        serving) the tile miss rate at every arrival, and ``scale_up``/
+        ``scale_down`` events annotating the autoscaler's decisions — so
+        SLO-burn/queue/shed rules evaluate at deterministic timestamps
+        and replay bitwise.
         """
-        if self.tile_plan is not None:
-            return self._run_tiled(requests, monitor)
-        clock = SimClock.frozen()
+        units = self._units
+        cache = self.cache
+        max_batch, max_wait_s = self.policy.max_batch, self.policy.max_wait_s
         metrics = MetricsRegistry()
         spans: list[Span] = []
         responses: dict[int, Response] = {}
-        pending: list[Request] = []          # FIFO queue of cache misses
+        pending: list[_Job] = []            # FIFO queue of missed units
+        open_jobs: dict[str, _Job] = {}     # key -> job, queued or in flight
+        tickets: dict[int, _Ticket] = {}    # rid -> request awaiting units
         busy_s = [0.0] * self.n_replicas
-        # authoritative replica frontiers: plain floats so the idle check
-        # compares bit-exactly against completion-event timestamps (the
-        # SimClock mirrors them for the per-rank trace timelines)
+        # replica frontiers: plain floats so the idle check compares
+        # bit-exactly against completion-event timestamps
         free = [0.0] * self.n_replicas
-        batches = 0
         # autoscaling state: which replicas are active, when each active
         # window opened (for replica-seconds accounting), last scale time
         start_active = (self.autoscale.min_replicas
@@ -477,9 +588,6 @@ class DownscalingService:
                 raise ValueError(f"duplicate request id {req.rid}")
             responses[req.rid] = None  # reserve; filled on completion
             push(req.arrival_s, _ARRIVAL, req)
-
-        def free_at(replica: int) -> float:
-            return free[replica]
 
         def maybe_scale_up(now: float) -> None:
             au = self.autoscale
@@ -517,250 +625,6 @@ class DownscalingService:
             if sum(active) <= au.min_replicas or now - last_scale < au.cooldown_s:
                 return
             for r in reversed(range(self.n_replicas)):
-                if active[r] and free_at(r) <= now:
-                    active[r] = False
-                    replica_seconds[r] += now - window_open.pop(r)
-                    last_scale = now
-                    metrics.inc("serve/scale_down")
-                    if monitor is not None:
-                        monitor.event("scale_down", t=now, replica=r,
-                                      active=sum(active))
-                    break
-
-        def try_dispatch(now: float) -> None:
-            nonlocal batches
-            while pending:
-                idle = [r for r in range(self.n_replicas)
-                        if active[r] and free_at(r) <= now]
-                if not idle:
-                    return
-                full = len(pending) >= self.policy.max_batch
-                # the deadline event was scheduled at exactly
-                # arrival + max_wait_s, so this comparison is exact
-                due = pending[0].arrival_s + self.policy.max_wait_s <= now
-                if not (full or due):
-                    return
-                batch = pending[: self.policy.max_batch]
-                del pending[: len(batch)]
-                replica = idle[0]
-                dur = float(self.service_time(len(batch)))
-                if dur < 0.0:
-                    raise ValueError("service_time returned a negative duration")
-                end = now + dur
-                free[replica] = end
-                for rank in self.replica_ranks(replica):
-                    clock.advance(rank, max(0.0, end - clock.now(rank)))
-                busy_s[replica] += dur
-                batches += 1
-                metrics.inc("serve/batches")
-                metrics.inc(f"serve/replica/{replica}/batches")
-                metrics.observe("serve/batch_size", len(batch))
-                spans.append(Span(
-                    name="serve/batch", cat="serve",
-                    rank=self.home_rank(replica), start_s=now, dur_s=dur,
-                    depth=1,
-                    args={"replica": replica, "batch_size": len(batch),
-                          "rids": [r.rid for r in batch], "modeled": True}))
-                outputs = None
-                if self._runner is not None:
-                    outputs = [self._execute(r.input) for r in batch]
-                push(end, _COMPLETE, (replica, batch, now, outputs))
-
-        def respond(req: Request, dispatch_s: float, complete_s: float,
-                    replica: int | None, batch_size: int, cache_hit: bool,
-                    output) -> None:
-            responses[req.rid] = Response(
-                request=req, dispatch_s=dispatch_s, complete_s=complete_s,
-                replica=replica, batch_size=batch_size, cache_hit=cache_hit,
-                output=output)
-            metrics.inc("serve/requests")
-            metrics.observe("serve/latency_s", complete_s - req.arrival_s)
-            metrics.observe("serve/queue_wait_s", dispatch_s - req.arrival_s)
-            if monitor is not None:
-                monitor.record("serve/latency_s", complete_s - req.arrival_s,
-                               t=complete_s)
-
-        duration = 0.0
-        while heap:
-            now, kind, _, payload = heapq.heappop(heap)
-            duration = max(duration, now)
-            if kind == _COMPLETE:
-                replica, batch, start, outputs = payload
-                for i, req in enumerate(batch):
-                    output = outputs[i] if outputs is not None else None
-                    if self.cache is not None:
-                        evicted_before = self.cache.evictions
-                        self.cache.put(self._key(req), output)
-                        metrics.inc("serve/cache/evictions",
-                                    self.cache.evictions - evicted_before)
-                    respond(req, start, now, replica, len(batch),
-                            cache_hit=False, output=output)
-            elif kind == _ARRIVAL:
-                req = payload
-                shed_this = 0.0
-                hit = _MISS_SENTINEL
-                if self.cache is not None:
-                    hit = self.cache.get(self._key(req), _MISS_SENTINEL)
-                    if hit is _MISS_SENTINEL:
-                        metrics.inc("serve/cache/misses")
-                    else:
-                        metrics.inc("serve/cache/hits")
-                if hit is not _MISS_SENTINEL:
-                    end = now + self.hit_latency_s
-                    duration = max(duration, end)
-                    respond(req, now, end, None, 1, cache_hit=True,
-                            output=hit)
-                elif (self.max_queue_depth is not None
-                      and len(pending) >= self.max_queue_depth):
-                    # admission control: the queue is full — shed rather
-                    # than let it (and tail latency) grow without bound.
-                    # Shed responses stay out of the latency histograms so
-                    # rejections can't masquerade as fast service.
-                    metrics.inc("serve/shed")
-                    metrics.inc("serve/requests")
-                    shed_this = 1.0
-                    responses[req.rid] = Response(
-                        request=req, dispatch_s=now, complete_s=now,
-                        replica=None, batch_size=0, cache_hit=False,
-                        output=None, status="shed")
-                else:
-                    pending.append(req)
-                    push(req.arrival_s + self.policy.max_wait_s,
-                         _DEADLINE, None)
-                    maybe_scale_up(now)
-                metrics.observe("serve/queue_depth", len(pending))
-                if monitor is not None:
-                    monitor.record("serve/queue_depth", len(pending), t=now)
-                    monitor.record("serve/shed_event", shed_this, t=now)
-            # _DEADLINE events carry no state; they exist to wake the
-            # batcher at the max-wait boundary
-            try_dispatch(now)
-            maybe_scale_down(now)
-            if pending and not heap:
-                # all arrivals and completions processed but requests
-                # remain queued: wake at the earliest dispatch opportunity
-                wake = min(min(free_at(r) for r in range(self.n_replicas)
-                               if active[r]),
-                           pending[0].arrival_s + self.policy.max_wait_s)
-                push(max(wake, now), _DEADLINE, None)
-
-        # ---------------- close out: roots, gauges ---------------- #
-        for r, opened in window_open.items():
-            replica_seconds[r] += duration - opened
-        metrics.gauge("serve/replica_seconds", sum(replica_seconds))
-        utilization: dict[int, float] = {}
-        for r in range(self.n_replicas):
-            util = busy_s[r] / duration if duration else 0.0
-            utilization[r] = util
-            metrics.inc(f"serve/replica/{r}/busy_s", busy_s[r])
-            metrics.gauge(f"serve/replica/{r}/utilization", util)
-            spans.append(Span(
-                name="serve/replica", cat="serve", rank=self.home_rank(r),
-                start_s=0.0, dur_s=duration, depth=0,
-                args={"replica": r, "ranks": self.replica_ranks(r),
-                      "utilization": util,
-                      "active_s": replica_seconds[r], "modeled": True}))
-        if self.cache is not None:
-            metrics.gauge("serve/cache/hit_rate", self.cache.hit_rate)
-            metrics.gauge("serve/cache/size", len(self.cache))
-        metrics.gauge("serve/duration_s", duration)
-        if duration:
-            metrics.gauge("serve/throughput_rps", len(responses) / duration)
-        ordered = [responses[rid] for rid in sorted(responses)]
-        if any(resp is None for resp in ordered):
-            raise RuntimeError("scheduler dropped a request")  # unreachable
-        return ServeResult(responses=ordered, spans=spans, metrics=metrics,
-                           duration_s=duration, n_replicas=self.n_replicas,
-                           gpus_per_replica=self.gpus_per_replica,
-                           utilization=utilization)
-
-    # ------------------------------------------------------------------ #
-    # the tile-granular event loop
-    # ------------------------------------------------------------------ #
-    def _run_tiled(self, requests: list[Request], monitor=None) -> ServeResult:
-        """Serve with the tile as the scheduling unit.
-
-        Each admitted request is split into its plan's halo tiles; hits
-        resolve from the tile cache at arrival, misses become tile
-        *jobs*.  Jobs are deduplicated by key across requests (two
-        requests wanting the same tile content share one compute — the
-        second becomes a waiter) and batched per halo-shape signature so
-        every dispatched batch replays one compiled program.  A request
-        responds when its last tile resolves; the reassembled output is
-        bitwise identical to the whole-request path.
-        """
-        plan = self.tile_plan
-        n_t = plan.n_tiles
-        clock = SimClock.frozen()
-        metrics = MetricsRegistry()
-        spans: list[Span] = []
-        responses: dict[int, Response] = {}
-        pending: list[dict] = []        # FIFO queue of missed-tile jobs
-        open_jobs: dict[str, dict] = {}  # key -> job, queued or in flight
-        assemblies: dict[int, dict] = {}  # rid -> in-progress reassembly
-        busy_s = [0.0] * self.n_replicas
-        free = [0.0] * self.n_replicas
-        batches = 0
-        start_active = (self.autoscale.min_replicas
-                        if self.autoscale is not None else self.n_replicas)
-        active = [r < start_active for r in range(self.n_replicas)]
-        window_open: dict[int, float] = {r: 0.0 for r in range(start_active)}
-        replica_seconds = [0.0] * self.n_replicas
-        last_scale = float("-inf")
-
-        heap: list[tuple[float, int, int, object]] = []
-        seq = 0
-
-        def push(t: float, kind: int, payload) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (t, kind, seq, payload))
-            seq += 1
-
-        for req in sorted(requests, key=lambda r: (r.arrival_s, r.rid)):
-            if req.rid in responses:
-                raise ValueError(f"duplicate request id {req.rid}")
-            responses[req.rid] = None
-            push(req.arrival_s, _ARRIVAL, req)
-
-        def tile_key(req: Request, i: int) -> str:
-            return plan.tile_key(i, input=req.input,
-                                 versions=req.tile_versions,
-                                 sample=req.sample, epoch=self.plan_epoch)
-
-        def maybe_scale_up(now: float) -> None:
-            au = self.autoscale
-            if au is None:
-                return
-            nonlocal last_scale
-            n_act = sum(active)
-            if (n_act < self.n_replicas
-                    and len(pending) >= au.scale_up_depth * n_act
-                    and now - last_scale >= au.cooldown_s):
-                r = active.index(False)
-                active[r] = True
-                free[r] = max(free[r], now + au.spinup_s)
-                window_open[r] = now
-                last_scale = now
-                metrics.inc("serve/scale_up")
-                if monitor is not None:
-                    monitor.event("scale_up", t=now, replica=r,
-                                  queue_depth=len(pending),
-                                  active=sum(active))
-                spans.append(Span(
-                    name="serve/scale_up", cat="serve",
-                    rank=self.home_rank(r), start_s=now, dur_s=au.spinup_s,
-                    depth=1, args={"replica": r, "queue_depth": len(pending),
-                                   "modeled": True}))
-                push(now + au.spinup_s, _DEADLINE, None)
-
-        def maybe_scale_down(now: float) -> None:
-            au = self.autoscale
-            if au is None or pending:
-                return
-            nonlocal last_scale
-            if sum(active) <= au.min_replicas or now - last_scale < au.cooldown_s:
-                return
-            for r in reversed(range(self.n_replicas)):
                 if active[r] and free[r] <= now:
                     active[r] = False
                     replica_seconds[r] += now - window_open.pop(r)
@@ -772,75 +636,58 @@ class DownscalingService:
                     break
 
         def try_dispatch(now: float) -> None:
-            nonlocal batches
             while pending:
-                idle = [r for r in range(self.n_replicas)
-                        if active[r] and free[r] <= now]
-                if not idle:
+                for replica in range(self.n_replicas):
+                    if active[replica] and free[replica] <= now:
+                        break
+                else:
                     return
-                # the batch leads with the oldest job's signature: tiles
-                # in one batch share a halo shape, so one compiled plan
-                # serves the whole forward
-                sig = pending[0]["sig"]
-                same_sig = [j for j in pending if j["sig"] == sig]
-                full = len(same_sig) >= self.policy.max_batch
-                due = pending[0]["arrival_s"] + self.policy.max_wait_s <= now
-                if not (full or due):
+                # the batch leads with the oldest job's signature: units
+                # in one batch share an input shape, so one compiled plan
+                # serves the whole forward (whole requests share a single
+                # signature, making this the FIFO prefix)
+                sig = pending[0].sig
+                picked = list(islice(
+                    (k for k, job in enumerate(pending) if job.sig == sig),
+                    max_batch))
+                # the deadline event was scheduled at exactly
+                # arrival + max_wait_s, so this comparison is exact
+                due = pending[0].arrival_s + max_wait_s <= now
+                if not (len(picked) == max_batch or due):
                     return
-                batch = same_sig[: self.policy.max_batch]
-                taken = set(map(id, batch))
-                pending[:] = [j for j in pending if id(j) not in taken]
-                replica = idle[0]
-                dur = float(self.tile_service_time(len(batch), sig))
+                batch = [pending[k] for k in picked]
+                for k in reversed(picked):
+                    del pending[k]
+                dur = float(units.price(len(batch), sig))
                 if dur < 0.0:
-                    raise ValueError(
-                        "service_time returned a negative duration")
+                    raise ValueError("service_time returned a negative duration")
                 end = now + dur
                 free[replica] = end
-                for rank in self.replica_ranks(replica):
-                    clock.advance(rank, max(0.0, end - clock.now(rank)))
                 busy_s[replica] += dur
-                batches += 1
                 metrics.inc("serve/batches")
                 metrics.inc(f"serve/replica/{replica}/batches")
                 metrics.observe("serve/batch_size", len(batch))
-                metrics.observe("serve/tile/batch_occupancy",
-                                len(batch) / self.policy.max_batch)
+                rank = self.home_rank(replica)
                 spans.append(Span(
-                    name="serve/batch", cat="serve",
-                    rank=self.home_rank(replica), start_s=now, dur_s=dur,
-                    depth=1,
+                    name="serve/batch", cat="serve", rank=rank, start_s=now,
+                    dur_s=dur, depth=1,
                     args={"replica": replica, "batch_size": len(batch),
-                          "tiles": [j["tile"] for j in batch],
-                          "signature": list(sig), "modeled": True}))
-                # child spans: the dispatch overhead leads, then the
-                # tiles run back to back inside the batch window
-                dispatch_s = getattr(self.tile_service_time,
-                                     "dispatch_s", 0.0)
-                tile_s = max(0.0, dur - dispatch_s) / len(batch)
-                t0 = now + (dur - tile_s * len(batch))
-                for k, j in enumerate(batch):
-                    spans.append(Span(
-                        name="serve/tile", cat="serve",
-                        rank=self.home_rank(replica),
-                        start_s=t0 + k * tile_s, dur_s=tile_s, depth=2,
-                        args={"tile": j["tile"],
-                              "waiters": len(j["waiters"]),
-                              "modeled": True}))
-                outputs = None
-                if self._runner is not None:
-                    outputs = [self._execute_tile(j["input"], j["tile"])
-                               for j in batch]
+                          **units.batch_args(batch, sig), "modeled": True}))
+                units.trace_batch(batch, rank, now, dur, metrics, spans)
+                outputs = ([units.execute(j.input, j.unit) for j in batch]
+                           if self._runner is not None
+                           else [None] * len(batch))
                 push(end, _COMPLETE, (replica, batch, now, outputs))
 
-        def respond(req: Request, dispatch_s: float, complete_s: float,
-                    replica: int | None, batch_size: int, cache_hit: bool,
-                    output, hits: int, computed: int) -> None:
+        def respond(ticket: _Ticket, dispatch_s: float, complete_s: float,
+                    replica: int | None, batch_size: int) -> None:
+            req, results = ticket.req, ticket.results
             responses[req.rid] = Response(
                 request=req, dispatch_s=dispatch_s, complete_s=complete_s,
-                replica=replica, batch_size=batch_size, cache_hit=cache_hit,
-                output=output, tiles=n_t, tiles_hit=hits,
-                tiles_computed=computed)
+                replica=replica, batch_size=batch_size,
+                cache_hit=ticket.computed == 0,
+                output=None if results is None else units.finish(results),
+                **units.response_fields(ticket.hits, ticket.computed))
             metrics.inc("serve/requests")
             metrics.observe("serve/latency_s", complete_s - req.arrival_s)
             metrics.observe("serve/queue_wait_s", dispatch_s - req.arrival_s)
@@ -854,115 +701,109 @@ class DownscalingService:
             duration = max(duration, now)
             if kind == _COMPLETE:
                 replica, batch, start, outputs = payload
-                for idx, job in enumerate(batch):
-                    core = outputs[idx] if outputs is not None else True
-                    if self.cache is not None:
-                        evicted_before = self.cache.evictions
-                        self.cache.put(job["key"], core)
+                for job, result in zip(batch, outputs):
+                    if cache is not None:
+                        evicted_before = cache.evictions
+                        cache.put(job.key, result)
                         metrics.inc("serve/cache/evictions",
-                                    self.cache.evictions - evicted_before)
-                    open_jobs.pop(job["key"], None)
-                    for rid, tile in job["waiters"]:
-                        asm = assemblies[rid]
-                        asm["remaining"] -= 1
-                        asm["computed"] += 1
-                        if asm["cores"] is not None:
-                            asm["cores"][tile] = core
-                        if asm["dispatch_s"] is None:
-                            asm["dispatch_s"] = start
-                        if asm["remaining"] == 0:
-                            req = asm["req"]
-                            output = None
-                            if asm["cores"] is not None:
-                                output = self._assemble(asm["cores"])
-                            # a coalesced tile may have been dispatched
+                                    cache.evictions - evicted_before)
+                    open_jobs.pop(job.key, None)
+                    for rid, unit in job.waiters:
+                        ticket = tickets[rid]
+                        ticket.remaining -= 1
+                        ticket.computed += 1
+                        if ticket.results is not None:
+                            ticket.results[unit] = result
+                        if ticket.dispatch_s is None:
+                            ticket.dispatch_s = start
+                        if ticket.remaining == 0:
+                            # a coalesced unit may have been dispatched
                             # before this request arrived — queue wait
                             # is never negative
-                            dispatch = max(asm["dispatch_s"], req.arrival_s)
-                            respond(req, dispatch, now, replica, len(batch),
-                                    cache_hit=False, output=output,
-                                    hits=asm["hits"],
-                                    computed=asm["computed"])
-                            del assemblies[rid]
+                            respond(ticket, max(ticket.dispatch_s,
+                                                ticket.req.arrival_s),
+                                    now, replica, len(batch))
+                            del tickets[rid]
             elif kind == _ARRIVAL:
                 req = payload
                 shed_this = 0.0
-                keys = [tile_key(req, i) for i in range(n_t)]
-                # membership pre-check (touches no cache counters): the
-                # shed decision must not pollute hit/miss accounting
-                needs_new = [
-                    i for i, k in enumerate(keys)
-                    if k not in open_jobs
-                    and (self.cache is None or k not in self.cache)]
-                if (needs_new and self.max_queue_depth is not None
-                        and len(pending) >= self.max_queue_depth):
+                work = units.split(req)
+                # a full queue sheds any request that would add a job;
+                # the membership pre-check touches no cache counters, so
+                # the shed decision cannot pollute hit/miss accounting
+                if (self.max_queue_depth is not None
+                        and len(pending) >= self.max_queue_depth
+                        and any(k not in open_jobs
+                                and (cache is None or k not in cache)
+                                for k, _ in work)):
+                    # shed rather than let the queue (and tail latency)
+                    # grow without bound; shed responses stay out of the
+                    # latency histograms so rejections can't masquerade as
+                    # fast service
                     metrics.inc("serve/shed")
                     metrics.inc("serve/requests")
                     shed_this = 1.0
                     responses[req.rid] = Response(
                         request=req, dispatch_s=now, complete_s=now,
                         replica=None, batch_size=0, cache_hit=False,
-                        output=None, status="shed", tiles=n_t)
+                        output=None, status="shed",
+                        **units.response_fields(0, 0))
                 else:
-                    cores = [None] * n_t if self._runner is not None else None
-                    hits = 0
-                    remaining = 0
-                    for i in range(n_t):
-                        value = _MISS_SENTINEL
-                        if self.cache is not None:
-                            value = self.cache.get(keys[i], _MISS_SENTINEL)
+                    results = ([None] * len(work)
+                               if self._runner is not None else None)
+                    ticket = _Ticket(req, results)
+                    queued = len(pending)
+                    for unit, (key, sig) in enumerate(work):
+                        value = (cache.get(key, _MISS_SENTINEL)
+                                 if cache is not None else _MISS_SENTINEL)
                         if value is not _MISS_SENTINEL:
-                            hits += 1
-                            metrics.inc("serve/tile/hits")
-                            if cores is not None:
-                                cores[i] = value
+                            ticket.hits += 1
+                            metrics.inc(units.hits)
+                            if results is not None:
+                                results[unit] = value
                             continue
-                        metrics.inc("serve/tile/misses")
-                        remaining += 1
-                        job = open_jobs.get(keys[i])
+                        if cache is not None or units.counts_uncached:
+                            metrics.inc(units.misses)
+                        ticket.remaining += 1
+                        job = open_jobs.get(key)
                         if job is not None:
-                            # identical tile already queued or in flight
+                            # identical unit already queued or in flight
                             # (another request, or a duplicate-content
                             # tile of this one): wait on its compute
-                            job["waiters"].append((req.rid, i))
-                            metrics.inc("serve/tile/coalesced")
+                            job.waiters.append((req.rid, unit))
+                            metrics.inc(units.coalesced)
                         else:
-                            job = {"key": keys[i], "tile": i,
-                                   "sig": plan.signature(i),
-                                   "arrival_s": now, "input": req.input,
-                                   "waiters": [(req.rid, i)]}
-                            open_jobs[keys[i]] = job
+                            job = _Job(key, unit, sig, now, req.input,
+                                       [(req.rid, unit)])
+                            if units.coalesced is not None:
+                                open_jobs[key] = job
                             pending.append(job)
-                    if remaining == 0:
+                    if ticket.remaining == 0:
                         end = now + self.hit_latency_s
                         duration = max(duration, end)
-                        output = (self._assemble(cores)
-                                  if cores is not None else None)
-                        respond(req, now, end, None, 1, cache_hit=True,
-                                output=output, hits=hits, computed=0)
+                        respond(ticket, now, end, None, 1)
                     else:
-                        assemblies[req.rid] = {
-                            "req": req, "cores": cores,
-                            "remaining": remaining, "hits": hits,
-                            "computed": 0, "dispatch_s": None,
-                        }
-                        if needs_new:
-                            push(req.arrival_s + self.policy.max_wait_s,
-                                 _DEADLINE, None)
+                        tickets[req.rid] = ticket
+                        if len(pending) > queued:
+                            push(req.arrival_s + max_wait_s, _DEADLINE, None)
                         maybe_scale_up(now)
-                    if monitor is not None:
-                        monitor.record("serve/tile_miss_rate",
-                                       remaining / n_t, t=now)
+                    if monitor is not None and units.miss_feed is not None:
+                        monitor.record(units.miss_feed,
+                                       ticket.remaining / len(work), t=now)
                 metrics.observe("serve/queue_depth", len(pending))
                 if monitor is not None:
                     monitor.record("serve/queue_depth", len(pending), t=now)
                     monitor.record("serve/shed_event", shed_this, t=now)
+            # _DEADLINE events carry no state; they exist to wake the
+            # batcher at the max-wait boundary
             try_dispatch(now)
             maybe_scale_down(now)
             if pending and not heap:
+                # all arrivals and completions processed but jobs remain
+                # queued: wake at the earliest dispatch opportunity
                 wake = min(min(free[r] for r in range(self.n_replicas)
                                if active[r]),
-                           pending[0]["arrival_s"] + self.policy.max_wait_s)
+                           pending[0].arrival_s + max_wait_s)
                 push(max(wake, now), _DEADLINE, None)
 
         # ---------------- close out: roots, gauges ---------------- #
@@ -981,13 +822,10 @@ class DownscalingService:
                 args={"replica": r, "ranks": self.replica_ranks(r),
                       "utilization": util,
                       "active_s": replica_seconds[r], "modeled": True}))
-        if self.cache is not None:
-            metrics.gauge("serve/cache/hit_rate", self.cache.hit_rate)
-            metrics.gauge("serve/cache/size", len(self.cache))
-        th = metrics.counters.get("serve/tile/hits", 0.0)
-        tm = metrics.counters.get("serve/tile/misses", 0.0)
-        metrics.gauge("serve/tile/hit_rate",
-                      th / (th + tm) if th + tm else 0.0)
+        if cache is not None:
+            metrics.gauge("serve/cache/hit_rate", cache.hit_rate)
+            metrics.gauge("serve/cache/size", len(cache))
+        units.close_out(metrics)
         metrics.gauge("serve/duration_s", duration)
         if duration:
             metrics.gauge("serve/throughput_rps", len(responses) / duration)

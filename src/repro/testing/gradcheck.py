@@ -1,7 +1,7 @@
 """Finite-difference gradient oracle.
 
-Promoted from the original ``tests/gradcheck.py`` helper into a
-library-grade checker any PR can call to prove a new op's backward pass:
+A library-grade checker any PR can call to prove a new op's backward
+pass:
 
 * central differences probed in float64 so truncation error stays far
   below the comparison tolerance even though the engine runs float32;

@@ -1,6 +1,5 @@
 """Training, inference, and profiling harness."""
 
-from .distributed_trainer import OrthogonalTrainer
 from .engine import DistributedEngine, mse_loss
 from .inference import (build_inference_runner, evaluate_downscaling,
                         global_inference, predict_dataset)
@@ -12,7 +11,6 @@ __all__ = [
     "Trainer",
     "DistributedEngine",
     "mse_loss",
-    "OrthogonalTrainer",
     "TrainConfig",
     "CHECKPOINT_FORMAT_VERSION",
     "save_checkpoint",

@@ -73,6 +73,50 @@ class TestCompositeStrategy:
     def test_oracle_world16_with_tp(self):
         check_parallel_equivalence("composite", world=16)
 
+    def test_two_level_reduce_equals_global_gradient(self):
+        """The composition law at ``tp=1, fsdp=1`` against a reference
+        written out by hand (not the strategy's own ``reference_step``):
+        in-group mean then cross-group mean equals the gradient of
+        single-process training on the full batch with the same tiling."""
+        from repro.core import ModelConfig, Reslim
+        from repro.core.tiles import extract_tile, make_tiles
+        from repro.distributed import flatten_grads
+        from repro.tensor import Tensor
+
+        def make():
+            return Reslim(ModelConfig("tiny", embed_dim=16, depth=1,
+                                      num_heads=2), 4, 2, factor=2,
+                          max_tokens=128, rng=np.random.default_rng(3))
+
+        rng = np.random.default_rng(0)
+        inputs = rng.standard_normal((2, 4, 16, 16)).astype(np.float32)
+        targets = rng.standard_normal((2, 2, 32, 32)).astype(np.float32)
+        plan = CompositePlan(VirtualCluster(8), tp=1, fsdp=1, tiles=4, ddp=2)
+        strategy = CompositeStrategy(plan, loss_fn=_mse, halo=2, factor=2)
+        strategy.setup(lambda u: make())
+        strategy.step(inputs, targets)
+
+        # mean over 8 tile-losses = mean over samples of mean over tiles
+        ref_model = make()
+        losses = []
+        for g in range(2):
+            x = Tensor(inputs[g:g + 1])
+            for spec in make_tiles(16, 16, 4, halo=2):
+                out = ref_model(extract_tile(x, spec))
+                top, left = (spec.y0 - spec.hy0) * 2, (spec.x0 - spec.hx0) * 2
+                ch, cw = spec.core_shape
+                core = out[:, :, top:top + ch * 2, left:left + cw * 2]
+                tt = Tensor(targets[g:g + 1, :, spec.y0 * 2:spec.y1 * 2,
+                                    spec.x0 * 2:spec.x1 * 2])
+                losses.append(_mse(core, tt))
+        total = losses[0]
+        for loss in losses[1:]:
+            total = total + loss
+        (total * (1.0 / len(losses))).backward()
+        np.testing.assert_allclose(strategy.unit_grads(0),
+                                   flatten_grads(ref_model),
+                                   rtol=1e-4, atol=1e-6)
+
     def test_comm_summary_per_level_and_reset(self):
         plan = CompositePlan(VirtualCluster(8), tp=1, fsdp=2, tiles=2, ddp=2)
         strategy = CompositeStrategy(plan, loss_fn=_mse, halo=2, factor=2)

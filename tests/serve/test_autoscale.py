@@ -12,6 +12,7 @@ from repro.serve import (
     BatchPolicy,
     DownscalingService,
     Request,
+    TileCache,
     TrafficGenerator,
 )
 
@@ -47,6 +48,19 @@ class TestAdmissionControl:
         result = service.run(_burst())
         served = sum(1 for r in result.responses if r.status == "ok")
         assert result.metrics.histograms["serve/latency_s"].count == served
+
+    def test_shed_requests_never_probe_the_cache(self):
+        """Shedding is decided before the cache is probed, so overload
+        cannot drag the hit rate down with phantom misses."""
+        cache = TileCache(4)
+        service = _service(n_replicas=1, max_queue_depth=5, cache=cache)
+        result = service.run(_burst())
+        served = [r for r in result.responses if r.status == "ok"]
+        assert len(served) < len(result.responses), "fixture must shed"
+        assert cache.hits + cache.misses == len(served)
+        counters = result.metrics.counters
+        assert (counters["serve/cache/hits"] + counters["serve/cache/misses"]
+                == len(served))
 
     def test_unbounded_queue_sheds_nothing(self):
         service = _service(n_replicas=1)

@@ -36,6 +36,7 @@ from repro.serve import (
     DownscalingService,
     TileCache,
     TrafficGenerator,
+    content_key,
 )
 from repro.tensor import Tensor, no_grad
 from repro.testing.golden import update_requested
@@ -82,14 +83,6 @@ def _sha(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _array_sha(a) -> str | None:
-    if a is None:
-        return None
-    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
-    h.update(np.ascontiguousarray(a).data)
-    return h.hexdigest()
-
-
 class _Tape:
     """Monitor stand-in: keeps the exact record/event stream the
     scheduler emits, in order."""
@@ -128,8 +121,9 @@ def _digest(result, tape) -> dict:
                         result.gpus_per_replica, result.utilization]),
     }
     if any(r.output is not None for r in result.responses):
-        out["outputs"] = _sha([_array_sha(r.output)
-                               for r in result.responses])
+        out["outputs"] = _sha([
+            None if r.output is None else content_key(r.output)
+            for r in result.responses])
     return out
 
 
@@ -148,13 +142,14 @@ def _traffic(scenario, inputs=None, duration_s=3.0, tile_update_rate=150.0):
     return gen.generate(inputs=inputs)
 
 
-def _service(mode, n_replicas, cache_on, autoscale_on, depth, **kw):
+def _service(mode, n_replicas, cache_on, autoscale_on, depth, model=None,
+             **kw):
     if mode == "tiled":
         kw.update(n_tiles=N_TILES, halo=HALO, coarse_shape=COARSE,
                   tile_serving=True)
     capacity = 16 if mode == "tiled" else 6     # both small enough to evict
     return DownscalingService(
-        kw.pop("model", None), n_replicas=n_replicas, policy=POLICY,
+        model, n_replicas=n_replicas, policy=POLICY,
         cache=TileCache(capacity) if cache_on else None,
         autoscale=AUTOSCALE if autoscale_on else None,
         max_queue_depth=depth, **kw)
@@ -251,7 +246,7 @@ def test_executed_cell(mode):
     # output bytes depend on the BLAS build; pin them only where the
     # reference itself reproduces the recorded bytes (the bitwise check
     # against the live reference above holds everywhere)
-    cell["reference"] = _sha([_array_sha(refs[s]) for s in sorted(refs)])
+    cell["reference"] = _sha([content_key(refs[s]) for s in sorted(refs)])
     name = f"{mode}/executed"
     recorded = (json.loads(GOLDEN.read_text()).get(name, {})
                 if GOLDEN.exists() else {})

@@ -17,6 +17,7 @@ from repro.data import DatasetSpec, DownscalingDataset, Grid
 from repro.serve import (
     BatchPolicy,
     DownscalingService,
+    Request,
     SCENARIOS,
     TileCache,
     TrafficGenerator,
@@ -77,6 +78,62 @@ class TestBitIdenticalServing:
                 f"(scenario={scenario}, replicas={n_replicas}, "
                 f"cache={'on' if cache_on else 'off'}, "
                 f"hit={resp.cache_hit})")
+
+    @pytest.mark.parametrize("cache_on", [False, True],
+                             ids=["cache-off", "cache-on"])
+    def test_whole_and_tile_serving_return_the_same_bytes(self, cache_on):
+        """One scheduler, two unit policies: the same tiled geometry
+        served whole-request and tile by tile is byte-equal (and equal
+        to the tiled ``predict_dataset`` both are pinned against)."""
+        spec = DatasetSpec(name="serve-eq-tiled", fine_grid=Grid(32, 64),
+                           factor=4, years=(2000, 2001), samples_per_year=2,
+                           seed=3, output_channels=(17, 18, 19))
+        ds = DownscalingDataset(spec, years=(2000, 2001))
+        ds.fit_normalizer()
+        model = Reslim(TINY, 23, 3, factor=4, max_tokens=256,
+                       rng=np.random.default_rng(0))
+        geometry = dict(n_tiles=4, halo=2, coarse_shape=(8, 16))
+        inputs = list(np.concatenate([b.inputs for b in ds.batches(1)]))
+        reference, _ = predict_dataset(model, ds, n_tiles=4, halo=2)
+        requests = TrafficGenerator(
+            "burst", rate_rps=60.0, duration_s=1.0, seed=0,
+            n_inputs=len(inputs)).generate(inputs=inputs)
+
+        def serve(tile_serving):
+            service = DownscalingService(
+                model, n_replicas=2,
+                policy=BatchPolicy(max_batch=4, max_wait_s=0.02),
+                cache=TileCache(32) if cache_on else None,
+                target_normalizer=ds.target_normalizer,
+                tile_serving=tile_serving, **geometry)
+            return service.run(requests).responses
+
+        for whole, tiled in zip(serve(False), serve(True)):
+            assert whole.request.rid == tiled.request.rid
+            assert whole.output.tobytes() == tiled.output.tobytes()
+            assert np.array_equal(whole.output,
+                                  reference[whole.request.sample])
+
+    def test_bump_plan_epoch_invalidates_whole_request_entries(self, workload):
+        """After a weight swap + epoch bump no stale entry may answer:
+        zero hits, and outputs equal a fresh ``predict_dataset``."""
+        _, ds, inputs, _ = workload
+        model = Reslim(TINY, 23, 3, factor=4, max_tokens=64,
+                       rng=np.random.default_rng(0))
+        requests = [Request(rid=i, arrival_s=0.01 * i, sample=i, input=x)
+                    for i, x in enumerate(inputs)]
+        service = DownscalingService(model, cache=TileCache(8),
+                                     target_normalizer=ds.target_normalizer)
+        service.run(requests)
+        assert all(r.cache_hit for r in service.run(requests).responses)
+        for p in model.parameters():
+            p.data *= 1.5
+        service.bump_plan_epoch()
+        result = service.run(requests)
+        fresh, _ = predict_dataset(model, ds)
+        assert not any(r.cache_hit for r in result.responses)
+        for r in result.responses:
+            assert np.array_equal(r.output, fresh[r.request.sample])
 
     def test_matches_batch_size_one_reference_too(self, workload):
         """predict_dataset itself is batch-size invariant, so the serving

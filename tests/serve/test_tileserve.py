@@ -32,7 +32,7 @@ from repro.serve import (
     TrafficGenerator,
 )
 from repro.tensor import Tensor, no_grad
-from repro.train import predict_dataset
+from repro.train import build_inference_runner, predict_dataset
 
 TINY = ModelConfig("tiny", embed_dim=16, depth=1, num_heads=2)
 
@@ -71,6 +71,17 @@ def _tiled_service(workload, *, n_replicas=1, cache_on=True, **kw):
         target_normalizer=ds.target_normalizer,
         n_tiles=N_TILES, halo=HALO, coarse_shape=COARSE,
         tile_serving=True, **kw)
+
+
+def _reference(workload, x):
+    """The public bitwise reference for one input: the tiled runner
+    ``predict_dataset`` builds, then the dataset's denormalize."""
+    model, ds, _, _ = workload
+    runner = build_inference_runner(model, n_tiles=N_TILES, halo=HALO,
+                                    coarse_shape=COARSE)
+    with no_grad():
+        pred = runner(Tensor(x[None])).data[0]
+    return ds.target_normalizer.denormalize(pred)
 
 
 def _burst(workload, seed=0, rate=60.0, duration=1.0):
@@ -204,7 +215,7 @@ class TestTiledBitwiseServing:
         assert by_rid[1].tiles_hit == N_TILES - 1
         assert by_rid[1].tiles_computed == 1
         # and the outputs are still exact
-        ref = svc._execute(changed)
+        ref = _reference(workload, changed)
         assert np.array_equal(by_rid[1].output, ref)
 
     def test_plan_epoch_bump_invalidates(self, workload):
@@ -296,7 +307,7 @@ class TestRollingForecast:
                                seed=1, n_tiles=N_TILES, tile_update_rate=3.0)
         reqs = gen.generate(inputs=[inputs[0]])
         svc = _tiled_service(workload, n_replicas=2)
-        refs = [svc._execute(st) for st in gen.states]
+        refs = [_reference(workload, st) for st in gen.states]
         result = svc.run(reqs)
         for resp in result.responses:
             assert np.array_equal(resp.output, refs[resp.request.sample])
@@ -400,7 +411,6 @@ class TestHitRateAwarePerfModel:
 class TestRunnerGeometryValidation:
     def test_rejects_halo_swallowing_neighbours(self, workload):
         model, _, _, _ = workload
-        from repro.train import build_inference_runner
         with pytest.raises(ValueError,
                            match="does not fit the tile extent"):
             build_inference_runner(model, n_tiles=4, halo=4,
