@@ -19,6 +19,11 @@ from .variables import INPUT_VARIABLES, Variable
 
 __all__ = ["DatasetSpec", "DownscalingDataset", "year_split", "Batch"]
 
+# Per-dataset cap on resident raw pairs (see DownscalingDataset).  Large
+# enough to hold every split the tests, CLI and benchmarks build (the e2e
+# split is 4.6 MB), small next to the ~145 MB a train process peaks at.
+RESIDENT_BUDGET_BYTES = 64 * 2**20
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -77,9 +82,19 @@ def year_split(years: tuple[int, ...], train_frac: float = 0.9,
 class DownscalingDataset:
     """Materializes paired samples for one split of a :class:`DatasetSpec`.
 
-    Samples are generated lazily and deterministically from the world
-    seed, standing in for the real data loader.  ``fit_normalizer`` must
-    be called (or a normalizer passed) before batches are produced.
+    A sample is a pure function of ``(spec.seed, year, index)``:
+    :class:`ClimateWorld` regenerates it on every call, this class keeps
+    it.  The first ``raw_pair(idx)`` generates the pair, freezes both
+    arrays and leaves them resident; later visits (every epoch after the
+    first, validation, ``predict_dataset``, export) return the same
+    objects.  Residency is per dataset instance and capped at
+    ``RESIDENT_BUDGET_BYTES``: the store fills and then stops admitting,
+    and an index that did not fit is regenerated on each visit.  Raw pairs
+    are kept, not normalized batches, so swapping a normalizer needs no
+    invalidation; ``Batch`` arrays are always fresh and writable.
+
+    ``fit_normalizer`` must be called (or a normalizer passed) before
+    batches are produced.
     """
 
     def __init__(self, spec: DatasetSpec, years: tuple[int, ...],
@@ -94,6 +109,8 @@ class DownscalingDataset:
         self.normalizer = normalizer
         self.target_normalizer = target_normalizer
         self._keys = [(y, i) for y in self.years for i in range(spec.samples_per_year)]
+        self._resident: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._resident_bytes = 0
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -105,9 +122,24 @@ class DownscalingDataset:
         return [i for i, v in enumerate(self.spec.variables) if v.kind != "static"]
 
     def raw_pair(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
-        year, index = self._keys[idx]
-        return self.world.paired_sample(year, index, self.spec.factor,
-                                        self.output_channels)
+        """The read-only (coarse input, fine target) pair in physical units."""
+        try:
+            idx = range(len(self))[idx]
+        except IndexError:
+            raise IndexError(f"sample index {idx} out of range for a dataset "
+                             f"of {len(self)} samples") from None
+        pair = self._resident.get(idx)
+        if pair is None:
+            year, index = self._keys[idx]
+            pair = self.world.paired_sample(year, index, self.spec.factor,
+                                            self.output_channels)
+            for arr in pair:
+                arr.flags.writeable = False
+            nbytes = pair[0].nbytes + pair[1].nbytes
+            if self._resident_bytes + nbytes <= RESIDENT_BUDGET_BYTES:
+                self._resident[idx] = pair
+                self._resident_bytes += nbytes
+        return pair
 
     def fit_normalizer(self, n_samples: int = 4) -> ChannelNormalizer:
         """Estimate input AND target channel statistics from early samples.

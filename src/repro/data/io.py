@@ -60,7 +60,11 @@ def export_dataset(dataset: DownscalingDataset, path: str | Path,
 
 
 class ExportedDataset:
-    """An archive loaded back into memory with the same access surface."""
+    """An archive loaded back into memory with the same access surface.
+
+    ``load_exported`` freezes ``inputs``/``targets``, so ``raw_pair``
+    returns read-only views, as :meth:`DownscalingDataset.raw_pair` does.
+    """
 
     def __init__(self, inputs: np.ndarray, targets: np.ndarray, metadata: dict):
         if inputs.shape[0] != targets.shape[0]:
@@ -87,4 +91,7 @@ def load_exported(path: str | Path) -> ExportedDataset:
         meta = json.loads(str(data["metadata"]))
         if meta.get("format_version") != _FORMAT_VERSION:
             raise ValueError(f"unsupported archive version {meta.get('format_version')}")
-        return ExportedDataset(data["inputs"].copy(), data["targets"].copy(), meta)
+        inputs, targets = data["inputs"].copy(), data["targets"].copy()
+    # same contract as DownscalingDataset.raw_pair: samples are read-only
+    inputs.flags.writeable = targets.flags.writeable = False
+    return ExportedDataset(inputs, targets, meta)

@@ -129,7 +129,9 @@ class ClimateWorld:
 
         Deterministic in (world seed, year, index): the same sample can be
         regenerated on any rank without storing terabytes, standing in for
-        the data-loader + filesystem of the real pipeline.
+        the data-loader + filesystem of the real pipeline.  The world keeps
+        nothing — every call regenerates; :class:`DownscalingDataset` is
+        the layer that keeps a split's pairs resident once generated.
         """
         rng = self._sample_rng(year, index)
         h, w = self.fine_grid.shape

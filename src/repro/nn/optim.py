@@ -219,12 +219,17 @@ def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm (useful for logging/instability detection).
+    A non-finite norm is returned as is and the gradients are left
+    untouched, so overflow detection downstream sees the original
+    ``inf``/``NaN`` rather than ``inf * 0``.
     """
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = float(np.sqrt(total))
+    if not np.isfinite(norm):
+        return norm
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:

@@ -15,6 +15,7 @@ from repro.data import (
     quantile_bias_correct,
     year_split,
 )
+from repro.data import datasets
 
 
 def _spec(**kw):
@@ -156,3 +157,103 @@ class TestDownscalingDataset:
 
     def test_coarse_grid_property(self):
         assert _spec().coarse_grid.shape == (4, 8)
+
+
+def _pairs_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def _two_epochs(ds, seed=7):
+    rng = np.random.default_rng(seed)
+    return [b for _ in range(2) for b in ds.batches(2, shuffle=True, rng=rng)]
+
+
+class TestResidentSamples:
+    def test_resident_pair_equals_fresh_generation(self):
+        ds = DownscalingDataset(_spec(), years=(2000, 2001))
+        first = ds.raw_pair(4)
+        fresh = ds.world.paired_sample(2001, 1, 4, ds.output_channels)
+        assert _pairs_equal(first, fresh)
+        second = ds.raw_pair(4)
+        assert second[0] is first[0] and second[1] is first[1]
+        for arr in second:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+    def test_negative_index_shares_the_entry(self):
+        ds = DownscalingDataset(_spec(), years=(2000, 2001))
+        last = ds.raw_pair(len(ds) - 1)
+        assert ds.raw_pair(-1)[0] is last[0]
+        assert len(ds._resident) == 1
+
+    @pytest.mark.parametrize("idx", [6, -7, 100])
+    def test_out_of_range_names_the_length(self, idx):
+        ds = DownscalingDataset(_spec(), years=(2000, 2001))
+        with pytest.raises(IndexError, match="6 samples"):
+            ds.raw_pair(idx)
+
+    def test_warm_epochs_equal_cold_epochs(self):
+        warm = DownscalingDataset(_spec(), years=(2000, 2001))
+        warm.fit_normalizer()
+        _two_epochs(warm, seed=1)  # every sample resident now
+        assert len(warm._resident) == len(warm)
+        cold = DownscalingDataset(_spec(), years=(2000, 2001))
+        cold.fit_normalizer()
+        for a, b in zip(_two_epochs(warm), _two_epochs(cold), strict=True):
+            assert np.array_equal(a.inputs, b.inputs)
+            assert np.array_equal(a.targets, b.targets)
+            assert np.array_equal(a.targets_raw, b.targets_raw)
+            assert a.keys == b.keys
+
+    def test_mutating_a_batch_leaves_the_store_alone(self):
+        ds = DownscalingDataset(_spec(), years=(2000,))
+        ds.fit_normalizer()
+        reference = [(b.inputs.copy(), b.targets.copy(), b.targets_raw.copy())
+                     for b in ds.batches(2)]
+        for b in ds.batches(2):
+            b.inputs[...] = 0.0
+            b.targets[...] *= 2.0
+            b.targets_raw[...] += 1.0
+        for b, (x, y, y_raw) in zip(ds.batches(2), reference, strict=True):
+            assert np.array_equal(b.inputs, x)
+            assert np.array_equal(b.targets, y)
+            assert np.array_equal(b.targets_raw, y_raw)
+
+    def test_fit_normalizer_leaves_samples_resident(self):
+        ds = DownscalingDataset(_spec(), years=(2000, 2001))
+        first = ds.fit_normalizer(n_samples=3)
+        first_target = ds.target_normalizer
+        assert sorted(ds._resident) == [0, 1, 2]
+        second = ds.fit_normalizer(n_samples=3)
+        assert np.array_equal(first.mean, second.mean)
+        assert np.array_equal(first.std, second.std)
+        assert np.array_equal(first_target.mean, ds.target_normalizer.mean)
+        assert np.array_equal(first_target.std, ds.target_normalizer.std)
+
+    def test_budget_bounds_resident_bytes(self, monkeypatch):
+        reference = DownscalingDataset(_spec(), years=(2000, 2001))
+        pair_bytes = sum(a.nbytes for a in reference.raw_pair(0))
+        budget = 2 * pair_bytes - 1
+        monkeypatch.setattr(datasets, "RESIDENT_BUDGET_BYTES", budget)
+        ds = DownscalingDataset(_spec(), years=(2000, 2001))
+        for _ in range(2):
+            for i in range(len(ds)):
+                assert _pairs_equal(ds.raw_pair(i), reference.raw_pair(i))
+                assert ds._resident_bytes <= budget
+        assert list(ds._resident) == [0]
+        assert ds.raw_pair(0)[0] is ds.raw_pair(0)[0]
+        over = ds.raw_pair(1)
+        assert over[0] is not ds.raw_pair(1)[0]
+        assert not over[0].flags.writeable and not over[1].flags.writeable
+
+    @pytest.mark.parametrize("other", [
+        dict(seed=2), dict(years=(2002, 2003)), dict(output_channels=(5, 6)),
+    ])
+    def test_store_is_per_dataset(self, other):
+        a = DownscalingDataset(_spec(), years=_spec().years)
+        b = DownscalingDataset(_spec(**other), years=_spec(**other).years)
+        a.raw_pair(0)
+        got = b.raw_pair(0)
+        year, index = b._keys[0]
+        assert _pairs_equal(got, b.world.paired_sample(year, index, 4, b.output_channels))
+        assert not _pairs_equal(got, a.raw_pair(0))

@@ -27,6 +27,12 @@ class TestExport:
             np.testing.assert_array_equal(x, lx)
             np.testing.assert_array_equal(y, ly)
 
+    def test_loaded_samples_are_read_only(self, tmp_path):
+        loaded = load_exported(export_dataset(_dataset(), tmp_path / "d.npz"))
+        for arr in loaded.raw_pair(0):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
     def test_metadata_preserved(self, tmp_path):
         ds = _dataset()
         loaded = load_exported(export_dataset(ds, tmp_path / "d.npz"))

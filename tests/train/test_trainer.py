@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ModelConfig, Reslim, PAPER_CONFIGS
-from repro.data import DatasetSpec, DownscalingDataset, Grid
+from repro.data import DatasetSpec, DownscalingDataset, Grid, datasets
 from repro.distributed import transformer_flops
 from repro.train import (
     TrainConfig,
@@ -77,6 +77,27 @@ class TestTrainer:
         loss = trainer.evaluate()
         assert np.isfinite(loss)
         assert all(p.grad is None for p in trainer.model.parameters())
+
+    def test_resident_store_does_not_change_training(self, monkeypatch):
+        """Losses and parameters are bitwise the same whether every sample
+        is resident (default budget) or regenerated on every visit (0)."""
+        def run():
+            trainer = Trainer(_model(), _dataset(samples=3),
+                              TrainConfig(epochs=1, batch_size=2, lr=2e-3))
+            rng = np.random.default_rng(5)
+            losses = [trainer.train_step(batch) for _ in range(3)
+                      for batch in trainer.dataset.batches(2, shuffle=True, rng=rng)]
+            return trainer, losses
+
+        resident, losses = run()
+        assert len(resident.dataset._resident) == len(resident.dataset)
+        monkeypatch.setattr(datasets, "RESIDENT_BUDGET_BYTES", 0)
+        regenerated, losses_regenerated = run()
+        assert not regenerated.dataset._resident
+        assert losses == losses_regenerated
+        for p, q in zip(resident.model.parameters(),
+                        regenerated.model.parameters(), strict=True):
+            assert np.array_equal(p.data, q.data)
 
 
 class TestCheckpoint:
