@@ -40,13 +40,17 @@ class ChannelNormalizer:
         return cls(mean.astype(np.float32), std.astype(np.float32))
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        """(.., C, H, W) → z-scores; broadcasts over leading axes."""
+        """(.., C, H, W) → float32 z-scores; broadcasts over leading axes.
+        The arithmetic allocates the result (here and in ``denormalize``),
+        so it never aliases ``x`` and float32 needs no second copy."""
         self._check(x)
-        return ((x - self.mean[:, None, None]) / self.std[:, None, None]).astype(np.float32)
+        return ((x - self.mean[:, None, None])
+                / self.std[:, None, None]).astype(np.float32, copy=False)
 
     def denormalize(self, z: np.ndarray) -> np.ndarray:
         self._check(z)
-        return (z * self.std[:, None, None] + self.mean[:, None, None]).astype(np.float32)
+        return (z * self.std[:, None, None]
+                + self.mean[:, None, None]).astype(np.float32, copy=False)
 
     def _check(self, x: np.ndarray) -> None:
         if x.shape[-3] != self.mean.shape[0]:

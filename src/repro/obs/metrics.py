@@ -89,7 +89,11 @@ class MetricsRegistry:
         self.gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
-        self.histograms.setdefault(name, Histogram()).observe(value)
+        hist = self.histograms.get(name)
+        if hist is None:
+            # built on first sight only: a Histogram seeds its own RNG
+            hist = self.histograms[name] = Histogram()
+        hist.observe(value)
 
     def reset(self) -> None:
         self.counters.clear()

@@ -41,9 +41,7 @@ def content_key(array: np.ndarray) -> str:
         h.update(len(field).to_bytes(4, "little"))
         h.update(field.encode())
     # hash straight out of the array's buffer: ``a.data`` is a zero-copy
-    # memoryview over the C-contiguous storage, so no tobytes()
-    # materialization — tile-granular serving hashes every halo region
-    # of every arrival, making this the hot path of admission
+    # memoryview over the C-contiguous storage, so no tobytes() copy
     h.update(a.data)
     return h.hexdigest()
 
@@ -123,7 +121,7 @@ class TileCache:
         (``writeable`` flag off — e.g. tile cores cropped by
         :class:`~repro.serve.tiling.TilePlan`) are stored as-is: the
         caller has promised immutability, so the defensive copy would be
-        pure overhead on the per-tile hot path.
+        pure overhead.
         """
         if isinstance(value, np.ndarray) and value.flags.writeable:
             value = value.copy()

@@ -318,10 +318,10 @@ class _TileUnits:
 
     def finish(self, cores: list) -> np.ndarray:
         """Reassemble cached/computed cores into the served output:
-        concatenate normalized cores (the ``stitch_tiles`` arithmetic),
-        then denormalize the assembled field — operation for operation
-        what a whole-request forward does, so the bytes match it
-        regardless of which tiles were hits."""
+        place normalized cores where ``stitch_tiles`` does, then
+        denormalize the assembled field — value for value what a
+        whole-request forward does, so the bytes match it regardless
+        of which tiles were hits."""
         return self.svc._denormalize(self.plan.assemble(cores))
 
     def response_fields(self, hits: int, computed: int) -> dict:
@@ -562,6 +562,12 @@ class DownscalingService:
         pending: list[_Job] = []            # FIFO queue of missed units
         open_jobs: dict[str, _Job] = {}     # key -> job, queued or in flight
         tickets: dict[int, _Ticket] = {}    # rid -> request awaiting units
+        # id(input) -> (input, its split).  run() is synchronous and holds
+        # inputs by reference from arrival to dispatch, so each distinct
+        # array is keyed once per run; an entry keeps its array alive, so
+        # its id cannot be reused.  A local: between two runs the caller
+        # may mutate an array, and the next run must see it.
+        split_memo: dict[int, tuple[np.ndarray, list]] = {}
         busy_s = [0.0] * self.n_replicas
         # replica frontiers: plain floats so the idle check compares
         # bit-exactly against completion-event timestamps
@@ -727,7 +733,13 @@ class DownscalingService:
             elif kind == _ARRIVAL:
                 req = payload
                 shed_this = 0.0
-                work = units.split(req)
+                held = split_memo.get(id(req.input))
+                if held is not None and held[0] is req.input:
+                    work = held[1]
+                else:
+                    work = units.split(req)
+                    if req.input is not None:
+                        split_memo[id(req.input)] = (req.input, work)
                 # a full queue sheds any request that would add a job;
                 # the membership pre-check touches no cache counters, so
                 # the shed decision cannot pollute hit/miss accounting

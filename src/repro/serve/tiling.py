@@ -28,7 +28,7 @@ rolling-forecast scenario), and a per-sample fallback otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,22 @@ class TilePlan:
     halo: int
     factor: int
     specs: tuple[TileSpec, ...]
+    # per tile, derived once: :meth:`crop`, its ``g:`` key string, and
+    # :meth:`signature`
+    _crops: tuple = field(init=False, repr=False, compare=False)
+    _geoms: tuple = field(init=False, repr=False, compare=False)
+    _sigs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        f = self.factor
+        crops = tuple(((s.y0 - s.hy0) * f, (s.x0 - s.hx0) * f,
+                       (s.y1 - s.y0) * f, (s.x1 - s.x0) * f)
+                      for s in self.specs)
+        object.__setattr__(self, "_crops", crops)
+        object.__setattr__(self, "_geoms", tuple(
+            f"{top},{left},{ch},{cw}" for top, left, ch, cw in crops))
+        object.__setattr__(self, "_sigs",
+                           tuple(s.halo_shape for s in self.specs))
 
     @classmethod
     def build(cls, coarse_shape: tuple[int, int], n_tiles: int, halo: int,
@@ -74,25 +90,21 @@ class TilePlan:
         batch must share a signature so one compiled forward program
         (one ``CompiledForward`` plan) serves the whole batch.
         """
-        return self.specs[i].halo_shape
+        return self._sigs[i]
 
     def signatures(self) -> set[tuple[int, int]]:
-        return {s.halo_shape for s in self.specs}
+        return set(self._sigs)
 
     def crop(self, i: int) -> tuple[int, int, int, int]:
         """(top, left, core_h, core_w) of tile ``i``'s core inside its
         halo-extended output, in *fine*-grid pixels."""
-        s = self.specs[i]
-        ch, cw = s.core_shape
-        return ((s.y0 - s.hy0) * self.factor, (s.x0 - s.hx0) * self.factor,
-                ch * self.factor, cw * self.factor)
+        return self._crops[i]
 
     # ------------------------------------------------------------------ #
     # keys
     # ------------------------------------------------------------------ #
     def _geom(self, i: int) -> str:
-        top, left, ch, cw = self.crop(i)
-        return f"{top},{left},{ch},{cw}"
+        return self._geoms[i]
 
     def tile_key(self, i: int, *, input: np.ndarray | None = None,
                  versions: tuple[int, ...] | None = None,
@@ -107,7 +119,7 @@ class TilePlan:
         in so clamped edge tiles never collide with interior ones and a
         reshard (epoch bump) invalidates everything at once.
         """
-        geom = self._geom(i)
+        geom = self._geoms[i]
         if input is not None:
             region = self.slice_halo(input, i)
             return f"tile:{content_key(region)}/g:{geom}/e:{epoch}"
@@ -133,9 +145,9 @@ class TilePlan:
         Returns a frozen contiguous copy — exactly what the tile cache
         stores (frozen inputs skip the cache's defensive copy).
         """
-        top, left, ch, cw = self.crop(i)
-        expected_h = (self.specs[i].hy1 - self.specs[i].hy0) * self.factor
-        expected_w = (self.specs[i].hx1 - self.specs[i].hx0) * self.factor
+        top, left, ch, cw = self._crops[i]
+        halo_h, halo_w = self._sigs[i]
+        expected_h, expected_w = halo_h * self.factor, halo_w * self.factor
         if out.shape[-2] != expected_h or out.shape[-1] != expected_w:
             raise ValueError(
                 f"tile output {out.shape[-2:]} != expected "
@@ -146,16 +158,21 @@ class TilePlan:
 
     def assemble(self, cores: list[np.ndarray]) -> np.ndarray:
         """Stitch per-tile (1, C', ch·f, cw·f) cores into the (C', H, W)
-        fine field — the same row-of-columns concatenation as
-        ``stitch_tiles``, so the bytes match a whole-grid tiled forward.
+        fine field.  Each core is copied once, to where ``stitch_tiles``'
+        row-of-columns concatenation puts it, so the bytes match a
+        whole-grid tiled forward.  Shapes are checked exactly: slice
+        assignment would broadcast a mis-shaped core silently.
         """
         if len(cores) != self.n_tiles:
             raise ValueError(f"{len(cores)} cores for {self.n_tiles} tiles")
-        rows = max(s.row for s in self.specs) + 1
-        cols = max(s.col for s in self.specs) + 1
-        by_pos = {(s.row, s.col): cores[i] for i, s in enumerate(self.specs)}
-        row_arrays = [
-            np.concatenate([by_pos[(r, c)] for c in range(cols)], axis=3)
-            for r in range(rows)
-        ]
-        return np.concatenate(row_arrays, axis=2)[0]
+        f, (h, w), first = self.factor, self.coarse_shape, cores[0]
+        channels = first.shape[1] if first.ndim == 4 else 0
+        out = np.empty((channels, h * f, w * f), dtype=first.dtype)
+        for core, s, (_, _, ch, cw) in zip(cores, self.specs, self._crops):
+            want = (1, channels, ch, cw)
+            if core.shape != want or core.dtype != first.dtype:
+                raise ValueError(
+                    f"tile ({s.row}, {s.col}) core {core.dtype}{core.shape} "
+                    f"!= expected {first.dtype}{want}")
+            out[:, s.y0 * f:s.y1 * f, s.x0 * f:s.x1 * f] = core[0]
+        return out

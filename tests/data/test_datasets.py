@@ -87,6 +87,26 @@ class TestChannelNormalizer:
         with pytest.raises(ValueError):
             ChannelNormalizer(np.zeros((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_results_never_alias_their_argument(self, dtype):
+        """Callers (the tile cache's frozen cores, resident samples) hand
+        in arrays they keep; the result is theirs to mutate.  Identity
+        statistics are the case where a no-copy shortcut would alias."""
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((3, 8, 8)).astype(dtype)
+        for norm in (ChannelNormalizer.fit(x * 7 + 2),
+                     ChannelNormalizer(np.zeros(3), np.ones(3))):
+            z = norm.normalize(x)
+            back = norm.denormalize(z)
+            assert z.dtype == back.dtype == np.float32
+            assert z.flags.writeable and back.flags.writeable
+            assert not np.shares_memory(z, x)
+            assert not np.shares_memory(back, z)
+            assert not np.shares_memory(back, x)
+            frozen = z.copy()
+            frozen.flags.writeable = False
+            assert not np.shares_memory(norm.denormalize(frozen), frozen)
+
 
 class TestPrecipTransforms:
     def test_log1p_roundtrip(self):

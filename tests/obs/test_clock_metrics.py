@@ -117,3 +117,51 @@ class TestHistogramReservoir:
         a, b = build(), build()
         assert a._values == b._values
         assert a.percentile(50) == b.percentile(50)
+
+
+class TestRegistryObserve:
+    """``MetricsRegistry.observe`` builds a histogram on first sight of a
+    name and never again — a ``Histogram`` seeds its own RNG, which is
+    most of the cost of an observation."""
+
+    def test_one_histogram_per_name(self, monkeypatch):
+        from repro.obs import metrics
+
+        built = []
+
+        class Counting(metrics.Histogram):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "Histogram", Counting)
+        m = MetricsRegistry()
+        for i in range(50):
+            m.observe("serve/latency_s", float(i))
+            m.observe("serve/queue_depth", float(i % 3))
+        assert len(built) == 2
+        assert set(map(id, built)) == set(map(id, m.histograms.values()))
+        assert m.histograms["serve/latency_s"].count == 50
+
+    def test_long_stream_replays_the_recorded_reservoir(self):
+        """Two interleaved streams three reservoirs long, through the
+        registry.  The literals were recorded on the commit before
+        ``observe`` stopped constructing a histogram per call: same
+        per-histogram seed, same replacement decisions, same bits."""
+        import hashlib
+
+        from repro.obs.metrics import _RESERVOIR
+
+        m = MetricsRegistry()
+        for i in range(3 * _RESERVOIR):
+            m.observe("a", float(i))
+            m.observe("b", float((i * 7919) % 10007))
+        # name -> p50, p99, SHA-256 prefix of the reservoir's float.hex()s
+        recorded = {"a": (6192.0, 12155.0, "f128867b2d39f847"),
+                    "b": (5100.0, 9891.0, "c1401828c9d3414a")}
+        for name, (p50, p99, digest) in recorded.items():
+            h = m.histograms[name]
+            assert h.count == 3 * _RESERVOIR and len(h._values) == _RESERVOIR
+            assert (h.percentile(50), h.percentile(99)) == (p50, p99)
+            assert hashlib.sha256(",".join(
+                v.hex() for v in h._values).encode()).hexdigest()[:16] == digest
