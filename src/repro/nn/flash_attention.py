@@ -14,6 +14,19 @@ NumPy blocks.  Two things matter for the reproduction:
 
 The backward pass follows FlashAttention-2: store only the per-row
 log-sum-exp from the forward, recompute block scores on the way back.
+
+Layout (kernel epoch 1).  On NumPy the kernel is bound by its
+reductions, not its GEMMs, so score tiles are *keys-major*,
+``K_j (sc·Q_i)ᵀ`` of shape ``(nb, bk, bq)``: per-query statistics are
+contiguous rows that broadcast along the fast axis, and reductions over
+keys are SIMD row accumulations over axis −2.  The rest of the per-query
+arithmetic rides inside the GEMMs through one padding column on their
+``O(L·d)`` operands: ``P @ [V, 1]`` returns ``PV`` and ``rowsum(P)``,
+``[K, 1] @ [sc·Q, −lse]ᵀ`` recomputes ``s − lse`` and
+``[V, 1] @ [dO, −delta]ᵀ`` is ``dP − delta``.  Every flattened batch item
+is its own GEMM and block edges depend on ``(lq, lk, block_size)`` only,
+so a sample's or head's bits never depend on what shares its batch — the
+served-vs-reference, DDP and Ulysses oracles rest on that.
 """
 
 from __future__ import annotations
@@ -50,105 +63,76 @@ def flash_attention(
     lk = k.shape[-2]
     sc = np.float32(scale if scale is not None else 1.0 / np.sqrt(d))
     bs = max(1, int(block_size))
-
     batch_shape = q.shape[:-2]
-    qd = q.data.reshape(-1, lq, d)
-    kd = k.data.reshape(-1, lk, d)
-    vd = v.data.reshape(-1, lk, d)
-    nb = qd.shape[0]
+    nb = int(np.prod(batch_shape))
 
     from ..tensor.flops import add_flops
 
-    add_flops(4.0 * nb * lq * lk * d)  # QK^T + PV forward GEMMs
-
     out = np.empty((nb, lq, d), dtype=np.float32)
-    lse = np.empty((nb, lq), dtype=np.float32)  # log-sum-exp per query row
-
-    # BLAS matmuls on transposed views (no einsum path search per block),
-    # with in-place rescaling of the running accumulators.  The softmax
-    # scale is folded into Q once — (sc*Q)K^T touches nb*L*d elements
-    # instead of an O(L^2) `s *= sc` pass per block pair.
-    qsc = qd * sc
-    kdT = np.swapaxes(kd, -1, -2)
+    # The GEMM operands, refilled from the live parents (whatever their
+    # strides) by every run_blocks(), eager or replay: qT = [sc*Q, -lse]^T,
+    # whose last row is written as each query block finishes and read only
+    # by the backward, and kv1 = [K, 1], [V, 1].
+    qT = np.empty((nb, d + 1, lq), dtype=np.float32)
+    kv1 = np.ones((2, nb, lk, d + 1), dtype=np.float32)
+    k1, v1 = kv1
 
     def run_blocks():
+        # QK^T + PV GEMMs (algorithmic: the padding column is not billed)
+        add_flops(4.0 * nb * lq * lk * d)
+        np.multiply(np.swapaxes(q.data, -1, -2), sc,
+                    out=qT.reshape(*batch_shape, d + 1, lq)[..., :d, :])
+        kv = kv1.reshape(2, *batch_shape, lk, d + 1)
+        kv[0, ..., :d], kv[1, ..., :d] = k.data, v.data
         for i0 in range(0, lq, bs):
             i1 = min(i0 + bs, lq)
-            qi = qsc[:, i0:i1]  # (nb, bq, d), pre-scaled
+            qTi = qT[:, :d, i0:i1]  # (nb, d, bq)
             m = np.full((nb, i1 - i0), -np.inf, dtype=np.float32)
-            l = np.zeros((nb, i1 - i0), dtype=np.float32)
-            acc = np.zeros((nb, i1 - i0, d), dtype=np.float32)
+            acc = np.zeros((nb, i1 - i0, d + 1), dtype=np.float32)  # [PV, l]
             for j0 in range(0, lk, bs):
                 j1 = min(j0 + bs, lk)
-                s = qi @ kdT[:, :, j0:j1]  # fresh buffer, reused as p below
-                m_new = np.maximum(m, s.max(axis=-1))
-                correction = np.exp(m - m_new)
-                np.subtract(s, m_new[..., None], out=s)
-                np.exp(s, out=s)  # s is now the unnormalised probabilities p
-                l *= correction
-                l += s.sum(axis=-1)
-                acc *= correction[..., None]
-                acc += s @ vd[:, j0:j1]
+                sT = k1[:, j0:j1, :d] @ qTi  # (nb, bk, bq); reused as p
+                m_new = np.maximum(m, sT.max(axis=-2))
+                acc *= np.exp(m - m_new)[..., None]
                 m = m_new
-            np.divide(acc, l[..., None], out=out[:, i0:i1])
-            lse[:, i0:i1] = m + np.log(l)
+                np.subtract(sT, m[:, None, :], out=sT)
+                np.exp(sT, out=sT)
+                acc += np.swapaxes(sT, -1, -2) @ v1[:, j0:j1]  # p @ [V, 1]
+            np.divide(acc[..., :d], acc[..., d:], out=out[:, i0:i1])
+            np.negative(m + np.log(acc[..., d]), out=qT[:, d, i0:i1])  # -lse
 
     run_blocks()
     out_full = out.reshape(*batch_shape, lq, d)
 
     def backward(g):
         add_flops(10.0 * nb * lq * lk * d)  # recompute + 4 gradient GEMMs
-        go = np.asarray(g, dtype=np.float32).reshape(nb, lq, d)
-        # D_i = rowsum(dO * O): the softmax-jacobian diagonal correction
-        delta = (go * out).sum(axis=-1)  # (nb, lq)
-        dq = np.zeros_like(qd)
-        dk = np.zeros_like(kd)
-        dv = np.zeros_like(vd)
-        # fold the softmax scale into Q/K once (O(L*d) passes) instead of
-        # two O(L^2) `s *= sc` passes per block pair: (sc*Q)K^T recomputes
-        # the scores, and ds·(sc*K) / ds^T·(sc*Q) absorb the chain-rule sc
-        ksc = kd * sc
+        # [dO, -delta]^T, delta_i = rowsum(dO * O) being the softmax-
+        # jacobian diagonal correction
+        goT = np.empty((nb, d + 1, lq), dtype=np.float32)
+        goT.reshape(*batch_shape, d + 1, lq)[..., :d, :] = np.swapaxes(g, -1, -2)
+        np.negative((g * out_full).sum(axis=-1).reshape(nb, lq), out=goT[:, d])
+        dq = np.zeros((nb, lq, d), dtype=np.float32)
+        dk = np.zeros((nb, lk, d), dtype=np.float32)
+        dv = np.zeros((nb, lk, d), dtype=np.float32)
         for j0 in range(0, lk, bs):
             j1 = min(j0 + bs, lk)
-            kjT = np.swapaxes(kd[:, j0:j1], -1, -2)
-            ksc_j = ksc[:, j0:j1]
-            vjT = np.swapaxes(vd[:, j0:j1], -1, -2)
             for i0 in range(0, lq, bs):
                 i1 = min(i0 + bs, lq)
-                qi = qsc[:, i0:i1]  # pre-scaled
-                s = qi @ kjT  # fresh buffer: recomputed scores → p → ds
-                np.subtract(s, lse[:, i0:i1, None], out=s)
-                np.exp(s, out=s)  # s is now p
-                goi = go[:, i0:i1]
-                dv[:, j0:j1] += np.swapaxes(s, -1, -2) @ goi
-                dp = goi @ vjT
-                np.subtract(dp, delta[:, i0:i1, None], out=dp)
-                s *= dp  # s is now p * (dp - delta)
-                dq[:, i0:i1] += s @ ksc_j
-                dk[:, j0:j1] += np.swapaxes(s, -1, -2) @ qi
+                pT = k1[:, j0:j1] @ qT[:, :, i0:i1]  # recomputed s - lse
+                np.exp(pT, out=pT)
+                goi = np.swapaxes(goT[:, :d, i0:i1], -1, -2)
+                dv[:, j0:j1] += pT @ goi
+                pT *= v1[:, j0:j1] @ goT[:, :, i0:i1]  # p * (dp - delta)
+                dq[:, i0:i1] += np.swapaxes(pT, -1, -2) @ k1[:, j0:j1, :d]
+                dk[:, j0:j1] += pT @ np.swapaxes(qT[:, :d, i0:i1], -1, -2)
+        dq *= sc  # qT carries sc (so dk has it already); k1 does not
         return (
             (q, dq.reshape(q.shape)),
             (k, dk.reshape(k.shape)),
             (v, dv.reshape(v.shape)),
         )
 
-    # qd/kd/vd are reshape *copies* when the parent data is non-contiguous;
-    # replay must refill them from the live parent buffers before re-running
-    # the block loop (views track the parent automatically and are skipped).
-    _refresh = [
-        (buf, t, shape)
-        for buf, t, shape in ((qd, q, (-1, lq, d)), (kd, k, (-1, lk, d)), (vd, v, (-1, lk, d)))
-        if not np.shares_memory(buf, t.data)
-    ]
-
-    def replay():
-        for buf, t, shape in _refresh:
-            np.copyto(buf, t.data.reshape(shape))
-        np.multiply(qd, sc, out=qsc)
-        add_flops(4.0 * nb * lq * lk * d)
-        run_blocks()
-
-    return Tensor._from_op(out_full, (q, k, v), backward, "flash_attention", replay=replay)
+    return Tensor._from_op(out_full, (q, k, v), backward, "flash_attention", replay=run_blocks)
 
 
 def attention_flop_count(seq_len: int, head_dim: int, num_heads: int, batch: int = 1) -> int:
@@ -165,9 +149,11 @@ def attention_peak_elems(seq_len: int, head_dim: int, block_size: int, flash: bo
     """Peak temporary elements per (batch, head) for the memory model.
 
     Naive attention materializes the L×L probability matrix; flash keeps
-    only a ``block × L`` working set plus accumulators.
+    only a ``block × L`` working set plus accumulators, and its four
+    ``(L, d + 1)`` GEMM operands (``[sc·Q, −lse]``, ``[K, 1]``,
+    ``[V, 1]``, ``[dO, −delta]``) — linear in L.
     """
     if flash:
         b = min(block_size, seq_len)
-        return b * seq_len + 2 * b * head_dim + 2 * b
+        return b * seq_len + 2 * b * (head_dim + 1) + 4 * seq_len * (head_dim + 1)
     return seq_len * seq_len + seq_len * head_dim

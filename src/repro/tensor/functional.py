@@ -449,8 +449,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
     """2-D convolution (cross-correlation) on NCHW input.
 
     ``weight`` has shape ``(out_c, in_c, k, k)``.  Forward and backward run
-    through im2col so the heavy lifting is one big GEMM per pass, matching
-    the guide's "turn loops into matmul" idiom.
+    through im2col as one GEMM per sample (broadcasting ``np.matmul``), so
+    a sample's output bits do not depend on who else is in the batch.
     """
     a, wgt = x, weight
     n, in_c, h, w = a.shape
@@ -472,20 +472,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
     w2 = wgt.data.reshape(out_c, in_c * k * k)
     conv_macs = float(n) * out_c * out_h * out_w * in_c * k * k
     add_flops(2.0 * conv_macs)
-    out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-    out = out.reshape(n, out_c, out_h, out_w).astype(np.float32)
+    out = np.matmul(w2, cols).reshape(n, out_c, out_h, out_w)
     if bias is not None:
-        out = out + bias.data.reshape(1, out_c, 1, 1)
+        out += bias.data.reshape(1, out_c, 1, 1)  # out is fresh: in-place is safe
 
     parents = (a, wgt) if bias is None else (a, wgt, bias)
 
     def backward(g):
         add_flops(4.0 * conv_macs)
         g2 = g.reshape(n, out_c, out_h * out_w)
-        gw = np.einsum("nol,nkl->ok", g2, cols, optimize=True).reshape(wgt.shape)
-        gcols = np.einsum("ok,nol->nkl", w2, g2, optimize=True)
+        gw = (g2 @ np.swapaxes(cols, -1, -2)).sum(axis=0).reshape(wgt.shape)
+        gcols = w2.T @ g2
         gx = col2im_shape(gcols, a.shape, k, stride, pad)
-        grads = [(a, gx), (wgt, gw.astype(np.float32))]
+        grads = [(a, gx), (wgt, gw)]
         if bias is not None:
             grads.append((bias, g.sum(axis=(0, 2, 3))))
         return tuple(grads)
@@ -496,12 +495,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
         if not cols_live:
             np.copyto(cols, im2col(a.data, k, stride, pad))
         add_flops(2.0 * conv_macs)
-        fresh = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-        fresh = fresh.reshape(n, out_c, out_h, out_w)
+        np.matmul(w2, cols, out=out.reshape(n, out_c, out_h * out_w))
         if bias is not None:
-            np.add(fresh, bias.data.reshape(1, out_c, 1, 1), out=out)
-        else:
-            np.copyto(out, fresh)
+            np.add(out, bias.data.reshape(1, out_c, 1, 1), out=out)
 
     return Tensor._from_op(out, parents, backward, "conv2d", replay=replay)
 

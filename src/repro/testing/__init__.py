@@ -39,6 +39,7 @@ from .equivalence import (
     EquivalenceReport,
     check_parallel_equivalence,
     oracle_config,
+    warm_head,
 )
 from .benchdiff import MetricDelta, diff_docs, diff_files, render_deltas
 from .fuzz import OPS, FuzzFailure, FuzzReport, OpSpec, fuzz_ops, seeded_arrays
@@ -75,6 +76,7 @@ __all__ = [
     "EquivalenceReport",
     "check_parallel_equivalence",
     "oracle_config",
+    "warm_head",
     # fuzz
     "OPS",
     "OpSpec",

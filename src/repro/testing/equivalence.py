@@ -18,12 +18,17 @@ Exactness tiers (recorded per comparison in the returned report):
 
 * **bit-for-bit** — byte-identical arrays.  Holds wherever no collective
   reorders a floating-point reduction: every strategy at ``world == 1``,
-  and FSDP at every world size (its reduce-scatter accumulates in
-  float64, and a mean of identical contributions is exact).
+  FSDP at every world size (its reduce-scatter accumulates in float64,
+  and a mean of identical contributions is exact), and DDP/TILES
+  *outputs* at every world size — a forward crosses no collective, and
+  every kernel (``linear``, ``conv2d``, ``flash_attention``) computes
+  each sample as its own GEMMs, so a sample's bits do not depend on how
+  the batch was split across ranks.  The oracle model's head is warmed
+  (:func:`warm_head`), so these rows cover the encoder too.
 * **tolerance-bounded** — ring all-reduce chunks reductions in rank
-  order, so DDP/TP/TILES at ``world > 1`` agree only to float32 rounding;
-  Hybrid-OP's reference intentionally runs in float64, so it is
-  tolerance-bounded even serially.
+  order, so DDP/TP/TILES *gradients* at ``world > 1`` agree only to
+  float32 rounding; Hybrid-OP's reference intentionally runs in float64,
+  so it is tolerance-bounded even serially.
 
 Any disagreement beyond the strategy's tolerance raises
 :class:`EquivalenceFailure`; the report is for inspection and for tests
@@ -66,6 +71,7 @@ __all__ = [
     "OracleSpec",
     "check_parallel_equivalence",
     "oracle_config",
+    "warm_head",
 ]
 
 #: Every strategy the oracle knows how to drive.  The ``*_overlap``
@@ -172,9 +178,27 @@ def _mse(pred: Tensor, target: Tensor) -> Tensor:
     return (diff * diff).mean()
 
 
+def warm_head(model: Reslim, seed: int = 0) -> Reslim:
+    """Seed ``N(0, 0.05²)`` into every ``head_x*`` weight and bias.
+
+    Reslim zero-initialises its decoder heads ("at step 0 the model IS
+    the residual path"), so on a freshly built model the encoder
+    contributes exact zeros to the output and receives exact-zero
+    gradients — a bitwise oracle run on one cannot see the transformer
+    (``use_flash=True`` and ``False`` agree to the bit).  Oracles that
+    mean to cover attention warm the head first.  Returns ``model``.
+    """
+    rng = np.random.default_rng(seed)
+    for name, p in model.named_parameters():
+        if name.startswith("head_x"):
+            p.data[...] = rng.normal(0.0, 0.05, p.data.shape)
+    return model
+
+
 def _make_model(config: ModelConfig, seed: int) -> Reslim:
-    return Reslim(config, in_channels=2, out_channels=1, factor=2,
-                  max_tokens=256, rng=np.random.default_rng(seed))
+    model = Reslim(config, in_channels=2, out_channels=1, factor=2,
+                   max_tokens=256, rng=np.random.default_rng(seed))
+    return warm_head(model, seed)
 
 
 def _sgd(model, lr: float) -> None:
@@ -391,7 +415,10 @@ def _build_pipeline(world, config, seed, rng):
 
 _SPECS: dict[str, OracleSpec] = {
     "ddp": OracleSpec(
-        _build_ddp, "gradients averaged by ring all-reduce; float32 chunk order"),
+        _build_ddp,
+        "gradients averaged by ring all-reduce (float32 chunk order); the "
+        "forward crosses no reduction and every kernel is batch-invariant, "
+        "so outputs are bit-exact at every world, encoder included"),
     "fsdp": OracleSpec(
         _build_fsdp,
         "reduce-scatter accumulates in float64; identical contributions → exact"),
@@ -404,7 +431,9 @@ _SPECS: dict[str, OracleSpec] = {
         _build_hybrid_op,
         "reference runs in float64, so agreement is tolerance-bounded by design"),
     "tiles": OracleSpec(
-        _build_tiles, "reference is the serial TiledDownscaler (same tiling, one rank)"),
+        _build_tiles,
+        "reference is the serial TiledDownscaler (same tiling, one rank): "
+        "outputs bit-exact at every world, encoder included"),
     "pipeline": OracleSpec(
         _build_pipeline,
         "microbatched stage streaming; reference is unpartitioned execution"),

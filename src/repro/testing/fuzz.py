@@ -1,8 +1,8 @@
 """Seeded property-based fuzzer for the tensor-engine ops.
 
 Samples shapes, broadcast patterns, dtypes (float32 and the bfloat16
-grid), and op parameters for every op in ``repro.tensor.functional`` plus
-the core ``Tensor`` arithmetic, then cross-checks:
+grid), and op parameters for every op in ``repro.tensor.functional``,
+the core ``Tensor`` arithmetic and ``flash_attention``, then cross-checks:
 
 * **forward** values against an independent float64 NumPy reference
   (naive loops for conv, explicit coordinate math for interpolation —
@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy import special
 
+from ..nn.flash_attention import flash_attention
 from ..tensor import Tensor
 from ..tensor import functional as F
 from ..tensor.dtypes import DTYPE_BF16, DTYPE_F32, bf16_round
@@ -136,6 +137,12 @@ def _ref_conv2d(x, w, b, stride, pad):
     if b is not None:
         out += b.reshape(1, cout, 1, 1)
     return out
+
+
+def _ref_attention(q, k, v, scale, block_size):
+    """Naive O(L²) attention; ``block_size`` must not change the result."""
+    sc = 1.0 / np.sqrt(q.shape[-1]) if scale is None else scale
+    return _ref_softmax(q @ np.swapaxes(k, -1, -2) * sc, -1) @ v
 
 
 def _ref_avg_pool2d(x, k):
@@ -338,6 +345,30 @@ def _linear_sampler(rng, dtype):
     return arrays, {}
 
 
+def _flash_sampler(rng, dtype):
+    """Every hazard met while sizing kernel epoch 1 (ISSUE 17): cross
+    lengths, ragged last blocks, block sizes from 1 to beyond L, custom
+    scale, 0–2 leading dims, parents that are permuted views (what
+    ``_split_heads`` hands over), and queries scaled to saturate softmax."""
+    lead = _shape(rng, ndim_lo=0, ndim_hi=2, dim_hi=2)
+    d = int(rng.integers(1, 5))
+    lq = int(rng.integers(1, 7))
+    lk = lq if rng.random() < 0.5 else int(rng.integers(1, 7))
+
+    def parent(length, scale=1.0):
+        x = _values(rng, (*lead, length, d), dtype, scale)
+        if len(lead) == 2 and rng.random() < 0.5:
+            # a (B, L, H, d) buffer seen as (B, H, L, d): not contiguous
+            x = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+        return x
+
+    q = parent(lq, 50.0 if rng.random() < 0.2 else 1.0)
+    k, v = parent(lk), parent(lk)
+    block_size = int(rng.integers(1, max(lq, lk) + 3))
+    scale = float(rng.uniform(0.2, 1.5)) if rng.random() < 0.4 else None
+    return [q, k, v], {"scale": scale, "block_size": block_size}
+
+
 def _add_bias_sampler(rng, dtype):
     shape = _shape(rng, ndim_lo=1, ndim_hi=3)
     x = _values(rng, shape, dtype)
@@ -389,6 +420,8 @@ OPS: dict[str, OpSpec] = {
                diff_inputs=()),
         OpSpec("conv2d", _conv_sampler, _conv_run, _conv_ref,
                diff_inputs=(0, 1, 2), fwd_atol=1e-4, grad_atol=5e-3),
+        OpSpec("flash_attention", _flash_sampler, flash_attention,
+               _ref_attention, diff_inputs=(0, 1, 2)),
         OpSpec("avg_pool2d", _pool_sampler, F.avg_pool2d, _ref_avg_pool2d),
         OpSpec("pixel_shuffle", _shuffle_sampler, F.pixel_shuffle,
                _ref_pixel_shuffle),

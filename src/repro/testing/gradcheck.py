@@ -98,7 +98,9 @@ def numerical_grad(fn, x: np.ndarray, eps: float = 1e-3,
     ``(2n, *x.shape)`` and return one scalar per leading slice (shape
     ``(2n,)``) — all probes are then evaluated in a single call.
     """
-    x = np.asarray(x, dtype=np.float64)
+    # C-contiguous so the flat view below aliases x: a permuted input
+    # would otherwise be probed through a detached copy (all-zero grads)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.size
     if batched:
         eye = np.eye(n, dtype=np.float64).reshape((n,) + x.shape)

@@ -59,8 +59,11 @@ class TestEquivalenceOracle:
         # exact) and Ulysses' all-to-alls only permute data.
         if strategy in ("fsdp", "ulysses"):
             assert report.bit_exact, report.summary()
-        # DDP/TILES forwards never cross a reduction — outputs are exact
-        # at every world; their gradients go through the float32 ring.
+        # DDP/TILES forwards never cross a reduction and every kernel is
+        # batch-invariant (a sample's bits do not depend on how the batch
+        # was split across ranks), so outputs are exact at every world —
+        # encoder included: the oracle model's head is warm.  Their
+        # gradients go through the float32 ring.
         if strategy in ("ddp", "tiles"):
             assert report.comparison("output").bit_exact, report.summary()
         # at world=1 every collective degenerates to a copy; only the

@@ -1,5 +1,7 @@
 """Flash attention exactness + attention layer tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,12 +65,18 @@ class TestFlashExactness:
         )
 
     def test_extreme_logits_stable(self):
-        # large-magnitude queries: online softmax must not overflow
-        q = Tensor(RNG.standard_normal((1, 1, 8, 4)).astype(np.float32) * 50)
-        k = Tensor(RNG.standard_normal((1, 1, 8, 4)).astype(np.float32) * 50)
-        v = _t(1, 1, 8, 4)
+        # logits x 2500: online softmax must not overflow, and neither may
+        # the backward's recompute exp([K, 1] @ [sc*Q, -lse]^T)
+        q = Tensor(RNG.standard_normal((1, 1, 8, 4)).astype(np.float32) * 50,
+                   requires_grad=True)
+        k = Tensor(RNG.standard_normal((1, 1, 8, 4)).astype(np.float32) * 50,
+                   requires_grad=True)
+        v = _t(1, 1, 8, 4, grad=True)
         out = flash_attention(q, k, v, block_size=4)
         assert np.all(np.isfinite(out.data))
+        (out * _t(1, 1, 8, 4)).sum().backward()
+        for t in (q, k, v):
+            assert np.all(np.isfinite(t.grad))
 
     def test_custom_scale(self):
         q, k, v = _t(1, 1, 6, 4), _t(1, 1, 6, 4), _t(1, 1, 6, 4)
@@ -88,6 +96,66 @@ class TestFlashExactness:
         a = flash_attention(q, k, v, block_size=block)
         b = flash_attention(q, k, v, block_size=L)
         np.testing.assert_allclose(a.data, b.data, rtol=1e-4, atol=1e-5)
+
+
+def _flash_fwd_bwd(q, k, v, g, block):
+    """(out, dq, dk, dv) of one flash call on detached copies."""
+    ts = [Tensor(np.ascontiguousarray(a), requires_grad=True) for a in (q, k, v)]
+    out = flash_attention(*ts, block_size=block)
+    out.backward(np.ascontiguousarray(g))
+    return (out.data, *(t.grad for t in ts))
+
+
+class TestFlashBatchInvariance:
+    """A sample's / head's bits must not depend on what shares its batch.
+
+    Served-vs-reference (batch size set by the scheduler), DDP-vs-single
+    (batch split across ranks) and Ulysses (heads split across ranks)
+    are all bitwise claims that rest on this: every flattened batch item
+    is its own GEMM, and block edges never depend on ``nb``.
+    """
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40),
+           st.integers(1, 40), st.sampled_from([1, 3, 4, 8]),
+           st.sampled_from([1, 5, 16, 64]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_alone_equals_inside_any_batch(self, B, H, lq, lk, d, block, data):
+        rng = np.random.default_rng([B, H, lq, lk, d, block])
+        q = rng.standard_normal((B, H, lq, d)).astype(np.float32)
+        k, v = (rng.standard_normal((B, H, lk, d)).astype(np.float32)
+                for _ in range(2))
+        g = rng.standard_normal((B, H, lq, d)).astype(np.float32)
+        b = data.draw(st.integers(0, B - 1))
+        h = data.draw(st.integers(0, H - 1))
+        batched = _flash_fwd_bwd(q, k, v, g, block)
+        alone = _flash_fwd_bwd(*(a[b:b + 1, h:h + 1] for a in (q, k, v, g)), block)
+        for name, full, one in zip(("out", "dq", "dk", "dv"), batched, alone):
+            assert np.array_equal(full[b, h], one[0, 0]), name
+
+
+class TestFlashMemory:
+    def test_measured_peak_is_linear_and_within_the_model(self):
+        """DESIGN.md §1's memory claim, measured: the tracemalloc peak of
+        one forward + backward grows < 2.5x per doubling of L and stays
+        within 1.25x of ``attention_peak_elems(flash=True)``."""
+        nb, d, block = 2, 16, 128
+        rng = np.random.default_rng(0)
+        peaks = []
+        for L in (512, 1024, 2048):
+            q, k, v = (Tensor(rng.standard_normal((nb, L, d)).astype(np.float32),
+                              requires_grad=True) for _ in range(3))
+            g = rng.standard_normal((nb, L, d)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                flash_attention(q, k, v, block_size=block).backward(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * 4 * nb * attention_peak_elems(L, d, block, flash=True)
+            peaks.append(peak)
+        assert peaks[1] / peaks[0] < 2.5 and peaks[2] / peaks[1] < 2.5
+        # the L x L matrix alone would be 4x per doubling, and 32 MiB here
+        assert peaks[2] < 4 * nb * 2048 * 2048 / 8
 
 
 class TestAttentionAccounting:

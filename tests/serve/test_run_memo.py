@@ -25,6 +25,7 @@ import pytest
 from repro.core import ModelConfig, Reslim
 from repro.data import ChannelNormalizer
 from repro.serve import BatchPolicy, DownscalingService, Request, TileCache
+from repro.testing import warm_head
 
 TINY = ModelConfig("tiny", embed_dim=16, depth=1, num_heads=2)
 N_TILES, HALO, COARSE = 4, 2, (8, 16)
@@ -36,8 +37,8 @@ PICKS = (0, 0, 1, 0, 2, 2, 1, 0, 0, 2, 1, 1)
 
 @pytest.fixture(scope="module")
 def model():
-    m = Reslim(TINY, 23, 3, factor=4, max_tokens=256,
-               rng=np.random.default_rng(0))
+    m = warm_head(Reslim(TINY, 23, 3, factor=4, max_tokens=256,
+                         rng=np.random.default_rng(0)))
     m.eval()
     return m
 

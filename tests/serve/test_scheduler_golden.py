@@ -14,6 +14,9 @@ encoded with ``float.hex()`` so the comparison is bitwise.
 The whole-request cache counters are kept in clear text beside the
 digests (``cache_counters``) so a change that is meant to move only
 them — and nothing else — is readable straight from the JSON diff.
+The executed cells also store ``repro.tensor.KERNEL_EPOCH``: their
+output digests are absolute bytes, so a kernel change must re-record
+them, and the test says so instead of un-pinning itself.
 
 Re-record with ``REPRO_UPDATE_GOLDEN=1`` (see ``repro.testing.golden``).
 """
@@ -38,7 +41,8 @@ from repro.serve import (
     TrafficGenerator,
     content_key,
 )
-from repro.tensor import Tensor, no_grad
+from repro.tensor import KERNEL_EPOCH, Tensor, no_grad
+from repro.testing import warm_head
 from repro.testing.golden import update_requested
 from repro.train import build_inference_runner
 
@@ -207,8 +211,8 @@ def _workload(fine):
                        output_channels=(17, 18, 19))
     ds = DownscalingDataset(spec, years=(2000, 2001))
     ds.fit_normalizer()
-    model = Reslim(TINY, 23, 3, factor=4, max_tokens=256,
-                   rng=np.random.default_rng(0))
+    model = warm_head(Reslim(TINY, 23, 3, factor=4, max_tokens=256,
+                             rng=np.random.default_rng(0)))
     model.eval()
     inputs = np.concatenate([b.inputs for b in ds.batches(1)])
     return model, ds, list(inputs)
@@ -243,15 +247,24 @@ def test_executed_cell(mode):
         assert np.array_equal(resp.output, refs[sample])
 
     cell = _digest(result, tape)
-    # output bytes depend on the BLAS build; pin them only where the
-    # reference itself reproduces the recorded bytes (the bitwise check
-    # against the live reference above holds everywhere)
+    cell["kernel_epoch"] = KERNEL_EPOCH
     cell["reference"] = _sha([content_key(refs[s]) for s in sorted(refs)])
     name = f"{mode}/executed"
     recorded = (json.loads(GOLDEN.read_text()).get(name, {})
                 if GOLDEN.exists() else {})
-    if (not update_requested([])
-            and recorded.get("reference") != cell["reference"]):
-        for key in ("outputs", "reference"):
-            cell[key] = recorded.get(key)
+    if not update_requested([]):
+        # a kernel change moves the output bytes on purpose and must
+        # re-record them; only under the recorded kernels may a moved
+        # reference be read as "another BLAS build" below
+        assert recorded.get("kernel_epoch") == KERNEL_EPOCH, (
+            f"{name} was recorded at kernel epoch "
+            f"{recorded.get('kernel_epoch')}, the kernels are at epoch "
+            f"{KERNEL_EPOCH}: re-record with REPRO_UPDATE_GOLDEN=1 in a "
+            "commit that changes nothing else (DESIGN.md §12)")
+        # output bytes depend on the BLAS build; pin them only where the
+        # reference itself reproduces the recorded bytes (the bitwise
+        # check against the live reference above holds everywhere)
+        if recorded.get("reference") != cell["reference"]:
+            for key in ("outputs", "reference"):
+                cell[key] = recorded.get(key)
     _check({name: cell})

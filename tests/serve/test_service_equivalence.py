@@ -23,6 +23,7 @@ from repro.serve import (
     TrafficGenerator,
 )
 from repro.tensor import Tensor, no_grad
+from repro.testing import warm_head
 from repro.train import predict_dataset
 
 TINY = ModelConfig("tiny", embed_dim=16, depth=1, num_heads=2)
@@ -36,8 +37,8 @@ def workload():
                        output_channels=(17, 18, 19))
     ds = DownscalingDataset(spec, years=(2000, 2001))
     ds.fit_normalizer()
-    model = Reslim(TINY, 23, 3, factor=4, max_tokens=64,
-                   rng=np.random.default_rng(0))
+    model = warm_head(Reslim(TINY, 23, 3, factor=4, max_tokens=64,
+                             rng=np.random.default_rng(0)))
     # per-sample normalized inputs, in dataset order — exactly what
     # predict_dataset feeds the runner
     inputs = np.concatenate([b.inputs for b in ds.batches(1)])
@@ -90,8 +91,8 @@ class TestBitIdenticalServing:
                            seed=3, output_channels=(17, 18, 19))
         ds = DownscalingDataset(spec, years=(2000, 2001))
         ds.fit_normalizer()
-        model = Reslim(TINY, 23, 3, factor=4, max_tokens=256,
-                       rng=np.random.default_rng(0))
+        model = warm_head(Reslim(TINY, 23, 3, factor=4, max_tokens=256,
+                                 rng=np.random.default_rng(0)))
         geometry = dict(n_tiles=4, halo=2, coarse_shape=(8, 16))
         inputs = list(np.concatenate([b.inputs for b in ds.batches(1)]))
         reference, _ = predict_dataset(model, ds, n_tiles=4, halo=2)
@@ -118,8 +119,8 @@ class TestBitIdenticalServing:
         """After a weight swap + epoch bump no stale entry may answer:
         zero hits, and outputs equal a fresh ``predict_dataset``."""
         _, ds, inputs, _ = workload
-        model = Reslim(TINY, 23, 3, factor=4, max_tokens=64,
-                       rng=np.random.default_rng(0))
+        model = warm_head(Reslim(TINY, 23, 3, factor=4, max_tokens=64,
+                                 rng=np.random.default_rng(0)))
         requests = [Request(rid=i, arrival_s=0.01 * i, sample=i, input=x)
                     for i, x in enumerate(inputs)]
         service = DownscalingService(model, cache=TileCache(8),

@@ -32,6 +32,7 @@ from repro.serve import (
     TrafficGenerator,
 )
 from repro.tensor import Tensor, no_grad
+from repro.testing import warm_head
 from repro.train import build_inference_runner, predict_dataset
 
 TINY = ModelConfig("tiny", embed_dim=16, depth=1, num_heads=2)
@@ -55,8 +56,8 @@ def workload():
                        output_channels=(17, 18, 19))
     ds = DownscalingDataset(spec, years=(2000, 2001))
     ds.fit_normalizer()
-    model = Reslim(TINY, 23, 3, factor=4, max_tokens=256,
-                   rng=np.random.default_rng(0))
+    model = warm_head(Reslim(TINY, 23, 3, factor=4, max_tokens=256,
+                             rng=np.random.default_rng(0)))
     inputs = np.concatenate([b.inputs for b in ds.batches(1)])
     reference, _ = predict_dataset(model, ds, n_tiles=N_TILES, halo=HALO)
     return model, ds, [inputs[i] for i in range(len(inputs))], reference

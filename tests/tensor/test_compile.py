@@ -18,6 +18,7 @@ Two claims are pinned here:
 import numpy as np
 import pytest
 
+from repro.nn import flash_attention
 from repro.tensor import CompiledStep, Tensor, graph_counters, reset_graph_counters
 from repro.tensor.dtypes import DTYPE_BF16, DTYPE_F32
 from repro.testing.fuzz import OPS
@@ -116,6 +117,54 @@ def test_compiled_replay_bitwise_matches_eager(op):
     for k in range(_SAMPLES_PER_OP):
         failures.extend(_run_op_sample(spec, 7_000_003 * (k + 1) + op_index))
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("layout", ["split_heads", "views"])
+def test_flash_replay_reads_live_parents(layout):
+    """``flash_attention`` keeps transposed / padded copies of Q, K, V
+    as its GEMM operands; replay must refill them from the parents'
+    *live* buffers.  ``split_heads`` parents are the permuted slices
+    ``MultiHeadSelfAttention`` hands over (``reshape(-1, L, d)`` of one
+    copies), ``views`` parents are contiguous slices of the upstream
+    buffer.  Three steps with new values each, bitwise vs eager; block 4
+    over L = 10 leaves a ragged last block."""
+    B, H, L, d = 2, 3, 10, 4
+    rng = np.random.default_rng(5)
+    if layout == "split_heads":
+        x_shape = (B, L, 3 * H * d)
+
+        def qkv_of(t):
+            return [t[:, :, i * H * d:(i + 1) * H * d].reshape(B, L, H, d)
+                    .permute(0, 2, 1, 3) for i in range(3)]
+    else:
+        x_shape = (3, B, H, L, d)
+
+        def qkv_of(t):
+            return [t[i] for i in range(3)]
+    weight = rng.standard_normal((B, H, L, d)).astype(np.float32)
+
+    def run(w, xt):
+        q, k, v = qkv_of(xt * w)      # parents alias one refreshed buffer
+        out = flash_attention(q, k, v, block_size=4)
+        return (out * Tensor(weight)).sum(), out
+
+    w = Tensor(rng.standard_normal(x_shape).astype(np.float32), requires_grad=True)
+    step = CompiledStep(lambda xt: run(w, xt))
+    reset_graph_counters()
+    for _ in range(3):
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w.grad = None
+        loss, out = (a.copy() for a in step(x))
+        grad = w.grad.copy()
+        w_eager = Tensor(w.data.copy(), requires_grad=True)
+        e_loss, e_out = run(w_eager, Tensor(x))
+        e_loss.backward()
+        assert np.array_equal(out, e_out.data)
+        assert np.array_equal(loss, e_loss.data)
+        assert np.array_equal(grad, w_eager.grad)
+    c = graph_counters()
+    assert c["captures"] == 1 and c["replays"] == 2
+    step.release()
 
 
 # --------------------------------------------------------------------- #

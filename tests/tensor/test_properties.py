@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tensor import Tensor, bilinear_upsample, conv2d, softmax
+from repro.tensor import Tensor, bilinear_upsample, conv2d, linear, softmax
 
 dims = st.integers(1, 6)
 
@@ -117,3 +117,57 @@ class TestBilinearInvariants:
         out = bilinear_upsample(Tensor(x), size * factor, size * factor).data
         assert out.max() <= x.max() + 1e-5
         assert out.min() >= x.min() - 1e-5
+
+
+def _assert_alone_equals_batched(apply, x, g, i):
+    """Output and input-gradient of sample ``i`` are bitwise the same
+    computed alone and inside the batch ``x``."""
+    def run(xs, gs):
+        t = Tensor(xs, requires_grad=True)
+        out = apply(t)
+        out.backward(gs)
+        return out.data, t.grad
+
+    for full, one in zip(run(x, g), run(x[i:i + 1], g[i:i + 1])):
+        assert np.array_equal(full[i], one[0])
+
+
+class TestBatchInvariance:
+    """A sample's output and input-gradient bits must not depend on who
+    else is in the batch: served-vs-reference and DDP-vs-single-rank are
+    bitwise claims across *different* batch sizes.  (``flash_attention``
+    has the same property in ``tests/nn/test_attention.py``.)"""
+
+    @given(st.integers(2, 4), st.integers(1, 4), st.integers(1, 6),
+           st.integers(3, 12), st.integers(3, 12), st.sampled_from([1, 3]),
+           st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_conv2d(self, n, cin, cout, h, w, k, with_bias, data):
+        """One GEMM per sample.  A contraction over the flattened
+        ``(n * l)`` axis (``einsum(optimize=True)`` before kernel epoch
+        1) has a batch-dependent GEMM shape and fails this."""
+        rng = np.random.default_rng([n, cin, cout, h, w, k])
+        x = rng.standard_normal((n, cin, h, w)).astype(np.float32)
+        wgt = Tensor(rng.standard_normal((cout, cin, k, k)).astype(np.float32))
+        bias = Tensor(rng.standard_normal(cout).astype(np.float32)) if with_bias else None
+        g = rng.standard_normal((n, cout, h, w)).astype(np.float32)
+        _assert_alone_equals_batched(
+            lambda t: conv2d(t, wgt, bias, pad=k // 2), x, g,
+            data.draw(st.integers(0, n - 1)))
+
+    @given(st.integers(2, 4), st.integers(1, 40), st.integers(1, 48),
+           st.integers(1, 48), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_linear(self, b, length, in_f, out_f, data):
+        """One GEMM per leading item.  Flattening the leading dims into
+        a single 2-D GEMM is 2.5x faster on the aggregator's K/V
+        projections and is *not* batch-invariant on OpenBLAS (sized and
+        rejected in ISSUE 17) — this is the test it has to pass."""
+        rng = np.random.default_rng([b, length, in_f, out_f])
+        x = rng.standard_normal((b, length, in_f)).astype(np.float32)
+        wgt = Tensor(rng.standard_normal((out_f, in_f)).astype(np.float32))
+        bias = Tensor(rng.standard_normal(out_f).astype(np.float32))
+        g = rng.standard_normal((b, length, out_f)).astype(np.float32)
+        _assert_alone_equals_batched(
+            lambda t: linear(t, wgt, bias), x, g,
+            data.draw(st.integers(0, b - 1)))

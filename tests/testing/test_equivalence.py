@@ -1,14 +1,19 @@
 """The equivalence oracle's own machinery (the full strategy x world
 matrix runs in tests/distributed/test_parallelisms.py)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core import Reslim
+from repro.tensor import Tensor, no_grad
 from repro.testing import (
     EquivalenceFailure,
     EquivalenceReport,
     check_parallel_equivalence,
     oracle_config,
+    warm_head,
 )
 from repro.testing.equivalence import Comparison, _compare
 
@@ -53,6 +58,35 @@ class TestReport:
             check_parallel_equivalence("zzz", 2)
         with pytest.raises(ValueError):
             check_parallel_equivalence("ddp", 0)
+
+
+class TestWarmHead:
+    def test_only_a_warm_head_lets_an_oracle_see_the_encoder(self):
+        """Reslim's decoder head is zero-initialised, so on a fresh model
+        the attention kernel cannot move a single output bit; every
+        bitwise oracle that means to cover the transformer warms the
+        head first.  If this fails on the *fresh* side the blind spot is
+        gone and ``warm_head`` can go too."""
+        x = Tensor(np.random.default_rng(0).standard_normal(
+            (2, 2, 8, 8)).astype(np.float32))
+
+        def outputs(warm):
+            outs = []
+            for flash in (True, False):
+                model = Reslim(replace(oracle_config(), use_flash=flash), 2, 1,
+                               factor=2, max_tokens=64,
+                               rng=np.random.default_rng(0))
+                if warm:
+                    warm_head(model, seed=1)
+                with no_grad():
+                    outs.append(model(x).data)
+            return outs
+
+        flash, naive = outputs(warm=False)
+        assert np.array_equal(flash, naive)
+        flash, naive = outputs(warm=True)
+        assert not np.array_equal(flash, naive)
+        np.testing.assert_allclose(flash, naive, rtol=1e-4, atol=1e-5)
 
 
 class TestOracleConfig:

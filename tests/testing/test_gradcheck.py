@@ -23,6 +23,15 @@ class TestNumericalGrad:
         g = numerical_grad(lambda a: float((a**2).sum()), x)
         np.testing.assert_allclose(g, 2 * x, rtol=1e-6, atol=1e-6)
 
+    def test_permuted_input_is_probed_not_a_copy_of_it(self):
+        """A float32 permuted view keeps its layout through the float64
+        cast, and ``reshape(-1)`` of that is a detached copy: the probes
+        used to miss ``x`` entirely and every gradient read zero."""
+        x = RNG.standard_normal((3, 2, 4)).astype(np.float32).transpose(1, 0, 2)
+        assert not x.flags.c_contiguous
+        g = numerical_grad(lambda a: float((a**2).sum()), x)
+        np.testing.assert_allclose(g, 2 * x, rtol=1e-6, atol=1e-6)
+
     def test_batched_matches_loop(self):
         x = RNG.standard_normal((2, 3))
         w = RNG.standard_normal((2, 3))
