@@ -23,6 +23,7 @@ from ..nn import (
     Parameter,
     TransformerEncoder,
     PatchEmbed,
+    pooled_attention,
     unpatchify,
 )
 from ..nn import init as nn_init
@@ -82,6 +83,10 @@ class VariableAggregator(Module):
     runs over a length-V sequence, so cost is linear in the token count
     and the output drops the variable dimension entirely (the 18–23×
     sequence reduction credited in Sec. V-B).
+
+    One query per token folds the K/V projections into it
+    (:func:`repro.nn.pooled_attention`): ``sc·q_hᵀ(W_k^h x_v + b_k^h) =
+    (sc·W_k^hᵀq_h)ᵀx_v + const_h``, ``Σ_v p_v(W_v^h x_v + b_v^h) = W_v^h Σ_v p_v x_v + b_v^h``.
     """
 
     def __init__(self, dim: int, num_heads: int, rng: np.random.Generator | None = None):
@@ -90,11 +95,12 @@ class VariableAggregator(Module):
 
     def forward(self, var_tokens: Tensor) -> Tensor:
         """(B, V, L, D) → (B, L, D)."""
-        b, v, l, d = var_tokens.shape
-        context = var_tokens.permute(0, 2, 1, 3).reshape(b * l, v, d)
-        query = context.mean(axis=1, keepdims=True)  # (B*L, 1, D)
-        fused = self.attn(query, context)            # (B*L, 1, D)
-        return fused.reshape(b, l, d)
+        b, _, l, d = var_tokens.shape
+        a = self.attn
+        fused = pooled_attention(
+            var_tokens, a.to_q.weight, a.to_q.bias, a.to_k.weight, a.to_k.bias,
+            a.to_v.weight, a.to_v.bias, a.num_heads)           # (B, L, H, D/H)
+        return a.proj(fused.reshape(b, l, d))
 
 
 class Reslim(Module):

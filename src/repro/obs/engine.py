@@ -42,6 +42,13 @@ def _flash_attention_flops(data, parents) -> float:
     return 4.0 * data.size * lk
 
 
+def _pooled_attention_flops(data, parents) -> float:
+    # out (B, L, H, D/H), parents[0] = tokens (B, V, L, D): three D x D
+    # projections per token (q, q~, out) plus q~.x scores and p.x pooling
+    v, d = parents[0].shape[1], parents[0].shape[3]
+    return 2.0 * data.size * (3 * d + 2 * data.shape[2] * v)
+
+
 def _elementwise_flops(data, parents) -> float:
     return float(data.size)
 
@@ -52,6 +59,7 @@ FLOP_RULES = {
     "matmul": _matmul_flops,
     "conv2d": _conv2d_flops,
     "flash_attention": _flash_attention_flops,
+    "pooled_attention": _pooled_attention_flops,
     "add": _elementwise_flops,
     "mul": _elementwise_flops,
     "add_bias": _elementwise_flops,

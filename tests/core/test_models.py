@@ -1,6 +1,8 @@
 """Reslim and baseline-ViT model tests: shapes, sequence accounting,
 residual-path semantics, and trainability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from repro.core import (
 )
 from repro.core.reslim import ResidualPath, VariableAggregator
 from repro.nn import AdamW
-from repro.tensor import Tensor, bilinear_upsample
+from repro.obs import Tracer
+from repro.tensor import FlopCounter, Tensor, bilinear_upsample
+from repro.testing import OPS
 
 RNG = np.random.default_rng(51)
 TINY = ModelConfig("tiny", embed_dim=32, depth=2, num_heads=4)
@@ -81,11 +85,107 @@ class TestUpsampleViT:
         assert per_var * 3 == 24576
 
 
+def _composed_aggregate(agg, var_tokens):
+    """``VariableAggregator.forward`` as the op chain it replaced, through
+    ``CrossAttention.forward`` on the same parameters."""
+    b, v, l, d = var_tokens.shape
+    context = var_tokens.permute(0, 2, 1, 3).reshape(b * l, v, d)
+    query = context.mean(axis=1, keepdims=True)
+    return agg.attn(query, context).reshape(b, l, d)
+
+
+def _aggregator(shape, heads):
+    """A trained-looking aggregator (no zero biases) with tokens and an
+    upstream gradient at ``shape`` = (B, V, L, D)."""
+    rng = np.random.default_rng(shape)
+    agg = VariableAggregator(shape[-1], heads, rng=rng)
+    for prm in agg.parameters():
+        if prm.data.ndim == 1:
+            prm.data[...] = 0.1 * rng.standard_normal(prm.shape)
+    x = rng.standard_normal(shape).astype(np.float32)
+    g = rng.standard_normal((shape[0], shape[2], shape[3])).astype(np.float32)
+    return agg, x, g
+
+
+# (B, V, L, D), H of the e2e workloads: train_single's batch, one
+# train_composite8 tile, a serve_exec_cold batch of 8 tiles
+E2E_AGGREGATOR_SHAPES = [((2, 23, 512, 64), 8), ((1, 23, 288, 32), 4),
+                         ((8, 23, 288, 32), 4)]
+
+
+class TestVariableAggregator:
+    @pytest.mark.parametrize("shape,heads", E2E_AGGREGATOR_SHAPES)
+    def test_fused_node_matches_composed_cross_attention(self, shape, heads):
+        """Output, token gradient and every parameter gradient against
+        ``CrossAttention.forward``, within the fuzzer's float32 bounds."""
+        agg, x, g = _aggregator(shape, heads)
+        spec = OPS["pooled_attention"]
+
+        def run(forward):
+            agg.zero_grad()
+            t = Tensor(x, requires_grad=True)
+            out = forward(t)
+            out.backward(g)
+            return out.data, t.grad, {k: prm.grad for k, prm in agg.named_parameters()}
+
+        ref_out, ref_gx, ref_gp = run(lambda t: _composed_aggregate(agg, t))
+        out, gx, gp = run(agg)
+        np.testing.assert_allclose(out, ref_out, rtol=spec.fwd_rtol, atol=spec.fwd_atol)
+        np.testing.assert_allclose(gx, ref_gx, rtol=spec.grad_rtol, atol=spec.grad_atol)
+        for name, ref in ref_gp.items():
+            np.testing.assert_allclose(gp[name], ref, rtol=spec.grad_rtol,
+                                       atol=spec.grad_atol, err_msg=name)
+        # shift invariance of the softmax: exact, where the composed
+        # chain leaves rounding noise
+        assert not gp["attn.to_k.bias"].any()
+        assert ref_gp["attn.to_k.bias"].any()
+
+    def test_peak_memory_below_composed_chain(self):
+        """Saved state is x̄, q, q̃, p, Σpx — no projected K / V / context
+        copies of the (B·L, V, D) tokens."""
+        agg, x, g = _aggregator(*E2E_AGGREGATOR_SHAPES[0])
+
+        def peak(forward):
+            tracemalloc.start()
+            forward(Tensor(x, requires_grad=True)).backward(g)
+            _, high = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return high
+
+        assert peak(agg) < 0.6 * peak(lambda t: _composed_aggregate(agg, t))
+
+    def test_flop_charge_is_stated_twice_and_equal(self):
+        """``add_flops`` in the kernels and ``obs.engine.FLOP_RULES`` on
+        the op hook price a Reslim forward identically, and the fused
+        aggregator bills exactly the absorbed projections less than the
+        composed chain."""
+        model = Reslim(TINY, 5, 3, factor=4, max_tokens=256,
+                       rng=np.random.default_rng(0))
+        with Tracer() as tracer, FlopCounter() as counted:
+            model(_x(2, 5, 8, 16))                      # N = 64, V = 5
+        hooked = {op: tracer.metrics.counters.get(f"engine/{op}/flops", 0.0)
+                  for op in ("linear", "matmul", "conv2d", "flash_attention",
+                             "pooled_attention")}       # what add_flops bills
+        assert hooked["pooled_attention"] == 2 * (3 * 64 * 32**2 + 2 * 64 * 4 * 5 * 32)
+        assert sum(hooked.values()) == counted.total
+
+        (b, v, l, d), h = E2E_AGGREGATOR_SHAPES[1]
+        agg, x, _ = _aggregator((b, v, l, d), h)
+        with FlopCounter() as fused:
+            agg(Tensor(x))
+        with FlopCounter() as composed:
+            _composed_aggregate(agg, Tensor(x))
+        n = b * l
+        assert composed.total - fused.total == (
+            2 * n * (2 * v - 2) * d * d - 4 * n * v * d * (h - 1))
+
+
 class TestReslimComponents:
     def test_variable_aggregator_collapses_variable_axis(self):
         agg = VariableAggregator(16, 4, rng=np.random.default_rng(0))
         out = agg(_x(2, 23, 10, 16))
         assert out.shape == (2, 10, 16)
+
 
     def test_residual_path_linear_structure(self):
         rp = ResidualPath(5, 3, factor=4, rng=np.random.default_rng(0))

@@ -17,9 +17,11 @@ from repro.nn import (
     attention_peak_elems,
     flash_attention,
     naive_attention,
+    pooled_attention,
     unpatchify,
 )
 from repro.tensor import Tensor
+from repro.testing import check_gradients
 
 RNG = np.random.default_rng(11)
 
@@ -204,6 +206,37 @@ class TestAttentionLayers:
         ctx = _t(1, 5, 8, grad=True)
         ca(_t(1, 2, 8), ctx).sum().backward()
         assert ctx.grad is not None and np.any(ctx.grad != 0)
+
+
+class TestPooledAttention:
+    """The fused aggregator node on its own; the fuzzer (``OPS``), the
+    compiled-replay sweep, ``TestBatchInvariance`` and the model-level
+    comparison against ``CrossAttention.forward`` cover the rest."""
+
+    @staticmethod
+    def _parents(b, v, l, d, scale=1.0):
+        return [RNG.standard_normal(shape).astype(np.float32) * s for shape, s in
+                [((b, v, l, d), 1.0), ((d, d), 1.0), ((d,), 1.0), ((d, d), scale),
+                 ((d,), 1.0), ((d, d), 1.0), ((d,), 1.0)]]
+
+    def test_gradcheck_all_seven_parents(self):
+        # .mean() keeps |f| O(1): the float32 FD noise floor ulp(f) / (2 eps)
+        # stays two decades under gradcheck's atol (PR 17's audit)
+        weight = Tensor(RNG.standard_normal((2, 3, 2, 3)).astype(np.float32))
+        check_gradients(
+            lambda *ts: (pooled_attention(*ts, num_heads=2) * weight).mean(),
+            self._parents(2, 5, 3, 6))
+
+    def test_extreme_logits_stable(self):
+        # logits x 50 saturate every softmax row: the max shift keeps the
+        # output, and the p * (gp - sum(gp * p)) backward, finite
+        ts = [Tensor(a, requires_grad=True)
+              for a in self._parents(2, 23, 4, 8, scale=50.0)]
+        out = pooled_attention(*ts, num_heads=4)
+        assert np.all(np.isfinite(out.data))
+        (out * _t(2, 4, 4, 2)).sum().backward()
+        for t in ts:
+            assert np.all(np.isfinite(t.grad))
 
 
 class TestTransformer:

@@ -18,7 +18,7 @@ Two claims are pinned here:
 import numpy as np
 import pytest
 
-from repro.nn import flash_attention
+from repro.nn import flash_attention, pooled_attention
 from repro.tensor import CompiledStep, Tensor, graph_counters, reset_graph_counters
 from repro.tensor.dtypes import DTYPE_BF16, DTYPE_F32
 from repro.testing.fuzz import OPS
@@ -29,10 +29,12 @@ _SAMPLES_PER_OP = 4
 
 
 def _fresh_values(rng, arrays):
-    """Replay-step values with the same shapes and the same sign pattern
+    """Replay-step values with the same shapes, the same memory layout
+    (BLAS rounds a GEMV differently at another ``lda``; eager and replay
+    never see different layouts of one graph) and the same sign pattern
     (keeps ``div`` denominators away from zero and ``maximum`` ties
     broken the same way the sampler arranged)."""
-    return [np.asarray(a * (1.0 + 0.5 * rng.random(a.shape)), dtype=np.float32)
+    return [np.multiply(a, 1.0 + 0.5 * rng.random(a.shape), out=np.empty_like(a))
             for a in arrays]
 
 
@@ -58,7 +60,7 @@ def _run_op_sample(spec, sample_seed):
     # them across replays, like parameters); the rest are varying step
     # inputs.  ``weight`` makes the loss scalar and is frozen constant —
     # it needs the output shape, hence the throwaway probe run.
-    leaves = {i: Tensor(v0[i].copy(), requires_grad=True) for i in diff}
+    leaves = {i: Tensor(v0[i].copy(order="K"), requires_grad=True) for i in diff}
     step_idx = [i for i in range(len(v0)) if i not in leaves]
     probe = spec.run(*[Tensor(v) for v in v0], **kwargs)
     weight = rng.standard_normal(probe.data.shape).astype(np.float32)
@@ -162,6 +164,42 @@ def test_flash_replay_reads_live_parents(layout):
         assert np.array_equal(out, e_out.data)
         assert np.array_equal(loss, e_loss.data)
         assert np.array_equal(grad, w_eager.grad)
+    c = graph_counters()
+    assert c["captures"] == 1 and c["replays"] == 2
+    step.release()
+
+
+def test_pooled_attention_replay_reads_live_parents():
+    """``pooled_attention`` keeps x̄, q, q̃, p and Σpx between runs;
+    replay must refill them from the token parent's live buffer *and*
+    from whatever array each weight's ``.data`` names right now — FSDP
+    and the flat parameter buffers rebind it between steps.  Three steps,
+    new tokens and freshly bound weight arrays each, bitwise vs eager."""
+    B, V, L, D, H = 2, 5, 6, 8, 2
+    rng = np.random.default_rng(6)
+    weight = rng.standard_normal((B, L, H, D // H)).astype(np.float32)
+    params = [Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+              for shape in [(D, D), (D,)] * 3]
+
+    def run(ps, xt):
+        out = pooled_attention(xt * 2.0, *ps, num_heads=H)
+        return (out * Tensor(weight)).sum(), out
+
+    step = CompiledStep(lambda xt: run(params, xt))
+    reset_graph_counters()
+    for _ in range(3):
+        x = rng.standard_normal((B, V, L, D)).astype(np.float32)
+        for prm in params:
+            prm.data = rng.standard_normal(prm.shape).astype(np.float32)
+            prm.grad = None
+        loss, out = (a.copy() for a in step(x))
+        eager = [Tensor(prm.data.copy(), requires_grad=True) for prm in params]
+        e_loss, e_out = run(eager, Tensor(x))
+        e_loss.backward()
+        assert np.array_equal(out, e_out.data)
+        assert np.array_equal(loss, e_loss.data)
+        for prm, ref in zip(params, eager):
+            assert np.array_equal(prm.grad, ref.grad)
     c = graph_counters()
     assert c["captures"] == 1 and c["replays"] == 2
     step.release()

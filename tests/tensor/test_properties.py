@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import pooled_attention
 from repro.tensor import Tensor, bilinear_upsample, conv2d, linear, softmax
 
 dims = st.integers(1, 6)
@@ -170,4 +171,22 @@ class TestBatchInvariance:
         g = rng.standard_normal((b, length, out_f)).astype(np.float32)
         _assert_alone_equals_batched(
             lambda t: linear(t, wgt, bias), x, g,
+            data.draw(st.integers(0, b - 1)))
+
+    @given(st.integers(2, 4), st.integers(1, 30), st.integers(1, 40),
+           st.sampled_from([(1, 1), (4, 1), (4, 4), (16, 2), (32, 4), (64, 8)]),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pooled_attention(self, b, v, length, dim_heads, data):
+        """One GEMM per ``b``, ``(b, h)`` or ``(b, l)`` item; none
+        flattens ``B·L`` into an ``M`` (only the parameter gradients
+        contract over it, as ``linear``'s do)."""
+        d, h = dim_heads
+        rng = np.random.default_rng([b, v, length, d, h])
+        x = rng.standard_normal((b, v, length, d)).astype(np.float32)
+        params = [Tensor(rng.standard_normal(shape).astype(np.float32))
+                  for shape in [(d, d), (d,)] * 3]
+        g = rng.standard_normal((b, length, h, d // h)).astype(np.float32)
+        _assert_alone_equals_batched(
+            lambda t: pooled_attention(t, *params, num_heads=h), x, g,
             data.draw(st.integers(0, b - 1)))

@@ -195,3 +195,36 @@ class TestEngineOverlap:
             np.testing.assert_array_equal(a.data, b.data)
         launches = eng_overlap.communication_summary()["async_launches"]
         assert sum(n for per in launches.values() for n in per.values()) > 0
+
+
+class TestAggregatorKeyBias:
+    """``aggregator.attn.to_k.bias`` shifts every logit of a softmax row
+    alike, so the fused aggregator hands it an exact zero gradient — as a
+    parent like any other, so its ready hook and flat-buffer slot still
+    fire — and AdamW without weight decay leaves its bytes alone."""
+
+    @pytest.mark.parametrize("mode", ["eager", "compiled", "ddp2_overlap"])
+    def test_gradient_is_exactly_zero_and_bytes_do_not_move(self, mode):
+        config = TrainConfig(epochs=1, batch_size=2, lr=2e-3, seed=1,
+                             weight_decay=0.0)
+        if mode == "ddp2_overlap":
+            trainer = DistributedEngine(
+                _factory(seed=2), _dataset(), config,
+                CompositePlan(VirtualCluster(2), ddp=2), halo=2, factor=4,
+                overlap=True, bucket_bytes=1 << 12)
+            models = trainer.strategy.units()
+        else:
+            trainer = Trainer(_factory(seed=2)(), _dataset(), config,
+                              compile=(mode == "compiled"))
+            models = [trainer.model]
+        biases = [dict(m.named_parameters())["aggregator.attn.to_k.bias"]
+                  for m in models]
+        start = np.random.default_rng(0).standard_normal(biases[0].shape)
+        for bias in biases:
+            bias.data[...] = start
+        before = biases[0].data.copy()
+        for batch in trainer.dataset.batches(2):    # capture, then one replay
+            trainer.train_step(batch)
+        for bias in biases:
+            assert bias.grad is not None and not bias.grad.any()
+            assert bias.data.tobytes() == before.tobytes()
