@@ -10,18 +10,23 @@ gradients → non-maximum suppression → double-threshold hysteresis.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+
+# scipy.ndimage is imported inside the functions that use it: every
+# workload pays for ``import repro``, and neither a train step nor a
+# served request runs the Canny density
 
 __all__ = ["gaussian_blur", "sobel_gradients", "canny_edges", "edge_density"]
 
 
 def gaussian_blur(image: np.ndarray, sigma: float = 1.0) -> np.ndarray:
     """Gaussian smoothing with reflective borders."""
+    from scipy import ndimage
     return ndimage.gaussian_filter(np.asarray(image, dtype=np.float64), sigma, mode="reflect")
 
 
 def sobel_gradients(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(magnitude, direction) of Sobel gradients; direction in radians."""
+    from scipy import ndimage
     img = np.asarray(image, dtype=np.float64)
     gx = ndimage.sobel(img, axis=1, mode="reflect")
     gy = ndimage.sobel(img, axis=0, mode="reflect")
@@ -68,6 +73,7 @@ def canny_edges(image: np.ndarray, sigma: float = 1.0,
     detector contrast-invariant — important because normalized climate
     fields vary widely in dynamic range.
     """
+    from scipy import ndimage
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("canny expects a 2-D field")

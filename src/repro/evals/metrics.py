@@ -10,7 +10,10 @@ Higher R²/SSIM/PSNR and lower RMSE mean higher-fidelity downscaling.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+
+# scipy.ndimage is imported inside ``ssim``, its one user: every workload
+# pays for ``import repro``, and neither a train step nor a served
+# request is scored
 
 __all__ = [
     "r2_score",
@@ -97,6 +100,7 @@ def ssim(pred: np.ndarray, target: np.ndarray, window: int = 7,
     per channel.  Uses uniform filtering for local means/variances, the
     common "fast SSIM" variant.
     """
+    from scipy import ndimage
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.ndim != 2 or pred.shape != target.shape:

@@ -6,8 +6,10 @@ coarse-input content hashes, model replicas sharded across the virtual
 cluster, and seeded traffic scenarios (steady / diurnal / burst).
 Outputs are bit-identical to :func:`repro.train.predict_dataset` for
 the same inputs — batching, caching, and placement are scheduling
-decisions with zero numeric footprint (see ``service.py`` for the
-determinism contract, and DESIGN.md §11 for the architecture).
+decisions with zero numeric footprint, although a dispatched batch
+really executes stacked, in pairs, against a reference that runs every
+unit alone (see ``service.py`` for the determinism contract, and
+DESIGN.md §11 for the architecture).
 
 Replica-count pricing against a latency SLO lives in
 :func:`repro.distributed.perf_model.serve_report`, which drives this

@@ -18,11 +18,12 @@ in ``repro.distributed.perf_model``), while *outputs* are real.
 :func:`repro.train.predict_dataset` pass over the same inputs,
 regardless of how units were batched, cached, or placed on replicas:
 
-* a coalesced batch executes its members through the same per-sample
-  kernel path as ``predict_dataset`` (the engine is batch-invariant;
-  ``tests/serve`` pins this), so coalescing is a *scheduling* decision
-  with zero numeric footprint — its payoff, amortized dispatch
-  overhead, lives entirely in the modeled timeline;
+* a dispatched batch executes stacked, ``_EXEC_WIDTH`` units to one
+  forward, while ``predict_dataset`` and :class:`TiledDownscaler` — the
+  reference — run every unit alone on purpose: every kernel gives a
+  sample the same bits in a batch as alone (DESIGN.md §12 clause (c)),
+  so the width of a forward has zero numeric footprint and its payoff,
+  amortized dispatch overhead, is measured as well as modeled;
 * the cache stores frozen copies keyed by content hash, so a hit
   returns exactly the bytes a miss would have computed;
 * replicas share one set of weights, so placement cannot matter.
@@ -48,7 +49,6 @@ from itertools import islice
 
 import numpy as np
 
-from ..core.tiles import extract_tile
 from ..distributed.comm import VirtualCluster
 from ..distributed.perf_model import (DEFAULT_SERVICE_TIME, SERVE_DISPATCH_S,
                                       service_time_model,
@@ -214,6 +214,16 @@ _COMPLETE, _ARRIVAL, _DEADLINE = 0, 1, 2
 
 _MISS_SENTINEL = object()
 
+# Units stacked into one forward.  Measured at the e2e serve tile shape
+# (B, 23, 18, 34) under compiled replay: ≈ 1.6 ms fixed per forward
+# (≈ 100 thunks of dispatch) + ≈ 2.2 ms per unit, so pairs take ≈ 70 %
+# of what running the whole batch at once would save.  What bounds the
+# width is memory, not speed: a forward-only plan retains ≈ 3.1 MB per
+# unit of width at that shape — width 4 costs +10–12 % peak RSS against
+# a 10 % bound, whole batches +40 % — until the forward arena is
+# liveness-planned (ROADMAP item 3).
+_EXEC_WIDTH = 2
+
 
 @dataclass(slots=True)
 class _Job:
@@ -239,6 +249,18 @@ class _Ticket:
     dispatch_s: float | None = None
 
 
+def _forwards(batch: list[_Job]) -> list[list[int]]:
+    """The batch's positions, split into its forwards: consecutive
+    slices of ``_EXEC_WIDTH`` over the jobs of each input shape.  Tiles
+    of one signature share a shape; whole requests need not (a stack
+    needs one), so the shapes of a mixed batch run side by side."""
+    by_shape: dict[tuple, list[int]] = {}
+    for k, job in enumerate(batch):
+        by_shape.setdefault(job.input.shape, []).append(k)
+    return [ks[i:i + _EXEC_WIDTH] for ks in by_shape.values()
+            for i in range(0, len(ks), _EXEC_WIDTH)]
+
+
 class _WholeUnits:
     """Unit policy of whole-request serving: the request is its one unit."""
 
@@ -262,11 +284,13 @@ class _WholeUnits:
     def price(self, n: int, sig: tuple) -> float:
         return self.svc.service_time(n)
 
-    def execute(self, x: np.ndarray, unit: int) -> np.ndarray:
-        """The per-sample ``predict_dataset`` pipeline."""
+    def execute(self, jobs: list[_Job]) -> list[np.ndarray]:
+        """One forward over the jobs' stacked inputs: the
+        ``predict_dataset`` pipeline, each row denormalized on its own."""
         with no_grad():
-            pred = self.svc._runner(Tensor(x[None])).data[0]
-        return self.svc._denormalize(pred)
+            preds = self.svc._runner(
+                Tensor(np.stack([job.input for job in jobs]))).data
+        return [self.svc._denormalize(pred) for pred in preds]
 
     def finish(self, results: list) -> np.ndarray:
         return results[0]
@@ -305,16 +329,19 @@ class _TileUnits:
     def price(self, n: int, sig: tuple) -> float:
         return self.svc.tile_service_time(n, sig)
 
-    def execute(self, x: np.ndarray, unit: int) -> np.ndarray:
-        """One tile forward, exactly as :class:`TiledDownscaler` runs it:
-        slice the halo-extended region, run the *inner* model (the
-        compiled per-tile program when ``compile=True``), crop the core.
-        Returns the frozen normalized core the cache stores."""
-        spec = self.plan.specs[unit]
+    def execute(self, jobs: list[_Job]) -> list[np.ndarray]:
+        """One forward over the jobs' tiles, each exactly the slice
+        :class:`TiledDownscaler` runs alone: stack the halo-extended
+        regions, run the *inner* model once (the compiled per-shape
+        program when ``compile=True``), crop each tile's core from its
+        row.  Returns the frozen normalized cores the cache stores."""
+        plan = self.plan
+        regions = np.stack([plan.slice_halo(job.input, job.unit)
+                            for job in jobs])
         with no_grad():
-            out = self.svc._runner.model(
-                extract_tile(Tensor(x[None]), spec)).data
-        return self.plan.crop_core(out, unit)
+            out = self.svc._runner.model(Tensor(regions)).data
+        return [plan.crop_core(out[k:k + 1], job.unit)
+                for k, job in enumerate(jobs)]
 
     def finish(self, cores: list) -> np.ndarray:
         """Reassemble cached/computed cores into the served output:
@@ -680,9 +707,12 @@ class DownscalingService:
                     args={"replica": replica, "batch_size": len(batch),
                           **units.batch_args(batch, sig), "modeled": True}))
                 units.trace_batch(batch, rank, now, dur, metrics, spans)
-                outputs = ([units.execute(j.input, j.unit) for j in batch]
-                           if self._runner is not None
-                           else [None] * len(batch))
+                outputs = [None] * len(batch)
+                if self._runner is not None:
+                    for ks in _forwards(batch):
+                        for k, out in zip(ks, units.execute(
+                                [batch[k] for k in ks])):
+                            outputs[k] = out
                 push(end, _COMPLETE, (replica, batch, now, outputs))
 
         def respond(ticket: _Ticket, dispatch_s: float, complete_s: float,

@@ -87,8 +87,8 @@ class TilePlan:
 
         Interior tiles share one signature; edge and corner tiles carry
         clamped halos and therefore smaller ones.  Tiles in a coalesced
-        batch must share a signature so one compiled forward program
-        (one ``CompiledForward`` plan) serves the whole batch.
+        batch must share a signature so they stack into fixed-shape
+        forwards (one ``CompiledForward`` plan per width).
         """
         return self._sigs[i]
 

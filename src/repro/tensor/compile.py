@@ -395,14 +395,18 @@ class CompiledStep:
 class CompiledForward:
     """Module-like wrapper replaying forward-only programs for inference.
 
-    Keeps a small per-shape plan cache (dynamic batching produces a few
-    distinct batch sizes; each gets its own program).  Returns a fresh
-    copy of the output so callers may hold results across calls.
-    Attribute access falls through to the wrapped model (``factor``,
-    ``eval()``, ...).
+    Keeps a small LRU plan cache, one program per input shape — batch
+    width included: tile serving runs each tile signature at the widths
+    its batches split into.  At ``_MAX_PLANS`` the least-recently-used
+    plan alone is released, so a working set at the cap never recaptures
+    more than the shape that is new.  Returns a fresh copy of the output
+    so callers may hold results across calls.  Attribute access falls
+    through to the wrapped model (``factor``, ``eval()``, ...).
     """
 
-    _MAX_PLANS = 8
+    # two widths (pairs + a single) x the 16 signatures an uneven tiling
+    # can produce: per axis, first / last / larger and smaller interior
+    _MAX_PLANS = 32
 
     def __init__(self, model, span=None):
         self._model = model
@@ -425,14 +429,12 @@ class CompiledForward:
         arr = x.data if isinstance(x, Tensor) else np.asarray(x)
         key = (arr.shape, arr.dtype.str,
                bool(getattr(self._model, "training", False)))
-        step = self._plans.get(key)
+        step = self._plans.pop(key, None)
         if step is None:
             if len(self._plans) >= self._MAX_PLANS:
-                for old in self._plans.values():
-                    old.release()
-                self._plans.clear()
+                self._plans.pop(next(iter(self._plans))).release()
             step = CompiledStep(lambda t: self._model(t), forward_only=True,
                                 span=self._span)
-            self._plans[key] = step
+        self._plans[key] = step     # most recently used last
         out, = step(arr)
         return Tensor(out.copy())

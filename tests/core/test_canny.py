@@ -1,5 +1,9 @@
 """Canny edge-detector tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -94,3 +98,19 @@ class TestEdgeDensity:
         assert edge_density(np.zeros((4, 4), dtype=bool)) == 0.0
         assert edge_density(np.ones((4, 4), dtype=bool)) == 1.0
         assert edge_density(np.array([])) == 0.0
+
+
+def test_scipy_ndimage_stays_off_the_training_and_serving_import_path():
+    """Only the Canny density and ``ssim`` use ``scipy.ndimage``; they
+    import it when called, so no workload pays for it at ``import
+    repro`` (``scipy.special`` stays: ``gelu`` needs ``erf``)."""
+    code = ("import sys, repro.core, repro.serve, repro.train\n"
+            "assert 'scipy.ndimage' not in sys.modules\n"
+            "import numpy as np\n"
+            "from repro.evals import ssim\n"
+            "repro.core.canny_edges(np.eye(8))\n"
+            "ssim(np.eye(8), np.eye(8))\n"
+            "assert 'scipy.ndimage' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   timeout=120)

@@ -59,7 +59,10 @@ def workload():
     model = warm_head(Reslim(TINY, 23, 3, factor=4, max_tokens=256,
                              rng=np.random.default_rng(0)))
     inputs = np.concatenate([b.inputs for b in ds.batches(1)])
-    reference, _ = predict_dataset(model, ds, n_tiles=N_TILES, halo=HALO)
+    # one sample, hence one tile, per forward: the service stacks tiles
+    # in pairs, so every comparison against this crosses widths
+    reference, _ = predict_dataset(model, ds, batch_size=1, n_tiles=N_TILES,
+                                   halo=HALO)
     return model, ds, [inputs[i] for i in range(len(inputs))], reference
 
 

@@ -1,6 +1,6 @@
 """CompiledStep correctness: per-op bitwise replay fuzz + guard regressions.
 
-Two claims are pinned here:
+Three claims are pinned here:
 
 * **bitwise replay** — for every op in the fuzzer registry
   (``repro.testing.fuzz.OPS``), a compiled program replayed against fresh
@@ -13,13 +13,17 @@ Two claims are pinned here:
   producing exactly what eager produces: the first three force a
   transparent recapture (never a stale-arena read), the last must not
   disturb a live plan.
+* **plan eviction** — ``CompiledForward`` at its cap releases the
+  least-recently-used plan and no other, with the arena gauge exact
+  throughout.
 """
 
 import numpy as np
 import pytest
 
 from repro.nn import flash_attention, pooled_attention
-from repro.tensor import CompiledStep, Tensor, graph_counters, reset_graph_counters
+from repro.tensor import (CompiledForward, CompiledStep, Tensor, graph_counters,
+                          reset_graph_counters)
 from repro.tensor.dtypes import DTYPE_BF16, DTYPE_F32
 from repro.testing.fuzz import OPS
 
@@ -314,3 +318,42 @@ class TestGuards:
         c = graph_counters()
         assert c["replays"] == 1 and c["captures"] == 0 and c["guard_misses"] == 0
         step.release()
+
+
+def test_forward_plan_cache_evicts_the_least_recently_used_plan_only():
+    """``CompiledForward`` keeps one plan per input shape; a new shape at
+    the cap costs one release and one capture — never the working set —
+    and the arena gauge stays exact through it."""
+    w = Tensor(np.arange(3, dtype=np.float32) + 1.0)
+    fwd = CompiledForward(lambda t: (t * w).tanh())
+    cap = CompiledForward._MAX_PLANS
+
+    def x(width):
+        return np.full((width, 3), 0.5, dtype=np.float32)
+
+    def arena():
+        return graph_counters()["arena_bytes"] - arena0
+
+    arena0 = graph_counters()["arena_bytes"]
+    reset_graph_counters()
+    fwd(x(1))
+    row = arena()                     # a plan of width n holds n rows
+    for width in range(2, cap + 1):
+        fwd(x(width))
+    held = row * cap * (cap + 1) // 2
+    assert graph_counters()["captures"] == cap and arena() == held
+    fwd(x(1))                         # width 1 becomes most recent,
+    fwd(x(cap + 1))                   # so the new shape evicts width 2
+    held += row * (cap + 1) - row * 2
+    assert arena() == held
+    reset_graph_counters()
+    for width in (1, *range(3, cap + 2)):
+        assert np.array_equal(fwd(x(width)).data, np.tanh(x(width) * w.data))
+    c = graph_counters()
+    assert c["captures"] == 0 and c["replays"] == cap
+    fwd(x(2))                         # back, at the cost of width 1
+    held += row * 2 - row * 1
+    assert graph_counters()["captures"] == 1 and arena() == held
+    assert len(fwd._plans) == cap
+    fwd.release()
+    assert arena() == 0
