@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..tensor import Tensor, gelu
 from .comm import ProcessGroup
 
 __all__ = ["ColumnParallelLinear", "RowParallelLinear", "TensorParallelMLP", "split_columns", "split_rows"]
@@ -40,9 +41,7 @@ def split_rows(weight: np.ndarray, world: int) -> list[np.ndarray]:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    from scipy import special
-
-    return x * 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
+    return gelu(Tensor(x)).data
 
 
 class ColumnParallelLinear:

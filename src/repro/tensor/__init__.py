@@ -38,7 +38,7 @@ from .tensor import (
     reset_graph_counters,
 )
 
-KERNEL_EPOCH = 2
+KERNEL_EPOCH = 3
 """Generation of the numeric kernels' *bits* (the rule is DESIGN.md §12).
 
 Every oracle compares two paths through the same kernels, so a kernel may
@@ -47,7 +47,8 @@ that pin absolute output bytes.  Epoch 1: ``flash_attention`` on
 keys-major tiles with the softmax statistics folded into its GEMMs;
 ``conv2d`` as one ``np.matmul`` per sample, not a flattened-batch einsum.
 Epoch 2: the variable aggregator as one ``pooled_attention`` node with its
-K/V projections folded into the query.
+K/V projections folded into the query.  Epoch 3: ``gelu`` through a
+branch-free, pure-NumPy float32 ``erfc``.
 """
 
 __all__ = [

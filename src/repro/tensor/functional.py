@@ -1,10 +1,10 @@
 """Functional ops built on the :class:`~repro.tensor.Tensor` engine.
 
 Contains the numerically careful primitives the models need: stable
-softmax, exact GELU (erf form), bilinear interpolation with a proper
-adjoint, im2col-based 2-D convolution helpers, and pixel shuffle for the
-decoder's sub-pixel upsampling.  Everything is vectorised; the only index
-arithmetic is precomputed gather/scatter tables.
+softmax, exact GELU (through a branch-free pure-NumPy ``erfc``), bilinear
+interpolation with a proper adjoint, im2col-based 2-D convolution helpers,
+and pixel shuffle for the decoder's sub-pixel upsampling.  Everything is
+vectorised; the only index arithmetic is precomputed gather/scatter tables.
 """
 
 from __future__ import annotations
@@ -82,20 +82,68 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(out, (a,), backward, "log_softmax", replay=replay)
 
 
+# Numerical Recipes ``erfcc``: erfc(z) = t * exp(-z*z + P(t)), t = 2 / (2 + z),
+# fractional error < 1.2e-7 for every z >= 0.  Held as Q(u) = P(2u), u = t/2
+# (powers of two scale exactly), so erfc(z)/2 = u * exp(-z*z + Q(u)) spends
+# no pass on the halves.  Highest power first.
+_HALF_ERFC_POLY = tuple(c * 2.0 ** k for k, c in zip(range(9, -1, -1), (
+    0.17087277, -0.82215223, 1.48851587, -1.13520398, 0.27886807,
+    -0.18628806, 0.09678418, 0.37409196, 1.00002368, -1.26551223)))
+
+
+def _normal_cdf(x: np.ndarray, phi: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """``phi[...] = Phi(x) = erfc(-x/sqrt(2)) / 2`` in ``x``'s dtype; clobbers ``acc``, ``tmp``.
+
+    Branch-free in-place passes over dense buffers of ``x``'s shape.
+    ``erfc`` is taken of ``|x|/sqrt(2)`` and the sign selected afterwards,
+    so the negative tail keeps its relative accuracy (``(1 + erf)/2``
+    cancels there).  ``np.exp`` runs only on ``tmp``: a strided ``x`` must
+    not pick another ``exp`` loop, hence other bits.
+    """
+    np.abs(x, out=tmp)
+    tmp *= 0.7071067811865476
+    # z*z overflows (warns) from |x| ~ 1.8e19; erfc(28) is 0 even in float64
+    np.minimum(tmp, 28.0, out=tmp)  # z; NaN passes through
+    np.add(tmp, 2.0, out=phi)
+    np.divide(1.0, phi, out=phi)  # u
+    np.multiply(phi, _HALF_ERFC_POLY[0], out=acc)
+    for c in _HALF_ERFC_POLY[1:-1]:  # Horner
+        acc += c
+        acc *= phi
+    acc += _HALF_ERFC_POLY[-1]
+    tmp *= tmp
+    np.subtract(acc, tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    tmp *= phi  # h = Phi(-|x|)
+    # Phi = h if x <= 0 else 1 - h, as s + (1 - 2s)*h with s = [x > 0]: exact
+    # for s in {0, 1}, and ~10x cheaper than a masked ufunc or np.where
+    np.greater(x, 0.0, out=phi)
+    np.multiply(phi, -2.0, out=acc)
+    acc += 1.0
+    acc *= tmp
+    phi += acc
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU ``x * Phi(x)`` as a single fused tape node.
 
-    The composed erf form expands into five nodes with a full-size
-    temporary each; here the forward saves only ``Phi(x)`` and the
-    hand-written backward is ``g * (Phi(x) + x * pdf(x))``.
+    ``Phi`` is :func:`_normal_cdf` (pure NumPy): against float64
+    ``x * erfc(-x/sqrt(2)) / 2`` the float32 result is within 5e-7
+    absolute, 5e-6 relative where ``|gelu| > 1e-3``.  The composed erf form
+    expands into five nodes with a full-size temporary each; here the
+    forward saves only ``Phi(x)`` (the output buffer is the kernel's
+    accumulator) and the hand-written backward is
+    ``g * (Phi(x) + x * pdf(x))``.
     """
-    from scipy import special
-
     a = x
-    phi = np.multiply(a.data, np.float32(1.0 / np.sqrt(2.0)))
-    special.erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
+    phi = np.empty_like(a.data)
+    out_data = np.empty_like(a.data)
+
+    def forward(tmp):
+        _normal_cdf(a.data, phi, out_data, tmp)
+        np.multiply(a.data, phi, out=out_data)
+
+    forward(np.empty_like(a.data))  # on the eager tape the scratch is transient
     inv_sqrt_2pi = np.float32(1.0 / np.sqrt(2.0 * np.pi))
 
     def backward(g):
@@ -109,14 +157,12 @@ def gelu(x: Tensor) -> Tensor:
         t *= g
         return ((a, t),)
 
-    out_data = a.data * phi
+    scratch = []  # a plan keeps one, allocated by its first replay
 
     def replay():
-        np.multiply(a.data, np.float32(1.0 / np.sqrt(2.0)), out=phi)
-        special.erf(phi, out=phi)
-        np.add(phi, 1.0, out=phi)
-        np.multiply(phi, 0.5, out=phi)
-        np.multiply(a.data, phi, out=out_data)
+        if not scratch:
+            scratch.append(np.empty_like(a.data))
+        forward(scratch[0])
 
     return Tensor._from_op(out_data, (a,), backward, "gelu", replay=replay)
 
@@ -489,11 +535,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
             grads.append((bias, g.sum(axis=(0, 2, 3))))
         return tuple(grads)
 
+    gather = []  # (padded interior, window view, cols as 6-D); the eager tape keeps none
+
     def replay():
         # the backward closure reads ``cols`` (saved patches) and ``w2``
         # (a view of the live weights): refresh cols and the output buffer
         if not cols_live:
-            np.copyto(cols, im2col(a.data, k, stride, pad))
+            if not gather:  # first replay: one zero-bordered buffer per plan
+                padded = np.zeros((n, in_c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+                s0, s1, s2, s3 = padded.strides
+                gather.extend((
+                    padded[:, :, pad:pad + h, pad:pad + w],
+                    np.lib.stride_tricks.as_strided(
+                        padded, shape=(n, in_c, k, k, out_h, out_w),
+                        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+                        writeable=False),
+                    cols.reshape(n, in_c, k, k, out_h, out_w)))
+            interior, windows, cols6 = gather
+            np.copyto(interior, a.data)
+            np.copyto(cols6, windows)  # one gather, straight into the saved patches
         add_flops(2.0 * conv_macs)
         np.matmul(w2, cols, out=out.reshape(n, out_c, out_h * out_w))
         if bias is not None:

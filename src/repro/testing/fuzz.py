@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import special
 
 from ..nn.attention import pooled_attention
 from ..nn.flash_attention import flash_attention
@@ -98,6 +97,8 @@ def _ref_log_softmax(x, axis):
 
 
 def _ref_gelu(x):
+    from scipy import special  # the float64 reference; no workload imports scipy
+
     return x * 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
 
 

@@ -18,12 +18,15 @@ Three claims are pinned here:
   throughout.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.nn import flash_attention, pooled_attention
-from repro.tensor import (CompiledForward, CompiledStep, Tensor, graph_counters,
-                          reset_graph_counters)
+from repro.tensor import (CompiledForward, CompiledStep, Tensor, conv2d, gelu,
+                          graph_counters, reset_graph_counters)
 from repro.tensor.dtypes import DTYPE_BF16, DTYPE_F32
 from repro.testing.fuzz import OPS
 
@@ -207,6 +210,99 @@ def test_pooled_attention_replay_reads_live_parents():
     c = graph_counters()
     assert c["captures"] == 1 and c["replays"] == 2
     step.release()
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+@pytest.mark.parametrize("k,stride,pad", [
+    (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1),
+    (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1)])
+def test_conv2d_replay_gathers_patches_without_staging(k, stride, pad, contiguous):
+    """``conv2d``'s replay copies its input into one zero-bordered buffer
+    it keeps and gathers the window view straight into ``cols`` — no
+    ``np.pad``, no staging copy (k = 1 unpadded reads the input in place).
+    Three steps with new values, outputs and all three gradients bitwise
+    vs eager; a forward replay allocates nothing of the padded size."""
+    n, cin, cout, h, w = 2, 3, 4, 22, 19
+    rng = np.random.default_rng([k, stride, pad])
+    x_shape = (n, cin, h, w) if contiguous else (n, cin, w, h)
+    wgt = Tensor(rng.standard_normal((cout, cin, k, k)).astype(np.float32),
+                 requires_grad=True)
+    bias = Tensor(rng.standard_normal(cout).astype(np.float32), requires_grad=True)
+    scale = Tensor(rng.standard_normal(x_shape).astype(np.float32), requires_grad=True)
+    leaves = (scale, wgt, bias)
+
+    def run(sc, wg, b, xt):
+        xin = xt * sc                 # d loss / d scale carries conv's input grad
+        out = conv2d(xin if contiguous else xin.permute(0, 1, 3, 2), wg, b,
+                     stride=stride, pad=pad)
+        return (out * out).sum(), out
+
+    step = CompiledStep(lambda xt: run(*leaves, xt))
+    reset_graph_counters()
+    for _ in range(3):
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        for leaf in leaves:
+            leaf.grad = None
+        loss, out = (a.copy() for a in step(x))
+        eager = [Tensor(leaf.data.copy(), requires_grad=True) for leaf in leaves]
+        e_loss, e_out = run(*eager, Tensor(x))
+        e_loss.backward()
+        assert np.array_equal(out, e_out.data)
+        assert np.array_equal(loss, e_loss.data)
+        for leaf, ref in zip(leaves, eager):
+            assert np.array_equal(leaf.grad, ref.grad)
+    c = graph_counters()
+    assert c["captures"] == 1 and c["replays"] == 2
+    step.release()
+
+    # no bias: a broadcast ``np.add(..., out=)`` buffers up to 32 KB of its own
+    fwd = CompiledStep(lambda xt: run(scale, wgt, None, xt)[1], forward_only=True)
+    for _ in range(2):                # capture, then the replay that builds the buffer
+        fwd(rng.standard_normal(x_shape).astype(np.float32))
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fwd(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * cin * (h + 2 * pad) * (w + 2 * pad) * 4
+    fwd.release()
+
+
+def test_gelu_saves_one_buffer_and_a_plan_keeps_one_scratch():
+    """The erfc kernel works in the output buffer, the saved ``Phi`` and
+    one scratch array: transient on the eager tape (the node holds two
+    arrays of the input's size, as before kernel epoch 3), allocated once
+    by a plan's first replay and reused by every later one."""
+    x = np.random.default_rng(8).standard_normal((64, 1024)).astype(np.float32)
+    slack = x.nbytes // 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        def held():
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        base = held()
+        out = gelu(Tensor(x, requires_grad=True))
+        assert abs(held() - base - 2 * x.nbytes) < slack
+        assert tracemalloc.get_traced_memory()[1] - base < 3 * x.nbytes + slack
+        del out
+
+        fwd = CompiledStep(gelu, forward_only=True)
+        fwd(x)
+        captured = held()
+        first = fwd(x)[0].copy()
+        assert abs(held() - captured - 2 * x.nbytes) < slack  # scratch + `first`
+        again = fwd(-x)[0].copy()
+        assert abs(held() - captured - 3 * x.nbytes) < slack  # + `again` only
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, gelu(Tensor(x)).data)
+    assert np.array_equal(again, gelu(Tensor(-x)).data)
+    fwd.release()
 
 
 # --------------------------------------------------------------------- #

@@ -1,8 +1,10 @@
 """Tests for functional ops: softmax, gelu, interpolation, conv, pooling."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy import signal
+from scipy import signal, special
 
 from repro.tensor import (
     Tensor,
@@ -64,6 +66,98 @@ class TestActivations:
 
     def test_silu_gradient(self):
         check_gradient(lambda t: silu(t).sum(), _x(3, 3))
+
+
+def _gelu64(x):
+    x = np.asarray(x, dtype=np.float64)
+    return x * 0.5 * special.erfc(-x / np.sqrt(2.0))
+
+
+def _gelu_and_grad(x):
+    t = Tensor(x, requires_grad=True)
+    out = gelu(t)
+    out.sum().backward()
+    return out.data, t.grad
+
+
+class TestGeluKernel:
+    """Kernel epoch 3: ``Phi`` through a branch-free NumPy ``erfc`` of
+    ``|x|/sqrt(2)``, the sign selected arithmetically (DESIGN.md §12)."""
+
+    @pytest.mark.parametrize("sigma", [None, 0.3, 1.5, 4.0])
+    def test_accuracy_against_float64_erfc(self, sigma):
+        """Bounds tighter than ``(1 + erf)/2`` meets: that form cancels in
+        the negative tail and reads 5e-5 relative where |gelu| > 1e-3."""
+        x = (np.linspace(-12.0, 12.0, 480_001) if sigma is None
+             else sigma * np.random.default_rng(7).standard_normal(200_000))
+        x = x.astype(np.float32)
+        out, ref = gelu(Tensor(x)).data, _gelu64(x)
+        err = np.abs(out - ref)
+        assert err.max() <= 5e-7
+        big = np.abs(ref) > 1e-3
+        assert (err[big] / np.abs(ref[big])).max() <= 5e-6
+        assert (out[x < 0] <= 0).all()
+
+    def test_negative_tail_keeps_relative_accuracy(self):
+        out = gelu(Tensor(np.array([-5.0, -15.0, -1e4]))).data
+        assert out[0] == pytest.approx(-1.433e-6, rel=0.01)  # (1 + erf)/2: -1.490e-6
+        assert not out[1:].any() and np.signbit(out[1:]).all()  # -0.0
+
+    def test_every_finite_float32_is_silent(self):
+        """``z * z`` overflows from |x| ~ 1.8e19 unless ``z`` is clamped,
+        and tier-1 turns the warning into an error."""
+        x = np.array([1e30, -1e30, 3e38, -3e38, 1e-45, -1e-45, 1e-40, -1e-40,
+                      0.0, -0.0], dtype=np.float32)
+        expected = np.array([1e30, -0.0, 3e38, -0.0], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = gelu(Tensor(x)).data
+            edge = gelu(Tensor(np.array([np.nan, np.inf]))).data
+        assert np.array_equal(out[:4], expected)
+        assert np.array_equal(out[4:], x[4:] * np.float32(0.5))  # Phi(~0) == 0.5
+        assert np.array_equal(np.signbit(out), np.signbit(x))
+        assert np.isnan(edge[0]) and edge[1] == np.inf
+        with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
+            assert np.isnan(gelu(Tensor(np.array([-np.inf]))).data[0])
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 17, 33, 67, 129])
+    def test_bits_do_not_depend_on_position(self, n):
+        """Every split of an odd-length array: an element in a SIMD body,
+        in a tail, or alone gets the same bits."""
+        x = (2.0 * np.random.default_rng(n).standard_normal(n)).astype(np.float32)
+        full = _gelu_and_grad(x)
+        for i in range(n + 1):
+            for piece, sl in ((x[:i], slice(None, i)), (x[i:], slice(i, None))):
+                for got, want in zip(_gelu_and_grad(piece), full):
+                    assert np.array_equal(got, want[sl])
+
+    @pytest.mark.parametrize("view", [
+        lambda x: x.T, lambda x: x[::2, 1::3], lambda x: x[3:30, 5:44],
+        lambda x: np.broadcast_to(x[:, :1], x.shape)])
+    def test_bits_do_not_depend_on_strides(self, view):
+        x = view((2.0 * np.random.default_rng(3).standard_normal((37, 53)))
+                 .astype(np.float32))
+        assert not x.flags.c_contiguous
+        for got, want in zip(_gelu_and_grad(x),
+                             _gelu_and_grad(np.ascontiguousarray(x))):
+            assert np.array_equal(got, want)
+
+    def test_kernel_computes_in_the_input_dtype(self):
+        """One set of passes, no dtype switch: in float64 what is left is
+        the coefficients' own error (NR: < 1.2e-7 of ``erfc``), and the
+        clamp sits past where float64 ``erfc`` is 0 (``Tensor`` itself
+        holds float32 only)."""
+        from repro.tensor.functional import _normal_cdf
+
+        x = np.linspace(-40.0, 40.0, 8001)
+        phi, acc, tmp = (np.empty_like(x) for _ in range(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _normal_cdf(x, phi, acc, tmp)
+        assert phi.dtype == np.float64
+        ref = 0.5 * special.erfc(-x / np.sqrt(2.0))
+        np.testing.assert_allclose(phi, ref, rtol=2e-7, atol=1e-300)
+        assert phi[0] == 0.0 and phi[-1] == 1.0
 
 
 class TestBilinear:

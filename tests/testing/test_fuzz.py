@@ -29,6 +29,14 @@ class TestFastSweep:
         assert a.per_op == b.per_op
         assert [str(f) for f in a.failures] == [str(f) for f in b.failures]
 
+    @pytest.mark.parametrize("bf16_fraction", [0.0, 1.0])
+    def test_gelu_erfc_kernel_on_both_input_lattices(self, bf16_fraction):
+        """Kernel epoch 3 at the fuzzer's existing tolerances, forward and
+        backward, against the float64 scipy reference."""
+        report = fuzz_ops(n_samples=80, seed=11, ops=["gelu"],
+                          bf16_fraction=bf16_fraction)
+        assert report.ok and report.per_op == {"gelu": 80}, report.summary()
+
     def test_op_subset_and_unknown_op(self):
         report = fuzz_ops(n_samples=30, seed=3, ops=["softmax", "gelu"])
         assert set(report.per_op) <= {"softmax", "gelu"}
