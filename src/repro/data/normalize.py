@@ -49,8 +49,9 @@ class ChannelNormalizer:
 
     def denormalize(self, z: np.ndarray) -> np.ndarray:
         self._check(z)
-        return (z * self.std[:, None, None]
-                + self.mean[:, None, None]).astype(np.float32, copy=False)
+        out = z * self.std[:, None, None]   # the one allocation
+        np.add(out, self.mean[:, None, None], out=out)
+        return out.astype(np.float32, copy=False)
 
     def _check(self, x: np.ndarray) -> None:
         if x.shape[-3] != self.mean.shape[0]:

@@ -26,6 +26,9 @@ regardless of how units were batched, cached, or placed on replicas:
   amortized dispatch overhead, is measured as well as modeled;
 * the cache stores frozen copies keyed by content hash, so a hit
   returns exactly the bytes a miss would have computed;
+* a tile-served field is assembled and denormalized once per set of
+  core *objects* and memoised frozen (``_TileUnits.finish``), so a
+  tile-served ``output`` is read-only and may be shared by responses;
 * replicas share one set of weights, so placement cannot matter.
 
 The equivalence suites assert that over the scenario × replica × cache
@@ -44,8 +47,10 @@ metrics-contract tests).
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import is_
 
 import numpy as np
 
@@ -112,7 +117,12 @@ class AutoscalePolicy:
 
 @dataclass
 class Response:
-    """One served request with its full timing record."""
+    """One served request with its full timing record.
+
+    A cached ``output`` — a whole-request hit, or any tile-served field
+    (memoised per state) — is read-only and may be the same object as
+    another response's: copy before writing.
+    """
 
     request: Request
     dispatch_s: float
@@ -214,14 +224,14 @@ _COMPLETE, _ARRIVAL, _DEADLINE = 0, 1, 2
 
 _MISS_SENTINEL = object()
 
-# Units stacked into one forward.  Measured at the e2e serve tile shape
-# (B, 23, 18, 34) under compiled replay: ≈ 1.6 ms fixed per forward
-# (≈ 100 thunks of dispatch) + ≈ 2.2 ms per unit, so pairs take ≈ 70 %
-# of what running the whole batch at once would save.  What bounds the
-# width is memory, not speed: a forward-only plan retains ≈ 3.1 MB per
-# unit of width at that shape — width 4 costs +10–12 % peak RSS against
-# a 10 % bound, whole batches +40 % — until the forward arena is
-# liveness-planned (ROADMAP item 3).
+# Units stacked into one forward.  Pairs amortize the fixed cost of a
+# forward (≈ 100 thunks of dispatch under compiled replay); past that,
+# width buys nothing at the e2e serve tile shape (B, 23, 18, 34).
+# Measured after kernel epoch 3, 60 ``serve_exec_cold`` windows, raw
+# samples/s per run and peak RSS: width 2 — 121.7 / 118.2 / 118.0 /
+# 114.2, 64.6 MB; width 4 — 113.9 / 121.8 / 126.0 / 105.6, 72.0 MB;
+# width 8 — 115.8 / 115.8, 98.1 MB.  A liveness-planned arena (ROADMAP
+# item 2) would shrink the memory column, not move the speed column.
 _EXEC_WIDTH = 2
 
 
@@ -319,6 +329,8 @@ class _TileUnits:
     def __init__(self, svc: "DownscalingService"):
         self.svc = svc
         self.plan = svc.tile_plan
+        # LRU: ids of a request's cores -> (the cores, their finished field)
+        self._fields: OrderedDict[tuple, tuple] = OrderedDict()
 
     def split(self, req: Request) -> list[tuple[str, tuple]]:
         plan, epoch = self.plan, self.svc.plan_epoch
@@ -348,8 +360,34 @@ class _TileUnits:
         place normalized cores where ``stitch_tiles`` does, then
         denormalize the assembled field — value for value what a
         whole-request forward does, so the bytes match it regardless
-        of which tiles were hits."""
-        return self.svc._denormalize(self.plan.assemble(cores))
+        of which tiles were hits.  The result is frozen, and memoised
+        on the *identity* of the cores — as many fields as the tile cache
+        holds complete tile sets — so a state is assembled and
+        denormalized once, not once per request.  Sound because
+
+        * ``crop_core`` returns owned frozen copies and ``TileCache.put``
+          stores frozen arrays as-is, so core identity implies byte
+          identity (an entry holds its cores: an ``id`` is not recycled);
+        * the field is a pure function of the cores, the plan geometry
+          and the normalizer fixed at construction;
+        * ``bump_plan_epoch``, ``cache.clear()`` and eviction all surface
+          as *new* core objects, so a stale field cannot be served.
+
+        Without a cache every core is a fresh object: nothing is kept.
+        """
+        cache, fields = self.svc.cache, self._fields
+        key = tuple(map(id, cores))
+        held = fields.get(key)
+        if held is not None and all(map(is_, held[0], cores)):
+            fields.move_to_end(key)
+            return held[1]
+        out = self.svc._denormalize(self.plan.assemble(cores))
+        out.flags.writeable = False
+        fields[key] = (cores, out)
+        room = cache.capacity // self.plan.n_tiles if cache is not None else 0
+        while len(fields) > room:
+            fields.popitem(last=False)
+        return out
 
     def response_fields(self, hits: int, computed: int) -> dict:
         return {"tiles": self.plan.n_tiles, "tiles_hit": hits,

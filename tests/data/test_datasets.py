@@ -107,6 +107,23 @@ class TestChannelNormalizer:
             frozen.flags.writeable = False
             assert not np.shares_memory(norm.denormalize(frozen), frozen)
 
+    @pytest.mark.parametrize("shape", [(3, 8, 12), (2, 3, 8, 12)],
+                             ids=["chw", "nchw"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_denormalize_matches_the_expression_form_bitwise(self, dtype,
+                                                             shape):
+        """``denormalize`` scales into one buffer and adds the mean in
+        place; the bits are those of ``z * std + mean`` written out."""
+        rng = np.random.default_rng(3)
+        z = (rng.standard_normal(shape) * 40).astype(dtype)
+        norm = ChannelNormalizer(rng.standard_normal(3) * 300,
+                                 rng.random(3) * 9 + 0.1)
+        want = (z * norm.std[:, None, None]
+                + norm.mean[:, None, None]).astype(np.float32, copy=False)
+        got = norm.denormalize(z)
+        assert got.dtype == np.float32 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestPrecipTransforms:
     def test_log1p_roundtrip(self):

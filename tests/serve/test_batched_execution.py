@@ -10,7 +10,8 @@ reference (``build_inference_runner``, ``TiledDownscaler``,
 * the bytes are *not* — for random batch compositions, on both unit
   policies, compiled and eager, served output == the service at width 1
   == the width-1 reference, bitwise; mixed input shapes in one batch
-  keep working; rows of one stacked output do not alias;
+  keep working; rows of one stacked output do not alias, and a
+  tile-served field is frozen even where nothing copied it;
 * and the comparison has teeth — a deliberately batch-variant model
   makes served != reference, which is what the equivalence grid and the
   e2e in-run check (c) now rely on to catch a batch-variant kernel.
@@ -268,6 +269,28 @@ def test_pair_mates_do_not_alias_each_other_or_the_cache(model):
     for hit, ref in zip(run(), want):
         assert hit.cache_hit
         assert hit.output.tobytes() == ref.tobytes()
+
+
+def test_a_tile_served_field_is_frozen_without_a_normalizer(model):
+    """Without a target normalizer nothing copies the assembled field:
+    the memoised array *is* what ``assemble`` filled.  It is frozen all
+    the same, so a write through an earlier response is refused and the
+    later hits on that state still read the reference bytes."""
+    service = _service(model, "tiled", normalizer=None, n_replicas=1)
+    x = _arrays(1, seed=4)[0]
+    want = _reference(model, "tiled", x, None)
+
+    def run():
+        return service.run([Request(rid=0, arrival_s=0.0, sample=0,
+                                    input=x)]).responses[0]
+
+    first = run()
+    assert first.output.flags.owndata and not first.output.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.output[...] = np.nan
+    hit = run()
+    assert hit.cache_hit and hit.output is first.output
+    assert hit.output.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------- #

@@ -200,6 +200,26 @@ class TestTiledBitwiseServing:
             assert resp.cache_hit and resp.replica is None
             assert resp.output.tobytes() == cold[resp.request.rid].tobytes()
 
+    def test_one_state_is_finished_once_and_served_frozen(self, workload):
+        """Requests on one state carry the same four cached cores, so
+        they are answered with the *same* finished field — assembled
+        and denormalized once — and nobody can write through it."""
+        from repro.serve import Request
+
+        _, _, inputs, reference = workload
+        reqs = [Request(rid=i, arrival_s=0.5 * i, sample=0, input=inputs[0])
+                for i in range(3)]
+        svc = _tiled_service(workload)
+        computed, hit, again = svc.run(reqs).responses
+        assert computed.tiles_computed == hit.tiles_hit == N_TILES
+        assert computed.output is hit.output is again.output
+        assert not hit.output.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            hit.output[0, 0, 0] = np.nan
+        rerun = svc.run(reqs[:1]).responses[0]      # and across run()s
+        assert rerun.output is hit.output
+        assert np.array_equal(rerun.output, reference[0])
+
     def test_partial_overlap_recomputes_only_changed_tiles(self, workload):
         """The headline win: a request differing in one tile's region
         pays for the tiles that saw the change, not the whole grid."""
