@@ -1,11 +1,13 @@
 """Reslim: the Residual Slim ViT architecture (Fig. 2, Sec. III-A).
 
 The main ViT path never upsamples: each low-resolution physical variable
-is tokenized separately, a cross-attention module collapses the variable
-dimension into one token stream, a learnable resolution embedding makes
-predictions resolution-aware, an optional quad-tree compressor shrinks
-the sequence further, and a conv+linear decoder reconstructs the
-high-resolution output directly from low-resolution tokens.  A residual
+is tokenized separately and a cross-attention module collapses the
+variable dimension into one token stream (one patch-space node,
+:class:`VariableAggregator`: the V per-variable token streams are never
+materialised), a learnable resolution embedding makes predictions
+resolution-aware, an optional quad-tree compressor shrinks the sequence
+further, and a conv+linear decoder reconstructs the high-resolution
+output directly from low-resolution tokens.  A residual
 convolutional path re-introduces upsampling *outside* the transformer
 (linear cost) so the ViT only learns the residual correction — the
 mechanism that controls the ill-posed inverse problem's uncertainty.
@@ -23,7 +25,7 @@ from ..nn import (
     Parameter,
     TransformerEncoder,
     PatchEmbed,
-    pooled_attention,
+    aggregate_variables,
     unpatchify,
 )
 from ..nn import init as nn_init
@@ -84,23 +86,28 @@ class VariableAggregator(Module):
     and the output drops the variable dimension entirely (the 18–23×
     sequence reduction credited in Sec. V-B).
 
-    One query per token folds the K/V projections into it
-    (:func:`repro.nn.pooled_attention`): ``sc·q_hᵀ(W_k^h x_v + b_k^h) =
-    (sc·W_k^hᵀq_h)ᵀx_v + const_h``, ``Σ_v p_v(W_v^h x_v + b_v^h) = W_v^h Σ_v p_v x_v + b_v^h``.
+    The V embeddings are never built.  Each is ``P_v Wtᵀ + bt + e_v`` — a
+    p × p patch through the shared tokenizer plus a per-variable constant
+    — and one query per token folds the K/V projections into it, so
+    :func:`repro.nn.aggregate_variables` scores and pools the raw patches
+    against a ``(V + p², D)`` basis: one tape node from the field to the
+    heads, whose largest array is ``(B, L, H, D)``.
     """
 
     def __init__(self, dim: int, num_heads: int, rng: np.random.Generator | None = None):
         super().__init__()
         self.attn = CrossAttention(dim, num_heads, rng=rng)
 
-    def forward(self, var_tokens: Tensor) -> Tensor:
-        """(B, V, L, D) → (B, L, D)."""
-        b, _, l, d = var_tokens.shape
+    def forward(self, field: Tensor, tokenizer: PatchEmbed, var_embed: Tensor) -> Tensor:
+        """(B, V, h, w) field, its shared single-channel ``tokenizer`` and
+        the (V, 1, D) variable embeddings → (B, L, D)."""
         a = self.attn
-        fused = pooled_attention(
-            var_tokens, a.to_q.weight, a.to_q.bias, a.to_k.weight, a.to_k.bias,
+        fused = aggregate_variables(
+            field, tokenizer.proj.weight, tokenizer.proj.bias, var_embed,
+            a.to_q.weight, a.to_q.bias, a.to_k.weight, a.to_k.bias,
             a.to_v.weight, a.to_v.bias, a.num_heads)           # (B, L, H, D/H)
-        return a.proj(fused.reshape(b, l, d))
+        b, l = fused.shape[:2]
+        return a.proj(fused.reshape(b, l, -1))
 
 
 class Reslim(Module):
@@ -197,13 +204,9 @@ class Reslim(Module):
         gh, gw = h // p, w // p
         d = self.config.embed_dim
 
-        # --- tokenize each variable with the shared tokenizer ------------
-        per_var = x.reshape(b * c, 1, h, w)
-        tokens = self.tokenizer(per_var)                    # (B*C, L, D)
-        tokens = tokens.reshape(b, c, gh * gw, d)
-        tokens = tokens + self.var_embed                    # variable identity
-        # --- aggregate the variable dimension ----------------------------
-        fused = self.aggregator(tokens)                     # (B, L, D)
+        # --- tokenize each variable with the shared tokenizer, tag it with
+        # its identity and aggregate the variable dimension: one node ------
+        fused = self.aggregator(x, self.tokenizer, self.var_embed)  # (B, L, D)
         fused = fused + self._resolution_token(factor)
 
         # --- optional adaptive spatial compression ------------------------

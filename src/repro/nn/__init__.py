@@ -1,7 +1,7 @@
 """Neural-network layers, optimizers, and mixed precision on the autograd engine."""
 
 from .amp import Bf16Cast, GradScaler, autocast_module
-from .attention import CrossAttention, MultiHeadSelfAttention, pooled_attention
+from .attention import CrossAttention, MultiHeadSelfAttention, aggregate_variables
 from .checkpoint import CheckpointedSequential, checkpoint, checkpointed_activation_bytes
 from .flash_attention import (
     attention_flop_count,
@@ -30,7 +30,7 @@ __all__ = [
     "Sequential",
     "MultiHeadSelfAttention",
     "CrossAttention",
-    "pooled_attention",
+    "aggregate_variables",
     "flash_attention",
     "naive_attention",
     "attention_flop_count",

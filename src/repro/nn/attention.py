@@ -3,10 +3,13 @@
 Self-attention is the quadratic-cost core of the ViT (blocked flash kernel
 or naive reference); cross-attention is Reslim's variable aggregator
 (Fig. 2, purple block) that collapses the physical-variable dimension into
-a single token stream, run as the fused :func:`pooled_attention` node.
+a single token stream, run in patch space as the fused
+:func:`aggregate_variables` node.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,7 +18,8 @@ from .flash_attention import flash_attention, naive_attention
 from .layers import Linear
 from .module import Module
 
-__all__ = ["MultiHeadSelfAttention", "CrossAttention", "pooled_attention"]
+__all__ = ["MultiHeadSelfAttention", "CrossAttention", "aggregate_variables",
+           "aggregate_variables_flops"]
 
 
 def _split_heads(x: Tensor, num_heads: int) -> Tensor:
@@ -79,7 +83,7 @@ class CrossAttention(Module):
     sequence no longer scales with the number of physical variables.
 
     ``forward`` is the general-``L_q`` composed reference; the aggregator
-    runs the fused single-query :func:`pooled_attention` node instead.
+    runs the fused single-query :func:`aggregate_variables` node instead.
     """
 
     def __init__(self, dim: int, num_heads: int,
@@ -102,35 +106,69 @@ class CrossAttention(Module):
         return self.proj(_merge_heads(naive_attention(q, k, v)))
 
 
-def pooled_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
-                     wv: Tensor, bv: Tensor, num_heads: int) -> Tensor:
-    """Mean-query attention over the variable axis as one fused tape node.
+def aggregate_variables_flops(n: int, v: int, d: int, h: int, k: int) -> float:
+    """Forward FLOPs of :func:`aggregate_variables` over ``n = B·L`` tokens
+    — the one price, billed by the kernel (``add_flops``; its backward runs
+    exactly twice this) and by ``repro.obs.engine.FLOP_RULES``: ``x̄`` from
+    the mean patch, three ``D × D`` projections (``q``, ``q̃``, out), the
+    score and pooling GEMMs over the ``V + k`` basis rows, and their two
+    rank-``k`` per-token terms."""
+    return 2.0 * n * (k * d + 3 * d * d + 2 * h * (v + k) * d + 2 * v * k * h)
 
-    ``x``: (B, V, L, D) → (B, L, H, D/H): per token, the query
-    ``W_q mean_v(x_v) + b_q`` attends over keys ``W_k x_v + b_k`` and values
-    ``W_v x_v + b_v``.  One query per token lets both context projections
-    fold into the query: ``sc·q_h·(W_k^h x_v + b_k^h) = q̃_h·x_v + const_h``
-    with ``q̃_h = sc·W_k^hᵀ q_h``, and ``Σ_v p_v (W_v^h x_v + b_v^h) =
-    W_v^h (Σ_v p_v x_v) + b_v^h`` because ``Σ_v p_v = 1``.  ``const_h`` is
-    the same for every ``v`` and softmax is shift invariant, so ``bk``
-    cannot reach the output: it stays a parent (its leaf hooks and
-    flat-buffer slot fire as for any parameter) with an exactly zero gradient.
 
-    Every GEMM is one BLAS call per ``b``, ``(b, h)`` or ``(b, l)`` item —
-    ``x[b, :, l, :]`` is read in place as a ``(V, D)`` matrix of row stride
-    ``L·D`` — so a sample's output and token-gradient bits do not depend on
-    its batch; only the parameter gradients contract over ``B·L``, as
-    ``linear``'s do.
+def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
+                        wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+                        wv: Tensor, bv: Tensor, num_heads: int) -> Tensor:
+    """Tokenize, tag and mean-query-attend over the variable axis as one
+    tape node that never builds the ``(B, V, L, D)`` token tensor.
+
+    ``x``: raw field (B, V, h, w) → (B, L, H, D/H).  ``wt`` (D, p²) / ``bt``
+    are the shared single-channel tokenizer, ``var_embed`` (V, 1, D) the
+    variable identities, so token ``x_v = P_v Wtᵀ + c_v`` with ``P_v`` the
+    variable's p × p patch and ``c_v = bt + e_v``: every token is a row of
+    ``[onehot_v | P_v]`` times one ``(V + p², D)`` *basis* ``[c; Wtᵀ]``.
+    Per token the query ``W_q mean_v(x_v) + b_q`` attends over keys
+    ``W_k x_v + b_k`` and values ``W_v x_v + b_v``; one query per token
+    folds both context projections into it (``q̃_h = sc·W_k^hᵀ q_h``;
+    ``Σ_v p_v = 1``), and the basis does the rest in patch space:
+
+    * ``x̄ = P̄ Wtᵀ + c̄``;
+    * ``basis @ q̃ᵀ`` — one GEMM per sample, landing keys-major — is the
+      ``c_v·q̃_h`` half of the scores stacked on ``r = q̃ Wt``; the other
+      half is the rank-p² per-token term ``P_v·r_h``;
+    * ``Σ_v p_v x_v = [p; Σ_v p_v P_v]ᵀ @ basis``, again one GEMM per sample.
+
+    The backward mirrors it: both GEMMs transpose into ``g[p; ΣpP]`` and
+    ``g q̃``, and the basis gradient (``g c`` over ``g Wtᵀ``) is their two
+    operand products.  ``bk`` shifts all V scores of a head alike and
+    cannot reach the output: it stays a parent (leaf hooks and flat-buffer
+    slot fire as for any parameter) with an exactly zero gradient.  The
+    input gradient is computed only when ``x`` asks for one.
+
+    Every GEMM is one BLAS call per ``b``, ``(b, h)`` or ``(b, l)`` item, so
+    a sample's output and input-gradient bits do not depend on its batch;
+    only the parameter gradients contract over ``B``, as ``linear``'s do.
     """
     from ..tensor.flops import add_flops
 
-    b, v, l, d = x.shape
-    h, dh, n = num_heads, d // num_heads, b * l
+    b, v, hh, ww = x.shape
+    d, k = wt.shape
+    p = math.isqrt(k)
+    if p * p != k:
+        raise ValueError(f"tokenizer weight {wt.shape} is not (D, p*p)")
+    if hh % p or ww % p:
+        raise ValueError(f"grid {(hh, ww)} not divisible by patch size {p}")
+    if var_embed.shape != (v, 1, d):
+        raise ValueError(f"expected {(v, 1, d)} variable embeddings, "
+                         f"got {var_embed.shape}")
+    gh, gw = hh // p, ww // p
+    l, h, dh = gh * gw, num_heads, d // num_heads
+    n, m = b * l, l * num_heads
     sc = np.float32(1.0 / np.sqrt(dh))
     inv_v = np.float32(1.0 / v)
-    flops = 2.0 * (3 * n * d * d + 2 * n * h * v * d)
+    flops = aggregate_variables_flops(n, v, d, h, k)
 
-    def tokens(a):  # (B, V, L, ·) array as one (V, ·) matrix per token
+    def tokens(a):  # (B, ·, L, H) keys-major array as one (·, H) matrix per token
         return a.transpose(0, 2, 1, 3)
 
     heads = tokens  # (B, L, H, ·) array as one (L, ·) matrix per (b, h)
@@ -138,32 +176,64 @@ def pooled_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     def per_head(a):  # (B, L, H, ·) array as H matrices over all B·L tokens
         return a.reshape(n, h, -1).transpose(1, 0, 2)
 
+    def keys(a):  # (B, ·, L, H) array as one (·, L·H) matrix per sample
+        return a.reshape(b, -1, m)
+
+    def rows(a):  # (B, L, H, ·) array as one (L·H, ·) matrix per sample
+        return a.reshape(b, m, -1)
+
     def split(w):  # (D, D) weight as its H row blocks W^h
         return w.data.reshape(h, dh, d)
 
-    xbar = np.empty((b, l, d), dtype=np.float32)
-    q = np.empty((b, l, h, dh), dtype=np.float32)   # sc · (W_q x̄ + b_q)
-    qt = np.empty((b, l, h, d), dtype=np.float32)   # q̃
+    def empty(*shape):
+        return np.empty(shape, dtype=np.float32)
+
+    patches = empty(b, l, v, k)                 # P
+    xmean, pbar = empty(b, hh, ww), empty(b, l, k)
+    basis, cbar = empty(v + k, d), empty(d)     # [c; Wtᵀ], c̄
+    xbar = empty(b, l, d)
+    q = empty(b, l, h, dh)                      # sc · (W_q x̄ + b_q)
+    qt = empty(b, l, h, d)                      # q̃
     # keys-major like flash_attention's tiles: reductions over V are
     # whole-slab SIMD accumulations, not 23-element row reductions
-    p = np.empty((b, v, l, h), dtype=np.float32)
-    px = np.empty((b, l, h, d), dtype=np.float32)   # Σ_v p_v x_v
-    out = np.empty((b, l, h, dh), dtype=np.float32)
+    pa = empty(b, v + k, l, h)                  # [p; (Σ_v p_v P_v)ᵀ]
+    prob, pooled = pa[:, :v], pa[:, v:]
+    rt = empty(b, k, l, h)                      # rᵀ
+    rank_k, stat = empty(b, v, l, h), empty(b, 1, l, h)   # scratch
+    px = empty(b, l, h, d)                      # Σ_v p_v x_v
+    out = empty(b, l, h, dh)
 
     def run():
         add_flops(flops)
-        xt = tokens(x.data)
-        np.mean(x.data, axis=1, out=xbar)
+        field = x.data
+        np.copyto(patches.reshape(b, gh, gw, v, p, p),
+                  field.reshape(b, v, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5))
+        np.add.reduce(field, axis=1, out=xmean)     # np.mean stages its divide
+        np.multiply(xmean, inv_v, out=xmean)
+        np.copyto(pbar.reshape(b, gh, gw, p, p),
+                  xmean.reshape(b, gh, p, gw, p).transpose(0, 1, 3, 2, 4))
+        np.add(var_embed.data.reshape(v, d), bt.data, out=basis[:v])
+        np.copyto(basis[v:], wt.data.T)
+        np.add.reduce(basis[:v], axis=0, out=cbar)
+        np.multiply(cbar, inv_v, out=cbar)
+        np.matmul(pbar, basis[v:], out=xbar)
+        np.add(xbar, cbar, out=xbar)
         q2 = q.reshape(b, l, d)
         np.matmul(xbar, wq.data.T, out=q2)
         np.add(q2, bq.data, out=q2)
         np.multiply(q2, sc, out=q2)
         np.matmul(heads(q), split(wk), out=heads(qt))
-        np.matmul(xt, qt.swapaxes(-1, -2), out=tokens(p))
-        np.subtract(p, p.max(axis=1, keepdims=True), out=p)
-        np.exp(p, out=p)
-        np.divide(p, p.sum(axis=1, keepdims=True), out=p)
-        np.matmul(tokens(p).swapaxes(-1, -2), xt, out=px)
+        np.matmul(basis, rows(qt).swapaxes(-1, -2), out=keys(pa))
+        np.copyto(rt, pooled)
+        np.matmul(patches, tokens(rt), out=tokens(rank_k))
+        np.add(prob, rank_k, out=prob)
+        np.max(prob, axis=1, keepdims=True, out=stat)
+        np.subtract(prob, stat, out=prob)
+        np.exp(prob, out=prob)
+        np.sum(prob, axis=1, keepdims=True, out=stat)
+        np.divide(prob, stat, out=prob)
+        np.matmul(patches.swapaxes(-1, -2), tokens(prob), out=tokens(pooled))
+        np.matmul(keys(pa).swapaxes(-1, -2), basis, out=rows(px))
         np.matmul(heads(px), split(wv).swapaxes(-1, -2), out=heads(out))
         np.add(out, bv.data.reshape(h, dh), out=out)
 
@@ -171,37 +241,49 @@ def pooled_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
 
     def backward(g):
         add_flops(2.0 * flops)
-        xt = tokens(x.data)
-        # gx is one GEMM per token, coef (V, 2H+1) @ rows (2H+1, D) with
-        #   coef = [p, gs, 1/V]    rows = [g(Σpx); q̃; gx̄],
-        # each block written in place by the step that produces it
-        coef = np.empty((b, v, l, 2 * h + 1), dtype=np.float32)
-        rows = np.empty((b, l, 2 * h + 1, d), dtype=np.float32)
-        coef[..., :h] = p
-        coef[..., 2 * h] = inv_v
-        rows[:, :, h:2 * h] = qt
-        gs, gpx, gxbar = coef[..., h:2 * h], rows[:, :, :h], rows[:, :, 2 * h]
-        np.matmul(heads(g), split(wv), out=heads(gpx))
-        gp = np.empty_like(p)
-        np.matmul(xt, gpx.swapaxes(-1, -2), out=tokens(gp))
-        np.subtract(gp, (gp * p).sum(axis=1, keepdims=True), out=gp)
-        np.multiply(gp, p, out=gs)
-        gqt = tokens(gs).swapaxes(-1, -2) @ xt
-        gq = np.empty((b, l, h, dh), dtype=np.float32)  # d/d(sc·q), then d/dq
-        np.matmul(heads(gqt), split(wk).swapaxes(-1, -2), out=heads(gq))
-        gwk = per_head(q).swapaxes(-1, -2) @ per_head(gqt)
         gwv = per_head(g).swapaxes(-1, -2) @ per_head(px)
+        wide = empty(b, l, h, d)                # g(Σpx), then g q̃
+        np.matmul(heads(g), split(wv), out=heads(wide))
+        ga = empty(b, v + k, l, h)              # g[p; ΣpP], then [gs; g rᵀ]
+        gs, gk = ga[:, :v], ga[:, v:]
+        np.matmul(basis, rows(wide).swapaxes(-1, -2), out=keys(ga))
+        gbasis = (keys(pa) @ rows(wide)).sum(axis=0)
+        np.matmul(patches, tokens(gk), out=tokens(rank_k))
+        np.add(gs, rank_k, out=gs)
+        np.multiply(gs, prob, out=rank_k)
+        np.sum(rank_k, axis=1, keepdims=True, out=stat)
+        np.subtract(gs, stat, out=gs)
+        np.multiply(gs, prob, out=gs)
+        gpooled = gk.copy() if x.requires_grad else None
+        np.matmul(patches.swapaxes(-1, -2), tokens(gs), out=tokens(gk))
+        gbasis += (keys(ga) @ rows(qt)).sum(axis=0)
+        np.matmul(keys(ga).swapaxes(-1, -2), basis, out=rows(wide))
+        gq = empty(b, l, h, dh)                 # d/d(sc·q), then d/dq
+        np.matmul(heads(wide), split(wk).swapaxes(-1, -2), out=heads(gq))
+        gwk = per_head(q).swapaxes(-1, -2) @ per_head(wide)
         np.multiply(gq, sc, out=gq)
-        np.matmul(gq.reshape(b, l, d), wq.data, out=gxbar)
-        gx = np.empty(x.shape, dtype=np.float32)
-        np.matmul(tokens(coef), rows, out=tokens(gx))
         gq2 = gq.reshape(n, d)
+        gxbar = gq.reshape(b, l, d) @ wq.data
+        gxbar2 = gxbar.reshape(n, d)
+        gc = gbasis[:v] + gxbar2.sum(axis=0) * inv_v
+        gwt = gxbar2.T @ pbar.reshape(n, k)
+        gwt += gbasis[v:].T
+        gx = None
+        if x.requires_grad:
+            add_flops(2.0 * n * k * (d + 2 * v * h))
+            gp = tokens(prob) @ tokens(gpooled).swapaxes(-1, -2)    # (B, L, V, k)
+            gp += tokens(gs) @ tokens(rt).swapaxes(-1, -2)
+            gp += ((gxbar @ wt.data) * inv_v)[:, :, None]
+            gx = empty(b, v, hh, ww)
+            np.copyto(gx.reshape(b, v, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5),
+                      gp.reshape(b, gh, gw, v, p, p))
         return (
-            (x, gx),
+            (x, gx), (wt, gwt), (bt, gc.sum(axis=0)),
+            (var_embed, gc.reshape(v, 1, d)),
             (wq, gq2.T @ xbar.reshape(n, d)), (bq, gq2.sum(axis=0)),
             (wk, gwk.reshape(d, d)), (bk, np.zeros_like(bk.data)),
             (wv, gwv.reshape(d, d)), (bv, g.reshape(n, d).sum(axis=0)),
         )
 
-    return Tensor._from_op(out, (x, wq, bq, wk, bk, wv, bv), backward,
-                           "pooled_attention", replay=run)
+    return Tensor._from_op(out, (x, wt, bt, var_embed, wq, bq, wk, bk, wv, bv),
+                           backward, "aggregate_variables", replay=run)

@@ -42,11 +42,14 @@ def _flash_attention_flops(data, parents) -> float:
     return 4.0 * data.size * lk
 
 
-def _pooled_attention_flops(data, parents) -> float:
-    # out (B, L, H, D/H), parents[0] = tokens (B, V, L, D): three D x D
-    # projections per token (q, q~, out) plus q~.x scores and p.x pooling
-    v, d = parents[0].shape[1], parents[0].shape[3]
-    return 2.0 * data.size * (3 * d + 2 * data.shape[2] * v)
+def _aggregate_variables_flops(data, parents) -> float:
+    # out (B, L, H, D/H), parents = (field (B, V, h, w), wt (D, p*p), ...):
+    # the kernel's own price, from the helper it bills itself by
+    from ..nn.attention import aggregate_variables_flops
+
+    b, l, h, _ = data.shape
+    d, k = parents[1].shape
+    return aggregate_variables_flops(b * l, parents[0].shape[1], d, h, k)
 
 
 def _elementwise_flops(data, parents) -> float:
@@ -59,7 +62,7 @@ FLOP_RULES = {
     "matmul": _matmul_flops,
     "conv2d": _conv2d_flops,
     "flash_attention": _flash_attention_flops,
-    "pooled_attention": _pooled_attention_flops,
+    "aggregate_variables": _aggregate_variables_flops,
     "add": _elementwise_flops,
     "mul": _elementwise_flops,
     "add_bias": _elementwise_flops,

@@ -38,7 +38,7 @@ from .tensor import (
     reset_graph_counters,
 )
 
-KERNEL_EPOCH = 3
+KERNEL_EPOCH = 4
 """Generation of the numeric kernels' *bits* (the rule is DESIGN.md §12).
 
 Every oracle compares two paths through the same kernels, so a kernel may
@@ -46,9 +46,11 @@ change its rounding; a PR that does bumps this and re-records the goldens
 that pin absolute output bytes.  Epoch 1: ``flash_attention`` on
 keys-major tiles with the softmax statistics folded into its GEMMs;
 ``conv2d`` as one ``np.matmul`` per sample, not a flattened-batch einsum.
-Epoch 2: the variable aggregator as one ``pooled_attention`` node with its
-K/V projections folded into the query.  Epoch 3: ``gelu`` through a
-branch-free, pure-NumPy float32 ``erfc``.
+Epoch 2: the variable aggregator as one single-query attention node with
+its K/V projections folded into the query.  Epoch 3: ``gelu`` through a
+branch-free, pure-NumPy float32 ``erfc``.  Epoch 4: that node takes the
+raw field (``aggregate_variables``) — tokenizer and variable embeddings
+applied in patch space, no ``(B, V, L, D)`` tensor.
 """
 
 __all__ = [

@@ -16,10 +16,11 @@ from repro.core import (
     vit_sequence_length,
 )
 from repro.core.reslim import ResidualPath, VariableAggregator
-from repro.nn import AdamW
+from repro.nn import AdamW, Module, Parameter, PatchEmbed
+from repro.nn.attention import aggregate_variables_flops
 from repro.obs import Tracer
-from repro.tensor import FlopCounter, Tensor, bilinear_upsample
-from repro.testing import OPS
+from repro.tensor import CompiledStep, FlopCounter, Tensor, bilinear_upsample
+from repro.testing import OPS, warm_head
 
 RNG = np.random.default_rng(51)
 TINY = ModelConfig("tiny", embed_dim=32, depth=2, num_heads=4)
@@ -85,51 +86,98 @@ class TestUpsampleViT:
         assert per_var * 3 == 24576
 
 
-def _composed_aggregate(agg, var_tokens):
-    """``VariableAggregator.forward`` as the op chain it replaced, through
-    ``CrossAttention.forward`` on the same parameters."""
-    b, v, l, d = var_tokens.shape
-    context = var_tokens.permute(0, 2, 1, 3).reshape(b * l, v, d)
-    query = context.mean(axis=1, keepdims=True)
-    return agg.attn(query, context).reshape(b, l, d)
+class _FrontEnd(Module):
+    """Reslim's tokenizer, variable embeddings and aggregator under the
+    names ``Reslim`` registers them by, trained-looking (no zero biases)."""
+
+    def __init__(self, channels, dim, heads, patch, rng):
+        super().__init__()
+        self.tokenizer = PatchEmbed(1, dim, patch, rng=rng)
+        self.var_embed = Parameter(0.1 * rng.standard_normal((channels, 1, dim)))
+        self.aggregator = VariableAggregator(dim, heads, rng=rng)
+        for prm in self.parameters():
+            if prm.data.ndim == 1:
+                prm.data[...] = 0.1 * rng.standard_normal(prm.shape)
+
+    def forward(self, field):
+        return self.aggregator(field, self.tokenizer, self.var_embed)
+
+    def composed(self, field):
+        """``forward`` as the op chain it replaced: every variable through
+        ``PatchEmbed``, ``+ var_embed``, then ``CrossAttention.forward`` on
+        the same parameters — the only place a ``(B, V, L, D)`` tensor is
+        built."""
+        b, v, h, w = field.shape
+        tokens = self.tokenizer(field.reshape(b * v, 1, h, w))
+        l, d = tokens.shape[1:]
+        tokens = tokens.reshape(b, v, l, d) + self.var_embed
+        context = tokens.permute(0, 2, 1, 3).reshape(b * l, v, d)
+        query = context.mean(axis=1, keepdims=True)
+        return self.aggregator.attn(query, context).reshape(b, l, d)
 
 
-def _aggregator(shape, heads):
-    """A trained-looking aggregator (no zero biases) with tokens and an
-    upstream gradient at ``shape`` = (B, V, L, D)."""
+def _front_end(shape, dim, heads, patch=2):
+    """A front end with a field and an upstream gradient at ``shape`` =
+    (B, V, h, w)."""
     rng = np.random.default_rng(shape)
-    agg = VariableAggregator(shape[-1], heads, rng=rng)
-    for prm in agg.parameters():
-        if prm.data.ndim == 1:
-            prm.data[...] = 0.1 * rng.standard_normal(prm.shape)
+    front = _FrontEnd(shape[1], dim, heads, patch, rng)
     x = rng.standard_normal(shape).astype(np.float32)
-    g = rng.standard_normal((shape[0], shape[2], shape[3])).astype(np.float32)
-    return agg, x, g
+    l = (shape[2] // patch) * (shape[3] // patch)
+    g = rng.standard_normal((shape[0], l, dim)).astype(np.float32)
+    return front, x, g
 
 
-# (B, V, L, D), H of the e2e workloads: train_single's batch, one
+# (B, V, h, w), D, H of the e2e workloads: train_single's batch, one
 # train_composite8 tile, a serve_exec_cold batch of 8 tiles
-E2E_AGGREGATOR_SHAPES = [((2, 23, 512, 64), 8), ((1, 23, 288, 32), 4),
-                         ((8, 23, 288, 32), 4)]
+E2E_FIELD_SHAPES = [((2, 23, 32, 64), 64, 8), ((1, 23, 18, 34), 32, 4),
+                    ((8, 23, 18, 34), 32, 4)]
+
+
+def _largest_live_block():
+    return max(t.size for t in tracemalloc.take_snapshot().traces)
+
+
+def _largest_block_through_backward(loss):
+    """Largest traced block alive after the forward and at the return of
+    every tape node's backward closure (its parent gradients still held)."""
+    seen = [_largest_live_block()]
+    stack, visited = [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in visited or node._backward is None:
+            continue
+        visited.add(id(node))
+
+        def watched(g, inner=node._backward):
+            grads = inner(g)
+            seen.append(_largest_live_block())
+            return grads
+
+        node._backward = watched
+        stack.extend(node._parents)
+    loss.backward()
+    return max(seen)
 
 
 class TestVariableAggregator:
-    @pytest.mark.parametrize("shape,heads", E2E_AGGREGATOR_SHAPES)
-    def test_fused_node_matches_composed_cross_attention(self, shape, heads):
-        """Output, token gradient and every parameter gradient against
-        ``CrossAttention.forward``, within the fuzzer's float32 bounds."""
-        agg, x, g = _aggregator(shape, heads)
-        spec = OPS["pooled_attention"]
+    @pytest.mark.parametrize("shape,dim,heads", E2E_FIELD_SHAPES)
+    def test_fused_node_matches_composed_cross_attention(self, shape, dim, heads):
+        """Output, input gradient and all nine parameter gradients against
+        ``PatchEmbed`` → ``+ var_embed`` → ``CrossAttention.forward``,
+        within the fuzzer's float32 bounds."""
+        front, x, g = _front_end(shape, dim, heads)
+        spec = OPS["aggregate_variables"]
 
         def run(forward):
-            agg.zero_grad()
+            front.zero_grad()
             t = Tensor(x, requires_grad=True)
             out = forward(t)
             out.backward(g)
-            return out.data, t.grad, {k: prm.grad for k, prm in agg.named_parameters()}
+            return out.data, t.grad, {k: prm.grad for k, prm in front.named_parameters()}
 
-        ref_out, ref_gx, ref_gp = run(lambda t: _composed_aggregate(agg, t))
-        out, gx, gp = run(agg)
+        ref_out, ref_gx, ref_gp = run(front.composed)
+        out, gx, gp = run(front)
+        assert len(gp) == 11                  # the node's nine and attn.proj.*
         np.testing.assert_allclose(out, ref_out, rtol=spec.fwd_rtol, atol=spec.fwd_atol)
         np.testing.assert_allclose(gx, ref_gx, rtol=spec.grad_rtol, atol=spec.grad_atol)
         for name, ref in ref_gp.items():
@@ -137,55 +185,126 @@ class TestVariableAggregator:
                                        atol=spec.grad_atol, err_msg=name)
         # shift invariance of the softmax: exact, where the composed
         # chain leaves rounding noise
-        assert not gp["attn.to_k.bias"].any()
-        assert ref_gp["attn.to_k.bias"].any()
+        assert not gp["aggregator.attn.to_k.bias"].any()
+        assert ref_gp["aggregator.attn.to_k.bias"].any()
+
+    def test_input_gradient_only_when_asked(self):
+        """A raw field that does not require grad gets none, and the
+        parameter gradients do not depend on whether it did."""
+        front, x, g = _front_end((2, 5, 4, 6), 8, 2)
+
+        def run(requires_grad):
+            front.zero_grad()
+            t = Tensor(x, requires_grad=requires_grad)
+            front(t).backward(g)
+            return t.grad, [prm.grad for prm in front.parameters()]
+
+        (gx, with_gx), (none, without) = run(True), run(False)
+        assert gx is not None and none is None
+        for a, b in zip(with_gx, without):
+            assert np.array_equal(a, b)
+
+    def test_compiled_replay_bitwise_equals_eager_on_a_warm_head(self):
+        """Three SGD steps of a 23-variable Reslim whose head lets the
+        encoder reach the loss: capture, then two replays, every loss and
+        every gradient equal to the eager tape's to the bit."""
+        def build():
+            return warm_head(Reslim(TINY, 23, 3, factor=2, max_tokens=64,
+                                    rng=np.random.default_rng(3)))
+
+        def loss_of(model, xt, yt):
+            diff = model(xt) - yt
+            return (diff * diff).mean()
+
+        eager, replayed = build(), build()
+        step = CompiledStep(lambda xt, yt: loss_of(replayed, xt, yt))
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            x = rng.standard_normal((2, 23, 8, 12)).astype(np.float32)
+            y = rng.standard_normal((2, 3, 16, 24)).astype(np.float32)
+            eager.zero_grad()
+            replayed.zero_grad()
+            loss, = step(x, y)
+            ref = loss_of(eager, Tensor(x), Tensor(y))
+            ref.backward()
+            assert np.array_equal(loss, ref.data)
+            for p, q in zip(eager.parameters(), replayed.parameters(), strict=True):
+                if p.grad is None:            # feature_proj: compression is off
+                    assert q.grad is None
+                    continue
+                assert np.array_equal(p.grad, q.grad)
+                p.data -= 0.05 * p.grad
+                q.data -= 0.05 * q.grad
+        step.release()
 
     def test_peak_memory_below_composed_chain(self):
-        """Saved state is x̄, q, q̃, p, Σpx — no projected K / V / context
-        copies of the (B·L, V, D) tokens."""
-        agg, x, g = _aggregator(*E2E_AGGREGATOR_SHAPES[0])
+        """The node keeps patches, x̄, q, q̃, [p; ΣpP] and Σpx — nothing of
+        the tokens' size: under 0.6 of the composed chain's peak, and no
+        single block of a ``Reslim`` forward + backward reaches
+        ``B·V·L·D`` floats."""
+        (shape, dim, heads) = E2E_FIELD_SHAPES[0]
+        front, x, g = _front_end(shape, dim, heads)
 
         def peak(forward):
             tracemalloc.start()
-            forward(Tensor(x, requires_grad=True)).backward(g)
+            forward(Tensor(x)).backward(g)
             _, high = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return high
 
-        assert peak(agg) < 0.6 * peak(lambda t: _composed_aggregate(agg, t))
+        assert peak(front) < 0.6 * peak(front.composed)
+
+        b, v, h, w = shape
+        token_bytes = b * v * (h // 2) * (w // 2) * dim * 4
+        model = Reslim(ModelConfig("e2e", embed_dim=dim, depth=3, num_heads=heads),
+                       v, 3, factor=2, max_tokens=512, rng=np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            out = model(Tensor(x))
+            assert _largest_block_through_backward((out * out).mean()) < token_bytes
+            # the instrument sees a tokens-sized block when there is one
+            chain = front.composed(Tensor(x))
+            assert _largest_block_through_backward((chain * chain).mean()) >= token_bytes
+        finally:
+            tracemalloc.stop()
 
     def test_flop_charge_is_stated_twice_and_equal(self):
         """``add_flops`` in the kernels and ``obs.engine.FLOP_RULES`` on
-        the op hook price a Reslim forward identically, and the fused
-        aggregator bills exactly the absorbed projections less than the
-        composed chain."""
+        the op hook price a Reslim forward identically — the aggregator's
+        from one helper — and the node bills the algorithm it runs: the
+        tokenizer's ``2·N·V·p²·D`` linear and the K/V projections are gone,
+        the basis GEMMs and their rank-p² terms are there."""
         model = Reslim(TINY, 5, 3, factor=4, max_tokens=256,
                        rng=np.random.default_rng(0))
         with Tracer() as tracer, FlopCounter() as counted:
-            model(_x(2, 5, 8, 16))                      # N = 64, V = 5
+            model(_x(2, 5, 8, 16))                # N = 64, V = 5, p² = 4
         hooked = {op: tracer.metrics.counters.get(f"engine/{op}/flops", 0.0)
                   for op in ("linear", "matmul", "conv2d", "flash_attention",
-                             "pooled_attention")}       # what add_flops bills
-        assert hooked["pooled_attention"] == 2 * (3 * 64 * 32**2 + 2 * 64 * 4 * 5 * 32)
+                             "aggregate_variables")}    # what add_flops bills
+        n, v, d, h, k = 64, 5, 32, 4, 4
+        assert hooked["aggregate_variables"] == aggregate_variables_flops(n, v, d, h, k) \
+            == 2 * n * (k * d + 3 * d * d + 2 * h * (v + k) * d + 2 * v * k * h)
         assert sum(hooked.values()) == counted.total
 
-        (b, v, l, d), h = E2E_AGGREGATOR_SHAPES[1]
-        agg, x, _ = _aggregator((b, v, l, d), h)
-        with FlopCounter() as fused:
-            agg(Tensor(x))
-        with FlopCounter() as composed:
-            _composed_aggregate(agg, Tensor(x))
-        n = b * l
-        assert composed.total - fused.total == (
-            2 * n * (2 * v - 2) * d * d - 4 * n * v * d * (h - 1))
+        (b, v, hh, ww), d, h = E2E_FIELD_SHAPES[1]
+        front, x, g = _front_end((b, v, hh, ww), d, h)
+        n = b * (hh // 2) * (ww // 2)
+        with FlopCounter() as forward:
+            out = front.aggregator(Tensor(x), front.tokenizer, front.var_embed)
+        with FlopCounter() as backward:
+            out.backward(g)
+        proj = 2 * n * d * d                      # attn.proj, a ``linear``
+        assert forward.total == aggregate_variables_flops(n, v, d, h, k) + proj
+        assert backward.total == 2 * forward.total
+        with FlopCounter() as composed:   # tokenizer, q / k / v / out, QKᵀ and PV
+            front.composed(Tensor(x))
+        assert composed.total == 2 * n * (v * k * d + (2 * v + 2) * d * d + 2 * v * d)
 
 
 class TestReslimComponents:
     def test_variable_aggregator_collapses_variable_axis(self):
-        agg = VariableAggregator(16, 4, rng=np.random.default_rng(0))
-        out = agg(_x(2, 23, 10, 16))
-        assert out.shape == (2, 10, 16)
-
+        front, x, _ = _front_end((2, 23, 4, 10), 16, 4)
+        assert front(Tensor(x)).shape == (2, 10, 16)
 
     def test_residual_path_linear_structure(self):
         rp = ResidualPath(5, 3, factor=4, rng=np.random.default_rng(0))

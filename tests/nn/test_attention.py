@@ -13,11 +13,11 @@ from repro.nn import (
     TransformerBlock,
     TransformerEncoder,
     PatchEmbed,
+    aggregate_variables,
     attention_flop_count,
     attention_peak_elems,
     flash_attention,
     naive_attention,
-    pooled_attention,
     unpatchify,
 )
 from repro.tensor import Tensor
@@ -209,34 +209,47 @@ class TestAttentionLayers:
 
 
 class TestPooledAttention:
-    """The fused aggregator node on its own; the fuzzer (``OPS``), the
-    compiled-replay sweep, ``TestBatchInvariance`` and the model-level
-    comparison against ``CrossAttention.forward`` cover the rest."""
+    """The fused aggregator node (``aggregate_variables``: tokenizer,
+    variable embedding and mean-query attention pooled over V, in patch
+    space) on its own; the fuzzer (``OPS``), the compiled-replay sweep,
+    ``TestBatchInvariance`` and the model-level comparison against the
+    composed ``PatchEmbed`` → ``CrossAttention.forward`` chain cover the rest."""
 
     @staticmethod
-    def _parents(b, v, l, d, scale=1.0):
+    def _parents(b, v, h, w, d, patch=2, scale=1.0):
         return [RNG.standard_normal(shape).astype(np.float32) * s for shape, s in
-                [((b, v, l, d), 1.0), ((d, d), 1.0), ((d,), 1.0), ((d, d), scale),
+                [((b, v, h, w), 1.0), ((d, patch * patch), 1.0 / patch), ((d,), 1.0),
+                 ((v, 1, d), 1.0), ((d, d), 1.0), ((d,), 1.0), ((d, d), scale),
                  ((d,), 1.0), ((d, d), 1.0), ((d,), 1.0)]]
 
-    def test_gradcheck_all_seven_parents(self):
+    def test_gradcheck_all_ten_parents(self):
         # .mean() keeps |f| O(1): the float32 FD noise floor ulp(f) / (2 eps)
         # stays two decades under gradcheck's atol (PR 17's audit)
         weight = Tensor(RNG.standard_normal((2, 3, 2, 3)).astype(np.float32))
         check_gradients(
-            lambda *ts: (pooled_attention(*ts, num_heads=2) * weight).mean(),
-            self._parents(2, 5, 3, 6))
+            lambda *ts: (aggregate_variables(*ts, num_heads=2) * weight).mean(),
+            self._parents(2, 5, 2, 6, 6))
 
     def test_extreme_logits_stable(self):
         # logits x 50 saturate every softmax row: the max shift keeps the
         # output, and the p * (gp - sum(gp * p)) backward, finite
         ts = [Tensor(a, requires_grad=True)
-              for a in self._parents(2, 23, 4, 8, scale=50.0)]
-        out = pooled_attention(*ts, num_heads=4)
+              for a in self._parents(2, 23, 4, 4, 8, scale=50.0)]
+        out = aggregate_variables(*ts, num_heads=4)
         assert np.all(np.isfinite(out.data))
         (out * _t(2, 4, 4, 2)).sum().backward()
         for t in ts:
             assert np.all(np.isfinite(t.grad))
+
+    @pytest.mark.parametrize("field,wt,embed", [
+        ((1, 3, 4, 4), (8, 3), (3, 1, 8)),      # weight is not (D, p*p)
+        ((1, 3, 4, 5), (8, 4), (3, 1, 8)),      # grid not divisible by p
+        ((1, 3, 4, 4), (8, 4), (2, 1, 8)),      # one embedding per variable
+    ])
+    def test_rejects_mismatched_parents(self, field, wt, embed):
+        args = [_t(*field), _t(*wt), _t(8), _t(*embed)] + [_t(8, 8), _t(8)] * 3
+        with pytest.raises(ValueError):
+            aggregate_variables(*args, num_heads=2)
 
 
 class TestTransformer:

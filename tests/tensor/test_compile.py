@@ -24,7 +24,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.nn import flash_attention, pooled_attention
+from repro.nn import aggregate_variables, flash_attention
 from repro.tensor import (CompiledForward, CompiledStep, Tensor, conv2d, gelu,
                           graph_counters, reset_graph_counters)
 from repro.tensor.dtypes import DTYPE_BF16, DTYPE_F32
@@ -176,39 +176,74 @@ def test_flash_replay_reads_live_parents(layout):
     step.release()
 
 
+def _aggregator_parents(rng, v, d, patch=2):
+    return [Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+            for shape in [(d, patch * patch), (d,), (v, 1, d)] + [(d, d), (d,)] * 3]
+
+
 def test_pooled_attention_replay_reads_live_parents():
-    """``pooled_attention`` keeps x̄, q, q̃, p and Σpx between runs;
-    replay must refill them from the token parent's live buffer *and*
-    from whatever array each weight's ``.data`` names right now — FSDP
-    and the flat parameter buffers rebind it between steps.  Three steps,
-    new tokens and freshly bound weight arrays each, bitwise vs eager."""
-    B, V, L, D, H = 2, 5, 6, 8, 2
+    """``aggregate_variables`` keeps its patches, x̄, q, q̃, [p; ΣpP] and
+    Σpx between runs; replay must refill them from the field parent's live
+    buffer — contiguous, a permuted view or a strided slice of the
+    upstream array — *and* from whatever array each weight's ``.data``
+    names right now: FSDP and the flat parameter buffers rebind it between
+    steps.  Per layout three steps, a new field and freshly bound weight
+    arrays each, bitwise vs eager."""
+    B, V, hh, ww, D, H = 2, 5, 4, 6, 8, 2
+    L = (hh // 2) * (ww // 2)
     rng = np.random.default_rng(6)
     weight = rng.standard_normal((B, L, H, D // H)).astype(np.float32)
-    params = [Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-              for shape in [(D, D), (D,)] * 3]
+    for x_shape, view in [
+            ((B, V, hh, ww), lambda t: t),
+            ((V, B, ww, hh), lambda t: t.permute(1, 0, 3, 2)),
+            ((B, V, hh, 2 * ww), lambda t: t[:, :, :, ::2])]:
+        params = _aggregator_parents(rng, V, D)
 
-    def run(ps, xt):
-        out = pooled_attention(xt * 2.0, *ps, num_heads=H)
-        return (out * Tensor(weight)).sum(), out
+        def run(ps, xt):
+            out = aggregate_variables(view(xt * 2.0), *ps, num_heads=H)
+            return (out * Tensor(weight)).sum(), out
 
-    step = CompiledStep(lambda xt: run(params, xt))
-    reset_graph_counters()
-    for _ in range(3):
-        x = rng.standard_normal((B, V, L, D)).astype(np.float32)
-        for prm in params:
-            prm.data = rng.standard_normal(prm.shape).astype(np.float32)
-            prm.grad = None
-        loss, out = (a.copy() for a in step(x))
-        eager = [Tensor(prm.data.copy(), requires_grad=True) for prm in params]
-        e_loss, e_out = run(eager, Tensor(x))
-        e_loss.backward()
-        assert np.array_equal(out, e_out.data)
-        assert np.array_equal(loss, e_loss.data)
-        for prm, ref in zip(params, eager):
-            assert np.array_equal(prm.grad, ref.grad)
-    c = graph_counters()
-    assert c["captures"] == 1 and c["replays"] == 2
+        step = CompiledStep(lambda xt: run(params, xt))
+        reset_graph_counters()
+        for _ in range(3):
+            x = rng.standard_normal(x_shape).astype(np.float32)
+            for prm in params:
+                prm.data = rng.standard_normal(prm.shape).astype(np.float32)
+                prm.grad = None
+            loss, out = (a.copy() for a in step(x))
+            eager = [Tensor(prm.data.copy(), requires_grad=True) for prm in params]
+            e_loss, e_out = run(eager, Tensor(x))
+            e_loss.backward()
+            assert np.array_equal(out, e_out.data)
+            assert np.array_equal(loss, e_loss.data)
+            for prm, ref in zip(params, eager):
+                assert np.array_equal(prm.grad, ref.grad)
+        c = graph_counters()
+        assert c["captures"] == 1 and c["replays"] == 2
+        step.release()
+
+
+def test_aggregate_variables_replay_allocates_no_array():
+    """Every buffer the node writes is preallocated at capture: a forward
+    replay's traced peak stays under the smallest of them (x̄'s patches,
+    ``B·L·p²`` floats).  What is left is NumPy's own — the ufunc iterator
+    takes a fixed 32 KiB buffer for an in-place broadcast, whatever the
+    operand size (``np.mean(out=)`` takes four, hence ``add.reduce``)."""
+    B, V, hh, ww, D, H = 4, 5, 64, 128, 16, 8
+    rng = np.random.default_rng(7)
+    params = _aggregator_parents(rng, V, D)
+    step = CompiledStep(lambda xt: aggregate_variables(xt, *params, num_heads=H),
+                        forward_only=True)
+    x = rng.standard_normal((B, V, hh, ww)).astype(np.float32)
+    step(x)
+    step(x)
+    tracemalloc.start()
+    try:
+        step(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < B * (hh // 2) * (ww // 2) * 4 * 4, peak
     step.release()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import pooled_attention
+from repro.nn import aggregate_variables
 from repro.tensor import Tensor, bilinear_upsample, conv2d, gelu, linear, softmax
 
 dims = st.integers(1, 6)
@@ -173,23 +173,41 @@ class TestBatchInvariance:
             lambda t: linear(t, wgt, bias), x, g,
             data.draw(st.integers(0, b - 1)))
 
-    @given(st.integers(2, 4), st.integers(1, 30), st.integers(1, 40),
+    @given(st.sampled_from([2, 3, 8]), st.integers(1, 30), st.integers(1, 5),
+           st.integers(1, 8), st.sampled_from([1, 2, 3]),
            st.sampled_from([(1, 1), (4, 1), (4, 4), (16, 2), (32, 4), (64, 8)]),
            st.data())
     @settings(max_examples=40, deadline=None)
-    def test_pooled_attention(self, b, v, length, dim_heads, data):
-        """One GEMM per ``b``, ``(b, h)`` or ``(b, l)`` item; none
-        flattens ``B·L`` into an ``M`` (only the parameter gradients
-        contract over it, as ``linear``'s do)."""
+    def test_pooled_attention(self, b, v, gh, gw, patch, dim_heads, data):
+        """``aggregate_variables``, from the raw field: one GEMM per ``b``,
+        ``(b, h)`` or ``(b, l)`` item; none flattens ``B`` into an ``M``
+        (only the parameter gradients contract over it, as ``linear``'s
+        do).  A sample alone equals itself in a batch of 2, 3 or 8."""
         d, h = dim_heads
-        rng = np.random.default_rng([b, v, length, d, h])
-        x = rng.standard_normal((b, v, length, d)).astype(np.float32)
+        rng = np.random.default_rng([b, v, gh, gw, patch, d, h])
+        x = rng.standard_normal((b, v, gh * patch, gw * patch)).astype(np.float32)
         params = [Tensor(rng.standard_normal(shape).astype(np.float32))
-                  for shape in [(d, d), (d,)] * 3]
-        g = rng.standard_normal((b, length, h, d // h)).astype(np.float32)
+                  for shape in [(d, patch * patch), (d,), (v, 1, d)] + [(d, d), (d,)] * 3]
+        g = rng.standard_normal((b, gh * gw, h, d // h)).astype(np.float32)
         _assert_alone_equals_batched(
-            lambda t: pooled_attention(t, *params, num_heads=h), x, g,
+            lambda t: aggregate_variables(t, *params, num_heads=h), x, g,
             data.draw(st.integers(0, b - 1)))
+
+    @pytest.mark.parametrize("shape,d,h", [((8, 23, 18, 34), 32, 4),
+                                            ((8, 23, 32, 64), 64, 8)])
+    def test_pooled_attention_at_e2e_shapes(self, shape, d, h):
+        """The served tile and the ``train_single`` sample: alone, in a
+        pair (how tile serving executes) and in a batch of 8."""
+        rng = np.random.default_rng(shape)
+        x = rng.standard_normal(shape).astype(np.float32)
+        params = [Tensor(rng.standard_normal(s).astype(np.float32) * 0.2)
+                  for s in [(d, 4), (d,), (shape[1], 1, d)] + [(d, d), (d,)] * 3]
+        g = rng.standard_normal((shape[0], shape[2] * shape[3] // 4, h, d // h)
+                                ).astype(np.float32)
+        for width in (2, 8):
+            _assert_alone_equals_batched(
+                lambda t: aggregate_variables(t, *params, num_heads=h),
+                x[:width], g[:width], width - 1)
 
     @given(st.integers(2, 4), st.integers(1, 40), st.integers(1, 67),
            st.sampled_from([0.3, 1.5, 4.0]), st.data())

@@ -1,5 +1,7 @@
 """Trainer, checkpointing, and profiler tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,36 @@ class TestCheckpoint:
         assert extra["epoch"] == 3
         for (n1, p1), (n2, p2) in zip(m1.named_parameters(), m2.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
+
+
+    def test_parent_kernel_epoch_checkpoint_loads_and_predicts(self):
+        """``data/reslim_kernel_epoch3.ckpt`` was written by the commit
+        before ``aggregate_variables`` (composed tokenizer → ``+ var_embed``
+        → aggregator chain) together with an input and that commit's
+        prediction: the keys, shapes and parameter count did not move, so
+        it loads strictly and predicts the same field to float32 rounding."""
+        from repro.tensor import Tensor, no_grad
+
+        model = Reslim(ModelConfig("ckpt", embed_dim=16, depth=1, num_heads=2),
+                       3, 2, factor=2, max_tokens=32, rng=np.random.default_rng(0))
+        path = Path(__file__).parent / "data" / "reslim_kernel_epoch3.ckpt"
+        extra = load_checkpoint(model, path)
+        assert extra["kernel_epoch"] == 3
+        model.eval()
+        with no_grad():
+            pred = model(Tensor(extra["input"])).data
+        np.testing.assert_allclose(pred, extra["prediction"], rtol=1e-4, atol=1e-5)
+
+    def test_front_end_keeps_its_state_dict_keys_and_count(self):
+        """The ``train_single`` model: nine front-end parameters under the
+        names checkpoints and flat layouts know, 241 997 in all."""
+        model = Reslim(ModelConfig("e2e-single", embed_dim=64, depth=3, num_heads=8),
+                       23, 3, factor=2, max_tokens=512, rng=np.random.default_rng(0))
+        assert model.num_parameters() == 241_997
+        front = [k for k in model.state_dict()
+                 if k.startswith(("tokenizer.", "var_embed", "aggregator.attn.to_"))]
+        assert front == ["var_embed", "tokenizer.proj.weight", "tokenizer.proj.bias"] + [
+            f"aggregator.attn.to_{n}.{part}" for n in "qkv" for part in ("weight", "bias")]
 
 
 class TestProfiler:
