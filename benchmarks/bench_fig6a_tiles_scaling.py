@@ -2,8 +2,9 @@
 
 Modelled speedup of the 16-tile 9.5M configuration relative to the 8-GPU
 untiled baseline (the paper's axes), plus a measured demonstration that
-the distributed TILES engine (one tile per virtual rank, one gradient
-all-reduce per batch) produces gradients identical to serial execution.
+distributed TILES (``CompositePlan(tiles=4)``: one tile per virtual rank,
+one gradient all-reduce per batch) leaves every rank with the same
+averaged gradient.
 """
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 
 from repro.core import ModelConfig, PAPER_CONFIGS, Reslim
 from repro.distributed import (
+    CompositePlan,
+    CompositeStrategy,
     DownscalingWorkload,
-    ProcessGroup,
-    TilesSequenceParallel,
+    VirtualCluster,
     time_per_sample,
 )
 
@@ -74,14 +76,12 @@ def test_distributed_tiles_gradients_match_serial(benchmark):
         d = pred - target
         return (d * d).mean()
 
-    replicas = [Reslim(cfg, 4, 2, factor=2, max_tokens=64,
-                       rng=np.random.default_rng(i)) for i in range(world)]
-    group = ProcessGroup(list(range(world)))
-    tsp = TilesSequenceParallel(replicas, group, halo=2, factor=2)
-    benchmark.pedantic(lambda: tsp.step_gradients(x, y, loss_fn),
-                       rounds=1, iterations=1)
-    from repro.distributed import flatten_grads
-    ref = flatten_grads(replicas[0])
-    for rep in replicas[1:]:
-        np.testing.assert_allclose(flatten_grads(rep), ref, rtol=1e-5, atol=1e-6)
-    assert group.stats.calls["all_reduce"] == 1
+    tsp = CompositeStrategy(CompositePlan(VirtualCluster(world), tiles=world),
+                            loss_fn, halo=2, factor=2)
+    tsp.setup(lambda t: Reslim(cfg, 4, 2, factor=2, max_tokens=64,
+                               rng=np.random.default_rng(t)))
+    benchmark.pedantic(lambda: tsp.step(x, y), rounds=1, iterations=1)
+    ref = tsp.unit_grads(0)
+    for t in range(1, world):
+        np.testing.assert_allclose(tsp.unit_grads(t), ref, rtol=1e-5, atol=1e-6)
+    assert tsp.comm_summary()["calls"]["tiles"]["all_reduce"] == 1

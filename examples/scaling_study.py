@@ -18,6 +18,7 @@ import numpy as np
 from repro.core import PAPER_CONFIGS
 from repro.data import Grid
 from repro.distributed import (
+    CompositePlan,
     DownscalingWorkload,
     ParallelLayout,
     VirtualCluster,
@@ -101,7 +102,8 @@ def verify_ddp_equivalence():
     print("DDP gradient equivalence on the simulated cluster (real collectives)")
     print("=" * 72)
     from repro.core import ModelConfig, Reslim
-    from repro.distributed import DistributedDataParallel, flatten_grads
+    from repro.distributed import CompositeStrategy
+    from repro.nn import flatten_grads
     from repro.tensor import Tensor
 
     cfg = ModelConfig("demo", embed_dim=16, depth=1, num_heads=2)
@@ -117,11 +119,11 @@ def verify_ddp_equivalence():
     loss_fn(ref(Tensor(x)), Tensor(y)).backward()
     ref_grads = flatten_grads(ref)
 
-    replicas = [Reslim(cfg, 5, 2, factor=2, max_tokens=64,
-                       rng=np.random.default_rng(1)) for _ in range(4)]
-    ddp = DistributedDataParallel(replicas, VirtualCluster(4).world_group(), loss_fn)
-    ddp.step_gradients(x, y)
-    err = np.abs(flatten_grads(replicas[0]) - ref_grads).max()
+    ddp = CompositeStrategy(CompositePlan(VirtualCluster(4), ddp=4), loss_fn)
+    ddp.setup(lambda r: Reslim(cfg, 5, 2, factor=2, max_tokens=64,
+                               rng=np.random.default_rng(1)))
+    ddp.step(x, y)
+    err = np.abs(ddp.unit_grads(0) - ref_grads).max()
     print(f"  max |DDP grad - single-process grad| = {err:.2e}  "
           f"({'OK' if err < 1e-4 else 'MISMATCH'})")
 

@@ -170,8 +170,8 @@ class TiledDownscaler(Module):
     sequence-parallel group); here tiles run sequentially through the
     same model instance, which is mathematically identical to the
     synchronous multi-GPU execution (gradients sum over tiles either
-    way — the all-reduce is exercised separately in
-    ``repro.distributed.sequence_parallel``).
+    way — the all-reduce is exercised by ``CompositeStrategy`` with
+    ``tiles > 1``).
 
     Parameters
     ----------

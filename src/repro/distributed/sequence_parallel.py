@@ -1,113 +1,19 @@
-"""TILES sequence parallelism: one tile per rank (Sec. III-B/III-C).
+"""Sequence-parallel communication volumes (Sec. II / III-B).
 
-This is the distributed execution of ``repro.core.tiles``: each rank of a
-TILES group owns one spatial tile, runs the full model on its
-halo-extended tile independently (attention confined to the tile), and
-the per-rank gradients are averaged with a single all-reduce per batch —
-the "minimal communication frequency and overhead" property that lets
-TILES groups sit on the slow inter-node links (Fig. 5).
-
-Contrast with Ulysses-style sequence parallelism, whose all-to-all per
-attention layer is also modelled here (``ulysses_comm_volume``) for the
-comparison the paper draws in Sec. II.
+TILES gives each rank of a group one spatial tile, runs the full model
+on it independently (attention confined to the tile) and averages the
+per-rank gradients with a single all-reduce per batch — the "minimal
+communication frequency and overhead" property that lets TILES groups
+sit on the slow inter-node links (Fig. 5).  Its execution is
+:class:`~.strategy.CompositeStrategy` with ``tiles > 1``; this module
+keeps the closed-form bytes for the comparison the paper draws against
+Ulysses-style sequence parallelism and its all-to-all per attention
+layer.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.tiles import extract_tile, make_tiles, stitch_tiles
-from ..nn import Module
-from ..nn.flat import FlatParamBuffer
-from ..tensor import Tensor
-from .comm import ProcessGroup
-
-__all__ = ["TilesSequenceParallel", "ulysses_comm_volume", "tiles_comm_volume"]
-
-
-class TilesSequenceParallel:
-    """Distribute one sample's tiles across the ranks of a group.
-
-    Parameters
-    ----------
-    replicas:
-        One model replica per rank (synchronized at construction).
-    group:
-        The TILES sequence-parallel process group.
-    halo:
-        Halo width in coarse pixels.
-    factor:
-        Downscaling refinement factor.
-    """
-
-    def __init__(self, replicas: list[Module], group: ProcessGroup, halo: int, factor: int):
-        if len(replicas) != group.size:
-            raise ValueError(f"{len(replicas)} replicas for group of {group.size}")
-        self.replicas = replicas
-        self.group = group
-        self.halo = halo
-        self.factor = factor
-        state = replicas[0].state_dict()
-        for rep in replicas[1:]:
-            rep.load_state_dict(state)
-        # flat grad buffers: backward accumulates in place and the one
-        # all-reduce per batch sends the whole buffer — no per-step
-        # flatten/unflatten allocations
-        self.buffers = [FlatParamBuffer(list(rep.parameters())) for rep in replicas]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Tile-parallel inference: scatter tiles, compute, stitch."""
-        b, c, h, w = x.shape
-        specs = make_tiles(h, w, self.group.size, self.halo)
-        xt = Tensor(x)
-        outs = [rep(extract_tile(xt, spec)) for rep, spec in zip(self.replicas, specs)]
-        return stitch_tiles(outs, specs, self.factor).data
-
-    def forward_backward(self, x: np.ndarray, target: np.ndarray, loss_fn
-                         ) -> list[float]:
-        """Per-tile forward/backward into the flat grad buffers (no comm).
-
-        ``loss_fn(pred, target) -> Tensor`` is applied per tile on the
-        tile's core target region (halo outputs are cropped before the
-        loss, as the halo regions are discarded in the real system).
-        Returns the per-tile losses.
-        """
-        b, c, h, w = x.shape
-        specs = make_tiles(h, w, self.group.size, self.halo)
-        xt = Tensor(x)
-        losses = []
-        for rep, buf, spec in zip(self.replicas, self.buffers, specs):
-            buf.zero_grad()
-            out = rep(extract_tile(xt, spec))
-            f = self.factor
-            top, left = (spec.y0 - spec.hy0) * f, (spec.x0 - spec.hx0) * f
-            ch, cw = spec.core_shape
-            core = out[:, :, top : top + ch * f, left : left + cw * f]
-            tile_target = Tensor(
-                target[:, :, spec.y0 * f : spec.y1 * f, spec.x0 * f : spec.x1 * f]
-            )
-            loss = loss_fn(core, tile_target)
-            loss.backward()
-            buf.sync_grads()
-            losses.append(float(loss.data))
-        return losses
-
-    def reduce_gradients(self) -> None:
-        """Average tile gradients: the ONE all-reduce per batch of Sec. III-B."""
-        reduced = self.group.all_reduce([buf.grad for buf in self.buffers],
-                                        op="mean")
-        for buf, flat in zip(self.buffers, reduced):
-            buf.grad[...] = flat
-
-    def step_gradients(self, x: np.ndarray, target: np.ndarray, loss_fn) -> float:
-        """One training step: per-tile forward/backward + grad all-reduce.
-
-        Returns the mean tile loss; averaged gradients are left in every
-        replica — the once-per-batch communication of Sec. III-B.
-        """
-        losses = self.forward_backward(x, target, loss_fn)
-        self.reduce_gradients()
-        return float(np.mean(losses))
+__all__ = ["ulysses_comm_volume", "tiles_comm_volume"]
 
 
 def tiles_comm_volume(param_bytes: int, world: int, steps: int = 1) -> float:

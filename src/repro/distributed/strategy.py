@@ -1,18 +1,23 @@
 """One interface over every parallelism: the strategy layer (Sec. III-C).
 
-:class:`ParallelStrategy` gives every parallelism one shape, shared by
-the training engine, the equivalence oracle and the analytic perf model:
+:class:`ParallelStrategy` is the shape the equivalence oracle drives on
+every parallelism:
 
 * ``setup(model_factory, group)`` — build the engine(s) on a process group;
 * ``forward(inputs)`` — full-batch inference for output comparison;
-* ``forward_backward(inputs, targets)`` — per-unit compute, NO collectives;
-* ``reduce_gradients()`` — all gradient communication for the step;
-* ``optimizer_params()`` — per-unit ``(params, FlatParamBuffer)`` pairs so
-  optimizers adopt the *same* buffer the collectives use (zero re-flatten);
+* ``reference(inputs)`` — the single-rank output (forward-only engines:
+  tensor parallel, Ulysses, Hybrid-OP, pipeline);
 * ``comm_summary()`` / ``reset_comm()`` — per-level byte accounting.
 
-Forward-only engines (tensor parallel, Ulysses, Hybrid-OP, pipeline)
-implement ``forward`` + ``reference``; the training methods raise.
+Training runs through exactly one strategy, :class:`CompositeStrategy`,
+which adds the train-step split — ``forward_backward(inputs, targets)``
+(per-unit compute, NO collectives) then ``reduce_gradients()`` (all
+gradient communication for the step) — ``optimizer_params()`` (per-unit
+``(params, FlatParamBuffer)`` pairs, so optimizers adopt the *same*
+buffer the collectives use) and the single-model ``reference_forward``
+/ ``reference_step`` the oracle compares against.  Plain DDP, FSDP and
+TILES are its degenerate plans ``CompositePlan(ddp=W)``, ``(fsdp=W)``,
+``(tiles=W)``: a size-1 level's collective is a copy.
 
 :class:`CompositePlan` extends :class:`~.orthogonal.ParallelLayout`'s
 algebra to the explicit four-factor decomposition ``tp x fsdp x tiles x
@@ -21,15 +26,16 @@ ddp == world`` with the rank layout ``rank = ((d*tiles + t)*fsdp + f)*tp
 of TP on the fast in-node links).  :class:`CompositeStrategy` executes
 the full stack end-to-end on the virtual cluster:
 
-* one **model unit** per (sample ``d``, tile ``t``) pair — TP ranks of a
-  unit share compute (the :class:`~.fsdp.FSDPEngine` philosophy: shared
-  arithmetic, genuine traffic), with the per-layer all-reduce volume
+* one **model unit** per (data-parallel rank ``d``, tile ``t``) pair;
+  rank ``d`` holds rows ``d*k:(d+1)*k`` of the batch, ``k = batch //
+  ddp``.  The FSDP and TP ranks of a unit share its compute (shared
+  arithmetic, genuine traffic), with the per-layer TP all-reduce volume
   recorded as modelled traffic on the TP groups;
 * FSDP reduce-scatters each unit's flat gradient into per-rank shards
   (identical contributions accumulate in float64 — exact);
 * the TILES all-reduce averages shards across the tiles of one sample
   (once per batch, Sec. III-B);
-* the DDP all-reduce averages across samples;
+* the DDP all-reduce averages across data-parallel ranks;
 * an FSDP all-gather re-materialises the full averaged gradient into the
   unit's :class:`~repro.nn.flat.FlatParamBuffer` via ``load_grad`` — the
   pre-attached ``.grad`` views see it with zero copies.
@@ -45,20 +51,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.tiles import TileSpec, extract_tile, make_tiles, stitch_tiles
+from ..core.tiles import (TiledDownscaler, TileSpec, extract_tile, make_tiles,
+                          stitch_tiles)
 from ..nn import Module
 from ..obs.tracer import active_tracer, span
-from ..nn.flat import FlatParamBuffer
+from ..nn.flat import FlatParamBuffer, flatten_grads
 from ..nn.module import Parameter
 from ..tensor import CompiledStep, Tensor
 from .bucketer import GradBucketer, aligned_ring_chunks
 from .comm import ProcessGroup, VirtualCluster
-from .ddp import DistributedDataParallel, flatten_grads, scatter_batch
-from .fsdp import FSDPEngine, shard_array, unshard_arrays
 from .hybrid_op import HybridOpChain
 from .orthogonal import ParallelLayout
 from .pipeline import PipelineParallel
-from .sequence_parallel import TilesSequenceParallel
 from .tensor_parallel import TensorParallelMLP
 from .ulysses import UlyssesAttention, merge_sequence, split_sequence
 
@@ -66,9 +70,6 @@ __all__ = [
     "ParallelStrategy",
     "CompositePlan",
     "CompositeStrategy",
-    "DDPStrategy",
-    "FSDPStrategy",
-    "TilesStrategy",
     "TensorParallelStrategy",
     "UlyssesStrategy",
     "HybridOpStrategy",
@@ -99,93 +100,29 @@ def tile_core_loss(out: Tensor, spec: TileSpec, factor: int,
     return loss_fn(core, tile_target)
 
 
-def _flatten_params(model: Module) -> np.ndarray:
-    return np.concatenate(
-        [p.data.reshape(-1) for p in model.parameters()]
-    ).astype(np.float32)
-
-
 # --------------------------------------------------------------------- #
 # the protocol
 # --------------------------------------------------------------------- #
 class ParallelStrategy:
-    """Uniform driver interface over the simulated-cluster parallelisms.
+    """What every simulated-cluster parallelism shares.
 
-    Trainable strategies (``trainable = True``) implement the full
-    train-step split — ``forward_backward`` then ``reduce_gradients`` —
-    plus ``optimizer_params`` for building per-unit optimizers on the
-    shared flat buffers.  Forward-only strategies implement ``forward``
-    and ``reference`` and raise on the training methods.
+    Forward-only strategies implement ``setup``, ``forward`` and
+    ``reference``; the one trainable strategy
+    (:class:`CompositeStrategy`, ``trainable = True``) adds the
+    train-step split and its single-model references.
     """
 
     name: str = "?"
     trainable: bool = False
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
     def setup(self, model_factory, group: ProcessGroup) -> None:
         raise NotImplementedError
 
-    # ------------------------------------------------------------------ #
-    # execution
-    # ------------------------------------------------------------------ #
     def forward(self, inputs) -> np.ndarray:
         raise NotImplementedError
 
-    def forward_backward(self, inputs, targets) -> list[float]:
-        """Per-unit forward/backward (no communication); per-unit losses."""
-        raise NotImplementedError(f"{self.name} is a forward-only strategy")
-
-    def reduce_gradients(self) -> None:
-        """All gradient collectives of one step."""
-        raise NotImplementedError(f"{self.name} is a forward-only strategy")
-
-    def step(self, inputs, targets) -> list[float]:
-        """One gradient step: compute then communicate; per-unit losses."""
-        losses = self.forward_backward(inputs, targets)
-        self.reduce_gradients()
-        return losses
-
-    def optimizer_params(self) -> list[tuple[list[Parameter], FlatParamBuffer | None]]:
-        """Per-unit ``(params, flat_buffer)`` for optimizer construction."""
-        raise NotImplementedError(f"{self.name} is a forward-only strategy")
-
-    # ------------------------------------------------------------------ #
-    # units (trainable strategies)
-    # ------------------------------------------------------------------ #
-    def units(self) -> list[Module]:
-        """The executed model instances, one per compute unit."""
-        raise NotImplementedError(f"{self.name} has no model units")
-
-    def unit_grads(self, index: int = 0) -> np.ndarray:
-        return flatten_grads(self.units()[index])
-
-    def unit_params(self, index: int = 0) -> np.ndarray:
-        return _flatten_params(self.units()[index])
-
-    def apply_sgd(self, lr: float) -> None:
-        """Plain SGD on every unit (oracle/test helper)."""
-        for model in self.units():
-            for p in model.parameters():
-                if p.grad is not None:
-                    p.data -= lr * p.grad
-
-    # ------------------------------------------------------------------ #
-    # single-rank reference semantics (drives the equivalence oracle)
-    # ------------------------------------------------------------------ #
     def reference(self, inputs) -> np.ndarray:
         """Single-rank output for forward-only strategies."""
-        raise NotImplementedError
-
-    def reference_forward(self, model: Module, inputs) -> np.ndarray:
-        """Single-model output matching this strategy's decomposition."""
-        raise NotImplementedError
-
-    def reference_step(self, model: Module, inputs, targets) -> np.ndarray:
-        """Flat single-model gradient matching this strategy's loss
-        decomposition: microbatch gradients averaged in float64 (the
-        mirror of the collectives' reduction)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -237,242 +174,6 @@ def _microbatch_mean_grads(model: Module, losses) -> np.ndarray:
         compute_loss().backward()
         grads.append(flatten_grads(model).astype(np.float64))
     return np.mean(grads, axis=0).astype(np.float32)
-
-
-# --------------------------------------------------------------------- #
-# trainable adapters
-# --------------------------------------------------------------------- #
-class DDPStrategy(ParallelStrategy):
-    """Data parallelism: batch shards per rank, one grad all-reduce."""
-
-    name = "ddp"
-    trainable = True
-
-    def __init__(self, loss_fn, overlap: bool = False,
-                 bucket_bytes: int = 1 << 16, compile: bool = False):
-        self.loss_fn = loss_fn
-        self.overlap = overlap
-        self.bucket_bytes = bucket_bytes
-        self.compile = bool(compile)
-
-    def setup(self, model_factory, group: ProcessGroup) -> None:
-        self.group = group
-        replicas = [model_factory(r) for r in range(group.size)]
-        self.engine = DistributedDataParallel(replicas, group, self.loss_fn,
-                                              overlap=self.overlap,
-                                              bucket_bytes=self.bucket_bytes,
-                                              compile=self.compile)
-
-    def forward(self, inputs) -> np.ndarray:
-        shards = np.array_split(inputs, self.group.size)
-        return np.concatenate(
-            [rep(Tensor(xs)).data for rep, xs in zip(self.engine.replicas, shards)]
-        )
-
-    def forward_backward(self, inputs, targets) -> list[float]:
-        return self.engine.forward_backward(inputs, targets)
-
-    def reduce_gradients(self) -> None:
-        self.engine.reduce_gradients()
-
-    def step(self, inputs, targets) -> list[float]:
-        # route through the engine's public one-call step so tests that
-        # instrument DistributedDataParallel.step_gradients see the
-        # oracle's real execution path
-        return self.engine.step_gradients(inputs, targets)
-
-    def optimizer_params(self):
-        return [(list(rep.parameters()), buf)
-                for rep, buf in zip(self.engine.replicas, self.engine.buffers)]
-
-    def units(self) -> list[Module]:
-        return self.engine.replicas
-
-    def level_groups(self):
-        return {"ddp": [self.group]}
-
-    def reference_forward(self, model, inputs) -> np.ndarray:
-        return model(Tensor(inputs)).data
-
-    def reference_step(self, model, inputs, targets) -> np.ndarray:
-        shards = scatter_batch(inputs, targets, self.group.size)
-        return _microbatch_mean_grads(model, [
-            (lambda xs=xs, ys=ys:
-             self.loss_fn(model(Tensor(xs)), Tensor(ys)))
-            for xs, ys in shards
-        ])
-
-
-class TilesStrategy(ParallelStrategy):
-    """TILES sequence parallelism: one tile per rank, one all-reduce/batch."""
-
-    name = "tiles"
-    trainable = True
-
-    def __init__(self, loss_fn, halo: int = 2, factor: int = 2):
-        self.loss_fn = loss_fn
-        self.halo = halo
-        self.factor = factor
-
-    def setup(self, model_factory, group: ProcessGroup) -> None:
-        self.group = group
-        replicas = [model_factory(r) for r in range(group.size)]
-        self.engine = TilesSequenceParallel(replicas, group,
-                                            halo=self.halo, factor=self.factor)
-
-    def forward(self, inputs) -> np.ndarray:
-        return self.engine.forward(inputs)
-
-    def forward_backward(self, inputs, targets) -> list[float]:
-        return self.engine.forward_backward(inputs, targets, self.loss_fn)
-
-    def reduce_gradients(self) -> None:
-        self.engine.reduce_gradients()
-
-    def optimizer_params(self):
-        return [(list(rep.parameters()), buf)
-                for rep, buf in zip(self.engine.replicas, self.engine.buffers)]
-
-    def units(self) -> list[Module]:
-        return self.engine.replicas
-
-    def level_groups(self):
-        return {"tiles": [self.group]}
-
-    def reference_forward(self, model, inputs) -> np.ndarray:
-        from ..core import TiledDownscaler
-        tiled = TiledDownscaler(model, n_tiles=self.group.size,
-                                halo=self.halo, factor=self.factor)
-        return tiled(Tensor(inputs)).data
-
-    def reference_step(self, model, inputs, targets) -> np.ndarray:
-        h, w = inputs.shape[-2:]
-        specs = make_tiles(h, w, self.group.size, self.halo)
-        xt = Tensor(inputs)
-        return _microbatch_mean_grads(model, [
-            (lambda spec=spec:
-             tile_core_loss(model(extract_tile(xt, spec)), spec,
-                            self.factor, targets, self.loss_fn))
-            for spec in specs
-        ])
-
-
-class FSDPStrategy(ParallelStrategy):
-    """Fully sharded data parallelism: shared compute, sharded state."""
-
-    name = "fsdp"
-    trainable = True
-
-    def __init__(self, loss_fn, overlap: bool = False,
-                 bucket_bytes: int = 1 << 16):
-        self.loss_fn = loss_fn
-        self.overlap = overlap
-        self.bucket_bytes = bucket_bytes
-        self._grad_shards: list[dict[str, np.ndarray]] | None = None
-        self._bucket_works: list = []
-
-    def setup(self, model_factory, group: ProcessGroup) -> None:
-        self.group = group
-        self.model = model_factory(0)
-        self._flat = self._bucketer = None
-        if self.overlap:
-            # flat buffer first: the engine's shard store and gathers
-            # operate on the (now view-backed) parameter tensors in place
-            self._flat = FlatParamBuffer(list(self.model.parameters()))
-            self._bucketer = GradBucketer(self._flat, self.bucket_bytes)
-            self._param_name = {id(p): name
-                                for name, p in self.model.named_parameters()}
-        self.engine = FSDPEngine(self.model, group)
-
-    def forward(self, inputs) -> np.ndarray:
-        self.engine.gather_all()
-        return self.model(Tensor(inputs)).data
-
-    def forward_backward(self, inputs, targets) -> list[float]:
-        self.engine.gather_all()
-        if not self.overlap:
-            self.model.zero_grad()
-            loss = self.loss_fn(self.model(Tensor(inputs)), Tensor(targets))
-            loss.backward()
-            return [float(loss.data)]
-        self._flat.zero_grad()
-        self._bucket_works = []
-        self._bucketer.arm(self._launch_bucket)
-        try:
-            loss = self.loss_fn(self.model(Tensor(inputs)), Tensor(targets))
-            loss.backward()
-            self._bucketer.flush()
-        finally:
-            self._bucketer.disarm()
-        self._flat.sync_grads()
-        return [float(loss.data)]
-
-    def _launch_bucket(self, bucket) -> None:
-        """Async reduce-scatter of one bucket's per-parameter shard stacks.
-
-        Packs exactly like :meth:`FSDPEngine.reduce_scatter_grads` but per
-        bucket; the reduction is elementwise, so any bucket partition is
-        bit-identical to the single whole-model collective.
-        """
-        world = self.group.size
-        spans_: list[tuple[str, int, int]] = []
-        stacks, offset = [], 0
-        for p in bucket.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            stacked = np.stack(shard_array(g, world))
-            spans_.append((self._param_name[id(p)], offset,
-                           offset + stacked.shape[1]))
-            stacks.append(stacked)
-            offset += stacked.shape[1]
-        big = np.concatenate(stacks, axis=1)
-        work = self.group.reduce_scatter_async([big] * world, op="mean")
-        self._bucket_works.append((spans_, work))
-
-    def reduce_gradients(self) -> None:
-        if self.overlap:
-            grad_shards: list[dict[str, np.ndarray]] = [
-                dict() for _ in range(self.group.size)]
-            with span("reduce/overlap_wait", cat="reduce"):
-                for spans_, work in self._bucket_works:
-                    for rank, row in enumerate(work.wait()):
-                        flat = row.reshape(-1)
-                        for name, lo, hi in spans_:
-                            grad_shards[rank][name] = flat[lo:hi].copy()
-            self._bucket_works = []
-            self._grad_shards = grad_shards
-        else:
-            self._grad_shards = self.engine.reduce_scatter_grads()
-        # write the reduced gradients back into the live model: the mean
-        # of identical contributions is exact, so this is numerically the
-        # reduction itself, and it keeps the unit-gradient interface
-        # uniform across strategies
-        for name, p in self.model.named_parameters():
-            shards = [self._grad_shards[r][name] for r in range(self.group.size)]
-            p.grad = unshard_arrays(shards, p.data.shape)
-
-    def optimizer_params(self):
-        return [(list(self.model.parameters()), None)]
-
-    def units(self) -> list[Module]:
-        return [self.model]
-
-    def apply_sgd(self, lr: float) -> None:
-        # exercise the genuine sharded-update path: per-rank shard SGD,
-        # then an all-gather re-materialises the full weights
-        if self._grad_shards is None:
-            raise RuntimeError("reduce_gradients must run before apply_sgd")
-        self.engine.apply_sharded_update(self._grad_shards, lr)
-
-    def level_groups(self):
-        return {"fsdp": [self.group]}
-
-    def reference_forward(self, model, inputs) -> np.ndarray:
-        return model(Tensor(inputs)).data
-
-    def reference_step(self, model, inputs, targets) -> np.ndarray:
-        return _microbatch_mean_grads(model, [
-            lambda: self.loss_fn(model(Tensor(inputs)), Tensor(targets))
-        ])
 
 
 # --------------------------------------------------------------------- #
@@ -841,20 +542,30 @@ class CompositeStrategy(ParallelStrategy):
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Inference: each sample's tiles on its units, stitched."""
-        plan = self.plan
-        if inputs.shape[0] != plan.ddp:
+    def _rank_rows(self, batch: int) -> list[slice]:
+        """Rows of the batch held by each data-parallel rank."""
+        ddp = self.plan.ddp
+        if batch % ddp:
             raise ValueError(
-                f"batch {inputs.shape[0]} != data-parallel ways {plan.ddp}")
+                f"batch {batch} not divisible by data-parallel ways {ddp}")
+        k = batch // ddp
+        return [slice(d * k, (d + 1) * k) for d in range(ddp)]
+
+    def _tile_specs(self, inputs) -> list[TileSpec] | None:
+        if self.plan.tiles == 1:
+            return None
         h, w = inputs.shape[-2:]
+        return make_tiles(h, w, self.plan.tiles, self.halo)
+
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        """Inference: each rank's samples, tiled over its units, stitched."""
+        specs = self._tile_specs(inputs)
         outs = []
-        for d in range(plan.ddp):
-            x = Tensor(inputs[d: d + 1])
-            if plan.tiles == 1:
+        for d, rows in enumerate(self._rank_rows(inputs.shape[0])):
+            x = Tensor(inputs[rows])
+            if specs is None:
                 outs.append(self._unit(d, 0)(x).data)
                 continue
-            specs = make_tiles(h, w, plan.tiles, self.halo)
             tile_outs = [self._unit(d, t)(extract_tile(x, spec))
                          for t, spec in enumerate(specs)]
             outs.append(stitch_tiles(tile_outs, specs, self.factor).data)
@@ -862,19 +573,21 @@ class CompositeStrategy(ParallelStrategy):
 
     def forward_backward(self, inputs: np.ndarray, targets: np.ndarray,
                          loss_fn=None) -> list[float]:
+        """Per-unit forward/backward (no communication); per-unit losses."""
         loss_fn = loss_fn or self.loss_fn
         self._active_loss_fn = loss_fn
         plan = self.plan
-        if inputs.shape[0] != plan.ddp:
+        if targets.shape[0] != inputs.shape[0]:
             raise ValueError(
-                f"batch {inputs.shape[0]} != data-parallel ways {plan.ddp}")
-        h, w = inputs.shape[-2:]
-        specs = make_tiles(h, w, plan.tiles, self.halo) if plan.tiles > 1 else None
+                f"inputs/targets batch sizes differ: "
+                f"{inputs.shape[0]} != {targets.shape[0]}")
+        rank_rows = self._rank_rows(inputs.shape[0])
+        specs = self._tile_specs(inputs)
         if self.overlap:
             self._begin_overlap_step()
         losses = []
-        for d in range(plan.ddp):
-            x = Tensor(inputs[d: d + 1])
+        for d, rows in enumerate(rank_rows):
+            x = Tensor(inputs[rows])
             for t in range(plan.tiles):
                 unit, buf = self._unit(d, t), self._buffer(d, t)
                 buf.zero_grad()
@@ -886,17 +599,17 @@ class CompositeStrategy(ParallelStrategy):
                 try:
                     if self.compile:
                         loss_data, out_data = self._compiled_step(d, t)(
-                            inputs[d: d + 1], targets[d: d + 1])
+                            inputs[rows], targets[rows])
                         loss_val, out_nbytes = float(loss_data), out_data.nbytes
                     else:
                         if specs is None:
                             out = unit(x)
-                            loss = loss_fn(out, Tensor(targets[d: d + 1]))
+                            loss = loss_fn(out, Tensor(targets[rows]))
                         else:
                             spec = specs[t]
                             out = unit(extract_tile(x, spec))
                             loss = tile_core_loss(out, spec, self.factor,
-                                                  targets[d: d + 1], loss_fn)
+                                                  targets[rows], loss_fn)
                         loss.backward()
                         loss_val, out_nbytes = float(loss.data), out.data.nbytes
                     if bucketer is not None:
@@ -907,6 +620,12 @@ class CompositeStrategy(ParallelStrategy):
                 buf.sync_grads()
                 self._record_tp_traffic(unit, out_nbytes, d, t)
                 losses.append(loss_val)
+        return losses
+
+    def step(self, inputs, targets) -> list[float]:
+        """One gradient step: compute then communicate; per-unit losses."""
+        losses = self.forward_backward(inputs, targets)
+        self.reduce_gradients()
         return losses
 
     # ------------------------------------------------------------------ #
@@ -1055,6 +774,7 @@ class CompositeStrategy(ParallelStrategy):
     # the four-phase reduction
     # ------------------------------------------------------------------ #
     def reduce_gradients(self) -> None:
+        """All gradient collectives of one step."""
         plan = self.plan
         P, F, T, D = plan.tp, plan.fsdp, plan.tiles, plan.ddp
         shards: dict[tuple[int, int], list[np.ndarray]] = {}
@@ -1105,7 +825,7 @@ class CompositeStrategy(ParallelStrategy):
                                 bufs, op="mean")
                         for t in range(T):
                             shards[(d, t)][f] = result[t]
-        # phase 3 — DDP all-reduce: average across samples
+        # phase 3 — DDP all-reduce: average across data-parallel ranks
         with span("reduce/ddp_all_reduce", cat="reduce"):
             for t in range(T):
                 for f in range(F):
@@ -1127,15 +847,30 @@ class CompositeStrategy(ParallelStrategy):
         self.steps += 1
 
     # ------------------------------------------------------------------ #
-    def optimizer_params(self):
+    def optimizer_params(self) -> list[tuple[list[Parameter], FlatParamBuffer]]:
+        """Per-unit ``(params, flat_buffer)`` for optimizer construction."""
         return [(list(u.parameters()), buf)
                 for u, buf in zip(self._units, self._buffers)]
 
     def units(self) -> list[Module]:
+        """The executed model instances, one per (d, t) compute unit."""
         return self._units
 
     def buffers(self) -> list[FlatParamBuffer]:
         return self._buffers
+
+    def unit_grads(self, index: int = 0) -> np.ndarray:
+        return flatten_grads(self._units[index])
+
+    def unit_params(self, index: int = 0) -> np.ndarray:
+        return self._buffers[index].export_data()
+
+    def apply_sgd(self, lr: float) -> None:
+        """Plain SGD on every unit (oracle/test helper)."""
+        for model in self._units:
+            for p in model.parameters():
+                if p.grad is not None:
+                    p.data -= lr * p.grad
 
     def assert_units_synchronized(self, atol: float = 0.0) -> None:
         ref = self._units[0].state_dict()
@@ -1212,36 +947,30 @@ class CompositeStrategy(ParallelStrategy):
     # ------------------------------------------------------------------ #
     # single-rank reference semantics
     # ------------------------------------------------------------------ #
-    def reference_forward(self, model, inputs) -> np.ndarray:
-        from ..core import TiledDownscaler
-        plan = self.plan
-        outs = []
-        for d in range(plan.ddp):
-            x = Tensor(inputs[d: d + 1])
-            if plan.tiles == 1:
-                outs.append(model(x).data)
-            else:
-                tiled = TiledDownscaler(model, n_tiles=plan.tiles,
-                                        halo=self.halo, factor=self.factor)
-                outs.append(tiled(x).data)
-        return np.concatenate(outs)
+    def reference_forward(self, model: Module, inputs) -> np.ndarray:
+        """Single-model output on the whole batch, tiled like the plan."""
+        if self.plan.tiles > 1:
+            model = TiledDownscaler(model, n_tiles=self.plan.tiles,
+                                    halo=self.halo, factor=self.factor)
+        return model(Tensor(inputs)).data
 
-    def reference_step(self, model, inputs, targets) -> np.ndarray:
-        plan = self.plan
-        h, w = inputs.shape[-2:]
-        specs = make_tiles(h, w, plan.tiles, self.halo) if plan.tiles > 1 else None
+    def reference_step(self, model: Module, inputs, targets) -> np.ndarray:
+        """Flat single-model gradient matching the plan's loss
+        decomposition: per-(rank, tile) microbatch gradients averaged in
+        float64 (the mirror of the collectives' reduction)."""
+        specs = self._tile_specs(inputs)
         thunks = []
-        for d in range(plan.ddp):
-            xt = Tensor(inputs[d: d + 1])
+        for rows in self._rank_rows(inputs.shape[0]):
+            xt = Tensor(inputs[rows])
             if specs is None:
                 thunks.append(
-                    lambda xt=xt, d=d:
-                    self.loss_fn(model(xt), Tensor(targets[d: d + 1])))
+                    lambda xt=xt, rows=rows:
+                    self.loss_fn(model(xt), Tensor(targets[rows])))
             else:
                 for spec in specs:
                     thunks.append(
-                        lambda xt=xt, d=d, spec=spec:
+                        lambda xt=xt, rows=rows, spec=spec:
                         tile_core_loss(model(extract_tile(xt, spec)), spec,
-                                       self.factor, targets[d: d + 1],
+                                       self.factor, targets[rows],
                                        self.loss_fn))
         return _microbatch_mean_grads(model, thunks)

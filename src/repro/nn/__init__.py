@@ -9,7 +9,7 @@ from .flash_attention import (
     flash_attention,
     naive_attention,
 )
-from .flat import FlatParamBuffer
+from .flat import FlatParamBuffer, flatten_grads
 from .layers import MLP, Conv2d, LayerNorm, Linear, Sequential
 from .module import Identity, Module, ModuleList, Parameter
 from .optim import AdamW, SGD, clip_grad_norm, cosine_schedule, warmup_cosine
@@ -40,6 +40,7 @@ __all__ = [
     "TransformerEncoder",
     "unpatchify",
     "FlatParamBuffer",
+    "flatten_grads",
     "SGD",
     "AdamW",
     "cosine_schedule",

@@ -11,9 +11,8 @@ This buys three things on the hot path:
 
 * ``nn.optim`` runs **one** vectorised Adam/SGD update per model instead
   of a Python loop over dozens of parameter tensors;
-* ``distributed.ddp`` / ``distributed.fsdp`` issue **one** bucketed
-  collective over the flat gradient buffer instead of per-parameter
-  calls;
+* ``distributed.strategy`` issues **one** collective per reduce phase
+  over the flat gradient buffer instead of per-parameter calls;
 * gradient clipping / loss-scale unscaling (which use in-place ``*=``)
   operate on views and need no change.
 
@@ -26,9 +25,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .module import Parameter
+from .module import Module, Parameter
 
-__all__ = ["FlatParamBuffer"]
+__all__ = ["FlatParamBuffer", "flatten_grads"]
+
+
+def flatten_grads(model: Module) -> np.ndarray:
+    """Concatenate all parameter gradients into one float32 vector, in
+    :class:`FlatParamBuffer` order (a missing gradient reads as zeros)."""
+    parts = []
+    for p in model.parameters():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        parts.append(g.reshape(-1))
+    return np.concatenate(parts).astype(np.float32)
 
 
 class FlatParamBuffer:
@@ -45,9 +54,8 @@ class FlatParamBuffer:
     optimizer/DDP step starts with one), so backward's in-place leaf
     accumulation lands in the flat buffer directly.  Code that *detaches*
     ``p.grad`` (sets it to ``None`` or replaces the array, e.g.
-    ``Module.zero_grad`` or ``unflatten_to_grads``) is reconciled by
-    :meth:`sync_grads`, which copies stray arrays back into the flat
-    views.  Prefer :meth:`zero_grad` over ``Module.zero_grad`` between
+    ``Module.zero_grad``) is reconciled by :meth:`sync_grads`, which
+    copies stray arrays back into the flat views.  Prefer :meth:`zero_grad` over ``Module.zero_grad`` between
     steps to stay on the zero-copy path.
     """
 

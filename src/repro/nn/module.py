@@ -2,9 +2,9 @@
 
 A :class:`Module` tracks parameters and sub-modules through attribute
 assignment, supports train/eval mode, flat ``state_dict`` round-trips for
-checkpointing, and exposes parameter iteration for optimizers and for the
-distributed sharding engines (FSDP shards exactly what ``parameters()``
-yields, layer by layer — see ``repro.distributed.fsdp``).
+checkpointing, and exposes parameter iteration for optimizers and for
+:class:`~repro.nn.flat.FlatParamBuffer` (the flat vector FSDP shards is
+exactly what ``parameters()`` yields, in order).
 """
 
 from __future__ import annotations

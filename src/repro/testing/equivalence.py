@@ -7,12 +7,13 @@ a tiny Reslim (or the strategy's natural micro-workload) under a
 single-rank reference path and under one of the simulated-cluster
 engines, then compares outputs, gradients, and post-SGD-step parameters.
 
-Every strategy is driven through the uniform
-:class:`~repro.distributed.strategy.ParallelStrategy` interface, so the
-oracle has exactly two runners — one for trainable strategies (output,
-gradients, params) and one for forward-only engines (output) — plus a
-per-strategy :class:`OracleSpec` that builds the strategy and its
-micro-workload.  Adding a parallelism to the oracle is one table entry.
+The oracle has exactly two runners — one for training rows (output,
+gradients, params), all of which are a
+:class:`~repro.distributed.strategy.CompositeStrategy` on some plan
+(``ddp`` / ``fsdp`` / ``tiles`` put the whole world on one level), and
+one for the forward-only engines (output) — plus a per-row
+:class:`OracleSpec` that builds the strategy and its micro-workload.
+Adding a parallelism to the oracle is one table entry.
 
 Exactness tiers (recorded per comparison in the returned report):
 
@@ -38,26 +39,20 @@ that want to *assert* bit-exactness where it is guaranteed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from ..core import ModelConfig, Reslim
-from ..distributed import (
-    DistributedDataParallel,
-    VirtualCluster,
-    flatten_grads,
-)
+from ..distributed import VirtualCluster
 from ..distributed.strategy import (
     CompositePlan,
     CompositeStrategy,
-    DDPStrategy,
-    FSDPStrategy,
     HybridOpStrategy,
     ParallelStrategy,
     PipelineStrategy,
     TensorParallelStrategy,
-    TilesStrategy,
     UlyssesStrategy,
 )
 from ..nn import Linear
@@ -74,8 +69,8 @@ __all__ = [
     "warm_head",
 ]
 
-#: Every strategy the oracle knows how to drive.  The ``*_overlap``
-#: variants run the same engines with backward-driven bucketed async
+#: Every row the oracle knows how to drive.  The ``*_overlap``
+#: variants run the same plans with backward-driven bucketed async
 #: reduction — the oracle is the proof they are numerically the same
 #: schedule.  The ``*_compiled`` variants replay captured step programs
 #: (:mod:`repro.tensor.compile`) instead of re-walking the tape; the
@@ -201,12 +196,6 @@ def _make_model(config: ModelConfig, seed: int) -> Reslim:
     return warm_head(model, seed)
 
 
-def _sgd(model, lr: float) -> None:
-    for p in model.parameters():
-        if p.grad is not None:
-            p.data -= lr * p.grad
-
-
 def flatten_params(model) -> np.ndarray:
     """Concatenate all parameters into one flat float32 vector."""
     return np.concatenate([p.data.reshape(-1) for p in model.parameters()]).astype(np.float32)
@@ -257,74 +246,40 @@ def _diverse_factory(config: ModelConfig, seed: int):
     return lambda r: _make_model(config, seed if r == 0 else seed + 100 + r)
 
 
-def _build_ddp(world, config, seed, rng, overlap=False, compile=False):
-    batch = int(np.lcm(8, world))
-    x = rng.standard_normal((batch, 2, 8, 8)).astype(np.float32)
-    y = rng.standard_normal((batch, 1, 16, 16)).astype(np.float32)
-    strat = DDPStrategy(_mse, overlap=overlap, bucket_bytes=1 << 12,
-                        compile=compile)
-    strat.setup(_diverse_factory(config, seed), VirtualCluster(world).world_group())
-    return strat, (x, y)
+def _oracle_workload(world: int, level: str | None):
+    """``(plan, batch, coarse side)`` of one training row.
 
-
-def _build_ddp_overlap(world, config, seed, rng):
-    return _build_ddp(world, config, seed, rng, overlap=True)
-
-
-def _build_ddp_compiled(world, config, seed, rng):
-    return _build_ddp(world, config, seed, rng, compile=True)
-
-
-def _build_fsdp(world, config, seed, rng, overlap=False):
-    x = rng.standard_normal((4, 2, 8, 8)).astype(np.float32)
-    y = rng.standard_normal((4, 1, 16, 16)).astype(np.float32)
-    strat = FSDPStrategy(_mse, overlap=overlap, bucket_bytes=1 << 12)
-    strat.setup(lambda r: _make_model(config, seed),
-                VirtualCluster(world).world_group())
-    return strat, (x, y)
-
-
-def _build_fsdp_overlap(world, config, seed, rng):
-    return _build_fsdp(world, config, seed, rng, overlap=True)
-
-
-def _build_tiles(world, config, seed, rng):
-    x = rng.standard_normal((1, 2, 16, 16)).astype(np.float32)
-    y = rng.standard_normal((1, 1, 32, 32)).astype(np.float32)
-    strat = TilesStrategy(_mse, halo=2, factor=2)
-    strat.setup(_diverse_factory(config, seed), VirtualCluster(world).world_group())
-    return strat, (x, y)
-
-
-def _build_composite(world, config, seed, rng, overlap=False, compile=False):
+    ``level`` puts the whole world on one axis — plain DDP, FSDP or
+    TILES as a degenerate plan: DDP on ``lcm(8, world)`` samples (so a
+    rank holds several until world 8), FSDP on a batch of 4, TILES on
+    one 16x16 sample.  ``None`` is the mixed plan of
+    ``_COMPOSITE_FACTORS`` on one sample per data-parallel rank.
+    """
+    cluster = VirtualCluster(world)
+    if level == "ddp":
+        return CompositePlan(cluster, ddp=world), int(np.lcm(8, world)), 8
+    if level == "fsdp":
+        return CompositePlan(cluster, fsdp=world), 4, 8
+    if level == "tiles":
+        return CompositePlan(cluster, tiles=world), 1, 16
     tp, fsdp, tiles, ddp = _COMPOSITE_FACTORS.get(world, (1, 1, 1, world))
-    plan = CompositePlan(VirtualCluster(world), tp=tp, fsdp=fsdp,
-                         tiles=tiles, ddp=ddp)
-    x = rng.standard_normal((ddp, 2, 16, 16)).astype(np.float32)
-    y = rng.standard_normal((ddp, 1, 32, 32)).astype(np.float32)
+    return CompositePlan(cluster, tp=tp, fsdp=fsdp, tiles=tiles, ddp=ddp), ddp, 16
+
+
+def _batch(rng, batch: int, side: int):
+    x = rng.standard_normal((batch, 2, side, side)).astype(np.float32)
+    y = rng.standard_normal((batch, 1, 2 * side, 2 * side)).astype(np.float32)
+    return x, y
+
+
+def _build_composite(world, config, seed, rng, level=None,
+                     overlap=False, compile=False):
+    plan, batch, side = _oracle_workload(world, level)
     strat = CompositeStrategy(plan, _mse, halo=2, factor=2,
                               overlap=overlap, bucket_bytes=1 << 12,
                               compile=compile)
     strat.setup(_diverse_factory(config, seed))
-    return strat, (x, y)
-
-
-def _build_composite_overlap(world, config, seed, rng):
-    return _build_composite(world, config, seed, rng, overlap=True)
-
-
-def _build_composite_compiled(world, config, seed, rng):
-    return _build_composite(world, config, seed, rng, compile=True)
-
-
-def _build_composite_overlap_compiled(world, config, seed, rng):
-    return _build_composite(world, config, seed, rng, overlap=True, compile=True)
-
-
-def _composite_plan(world: int) -> CompositePlan:
-    tp, fsdp, tiles, ddp = _COMPOSITE_FACTORS.get(world, (1, 1, 1, world))
-    return CompositePlan(VirtualCluster(world), tp=tp, fsdp=fsdp,
-                         tiles=tiles, ddp=ddp)
+    return strat, _batch(rng, batch, side)
 
 
 def _build_elastic(world, config, seed, rng, grow=True, compile=False):
@@ -337,35 +292,18 @@ def _build_elastic(world, config, seed, rng, grow=True, compile=False):
     at the start world first, so the reshard must also invalidate them
     and replay recaptures at the new world.
     """
-    start = max(1, world // 2) if grow else world * 2
-    strat = CompositeStrategy(_composite_plan(start), _mse, halo=2, factor=2,
+    start_plan, start_batch, side = _oracle_workload(
+        max(1, world // 2) if grow else world * 2, None)
+    strat = CompositeStrategy(start_plan, _mse, halo=2, factor=2,
                               bucket_bytes=1 << 12, compile=compile)
     strat.setup(_diverse_factory(config, seed))
     if compile:
         # capture programs at the start world; the reshard must invalidate
-        warm_rng = np.random.default_rng(seed + 7)
-        wx = warm_rng.standard_normal(
-            (strat.plan.ddp, 2, 16, 16)).astype(np.float32)
-        wy = warm_rng.standard_normal(
-            (strat.plan.ddp, 1, 32, 32)).astype(np.float32)
-        strat.forward_backward(wx, wy)
-    strat.reshard(_composite_plan(world))
-    ddp = strat.plan.ddp
-    x = rng.standard_normal((ddp, 2, 16, 16)).astype(np.float32)
-    y = rng.standard_normal((ddp, 1, 32, 32)).astype(np.float32)
-    return strat, (x, y)
-
-
-def _build_grow(world, config, seed, rng):
-    return _build_elastic(world, config, seed, rng, grow=True)
-
-
-def _build_shrink(world, config, seed, rng):
-    return _build_elastic(world, config, seed, rng, grow=False)
-
-
-def _build_grow_compiled(world, config, seed, rng):
-    return _build_elastic(world, config, seed, rng, grow=True, compile=True)
+        strat.forward_backward(
+            *_batch(np.random.default_rng(seed + 7), start_batch, side))
+    plan, batch, side = _oracle_workload(world, None)
+    strat.reshard(plan)
+    return strat, _batch(rng, batch, side)
 
 
 def _build_tp(world, config, seed, rng):
@@ -415,12 +353,12 @@ def _build_pipeline(world, config, seed, rng):
 
 _SPECS: dict[str, OracleSpec] = {
     "ddp": OracleSpec(
-        _build_ddp,
+        partial(_build_composite, level="ddp"),
         "gradients averaged by ring all-reduce (float32 chunk order); the "
         "forward crosses no reduction and every kernel is batch-invariant, "
         "so outputs are bit-exact at every world, encoder included"),
     "fsdp": OracleSpec(
-        _build_fsdp,
+        partial(_build_composite, level="fsdp"),
         "reduce-scatter accumulates in float64; identical contributions → exact"),
     "tp": OracleSpec(
         _build_tp, "forward-only engine: one all-reduce of row-parallel partials"),
@@ -431,7 +369,7 @@ _SPECS: dict[str, OracleSpec] = {
         _build_hybrid_op,
         "reference runs in float64, so agreement is tolerance-bounded by design"),
     "tiles": OracleSpec(
-        _build_tiles,
+        partial(_build_composite, level="tiles"),
         "reference is the serial TiledDownscaler (same tiling, one rank): "
         "outputs bit-exact at every world, encoder included"),
     "pipeline": OracleSpec(
@@ -439,44 +377,44 @@ _SPECS: dict[str, OracleSpec] = {
         "microbatched stage streaming; reference is unpartitioned execution"),
     "composite": OracleSpec(
         _build_composite,
-        "TP×FSDP×TILES×DDP composed; reference is the per-(sample, tile) "
+        "TP×FSDP×TILES×DDP composed; reference is the per-(rank, tile) "
         "float64 gradient mean"),
     "ddp_overlap": OracleSpec(
-        _build_ddp_overlap,
-        "bucketed async all-reduce with globally aligned ring chunks — "
-        "bit-identical to the eager whole-buffer reduction"),
+        partial(_build_composite, level="ddp", overlap=True),
+        "phases 1-2 launch per bucket on size-1 groups under backward; "
+        "the one real collective is the eager whole-shard DDP all-reduce"),
     "fsdp_overlap": OracleSpec(
-        _build_fsdp_overlap,
+        partial(_build_composite, level="fsdp", overlap=True),
         "per-bucket async reduce-scatter; elementwise float64 reduction "
         "makes any bucket partition exact"),
     "composite_overlap": OracleSpec(
-        _build_composite_overlap,
+        partial(_build_composite, overlap=True),
         "phases 1-2 launched bucket-by-bucket under backward; aligned "
         "sub-range all-reduces keep the eager schedule's float32 rounding"),
     "ddp_compiled": OracleSpec(
-        _build_ddp_compiled,
-        "per-replica CompiledStep replay — bit-identical to the eager "
+        partial(_build_composite, level="ddp", compile=True),
+        "per-rank CompiledStep replay — bit-identical to the eager "
         "tape walk, so the row matches wherever plain ddp does"),
     "composite_compiled": OracleSpec(
-        _build_composite_compiled,
+        partial(_build_composite, compile=True),
         "per-(sample, tile) CompiledStep replay inside the composite "
         "schedule; reduce phases unchanged"),
     "composite_overlap_compiled": OracleSpec(
-        _build_composite_overlap_compiled,
+        partial(_build_composite, overlap=True, compile=True),
         "compiled replay firing the bucketer's ready-hooks from the "
         "backward program; overlap schedule bit-identical to eager"),
     "grow": OracleSpec(
-        _build_grow,
+        partial(_build_elastic, grow=True),
         "composite resharded up from half the world (4→8 at world 8); "
         "the canonical remap is pure slicing, so the grown strategy "
         "matches the reference exactly where fresh composite does"),
     "shrink": OracleSpec(
-        _build_shrink,
+        partial(_build_elastic, grow=False),
         "composite resharded down from double the world (8→4 at world "
         "4); FSDP is the shrink axis — float64 reduce-scatter makes the "
         "repartition exact"),
     "grow_compiled": OracleSpec(
-        _build_grow_compiled,
+        partial(_build_elastic, grow=True, compile=True),
         "programs captured at the start world are invalidated by the "
         "reshard; replay recaptures at the new world transparently"),
 }
@@ -490,7 +428,7 @@ def _run_forward_only(strategy: ParallelStrategy, data, rtol, atol, ctx):
                      rtol, atol, ctx)]
 
 
-def _run_trainable(strategy: ParallelStrategy, data, config, seed, lr,
+def _run_trainable(strategy: CompositeStrategy, data, config, seed, lr,
                    rtol, atol, ctx):
     x, y = data
     ref = _make_model(config, seed)

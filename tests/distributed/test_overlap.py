@@ -20,8 +20,6 @@ from repro.core import PAPER_CONFIGS, ModelConfig, Reslim
 from repro.distributed import (
     CompositePlan,
     CompositeStrategy,
-    DDPStrategy,
-    FSDPStrategy,
     VirtualCluster,
     GradBucketer,
     aligned_ring_chunks,
@@ -155,33 +153,27 @@ class TestGradBucketer:
 # --------------------------------------------------------------------- #
 # eager vs overlap bit-identity at world=8 (the acceptance bar)
 # --------------------------------------------------------------------- #
-def _run_ddp(overlap):
+def _build(overlap, batch, side, **levels):
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((WORLD, 2, 8, 8)).astype(np.float32)
-    y = rng.standard_normal((WORLD, 1, 16, 16)).astype(np.float32)
-    strat = DDPStrategy(_mse, overlap=overlap, bucket_bytes=1 << 12)
-    strat.setup(lambda r: _model(3), VirtualCluster(WORLD).world_group())
-    return strat, (x, y)
-
-
-def _run_fsdp(overlap):
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((4, 2, 8, 8)).astype(np.float32)
-    y = rng.standard_normal((4, 1, 16, 16)).astype(np.float32)
-    strat = FSDPStrategy(_mse, overlap=overlap, bucket_bytes=1 << 12)
-    strat.setup(lambda r: _model(3), VirtualCluster(WORLD).world_group())
-    return strat, (x, y)
-
-
-def _run_composite(overlap):
-    rng = np.random.default_rng(0)
-    plan = CompositePlan(VirtualCluster(WORLD), tp=1, fsdp=2, tiles=2, ddp=2)
-    x = rng.standard_normal((plan.ddp, 2, 16, 16)).astype(np.float32)
-    y = rng.standard_normal((plan.ddp, 1, 32, 32)).astype(np.float32)
-    strat = CompositeStrategy(plan, _mse, halo=2, factor=2,
+    x = rng.standard_normal((batch, 2, side, side)).astype(np.float32)
+    y = rng.standard_normal((batch, 1, 2 * side, 2 * side)).astype(np.float32)
+    strat = CompositeStrategy(CompositePlan(VirtualCluster(WORLD), **levels),
+                              _mse, halo=2, factor=2,
                               overlap=overlap, bucket_bytes=1 << 12)
     strat.setup(lambda u: _model(3 + u))
     return strat, (x, y)
+
+
+def _run_ddp(overlap):
+    return _build(overlap, WORLD, 8, ddp=WORLD)
+
+
+def _run_fsdp(overlap):
+    return _build(overlap, 4, 8, fsdp=WORLD)
+
+
+def _run_composite(overlap):
+    return _build(overlap, 2, 16, fsdp=2, tiles=2, ddp=2)
 
 
 class TestEagerVsOverlapBitIdentity:

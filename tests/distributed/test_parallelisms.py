@@ -5,8 +5,9 @@ single-device reference bit-for-bit or to float32 tolerance, and the
 communication volumes must follow the canonical formulas.  The
 match-the-reference checks all run through the shared oracle in
 ``repro.testing.equivalence`` (see TestEquivalenceOracle); what stays
-here are the engine-specific contracts — collective counts, sharding
-arithmetic, and input validation.
+here are the per-level contracts — collective counts, batch scatter,
+and input validation.  Plain DDP, FSDP and TILES are
+``CompositeStrategy`` on a plan with the whole world on one level.
 """
 
 import numpy as np
@@ -15,24 +16,19 @@ import pytest
 from repro.core import ModelConfig, Reslim
 from repro.distributed import (
     ColumnParallelLinear,
-    DistributedDataParallel,
-    FSDPEngine,
+    CompositePlan,
+    CompositeStrategy,
     HybridOpChain,
     ProcessGroup,
     RowParallelLinear,
     TensorParallelMLP,
-    TilesSequenceParallel,
-    flatten_grads,
+    VirtualCluster,
     hybrid_chain_volume,
     naive_sharded_chain_volume,
-    scatter_batch,
-    shard_array,
     tiles_comm_volume,
     ulysses_comm_volume,
-    unflatten_to_grads,
-    unshard_arrays,
 )
-from repro.nn import Linear, Module
+from repro.nn import FlatParamBuffer, Linear, Module, flatten_grads
 from repro.tensor import Tensor
 from repro.testing import PARALLELISMS, check_parallel_equivalence
 
@@ -136,37 +132,51 @@ class _SmallNet(Module):
         return self.fc2(self.fc1(x).tanh())
 
 
+def _one_level(factory, **level) -> CompositeStrategy:
+    """A set-up strategy with the whole world on one level, e.g. ``ddp=4``."""
+    (world,) = level.values()
+    strat = CompositeStrategy(CompositePlan(VirtualCluster(world), **level),
+                              _mse, halo=2, factor=2)
+    strat.setup(factory)
+    return strat
+
+
 class TestDDP:
     # the averaged-gradients-match-full-batch invariant is covered by
-    # TestEquivalenceOracle; these tests pin DDP's engine contracts
+    # TestEquivalenceOracle; these tests pin the data-parallel contracts
 
     def test_replicas_synchronized_after_init(self):
-        replicas = [_SmallNet(seed=i) for i in range(3)]
-        ddp = DistributedDataParallel(replicas, ProcessGroup([0, 1, 2]), _mse)
-        ddp.assert_replicas_synchronized()
+        strat = _one_level(lambda r: _SmallNet(seed=r), ddp=3)
+        strat.assert_units_synchronized()
 
     def test_replicas_stay_synchronized_through_sgd(self):
         from repro.nn import SGD
-        world = 2
-        replicas = [_SmallNet(seed=i) for i in range(world)]
-        ddp = DistributedDataParallel(replicas, ProcessGroup([0, 1]), _mse)
-        opts = [SGD(r.parameters(), lr=0.1) for r in replicas]
+        strat = _one_level(lambda r: _SmallNet(seed=r), ddp=2)
+        opts = [SGD(u.parameters(), lr=0.1) for u in strat.units()]
         for step in range(3):
             x = RNG.standard_normal((4, 6)).astype(np.float32)
             y = RNG.standard_normal((4, 2)).astype(np.float32)
-            ddp.step_gradients(x, y)
+            strat.step(x, y)  # two samples per rank
             for opt in opts:
                 opt.step()
-        ddp.assert_replicas_synchronized(atol=1e-6)
+        strat.assert_units_synchronized(atol=1e-6)
 
-    def test_scatter_batch(self):
-        shards = scatter_batch(np.arange(8)[:, None], np.arange(8)[:, None], 4)
-        assert len(shards) == 4
-        np.testing.assert_array_equal(shards[1][0].ravel(), [2, 3])
-        with pytest.raises(ValueError):
-            scatter_batch(np.zeros((7, 1)), np.zeros((7, 1)), 4)
-        with pytest.raises(ValueError):
-            scatter_batch(np.zeros((4, 1)), np.zeros((5, 1)), 2)
+    def test_batch_rows_per_rank(self):
+        """Rank ``d`` holds rows ``d*k:(d+1)*k``; the batch must split
+        evenly and carry one target per input."""
+        strat = _one_level(lambda r: _SmallNet(), ddp=4)
+        x = RNG.standard_normal((8, 6)).astype(np.float32)
+        y = RNG.standard_normal((8, 2)).astype(np.float32)
+        losses = strat.forward_backward(x, y)
+        assert len(losses) == 4
+        net = _SmallNet()
+        assert losses[1] == float(_mse(net(Tensor(x[2:4])), Tensor(y[2:4])).data)
+        np.testing.assert_array_equal(strat.forward(x), net(Tensor(x)).data)
+        with pytest.raises(ValueError, match="not divisible"):
+            strat.forward_backward(np.zeros((7, 6), np.float32),
+                                   np.zeros((7, 2), np.float32))
+        with pytest.raises(ValueError, match="batch sizes differ"):
+            strat.forward_backward(x, np.zeros((9, 2), np.float32))
 
     def test_flatten_unflatten_roundtrip(self):
         net = _SmallNet()
@@ -174,52 +184,26 @@ class TestDDP:
         out.sum().backward()
         flat = flatten_grads(net)
         grads_before = [p.grad.copy() for p in net.parameters()]
-        unflatten_to_grads(net, flat)
+        buf = FlatParamBuffer(list(net.parameters()))
+        buf.zero_grad()
+        buf.load_grad(flat)
         for g0, p in zip(grads_before, net.parameters()):
             np.testing.assert_array_equal(g0, p.grad)
 
     def test_replica_count_validation(self):
-        with pytest.raises(ValueError):
-            DistributedDataParallel([_SmallNet()], ProcessGroup([0, 1]), _mse)
+        with pytest.raises(ValueError, match="!= world 2"):
+            CompositePlan(VirtualCluster(2), ddp=1)
 
 
 class TestFSDP:
-    def test_shard_unshard_roundtrip(self):
-        arr = RNG.standard_normal((5, 7)).astype(np.float32)
-        shards = shard_array(arr, 4)
-        assert len(shards) == 4
-        assert all(s.size == shards[0].size for s in shards)
-        back = unshard_arrays(shards, arr.shape)
-        np.testing.assert_array_equal(back, arr)
-
-    def test_per_rank_memory_is_fraction(self):
-        net = _SmallNet()
-        engine = FSDPEngine(net, ProcessGroup(list(range(4))))
-        total = sum(p.data.nbytes for p in net.parameters())
-        assert engine.per_rank_param_bytes() == pytest.approx(total / 4, rel=0.1)
-        assert engine.peak_param_bytes() < total + engine.per_rank_param_bytes()
-
-    def test_gather_restores_weights(self):
-        net = _SmallNet(seed=5)
-        original = net.state_dict()
-        engine = FSDPEngine(net, ProcessGroup([0, 1]))
-        # corrupt the live weights, then gather from shards
-        for p in net.parameters():
-            p.data[...] = 0.0
-        engine.gather_all()
-        for name, arr in net.state_dict().items():
-            np.testing.assert_allclose(arr, original[name], atol=1e-6)
-
-    def test_unknown_layer_rejected(self):
-        engine = FSDPEngine(_SmallNet(), ProcessGroup([0, 1]))
-        with pytest.raises(KeyError):
-            engine.gather_layer("nope")
-
     def test_communication_recorded(self):
-        group = ProcessGroup([0, 1])
-        engine = FSDPEngine(_SmallNet(), group)
-        engine.gather_all()
-        assert group.stats.calls.get("all_gather", 0) == 4  # one per parameter
+        """One flat reduce-scatter and one flat all-gather per step — not
+        one per parameter."""
+        strat = _one_level(lambda r: _SmallNet(), fsdp=2)
+        strat.step(RNG.standard_normal((4, 6)).astype(np.float32),
+                   RNG.standard_normal((4, 2)).astype(np.float32))
+        assert strat.comm_summary()["calls"]["fsdp"] == {
+            "reduce_scatter": 1, "all_gather": 1}
 
 
 class TestTensorParallel:
@@ -299,23 +283,20 @@ class TestHybridOp:
             naive_sharded_chain_volume(32, bottleneck, 8)
 
 
-class TestTilesSequenceParallel:
-    def _model(self, seed=0):
-        return Reslim(TINY, 2, 1, factor=2, max_tokens=256, rng=np.random.default_rng(seed))
-
+class TestTilesParallel:
     def test_gradient_averaging_synchronizes(self):
-        world = 4
-        replicas = [self._model(seed=i) for i in range(world)]
-        group = ProcessGroup(list(range(world)))
-        tsp = TilesSequenceParallel(replicas, group, halo=2, factor=2)
+        strat = _one_level(
+            lambda r: Reslim(TINY, 2, 1, factor=2, max_tokens=256,
+                             rng=np.random.default_rng(r)), tiles=4)
         x = RNG.standard_normal((1, 2, 16, 16)).astype(np.float32)
         y = RNG.standard_normal((1, 1, 32, 32)).astype(np.float32)
-        tsp.step_gradients(x, y, _mse)
-        ref = flatten_grads(replicas[0])
-        for rep in replicas[1:]:
-            np.testing.assert_allclose(flatten_grads(rep), ref, rtol=1e-5, atol=1e-6)
+        strat.step(x, y)
+        ref = strat.unit_grads(0)
+        for t in range(1, 4):
+            np.testing.assert_allclose(strat.unit_grads(t), ref,
+                                       rtol=1e-5, atol=1e-6)
         # only ONE all-reduce for the whole batch — the TILES property
-        assert group.stats.calls["all_reduce"] == 1
+        assert strat.comm_summary()["calls"]["tiles"]["all_reduce"] == 1
 
     def test_comm_volume_comparison(self):
         """TILES gradient-only traffic ≪ Ulysses per-layer all-to-alls at
@@ -324,7 +305,3 @@ class TestTilesSequenceParallel:
         tiles = tiles_comm_volume(param_bytes, world=16)
         ulysses = ulysses_comm_volume(seq_len=777_660, embed_dim=256, n_layers=6, world=16)
         assert tiles < ulysses / 10
-
-    def test_replica_validation(self):
-        with pytest.raises(ValueError):
-            TilesSequenceParallel([self._model()], ProcessGroup([0, 1]), halo=1, factor=2)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import PAPER_CONFIGS
 from repro.distributed import (
@@ -12,7 +14,13 @@ from repro.distributed import (
     plan_comm_costs,
 )
 from repro.testing import check_parallel_equivalence
-from repro.testing.equivalence import _make_model, oracle_config
+from repro.testing.equivalence import (
+    _TOLERANCES,
+    _apply_flat_sgd,
+    _make_model,
+    flatten_params,
+    oracle_config,
+)
 
 
 def _mse(pred, target):
@@ -80,7 +88,7 @@ class TestCompositeStrategy:
         single-process training on the full batch with the same tiling."""
         from repro.core import ModelConfig, Reslim
         from repro.core.tiles import extract_tile, make_tiles
-        from repro.distributed import flatten_grads
+        from repro.nn import flatten_grads
         from repro.tensor import Tensor
 
         def make():
@@ -145,8 +153,61 @@ class TestCompositeStrategy:
         plan = CompositePlan(VirtualCluster(4), tp=1, fsdp=1, tiles=2, ddp=2)
         strategy = CompositeStrategy(plan, loss_fn=_mse, halo=2, factor=2)
         strategy.setup(lambda u: _make_model(oracle_config(), seed=0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="batch 3 not divisible by data-parallel ways 2"):
             strategy.forward(np.zeros((3, 2, 16, 16), dtype=np.float32))
+        # two samples per data-parallel rank: the full batch comes back
+        x = np.random.default_rng(0).standard_normal(
+            (4, 2, 16, 16)).astype(np.float32)
+        assert strategy.forward(x).shape == (4, 1, 32, 32)
+        assert len(strategy.forward_backward(
+            x, np.zeros((4, 1, 32, 32), dtype=np.float32))) == 4  # units
+
+
+PLANS = st.tuples(*[st.sampled_from([1, 2, 4])] * 3).filter(
+    lambda ftd: ftd[0] * ftd[1] * ftd[2] <= 8)
+
+
+@given(factors=PLANS, k=st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None, derandomize=True)  # all 34 cases
+def test_any_plan_matches_reference_and_its_own_schedules(factors, k):
+    """Every ``fsdp x tiles x ddp`` plan up to world 8, one or two samples
+    per data-parallel rank: the step equals ``reference_step`` within the
+    oracle tolerance (to the bit when no float32 ring runs), and the
+    overlap and compiled schedules reproduce the eager one bitwise."""
+    fsdp, tiles, ddp = factors
+    rng = np.random.default_rng(fsdp + 10 * tiles + 100 * ddp + k)
+    x = rng.standard_normal((ddp * k, 2, 16, 16)).astype(np.float32)
+    y = rng.standard_normal((ddp * k, 1, 32, 32)).astype(np.float32)
+    config = oracle_config()
+
+    def run(**mode):
+        plan = CompositePlan(VirtualCluster(fsdp * tiles * ddp),
+                             fsdp=fsdp, tiles=tiles, ddp=ddp)
+        strategy = CompositeStrategy(plan, _mse, halo=2, factor=2,
+                                     bucket_bytes=1 << 12, **mode)
+        strategy.setup(lambda u: _make_model(config, seed=u))
+        strategy.step(x, y)
+        grads = [strategy.unit_grads(u) for u in range(tiles * ddp)]
+        strategy.apply_sgd(0.05)
+        return strategy, grads, [strategy.unit_params(u)
+                                 for u in range(tiles * ddp)]
+
+    strategy, grads, params = run()
+    ref = _make_model(config, seed=0)
+    ref_grads = strategy.reference_step(ref, x, y)
+    _apply_flat_sgd(ref, ref_grads, 0.05)
+    rtol, atol = _TOLERANCES["composite"]
+    for g, p in zip(grads, params):
+        np.testing.assert_allclose(g, ref_grads, rtol=rtol, atol=atol)
+        np.testing.assert_allclose(p, flatten_params(ref), rtol=rtol, atol=atol)
+    if tiles * ddp == 1:
+        assert np.array_equal(grads[0], ref_grads)
+        assert np.array_equal(params[0], flatten_params(ref))
+    for mode in ({"overlap": True}, {"compile": True}):
+        _, other_grads, other_params = run(**mode)
+        for a, b in zip(grads + params, other_grads + other_params):
+            assert np.array_equal(a, b), mode
 
 
 def test_plan_comm_costs_rows():

@@ -12,12 +12,7 @@ import pytest
 
 from repro.core import ModelConfig, Reslim
 from repro.data import ChannelNormalizer, DatasetSpec, DownscalingDataset, Grid
-from repro.distributed import (
-    DistributedDataParallel,
-    ProcessGroup,
-    VirtualCluster,
-    flatten_grads,
-)
+from repro.distributed import CompositePlan, CompositeStrategy, VirtualCluster
 from repro.nn import AdamW, GradScaler, Linear, Parameter, SGD, clip_grad_norm
 from repro.tensor import Tensor
 from repro.train import TrainConfig, Trainer, load_checkpoint, save_checkpoint
@@ -77,32 +72,22 @@ class TestNaNPropagation:
         """A single rank's NaN gradient poisons the averaged bucket on ALL
         ranks — exactly why the scaler's overflow check runs after the
         all-reduce; verify the detection fires everywhere."""
-        world = 4
-
-        class Net(Linear):
-            pass
-
-        replicas = [Net(4, 2, rng=np.random.default_rng(0)) for _ in range(world)]
-        group = VirtualCluster(world).world_group()
-
         def loss_fn(pred, target):
             d = pred - target
             return (d * d).mean()
 
-        ddp = DistributedDataParallel(replicas, group, loss_fn)
+        ddp = CompositeStrategy(CompositePlan(VirtualCluster(4), ddp=4), loss_fn)
+        ddp.setup(lambda r: Linear(4, 2, rng=np.random.default_rng(0)))
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 4)).astype(np.float32)
         y = rng.standard_normal((4, 2)).astype(np.float32)
-        ddp.step_gradients(x, y)
-        # inject NaN on rank 2 and re-reduce
-        replicas[2].weight.grad[...] = np.nan
-        buckets = [flatten_grads(m) for m in replicas]
-        reduced = group.all_reduce(buckets, op="mean")
+        ddp.forward_backward(x, y)
+        # inject NaN on rank 2 between backward and the reduction
+        ddp.units()[2].weight.grad[...] = np.nan
+        ddp.reduce_gradients()
         scaler = GradScaler()
-        for rank, flat in enumerate(reduced):
-            from repro.distributed import unflatten_to_grads
-            unflatten_to_grads(replicas[rank], flat)
-            assert scaler.found_overflow(replicas[rank].parameters()), rank
+        for rank, unit in enumerate(ddp.units()):
+            assert scaler.found_overflow(unit.parameters()), rank
 
     def test_clip_grad_norm_reports_nonfinite(self):
         p = Parameter(np.ones(2, dtype=np.float32))
@@ -159,9 +144,12 @@ class TestDegenerateData:
         np.testing.assert_allclose(z[1], 0.0, atol=1e-5)
 
     def test_empty_and_mismatched_batches_rejected(self):
-        from repro.distributed import scatter_batch
-        with pytest.raises(ValueError):
-            scatter_batch(np.zeros((3, 1)), np.zeros((3, 1)), 2)
+        strat = CompositeStrategy(CompositePlan(VirtualCluster(2), ddp=2),
+                                  lambda pred, target: (pred - target).mean())
+        strat.setup(lambda r: Linear(1, 1))
+        with pytest.raises(ValueError, match="not divisible"):
+            strat.forward_backward(np.zeros((3, 1), np.float32),
+                                   np.zeros((3, 1), np.float32))
 
     def test_all_dry_precipitation_quantile_rmse_defined(self):
         from repro.evals import quantile_rmse

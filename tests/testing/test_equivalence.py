@@ -98,23 +98,18 @@ class TestOracleConfig:
             assert cfg.num_heads % world == 0
             assert hidden % world == 0
 
-    def test_oracle_catches_planted_gradient_bug(self):
-        """Corrupt a replica's gradient after the all-reduce: the params
-        comparison must flag the divergence."""
-        from repro.testing import equivalence as eq
+    @pytest.mark.parametrize("strategy", ["ddp", "fsdp", "tiles"])
+    def test_oracle_catches_planted_gradient_bug(self, strategy, monkeypatch):
+        """Corrupt unit 0's gradient after the reduction: the oracle must
+        flag the divergence on every degenerate plan."""
+        from repro.distributed import CompositeStrategy
 
-        orig = eq.DistributedDataParallel.step_gradients
+        orig = CompositeStrategy.reduce_gradients
 
-        def corrupted(self, x, y):
-            out = orig(self, x, y)
-            for p in self.replicas[0].parameters():
-                if p.grad is not None:
-                    p.grad = p.grad + 0.1
-            return out
+        def corrupted(self):
+            orig(self)
+            self.buffers()[0].grad += 0.1
 
-        eq.DistributedDataParallel.step_gradients = corrupted
-        try:
-            with pytest.raises(EquivalenceFailure):
-                check_parallel_equivalence("ddp", 2)
-        finally:
-            eq.DistributedDataParallel.step_gradients = orig
+        monkeypatch.setattr(CompositeStrategy, "reduce_gradients", corrupted)
+        with pytest.raises(EquivalenceFailure):
+            check_parallel_equivalence(strategy, 2)
