@@ -9,22 +9,17 @@ configuration.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import ModelConfig, Reslim
 from repro.data import DatasetSpec, DownscalingDataset, Grid, year_split
-from repro.testing import check_golden, extract_numbers
+from repro.testing import check_golden
 from repro.train import TrainConfig, Trainer, evaluate_downscaling, predict_dataset
 
 RESULTS_DIR = Path(__file__).parent / "results"
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-#: machine-readable headline numbers per bench, one file across PRs
-#: (same repo-root placement and schema style as ``BENCH_engine.json``)
-BENCH_OBS_PATH = Path(__file__).parent.parent / "BENCH_obs.json"
 
 #: Tables are mostly modelled/measured timings, so the default golden
 #: tolerance is wide; pass a tighter ``golden_rtol`` for pure-math tables.
@@ -65,28 +60,7 @@ def write_table(name: str, lines: list[str], golden_rtol: float = GOLDEN_RTOL) -
     status = check_golden(name, text, GOLDEN_DIR, rtol=golden_rtol)
     if status != "checked":
         print(f"[golden] {name}: {status} {GOLDEN_DIR / (name + '.golden')}")
-    record_bench(name, {"numbers": extract_numbers(text)})
     return path
-
-
-def record_bench(name: str, metrics: dict) -> Path:
-    """Merge one bench's headline numbers into ``BENCH_obs.json``.
-
-    The file keeps every bench's latest machine-readable results under
-    one schema key, so the perf trajectory across PRs can be diffed
-    without parsing the rendered tables.
-    """
-    doc = {"schema": "bench_obs/v1", "benches": {}}
-    if BENCH_OBS_PATH.exists():
-        try:
-            existing = json.loads(BENCH_OBS_PATH.read_text())
-            if existing.get("schema") == doc["schema"]:
-                doc = existing
-        except (json.JSONDecodeError, OSError):
-            pass  # rewrite a corrupt file from scratch
-    doc.setdefault("benches", {})[name] = metrics
-    BENCH_OBS_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return BENCH_OBS_PATH
 
 
 def make_datasets() -> tuple[DownscalingDataset, DownscalingDataset]:

@@ -23,8 +23,6 @@ Entry points for downstream users who want results without writing code:
   write the flight-recorder dump and an alert-annotated Chrome trace;
 * ``repro health``  — render a flight-recorder dump as a one-screen
   health summary;
-* ``repro bench-diff`` — per-metric diff of a fresh ``BENCH_*.json``
-  against the committed baseline, exiting nonzero on regression;
 * ``repro export``   — materialize a dataset split to a ``.npz`` archive.
 
 Run ``python -m repro.cli <command> --help`` for options.
@@ -206,17 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     he.add_argument("dump", help="flight-recorder dump JSON "
                                  "(from repro monitor --dump-out or an "
                                  "auto-dump)")
-
-    bd = sub.add_parser("bench-diff", help="diff a fresh BENCH_*.json "
-                                           "against the committed one; "
-                                           "exit 1 on regression")
-    bd.add_argument("old", help="baseline benchmark JSON (committed)")
-    bd.add_argument("new", help="fresh benchmark JSON")
-    bd.add_argument("--rtol", type=float, default=0.5,
-                    help="relative tolerance before a change counts "
-                         "(wall timings are noisy; default 0.5)")
-    bd.add_argument("--strict", action="store_true",
-                    help="also fail on drift (non-timing changes)")
 
     x = sub.add_parser("export", help="export a dataset split to .npz")
     x.add_argument("--grid", type=int, nargs=2, default=(32, 64))
@@ -692,20 +679,6 @@ def _cmd_health(args) -> int:
     return 0
 
 
-def _cmd_bench_diff(args) -> int:
-    from repro.testing.benchdiff import diff_files, render_deltas
-
-    try:
-        deltas = diff_files(args.old, args.new, rtol=args.rtol)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_deltas(deltas, old_name=args.old, new_name=args.new))
-    failed = any(d.is_regression or (args.strict and d.status == "drift")
-                 for d in deltas)
-    return 1 if failed else 0
-
-
 def _cmd_export(args) -> int:
     from repro.data.io import export_dataset
 
@@ -722,8 +695,7 @@ def main(argv: list[str] | None = None) -> int:
                 "scale": _cmd_scale, "plan": _cmd_plan,
                 "profile": _cmd_profile, "trace": _cmd_trace,
                 "serve": _cmd_serve, "monitor": _cmd_monitor,
-                "health": _cmd_health, "bench-diff": _cmd_bench_diff,
-                "export": _cmd_export}
+                "health": _cmd_health, "export": _cmd_export}
     return handlers[args.command](args)
 
 

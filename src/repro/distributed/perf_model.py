@@ -694,7 +694,7 @@ def overlap_report(plan: CompositePlan, config: ModelConfig,
     (unhidden) comm time of the overlapped one, the fraction of async
     comm hidden under compute, and the speedup.  By construction
     ``compute_stream_time + exposed_comm_time == step_time_overlap`` on
-    the critical rank — the end-to-end consistency the benchmarks gate.
+    the critical rank — the end-to-end consistency the tests gate.
     """
     barrier = modeled_step_timeline(plan, config, tokens_per_tile,
                                     in_channels, out_channels)

@@ -55,8 +55,8 @@ INJECTIONS = {
     "serve": ("none", "burst"),
 }
 
-#: the rules each injection is built to trip (the CI gate asserts every
-#: one fired, and that clean runs fire none)
+#: the rules each injection is built to trip (the scenario tests assert
+#: every one fired, and that clean runs fire none)
 EXPECTED_RULES = {
     ("train", "nan"): ("nonfinite-loss", "nonfinite-grad"),
     ("train", "loss-spike"): ("loss-spike",),

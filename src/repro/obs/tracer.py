@@ -15,8 +15,8 @@ virtual cluster.  Usage:
 Instrumentation sites call the module-level :func:`span`; when no tracer
 is installed it returns one shared no-op context manager, so the
 disabled cost is a thread-local read and an identity check — the <3%
-overhead budget the CI gate enforces.  Installing a tracer (the context
-manager) also installs the autograd op hook (see
+overhead budget ``tests/obs/test_overhead.py`` enforces.  Installing a
+tracer (the context manager) also installs the autograd op hook (see
 :mod:`repro.obs.engine`), so per-op FLOP/byte metrics accumulate for
 every tape node recorded inside the ``with`` block.
 """

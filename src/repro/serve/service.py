@@ -163,7 +163,7 @@ class ServeResult:
     utilization: dict[int, float] = field(default_factory=dict)
 
     def summary(self) -> dict:
-        """JSON-ready headline numbers (the ``BENCH_serve`` schema)."""
+        """JSON-ready headline numbers of the run."""
         m = self.metrics
         lat = m.histograms.get("serve/latency_s")
         wait = m.histograms.get("serve/queue_wait_s")

@@ -11,10 +11,7 @@ Library-grade oracles any PR can call to prove it kept the numerics:
 * :mod:`~repro.testing.conformance` — collective value + byte-accounting
   conformance for the simulated communicator;
 * :mod:`~repro.testing.golden` — golden-file regression checks for
-  rendered artifacts (benchmark tables);
-* :mod:`~repro.testing.benchdiff` — per-metric diffs of fresh
-  ``BENCH_*.json`` documents against the committed ones, with
-  regression classification (behind ``repro bench-diff``).
+  rendered artifacts (benchmark tables).
 
 See DESIGN.md's "Verification layer" section for the guarantees each
 oracle provides and how to wire one into a new test.
@@ -41,7 +38,6 @@ from .equivalence import (
     oracle_config,
     warm_head,
 )
-from .benchdiff import MetricDelta, diff_docs, diff_files, render_deltas
 from .fuzz import OPS, FuzzFailure, FuzzReport, OpSpec, fuzz_ops, seeded_arrays
 from .golden import (
     GoldenMismatch,
@@ -101,9 +97,4 @@ __all__ = [
     "extract_numbers",
     "structure_of",
     "update_requested",
-    # benchdiff
-    "MetricDelta",
-    "diff_docs",
-    "diff_files",
-    "render_deltas",
 ]

@@ -7,8 +7,9 @@ The load-bearing guarantees:
   path for DDP, FSDP, and the composite stack at world=8 — same losses,
   same post-step parameters, same traffic;
 * the two-stream schedule on the Fig. 5 plan models ≥ 15% step-time
-  reduction with exact accounting consistency, while the barrier
-  schedule and ``plan_comm_costs`` stay byte-identical;
+  reduction with exact accounting consistency (its table pinned by the
+  ``overlap_fig5`` golden), while the barrier schedule and
+  ``plan_comm_costs`` stay byte-identical;
 * the tracer prices async collectives as overlapped vs exposed, and the
   Chrome export renders compute and comm as separate tracks per rank.
 """
@@ -31,6 +32,8 @@ from repro.nn import FlatParamBuffer, Linear, Sequential
 from repro.obs import SimClock, Tracer
 from repro.obs.export import chrome_trace
 from repro.tensor import Tensor
+
+from tests.golden import assert_golden
 
 WORLD = 8
 ORACLE = ModelConfig("oracle-tiny", embed_dim=16, depth=1, num_heads=8)
@@ -305,6 +308,22 @@ class TestOverlapTimeline:
         assert report["speedup"] >= 1.15
         assert report["overlapped_fraction"] > 0.0
         assert report["step_time_overlap"] <= report["step_time_barrier"]
+
+    def test_fig5_report_table_golden(self):
+        report = overlap_report(FIG5_PLAN(), PAPER_CONFIGS["1B"], n_buckets=8)
+        lines = [
+            "Communication/compute overlap: Fig. 5 composite plan, 1B on 32 GPUs",
+            f"tp=8 x fsdp=2 x tiles=2 x ddp=1, {report['n_buckets']} "
+            f"gradient buckets",
+            "-" * 64,
+            f"barrier step:        {report['step_time_barrier'] * 1e3:9.2f} ms",
+            f"overlapped step:     {report['step_time_overlap'] * 1e3:9.2f} ms",
+            f"modeled speedup:     {report['speedup']:9.2f} x",
+            f"compute stream:      {report['compute_stream_time'] * 1e3:9.2f} ms",
+            f"exposed comm:        {report['exposed_comm_time'] * 1e3:9.2f} ms",
+            f"hidden under compute:{report['overlapped_fraction'] * 100:8.1f} %",
+        ]
+        assert_golden("overlap_fig5", "\n".join(lines) + "\n", rtol=0.25)
 
     def test_accounting_consistency_is_exact(self):
         report = overlap_report(FIG5_PLAN(), PAPER_CONFIGS["1B"])

@@ -1,8 +1,6 @@
-"""CLI surface: ``repro monitor``, ``repro health``, ``repro bench-diff``."""
+"""CLI surface: ``repro monitor`` and ``repro health``."""
 
 import json
-
-import pytest
 
 from repro.cli import main
 
@@ -65,62 +63,3 @@ class TestHealthCommand:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["health", str(tmp_path / "absent.json")]) == 2
 
-
-class TestBenchDiffCommand:
-    def _write(self, path, doc):
-        path.write_text(json.dumps(doc))
-        return str(path)
-
-    def test_identical_docs_pass(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json", {"step_s": 0.01, "n": 3})
-        rc = main(["bench-diff", old, old])
-        assert rc == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_timing_regression_fails(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json", {"step_s": 0.010})
-        new = self._write(tmp_path / "new.json", {"step_s": 0.030})
-        rc = main(["bench-diff", old, new, "--rtol", "0.5"])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out and "step_s" in out
-
-    def test_timing_improvement_and_drift_pass(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json",
-                          {"step_s": 0.030, "requests": 80})
-        new = self._write(tmp_path / "new.json",
-                          {"step_s": 0.010, "requests": 160})
-        rc = main(["bench-diff", old, new, "--rtol", "0.5"])
-        assert rc == 0
-        assert "drift" in capsys.readouterr().out
-
-    def test_strict_fails_on_drift(self, tmp_path):
-        old = self._write(tmp_path / "old.json", {"requests": 80})
-        new = self._write(tmp_path / "new.json", {"requests": 160})
-        assert main(["bench-diff", old, new]) == 0
-        assert main(["bench-diff", old, new, "--strict"]) == 1
-
-    def test_removed_metric_and_flipped_bool_fail(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json",
-                          {"bitwise": True, "gone": 1.0})
-        new = self._write(tmp_path / "new.json", {"bitwise": False})
-        rc = main(["bench-diff", old, new])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "2 regression(s)" in out
-
-    def test_nested_paths_in_report(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json",
-                          {"train_step": {"small": {"step_s": 0.01}},
-                           "rows": [{"p99_s": 0.1}]})
-        new = self._write(tmp_path / "new.json",
-                          {"train_step": {"small": {"step_s": 0.1}},
-                           "rows": [{"p99_s": 0.5}]})
-        assert main(["bench-diff", old, new]) == 1
-        out = capsys.readouterr().out
-        assert "train_step.small.step_s" in out
-        assert "rows[0].p99_s" in out
-
-    def test_unreadable_input_exits_two(self, tmp_path, capsys):
-        good = self._write(tmp_path / "old.json", {})
-        assert main(["bench-diff", good, str(tmp_path / "nope.json")]) == 2

@@ -85,12 +85,14 @@ class TestAutoscaler:
         assert summary["shed"] == 0
 
     def test_autoscaled_fleet_spends_fewer_replica_seconds(self):
-        """Same burst, same p99: the scaled fleet bills less capacity."""
+        """Same burst, same p99: the scaled fleet bills less capacity
+        and still meets the 500 ms p99 SLO."""
         static = _service(n_replicas=4).run(_burst()).summary()
         scaled = _service(n_replicas=4, autoscale=self.POLICY) \
             .run(_burst()).summary()
         assert scaled["replica_seconds"] < static["replica_seconds"]
         assert scaled["latency_p99_s"] <= static["latency_p99_s"] * 1.5
+        assert scaled["latency_p99_s"] <= 0.5
 
     def test_static_fleet_reports_full_replica_seconds(self):
         result = _service(n_replicas=2).run(_burst())

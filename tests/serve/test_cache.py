@@ -173,6 +173,17 @@ class TestCacheSemantics:
         with pytest.raises(ValueError):
             hit[0] = 99.0
 
+    def test_read_only_array_is_stored_and_returned_without_copy(self):
+        """The hit path's fast path: an already-frozen array is stored
+        as-is, and ``get`` hands back the resident object itself."""
+        cache = TileCache(2)
+        frozen = np.arange(6, dtype=np.float32)
+        frozen.flags.writeable = False
+        cache.put("frozen", frozen)
+        assert cache.get("frozen") is frozen
+        cache.put("writable", np.arange(6, dtype=np.float32))
+        assert cache.get("writable") is cache.get("writable")
+
     def test_clear_empties_but_keeps_counters(self):
         cache = TileCache(2)
         cache.put("a", 1)

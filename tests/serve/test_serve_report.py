@@ -1,5 +1,6 @@
 """Tests for the perf_model serving extensions: per-sample inference
-pricing and the replica-count-vs-SLO report."""
+pricing, the replica-count-vs-SLO report, and every traffic scenario
+served at the fleet that report recommends."""
 
 import pytest
 
@@ -10,6 +11,15 @@ from repro.distributed import (
     service_time_model,
 )
 from repro.distributed.perf_model import DEFAULT_SERVICE_TIME, ServiceTimeModel
+from repro.serve import (
+    SCENARIOS,
+    BatchPolicy,
+    DownscalingService,
+    TileCache,
+    TrafficGenerator,
+)
+
+from tests.golden import assert_golden
 
 
 class TestServiceTimeModel:
@@ -87,3 +97,77 @@ class TestServeReport:
                               rate_rps=20.0, duration_s=5.0,
                               replica_counts=[2, 4], gpus_per_replica=4)
         assert [r["replicas"] for r in report["rows"]] == [2, 4]
+
+
+class TestScenarioSweep:
+    """Every traffic scenario, latency-only, at the fleet ``serve_report``
+    recommends for burst: burst meets the SLO there, and a cache smaller
+    than the input population both hits and evicts in every scenario.
+    The rendered table is pinned by the ``serve_scenarios`` golden."""
+
+    RATE_RPS, DURATION_S, SLO_P99_S, GPUS = 40.0, 20.0, 0.5, 8
+    N_INPUTS, CACHE_CAPACITY = 24, 8
+    POLICY = BatchPolicy(max_batch=8, max_wait_s=0.05)
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        pricing = serve_report(
+            PAPER_CONFIGS["1B"], scenario="burst", rate_rps=self.RATE_RPS,
+            duration_s=self.DURATION_S, slo_p99_s=self.SLO_P99_S,
+            max_replicas=8, gpus_per_replica=self.GPUS,
+            max_batch=self.POLICY.max_batch,
+            max_wait_s=self.POLICY.max_wait_s, seed=0)
+        assert pricing["recommended_replicas"] is not None
+        rows = {}
+        for scenario in SCENARIOS:
+            gen = TrafficGenerator(scenario, self.RATE_RPS, self.DURATION_S,
+                                   seed=0, n_inputs=self.N_INPUTS,
+                                   popularity=1.2)
+            service = DownscalingService(
+                n_replicas=pricing["recommended_replicas"],
+                gpus_per_replica=self.GPUS, policy=self.POLICY,
+                cache=TileCache(self.CACHE_CAPACITY),
+                config=PAPER_CONFIGS["1B"])
+            rows[scenario] = service.run(gen.generate()).summary()
+        return pricing, rows
+
+    def test_burst_meets_slo_at_recommended_fleet(self, sweep):
+        _, rows = sweep
+        assert rows["burst"]["latency_p99_s"] <= self.SLO_P99_S
+        assert (rows["burst"]["queue_depth_max"]
+                >= rows["steady"]["queue_depth_max"])
+
+    def test_cache_hits_and_evicts_in_every_scenario(self, sweep):
+        _, rows = sweep
+        for scenario, s in rows.items():
+            assert s["requests"] > 0, scenario
+            assert s["cache_hit_rate"] > 0.0, scenario
+            assert s["cache_evictions"] > 0, scenario
+            assert 0.0 < s["utilization_mean"] <= 1.0, scenario
+
+    def test_table_golden(self, sweep):
+        pricing, rows = sweep
+        lines = [
+            f"Downscaling service: 1B model, {self.RATE_RPS:g} rps for "
+            f"{self.DURATION_S:g}s, SLO p99 <= {self.SLO_P99_S * 1e3:g} ms",
+            f"sizing: {pricing['recommended_replicas']} replicas x "
+            f"{self.GPUS} GPUs recommended "
+            f"(burst, per-sample {pricing['per_sample_s'] * 1e3:.1f} ms)",
+            f"cache: {self.CACHE_CAPACITY} entries over {self.N_INPUTS} "
+            f"distinct inputs",
+            "-" * 72,
+            f"{'scenario':>9s} {'reqs':>6s} {'p50 ms':>8s} {'p99 ms':>8s} "
+            f"{'rps':>7s} {'depth':>6s} {'bmean':>6s} {'hit%':>6s} "
+            f"{'util%':>6s}",
+        ]
+        for scenario in SCENARIOS:
+            s = rows[scenario]
+            lines.append(
+                f"{scenario:>9s} {s['requests']:>6d} "
+                f"{s['latency_p50_s'] * 1e3:>8.2f} "
+                f"{s['latency_p99_s'] * 1e3:>8.2f} "
+                f"{s['throughput_rps']:>7.1f} {s['queue_depth_max']:>6.0f} "
+                f"{s['batch_size_mean']:>6.2f} "
+                f"{s['cache_hit_rate'] * 100:>6.1f} "
+                f"{s['utilization_mean'] * 100:>6.1f}")
+        assert_golden("serve_scenarios", "\n".join(lines) + "\n", rtol=0.25)

@@ -8,14 +8,15 @@ served bytes must match a tiled ``predict_dataset`` pass with the same
 geometry no matter which tiles hit, which coalesced, and how many
 replicas ran.  On top of that sit the key-derivation invariants (halo
 content, crop geometry, and plan epoch all participate), the
-rolling-forecast scenario, the monitor rule pack, and the cache-hit-
-aware fleet sizing in ``serve_report``.
+rolling-forecast scenario and its throughput win over whole-request
+caching, the monitor rule pack, and the cache-hit-aware fleet sizing in
+``serve_report``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import ModelConfig, Reslim
+from repro.core import PAPER_CONFIGS, ModelConfig, Reslim
 from repro.data import DatasetSpec, DownscalingDataset, Grid
 from repro.distributed import (
     cache_aware_service_time,
@@ -34,6 +35,8 @@ from repro.serve import (
 from repro.tensor import Tensor, no_grad
 from repro.testing import warm_head
 from repro.train import build_inference_runner, predict_dataset
+
+from tests.golden import assert_golden
 
 TINY = ModelConfig("tiny", embed_dim=16, depth=1, num_heads=2)
 
@@ -427,6 +430,97 @@ class TestHitRateAwarePerfModel:
         assert all(r is not None for r in recs)
         # a warmer cache never needs a bigger fleet
         assert recs == sorted(recs, reverse=True)
+
+
+# --------------------------------------------------------------------- #
+# the headline: tile cache vs whole-request cache on rolling traffic
+# --------------------------------------------------------------------- #
+class TestRollingVsWholeRequest:
+    """A 1B model on two 8-GPU replicas, latency-only: rolling-forecast
+    traffic changes about one tile per request, so whole-request caching
+    misses every new state while tile serving recomputes only changed
+    tiles.  At equal replicas the tile path must sustain >= 1.5x the
+    throughput at a lower p99; the table is pinned by the
+    ``tileserve_rolling`` golden."""
+
+    RATE_RPS, DURATION_S, N_REPLICAS, GPUS = 250.0, 20.0, 2, 8
+    GRID = (32, 64)
+    POLICY = BatchPolicy(max_batch=8, max_wait_s=0.02)
+
+    def _run(self, **tiling):
+        gen = TrafficGenerator(ROLLING, self.RATE_RPS, self.DURATION_S,
+                               seed=0, n_tiles=N_TILES,
+                               tile_update_rate=self.RATE_RPS)
+        svc = DownscalingService(
+            n_replicas=self.N_REPLICAS, gpus_per_replica=self.GPUS,
+            policy=self.POLICY, cache=TileCache(64),
+            config=PAPER_CONFIGS["1B"], **tiling)
+        return svc.run(gen.generate()).summary()
+
+    @pytest.fixture(scope="class")
+    def rolling(self):
+        whole = self._run()
+        tile = self._run(n_tiles=N_TILES, halo=HALO, coarse_shape=self.GRID,
+                         tile_serving=True)
+        sizing = serve_report(
+            PAPER_CONFIGS["1B"], scenario="burst", rate_rps=40.0,
+            duration_s=10.0, slo_p99_s=0.5, max_replicas=8,
+            gpus_per_replica=self.GPUS, max_batch=self.POLICY.max_batch,
+            max_wait_s=self.POLICY.max_wait_s, seed=0, n_tiles=N_TILES,
+            halo=HALO, coarse_shape=self.GRID, hit_rates=(0.0, 0.5, 0.9))
+        # a probe that did not cost a fresh forward: a cache hit, or a
+        # coalesced wait on an identical tile already in flight
+        lookups = tile["tile_hits"] + tile["tile_misses"]
+        recomputed = tile["tile_misses"] - tile["tile_coalesced"]
+        return {
+            "whole": whole, "tile": tile,
+            "throughput_ratio": tile["throughput_rps"] / whole["throughput_rps"],
+            "p99_ratio": tile["latency_p99_s"] / whole["latency_p99_s"],
+            "recompute_share": recomputed / lookups,
+            "sizing": [r["recommended_replicas"]
+                       for r in sizing["hit_rate_sensitivity"]],
+        }
+
+    def test_tile_cache_beats_whole_request_cache(self, rolling):
+        assert rolling["throughput_ratio"] >= 1.5
+        assert rolling["p99_ratio"] < 1.0
+        assert rolling["recompute_share"] < 0.5
+
+    def test_hit_rate_sizing_is_monotone(self, rolling):
+        recs = rolling["sizing"]
+        assert all(r is not None for r in recs)
+        assert recs == sorted(recs, reverse=True)
+
+    def test_table_golden(self, rolling):
+        lines = [
+            f"Tile-granular serving: 1B model, rolling forecast at "
+            f"{self.RATE_RPS:g} rps for {self.DURATION_S:g}s, "
+            f"{self.N_REPLICAS} replicas x {self.GPUS} GPUs each",
+            f"grid {self.GRID[0]}x{self.GRID[1]} in {N_TILES} tiles, "
+            f"halo {HALO}, ~1.0 tile updates per request",
+            "-" * 72,
+            f"{'path':>14s} {'reqs':>6s} {'p50 ms':>9s} {'p99 ms':>10s} "
+            f"{'rps':>7s} {'hit%':>6s} {'depth':>6s}",
+        ]
+        for name, s in (("whole-request", rolling["whole"]),
+                        ("tile-granular", rolling["tile"])):
+            hit = s.get("tile_hit_rate", s["cache_hit_rate"])
+            lines.append(
+                f"{name:>14s} {s['requests']:>6d} "
+                f"{s['latency_p50_s'] * 1e3:>9.2f} "
+                f"{s['latency_p99_s'] * 1e3:>10.2f} "
+                f"{s['throughput_rps']:>7.1f} {hit * 100:>6.1f} "
+                f"{s['queue_depth_max']:>6.0f}")
+        sizing = rolling["sizing"]
+        lines += [
+            f"throughput ratio {rolling['throughput_ratio']:.2f}x "
+            f"(gate >= 1.5x), p99 ratio {rolling['p99_ratio']:.3f}x "
+            f"(gate < 1), {rolling['recompute_share'] * 100:.1f}% of tiles "
+            f"recomputed",
+            f"sizing: cold {sizing[0]} -> warm {sizing[-1]} replicas across "
+            f"hit rates [0.0, 0.5, 0.9]",
+        ]
+        assert_golden("tileserve_rolling", "\n".join(lines) + "\n", rtol=0.25)
 
 
 # --------------------------------------------------------------------- #

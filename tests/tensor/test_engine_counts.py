@@ -12,15 +12,13 @@ Regenerate after an intentional engine change with
 ``REPRO_UPDATE_GOLDEN=1 pytest tests/tensor/test_engine_counts.py``.
 """
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.core import ModelConfig, Reslim
 from repro.nn import AdamW
 from repro.tensor import CompiledStep, Tensor, graph_counters, reset_graph_counters
 
-GOLDEN_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "golden"
+from tests.golden import assert_golden
 
 
 def _render(counts: dict[str, int], title="engine hot-path counters (one Reslim train step)") -> str:
@@ -58,15 +56,12 @@ def _one_step_counts() -> dict[str, int]:
 
 
 def test_engine_counts_golden():
-    from repro.testing.golden import check_golden
-
     counts = _one_step_counts()
     # sanity: the zero-copy backward must hand off more gradients than it
     # copies — the whole point of ownership tracking
     assert counts["bwd_handoffs"] > counts["bwd_new_buffers"]
     assert counts["nodes"] > 0
-    check_golden("engine_hotpath_counts", _render(counts), GOLDEN_DIR,
-                 rtol=0.0, atol=0.0)
+    assert_golden("engine_hotpath_counts", _render(counts), rtol=0.0, atol=0.0)
 
 
 def test_counts_deterministic_across_runs():
@@ -106,8 +101,6 @@ def _compiled_replay_counts() -> dict[str, int]:
 def test_compiled_replay_counts_golden():
     """Steady-state replay builds NO python tape: zero nodes, zero tensor
     copies, zero backward bookkeeping — only the replay tick moves."""
-    from repro.testing.golden import check_golden
-
     counts = _compiled_replay_counts()
     assert counts["nodes"] == 0
     assert counts["leaf_copies"] == 0
@@ -115,10 +108,10 @@ def test_compiled_replay_counts_golden():
     assert counts["bwd_handoffs"] == 0
     assert counts["replays"] == 1
     assert counts["captures"] == 0 and counts["guard_misses"] == 0
-    check_golden("engine_compiled_replay_counts",
-                 _render(counts, "compiled steady-state replay counters "
-                                 "(one Reslim train step)"),
-                 GOLDEN_DIR, rtol=0.0, atol=0.0)
+    assert_golden("engine_compiled_replay_counts",
+                  _render(counts, "compiled steady-state replay counters "
+                                  "(one Reslim train step)"),
+                  rtol=0.0, atol=0.0)
 
 
 def test_compiled_counters_lifecycle():

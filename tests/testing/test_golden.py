@@ -1,5 +1,8 @@
 """Golden-file harness: create/check/update lifecycle and drift detection."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 from repro.testing import (
@@ -11,6 +14,9 @@ from repro.testing import (
 )
 
 TABLE = "model    R2     time\n9.5M   0.91   12.5s\n126M   0.94   98.1s\n"
+
+BENCH_SCRIPTS = sorted(
+    (Path(__file__).resolve().parents[2] / "benchmarks").glob("bench_*.py"))
 
 
 class TestParsing:
@@ -59,6 +65,21 @@ class TestLifecycle:
         assert not update_requested(argv=[])
 
 
+class TestTierOneGoldens:
+    def test_missing_golden_fails_instead_of_creating(self, tmp_path,
+                                                      monkeypatch):
+        """A tier-1 golden check pointed at an empty directory must fail,
+        and must not leave a file behind that would make a rerun pass."""
+        from tests import golden
+        from tests.tensor.test_engine_counts import test_engine_counts_golden
+
+        monkeypatch.delenv("REPRO_UPDATE_GOLDEN", raising=False)
+        monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
+        with pytest.raises(AssertionError, match="no golden file"):
+            test_engine_counts_golden()
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBenchmarkWiring:
     def test_write_table_regression_checks(self, tmp_path, monkeypatch):
         """benchmarks.common.write_table must create a golden on first
@@ -71,9 +92,15 @@ class TestBenchmarkWiring:
             sys.path.pop(0)
         monkeypatch.setattr(common, "RESULTS_DIR", tmp_path / "results")
         monkeypatch.setattr(common, "GOLDEN_DIR", tmp_path / "golden")
-        monkeypatch.setattr(common, "BENCH_OBS_PATH", tmp_path / "BENCH_obs.json")
         common.write_table("unit", ["x 1.00"])
         assert (tmp_path / "golden" / "unit.golden").exists()
         common.write_table("unit", ["x 1.01"])  # within rtol=0.5
         with pytest.raises(GoldenMismatch):
             common.write_table("unit", ["x 99.0"])
+
+    @pytest.mark.parametrize("path", BENCH_SCRIPTS, ids=lambda p: p.stem)
+    def test_bench_script_imports(self, path):
+        """The paper-figure scripts run outside tier-1; importing them
+        here catches a ``benchmarks.common`` helper they still use being
+        deleted or renamed."""
+        importlib.import_module(f"benchmarks.{path.stem}")
