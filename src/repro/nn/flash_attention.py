@@ -2,11 +2,11 @@
 
 The paper accelerates self-attention with Flash Attention (Sec. III-D):
 a cache-blocking technique that never materializes the full L×L score
-matrix, computing softmax online block by block.  On Frontier the blocks
+matrix, computing softmax block by block.  On Frontier the blocks
 map to streaming-multiprocessor tiles; here the same algorithm runs over
 NumPy blocks.  Two things matter for the reproduction:
 
-1. **Exactness** — blocked online softmax must produce the same output
+1. **Exactness** — the blocked softmax must produce the same output
    (and gradients) as naive attention, verified in tests.
 2. **Memory** — peak temporary memory is ``O(L * block)`` instead of
    ``O(L^2)``, which is what the perf model's memory accounting uses to
@@ -27,6 +27,28 @@ arithmetic rides inside the GEMMs through one padding column on their
 is its own GEMM and block edges depend on ``(lq, lk, block_size)`` only,
 so a sample's or head's bits never depend on what shares its batch — the
 served-vs-reference, DDP and Ulysses oracles rest on that.
+
+One shift per query block (kernel epoch 5).  The forward no longer keeps a
+running max: each query block takes one shift per query, the max of its
+scores over the *first* key block, writes ``−shift`` into ``qT``'s padding
+row, and every key block's GEMM ``[K, 1] @ [sc·Q, −shift]ᵀ`` returns the
+shifted scores directly.  A tile then costs one ``exp2`` and one
+``pᵀ @ [V, 1]``; the per-tile max, subtract and ``acc`` rescale are gone.
+Scores are in log2 units (``log2 e`` rides in the ``sc`` that scales
+``qT``), so ``−lse`` is stored in log2 units too, the backward recomputes
+``exp2``, and ``dK`` takes one ``ln 2`` because ``qT`` carries ``log2 e``.
+The first key block holds a ``p = 1`` entry, so ``l ≥ 1`` and the only
+failure is overflow — a later key beating the shift by more than 128 —
+which always leaves a non-finite accumulator.  An item whose accumulator
+does is rerun alone with its shift taken over every key block.  That
+decision reads only the item's own data, so batch invariance holds.
+Sharp attention has the opposite problem: scores far below the shift or
+``lse`` send ``exp2``, and the GEMMs its subnormal results feed, down
+slow paths.  An item whose Cauchy–Schwarz bound
+``2·|q|max·|k|max + log2 lk`` can reach ``_EXP2_FLOOR`` is *sharp*, and
+a tile holding one is floored there before ``exp2``; on every other item
+the floor is a no-op, so this too leaves each item's bits independent of
+its batch.
 """
 
 from __future__ import annotations
@@ -36,6 +58,21 @@ import numpy as np
 from ..tensor import Tensor
 
 __all__ = ["flash_attention", "naive_attention", "attention_flop_count", "attention_peak_elems"]
+
+#: Bytes of one backward score tile: the backward walks the flattened items
+#: in groups whose ``(items, bk, bq)`` tile fits this, so a tile and its dP
+#: partner stay in a 2 MiB L2 (eight items at the default block size; all
+#: sixteen of ``(16, 512, 8)`` at once took 11.5 ms, eight at a time 8.2 on
+#: a Xeon with AVX-512).  Each item's arithmetic is the same in any group.
+_TILE_BYTES = 1 << 19
+
+#: Floor on ``exp2``'s argument (log2 units) for an item whose scores can
+#: spread that far.  Below about −126 NumPy's ``exp2``, and the GEMMs its
+#: subnormal results feed, take slow paths: ``(16, 512, 8)`` with queries
+#: ×30 took 675 ms forward + backward unfloored, 293 floored at −126 and
+#: 18 at −64.  A floored entry adds at most 2⁻⁶⁴ per key to a row sum
+#: ``l ≥ 1``, far below float32 rounding.
+_EXP2_FLOOR = -64.0
 
 
 def naive_attention(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
@@ -52,7 +89,7 @@ def naive_attention(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None)
 def flash_attention(
     q: Tensor, k: Tensor, v: Tensor, scale: float | None = None, block_size: int = 128
 ) -> Tensor:
-    """Blocked online-softmax attention with exact gradients.
+    """Blocked exact attention with exact gradients.
 
     Inputs are ``(..., L, D)``; any leading batch/head dims are flattened
     internally.  ``block_size`` is the tile edge in tokens — the analogue
@@ -61,7 +98,7 @@ def flash_attention(
     d = q.shape[-1]
     lq = q.shape[-2]
     lk = k.shape[-2]
-    sc = np.float32(scale if scale is not None else 1.0 / np.sqrt(d))
+    sc = float(scale if scale is not None else 1.0 / np.sqrt(d))
     bs = max(1, int(block_size))
     batch_shape = q.shape[:-2]
     nb = int(np.prod(batch_shape))
@@ -70,36 +107,66 @@ def flash_attention(
 
     out = np.empty((nb, lq, d), dtype=np.float32)
     # The GEMM operands, refilled from the live parents (whatever their
-    # strides) by every run_blocks(), eager or replay: qT = [sc*Q, -lse]^T,
-    # whose last row is written as each query block finishes and read only
-    # by the backward, and kv1 = [K, 1], [V, 1].
+    # strides) by every run_blocks(), eager or replay: qT = [sc*log2(e)*Q,
+    # -shift]^T, whose last row holds each query block's shift while it runs
+    # and its -lse (log2 units) once it finishes, read by the backward; and
+    # kv1 = [K, 1], [V, 1].
     qT = np.empty((nb, d + 1, lq), dtype=np.float32)
     kv1 = np.ones((2, nb, lk, d + 1), dtype=np.float32)
     k1, v1 = kv1
+    sharp = np.empty(nb, dtype=bool)  # items whose exp2 arguments are floored
+
+    def row_max(qTi, k1, stop):
+        """Per-query score max over the key blocks starting before ``stop``."""
+        m = (k1[:, :bs, :d] @ qTi[:, :d]).max(axis=-2)
+        for j0 in range(bs, stop, bs):
+            np.maximum(m, (k1[:, j0:j0 + bs, :d] @ qTi[:, :d]).max(axis=-2), out=m)
+        return m
+
+    def accumulate(qTi, k1, v1, floor):
+        """``[PV, l]`` of one query block; ``qTi``'s last row holds −shift."""
+        acc = np.zeros((len(qTi), qTi.shape[-1], d + 1), dtype=np.float32)
+        for j0 in range(0, lk, bs):
+            pT = k1[:, j0:j0 + bs] @ qTi  # s - shift, (n, bk, bq)
+            if floor:
+                np.maximum(pT, _EXP2_FLOOR, out=pT)
+            np.exp2(pT, out=pT)
+            acc += np.swapaxes(pT, -1, -2) @ v1[:, j0:j0 + bs]  # p @ [V, 1]
+            # free the tile before the next is allocated, so malloc reuses its
+            # pages; held across that allocation, glibc's heap grows and
+            # trims, and at (16, 512, 8) each call took ~1 900 page faults
+            del pT
+        return acc
 
     def run_blocks():
         # QK^T + PV GEMMs (algorithmic: the padding column is not billed)
         add_flops(4.0 * nb * lq * lk * d)
-        np.multiply(np.swapaxes(q.data, -1, -2), sc,
+        np.multiply(np.swapaxes(q.data, -1, -2), np.float32(sc * np.log2(np.e)),
                     out=qT.reshape(*batch_shape, d + 1, lq)[..., :d, :])
         kv = kv1.reshape(2, *batch_shape, lk, d + 1)
         kv[0, ..., :d], kv[1, ..., :d] = k.data, v.data
+        # Cauchy-Schwarz: s - shift and s - lse are >= -(2|q|max |k|max +
+        # log2 lk) per item.  Only an item whose bound can reach the floor
+        # is sharp; flooring is a no-op on every other item, so a tile is
+        # floored whenever any item in it is sharp and no item's bits
+        # depend on its neighbours.
+        qn = np.sqrt(np.square(qT[:, :d]).sum(axis=1).max(axis=-1, initial=0.0))
+        kn = np.sqrt(np.square(k1[..., :d]).sum(axis=-1).max(axis=-1, initial=0.0))
+        np.greater(2.0 * qn * kn + np.log2(lk), -_EXP2_FLOOR - 1.0, out=sharp)
         for i0 in range(0, lq, bs):
-            i1 = min(i0 + bs, lq)
-            qTi = qT[:, :d, i0:i1]  # (nb, d, bq)
-            m = np.full((nb, i1 - i0), -np.inf, dtype=np.float32)
-            acc = np.zeros((nb, i1 - i0, d + 1), dtype=np.float32)  # [PV, l]
-            for j0 in range(0, lk, bs):
-                j1 = min(j0 + bs, lk)
-                sT = k1[:, j0:j1, :d] @ qTi  # (nb, bk, bq); reused as p
-                m_new = np.maximum(m, sT.max(axis=-2))
-                acc *= np.exp(m - m_new)[..., None]
-                m = m_new
-                np.subtract(sT, m[:, None, :], out=sT)
-                np.exp(sT, out=sT)
-                acc += np.swapaxes(sT, -1, -2) @ v1[:, j0:j1]  # p @ [V, 1]
-            np.divide(acc[..., :d], acc[..., d:], out=out[:, i0:i1])
-            np.negative(m + np.log(acc[..., d]), out=qT[:, d, i0:i1])  # -lse
+            qTi = qT[:, :, i0:i0 + bs]  # (nb, d + 1, bq)
+            shift = row_max(qTi, k1, bs)
+            np.negative(shift, out=qTi[:, d])
+            with np.errstate(over="ignore", invalid="ignore"):  # caught below
+                acc = accumulate(qTi, k1, v1, sharp.any())
+            bad = np.flatnonzero(~np.isfinite(acc).all(axis=(1, 2)))
+            if bad.size:  # overflow: rerun those items shifted by their true max
+                qTb, k1b, v1b = qTi[bad], k1[bad], v1[bad]
+                shift[bad] = row_max(qTb, k1b, lk)
+                np.negative(shift[bad], out=qTb[:, d])
+                acc[bad] = accumulate(qTb, k1b, v1b, sharp[bad].any())
+            np.divide(acc[..., :d], acc[..., d:], out=out[:, i0:i0 + bs])
+            np.negative(shift + np.log2(acc[..., d]), out=qTi[:, d])  # -lse
 
     run_blocks()
     out_full = out.reshape(*batch_shape, lq, d)
@@ -114,18 +181,26 @@ def flash_attention(
         dq = np.zeros((nb, lq, d), dtype=np.float32)
         dk = np.zeros((nb, lk, d), dtype=np.float32)
         dv = np.zeros((nb, lk, d), dtype=np.float32)
-        for j0 in range(0, lk, bs):
-            j1 = min(j0 + bs, lk)
-            for i0 in range(0, lq, bs):
-                i1 = min(i0 + bs, lq)
-                pT = k1[:, j0:j1] @ qT[:, :, i0:i1]  # recomputed s - lse
-                np.exp(pT, out=pT)
-                goi = np.swapaxes(goT[:, :d, i0:i1], -1, -2)
-                dv[:, j0:j1] += pT @ goi
-                pT *= v1[:, j0:j1] @ goT[:, :, i0:i1]  # p * (dp - delta)
-                dq[:, i0:i1] += np.swapaxes(pT, -1, -2) @ k1[:, j0:j1, :d]
-                dk[:, j0:j1] += pT @ np.swapaxes(qT[:, :d, i0:i1], -1, -2)
-        dq *= sc  # qT carries sc (so dk has it already); k1 does not
+        per = max(1, _TILE_BYTES // (4 * bs * bs))  # items per pass
+        for c in (slice(c0, c0 + per) for c0 in range(0, nb, per)):
+            floor = sharp[c].any()
+            for j0 in range(0, lk, bs):
+                j1 = min(j0 + bs, lk)
+                for i0 in range(0, lq, bs):
+                    i1 = min(i0 + bs, lq)
+                    pT = k1[c, j0:j1] @ qT[c, :, i0:i1]  # recomputed s - lse, log2
+                    if floor:
+                        np.maximum(pT, _EXP2_FLOOR, out=pT)
+                    np.exp2(pT, out=pT)
+                    goi = np.swapaxes(goT[c, :d, i0:i1], -1, -2)
+                    dv[c, j0:j1] += pT @ goi
+                    pT *= v1[c, j0:j1] @ goT[c, :, i0:i1]  # p * (dp - delta)
+                    dq[c, i0:i1] += np.swapaxes(pT, -1, -2) @ k1[c, j0:j1, :d]
+                    dk[c, j0:j1] += pT @ np.swapaxes(qT[c, :d, i0:i1], -1, -2)
+        # qT carries sc * log2(e), so dk has sc and one log2(e) too many;
+        # k1 carries neither
+        dq *= np.float32(sc)
+        dk *= np.float32(np.log(2.0))
         return (
             (q, dq.reshape(q.shape)),
             (k, dk.reshape(k.shape)),

@@ -38,7 +38,7 @@ from .tensor import (
     reset_graph_counters,
 )
 
-KERNEL_EPOCH = 4
+KERNEL_EPOCH = 5
 """Generation of the numeric kernels' *bits* (the rule is DESIGN.md §12).
 
 Every oracle compares two paths through the same kernels, so a kernel may
@@ -50,7 +50,13 @@ Epoch 2: the variable aggregator as one single-query attention node with
 its K/V projections folded into the query.  Epoch 3: ``gelu`` through a
 branch-free, pure-NumPy float32 ``erfc``.  Epoch 4: that node takes the
 raw field (``aggregate_variables``) — tokenizer and variable embeddings
-applied in patch space, no ``(B, V, L, D)`` tensor.
+applied in patch space, no ``(B, V, L, D)`` tensor.  Epoch 5:
+``flash_attention`` with one softmax shift per query block (its first key
+block's max) folded into the score GEMM, ``exp2`` on log2-unit scores, and
+a per-item rerun at the true max when that shift overflows, and ``exp2``'s
+argument floored at −64 on tiles that hold a sharp item;
+``bilinear_upsample`` as separable resize-matrix GEMMs, forward and
+adjoint.
 """
 
 __all__ = [

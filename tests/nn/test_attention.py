@@ -1,6 +1,8 @@
 """Flash attention exactness + attention layer tests."""
 
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.nn import (
 )
 from repro.tensor import Tensor
 from repro.testing import check_gradients
+from repro.testing.fuzz import OPS
 
 RNG = np.random.default_rng(11)
 
@@ -88,6 +91,73 @@ class TestFlashExactness:
             rtol=1e-4, atol=1e-5,
         )
 
+    def test_overflow_fallback_matches_float64_reference(self):
+        """Item 1's second key block beats its first block's max by far
+        more than 128 (log2 units), so the first-block shift overflows its
+        accumulator and it is rerun shifted by its true max; items 0 and 2
+        stay on the fast pass.  Every item matches float64 at the
+        fuzzer's tolerances, finite and without a warning."""
+        rng = np.random.default_rng(5)
+        nb, lq, lk, d, block = 3, 12, 16, 4, 8
+        q = rng.standard_normal((nb, lq, d)).astype(np.float32)
+        k, v, g = (rng.standard_normal((nb, n, d)).astype(np.float32)
+                   for n in (lk, lk, lq))
+        q[1] += 3.0
+        k[1, block + 2] = 30.0  # logit 0.5 * 30 * sum(q) ≈ 180 against a few
+        s = np.einsum("bqd,bkd->bqk", q, k) / np.sqrt(d) * np.log2(np.e)
+        gap = (s[:, :, block:].max(-1) - s[:, :, :block].max(-1)).max(-1)
+        assert gap[1] > 128 and gap[0] < 128 and gap[2] < 128
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _flash_fwd_bwd(q, k, v, g, block)
+        spec = OPS["flash_attention"]
+        for name, a, b in zip(("out", "dq", "dk", "dv"), got, _reference_fwd_bwd(q, k, v, g)):
+            assert np.all(np.isfinite(a)), name
+            rtol, atol = ((spec.fwd_rtol, spec.fwd_atol) if name == "out"
+                          else (spec.grad_rtol, spec.grad_atol))
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=atol, err_msg=name)
+
+    def test_sharp_item_floored_matches_float64_reference(self):
+        """Item 1's queries x30 spread its scores far past exp2's subnormal
+        range (below -126, log2 units), so its tiles are floored at
+        _EXP2_FLOOR; item 0 shares them.  Both match float64 at the
+        fuzzer's tolerances, finite and without a warning."""
+        rng = np.random.default_rng(7)
+        q, k, v, g = (rng.standard_normal((2, 40, 8)).astype(np.float32)
+                      for _ in range(4))
+        q[1] *= 30.0
+        s = np.einsum("bqd,bkd->bqk", q, k) / np.sqrt(8) * np.log2(np.e)
+        spread = (s.max(-1, keepdims=True) - s).max(axis=(1, 2))
+        assert spread[1] > 200 and spread[0] < 30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _flash_fwd_bwd(q, k, v, g, 16)
+        spec = OPS["flash_attention"]
+        for name, a, b in zip(("out", "dq", "dk", "dv"), got, _reference_fwd_bwd(q, k, v, g)):
+            assert np.all(np.isfinite(a)), name
+            rtol, atol = ((spec.fwd_rtol, spec.fwd_atol) if name == "out"
+                          else (spec.grad_rtol, spec.grad_atol))
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=atol, err_msg=name)
+
+    def test_sharp_items_take_no_slow_path(self):
+        """Queries x30 at serve's (8, 153, 8): unfloored, the subnormal
+        exp2 results and the GEMMs they feed made a forward + backward
+        about 25x slower than at x1; floored it runs at x1's speed.  Best
+        of five against a 4x bound."""
+        rng = np.random.default_rng(8)
+        q, k, v, g = (rng.standard_normal((8, 153, 8)).astype(np.float32)
+                      for _ in range(4))
+
+        def best(q):
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                _flash_fwd_bwd(q, k, v, g, 128)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        assert best(q * 30.0) < 4.0 * best(q)
+
     @given(st.integers(2, 24), st.integers(1, 16))
     @settings(max_examples=20, deadline=None)
     def test_property_block_size_invariance(self, L, block):
@@ -108,13 +178,29 @@ def _flash_fwd_bwd(q, k, v, g, block):
     return (out.data, *(t.grad for t in ts))
 
 
+def _reference_fwd_bwd(q, k, v, g):
+    """(out, dq, dk, dv) of naive attention in float64."""
+    q, k, v, g = (a.astype(np.float64) for a in (q, k, v, g))
+    sc = 1.0 / np.sqrt(q.shape[-1])
+    s = q @ np.swapaxes(k, -1, -2) * sc
+    p = np.exp(s - s.max(-1, keepdims=True))
+    p /= p.sum(-1, keepdims=True)
+    dp = g @ np.swapaxes(v, -1, -2)
+    ds = p * (dp - (dp * p).sum(-1, keepdims=True)) * sc
+    return p @ v, ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(p, -1, -2) @ g
+
+
 class TestFlashBatchInvariance:
     """A sample's / head's bits must not depend on what shares its batch.
 
     Served-vs-reference (batch size set by the scheduler), DDP-vs-single
     (batch split across ranks) and Ulysses (heads split across ranks)
     are all bitwise claims that rest on this: every flattened batch item
-    is its own GEMM, and block edges never depend on ``nb``.
+    is its own GEMM, and block edges never depend on ``nb``.  The overflow
+    fallback is decided per item, and the exp2 floor is a no-op on every
+    item that is not sharp: one item's logits scaled x50 (which makes it
+    sharp, so its tiles are floored, and sends it to the fallback when a
+    later key block beats its first) moves no other item's bits.
     """
 
     @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40),
@@ -129,10 +215,30 @@ class TestFlashBatchInvariance:
         g = rng.standard_normal((B, H, lq, d)).astype(np.float32)
         b = data.draw(st.integers(0, B - 1))
         h = data.draw(st.integers(0, H - 1))
+        cool = _flash_fwd_bwd(q, k, v, g, block)
+        hot = (data.draw(st.integers(0, B - 1)), data.draw(st.integers(0, H - 1)))
+        q[hot] *= 50.0
         batched = _flash_fwd_bwd(q, k, v, g, block)
         alone = _flash_fwd_bwd(*(a[b:b + 1, h:h + 1] for a in (q, k, v, g)), block)
-        for name, full, one in zip(("out", "dq", "dk", "dv"), batched, alone):
+        others = np.ones((B, H), dtype=bool)
+        others[hot] = False
+        for name, full, one, before in zip(("out", "dq", "dk", "dv"), batched, alone, cool):
             assert np.array_equal(full[b, h], one[0, 0]), name
+            assert np.array_equal(full[others], before[others]), name
+
+    def test_alone_equals_inside_the_train_single_batch(self):
+        """``train_single``'s call, 2 samples x 8 heads of 512 tokens at the
+        default block: the backward walks its 16 items in two groups (the
+        draws above fit in one), and an item's bits do not depend on which
+        group it is in, or on having one to itself."""
+        rng = np.random.default_rng(26)
+        q, k, v, g = (rng.standard_normal((2, 8, 512, 8)).astype(np.float32)
+                      for _ in range(4))
+        batched = _flash_fwd_bwd(q, k, v, g, 128)
+        for b, h in [(0, 0), (0, 7), (1, 0), (1, 7)]:
+            alone = _flash_fwd_bwd(*(a[b:b + 1, h:h + 1] for a in (q, k, v, g)), 128)
+            for name, full, one in zip(("out", "dq", "dk", "dv"), batched, alone):
+                assert np.array_equal(full[b, h], one[0, 0]), name
 
 
 class TestFlashMemory:

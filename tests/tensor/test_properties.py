@@ -209,6 +209,20 @@ class TestBatchInvariance:
                 lambda t: aggregate_variables(t, *params, num_heads=h),
                 x[:width], g[:width], width - 1)
 
+    @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 12),
+           st.integers(1, 12), st.integers(1, 24), st.integers(1, 24), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bilinear_upsample(self, n, c, h, w, out_h, out_w, data):
+        """One GEMM pair per ``(n, c)`` item, forward (``My @ x @ Mxᵀ``)
+        and adjoint (``Myᵀ @ g @ Mx``); never a GEMM over a flattened
+        batch."""
+        rng = np.random.default_rng([n, c, h, w, out_h, out_w])
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        g = rng.standard_normal((n, c, out_h, out_w)).astype(np.float32)
+        _assert_alone_equals_batched(
+            lambda t: bilinear_upsample(t, out_h, out_w), x, g,
+            data.draw(st.integers(0, n - 1)))
+
     @given(st.integers(2, 4), st.integers(1, 40), st.integers(1, 67),
            st.sampled_from([0.3, 1.5, 4.0]), st.data())
     @settings(max_examples=40, deadline=None)
