@@ -48,15 +48,20 @@ class Histogram:
         value = float(value)
         self.count += 1
         self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        if len(self._values) < _RESERVOIR:
-            self._values.append(value)
+        # min()/max() by hand, with their semantics: a NaN never replaces
+        # a bound, and of two equal values (-0.0 and 0.0) the first stays
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        values = self._values
+        if len(values) < _RESERVOIR:
+            values.append(value)
         else:
             # Algorithm R: keep with probability RESERVOIR/count
             j = self._rng.randrange(self.count)
             if j < _RESERVOIR:
-                self._values[j] = value
+                values[j] = value
 
     @property
     def mean(self) -> float:

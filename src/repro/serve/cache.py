@@ -8,7 +8,8 @@ request identity.  :func:`content_key` hashes dtype + shape + raw bytes
 with different strides, collide onto the same key by construction.
 
 The cache itself is a plain LRU over an :class:`~collections.OrderedDict`:
-``get`` refreshes recency, ``put`` evicts the least-recently-used entry
+``get`` (and its batched form ``get_many``, one call per request of
+units) refreshes recency, ``put`` evicts the least-recently-used entry
 once capacity is exceeded.  Stored arrays are defensively copied and
 frozen (``writeable = False``) so a hit can never be corrupted by a
 caller mutating its input or output in place — the determinism contract
@@ -76,7 +77,8 @@ class TileCache:
     checks these against a reference model under random traffic):
 
     * ``len(cache) <= capacity`` always;
-    * ``hits + misses == number of get() calls``;
+    * ``hits + misses`` == keys looked up (one per ``get``, one per key
+      of a ``get_many``);
     * ``insertions - evictions == len(cache)`` (re-putting a resident
       key updates in place — neither an insertion nor an eviction);
     * a ``get`` or re-``put`` makes its key the most recently used, so
@@ -104,13 +106,32 @@ class TileCache:
         :meth:`put`, so a caller cannot corrupt the cached bytes through
         the returned reference.
         """
-        value = self._entries.get(key, _MISS)
-        if value is _MISS:
-            self.misses += 1
-            return default
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return value
+        return self.get_many((key,), default)[0]
+
+    def get_many(self, keys, default=None) -> list:
+        """``[self.get(key, default) for key in keys]`` as one call — the
+        one implementation of the hit, miss and recency rule.
+
+        Keys are probed in order: each resident key is refreshed to most
+        recently used (a key repeated in ``keys`` twice) and counts a
+        hit, every other key counts a miss.  A lookup never inserts or
+        evicts, so whether a key hits does not depend on its position.
+        """
+        entries = self._entries
+        refresh = entries.move_to_end
+        out = []
+        hits = 0
+        for key in keys:
+            value = entries.get(key, _MISS)
+            if value is _MISS:
+                value = default
+            else:
+                refresh(key)
+                hits += 1
+            out.append(value)
+        self.hits += hits
+        self.misses += len(out) - hits
+        return out
 
     def put(self, key: str, value) -> str | None:
         """Insert or refresh ``key``; returns the evicted key, if any.

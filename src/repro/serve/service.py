@@ -58,7 +58,7 @@ from ..distributed.comm import VirtualCluster
 from ..distributed.perf_model import (DEFAULT_SERVICE_TIME, SERVE_DISPATCH_S,
                                       service_time_model,
                                       tile_service_time_model)
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Histogram, MetricsRegistry
 from ..obs.tracer import Span
 from ..tensor import Tensor, no_grad
 from ..train.inference import build_inference_runner
@@ -131,7 +131,9 @@ class Response:
     batch_size: int          # coalesced batch size (1 for cache hits)
     cache_hit: bool
     output: np.ndarray | None
-    status: str = "ok"       # "ok" | "shed" (rejected by admission control)
+    # "ok" | "shed" (turned away by a full queue) | "rejected" (an input
+    # that failed admission validation; see DownscalingService)
+    status: str = "ok"
     # tile-granular serving only (0 on the whole-request path):
     tiles: int = 0           # tiles the request was split into
     tiles_hit: int = 0       # tiles answered from the tile cache at arrival
@@ -285,11 +287,12 @@ class _WholeUnits:
     def __init__(self, svc: "DownscalingService"):
         self.svc = svc
 
-    def split(self, req: Request) -> list[tuple[str, tuple]]:
-        """The request's units as (cache key, batching signature)."""
+    def split(self, req: Request) -> tuple[list[str], list[tuple]]:
+        """The request's units: their cache keys, their batching
+        signatures."""
         content = (content_key(req.input) if req.input is not None
                    else f"sample:{req.sample}")
-        return [(f"{content}/e:{self.svc.plan_epoch}", ())]
+        return [f"{content}/e:{self.svc.plan_epoch}"], [()]
 
     def price(self, n: int, sig: tuple) -> float:
         return self.svc.service_time(n)
@@ -332,11 +335,12 @@ class _TileUnits:
         # LRU: ids of a request's cores -> (the cores, their finished field)
         self._fields: OrderedDict[tuple, tuple] = OrderedDict()
 
-    def split(self, req: Request) -> list[tuple[str, tuple]]:
+    def split(self, req: Request) -> tuple[list[str], list[tuple]]:
         plan, epoch = self.plan, self.svc.plan_epoch
-        return [(plan.tile_key(i, input=req.input, versions=req.tile_versions,
-                               sample=req.sample, epoch=epoch),
-                 plan.signature(i)) for i in range(plan.n_tiles)]
+        tiles = range(plan.n_tiles)
+        return ([plan.tile_key(i, input=req.input, versions=req.tile_versions,
+                               sample=req.sample, epoch=epoch) for i in tiles],
+                [plan.signature(i) for i in tiles])
 
     def price(self, n: int, sig: tuple) -> float:
         return self.svc.tile_service_time(n, sig)
@@ -420,6 +424,15 @@ class _TileUnits:
 
 class DownscalingService:
     """Queue + batcher + cache + replicas over a virtual cluster.
+
+    A response's ``status`` is ``"ok"``, ``"shed"`` (see
+    ``max_queue_depth``) or ``"rejected"``: a request whose input is not
+    a finite float32 ``(C, h, w)`` array with the model's
+    ``in_channels`` — and, under ``tile_serving``, ``coarse_shape`` as
+    its grid — is answered at arrival with no output, counted on
+    ``serve/requests`` and ``serve/rejected``, kept out of the latency
+    histograms, and never probed, queued, batched or cached.  Each input
+    object is checked once per run.
 
     Parameters
     ----------
@@ -578,6 +591,24 @@ class DownscalingService:
             return pred
         return self._target_normalizer.denormalize(pred)
 
+    def _admissible(self, x: np.ndarray | None) -> bool:
+        """Admission check of a request's input: a finite float32
+        ``(C, h, w)`` array with the model's channel count and, under
+        tile serving, the plan's coarse grid.  ``None`` — a latency-only
+        request — passes."""
+        if x is None:
+            return True
+        if not (isinstance(x, np.ndarray) and x.ndim == 3
+                and x.dtype == np.float32):
+            return False
+        channels = getattr(self.model, "in_channels", None)
+        if channels is not None and x.shape[0] != channels:
+            return False
+        if (self.tile_plan is not None
+                and x.shape[1:] != self.tile_plan.coarse_shape):
+            return False
+        return bool(np.isfinite(x).all())
+
     def replica_ranks(self, replica: int) -> list[int]:
         g = self.gpus_per_replica
         return list(range(replica * g, (replica + 1) * g))
@@ -605,10 +636,11 @@ class DownscalingService:
         configuration produces the identical result, event for event.
 
         Each admitted request splits into work units (one, or one per
-        tile).  Units found in the cache resolve at arrival; the rest
+        tile), probed in the cache with one batched lookup.  A request
+        whose units all hit responds at once; otherwise its missed units
         become jobs — deduplicated by key across requests where the unit
-        policy coalesces — and are batched per signature, oldest first.
-        A request responds when its last unit resolves.
+        policy coalesces — batched per signature, oldest first, and the
+        request responds when its last unit resolves.
 
         ``monitor`` (a :class:`repro.obs.monitor.Monitor`) receives the
         health stream on the simulated clock: per-request latency
@@ -620,19 +652,27 @@ class DownscalingService:
         """
         units = self._units
         cache = self.cache
+        executed = self._runner is not None
         max_batch, max_wait_s = self.policy.max_batch, self.policy.max_wait_s
         metrics = MetricsRegistry()
+        # the three per-request histograms, bound once; close-out files
+        # each under its name if observed, as ``metrics.observe`` would
+        latency_h, wait_h, depth_h = Histogram(), Histogram(), Histogram()
+        # this run's probe counts start here: the cache may be reused
+        probed = (cache.hits, cache.misses) if cache is not None else None
         spans: list[Span] = []
         responses: dict[int, Response] = {}
         pending: list[_Job] = []            # FIFO queue of missed units
         open_jobs: dict[str, _Job] = {}     # key -> job, queued or in flight
         tickets: dict[int, _Ticket] = {}    # rid -> request awaiting units
-        # id(input) -> (input, its split).  run() is synchronous and holds
-        # inputs by reference from arrival to dispatch, so each distinct
-        # array is keyed once per run; an entry keeps its array alive, so
-        # its id cannot be reused.  A local: between two runs the caller
-        # may mutate an array, and the next run must see it.
-        split_memo: dict[int, tuple[np.ndarray, list]] = {}
+        # id(input) -> (input, its keys, its signatures), or (input, None,
+        # None) for an input admission rejects.  run() is synchronous and
+        # holds inputs by reference from arrival to dispatch, so each
+        # distinct array is validated and keyed once per run; an entry
+        # keeps its array alive, so its id cannot be reused.  A local:
+        # between two runs the caller may mutate an array, and the next
+        # run must see it.
+        split_memo: dict[int, tuple] = {}
         busy_s = [0.0] * self.n_replicas
         # replica frontiers: plain floats so the idle check compares
         # bit-exactly against completion-event timestamps
@@ -646,6 +686,14 @@ class DownscalingService:
         replica_seconds = [0.0] * self.n_replicas
         last_scale = float("-inf")
 
+        # arrivals stream in sorted order; the heap holds only the events
+        # the run itself schedules (completions and deadlines)
+        arrivals = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
+        for req in arrivals:
+            if req.rid in responses:
+                raise ValueError(f"duplicate request id {req.rid}")
+            responses[req.rid] = None  # reserve; filled on completion
+        n_arrivals, next_arrival = len(arrivals), 0
         heap: list[tuple[float, int, int, object]] = []
         seq = 0
 
@@ -653,12 +701,6 @@ class DownscalingService:
             nonlocal seq
             heapq.heappush(heap, (t, kind, seq, payload))
             seq += 1
-
-        for req in sorted(requests, key=lambda r: (r.arrival_s, r.rid)):
-            if req.rid in responses:
-                raise ValueError(f"duplicate request id {req.rid}")
-            responses[req.rid] = None  # reserve; filled on completion
-            push(req.arrival_s, _ARRIVAL, req)
 
         def maybe_scale_up(now: float) -> None:
             au = self.autoscale
@@ -746,32 +788,42 @@ class DownscalingService:
                           **units.batch_args(batch, sig), "modeled": True}))
                 units.trace_batch(batch, rank, now, dur, metrics, spans)
                 outputs = [None] * len(batch)
-                if self._runner is not None:
+                if executed:
                     for ks in _forwards(batch):
                         for k, out in zip(ks, units.execute(
                                 [batch[k] for k in ks])):
                             outputs[k] = out
                 push(end, _COMPLETE, (replica, batch, now, outputs))
 
-        def respond(ticket: _Ticket, dispatch_s: float, complete_s: float,
+        def respond(req: Request, results: list | None, hits: int,
+                    computed: int, dispatch_s: float, complete_s: float,
                     replica: int | None, batch_size: int) -> None:
-            req, results = ticket.req, ticket.results
             responses[req.rid] = Response(
                 request=req, dispatch_s=dispatch_s, complete_s=complete_s,
                 replica=replica, batch_size=batch_size,
-                cache_hit=ticket.computed == 0,
+                cache_hit=computed == 0,
                 output=None if results is None else units.finish(results),
-                **units.response_fields(ticket.hits, ticket.computed))
+                **units.response_fields(hits, computed))
             metrics.inc("serve/requests")
-            metrics.observe("serve/latency_s", complete_s - req.arrival_s)
-            metrics.observe("serve/queue_wait_s", dispatch_s - req.arrival_s)
+            latency_h.observe(complete_s - req.arrival_s)
+            wait_h.observe(dispatch_s - req.arrival_s)
             if monitor is not None:
                 monitor.record("serve/latency_s", complete_s - req.arrival_s,
                                t=complete_s)
 
         duration = 0.0
-        while heap:
-            now, kind, _, payload = heapq.heappop(heap)
+        while True:
+            # merge the arrival stream into the heap's order: at equal
+            # timestamps completion < arrival < deadline
+            if heap and (next_arrival == n_arrivals or heap[0][:2] < (
+                    arrivals[next_arrival].arrival_s, _ARRIVAL)):
+                now, kind, _, payload = heapq.heappop(heap)
+            elif next_arrival < n_arrivals:
+                req = arrivals[next_arrival]
+                next_arrival += 1
+                now, kind = req.arrival_s, _ARRIVAL
+            else:
+                break
             duration = max(duration, now)
             if kind == _COMPLETE:
                 replica, batch, start, outputs = payload
@@ -794,91 +846,107 @@ class DownscalingService:
                             # a coalesced unit may have been dispatched
                             # before this request arrived — queue wait
                             # is never negative
-                            respond(ticket, max(ticket.dispatch_s,
-                                                ticket.req.arrival_s),
+                            respond(ticket.req, ticket.results, ticket.hits,
+                                    ticket.computed,
+                                    max(ticket.dispatch_s,
+                                        ticket.req.arrival_s),
                                     now, replica, len(batch))
                             del tickets[rid]
             elif kind == _ARRIVAL:
-                req = payload
-                shed_this = 0.0
-                held = split_memo.get(id(req.input))
-                if held is not None and held[0] is req.input:
-                    work = held[1]
+                x = req.input
+                held = split_memo.get(id(x))
+                if held is not None and held[0] is x:
+                    _, keys, sigs = held
                 else:
-                    work = units.split(req)
-                    if req.input is not None:
-                        split_memo[id(req.input)] = (req.input, work)
+                    keys, sigs = (units.split(req) if self._admissible(x)
+                                  else (None, None))
+                    if x is not None:
+                        split_memo[id(x)] = (x, keys, sigs)
+                if keys is None:
+                    # rejected before anything else: it never probes the
+                    # cache and never becomes a job, so it is never cached,
+                    # batched or stacked beside a healthy request
+                    refused = "rejected"
                 # a full queue sheds any request that would add a job;
                 # the membership pre-check touches no cache counters, so
                 # the shed decision cannot pollute hit/miss accounting
-                if (self.max_queue_depth is not None
+                elif (self.max_queue_depth is not None
                         and len(pending) >= self.max_queue_depth
                         and any(k not in open_jobs
                                 and (cache is None or k not in cache)
-                                for k, _ in work)):
-                    # shed rather than let the queue (and tail latency)
-                    # grow without bound; shed responses stay out of the
-                    # latency histograms so rejections can't masquerade as
-                    # fast service
-                    metrics.inc("serve/shed")
+                                for k in keys)):
+                    refused = "shed"
+                else:
+                    refused = None
+                if refused is not None:
+                    # refused requests stay out of the latency histograms
+                    # so they can't masquerade as fast service
+                    metrics.inc(f"serve/{refused}")
                     metrics.inc("serve/requests")
-                    shed_this = 1.0
                     responses[req.rid] = Response(
                         request=req, dispatch_s=now, complete_s=now,
                         replica=None, batch_size=0, cache_hit=False,
-                        output=None, status="shed",
+                        output=None, status=refused,
                         **units.response_fields(0, 0))
                 else:
-                    results = ([None] * len(work)
-                               if self._runner is not None else None)
-                    ticket = _Ticket(req, results)
-                    queued = len(pending)
-                    for unit, (key, sig) in enumerate(work):
-                        value = (cache.get(key, _MISS_SENTINEL)
-                                 if cache is not None else _MISS_SENTINEL)
-                        if value is not _MISS_SENTINEL:
-                            ticket.hits += 1
-                            metrics.inc(units.hits)
-                            if results is not None:
-                                results[unit] = value
-                            continue
-                        if cache is not None or units.counts_uncached:
-                            metrics.inc(units.misses)
-                        ticket.remaining += 1
-                        job = open_jobs.get(key)
-                        if job is not None:
-                            # identical unit already queued or in flight
-                            # (another request, or a duplicate-content
-                            # tile of this one): wait on its compute
-                            job.waiters.append((req.rid, unit))
-                            metrics.inc(units.coalesced)
-                        else:
-                            job = _Job(key, unit, sig, now, req.input,
-                                       [(req.rid, unit)])
-                            if units.coalesced is not None:
-                                open_jobs[key] = job
-                            pending.append(job)
-                    if ticket.remaining == 0:
+                    # one probe for all the request's units; a missed
+                    # unit's slot keeps the sentinel until its job resolves
+                    hits = 0
+                    if cache is not None:
+                        before = cache.hits
+                        values = cache.get_many(keys, _MISS_SENTINEL)
+                        hits = cache.hits - before
+                    else:
+                        values = [_MISS_SENTINEL] * len(keys)
+                    if hits:
+                        metrics.inc(units.hits, hits)
+                    missed = len(keys) - hits
+                    if not missed:
+                        # every unit hit: respond from the probe's values
                         end = now + self.hit_latency_s
                         duration = max(duration, end)
-                        respond(ticket, now, end, None, 1)
+                        respond(req, values if executed else None, hits, 0,
+                                now, end, None, 1)
                     else:
-                        tickets[req.rid] = ticket
+                        if cache is not None or units.counts_uncached:
+                            metrics.inc(units.misses, missed)
+                        tickets[req.rid] = _Ticket(
+                            req, values if executed else None,
+                            remaining=missed, hits=hits)
+                        queued = len(pending)
+                        for unit, value in enumerate(values):
+                            if value is not _MISS_SENTINEL:
+                                continue
+                            key = keys[unit]
+                            job = open_jobs.get(key)
+                            if job is not None:
+                                # identical unit already queued or in
+                                # flight (another request, or a duplicate-
+                                # content tile of this one): wait on it
+                                job.waiters.append((req.rid, unit))
+                                metrics.inc(units.coalesced)
+                            else:
+                                job = _Job(key, unit, sigs[unit], now, x,
+                                           [(req.rid, unit)])
+                                if units.coalesced is not None:
+                                    open_jobs[key] = job
+                                pending.append(job)
                         if len(pending) > queued:
                             push(req.arrival_s + max_wait_s, _DEADLINE, None)
                         maybe_scale_up(now)
                     if monitor is not None and units.miss_feed is not None:
-                        monitor.record(units.miss_feed,
-                                       ticket.remaining / len(work), t=now)
-                metrics.observe("serve/queue_depth", len(pending))
+                        monitor.record(units.miss_feed, missed / len(keys),
+                                       t=now)
+                depth_h.observe(len(pending))
                 if monitor is not None:
                     monitor.record("serve/queue_depth", len(pending), t=now)
-                    monitor.record("serve/shed_event", shed_this, t=now)
+                    monitor.record("serve/shed_event",
+                                   1.0 if refused == "shed" else 0.0, t=now)
             # _DEADLINE events carry no state; they exist to wake the
             # batcher at the max-wait boundary
             try_dispatch(now)
             maybe_scale_down(now)
-            if pending and not heap:
+            if pending and not heap and next_arrival == n_arrivals:
                 # all arrivals and completions processed but jobs remain
                 # queued: wake at the earliest dispatch opportunity
                 wake = min(min(free[r] for r in range(self.n_replicas)
@@ -902,8 +970,16 @@ class DownscalingService:
                 args={"replica": r, "ranks": self.replica_ranks(r),
                       "utilization": util,
                       "active_s": replica_seconds[r], "modeled": True}))
+        for name, hist in (("serve/latency_s", latency_h),
+                           ("serve/queue_wait_s", wait_h),
+                           ("serve/queue_depth", depth_h)):
+            if hist.count:
+                metrics.histograms[name] = hist
         if cache is not None:
-            metrics.gauge("serve/cache/hit_rate", cache.hit_rate)
+            # this run's probes, not the cache's lifetime
+            hits, misses = cache.hits - probed[0], cache.misses - probed[1]
+            metrics.gauge("serve/cache/hit_rate",
+                          hits / (hits + misses) if hits + misses else 0.0)
             metrics.gauge("serve/cache/size", len(cache))
         units.close_out(metrics)
         metrics.gauge("serve/duration_s", duration)

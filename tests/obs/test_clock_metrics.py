@@ -1,6 +1,8 @@
 """SimClock and MetricsRegistry unit tests."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Histogram, MetricsRegistry, SimClock
 
@@ -81,6 +83,66 @@ class TestMetrics:
         m.observe("h", 1.0)
         m.reset()
         assert not m.counters and not m.gauges and not m.histograms
+
+
+class _BuiltinHistogram(Histogram):
+    """``observe`` as the ``min()``/``max()`` builtins formulate it — the
+    reference the comparison-based bounds must reproduce bit for bit."""
+
+    def observe(self, value):
+        from repro.obs.metrics import _RESERVOIR
+
+        value = float(value)
+        self.count += 1
+        self.total += value
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
+        if len(self._values) < _RESERVOIR:
+            self._values.append(value)
+        else:
+            j = self._rng.randrange(self.count)
+            if j < _RESERVOIR:
+                self._values[j] = value
+
+
+_SPECIAL = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 1.0, -2.5]
+
+
+def _bits(h):
+    return (h.count, h.total.hex(), h.min.hex(), h.max.hex(),
+            [v.hex() for v in h._values])
+
+
+class TestHistogramObserve:
+    """``Histogram`` (shared by ``Monitor`` and ``Trainer`` through the
+    registry) keeps its bounds by comparison; NaN, infinities and signed
+    zeros must land exactly where ``min()``/``max()`` put them."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=st.lists(st.one_of(st.sampled_from(_SPECIAL),
+                                     st.floats(allow_nan=True)),
+                           max_size=40))
+    @example(values=[0.0, -0.0])
+    @example(values=[-0.0, 0.0])
+    @example(values=[float("nan"), 1.0, float("nan")])
+    @example(values=[float("inf"), float("-inf"), float("nan")])
+    def test_bounds_match_the_builtins(self, values):
+        got, want = Histogram(), _BuiltinHistogram()
+        for v in values:
+            got.observe(v)
+            want.observe(v)
+        assert _bits(got) == _bits(want)
+
+    def test_reservoir_matches_the_builtins_past_its_cap(self):
+        from repro.obs.metrics import _RESERVOIR
+
+        got, want = Histogram(), _BuiltinHistogram()
+        for i in range(3 * _RESERVOIR):
+            v = _SPECIAL[i % 7] if i % 11 == 0 else float((i * 7919) % 10007)
+            got.observe(v)
+            want.observe(v)
+        assert len(got._values) == _RESERVOIR
+        assert _bits(got) == _bits(want)
 
 
 class TestHistogramReservoir:

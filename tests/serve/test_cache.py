@@ -48,9 +48,13 @@ class ModelLRU:
             self.evictions += 1
 
 
-#: an operation is ("get" | "put", small key-space integer)
+#: an operation is ("get" | "put", small key-space integer), or
+#: ("get_many", a short key list that may repeat a key)
 _ops = st.lists(
-    st.tuples(st.sampled_from(["get", "put"]), st.integers(0, 9)),
+    st.one_of(
+        st.tuples(st.sampled_from(["get", "put"]), st.integers(0, 9)),
+        st.tuples(st.just("get_many"),
+                  st.lists(st.integers(0, 9), max_size=6))),
     max_size=200,
 )
 
@@ -58,15 +62,19 @@ _ops = st.lists(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(ops=_ops, capacity=st.integers(1, 6))
 def test_matches_reference_lru(ops, capacity):
+    """``get_many`` is checked against the model's *sequential* ``get``:
+    the same values, counters and recency order, repeated keys too."""
     cache = TileCache(capacity)
     model = ModelLRU(capacity)
     for verb, k in ops:
-        key = f"k{k}"
-        if verb == "get":
-            assert cache.get(key) == model.get(key)
+        if verb == "get_many":
+            keys = [f"k{i}" for i in k]
+            assert cache.get_many(keys) == [model.get(key) for key in keys]
+        elif verb == "get":
+            assert cache.get(f"k{k}") == model.get(f"k{k}")
         else:
-            cache.put(key, k)
-            model.put(key, k)
+            cache.put(f"k{k}", k)
+            model.put(f"k{k}", k)
         # invariants after every operation
         assert len(cache) <= capacity
         assert cache.keys() == model.recency
@@ -143,6 +151,16 @@ class TestCacheSemantics:
         cache.get("a")        # refresh: b becomes the LRU entry
         assert cache.put("c", 3) == "b"
         assert "a" in cache and "c" in cache and "b" not in cache
+
+    def test_get_many_is_one_get_per_key_in_order(self):
+        cache = TileCache(3)
+        for key in "abc":
+            cache.put(key, key.upper())
+        miss = object()
+        assert cache.get_many(["a", "x", "a", "b"], miss) == [
+            "A", miss, "A", "B"]
+        assert cache.keys() == ["c", "a", "b"]
+        assert (cache.hits, cache.misses) == (3, 1)
 
     def test_reput_updates_without_insertion_or_eviction(self):
         cache = TileCache(2)

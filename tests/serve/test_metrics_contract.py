@@ -31,17 +31,21 @@ def _percentile_like_histogram(values, q):
     return ordered[idx]
 
 
-@pytest.fixture(scope="module")
-def run():
-    """One latency-only burst run with cache + 3 replicas, shared by all
-    contract checks (the run is deterministic, so sharing is safe)."""
+def _burst():
+    """Burst traffic over 12 inputs and a service with cache + 3 replicas."""
     gen = TrafficGenerator("burst", 40.0, 6.0, seed=9, n_inputs=12,
                            popularity=1.2)
-    requests = gen.generate()
-    service = DownscalingService(
+    return gen.generate(), DownscalingService(
         n_replicas=N_REPLICAS, gpus_per_replica=2,
         policy=BatchPolicy(max_batch=4, max_wait_s=0.03),
         cache=TileCache(6))
+
+
+@pytest.fixture(scope="module")
+def run():
+    """One latency-only burst run, shared by all contract checks (the
+    run is deterministic, so sharing is safe)."""
+    requests, service = _burst()
     return service, requests, service.run(requests)
 
 
@@ -107,14 +111,19 @@ class TestCacheMetrics:
         assert service.cache.evictions > 0, (
             "capacity 6 < 12 inputs must evict")
 
-    def test_hit_rate_gauge_is_hits_over_lookups(self, run):
-        _, _, result = run
-        c = result.metrics.counters
-        rate = result.metrics.gauges["serve/cache/hit_rate"]
-        assert rate == pytest.approx(
-            c["serve/cache/hits"]
-            / (c["serve/cache/hits"] + c["serve/cache/misses"]))
-        assert result.summary()["cache_hit_rate"] == rate
+    def test_hit_rate_gauge_is_hits_over_lookups(self):
+        """The gauge is this run's rate, also when the service — and so
+        its cache — served a run before (the cache's lifetime counters
+        then differ from the run's)."""
+        requests, service = _burst()
+        for _ in range(2):
+            result = service.run(requests)
+            c = result.metrics.counters
+            rate = result.metrics.gauges["serve/cache/hit_rate"]
+            assert rate == c["serve/cache/hits"] / (
+                c["serve/cache/hits"] + c["serve/cache/misses"])
+            assert result.summary()["cache_hit_rate"] == rate
+        assert service.cache.hit_rate != rate
 
     def test_hits_cost_hit_latency_only(self, run):
         service, _, result = run
