@@ -173,7 +173,9 @@ def transformer_flops(seq_len: int, config: ModelConfig, training: bool = True,
     """FLOPs of one pass over ``seq_len`` tokens through the encoder.
 
     ``attention_divisor`` models TILES: pairwise interactions confined to
-    tiles divide the quadratic term by the tile count.
+    tiles divide the quadratic term by the tile count.  This prices model
+    FLOPs, while ``FlopCounter`` bills executed FLOPs, which in training
+    include flash attention's recomputed ``QKᵀ`` (half the attention term).
     """
     d = config.embed_dim
     proj = 24.0 * seq_len * d * d

@@ -3,12 +3,7 @@
 from .amp import Bf16Cast, GradScaler, autocast_module
 from .attention import CrossAttention, MultiHeadSelfAttention, aggregate_variables
 from .checkpoint import CheckpointedSequential, checkpoint, checkpointed_activation_bytes
-from .flash_attention import (
-    attention_flop_count,
-    attention_peak_elems,
-    flash_attention,
-    naive_attention,
-)
+from .flash_attention import attention_peak_elems, flash_attention, naive_attention
 from .flat import FlatParamBuffer, flatten_grads
 from .layers import MLP, Conv2d, LayerNorm, Linear, Sequential
 from .module import Identity, Module, ModuleList, Parameter
@@ -33,7 +28,6 @@ __all__ = [
     "aggregate_variables",
     "flash_attention",
     "naive_attention",
-    "attention_flop_count",
     "attention_peak_elems",
     "PatchEmbed",
     "TransformerBlock",

@@ -18,8 +18,7 @@ from .flash_attention import flash_attention, naive_attention
 from .layers import Linear
 from .module import Module
 
-__all__ = ["MultiHeadSelfAttention", "CrossAttention", "aggregate_variables",
-           "aggregate_variables_flops"]
+__all__ = ["MultiHeadSelfAttention", "CrossAttention", "aggregate_variables"]
 
 
 def _split_heads(x: Tensor, num_heads: int) -> Tensor:
@@ -106,16 +105,6 @@ class CrossAttention(Module):
         return self.proj(_merge_heads(naive_attention(q, k, v)))
 
 
-def aggregate_variables_flops(n: int, v: int, d: int, h: int, k: int) -> float:
-    """Forward FLOPs of :func:`aggregate_variables` over ``n = B·L`` tokens
-    — the one price, billed by the kernel (``add_flops``; its backward runs
-    exactly twice this) and by ``repro.obs.engine.FLOP_RULES``: ``x̄`` from
-    the mean patch, three ``D × D`` projections (``q``, ``q̃``, out), the
-    score and pooling GEMMs over the ``V + k`` basis rows, and their two
-    rank-``k`` per-token terms."""
-    return 2.0 * n * (k * d + 3 * d * d + 2 * h * (v + k) * d + 2 * v * k * h)
-
-
 def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
                         wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
                         wv: Tensor, bv: Tensor, num_heads: int) -> Tensor:
@@ -149,8 +138,6 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
     a sample's output and input-gradient bits do not depend on its batch;
     only the parameter gradients contract over ``B``, as ``linear``'s do.
     """
-    from ..tensor.flops import add_flops
-
     b, v, hh, ww = x.shape
     d, k = wt.shape
     p = math.isqrt(k)
@@ -166,7 +153,6 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
     n, m = b * l, l * num_heads
     sc = np.float32(1.0 / np.sqrt(dh))
     inv_v = np.float32(1.0 / v)
-    flops = aggregate_variables_flops(n, v, d, h, k)
 
     def tokens(a):  # (B, ·, L, H) keys-major array as one (·, H) matrix per token
         return a.transpose(0, 2, 1, 3)
@@ -204,7 +190,6 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
     out = empty(b, l, h, dh)
 
     def run():
-        add_flops(flops)
         field = x.data
         np.copyto(patches.reshape(b, gh, gw, v, p, p),
                   field.reshape(b, v, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5))
@@ -240,7 +225,6 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
     run()
 
     def backward(g):
-        add_flops(2.0 * flops)
         gwv = per_head(g).swapaxes(-1, -2) @ per_head(px)
         wide = empty(b, l, h, d)                # g(Σpx), then g q̃
         np.matmul(heads(g), split(wv), out=heads(wide))
@@ -270,7 +254,6 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
         gwt += gbasis[v:].T
         gx = None
         if x.requires_grad:
-            add_flops(2.0 * n * k * (d + 2 * v * h))
             gp = tokens(prob) @ tokens(gpooled).swapaxes(-1, -2)    # (B, L, V, k)
             gp += tokens(gs) @ tokens(rt).swapaxes(-1, -2)
             gp += ((gxbar @ wt.data) * inv_v)[:, :, None]

@@ -57,7 +57,7 @@ import numpy as np
 
 from ..tensor import Tensor
 
-__all__ = ["flash_attention", "naive_attention", "attention_flop_count", "attention_peak_elems"]
+__all__ = ["flash_attention", "naive_attention", "attention_peak_elems"]
 
 #: Bytes of one backward score tile: the backward walks the flattened items
 #: in groups whose ``(items, bk, bq)`` tile fits this, so a tile and its dP
@@ -103,8 +103,6 @@ def flash_attention(
     batch_shape = q.shape[:-2]
     nb = int(np.prod(batch_shape))
 
-    from ..tensor.flops import add_flops
-
     out = np.empty((nb, lq, d), dtype=np.float32)
     # The GEMM operands, refilled from the live parents (whatever their
     # strides) by every run_blocks(), eager or replay: qT = [sc*log2(e)*Q,
@@ -139,8 +137,6 @@ def flash_attention(
         return acc
 
     def run_blocks():
-        # QK^T + PV GEMMs (algorithmic: the padding column is not billed)
-        add_flops(4.0 * nb * lq * lk * d)
         np.multiply(np.swapaxes(q.data, -1, -2), np.float32(sc * np.log2(np.e)),
                     out=qT.reshape(*batch_shape, d + 1, lq)[..., :d, :])
         kv = kv1.reshape(2, *batch_shape, lk, d + 1)
@@ -172,7 +168,6 @@ def flash_attention(
     out_full = out.reshape(*batch_shape, lq, d)
 
     def backward(g):
-        add_flops(10.0 * nb * lq * lk * d)  # recompute + 4 gradient GEMMs
         # [dO, -delta]^T, delta_i = rowsum(dO * O) being the softmax-
         # jacobian diagonal correction
         goT = np.empty((nb, d + 1, lq), dtype=np.float32)
@@ -208,16 +203,6 @@ def flash_attention(
         )
 
     return Tensor._from_op(out_full, (q, k, v), backward, "flash_attention", replay=run_blocks)
-
-
-def attention_flop_count(seq_len: int, head_dim: int, num_heads: int, batch: int = 1) -> int:
-    """FLOPs of one attention forward: 2·(QK^T) + 2·(PV) matmuls.
-
-    Counts multiply-adds as 2 FLOPs, matching the DeepSpeed profiler
-    convention the paper reports throughput with.
-    """
-    per_head = 2 * seq_len * seq_len * head_dim * 2  # scores + weighted sum
-    return batch * num_heads * per_head
 
 
 def attention_peak_elems(seq_len: int, head_dim: int, block_size: int, flash: bool) -> int:

@@ -27,7 +27,7 @@ from .functional import (
     softmax_cross_entropy,
 )
 from .compile import CompiledForward, CompiledStep, CompileError
-from .flops import FlopCounter, add_flops
+from .flops import FlopCounter
 from .random import DEFAULT_SEED, rng_from_seed, split_rng
 from .tensor import (
     Tensor,
@@ -63,7 +63,6 @@ __all__ = [
     "KERNEL_EPOCH",
     "Tensor",
     "FlopCounter",
-    "add_flops",
     "no_grad",
     "enable_grad",
     "is_grad_enabled",

@@ -67,6 +67,7 @@ import contextlib
 import numpy as np
 
 from . import tensor as _engine
+from .flops import active_counter, price
 from .tensor import Tensor, _COUNTERS, enable_grad, set_recorder
 
 __all__ = ["CompiledStep", "CompiledForward", "CompileError"]
@@ -131,6 +132,7 @@ class CompiledStep:
         self._fwd_program: list = []
         self._bw_program: list = []
         self._priced: list[tuple] = []
+        self._flops = 0.0
         self._records: list = []
         self._slots: list = []
         self._root_slot = -1
@@ -199,6 +201,7 @@ class CompiledStep:
         self._fwd_program = []
         self._bw_program = []
         self._priced = []
+        self._flops = 0.0
         self._records = []
         self._slots = []
         self._seed = None
@@ -225,6 +228,8 @@ class CompiledStep:
 
         fwd, priced = [], []
         arena: dict[int, int] = {id(b): b.nbytes for b in self._in_bufs}
+        self._flops = sum(price(op).forward(out.data, parents)
+                          for out, parents, op, _ in rec.records)
         for out, parents, op, replay in rec.records:
             if out.requires_grad:
                 priced.append((op, out.data, tuple(p.data for p in parents)))
@@ -290,6 +295,7 @@ class CompiledStep:
 
         slot = {id(node): i for i, node in enumerate(topo)}
         program: list[tuple] = []
+        flops = 0.0
         grads: dict[int, np.ndarray] = {id(root): seed}
         owned: set[int] = set()
         for node in reversed(topo):
@@ -331,10 +337,15 @@ class CompiledStep:
                         _COUNTERS["bwd_handoffs"] += 1
                         mode = _STORE
                 edges.append((slot[key], mode))
+            flops += price(node._op).backward(node.data, node._parents)
             program.append((_BW_NODE, slot[id(node)], node._backward, tuple(edges)))
         if grads:
             raise AssertionError(
                 f"capture walk left {len(grads)} unconsumed gradient(s)")
+        counter = active_counter()
+        if counter is not None:
+            counter.total += flops
+        self._flops += flops
         self._bw_program = program
         self._slots = [None] * len(topo)
         self._root_slot = slot[id(root)]
@@ -356,6 +367,9 @@ class CompiledStep:
                 hook(op, data, parents)
         if self._bw_program:
             self._replay_backward()
+        counter = active_counter()
+        if counter is not None:
+            counter.total += self._flops  # the plan's price, set at capture
         _COUNTERS["replays"] += 1
         return self._out_bufs
 

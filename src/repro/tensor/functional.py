@@ -320,21 +320,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     chain previously built by ``nn.Linear`` and computes the weight
     gradient as a single flattened GEMM.
     """
-    from .flops import add_flops
-
     a, w = x, weight
     out_f, in_f = w.shape
     if a.shape[-1] != in_f:
         raise ValueError(f"input features {a.shape[-1]} != weight in {in_f}")
     out = a.data @ w.data.T
-    add_flops(2.0 * out.size * in_f)
     if bias is not None:
         out += bias.data  # out is freshly allocated: in-place add is safe
 
     parents = (a, w) if bias is None else (a, w, bias)
 
     def backward(g):
-        add_flops(4.0 * out.size * in_f)
         gx = g @ w.data
         g2 = g.reshape(-1, out_f)
         x2 = a.data.reshape(-1, in_f)
@@ -346,7 +342,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def replay():
         np.matmul(a.data, w.data.T, out=out)
-        add_flops(2.0 * out.size * in_f)
         if bias is not None:
             np.add(out, bias.data, out=out)
 
@@ -415,7 +410,7 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     def replay():
         np.matmul(my, a.data @ mx.T, out=out_data)
 
-    return Tensor._from_op(out_data, (a,), backward, "bilinear", replay=replay)
+    return Tensor._from_op(out_data, (a,), backward, "bilinear_upsample", replay=replay)
 
 
 def pixel_shuffle(x: Tensor, factor: int) -> Tensor:
@@ -505,8 +500,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
     out_h = _conv_out_size(h, k, stride, pad)
     out_w = _conv_out_size(w, k, stride, pad)
 
-    from .flops import add_flops
-
     cols = im2col(a.data, k, stride, pad)  # (N, C*k*k, L)
     # k=1 lets im2col return a view: of a.data (self-refreshing on
     # replay) or, when padded, of a throwaway temp — the latter is
@@ -515,8 +508,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
     if not cols_live and not cols.flags.writeable:
         cols = cols.copy()
     w2 = wgt.data.reshape(out_c, in_c * k * k)
-    conv_macs = float(n) * out_c * out_h * out_w * in_c * k * k
-    add_flops(2.0 * conv_macs)
     out = np.matmul(w2, cols).reshape(n, out_c, out_h, out_w)
     if bias is not None:
         out += bias.data.reshape(1, out_c, 1, 1)  # out is fresh: in-place is safe
@@ -524,7 +515,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
     parents = (a, wgt) if bias is None else (a, wgt, bias)
 
     def backward(g):
-        add_flops(4.0 * conv_macs)
         g2 = g.reshape(n, out_c, out_h * out_w)
         gw = (g2 @ np.swapaxes(cols, -1, -2)).sum(axis=0).reshape(wgt.shape)
         gcols = w2.T @ g2
@@ -553,7 +543,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
             interior, windows, cols6 = gather
             np.copyto(interior, a.data)
             np.copyto(cols6, windows)  # one gather, straight into the saved patches
-        add_flops(2.0 * conv_macs)
         np.matmul(w2, cols, out=out.reshape(n, out_c, out_h * out_w))
         if bias is not None:
             np.add(out, bias.data.reshape(1, out_c, 1, 1), out=out)

@@ -29,6 +29,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .flops import FLOPS, active_counter, price
+
 __all__ = [
     "Tensor",
     "no_grad",
@@ -213,6 +215,11 @@ class Tensor:
         replay=None,
     ) -> "Tensor":
         out = cls(data)
+        rule = FLOPS.get(op)
+        if rule is not None:
+            counter = active_counter()
+            if counter is not None:
+                counter.total += rule.forward(data, parents)
         grad_enabled = is_grad_enabled()
         if grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -349,6 +356,7 @@ class Tensor:
 
         grads: dict[int, np.ndarray] = {id(self): grad}
         owned: set[int] = set()  # keys whose buffer was allocated by this walk
+        counter = active_counter()
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             g_owned = id(node) in owned
@@ -385,6 +393,8 @@ class Tensor:
                         _COUNTERS["bwd_new_buffers"] += 1
                     else:
                         _COUNTERS["bwd_handoffs"] += 1
+            if counter is not None:
+                counter.total += price(node._op).backward(node.data, node._parents)
         # Invariant: every key inserted above names a node in ``topo``
         # (DFS pushes exactly the requires_grad parents), and reverse
         # topological order processes each node after all of its
@@ -494,25 +504,17 @@ class Tensor:
                                replay=lambda: np.power(a.data, p, out=out_data))
 
     def __matmul__(self, other) -> "Tensor":
-        from .flops import add_flops
-
         other = self._coerce(other)
         a, b = self, other
         out_data = np.asarray(a.data @ b.data)
-        k = a.data.shape[-1]
-        add_flops(2.0 * out_data.size * k)
 
         def backward(g):
-            add_flops(4.0 * out_data.size * k)
             ga = g @ np.swapaxes(b.data, -1, -2)
             gb = np.swapaxes(a.data, -1, -2) @ g
             return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
 
-        def replay():
-            np.matmul(a.data, b.data, out=out_data)
-            add_flops(2.0 * out_data.size * k)
-
-        return Tensor._from_op(out_data, (a, b), backward, "matmul", replay=replay)
+        return Tensor._from_op(out_data, (a, b), backward, "matmul",
+                               replay=lambda: np.matmul(a.data, b.data, out=out_data))
 
     # ------------------------------------------------------------------ #
     # elementwise transcendental

@@ -17,9 +17,9 @@ from repro.core import (
 )
 from repro.core.reslim import ResidualPath, VariableAggregator
 from repro.nn import AdamW, Module, Parameter, PatchEmbed
-from repro.nn.attention import aggregate_variables_flops
 from repro.obs import Tracer
 from repro.tensor import CompiledStep, FlopCounter, Tensor, bilinear_upsample
+from repro.tensor.flops import aggregate_variables_flops
 from repro.testing import OPS, warm_head
 
 RNG = np.random.default_rng(51)
@@ -268,21 +268,21 @@ class TestVariableAggregator:
         finally:
             tracemalloc.stop()
 
-    def test_flop_charge_is_stated_twice_and_equal(self):
-        """``add_flops`` in the kernels and ``obs.engine.FLOP_RULES`` on
-        the op hook price a Reslim forward identically — the aggregator's
-        from one helper — and the node bills the algorithm it runs: the
-        tokenizer's ``2·N·V·p²·D`` linear and the K/V projections are gone,
-        the basis GEMMs and their rank-p² terms are there."""
+    def test_trace_bills_what_the_counter_bills(self):
+        """The op hook and ``FlopCounter`` read one table, so the traced
+        ``engine/*/flops`` of a Reslim forward, summed over every op, equal
+        the counter's total; and the aggregator bills the algorithm it
+        runs: the tokenizer's ``2·N·V·p²·D`` linear and the K/V projections
+        are gone, the basis GEMMs and their rank-p² terms are there."""
         model = Reslim(TINY, 5, 3, factor=4, max_tokens=256,
                        rng=np.random.default_rng(0))
         with Tracer() as tracer, FlopCounter() as counted:
             model(_x(2, 5, 8, 16))                # N = 64, V = 5, p² = 4
-        hooked = {op: tracer.metrics.counters.get(f"engine/{op}/flops", 0.0)
-                  for op in ("linear", "matmul", "conv2d", "flash_attention",
-                             "aggregate_variables")}    # what add_flops bills
+        hooked = {key: value for key, value in tracer.metrics.counters.items()
+                  if key.startswith("engine/") and key.endswith("/flops")}
         n, v, d, h, k = 64, 5, 32, 4, 4
-        assert hooked["aggregate_variables"] == aggregate_variables_flops(n, v, d, h, k) \
+        assert hooked["engine/aggregate_variables/flops"] \
+            == aggregate_variables_flops(n, v, d, h, k) \
             == 2 * n * (k * d + 3 * d * d + 2 * h * (v + k) * d + 2 * v * k * h)
         assert sum(hooked.values()) == counted.total
 

@@ -16,13 +16,12 @@ from repro.nn import (
     TransformerEncoder,
     PatchEmbed,
     aggregate_variables,
-    attention_flop_count,
     attention_peak_elems,
     flash_attention,
     naive_attention,
     unpatchify,
 )
-from repro.tensor import Tensor
+from repro.tensor import FlopCounter, Tensor
 from repro.testing import check_gradients
 from repro.testing.fuzz import OPS
 
@@ -268,9 +267,14 @@ class TestFlashMemory:
 
 class TestAttentionAccounting:
     def test_flop_count_quadratic_in_seq(self):
-        f1 = attention_flop_count(100, 64, 8)
-        f2 = attention_flop_count(200, 64, 8)
-        assert f2 == 4 * f1
+        counts = []
+        for seq in (100, 200):
+            q = Tensor(np.zeros((1, 8, seq, 64), dtype=np.float32))
+            with FlopCounter() as fc:
+                flash_attention(q, q, q)
+            counts.append(fc.total)
+        assert counts[0] == 2 * 2 * 8 * 100 * 100 * 64     # QKᵀ and PV
+        assert counts[1] == 4 * counts[0]
 
     def test_flash_memory_linear_naive_quadratic(self):
         naive = [attention_peak_elems(n, 64, 128, flash=False) for n in (1000, 2000)]

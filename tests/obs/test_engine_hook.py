@@ -8,8 +8,8 @@ from repro.core import ModelConfig, Reslim
 from repro.distributed import transformer_flops
 from repro.nn.transformer import TransformerBlock
 from repro.obs import Tracer
-from repro.obs.engine import node_flops
 from repro.tensor import Tensor, graph_counters, reset_graph_counters
+from repro.tensor.flops import price
 
 
 def _encoder_forward(L=64, d=32, heads=4, depth=2, seed=0):
@@ -57,9 +57,8 @@ class TestFlopAccounting:
 
     def test_unknown_op_prices_zero(self):
         data = np.zeros((2, 3), dtype=np.float32)
-        assert node_flops("reshape", data, (data,)) == 0.0
-        # malformed parents must not raise, just skip pricing
-        assert node_flops("linear", data, ()) == 0.0
+        assert price("reshape").forward(data, (data,)) == 0.0
+        assert price("reshape").backward(data, (data,)) == 0.0
 
 
 class TestGraphNeutrality:
