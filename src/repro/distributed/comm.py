@@ -91,6 +91,25 @@ def _check_buffers(buffers: list[np.ndarray]) -> None:
             raise ValueError(f"rank {i} buffer {b.shape}/{b.dtype} != rank 0 {shape}/{dtype}")
 
 
+def _ring_spans(n: int, p: int, chunks) -> list[slice]:
+    """The ring's ``p`` chunks of ``[0, n)`` as slices: ``np.array_split``'s
+    by default, else ``chunks``, index arrays that must be ascending
+    contiguous runs (empty allowed) tiling ``[0, n)`` in order."""
+    if chunks is None:
+        base, extra = divmod(n, p)
+        sizes = [base + (i < extra) for i in range(p)]
+    elif len(chunks) != p:
+        raise ValueError(f"expected {p} chunk index arrays, got {len(chunks)}")
+    else:
+        sizes = [len(c) for c in chunks]
+    edges = np.cumsum([0] + sizes).tolist()
+    if edges[-1] != n or chunks is not None and not all(
+            np.array_equal(c, np.arange(lo, hi))
+            for c, lo, hi in zip(chunks, edges, edges[1:])):
+        raise ValueError(f"chunks are not ascending contiguous runs tiling [0, {n})")
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 class ProcessGroup:
     """A subset of cluster ranks participating in collectives together."""
 
@@ -136,7 +155,8 @@ class ProcessGroup:
         starts, hence its float32 rounding — bucketed reductions pass the
         *globally aligned* partition so a bucket-sized all-reduce is
         bit-identical to the corresponding slice of a whole-buffer
-        all-reduce.  The chunks must jointly cover every element.
+        all-reduce.  The chunks must be ascending contiguous runs that
+        tile the buffer in order; anything else raises ``ValueError``.
         """
         _check_buffers(buffers)
         if len(buffers) != self.size:
@@ -146,29 +166,21 @@ class ProcessGroup:
         p = self.size
         if p == 1:
             return [buffers[0].copy()]
-        flat = [b.reshape(-1).astype(np.float32).copy() for b in buffers]
-        n = flat[0].size
-        if chunks is None:
-            chunks = np.array_split(np.arange(n), p)
-        elif len(chunks) != p:
-            raise ValueError(f"expected {p} chunk index arrays, got {len(chunks)}")
+        flat = [b.astype(np.float32, order="C").reshape(-1) for b in buffers]
+        spans = _ring_spans(flat[0].size, p, chunks)
         # reduce-scatter phase: after p-1 steps rank r owns the full
         # reduction of chunk (r+1) mod p
         for step in range(p - 1):
             for r in range(p):
-                src = r
-                dst = (r + 1) % p
-                chunk_id = (r - step) % p
-                idx = chunks[chunk_id]
-                flat[dst][idx] += flat[src][idx]
+                span = spans[(r - step) % p]
+                flat[(r + 1) % p][span] += flat[r][span]
         # after reduce-scatter, the full reduction of chunk k lives on
         # rank (k - 1) mod p; all-gather circulates the reduced chunks
-        for chunk_id in range(p):
+        for chunk_id, span in enumerate(spans):
             owner = (chunk_id - 1) % p
-            idx = chunks[chunk_id]
-            reduced = flat[owner][idx]
             for r in range(p):
-                flat[r][idx] = reduced
+                if r != owner:
+                    flat[r][span] = flat[owner][span]
         if op == "mean":
             for f in flat:
                 f /= p

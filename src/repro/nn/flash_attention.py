@@ -28,27 +28,26 @@ is its own GEMM and block edges depend on ``(lq, lk, block_size)`` only,
 so a sample's or head's bits never depend on what shares its batch — the
 served-vs-reference, DDP and Ulysses oracles rest on that.
 
-One shift per query block (kernel epoch 5).  The forward no longer keeps a
-running max: each query block takes one shift per query, the max of its
-scores over the *first* key block, writes ``−shift`` into ``qT``'s padding
-row, and every key block's GEMM ``[K, 1] @ [sc·Q, −shift]ᵀ`` returns the
-shifted scores directly.  A tile then costs one ``exp2`` and one
-``pᵀ @ [V, 1]``; the per-tile max, subtract and ``acc`` rescale are gone.
-Scores are in log2 units (``log2 e`` rides in the ``sc`` that scales
-``qT``), so ``−lse`` is stored in log2 units too, the backward recomputes
-``exp2``, and ``dK`` takes one ``ln 2`` because ``qT`` carries ``log2 e``.
-The first key block holds a ``p = 1`` entry, so ``l ≥ 1`` and the only
-failure is overflow — a later key beating the shift by more than 128 —
-which always leaves a non-finite accumulator.  An item whose accumulator
-does is rerun alone with its shift taken over every key block.  That
-decision reads only the item's own data, so batch invariance holds.
-Sharp attention has the opposite problem: scores far below the shift or
-``lse`` send ``exp2``, and the GEMMs its subnormal results feed, down
-slow paths.  An item whose Cauchy–Schwarz bound
-``2·|q|max·|k|max + log2 lk`` can reach ``_EXP2_FLOOR`` is *sharp*, and
-a tile holding one is floored there before ``exp2``; on every other item
-the floor is a no-op, so this too leaves each item's bits independent of
-its batch.
+A shift only where the bound asks for one (kernel epoch 6).  Scores are
+in log2 units (``log2 e`` rides in the ``sc`` that scales ``qT``), so
+``−lse`` is stored in log2 units too, the backward recomputes ``exp2``,
+and ``dK`` takes one ``ln 2`` because ``qT`` carries ``log2 e``.  By
+Cauchy–Schwarz an item's scores satisfy ``|s| ≤ |q|max·|k|max``, with
+``|q|`` and ``|k|`` row norms (the ``sc·log2 e`` included).  An item
+whose bound ``2·|q|max·|k|max + log2 lk`` stays at or below 63 is safe:
+``|s| ≤ 31.5``, so ``exp2(s)`` is normal and finite with no shift at
+all.  Its padding row in ``qT`` is 0, and a tile costs one score GEMM,
+one ``exp2`` and one ``pᵀ @ [V, 1]``, with no max pass and no overflow
+check.  Its output stays finite unless ``|v|max · lk ≳ 2⁹⁶``, because
+``l ≤ lk · 2³¹·⁵``.  In the backward its ``s − lse ≥ −63``, so ``exp2``
+stays normal there too.  Any other item is *sharp*.  It is shifted by
+its true max over every key block, written as ``−shift`` into ``qT``'s
+padding row, so each score GEMM ``[K, 1] @ [sc·Q, −shift]ᵀ`` returns
+``s − shift ≤ 0`` and ``l ≥ 1``.  A tile holding a sharp item floors
+``exp2``'s argument at ``_EXP2_FLOOR``, off NumPy's subnormal slow paths.
+The floor is a no-op on safe items, and the bound and the shift read
+only the item's own data, so each item's bits are independent of its
+batch.
 """
 
 from __future__ import annotations
@@ -103,66 +102,49 @@ def flash_attention(
     batch_shape = q.shape[:-2]
     nb = int(np.prod(batch_shape))
 
+    sc2 = sc * np.log2(np.e)  # scores in log2 units
+    ones = np.ones(d, dtype=np.float32)  # row sums over d as GEMVs
     out = np.empty((nb, lq, d), dtype=np.float32)
     # The GEMM operands, refilled from the live parents (whatever their
-    # strides) by every run_blocks(), eager or replay: qT = [sc*log2(e)*Q,
-    # -shift]^T, whose last row holds each query block's shift while it runs
-    # and its -lse (log2 units) once it finishes, read by the backward; and
+    # strides) by every run_blocks(), eager or replay: qT = [sc2*Q, -shift]^T,
+    # whose last row holds each query's shift while its block runs and its
+    # -lse (log2 units) once it finishes, read by the backward; and
     # kv1 = [K, 1], [V, 1].
     qT = np.empty((nb, d + 1, lq), dtype=np.float32)
     kv1 = np.ones((2, nb, lk, d + 1), dtype=np.float32)
     k1, v1 = kv1
-    sharp = np.empty(nb, dtype=bool)  # items whose exp2 arguments are floored
-
-    def row_max(qTi, k1, stop):
-        """Per-query score max over the key blocks starting before ``stop``."""
-        m = (k1[:, :bs, :d] @ qTi[:, :d]).max(axis=-2)
-        for j0 in range(bs, stop, bs):
-            np.maximum(m, (k1[:, j0:j0 + bs, :d] @ qTi[:, :d]).max(axis=-2), out=m)
-        return m
-
-    def accumulate(qTi, k1, v1, floor):
-        """``[PV, l]`` of one query block; ``qTi``'s last row holds −shift."""
-        acc = np.zeros((len(qTi), qTi.shape[-1], d + 1), dtype=np.float32)
-        for j0 in range(0, lk, bs):
-            pT = k1[:, j0:j0 + bs] @ qTi  # s - shift, (n, bk, bq)
-            if floor:
-                np.maximum(pT, _EXP2_FLOOR, out=pT)
-            np.exp2(pT, out=pT)
-            acc += np.swapaxes(pT, -1, -2) @ v1[:, j0:j0 + bs]  # p @ [V, 1]
-            # free the tile before the next is allocated, so malloc reuses its
-            # pages; held across that allocation, glibc's heap grows and
-            # trims, and at (16, 512, 8) each call took ~1 900 page faults
-            del pT
-        return acc
+    sharp = np.empty(nb, dtype=bool)  # items shifted, and their tiles floored
 
     def run_blocks():
-        np.multiply(np.swapaxes(q.data, -1, -2), np.float32(sc * np.log2(np.e)),
+        np.multiply(np.swapaxes(q.data, -1, -2), np.float32(sc2),
                     out=qT.reshape(*batch_shape, d + 1, lq)[..., :d, :])
         kv = kv1.reshape(2, *batch_shape, lk, d + 1)
         kv[0, ..., :d], kv[1, ..., :d] = k.data, v.data
-        # Cauchy-Schwarz: s - shift and s - lse are >= -(2|q|max |k|max +
-        # log2 lk) per item.  Only an item whose bound can reach the floor
-        # is sharp; flooring is a no-op on every other item, so a tile is
-        # floored whenever any item in it is sharp and no item's bits
-        # depend on its neighbours.
-        qn = np.sqrt(np.square(qT[:, :d]).sum(axis=1).max(axis=-1, initial=0.0))
-        kn = np.sqrt(np.square(k1[..., :d]).sum(axis=-1).max(axis=-1, initial=0.0))
-        np.greater(2.0 * qn * kn + np.log2(lk), -_EXP2_FLOOR - 1.0, out=sharp)
+        # Cauchy-Schwarz, per item: |s| <= sc2 |q|max |k|max (module doc)
+        qn = np.sqrt((np.square(q.data) @ ones).reshape(nb, lq).max(axis=-1, initial=0.0))
+        kn = np.sqrt((np.square(k.data) @ ones).reshape(nb, lk).max(axis=-1, initial=0.0))
+        np.greater(2.0 * sc2 * qn * kn + np.log2(lk), -_EXP2_FLOOR - 1.0, out=sharp)
+        floor = sharp.any()
+        qT[:, d] = 0.0
+        if floor:
+            ks = k1[sharp, :, :d]
         for i0 in range(0, lq, bs):
             qTi = qT[:, :, i0:i0 + bs]  # (nb, d + 1, bq)
-            shift = row_max(qTi, k1, bs)
-            np.negative(shift, out=qTi[:, d])
-            with np.errstate(over="ignore", invalid="ignore"):  # caught below
-                acc = accumulate(qTi, k1, v1, sharp.any())
-            bad = np.flatnonzero(~np.isfinite(acc).all(axis=(1, 2)))
-            if bad.size:  # overflow: rerun those items shifted by their true max
-                qTb, k1b, v1b = qTi[bad], k1[bad], v1[bad]
-                shift[bad] = row_max(qTb, k1b, lk)
-                np.negative(shift[bad], out=qTb[:, d])
-                acc[bad] = accumulate(qTb, k1b, v1b, sharp[bad].any())
+            if floor:  # s - shift <= 0 on sharp items, so l >= 1
+                qTi[sharp, d] = -(ks @ qTi[sharp, :d]).max(axis=-2)
+            acc = np.zeros((nb, qTi.shape[-1], d + 1), dtype=np.float32)
+            for j0 in range(0, lk, bs):
+                pT = k1[:, j0:j0 + bs] @ qTi  # s - shift, (nb, bk, bq)
+                if floor:
+                    np.maximum(pT, _EXP2_FLOOR, out=pT)
+                np.exp2(pT, out=pT)
+                acc += np.swapaxes(pT, -1, -2) @ v1[:, j0:j0 + bs]  # p @ [V, 1]
+                # free the tile before the next is allocated, so malloc reuses
+                # its pages; held across that allocation, glibc's heap grows
+                # and trims, and at (16, 512, 8) each call took ~1 900 faults
+                del pT
             np.divide(acc[..., :d], acc[..., d:], out=out[:, i0:i0 + bs])
-            np.negative(shift + np.log2(acc[..., d]), out=qTi[:, d])  # -lse
+            np.subtract(qTi[:, d], np.log2(acc[..., d]), out=qTi[:, d])  # -lse
 
     run_blocks()
     out_full = out.reshape(*batch_shape, lq, d)
@@ -172,7 +154,7 @@ def flash_attention(
         # jacobian diagonal correction
         goT = np.empty((nb, d + 1, lq), dtype=np.float32)
         goT.reshape(*batch_shape, d + 1, lq)[..., :d, :] = np.swapaxes(g, -1, -2)
-        np.negative((g * out_full).sum(axis=-1).reshape(nb, lq), out=goT[:, d])
+        np.negative(((g * out_full) @ ones).reshape(nb, lq), out=goT[:, d])
         dq = np.zeros((nb, lq, d), dtype=np.float32)
         dk = np.zeros((nb, lk, d), dtype=np.float32)
         dv = np.zeros((nb, lk, d), dtype=np.float32)

@@ -38,7 +38,7 @@ from .tensor import (
     reset_graph_counters,
 )
 
-KERNEL_EPOCH = 5
+KERNEL_EPOCH = 6
 """Generation of the numeric kernels' *bits* (the rule is DESIGN.md §12).
 
 Every oracle compares two paths through the same kernels, so a kernel may
@@ -56,7 +56,9 @@ block's max) folded into the score GEMM, ``exp2`` on log2-unit scores, and
 a per-item rerun at the true max when that shift overflows, and ``exp2``'s
 argument floored at −64 on tiles that hold a sharp item;
 ``bilinear_upsample`` as separable resize-matrix GEMMs, forward and
-adjoint.
+adjoint.  Epoch 6: ``flash_attention`` shifts only sharp items, each by
+its true max, and runs every other item unshifted, which its score bound
+proves safe; its row sums over ``d`` are GEMVs.
 """
 
 __all__ = [

@@ -93,6 +93,28 @@ class TestAllReduce:
         with pytest.raises(ValueError):
             g.all_reduce(_bufs(2), op="max")
 
+    @pytest.mark.parametrize("chunks", [
+        [np.arange(0, 4), np.arange(5, 10)],            # gap: 4 never reduced
+        [np.arange(0, 6), np.arange(4, 10)],            # overlap: 4, 5 twice
+        [np.array([0, 2, 4, 6, 8]), np.array([1, 3, 5, 7, 9])],  # strided
+        [np.arange(5, 10), np.arange(0, 5)],            # out of order
+        [np.arange(0, 5), np.arange(5, 9)],             # short of n
+        [np.arange(0, 10)],                             # wrong count
+    ])
+    @pytest.mark.parametrize("call", ["all_reduce", "all_reduce_async"])
+    def test_rejects_chunks_that_do_not_tile_the_buffer(self, chunks, call):
+        g = ProcessGroup([0, 1])
+        with pytest.raises(ValueError, match="chunk"):
+            getattr(g, call)(_bufs(2, n=10), op="mean", chunks=chunks)
+
+    def test_explicit_chunks_with_empty_runs(self):
+        g = ProcessGroup([0, 1, 2])
+        bufs = _bufs(3, n=10)
+        empty = np.empty(0, dtype=np.int64)
+        got = g.all_reduce(bufs, op="sum",
+                           chunks=[np.arange(0, 10), empty, empty])
+        np.testing.assert_allclose(got[0], np.sum(bufs, axis=0), rtol=1e-6)
+
     @given(st.integers(2, 7), st.integers(1, 64))
     @settings(max_examples=20, deadline=None)
     def test_property_mean_invariant(self, world, n):

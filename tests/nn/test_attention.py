@@ -90,12 +90,13 @@ class TestFlashExactness:
             rtol=1e-4, atol=1e-5,
         )
 
-    def test_overflow_fallback_matches_float64_reference(self):
+    def test_late_key_spike_is_sharp_and_matches_float64_reference(self):
         """Item 1's second key block beats its first block's max by far
-        more than 128 (log2 units), so the first-block shift overflows its
-        accumulator and it is rerun shifted by its true max; items 0 and 2
-        stay on the fast pass.  Every item matches float64 at the
-        fuzzer's tolerances, finite and without a warning."""
+        more than 128 (log2 units), which no shift read off one key block
+        survives.  Its score bound marks it sharp, so it is shifted by its
+        true max over every key block; items 0 and 2 are safe and run
+        unshifted.  Every item matches float64 at the fuzzer's tolerances,
+        finite and without a warning."""
         rng = np.random.default_rng(5)
         nb, lq, lk, d, block = 3, 12, 16, 4, 8
         q = rng.standard_normal((nb, lq, d)).astype(np.float32)
@@ -106,15 +107,11 @@ class TestFlashExactness:
         s = np.einsum("bqd,bkd->bqk", q, k) / np.sqrt(d) * np.log2(np.e)
         gap = (s[:, :, block:].max(-1) - s[:, :, :block].max(-1)).max(-1)
         assert gap[1] > 128 and gap[0] < 128 and gap[2] < 128
+        assert _sharp(q, k).tolist() == [False, True, False]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _flash_fwd_bwd(q, k, v, g, block)
-        spec = OPS["flash_attention"]
-        for name, a, b in zip(("out", "dq", "dk", "dv"), got, _reference_fwd_bwd(q, k, v, g)):
-            assert np.all(np.isfinite(a)), name
-            rtol, atol = ((spec.fwd_rtol, spec.fwd_atol) if name == "out"
-                          else (spec.grad_rtol, spec.grad_atol))
-            np.testing.assert_allclose(a, b, rtol=rtol, atol=atol, err_msg=name)
+        _assert_matches_reference(got, _reference_fwd_bwd(q, k, v, g))
 
     def test_sharp_item_floored_matches_float64_reference(self):
         """Item 1's queries x30 spread its scores far past exp2's subnormal
@@ -131,12 +128,45 @@ class TestFlashExactness:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _flash_fwd_bwd(q, k, v, g, 16)
-        spec = OPS["flash_attention"]
-        for name, a, b in zip(("out", "dq", "dk", "dv"), got, _reference_fwd_bwd(q, k, v, g)):
-            assert np.all(np.isfinite(a)), name
-            rtol, atol = ((spec.fwd_rtol, spec.fwd_atol) if name == "out"
-                          else (spec.grad_rtol, spec.grad_atol))
-            np.testing.assert_allclose(a, b, rtol=rtol, atol=atol, err_msg=name)
+        _assert_matches_reference(got, _reference_fwd_bwd(q, k, v, g))
+
+    def test_one_sharp_item_in_a_safe_serve_batch(self):
+        """Serve's (8, 153, 8) with item 3's queries x30: item 3 alone is
+        sharp, so it takes a shift and its tiles take the floor, and the
+        seven safe items run unshifted beside it.  Every item is bitwise
+        equal alone and in the batch, and matches float64 at the fuzzer's
+        tolerances."""
+        rng = np.random.default_rng(29)
+        q, k, v, g = (rng.standard_normal((8, 153, 8)).astype(np.float32)
+                      for _ in range(4))
+        q[3] *= 30.0
+        assert np.flatnonzero(_sharp(q, k)).tolist() == [3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = _flash_fwd_bwd(q, k, v, g, 128)
+            for i in range(8):
+                alone = _flash_fwd_bwd(*(a[i:i + 1] for a in (q, k, v, g)), 128)
+                for name, full, one in zip(("out", "dq", "dk", "dv"), batched, alone):
+                    assert np.array_equal(full[i], one[0]), (i, name)
+        _assert_matches_reference(batched, _reference_fwd_bwd(q, k, v, g))
+
+    def test_safe_item_with_huge_values_stays_finite(self):
+        """A safe item runs unshifted, so ``l`` can reach ``lk * 2**31.5``;
+        its output overflows only once ``|v|max * lk`` nears 2**96.  With
+        ``|v|`` about 1e20 (2**66) at lk = 153 it is finite and matches
+        float64, relative to that scale."""
+        rng = np.random.default_rng(30)
+        q, k, v, g = (rng.standard_normal((1, 153, 8)).astype(np.float32)
+                      for _ in range(4))
+        v *= np.float32(1e20)
+        assert not _sharp(q, k).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _flash_fwd_bwd(q, k, v, g, 128)
+        scales = (1e20, 1e20, 1e20, 1.0)  # out, dq and dk scale with v
+        _assert_matches_reference(
+            [a / s for a, s in zip(got, scales)],
+            [b / s for b, s in zip(_reference_fwd_bwd(q, k, v, g), scales)])
 
     def test_sharp_items_take_no_slow_path(self):
         """Queries x30 at serve's (8, 153, 8): unfloored, the subnormal
@@ -177,6 +207,23 @@ def _flash_fwd_bwd(q, k, v, g, block):
     return (out.data, *(t.grad for t in ts))
 
 
+def _sharp(q, k):
+    """Items whose Cauchy-Schwarz score bound (log2 units) exceeds 63."""
+    c = np.log2(np.e) / np.sqrt(q.shape[-1])
+    qn, kn = (np.sqrt(np.square(a.astype(np.float64)).sum(-1).max(-1)) for a in (q, k))
+    return 2 * c * qn * kn + np.log2(k.shape[-2]) > 63
+
+
+def _assert_matches_reference(got, ref):
+    """(out, dq, dk, dv) are finite and match float64 at the fuzzer's tolerances."""
+    spec = OPS["flash_attention"]
+    for name, a, b in zip(("out", "dq", "dk", "dv"), got, ref):
+        assert np.all(np.isfinite(a)), name
+        rtol, atol = ((spec.fwd_rtol, spec.fwd_atol) if name == "out"
+                      else (spec.grad_rtol, spec.grad_atol))
+        np.testing.assert_allclose(a, b, rtol=rtol, atol=atol, err_msg=name)
+
+
 def _reference_fwd_bwd(q, k, v, g):
     """(out, dq, dk, dv) of naive attention in float64."""
     q, k, v, g = (a.astype(np.float64) for a in (q, k, v, g))
@@ -195,11 +242,11 @@ class TestFlashBatchInvariance:
     Served-vs-reference (batch size set by the scheduler), DDP-vs-single
     (batch split across ranks) and Ulysses (heads split across ranks)
     are all bitwise claims that rest on this: every flattened batch item
-    is its own GEMM, and block edges never depend on ``nb``.  The overflow
-    fallback is decided per item, and the exp2 floor is a no-op on every
-    item that is not sharp: one item's logits scaled x50 (which makes it
-    sharp, so its tiles are floored, and sends it to the fallback when a
-    later key block beats its first) moves no other item's bits.
+    is its own GEMM, and block edges never depend on ``nb``.  Whether an
+    item is shifted is decided on its own score bound, and the exp2 floor
+    is a no-op on every item that is not sharp: one item's logits scaled
+    x50 (which can make it sharp, so it is shifted by its true max and its
+    tiles are floored) moves no other item's bits.
     """
 
     @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40),

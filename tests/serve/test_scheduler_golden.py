@@ -16,7 +16,10 @@ digests (``cache_counters``) so a change that is meant to move only
 them — and nothing else — is readable straight from the JSON diff.
 The executed cells also store ``repro.tensor.KERNEL_EPOCH``: their
 output digests are absolute bytes, so a kernel change must re-record
-them, and the test says so instead of un-pinning itself.
+them, and the test says so instead of un-pinning itself.  They store a
+``blas_probe`` as well: a different probe marks another BLAS build, whose
+output bytes may differ, while a reference that moves under an equal
+probe is a kernel change made without a ``KERNEL_EPOCH`` bump, and fails.
 
 Re-record with ``REPRO_UPDATE_GOLDEN=1`` (see ``repro.testing.golden``).
 """
@@ -218,6 +221,27 @@ def _workload(fine):
     return model, ds, list(inputs)
 
 
+def _blas_probe() -> str:
+    """SHA-256 over a few fixed float32 results at the kernels' shapes.
+
+    Flash's K = d + 1 = 9 score GEMM and its ``pᵀ @ [V, 1]``, an ``(L, 8)
+    @ (8,)`` GEMV, and ``np.exp2`` / ``np.exp`` over a fixed vector.  Equal
+    probes mean the BLAS and ufunc builds round as they did at recording,
+    so a moved reference can only be a kernel change.
+    """
+    rng = np.random.default_rng(29)
+    kT, qT = (rng.standard_normal(s).astype(np.float32)
+              for s in ((8, 128, 9), (8, 9, 128)))
+    x = rng.standard_normal((8, 153, 8)).astype(np.float32)
+    s = kT @ qT
+    h = hashlib.sha256()
+    for a in (s, np.swapaxes(np.exp2(s), -1, -2) @ kT,
+              x @ rng.standard_normal(8).astype(np.float32),
+              np.exp2(8 * x.ravel()), np.exp(8 * x.ravel())):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("mode", ["whole", "tiled"])
 def test_executed_cell(mode):
     if mode == "whole":
@@ -249,22 +273,30 @@ def test_executed_cell(mode):
     cell = _digest(result, tape)
     cell["kernel_epoch"] = KERNEL_EPOCH
     cell["reference"] = _sha([content_key(refs[s]) for s in sorted(refs)])
+    cell["blas_probe"] = _blas_probe()
     name = f"{mode}/executed"
     recorded = (json.loads(GOLDEN.read_text()).get(name, {})
                 if GOLDEN.exists() else {})
     if not update_requested([]):
         # a kernel change moves the output bytes on purpose and must
-        # re-record them; only under the recorded kernels may a moved
-        # reference be read as "another BLAS build" below
+        # re-record them
         assert recorded.get("kernel_epoch") == KERNEL_EPOCH, (
             f"{name} was recorded at kernel epoch "
             f"{recorded.get('kernel_epoch')}, the kernels are at epoch "
             f"{KERNEL_EPOCH}: re-record with REPRO_UPDATE_GOLDEN=1 in a "
             "commit that changes nothing else (DESIGN.md §12)")
-        # output bytes depend on the BLAS build; pin them only where the
-        # reference itself reproduces the recorded bytes (the bitwise
-        # check against the live reference above holds everywhere)
-        if recorded.get("reference") != cell["reference"]:
-            for key in ("outputs", "reference"):
-                cell[key] = recorded.get(key)
+        # output bytes depend on the BLAS build: on another build (its
+        # probe differs) pin them only where the reference reproduces the
+        # recorded bytes; the bitwise check against the live reference
+        # above holds everywhere
+        if recorded.get("blas_probe") != cell["blas_probe"]:
+            cell["blas_probe"] = recorded.get("blas_probe")
+            if recorded.get("reference") != cell["reference"]:
+                for key in ("outputs", "reference"):
+                    cell[key] = recorded.get(key)
+        assert recorded.get("reference") == cell["reference"], (
+            f"{name}: the kernels' bits moved under the recorded BLAS "
+            f"build at kernel epoch {KERNEL_EPOCH}: bump KERNEL_EPOCH and "
+            "re-record with REPRO_UPDATE_GOLDEN=1 in a commit that changes "
+            "nothing else (DESIGN.md §12)")
     _check({name: cell})
