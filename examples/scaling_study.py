@@ -20,7 +20,6 @@ from repro.data import Grid
 from repro.distributed import (
     CompositePlan,
     DownscalingWorkload,
-    ParallelLayout,
     VirtualCluster,
     max_output_tokens,
     strong_scaling_efficiency,
@@ -33,13 +32,13 @@ def show_layout():
     print("=" * 72)
     print("Orthogonal parallelism layout (Fig. 5) on a 64-GPU virtual cluster")
     print("=" * 72)
-    layout = ParallelLayout(VirtualCluster(64), tp_size=8, tiles_group_size=16)
-    layout.validate()
-    print(f"  tensor parallel : {layout.tp_size} GPUs (one node)")
-    print(f"  FSDP            : {layout.fsdp_size} ranks (paired across neighbour nodes)")
-    print(f"  TILES group     : {layout.tiles_group_size} GPUs (two adjacent nodes)")
-    print(f"  DDP             : {layout.ddp_size} groups")
-    for name, level in layout.communication_hierarchy().items():
+    plan = CompositePlan(VirtualCluster(64), tp=8, fsdp=2, tiles=1, ddp=4)
+    plan.validate()
+    print(f"  tensor parallel : {plan.tp} GPUs (one node)")
+    print(f"  FSDP            : {plan.fsdp} ranks (paired across neighbour nodes)")
+    print(f"  TILES           : {plan.tiles} tile(s) per sample")
+    print(f"  DDP             : {plan.ddp} groups of {plan.tp * plan.fsdp} GPUs")
+    for name, level in plan.communication_hierarchy().items():
         print(f"  {name:16s}-> {level}")
 
 

@@ -299,12 +299,14 @@ def _cmd_scale(args) -> int:
     print(f"max sequence at {max(args.gpus)} GPUs (4x compression): "
           f"{best.output_tokens:.3g} tokens")
     if args.plan:
-        from repro.distributed import CompositePlan, ParallelLayout, VirtualCluster
+        from repro.distributed import CompositePlan, VirtualCluster
 
+        # Fig. 5: one node of TP, FSDP pairs across two nodes, then tiles x ddp
         world = max(args.gpus)
-        layout = ParallelLayout(VirtualCluster(world))
-        tiles = args.tiles if layout.ddp_size % args.tiles == 0 else 1
-        plan = CompositePlan.from_layout(layout, tiles=tiles)
+        groups = world // 16
+        tiles = args.tiles if groups % args.tiles == 0 else 1
+        plan = CompositePlan(VirtualCluster(world), tp=8, fsdp=2, tiles=tiles,
+                             ddp=groups // tiles)
         print()
         _print_plan_costs(plan, cfg)
     return 0

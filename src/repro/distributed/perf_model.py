@@ -16,8 +16,9 @@ specs (``repro.distributed.topology``):
   by tensor parallelism (≤ one node); naive attention adds the quadratic
   ``L²`` score matrices — why the baseline ViT OOMs at 777K tokens
   (Table II) while flash-attention Reslim scales to billions.
-* **Rate** — a roofline on per-layer GEMM size ``x = L_tile·d²``:
-  sustained fraction ``F_MAX·x/(x+W_HALF)``.  Reproduces the paper's
+* **Rate** — a roofline on per-layer GEMM shape, saturating in the width
+  ``d²`` and the tile tokens ``L`` separately: sustained fraction
+  ``F_MAX·d²/(d²+D_HALF)·L/(L+L_HALF)``.  Reproduces the paper's
   small-model underutilization (9.5M at 363 PF vs 10B at 1.8 EF).
 * **Schedule** — each sample is served by a group of ``tiles × tp``
   GPUs; the remaining GPUs replicate groups data-parallel.  A fixed
@@ -65,7 +66,6 @@ __all__ = [
     "strong_scaling_efficiency",
     "C_ACT",
     "F_MAX",
-    "W_HALF",
     "T_FLOOR",
 ]
 
@@ -76,7 +76,6 @@ C_ACT = 144            # resident activation tensors per layer (incl. backward)
 F_MAX = 0.6            # best-case fraction of peak bf16 FLOPs for big GEMMs
 D_HALF = 3.0e5         # d² at which width-bound efficiency reaches F_MAX/2
 L_HALF = 1500.0        # sequence length at which batch-dim efficiency is half
-W_HALF = D_HALF * L_HALF  # legacy composite constant (kept for reference)
 T_FLOOR = 1.5e-4       # per-step fixed cost (launch/loader residue), seconds
 QT_SECONDS_PER_TOKEN = 3.0e-6  # CPU quad-tree build + (de)compress per token
 GRAD_OVERLAP = 0.9     # fraction of gradient all-reduce hidden under backward

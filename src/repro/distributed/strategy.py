@@ -19,9 +19,9 @@ buffer the collectives use) and the single-model ``reference_forward``
 TILES are its degenerate plans ``CompositePlan(ddp=W)``, ``(fsdp=W)``,
 ``(tiles=W)``: a size-1 level's collective is a copy.
 
-:class:`CompositePlan` extends :class:`~.orthogonal.ParallelLayout`'s
-algebra to the explicit four-factor decomposition ``tp x fsdp x tiles x
-ddp == world`` with the rank layout ``rank = ((d*tiles + t)*fsdp + f)*tp
+:class:`CompositePlan` is Fig. 5's orthogonal layout as the explicit
+four-factor decomposition ``tp x fsdp x tiles x ddp == world`` with the
+rank layout ``rank = ((d*tiles + t)*fsdp + f)*tp
 + p`` (tensor parallel innermost/contiguous, matching Fig. 5's placement
 of TP on the fast in-node links).  :class:`CompositeStrategy` executes
 the full stack end-to-end on the virtual cluster:
@@ -61,7 +61,6 @@ from ..tensor import CompiledStep, Tensor
 from .bucketer import GradBucketer, aligned_ring_chunks
 from .comm import ProcessGroup, VirtualCluster
 from .hybrid_op import HybridOpChain
-from .orthogonal import ParallelLayout
 from .pipeline import PipelineParallel
 from .tensor_parallel import TensorParallelMLP
 from .ulysses import UlyssesAttention, merge_sequence, split_sequence
@@ -307,24 +306,6 @@ class CompositePlan:
             raise ValueError("tensor parallelism must fit within a node")
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_layout(cls, layout: ParallelLayout, tiles: int = 1) -> "CompositePlan":
-        """Refine a :class:`ParallelLayout` into a four-factor plan.
-
-        The layout's algebra (``tp x fsdp = tiles_group``, ``tiles_group
-        x ddp = world``) has no independent tile factor; the plan splits
-        the layout's data-parallel dimension into ``tiles x ddp`` —
-        each sample's tiles land on ``tiles`` adjacent groups (Fig. 5
-        places TILES groups on neighbouring nodes).
-        """
-        if layout.ddp_size % tiles:
-            raise ValueError(
-                f"layout ddp {layout.ddp_size} not divisible by tiles {tiles}"
-            )
-        return cls(cluster=layout.cluster, tp=layout.tp_size,
-                   fsdp=layout.fsdp_size, tiles=tiles,
-                   ddp=layout.ddp_size // tiles)
-
     @property
     def world(self) -> int:
         return self.cluster.world_size
@@ -582,12 +563,11 @@ class CompositeStrategy(ParallelStrategy):
                 f"inputs/targets batch sizes differ: "
                 f"{inputs.shape[0]} != {targets.shape[0]}")
         rank_rows = self._rank_rows(inputs.shape[0])
-        specs = self._tile_specs(inputs)
         if self.overlap:
             self._begin_overlap_step()
         losses = []
         for d, rows in enumerate(rank_rows):
-            x = Tensor(inputs[rows])
+            x, y = Tensor(inputs[rows]), Tensor(targets[rows])
             for t in range(plan.tiles):
                 unit, buf = self._unit(d, t), self._buffer(d, t)
                 buf.zero_grad()
@@ -602,14 +582,7 @@ class CompositeStrategy(ParallelStrategy):
                             inputs[rows], targets[rows])
                         loss_val, out_nbytes = float(loss_data), out_data.nbytes
                     else:
-                        if specs is None:
-                            out = unit(x)
-                            loss = loss_fn(out, Tensor(targets[rows]))
-                        else:
-                            spec = specs[t]
-                            out = unit(extract_tile(x, spec))
-                            loss = tile_core_loss(out, spec, self.factor,
-                                                  targets[rows], loss_fn)
+                        loss, out = self._unit_loss(unit, x, y, t, loss_fn)
                         loss.backward()
                         loss_val, out_nbytes = float(loss.data), out.data.nbytes
                     if bucketer is not None:
@@ -648,26 +621,26 @@ class CompositeStrategy(ParallelStrategy):
     def _release_compiled(self) -> None:
         """Free every captured plan (arena bytes drop to zero for them)."""
         for step in self._compiled.values():
-            step.invalidate()
+            step.release()
         self._compiled.clear()
 
     def _make_tile_fn(self, d: int, t: int):
         """Step function for one unit's tile: loss first (backward root),
         then the tile output (its nbytes feed the TP traffic model)."""
+        return lambda xt, yt: self._unit_loss(self._unit(d, t), xt, yt, t,
+                                              self._active_loss_fn)
 
-        def fn(xt: Tensor, yt: Tensor):
-            loss_fn = self._active_loss_fn
-            if self.plan.tiles == 1:
-                out = self._unit(d, t)(xt)
-                loss = loss_fn(out, yt)
-            else:
-                h, w = xt.shape[-2:]
-                spec = make_tiles(h, w, self.plan.tiles, self.halo)[t]
-                out = self._unit(d, t)(extract_tile(xt, spec))
-                loss = tile_core_loss(out, spec, self.factor, yt, loss_fn)
-            return loss, out
-
-        return fn
+    def _unit_loss(self, model: Module, xt: Tensor, yt: Tensor, t: int,
+                   loss_fn) -> tuple[Tensor, Tensor]:
+        """Tile ``t``'s loss on one rank's rows, and the model output: the
+        one statement of the per-unit loss (eager, compiled, reference)."""
+        if self.plan.tiles == 1:
+            out = model(xt)
+            return loss_fn(out, yt), out
+        h, w = xt.shape[-2:]
+        spec = make_tiles(h, w, self.plan.tiles, self.halo)[t]
+        out = model(extract_tile(xt, spec))
+        return tile_core_loss(out, spec, self.factor, yt, loss_fn), out
 
     # ------------------------------------------------------------------ #
     # backward-driven overlapped reduction (phases 1-2 under backward)
@@ -876,7 +849,7 @@ class CompositeStrategy(ParallelStrategy):
         ref = self._units[0].state_dict()
         for i, unit in enumerate(self._units[1:], start=1):
             for name, arr in unit.state_dict().items():
-                if not np.allclose(arr, ref[name], atol=atol):
+                if not np.allclose(arr, ref[name], rtol=0.0, atol=atol):
                     raise AssertionError(f"unit {i} drifted on {name}")
 
     # ------------------------------------------------------------------ #
@@ -958,19 +931,10 @@ class CompositeStrategy(ParallelStrategy):
         """Flat single-model gradient matching the plan's loss
         decomposition: per-(rank, tile) microbatch gradients averaged in
         float64 (the mirror of the collectives' reduction)."""
-        specs = self._tile_specs(inputs)
         thunks = []
         for rows in self._rank_rows(inputs.shape[0]):
-            xt = Tensor(inputs[rows])
-            if specs is None:
-                thunks.append(
-                    lambda xt=xt, rows=rows:
-                    self.loss_fn(model(xt), Tensor(targets[rows])))
-            else:
-                for spec in specs:
-                    thunks.append(
-                        lambda xt=xt, rows=rows, spec=spec:
-                        tile_core_loss(model(extract_tile(xt, spec)), spec,
-                                       self.factor, targets[rows],
-                                       self.loss_fn))
+            xt, yt = Tensor(inputs[rows]), Tensor(targets[rows])
+            for t in range(self.plan.tiles):
+                thunks.append(lambda xt=xt, yt=yt, t=t:
+                              self._unit_loss(model, xt, yt, t, self.loss_fn)[0])
         return _microbatch_mean_grads(model, thunks)

@@ -9,30 +9,28 @@ ORBIT/AERIS throughput stories rest on):
    hook (:func:`repro.tensor.tensor.set_recorder`).  Every op reports
    its output tensor, parents, and a *replay thunk* that refreshes the
    op's saved buffers in place from its parents' current ``.data``.
-   The backward pass runs through the planner below, which transcribes
-   :meth:`Tensor.backward`'s walk instruction by instruction while
-   computing the real gradients — so the capture step *is* a correct,
-   bit-identical train step.
+   The backward pass is the eager walk itself
+   (:func:`repro.tensor.tensor._walk_backward`) run with a program list
+   it records into — so the capture step *is* an eager train step.
 2. **plan** — the recorded tape becomes two flat programs.  The forward
    program is the list of replay thunks in execution order (view ops —
    transpose/permute/broadcast and view reshapes/getitems — are dropped:
    their buffers alias parents that are refreshed in place, so they cost
-   zero on replay).  The backward program is one instruction per tape
-   node in reverse topological order: invoke the node's recorded
-   backward closure and route each returned parent gradient with a
-   precomputed accumulation mode (store by reference / cast-copy /
-   allocate-on-second-contribution / in-place add), mirroring exactly
-   the ownership decisions the eager walk makes.  Gradient slots live in
-   a preallocated list and are released (set to None) at precomputed
-   points.  All activation buffers are retained between steps — they are
+   zero on replay).  The backward program is what the walk emitted: one
+   instruction per tape node in reverse topological order, which invokes
+   the node's recorded backward closure and routes each returned parent
+   gradient with the accumulation mode the walk took (store by reference
+   / cast-copy / allocate-on-second-contribution / in-place add).
+   Gradient slots live in a preallocated list and are released (set to
+   None) at precomputed points.  All activation buffers are retained between steps — they are
    the arena (``graph_counters()["arena_bytes"]``).
 3. **guard + replay** — cheap guards on input shapes/dtypes plus an
    optional extra guard (training flag, loss scale) trigger transparent
    recapture on mismatch.  Replay copies the inputs into the captured
    input buffers, runs the thunks, then the backward program: zero
    ``Tensor`` objects, zero tape nodes, zero closure creation, zero
-   per-node bookkeeping.  Leaf gradients land through the identical
-   ``_accumulate`` logic, so flat parameter buffers
+   per-node bookkeeping.  Leaf gradients land through the walk's leaf
+   rule (``_fold_leaf_grad``), so flat parameter buffers
    (:class:`repro.nn.flat.FlatParamBuffer`) and the bucketed-overlap
    ``_ready_hook`` launch points fire exactly as in the eager walk.
 
@@ -68,16 +66,11 @@ import numpy as np
 
 from . import tensor as _engine
 from .flops import active_counter, price
-from .tensor import Tensor, _COUNTERS, enable_grad, set_recorder
+from .tensor import (_ADD_INPLACE, _ADD_NEW, _BW_NODE, _COUNTERS, _STORE,
+                     _STORE_CAST, Tensor, _fold_leaf_grad, _walk_backward,
+                     enable_grad, set_recorder)
 
 __all__ = ["CompiledStep", "CompiledForward", "CompileError"]
-
-# backward-edge accumulation modes, resolved at capture time by replaying
-# the eager walk's exact ownership decisions
-_SKIP, _STORE, _STORE_CAST, _ADD_NEW, _ADD_INPLACE = range(5)
-
-# backward-instruction kinds
-_BW_NODE, _BW_LEAF = 0, 1
 
 
 class CompileError(RuntimeError):
@@ -135,7 +128,6 @@ class CompiledStep:
         self._flops = 0.0
         self._records: list = []
         self._slots: list = []
-        self._root_slot = -1
         self._seed: np.ndarray | None = None
         self._arena_bytes = 0
 
@@ -179,19 +171,12 @@ class CompiledStep:
         """Whether a plan is currently held (arena allocated)."""
         return self._key is not None
 
-    def invalidate(self) -> None:
-        """Force a recapture on the next call.
-
-        The replan path calls this when the world it captured against no
-        longer exists — equivalent to a guard miss without charging the
-        ``guard_misses`` counter (the plan didn't *fail* a guard, it was
-        told the world changed).  Currently identical to :meth:`release`;
-        kept separate so the two intents stay distinguishable.
-        """
-        self.release()
-
     def release(self) -> None:
-        """Drop the current plan and return its arena to the allocator."""
+        """Drop the current plan and return its arena to the allocator.
+
+        The next call recaptures without charging ``guard_misses``: the
+        replan path releases plans whose world no longer exists.
+        """
         if self._key is None:
             return
         _COUNTERS["arena_bytes"] -= self._arena_bytes
@@ -262,94 +247,23 @@ class CompiledStep:
         _COUNTERS["arena_bytes"] += self._arena_bytes
 
     def _plan_backward(self, root: Tensor) -> None:
-        """Transcribe ``Tensor.backward``'s walk into a flat program.
+        """Run the capture step's backward pass and keep its program.
 
-        This *is* the capture step's backward pass: it computes the real
-        gradients (accumulating into leaves, firing ready-hooks, bumping
-        the same counters) while recording, per edge, which accumulation
-        branch the eager walk took.  The decisions depend only on graph
-        structure and dtypes, both fixed under the guards, so replaying
-        the recorded modes reproduces the walk bit for bit.
+        This is the eager walk (:func:`~repro.tensor.tensor._walk_backward`:
+        real gradients, ready-hooks, counters, FLOP charge) told to
+        record, per edge, the accumulation mode it took.  The modes depend
+        only on graph structure and dtypes, both fixed under the guards,
+        so replaying them reproduces the walk bit for bit.
         """
         if not root.requires_grad:
             raise CompileError("backward root does not require grad")
         if root.data.size != 1:
             raise CompileError("backward root must be a scalar loss")
-        seed = np.ones_like(root.data)
-
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
-
-        slot = {id(node): i for i, node in enumerate(topo)}
-        program: list[tuple] = []
-        flops = 0.0
-        grads: dict[int, np.ndarray] = {id(root): seed}
-        owned: set[int] = set()
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            g_owned = id(node) in owned
-            owned.discard(id(node))
-            if g is None:
-                continue
-            if node._backward is None:
-                node._accumulate(g, owned=g_owned)
-                if node._ready_hook is not None:
-                    node._ready_hook(node)
-                program.append((_BW_LEAF, slot[id(node)], node, g_owned))
-                continue
-            edges = []
-            for parent, pg in node._backward(g):
-                if not parent.requires_grad or pg is None:
-                    edges.append((-1, _SKIP))
-                    continue
-                key = id(parent)
-                if key in grads:
-                    if key in owned:
-                        np.add(grads[key], pg, out=grads[key])
-                        _COUNTERS["bwd_inplace_adds"] += 1
-                        mode = _ADD_INPLACE
-                    else:
-                        grads[key] = grads[key] + pg
-                        owned.add(key)
-                        _COUNTERS["bwd_new_buffers"] += 1
-                        mode = _ADD_NEW
-                else:
-                    arr = np.asarray(pg, dtype=np.float32)
-                    grads[key] = arr
-                    if arr is not pg:
-                        owned.add(key)
-                        _COUNTERS["bwd_new_buffers"] += 1
-                        mode = _STORE_CAST
-                    else:
-                        _COUNTERS["bwd_handoffs"] += 1
-                        mode = _STORE
-                edges.append((slot[key], mode))
-            flops += price(node._op).backward(node.data, node._parents)
-            program.append((_BW_NODE, slot[id(node)], node._backward, tuple(edges)))
-        if grads:
-            raise AssertionError(
-                f"capture walk left {len(grads)} unconsumed gradient(s)")
-        counter = active_counter()
-        if counter is not None:
-            counter.total += flops
+        self._seed = np.ones_like(root.data)
+        self._bw_program = []
+        topo, flops = _walk_backward(root, self._seed, self._bw_program)
         self._flops += flops
-        self._bw_program = program
         self._slots = [None] * len(topo)
-        self._root_slot = slot[id(root)]
-        self._seed = seed
 
     # ------------------------------------------------------------------ #
     # replay
@@ -375,8 +289,10 @@ class CompiledStep:
 
     def _replay_backward(self) -> None:
         slots = self._slots
-        slots[self._root_slot] = self._seed  # never mutated: walk owns only
-        for kind, si, payload, extra in self._bw_program:  # its own buffers
+        # the root's slot comes last in the walk's topological order; the
+        # seed is never mutated (the walk adds only into its own buffers)
+        slots[-1] = self._seed
+        for kind, si, payload, extra in self._bw_program:
             g = slots[si]
             slots[si] = None  # release point: the slot's last read
             if kind == _BW_NODE:
@@ -390,20 +306,9 @@ class CompiledStep:
                     elif mode == _STORE_CAST:
                         slots[pi] = np.asarray(pg, dtype=np.float32)
             else:
-                p = payload
-                if p.grad is None:  # same decision tree as Tensor._accumulate
-                    if (extra and g.dtype == np.float32
-                            and g.flags.writeable and g.shape == p.data.shape):
-                        p.grad = g
-                    else:
-                        pg = np.array(g, dtype=np.float32)
-                        if pg.shape != p.data.shape:
-                            pg = np.broadcast_to(pg, p.data.shape).copy()
-                        p.grad = pg
-                else:
-                    np.add(p.grad, g, out=p.grad)
-                if p._ready_hook is not None:
-                    p._ready_hook(p)
+                _fold_leaf_grad(payload, g, extra)  # counter-free on replay
+                if payload._ready_hook is not None:
+                    payload._ready_hook(payload)
 
 
 class CompiledForward:

@@ -8,8 +8,9 @@ throughput numbers use.
 
 The engine charges the table and no kernel does.  ``Tensor._from_op``
 charges the forward rule to the active :class:`FlopCounter`, with or
-without grad.  ``Tensor.backward`` and ``CompiledStep._plan_backward``
-charge the backward rule where they invoke a node's closure.  A
+without grad.  The one backward walk (``tensor._walk_backward``, run by
+``Tensor.backward`` and by a ``CompiledStep`` capture) sums the backward
+rule of every closure it invokes and charges the sum when it ends.  A
 ``CompiledStep`` prices its plan once at capture and charges the forward
 and backward totals once per replay.  The obs op hook bills the forward
 rule per traced tape node, so the trace and the counter agree.

@@ -178,6 +178,143 @@ def _backward_released(g):
     )
 
 
+# how the backward walk routed one closure-returned parent gradient: dropped,
+# stored by reference, stored as a float32 cast, summed into a new buffer
+# (second contribution), or added in place into the walk's own buffer
+_SKIP, _STORE, _STORE_CAST, _ADD_NEW, _ADD_INPLACE = range(5)
+
+# instruction kinds of a recorded backward program (see ``_walk_backward``)
+_BW_NODE, _BW_LEAF = 0, 1
+
+
+def _fold_leaf_grad(leaf: "Tensor", grad: np.ndarray, owned: bool) -> str | None:
+    """Fold ``grad`` into ``leaf.grad`` with at most one allocation.
+
+    ``owned=True`` promises that ``grad`` was freshly allocated by the
+    caller (no other reference exists), so it can become ``leaf.grad``
+    without a defensive copy.  Repeat accumulation is in-place, which
+    also keeps ``leaf.grad`` valid when it is a view into a flat gradient
+    buffer (see :mod:`repro.nn.flat`).  Bumps no counter: returns the
+    name of the one the fold is charged to, or None for a handoff.
+    """
+    if leaf.grad is not None:
+        np.add(leaf.grad, grad, out=leaf.grad)
+        return "bwd_inplace_adds"
+    if (owned and grad.dtype == np.float32
+            and grad.flags.writeable and grad.shape == leaf.data.shape):
+        leaf.grad = grad
+        return None
+    leaf.grad = np.array(grad, dtype=np.float32)
+    if leaf.grad.shape != leaf.data.shape:  # broadcast-only grads
+        leaf.grad = np.broadcast_to(leaf.grad, leaf.data.shape).copy()
+    return "leaf_copies"
+
+
+def _walk_backward(root: "Tensor", seed: np.ndarray,
+                   program: list | None = None) -> tuple[list, float]:
+    """Backpropagate ``seed`` from ``root``: the engine's one backward walk.
+
+    The walk accumulates in-place wherever it is provably safe: a
+    parent's first contribution is stored by reference (zero-copy —
+    backward closures may hand the upstream gradient straight through),
+    the second allocates the accumulation buffer, and every further
+    contribution is an ``np.add(..., out=)`` into it.  Only arrays the
+    walk itself allocated are ever mutated ("ownership tracking"), so
+    closure outputs that alias forward activations or the upstream
+    gradient are never corrupted.
+
+    With a ``program`` list the walk also records itself for compiled
+    replay (:mod:`repro.tensor.compile`): ``(_BW_LEAF, slot, leaf,
+    owned)`` per leaf fold and ``(_BW_NODE, slot, closure, edges)`` per
+    closure call, ``edges`` holding one ``(parent slot, mode)`` per
+    returned gradient.  Slots index the walk's topological order, whose
+    last entry is ``root``.
+
+    Returns the topological order and the backward FLOPs, which are also
+    charged to the active :class:`~repro.tensor.flops.FlopCounter`.
+    """
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:  # iterative DFS: deep ViT graphs overflow recursion limits
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+
+    slot = None if program is None else {id(n): i for i, n in enumerate(topo)}
+    grads: dict[int, np.ndarray] = {id(root): seed}
+    owned: set[int] = set()  # keys whose buffer was allocated by this walk
+    flops = 0.0
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        g_owned = id(node) in owned
+        owned.discard(id(node))
+        if g is None:
+            continue
+        if node._backward is None:
+            node._accumulate(g, owned=g_owned)
+            if node._ready_hook is not None:
+                # a leaf's grad is final exactly once per walk (reverse
+                # topological order runs it after every consumer), so
+                # this is the bucketed-reduction launch point
+                node._ready_hook(node)
+            if program is not None:
+                program.append((_BW_LEAF, slot[id(node)], node, g_owned))
+            continue
+        edges = []
+        for parent, pg in node._backward(g):
+            key = id(parent)
+            if not parent.requires_grad or pg is None:
+                mode = _SKIP
+            elif key in grads:
+                if key in owned:
+                    np.add(grads[key], pg, out=grads[key])
+                    _COUNTERS["bwd_inplace_adds"] += 1
+                    mode = _ADD_INPLACE
+                else:
+                    # second contribution: allocate the accumulation
+                    # buffer once; later ones add into it in-place
+                    grads[key] = grads[key] + pg
+                    owned.add(key)
+                    _COUNTERS["bwd_new_buffers"] += 1
+                    mode = _ADD_NEW
+            else:
+                arr = np.asarray(pg, dtype=np.float32)
+                grads[key] = arr
+                if arr is not pg:  # dtype cast allocated a fresh array
+                    owned.add(key)
+                    _COUNTERS["bwd_new_buffers"] += 1
+                    mode = _STORE_CAST
+                else:
+                    _COUNTERS["bwd_handoffs"] += 1
+                    mode = _STORE
+            if program is not None:
+                edges.append((-1 if mode == _SKIP else slot[key], mode))
+        flops += price(node._op).backward(node.data, node._parents)
+        if program is not None:
+            program.append((_BW_NODE, slot[id(node)], node._backward, tuple(edges)))
+    # Invariant: every key inserted above names a node in ``topo`` (DFS
+    # pushes exactly the requires_grad parents), and reverse topological
+    # order processes each node after all of its consumers — so the walk
+    # pops every entry.
+    if grads:
+        raise AssertionError(
+            f"backward walk left {len(grads)} unconsumed gradient(s); "
+            "the topological order is broken")
+    counter = active_counter()
+    if counter is not None:
+        counter.total += flops
+    return topo, flops
+
+
 class Tensor:
     """A NumPy array plus an autograd tape node.
 
@@ -282,27 +419,11 @@ class Tensor:
     # gradient accumulation and backward pass
     # ------------------------------------------------------------------ #
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
-        """Fold ``grad`` into ``self.grad`` with at most one allocation.
-
-        ``owned=True`` promises that ``grad`` was freshly allocated by the
-        caller (no other reference exists), so it can become ``self.grad``
-        without a defensive copy.  Repeat accumulation is in-place, which
-        also keeps ``self.grad`` valid when it is a view into a flat
-        gradient buffer (see :mod:`repro.nn.flat`).
-        """
-        if self.grad is None:
-            if (owned and grad.dtype == np.float32
-                    and grad.flags.writeable and grad.shape == self.data.shape):
-                self.grad = grad
-            else:
-                self.grad = np.array(grad, dtype=np.float32)
-                if self.grad.shape != self.data.shape:  # broadcast-only grads
-                    self.grad = np.broadcast_to(
-                        self.grad, self.data.shape).copy()
-                _COUNTERS["leaf_copies"] += 1
-        else:
-            np.add(self.grad, grad, out=self.grad)
-            _COUNTERS["bwd_inplace_adds"] += 1
+        """Fold ``grad`` into ``self.grad`` (:func:`_fold_leaf_grad`) and
+        charge the engine counter the fold names."""
+        charged = _fold_leaf_grad(self, grad, owned)
+        if charged is not None:
+            _COUNTERS[charged] += 1
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -314,14 +435,9 @@ class Tensor:
         ``grad`` defaults to ones for scalar outputs; non-scalar outputs
         require an explicit upstream gradient, as in PyTorch.
 
-        The walk accumulates in-place wherever it is provably safe: a
-        parent's first contribution is stored by reference (zero-copy —
-        backward closures may hand the upstream gradient straight through),
-        the second allocates the accumulation buffer, and every further
-        contribution is an ``np.add(..., out=)`` into it.  Only arrays the
-        walk itself allocated are ever mutated ("ownership tracking"), so
-        closure outputs that alias forward activations or the upstream
-        gradient are never corrupted.
+        The walk (:func:`_walk_backward`) accumulates in-place wherever
+        it is provably safe and never mutates an array it did not
+        allocate.
 
         Unless ``retain_graph=True``, the traversed graph is released
         before returning: interior nodes drop their parent references and
@@ -337,73 +453,7 @@ class Tensor:
         grad = np.asarray(grad, dtype=np.float32)
         if grad.shape != self.data.shape:
             raise ValueError(f"grad shape {grad.shape} != tensor shape {self.data.shape}")
-
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:  # iterative DFS: deep ViT graphs overflow recursion limits
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
-
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        owned: set[int] = set()  # keys whose buffer was allocated by this walk
-        counter = active_counter()
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            g_owned = id(node) in owned
-            owned.discard(id(node))
-            if g is None:
-                continue
-            if node._backward is None:
-                node._accumulate(g, owned=g_owned)
-                if node._ready_hook is not None:
-                    # a leaf's grad is final exactly once per walk (reverse
-                    # topological order runs it after every consumer), so
-                    # this is the bucketed-reduction launch point
-                    node._ready_hook(node)
-                continue
-            for parent, pg in node._backward(g):
-                if not parent.requires_grad or pg is None:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    if key in owned:
-                        np.add(grads[key], pg, out=grads[key])
-                        _COUNTERS["bwd_inplace_adds"] += 1
-                    else:
-                        # second contribution: allocate the accumulation
-                        # buffer once; later ones add into it in-place
-                        grads[key] = grads[key] + pg
-                        owned.add(key)
-                        _COUNTERS["bwd_new_buffers"] += 1
-                else:
-                    arr = np.asarray(pg, dtype=np.float32)
-                    grads[key] = arr
-                    if arr is not pg:  # dtype cast allocated a fresh array
-                        owned.add(key)
-                        _COUNTERS["bwd_new_buffers"] += 1
-                    else:
-                        _COUNTERS["bwd_handoffs"] += 1
-            if counter is not None:
-                counter.total += price(node._op).backward(node.data, node._parents)
-        # Invariant: every key inserted above names a node in ``topo``
-        # (DFS pushes exactly the requires_grad parents), and reverse
-        # topological order processes each node after all of its
-        # consumers — so the main walk pops every entry.  The historical
-        # post-loop leaf sweep was unreachable and has been removed.
-        if grads:
-            raise AssertionError(
-                f"backward walk left {len(grads)} unconsumed gradient(s); "
-                "the topological order is broken")
+        topo, _ = _walk_backward(self, grad)
         if not retain_graph:
             for node in topo:
                 if node._backward is not None:

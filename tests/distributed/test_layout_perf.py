@@ -1,12 +1,12 @@
-"""Orthogonal-layout and performance-model tests."""
+"""Fig. 5 layout and performance-model tests."""
 
 import numpy as np
 import pytest
 
 from repro.core import PAPER_CONFIGS
 from repro.distributed import (
+    CompositePlan,
     DownscalingWorkload,
-    ParallelLayout,
     VirtualCluster,
     max_output_tokens,
     memory_per_gpu_bytes,
@@ -21,42 +21,37 @@ CFG = PAPER_CONFIGS["9.5M"]
 
 
 class TestParallelLayout:
+    """The Fig. 5 placement (TP in a node, FSDP paired across neighbouring
+    nodes, DDP across 16-GPU groups) expressed as a ``CompositePlan``."""
+
     def test_paper_configuration_validates(self):
-        """Fig. 5: 2-node TILES groups, in-node TP, paired FSDP, DDP across."""
-        layout = ParallelLayout(VirtualCluster(64), tp_size=8, tiles_group_size=16)
-        layout.validate()
-        assert layout.fsdp_size == 2
-        assert layout.ddp_size == 4
+        plan = CompositePlan(VirtualCluster(64), tp=8, fsdp=2, tiles=1, ddp=4)
+        plan.validate()
+        assert plan.level_sizes() == {"tp": 8, "fsdp": 2, "tiles": 1, "ddp": 4}
 
     def test_group_shapes(self):
-        layout = ParallelLayout(VirtualCluster(32), tp_size=8, tiles_group_size=16)
-        assert all(g.size == 16 for g in layout.tiles_groups())
-        assert all(g.size == 8 for g in layout.tp_groups())
-        assert all(g.size == 2 for g in layout.fsdp_groups())
-        assert all(g.size == 2 for g in layout.ddp_groups())
+        """World 32: TP is one node, FSDP pairs rank r with r + 8 on the
+        neighbouring node, DDP strides by the 16-GPU group."""
+        plan = CompositePlan(VirtualCluster(32), tp=8, fsdp=2, tiles=1, ddp=2)
+        plan.validate()
+        sets = plan.level_rank_sets()
+        assert sorted(sets["tp"]) == [list(range(b, b + 8)) for b in range(0, 32, 8)]
+        assert sorted(sets["fsdp"]) == [[b + o, b + o + 8]
+                                        for b in (0, 16) for o in range(8)]
+        assert sorted(sets["ddp"]) == [[o, o + 16] for o in range(16)]
 
     def test_fsdp_pairs_cross_nodes(self):
-        layout = ParallelLayout(VirtualCluster(16), tp_size=8, tiles_group_size=16)
-        g0 = layout.fsdp_groups()[0]
-        topo = layout.cluster.topology
-        assert topo.node_of(g0.ranks[0]) != topo.node_of(g0.ranks[1])
+        plan = CompositePlan(VirtualCluster(16), tp=8, fsdp=2, tiles=1, ddp=1)
+        topo = plan.cluster.topology
+        pairs = plan.level_rank_sets()["fsdp"]
+        assert pairs and all(topo.node_of(a) != topo.node_of(b) for a, b in pairs)
 
     def test_communication_hierarchy_mapping(self):
-        """The Fig. 5 placement: TP on in-node links, DDP/TILES tolerate
-        cross-node links."""
-        layout = ParallelLayout(VirtualCluster(64), tp_size=8, tiles_group_size=16)
-        hier = layout.communication_hierarchy()
-        assert hier["tensor_parallel"] == "SAME_NODE"
-        assert hier["fsdp"] == "CROSS_NODE"   # neighbouring nodes
-        assert hier["ddp"] == "CROSS_NODE"
-
-    def test_invalid_configurations(self):
-        with pytest.raises(ValueError):
-            ParallelLayout(VirtualCluster(64), tp_size=5, tiles_group_size=16)
-        with pytest.raises(ValueError):
-            ParallelLayout(VirtualCluster(10), tp_size=8, tiles_group_size=16)
-        with pytest.raises(ValueError):
-            ParallelLayout(VirtualCluster(16), tp_size=16, tiles_group_size=16)
+        """TP on in-node links, FSDP and DDP on cross-node links."""
+        plan = CompositePlan(VirtualCluster(64), tp=8, fsdp=2, tiles=1, ddp=4)
+        assert plan.communication_hierarchy() == {
+            "tp": "SAME_NODE", "fsdp": "CROSS_NODE", "tiles": "local",
+            "ddp": "CROSS_NODE"}
 
 
 class TestWorkloadAccounting:

@@ -149,6 +149,14 @@ class TestDDP:
         strat = _one_level(lambda r: _SmallNet(seed=r), ddp=3)
         strat.assert_units_synchronized()
 
+    def test_exact_sync_check_rejects_one_ulp_drift(self):
+        """``atol=0.0`` means bitwise: one ulp in one unit fails it."""
+        strat = _one_level(lambda r: _SmallNet(), ddp=2)
+        w = strat.units()[1].fc1.weight.data
+        w[0, 0] = np.nextafter(w[0, 0], np.float32(np.inf))
+        with pytest.raises(AssertionError, match="unit 1 drifted"):
+            strat.assert_units_synchronized(atol=0.0)
+
     def test_replicas_stay_synchronized_through_sgd(self):
         from repro.nn import SGD
         strat = _one_level(lambda r: _SmallNet(seed=r), ddp=2)

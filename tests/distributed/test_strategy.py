@@ -9,7 +9,6 @@ from repro.core import PAPER_CONFIGS
 from repro.distributed import (
     CompositePlan,
     CompositeStrategy,
-    ParallelLayout,
     VirtualCluster,
     plan_comm_costs,
 )
@@ -58,19 +57,18 @@ class TestCompositePlan:
             seen = [r for g in groups for r in g]
             assert sorted(seen) == sorted(world), level
 
-    def test_from_layout(self):
-        layout = ParallelLayout(VirtualCluster(64))  # tp=8, fsdp=2, ddp=4
-        plan = CompositePlan.from_layout(layout, tiles=2)
-        assert plan.level_sizes() == {"tp": 8, "fsdp": 2, "tiles": 2, "ddp": 2}
-        with pytest.raises(ValueError):
-            CompositePlan.from_layout(layout, tiles=3)  # 4 % 3 != 0
-
     def test_communication_hierarchy_matches_fig5(self):
         plan = CompositePlan(VirtualCluster(32), tp=8, fsdp=2, tiles=2, ddp=1)
         h = plan.communication_hierarchy()
         assert h["tp"] == "SAME_NODE"
         assert h["fsdp"] == "CROSS_NODE"
         assert h["ddp"] == "local"
+
+    def test_fig5_invalid_worlds(self):
+        with pytest.raises(ValueError):  # 10 GPUs hold no 16-GPU group
+            CompositePlan(VirtualCluster(10), tp=8, fsdp=2, tiles=1, ddp=10 // 16)
+        with pytest.raises(ValueError):  # tp=5 does not tile a 16-GPU group
+            CompositePlan(VirtualCluster(64), tp=5, fsdp=16 // 5, tiles=1, ddp=4)
 
 
 class TestCompositeStrategy:

@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.core import ModelConfig, Reslim
 from repro.nn import AdamW
-from repro.tensor import CompiledStep, Tensor, graph_counters, reset_graph_counters
+from repro.tensor import (CompiledStep, FlopCounter, Tensor, graph_counters,
+                          reset_graph_counters)
 
 from tests.golden import assert_golden
 
@@ -112,6 +113,48 @@ def test_compiled_replay_counts_golden():
                   _render(counts, "compiled steady-state replay counters "
                                   "(one Reslim train step)"),
                   rtol=0.0, atol=0.0)
+
+
+def _first_step(compiled: bool):
+    """Counter deltas, FLOPs and leaf grads of one step on a fresh model,
+    run eagerly or as a ``CompiledStep`` capture."""
+    rng = np.random.default_rng(0)
+    config = ModelConfig("counts", embed_dim=32, depth=2, num_heads=4)
+    model = Reslim(config, in_channels=2, out_channels=1, factor=2,
+                   max_tokens=4096, rng=rng)
+    x = rng.standard_normal((2, 2, 16, 16)).astype(np.float32)
+    y = rng.standard_normal((2, 1, 32, 32)).astype(np.float32)
+
+    def loss_fn(xt, yt):
+        diff = model(xt) - yt
+        return (diff * diff).mean()
+
+    reset_graph_counters()
+    with FlopCounter() as fc:
+        if compiled:
+            step = CompiledStep(loss_fn)
+            step(x, y)
+        else:
+            loss_fn(Tensor(x), Tensor(y)).backward()
+    counts = graph_counters()
+    if compiled:
+        step.release()
+    return counts, fc.total, [p.grad for p in model.parameters()]
+
+
+def test_capture_step_is_an_eager_step():
+    """Capture runs the eager backward walk: the same tape and backward
+    counters, the same FLOPs and bitwise the same leaf gradients."""
+    eager, eager_flops, eager_grads = _first_step(compiled=False)
+    capture, capture_flops, capture_grads = _first_step(compiled=True)
+    for key in ("nodes", "bwd_handoffs", "bwd_new_buffers",
+                "bwd_inplace_adds", "leaf_copies"):
+        assert capture[key] == eager[key], key
+    assert eager["nodes"] > 0 and eager["leaf_copies"] > 0
+    assert capture_flops == eager_flops > 0
+    assert len(capture_grads) == len(eager_grads)
+    for g_capture, g_eager in zip(capture_grads, eager_grads):
+        np.testing.assert_array_equal(g_capture, g_eager)
 
 
 def test_compiled_counters_lifecycle():

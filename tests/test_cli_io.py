@@ -69,6 +69,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "efficiency" in out and "sustained" in out
 
+    def test_scale_plan_line(self, capsys):
+        rc = main(["scale", "--model", "9.5M", "--gpus", "512", "2048", "--plan"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert ("composite plan on 2048 GPUs: tp=8 x fsdp=2 x tiles=16 x ddp=8"
+                in out.splitlines())
+
     def test_export_command_runs(self, tmp_path, capsys):
         out_path = tmp_path / "cli.npz"
         rc = main(["export", "--grid", "16", "32", "--years", "1",
