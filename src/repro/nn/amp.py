@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor, bf16_round
+from ..tensor.tensor import _unary_node
 from .module import Module, Parameter
 
 __all__ = ["GradScaler", "autocast_module", "Bf16Cast"]
@@ -95,16 +96,8 @@ class Bf16Cast(Module):
     """
 
     def forward(self, x: Tensor) -> Tensor:
-        a = x
-        out = bf16_round(a.data)
-
-        def backward(g):
-            return ((a, g),)
-
-        def replay():
-            np.copyto(out, bf16_round(a.data))
-
-        return Tensor._from_op(out, (a,), backward, "bf16_cast", replay=replay)
+        return _unary_node(lambda v, out: np.copyto(out, bf16_round(v)), x,
+                           "bf16_cast", lambda g, v, y: g)
 
 
 def autocast_module(module: Module) -> None:

@@ -36,8 +36,20 @@ def checkpoint(fn, *inputs: Tensor, params: list[Tensor] | None = None) -> Tenso
     if params is None and isinstance(fn, Module):
         params = fn.parameters()
     params = tuple(params or ())
-    with no_grad():
-        out_data = fn(*[Tensor(t.data) for t in inputs]).data
+    node_data = None
+
+    def run():
+        # opaque region: re-run fn eagerly (no graph) against the live
+        # input buffers into the node's own buffer, which the first run
+        # allocates (the region's output shape is known only once fn has
+        # run); backward rematerializes a fresh subgraph anyway
+        nonlocal node_data
+        with no_grad():
+            out = fn(*[Tensor(t.data) for t in inputs]).data
+        if node_data is None:
+            node_data = out.copy()
+        else:
+            np.copyto(node_data, out)
 
     def backward(g):
         # rematerialize: rebuild the subgraph with gradients enabled; the
@@ -50,15 +62,8 @@ def checkpoint(fn, *inputs: Tensor, params: list[Tensor] | None = None) -> Tenso
         grads.extend((p, None) for p in params)  # already accumulated
         return tuple(grads)
 
-    node_data = out_data.copy()
-
-    def replay():
-        # opaque region: re-run fn eagerly (no graph) against the live
-        # input buffers; backward rematerializes a fresh subgraph anyway
-        with no_grad():
-            np.copyto(node_data, fn(*[Tensor(t.data) for t in inputs]).data)
-
-    return Tensor._from_op(node_data, inputs + params, backward, "checkpoint", replay=replay)
+    run()
+    return Tensor._from_op(node_data, inputs + params, backward, "checkpoint", replay=run)
 
 
 class CheckpointedSequential(Module):

@@ -33,7 +33,7 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """2-D convolution on NCHW tensors (im2col + GEMM under the hood)."""
+    """2-D convolution on NCHW tensors (patch gather + GEMM under the hood)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, bias: bool = True,

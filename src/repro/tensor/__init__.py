@@ -16,7 +16,6 @@ from .functional import (
     conv2d,
     dropout,
     gelu,
-    im2col,
     layernorm,
     linear,
     log_softmax,
@@ -86,7 +85,6 @@ __all__ = [
     "pixel_unshuffle",
     "conv2d",
     "avg_pool2d",
-    "im2col",
     "dropout",
     "bf16_round",
     "bf16_machine_eps",

@@ -7,16 +7,17 @@ ORBIT/AERIS throughput stories rest on):
 
 1. **capture** — run the step function once eagerly under a recording
    hook (:func:`repro.tensor.tensor.set_recorder`).  Every op reports
-   its output tensor, parents, and a *replay thunk* that refreshes the
-   op's saved buffers in place from its parents' current ``.data``.
+   its output tensor, parents, and its forward routine, which the eager
+   call already ran: it refills the op's output and saved buffers in
+   place from its parents' current ``.data``.
    The backward pass is the eager walk itself
    (:func:`repro.tensor.tensor._walk_backward`) run with a program list
    it records into — so the capture step *is* an eager train step.
 2. **plan** — the recorded tape becomes two flat programs.  The forward
-   program is the list of replay thunks in execution order (view ops —
-   transpose/permute/broadcast and view reshapes/getitems — are dropped:
-   their buffers alias parents that are refreshed in place, so they cost
-   zero on replay).  The backward program is what the walk emitted: one
+   program is the list of those forward routines in execution order
+   (view ops — transpose/permute/broadcast and view reshapes/getitems —
+   are dropped: their buffers alias parents that are refreshed in place,
+   so they cost zero on replay).  The backward program is what the walk emitted: one
    instruction per tape node in reverse topological order, which invokes
    the node's recorded backward closure and routes each returned parent
    gradient with the accumulation mode the walk took (store by reference
@@ -27,8 +28,8 @@ ORBIT/AERIS throughput stories rest on):
 3. **guard + replay** — cheap guards on input shapes/dtypes plus an
    optional extra guard (training flag, loss scale) trigger transparent
    recapture on mismatch.  Replay copies the inputs into the captured
-   input buffers, runs the thunks, then the backward program: zero
-   ``Tensor`` objects, zero tape nodes, zero closure creation, zero
+   input buffers, runs the forward routines, then the backward program:
+   zero ``Tensor`` objects, zero tape nodes, zero closure creation, zero
    per-node bookkeeping.  Leaf gradients land through the walk's leaf
    rule (``_fold_leaf_grad``), so flat parameter buffers
    (:class:`repro.nn.flat.FlatParamBuffer`) and the bucketed-overlap
@@ -230,7 +231,7 @@ class CompiledStep:
         self._records = rec.records
 
         if self.forward_only:
-            # drop the tape: forward thunks own every buffer they need,
+            # drop the tape: forward routines own every buffer they need,
             # and the closures pin backward-only saves we can free now
             for out, _, _, _ in rec.records:
                 if out._backward is not None:

@@ -2,16 +2,20 @@
 
 Contains the numerically careful primitives the models need: stable
 softmax, exact GELU (through a branch-free pure-NumPy ``erfc``), bilinear
-interpolation with a proper adjoint, im2col-based 2-D convolution helpers,
-and pixel shuffle for the decoder's sub-pixel upsampling.  Everything is
-vectorised; the only index arithmetic is precomputed gather/scatter tables.
+interpolation with a proper adjoint, patch-gather 2-D convolution, and pixel
+shuffle for the decoder's sub-pixel upsampling.  Everything is vectorised;
+the only index arithmetic is precomputed gather/scatter tables.
+
+Each kernel allocates its output, saved and scratch buffers once and fills
+them in place with one ``run()`` from its parents' live ``.data``: the
+eager call runs it, and compiled replay re-runs the same routine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _binary_node, _sigmoid, _unbroadcast
 
 __all__ = [
     "softmax",
@@ -29,7 +33,6 @@ __all__ = [
     "bilinear_upsample",
     "pixel_shuffle",
     "pixel_unshuffle",
-    "im2col",
     "col2im_shape",
     "conv2d",
     "avg_pool2d",
@@ -45,41 +48,42 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     halving temporary memory for long attention rows.
     """
     a = x
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    s = s.astype(np.float32)
+    s = np.empty_like(a.data)
+
+    def run():
+        np.subtract(a.data, a.data.max(axis=axis, keepdims=True), out=s)
+        np.exp(s, out=s)
+        np.divide(s, s.sum(axis=axis, keepdims=True), out=s)
 
     def backward(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
         return ((a, s * (g - dot)),)
 
-    def replay():
-        np.subtract(a.data, a.data.max(axis=axis, keepdims=True), out=s)
-        np.exp(s, out=s)
-        np.divide(s, s.sum(axis=axis, keepdims=True), out=s)
+    run()
+    return Tensor._from_op(s, (a,), backward, "softmax", replay=run)
 
-    return Tensor._from_op(s, (a,), backward, "softmax", replay=replay)
+
+def _log_softmax(x: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """``out[...] = log(softmax(x))`` along ``axis``, shifted by the max."""
+    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.subtract(out, np.log(np.exp(out).sum(axis=axis, keepdims=True)), out=out)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """log(softmax(x)) computed stably with a fused backward."""
     a = x
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = (shifted - logsum).astype(np.float32)
-    s = np.exp(out)
+    out = np.empty_like(a.data)
+    s = np.empty_like(a.data)
+
+    def run():
+        _log_softmax(a.data, axis, out)
+        np.exp(out, out=s)
 
     def backward(g):
         return ((a, g - s * g.sum(axis=axis, keepdims=True)),)
 
-    def replay():
-        np.subtract(a.data, a.data.max(axis=axis, keepdims=True), out=out)
-        logsum = np.log(np.exp(out).sum(axis=axis, keepdims=True))
-        np.subtract(out, logsum, out=out)
-        np.exp(out, out=s)
-
-    return Tensor._from_op(out, (a,), backward, "log_softmax", replay=replay)
+    run()
+    return Tensor._from_op(out, (a,), backward, "log_softmax", replay=run)
 
 
 # Numerical Recipes ``erfcc``: erfc(z) = t * exp(-z*z + P(t)), t = 2 / (2 + z),
@@ -138,12 +142,12 @@ def gelu(x: Tensor) -> Tensor:
     a = x
     phi = np.empty_like(a.data)
     out_data = np.empty_like(a.data)
+    tmp = np.empty_like(a.data)  # only run() holds it: transient on the eager tape
 
-    def forward(tmp):
+    def run():
         _normal_cdf(a.data, phi, out_data, tmp)
         np.multiply(a.data, phi, out=out_data)
 
-    forward(np.empty_like(a.data))  # on the eager tape the scratch is transient
     inv_sqrt_2pi = np.float32(1.0 / np.sqrt(2.0 * np.pi))
 
     def backward(g):
@@ -157,14 +161,8 @@ def gelu(x: Tensor) -> Tensor:
         t *= g
         return ((a, t),)
 
-    scratch = []  # a plan keeps one, allocated by its first replay
-
-    def replay():
-        if not scratch:
-            scratch.append(np.empty_like(a.data))
-        forward(scratch[0])
-
-    return Tensor._from_op(out_data, (a,), backward, "gelu", replay=replay)
+    run()
+    return Tensor._from_op(out_data, (a,), backward, "gelu", replay=run)
 
 
 def gelu_composed(x: Tensor) -> Tensor:
@@ -179,21 +177,18 @@ def silu(x: Tensor) -> Tensor:
     Saves only the sigmoid; backward is ``g * s * (1 + x * (1 - s))``.
     """
     a = x
-    s = (1.0 / (1.0 + np.exp(-a.data))).astype(np.float32)
+    s = np.empty_like(a.data)
+    out_data = np.empty_like(a.data)
+
+    def run():
+        _sigmoid(a.data, s)
+        np.multiply(a.data, s, out=out_data)
 
     def backward(g):
         return ((a, g * (s * (1.0 + a.data * (1.0 - s)))),)
 
-    out_data = a.data * s
-
-    def replay():
-        np.negative(a.data, out=s)
-        np.exp(s, out=s)
-        np.add(s, 1.0, out=s)
-        np.divide(1.0, s, out=s)
-        np.multiply(a.data, s, out=out_data)
-
-    return Tensor._from_op(out_data, (a,), backward, "silu", replay=replay)
+    run()
+    return Tensor._from_op(out_data, (a,), backward, "silu", replay=run)
 
 
 def silu_composed(x: Tensor) -> Tensor:
@@ -211,12 +206,18 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Ten
     ~8-node composition previously built by ``nn.LayerNorm``.
     """
     a, w, b = x, weight, bias
-    mu = a.data.mean(axis=-1, keepdims=True, dtype=np.float32)
-    centered = a.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float32)
-    inv = 1.0 / np.sqrt(var + np.float32(eps))
-    xhat = (centered * inv).astype(np.float32)
-    out = xhat * w.data + b.data
+    inv = np.empty((*a.shape[:-1], 1), dtype=np.float32)
+    xhat = np.empty_like(a.data)
+    out_data = np.empty_like(a.data)
+
+    def run():
+        mu = a.data.mean(axis=-1, keepdims=True, dtype=np.float32)
+        centered = a.data - mu
+        var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float32)
+        np.divide(1.0, np.sqrt(var + np.float32(eps)), out=inv)
+        np.multiply(centered, inv, out=xhat)
+        np.multiply(xhat, w.data, out=out_data)
+        np.add(out_data, b.data, out=out_data)
 
     red_axes = tuple(range(a.data.ndim - 1))  # all but the feature axis
 
@@ -229,18 +230,8 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Ten
         gb = _unbroadcast(g.sum(axis=red_axes), b.shape)
         return ((a, gx.astype(np.float32)), (w, gw), (b, gb))
 
-    out_data = out.astype(np.float32)
-
-    def replay():
-        mu = a.data.mean(axis=-1, keepdims=True, dtype=np.float32)
-        centered = a.data - mu
-        var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float32)
-        np.divide(1.0, np.sqrt(var + np.float32(eps)), out=inv)
-        np.multiply(centered, inv, out=xhat)
-        np.multiply(xhat, w.data, out=out_data)
-        np.add(out_data, b.data, out=out_data)
-
-    return Tensor._from_op(out_data, (a, w, b), backward, "layernorm", replay=replay)
+    run()
+    return Tensor._from_op(out_data, (a, w, b), backward, "layernorm", replay=run)
 
 
 def layernorm_composed(x: Tensor, weight: Tensor, bias: Tensor,
@@ -268,14 +259,17 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, axis: int = -1,
     if not np.issubdtype(labels.dtype, np.integer):
         raise TypeError(f"labels must be integers, got dtype {labels.dtype}")
 
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    logp = shifted - logsum
+    # labels are a captured constant (non-Tensor argument); only the
+    # logits vary between replays
     idx = np.expand_dims(labels, axis)
-    picked = np.take_along_axis(logp, idx, axis=axis)
-    n = picked.size
-    total = -picked.sum(dtype=np.float32)
-    loss = total / np.float32(n) if reduction == "mean" else total
+    n = labels.size
+    logp = np.empty_like(a.data)
+    out_data = np.empty((), dtype=np.float32)
+
+    def run():
+        _log_softmax(a.data, axis, logp)
+        total = -np.take_along_axis(logp, idx, axis=axis).sum(dtype=np.float32)
+        out_data[...] = total / np.float32(n) if reduction == "mean" else total
 
     def backward(g):
         ds = np.exp(logp)  # softmax from the saved log-probabilities
@@ -284,18 +278,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, axis: int = -1,
         scale = g / n if reduction == "mean" else g
         return ((a, (ds * scale).astype(np.float32)),)
 
-    out_data = np.asarray(np.float32(loss))
-
-    def replay():
-        # labels are a captured constant (non-Tensor argument); only the
-        # logits vary between replays
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        np.subtract(shifted, logsum, out=logp)
-        total = -np.take_along_axis(logp, idx, axis=axis).sum(dtype=np.float32)
-        out_data[...] = total / np.float32(n) if reduction == "mean" else total
-
-    return Tensor._from_op(out_data, (a,), backward, "softmax_xent", replay=replay)
+    run()
+    return Tensor._from_op(out_data, (a,), backward, "softmax_xent", replay=run)
 
 
 def softmax_cross_entropy_composed(logits: Tensor, labels: np.ndarray,
@@ -324,11 +308,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     out_f, in_f = w.shape
     if a.shape[-1] != in_f:
         raise ValueError(f"input features {a.shape[-1]} != weight in {in_f}")
-    out = a.data @ w.data.T
-    if bias is not None:
-        out += bias.data  # out is freshly allocated: in-place add is safe
-
+    out = np.empty((*a.shape[:-1], out_f), dtype=np.float32)
     parents = (a, w) if bias is None else (a, w, bias)
+
+    def run():
+        np.matmul(a.data, w.data.T, out=out)
+        if bias is not None:
+            np.add(out, bias.data, out=out)
 
     def backward(g):
         gx = g @ w.data
@@ -340,12 +326,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             grads.append((bias, g2.sum(axis=0)))
         return tuple(grads)
 
-    def replay():
-        np.matmul(a.data, w.data.T, out=out)
-        if bias is not None:
-            np.add(out, bias.data, out=out)
-
-    return Tensor._from_op(out, parents, backward, "linear", replay=replay)
+    run()
+    return Tensor._from_op(out, parents, backward, "linear", replay=run)
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
@@ -354,14 +336,7 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     Identical numerics to ``x + bias`` but records one node whose backward
     hands the upstream gradient through to ``x`` zero-copy.
     """
-    a, b = x, bias
-    out_data = a.data + b.data
-
-    def backward(g):
-        return ((a, g), (b, _unbroadcast(g, b.shape)))
-
-    return Tensor._from_op(out_data, (a, b), backward, "add_bias",
-                           replay=lambda: np.add(a.data, b.data, out=out_data))
+    return _binary_node(np.add, x, bias, "add_bias", lambda g, *_: (g, g))
 
 
 # --------------------------------------------------------------------- #
@@ -402,15 +377,16 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     a = x
     my = _bilinear_matrix(a.shape[2], out_h)
     mx = _bilinear_matrix(a.shape[3], out_w)
-    out_data = my @ (a.data @ mx.T)
+    out_data = np.empty((*a.shape[:2], out_h, out_w), dtype=np.float32)
+
+    def run():
+        np.matmul(my, a.data @ mx.T, out=out_data)
 
     def backward(g):
         return ((a, (my.T @ g) @ mx),)
 
-    def replay():
-        np.matmul(my, a.data @ mx.T, out=out_data)
-
-    return Tensor._from_op(out_data, (a,), backward, "bilinear_upsample", replay=replay)
+    run()
+    return Tensor._from_op(out_data, (a,), backward, "bilinear_upsample", replay=run)
 
 
 def pixel_shuffle(x: Tensor, factor: int) -> Tensor:
@@ -438,38 +414,20 @@ def pixel_unshuffle(x: Tensor, factor: int) -> Tensor:
 
 
 # --------------------------------------------------------------------- #
-# convolution via im2col
+# convolution as one GEMM over gathered patches
 # --------------------------------------------------------------------- #
 def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def im2col(data: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Extract sliding ``k x k`` patches from an NCHW array.
-
-    Returns shape ``(N, C*k*k, out_h*out_w)`` using a strided view plus a
-    single copy (no Python loops over pixels).
-    """
-    n, c, h, w = data.shape
-    if pad:
-        data = np.pad(data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out_h = _conv_out_size(h, k, stride, pad)
-    out_w = _conv_out_size(w, k, stride, pad)
-    s0, s1, s2, s3 = data.strides
-    windows = np.lib.stride_tricks.as_strided(
-        data,
-        shape=(n, c, out_h, out_w, k, k),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, out_h * out_w)
-    return np.ascontiguousarray(cols)
-
-
 def col2im_shape(
     cols: np.ndarray, in_shape: tuple[int, ...], k: int, stride: int, pad: int
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back to NCHW."""
+    """Scatter-add ``(N, C*k*k, out_h*out_w)`` patch columns back to NCHW.
+
+    The adjoint of gathering the sliding ``k x k`` windows of a
+    zero-padded input (what :func:`conv2d` multiplies by).
+    """
     n, c, h, w = in_shape
     out_h = _conv_out_size(h, k, stride, pad)
     out_w = _conv_out_size(w, k, stride, pad)
@@ -488,9 +446,13 @@ def col2im_shape(
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) on NCHW input.
 
-    ``weight`` has shape ``(out_c, in_c, k, k)``.  Forward and backward run
-    through im2col as one GEMM per sample (broadcasting ``np.matmul``), so
-    a sample's output bits do not depend on who else is in the batch.
+    ``weight`` has shape ``(out_c, in_c, k, k)``.  The forward copies the
+    input into one zero-bordered buffer and gathers its ``k x k`` windows
+    straight into the saved patches ``(N, C*k*k, out_h*out_w)`` — a 1x1,
+    stride-1, unpadded, contiguous input is read in place instead — then
+    runs one GEMM per sample (broadcasting ``np.matmul``), so a sample's
+    output bits do not depend on who else is in the batch.  Forward and
+    backward read the weights' live ``.data``.
     """
     a, wgt = x, weight
     n, in_c, h, w = a.shape
@@ -499,55 +461,42 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
         raise ValueError(f"weight shape {wgt.shape} incompatible with input {a.shape}")
     out_h = _conv_out_size(h, k, stride, pad)
     out_w = _conv_out_size(w, k, stride, pad)
+    out = np.empty((n, out_c, out_h, out_w), dtype=np.float32)
+    direct = k == 1 and stride == 1 and pad == 0 and a.data.flags.c_contiguous
+    if not direct:  # only run() holds the bordered copy: transient on the eager tape
+        padded = np.zeros((n, in_c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        s0, s1, s2, s3 = padded.strides
+        windows = np.lib.stride_tricks.as_strided(
+            padded, shape=(n, in_c, k, k, out_h, out_w),
+            strides=(s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
+        cols = np.empty((n, in_c * k * k, out_h * out_w), dtype=np.float32)
 
-    cols = im2col(a.data, k, stride, pad)  # (N, C*k*k, L)
-    # k=1 lets im2col return a view: of a.data (self-refreshing on
-    # replay) or, when padded, of a throwaway temp — the latter is
-    # read-only AND stale, so take ownership up front
-    cols_live = np.shares_memory(cols, a.data)
-    if not cols_live and not cols.flags.writeable:
-        cols = cols.copy()
-    w2 = wgt.data.reshape(out_c, in_c * k * k)
-    out = np.matmul(w2, cols).reshape(n, out_c, out_h, out_w)
-    if bias is not None:
-        out += bias.data.reshape(1, out_c, 1, 1)  # out is fresh: in-place is safe
+    def patches():
+        return a.data.reshape(n, in_c, h * w) if direct else cols
+
+    def run():
+        if not direct:
+            np.copyto(padded[:, :, pad:pad + h, pad:pad + w], a.data)
+            np.copyto(cols.reshape(n, in_c, k, k, out_h, out_w), windows)
+        np.matmul(wgt.data.reshape(out_c, -1), patches(),
+                  out=out.reshape(n, out_c, out_h * out_w))
+        if bias is not None:
+            np.add(out, bias.data.reshape(1, out_c, 1, 1), out=out)
 
     parents = (a, wgt) if bias is None else (a, wgt, bias)
 
     def backward(g):
         g2 = g.reshape(n, out_c, out_h * out_w)
-        gw = (g2 @ np.swapaxes(cols, -1, -2)).sum(axis=0).reshape(wgt.shape)
-        gcols = w2.T @ g2
+        gw = (g2 @ np.swapaxes(patches(), -1, -2)).sum(axis=0).reshape(wgt.shape)
+        gcols = wgt.data.reshape(out_c, -1).T @ g2
         gx = col2im_shape(gcols, a.shape, k, stride, pad)
         grads = [(a, gx), (wgt, gw)]
         if bias is not None:
             grads.append((bias, g.sum(axis=(0, 2, 3))))
         return tuple(grads)
 
-    gather = []  # (padded interior, window view, cols as 6-D); the eager tape keeps none
-
-    def replay():
-        # the backward closure reads ``cols`` (saved patches) and ``w2``
-        # (a view of the live weights): refresh cols and the output buffer
-        if not cols_live:
-            if not gather:  # first replay: one zero-bordered buffer per plan
-                padded = np.zeros((n, in_c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-                s0, s1, s2, s3 = padded.strides
-                gather.extend((
-                    padded[:, :, pad:pad + h, pad:pad + w],
-                    np.lib.stride_tricks.as_strided(
-                        padded, shape=(n, in_c, k, k, out_h, out_w),
-                        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-                        writeable=False),
-                    cols.reshape(n, in_c, k, k, out_h, out_w)))
-            interior, windows, cols6 = gather
-            np.copyto(interior, a.data)
-            np.copyto(cols6, windows)  # one gather, straight into the saved patches
-        np.matmul(w2, cols, out=out.reshape(n, out_c, out_h * out_w))
-        if bias is not None:
-            np.add(out, bias.data.reshape(1, out_c, 1, 1), out=out)
-
-    return Tensor._from_op(out, parents, backward, "conv2d", replay=replay)
+    run()
+    return Tensor._from_op(out, parents, backward, "conv2d", replay=run)
 
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:

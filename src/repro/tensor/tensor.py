@@ -28,6 +28,7 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 
 from .flops import FLOPS, active_counter, price
 
@@ -61,9 +62,10 @@ def set_op_hook(hook) -> None:
 #: every op constructed with grad enabled reports
 #: ``(out, parents, op, replay)`` so a :class:`CompiledStep` can serialize
 #: the forward program.  ``replay`` is either ``"view"`` (the output
-#: aliases its parent's buffer and needs no recompute), a zero-argument
-#: thunk that refreshes the op's saved buffers in place from its parents'
-#: current ``.data``, or None for ops that cannot be replayed.
+#: aliases its parent's buffer and needs no recompute), the op's forward
+#: routine, which the eager call already ran (zero arguments; it refills
+#: the op's output and saved buffers in place from its parents' current
+#: ``.data``), or None for ops that cannot be replayed.
 _recorder = None
 
 
@@ -164,9 +166,61 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float32)
-    return arr
+def _reduced_shape(shape: tuple[int, ...], axis, keepdims: bool) -> tuple[int, ...]:
+    """The shape of reducing ``shape`` over ``axis`` (None: every axis)."""
+    axes = range(len(shape)) if axis is None else normalize_axis_tuple(axis, len(shape))
+    return tuple(1 if i in axes else n for i, n in enumerate(shape)
+                 if keepdims or i not in axes)
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = 1 / (1 + exp(-x))``, one in-place pass per step."""
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    np.divide(1.0, out, out=out)
+
+
+def _unary_node(ufunc, a: "Tensor", op: str, grad, *args) -> "Tensor":
+    """The node whose forward is the one call ``ufunc(a.data, *args)``.
+
+    ``grad(g, x, y)`` maps the upstream gradient, the live input and the
+    output to the input's gradient.  ``run`` fills the output in place:
+    the eager call runs it once and compiled replay re-runs it.
+    """
+    out = np.empty_like(a.data)
+
+    def run():
+        ufunc(a.data, *args, out=out)
+
+    def backward(g):
+        return ((a, grad(g, a.data, out)),)
+
+    run()
+    return Tensor._from_op(out, (a,), backward, op, replay=run)
+
+
+def _binary_node(ufunc, a: "Tensor", b: "Tensor", op: str, grads,
+                 shape: tuple[int, ...] | None = None) -> "Tensor":
+    """The node whose forward is the one call ``ufunc(a.data, b.data)``.
+
+    ``grads(g, x, y)`` maps the upstream gradient and the live inputs to
+    both inputs' gradients before un-broadcasting; ``shape`` defaults to
+    the broadcast of the inputs' shapes.
+    """
+    if shape is None:
+        shape = np.broadcast(a.data, b.data).shape
+    out = np.empty(shape, dtype=np.float32)
+
+    def run():
+        ufunc(a.data, b.data, out=out)
+
+    def backward(g):
+        ga, gb = grads(g, a.data, b.data)
+        return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
+
+    run()
+    return Tensor._from_op(out, (a, b), backward, op, replay=run)
 
 
 def _backward_released(g):
@@ -331,7 +385,7 @@ class Tensor:
     __array_priority__ = 100.0  # make NumPy defer to our __r*__ operators
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -467,244 +521,103 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def __add__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
-        # asarray: 0-d operands make the ufunc return a scalar, but the
-        # replay thunk needs a real array to write into (free for ndarray)
-        out_data = np.asarray(a.data + b.data)
-
-        def backward(g):
-            return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
-
-        return Tensor._from_op(out_data, (a, b), backward, "add",
-                               replay=lambda: np.add(a.data, b.data, out=out_data))
+        return _binary_node(np.add, self, self._coerce(other), "add",
+                            lambda g, x, y: (g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
-        out_data = np.asarray(a.data - b.data)
-
-        def backward(g):
-            return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
-
-        return Tensor._from_op(out_data, (a, b), backward, "sub",
-                               replay=lambda: np.subtract(a.data, b.data, out=out_data))
+        return _binary_node(np.subtract, self, self._coerce(other), "sub",
+                            lambda g, x, y: (g, -g))
 
     def __rsub__(self, other) -> "Tensor":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
-
-        out_data = np.asarray(a.data * b.data)
-
-        def backward(g):
-            return (
-                (a, _unbroadcast(g * b.data, a.shape)),
-                (b, _unbroadcast(g * a.data, b.shape)),
-            )
-
-        return Tensor._from_op(out_data, (a, b), backward, "mul",
-                               replay=lambda: np.multiply(a.data, b.data, out=out_data))
+        return _binary_node(np.multiply, self, self._coerce(other), "mul",
+                            lambda g, x, y: (g * y, g * x))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
-
-        out_data = np.asarray(a.data / b.data)
-
-        def backward(g):
-            return (
-                (a, _unbroadcast(g / b.data, a.shape)),
-                (b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-            )
-
-        return Tensor._from_op(out_data, (a, b), backward, "div",
-                               replay=lambda: np.divide(a.data, b.data, out=out_data))
+        return _binary_node(np.divide, self, self._coerce(other), "div",
+                            lambda g, x, y: (g / y, -g * x / (y * y)))
 
     def __rtruediv__(self, other) -> "Tensor":
         return self._coerce(other) / self
 
     def __neg__(self) -> "Tensor":
-        a = self
-        out_data = np.asarray(-a.data)
-
-        def backward(g):
-            return ((a, -g),)
-
-        return Tensor._from_op(out_data, (a,), backward, "neg",
-                               replay=lambda: np.negative(a.data, out=out_data))
+        return _unary_node(np.negative, self, "neg", lambda g, x, y: -g)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        a = self
         p = float(exponent)
-        out_data = np.asarray(np.power(a.data, p))
-
-        def backward(g):
-            return ((a, g * p * np.power(a.data, p - 1.0)),)
-
-        return Tensor._from_op(out_data, (a,), backward, "pow",
-                               replay=lambda: np.power(a.data, p, out=out_data))
+        return _unary_node(np.power, self, "pow",
+                           lambda g, x, y: g * p * np.power(x, p - 1.0), p)
 
     def __matmul__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
-        out_data = np.asarray(a.data @ b.data)
-
-        def backward(g):
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
-
-        return Tensor._from_op(out_data, (a, b), backward, "matmul",
-                               replay=lambda: np.matmul(a.data, b.data, out=out_data))
+        a, b = self, self._coerce(other)
+        # batch axes broadcast; a 1-D operand has no matrix axis to keep
+        shape = (*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]),
+                 *a.shape[-2:-1], *b.shape[1:][-1:])
+        return _binary_node(
+            np.matmul, a, b, "matmul",
+            lambda g, x, y: (g @ np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2) @ g),
+            shape)
 
     # ------------------------------------------------------------------ #
     # elementwise transcendental
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        a = self
-        out_data = np.asarray(np.exp(a.data))
-
-        def backward(g):
-            return ((a, g * out_data),)
-
-        return Tensor._from_op(out_data, (a,), backward, "exp",
-                               replay=lambda: np.exp(a.data, out=out_data))
+        return _unary_node(np.exp, self, "exp", lambda g, x, y: g * y)
 
     def log(self) -> "Tensor":
-        a = self
-        out_data = np.asarray(np.log(a.data))
-
-        def backward(g):
-            return ((a, g / a.data),)
-
-        return Tensor._from_op(out_data, (a,), backward, "log",
-                               replay=lambda: np.log(a.data, out=out_data))
+        return _unary_node(np.log, self, "log", lambda g, x, y: g / x)
 
     def sqrt(self) -> "Tensor":
-        a = self
-        out_data = np.asarray(np.sqrt(a.data))
-
-        def backward(g):
-            return ((a, g * 0.5 / np.maximum(out_data, 1e-12)),)
-
-        return Tensor._from_op(out_data, (a,), backward, "sqrt",
-                               replay=lambda: np.sqrt(a.data, out=out_data))
+        return _unary_node(np.sqrt, self, "sqrt",
+                           lambda g, x, y: g * 0.5 / np.maximum(y, 1e-12))
 
     def tanh(self) -> "Tensor":
-        a = self
-        out_data = np.asarray(np.tanh(a.data))
-
-        def backward(g):
-            return ((a, g * (1.0 - out_data * out_data)),)
-
-        return Tensor._from_op(out_data, (a,), backward, "tanh",
-                               replay=lambda: np.tanh(a.data, out=out_data))
+        return _unary_node(np.tanh, self, "tanh", lambda g, x, y: g * (1.0 - y * y))
 
     def sigmoid(self) -> "Tensor":
-        a = self
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
-        data = out_data.astype(np.float32)
-
-        def backward(g):
-            return ((a, g * out_data * (1.0 - out_data)),)
-
-        def replay():
-            # the closure reads the pre-astype buffer and node.data is the
-            # astype copy: refresh both (elementwise-identical sequence)
-            np.negative(a.data, out=out_data)
-            np.exp(out_data, out=out_data)
-            np.add(out_data, 1.0, out=out_data)
-            np.divide(1.0, out_data, out=out_data)
-            np.copyto(data, out_data)
-
-        return Tensor._from_op(data, (a,), backward, "sigmoid", replay=replay)
+        return _unary_node(_sigmoid, self, "sigmoid", lambda g, x, y: g * y * (1.0 - y))
 
     def erf(self) -> "Tensor":
         from scipy import special
 
-        a = self
-        out_data = np.asarray(special.erf(a.data), dtype=np.float32)
         coeff = np.float32(2.0 / np.sqrt(np.pi))
-
-        def backward(g):
-            return ((a, g * coeff * np.exp(-a.data * a.data)),)
-
-        return Tensor._from_op(out_data, (a,), backward, "erf",
-                               replay=lambda: special.erf(a.data, out=out_data))
+        return _unary_node(special.erf, self, "erf",
+                           lambda g, x, y: g * coeff * np.exp(-x * x))
 
     def abs(self) -> "Tensor":
-        a = self
-        out_data = np.asarray(np.abs(a.data))
+        return _unary_node(np.abs, self, "abs", lambda g, x, y: g * np.sign(x))
 
-        def backward(g):
-            return ((a, g * np.sign(a.data)),)
-
-        return Tensor._from_op(out_data, (a,), backward, "abs",
-                               replay=lambda: np.abs(a.data, out=out_data))
-
+    # the masks below are taken from the live input when backward runs
     def relu(self) -> "Tensor":
-        a = self
-        mask = np.asarray(a.data > 0)
-        out_data = np.asarray(a.data * mask)
-
-        def backward(g):
-            return ((a, g * mask),)
-
-        def replay():
-            np.greater(a.data, 0, out=mask)
-            np.multiply(a.data, mask, out=out_data)
-
-        return Tensor._from_op(out_data, (a,), backward, "relu", replay=replay)
+        return _unary_node(lambda x, out: np.multiply(x, x > 0, out=out), self,
+                           "relu", lambda g, x, y: g * (x > 0))
 
     def clip(self, lo: float, hi: float) -> "Tensor":
-        a = self
-        mask = np.asarray((a.data >= lo) & (a.data <= hi))
-        out_data = np.asarray(np.clip(a.data, lo, hi))
-
-        def backward(g):
-            return ((a, g * mask),)
-
-        def replay():
-            np.greater_equal(a.data, lo, out=mask)
-            np.logical_and(mask, a.data <= hi, out=mask)
-            np.clip(a.data, lo, hi, out=out_data)
-
-        return Tensor._from_op(out_data, (a,), backward, "clip", replay=replay)
+        return _unary_node(np.clip, self, "clip",
+                           lambda g, x, y: g * ((x >= lo) & (x <= hi)), lo, hi)
 
     def maximum(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
-        take_a = np.asarray(a.data >= b.data)
-        out_data = np.asarray(np.maximum(a.data, b.data))
-
-        def backward(g):
-            return (
-                (a, _unbroadcast(g * take_a, a.shape)),
-                (b, _unbroadcast(g * ~take_a, b.shape)),
-            )
-
-        def replay():
-            np.greater_equal(a.data, b.data, out=take_a)
-            np.maximum(a.data, b.data, out=out_data)
-
-        return Tensor._from_op(out_data, (a, b), backward, "maximum", replay=replay)
+        return _binary_node(np.maximum, self, self._coerce(other), "maximum",
+                            lambda g, x, y: (g * (x >= y), g * ~(x >= y)))
 
     # ------------------------------------------------------------------ #
     # reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
-        out_data = np.asarray(a.data.sum(axis=axis, keepdims=keepdims,
-                                         dtype=np.float32), dtype=np.float32)
+        out_data = np.empty(_reduced_shape(a.shape, axis, keepdims), dtype=np.float32)
+
+        def run():
+            np.sum(a.data, axis=axis, dtype=np.float32, out=out_data,
+                   keepdims=keepdims)
 
         def backward(g):
             g_full = g
@@ -714,11 +627,8 @@ class Tensor:
             # mutates it, and leaves materialise it in a single copy
             return ((a, np.broadcast_to(g_full, a.shape)),)
 
-        def replay():
-            np.sum(a.data, axis=axis, dtype=np.float32, out=out_data,
-                   keepdims=keepdims)
-
-        return Tensor._from_op(out_data, (a,), backward, "sum", replay=replay)
+        run()
+        return Tensor._from_op(out_data, (a,), backward, "sum", replay=run)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
@@ -733,8 +643,10 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
-        out_data = np.asarray(a.data.max(axis=axis, keepdims=keepdims),
-                              dtype=np.float32)
+        out_data = np.empty(_reduced_shape(a.shape, axis, keepdims), dtype=np.float32)
+
+        def run():
+            np.amax(a.data, axis=axis, out=out_data, keepdims=keepdims)
 
         def backward(g):
             g_full = g
@@ -747,10 +659,8 @@ class Tensor:
             denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             return ((a, g_full * mask / np.maximum(denom, 1.0)),)
 
-        def replay():
-            np.amax(a.data, axis=axis, out=out_data, keepdims=keepdims)
-
-        return Tensor._from_op(out_data, (a,), backward, "max", replay=replay)
+        run()
+        return Tensor._from_op(out_data, (a,), backward, "max", replay=run)
 
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
         mu = self.mean(axis=axis, keepdims=True)
@@ -766,19 +676,23 @@ class Tensor:
             shape = tuple(shape[0])
         a = self
         orig = a.data.shape
-        out_data = a.data.reshape(shape)
 
         def backward(g):
             return ((a, g.reshape(orig)),)
 
-        # a contiguous source reshapes to a view (nothing to replay);
-        # otherwise NumPy copied and replay re-fills it through a view of
-        # the output in the source's shape — one strided pass, no alloc.
-        # NB: a reshape *copy* still carries .base (the flattened temp),
-        # so view-ness must be decided by actual memory sharing
-        replay = "view" if np.shares_memory(out_data, a.data) else \
-            (lambda: np.copyto(out_data.reshape(orig), a.data))
-        return Tensor._from_op(out_data, (a,), backward, "reshape", replay=replay)
+        # a view whenever the source's layout allows one (nothing to
+        # replay); otherwise a buffer of its own, filled through a view of
+        # it in the source's shape — one strided pass, no alloc
+        try:
+            out_data, run = np.reshape(a.data, shape, copy=False), "view"
+        except ValueError:
+            out_data = np.empty(a.data.size, dtype=np.float32).reshape(shape)
+
+            def run():
+                np.copyto(out_data.reshape(orig), a.data)
+
+            run()
+        return Tensor._from_op(out_data, (a,), backward, "reshape", replay=run)
 
     def transpose(self, axis0: int, axis1: int) -> "Tensor":
         a = self
@@ -827,60 +741,53 @@ class Tensor:
     def pad(self, pad_width: Iterable[tuple[int, int]], value: float = 0.0) -> "Tensor":
         a = self
         pw = tuple(tuple(p) for p in pad_width)
-        out_data = np.pad(a.data, pw, mode="constant", constant_values=value)
+        inner = tuple(slice(lo, lo + s) for (lo, _), s in zip(pw, a.shape))
+        out_data = np.empty([lo + s + hi for (lo, hi), s in zip(pw, a.shape)],
+                            dtype=np.float32)
 
-        def backward(g):
-            slices = tuple(slice(lo, g.shape[i] - hi) for i, (lo, hi) in enumerate(pw))
-            return ((a, g[slices]),)
-
-        def replay():
-            # the constant border never changes; refresh the interior only
-            inner = tuple(slice(lo, lo + s) for (lo, _), s in zip(pw, a.data.shape))
+        def run():
+            out_data.fill(value)
             np.copyto(out_data[inner], a.data)
 
-        return Tensor._from_op(out_data, (a,), backward, "pad", replay=replay)
+        def backward(g):
+            return ((a, g[inner]),)
+
+        run()
+        return Tensor._from_op(out_data, (a,), backward, "pad", replay=run)
 
     @staticmethod
     def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = tuple(tensors)
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+        sizes = [t.shape[axis] for t in tensors]
+        shape = list(tensors[0].shape)
+        shape[axis] = sum(sizes)
+        data = np.empty(shape, dtype=np.float32)
 
-        def backward(g):
-            grads = []
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(int(lo), int(hi))
-                grads.append((t, g[tuple(idx)]))  # slice view; walk never mutates it
-            return tuple(grads)
+        def run():
+            np.concatenate([t.data for t in tensors], axis=axis, out=data)
 
-        data = np.concatenate([t.data for t in tensors], axis=axis)
+        def backward(g):  # slice views; the walk never mutates them
+            return tuple(zip(tensors, np.split(g, np.cumsum(sizes)[:-1], axis=axis)))
 
-        def replay():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                idx = [slice(None)] * data.ndim
-                idx[axis] = slice(int(lo), int(hi))
-                np.copyto(data[tuple(idx)], t.data)
-
-        return Tensor._from_op(data, tensors, backward, "concat", replay=replay)
+        run()
+        return Tensor._from_op(data, tensors, backward, "concat", replay=run)
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = tuple(tensors)
+        shape = list(tensors[0].shape)
+        shape.insert(axis % (len(shape) + 1), len(tensors))
+        data = np.empty(shape, dtype=np.float32)
+
+        def run():
+            np.stack([t.data for t in tensors], axis=axis, out=data)
 
         def backward(g):
             parts = np.split(g, len(tensors), axis=axis)
             return tuple((t, np.squeeze(p, axis=axis)) for t, p in zip(tensors, parts))
 
-        data = np.stack([t.data for t in tensors], axis=axis)
-
-        def replay():
-            for i, t in enumerate(tensors):
-                idx = [slice(None)] * data.ndim
-                idx[axis] = i
-                np.copyto(data[tuple(idx)], t.data)
-
-        return Tensor._from_op(data, tensors, backward, "stack", replay=replay)
+        run()
+        return Tensor._from_op(data, tensors, backward, "stack", replay=run)
 
     def broadcast_to(self, shape: tuple[int, ...]) -> "Tensor":
         a = self

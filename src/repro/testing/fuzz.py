@@ -106,6 +106,12 @@ def _ref_silu(x):
     return x / (1.0 + np.exp(-x))
 
 
+def _ref_erf(x):
+    from scipy import special  # the float64 reference; no workload imports scipy
+
+    return special.erf(x)
+
+
 def _ref_layernorm(x, w, b, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
@@ -256,9 +262,43 @@ def _binary_sampler(offset=0.0, scale=1.0, away_from=None):
     return sample
 
 
-def _unary_sampler(scale=1.0, offset=0.0):
+def _unary_sampler(scale=1.0, offset=0.0, kinks=(), positive=False):
+    """Values moved 0.5 away from any of ``kinks`` they fall within 0.2
+    of (so central differences never straddle one); ``positive`` keeps
+    them at least 0.5 (``log``, ``sqrt``)."""
     def sample(rng, dtype):
-        return [_values(rng, _shape(rng), dtype, scale, offset)], {}
+        x = (rng.standard_normal(_shape(rng)) * scale + offset).astype(np.float32)
+        if positive:
+            x = np.abs(x) + np.float32(0.5)
+        for k in kinks:
+            x = np.where(np.abs(x - k) < 0.2, x + np.copysign(0.5, x - k), x)
+        return [bf16_round(x) if dtype == DTYPE_BF16 else x], {}
+    return sample
+
+
+def _clip_sampler(rng, dtype):
+    arrays, _ = _unary_sampler(scale=1.5, kinks=(-1.0, 1.0))(rng, dtype)
+    return arrays, {"lo": -1.0, "hi": 1.0}
+
+
+def _pad_sampler(rng, dtype):
+    x = _values(rng, _shape(rng), dtype)
+    pad_width = tuple((int(rng.integers(0, 3)), int(rng.integers(0, 3))) for _ in x.shape)
+    return [x], {"pad_width": pad_width, "value": float(rng.choice([0.0, 1.5]))}
+
+
+def _join_sampler(stack):
+    """2–3 parents of one shape (``stack``), or of sizes that differ along
+    ``axis`` only (``concat``)."""
+    def sample(rng, dtype):
+        shape = list(_shape(rng))
+        axis = int(rng.integers(-len(shape) - stack, len(shape) + stack))
+        arrays = []
+        for _ in range(int(rng.integers(2, 4))):
+            if not stack:
+                shape[axis] = int(rng.integers(1, 4))
+            arrays.append(_values(rng, tuple(shape), dtype))
+        return arrays, {"axis": axis}
     return sample
 
 
@@ -447,6 +487,27 @@ OPS: dict[str, OpSpec] = {
                diff_inputs=(0, 1)),
         OpSpec("div", _binary_sampler(away_from=0.0), lambda a, b: a / b,
                lambda a, b: a / b, diff_inputs=(0, 1)),
+        OpSpec("neg", _unary_sampler(), lambda x: -x, lambda x: -x),
+        OpSpec("exp", _unary_sampler(), Tensor.exp, np.exp),
+        OpSpec("log", _unary_sampler(positive=True), Tensor.log, np.log),
+        OpSpec("sqrt", _unary_sampler(positive=True), Tensor.sqrt, np.sqrt),
+        OpSpec("tanh", _unary_sampler(), Tensor.tanh, np.tanh),
+        OpSpec("sigmoid", _unary_sampler(), Tensor.sigmoid,
+               lambda x: 1.0 / (1.0 + np.exp(-x))),
+        OpSpec("erf", _unary_sampler(), Tensor.erf, _ref_erf),
+        OpSpec("abs", _unary_sampler(kinks=(0.0,)), Tensor.abs, np.abs),
+        OpSpec("relu", _unary_sampler(kinks=(0.0,)), Tensor.relu,
+               lambda x: np.maximum(x, 0.0)),
+        OpSpec("clip", _clip_sampler, Tensor.clip,
+               lambda x, lo, hi: np.clip(x, lo, hi)),
+        OpSpec("pad", _pad_sampler, Tensor.pad,
+               lambda x, pad_width, value: np.pad(x, pad_width, constant_values=value)),
+        OpSpec("concat", _join_sampler(stack=False),
+               lambda *ts, axis: Tensor.concatenate(ts, axis=axis),
+               lambda *xs, axis: np.concatenate(xs, axis=axis), diff_inputs=(0, 1, 2)),
+        OpSpec("stack", _join_sampler(stack=True),
+               lambda *ts, axis: Tensor.stack(ts, axis=axis),
+               lambda *xs, axis: np.stack(xs, axis=axis), diff_inputs=(0, 1, 2)),
         OpSpec("maximum", _binary_sampler(), lambda a, b: a.maximum(b),
                lambda a, b: np.maximum(a, b), diff_inputs=()),
         OpSpec("matmul", _matmul_sampler, lambda a, b: a @ b,

@@ -144,11 +144,6 @@ class DistributedEngine(Trainer):
         self.loss_fn = self._tile_loss
         self._fault_plan: FaultPlan | None = None
         self.replan_log: list[dict] = []
-        # graph counters are process-global and cumulative; baseline them
-        # here so flight-recorder state reports per-run deltas (keeps
-        # repeated seeded scenarios bitwise-identical in one process)
-        from ..tensor import graph_counters
-        self._graph_base = dict(graph_counters())
 
     # ------------------------------------------------------------------ #
     # hooks

@@ -5,9 +5,11 @@ Three claims are pinned here:
 * **bitwise replay** — for every op in the fuzzer registry
   (``repro.testing.fuzz.OPS``), a compiled program replayed against fresh
   input values produces byte-identical outputs and leaf gradients to an
-  eager run on the same values.  The sweep reuses the fuzzer's seeded
-  samplers, so shapes, broadcasts, and the bf16 input lattice are all
-  exercised and any failure reproduces from ``(op, sample_seed)``.
+  eager run on the same values, also after every recorded op output was
+  NaN-filled (replay alone writes them all).  The sweep reuses the
+  fuzzer's seeded samplers, so shapes, broadcasts, and the bf16 input
+  lattice are all exercised and any failure reproduces from
+  ``(op, sample_seed)``.
 * **guard correctness** — a shape change, a dtype change, a train↔eval
   flip, and an interleaved eager ``backward()`` each leave the step
   producing exactly what eager produces: the first three force a
@@ -26,7 +28,7 @@ import pytest
 
 from repro.nn import aggregate_variables, flash_attention
 from repro.tensor import (CompiledForward, CompiledStep, Tensor, conv2d, gelu,
-                          graph_counters, reset_graph_counters)
+                          graph_counters, layernorm, linear, reset_graph_counters)
 from repro.tensor.dtypes import DTYPE_BF16, DTYPE_F32
 from repro.testing.fuzz import OPS
 
@@ -43,6 +45,15 @@ def _fresh_values(rng, arrays):
     broken the same way the sampler arranged)."""
     return [np.multiply(a, 1.0 + 0.5 * rng.random(a.shape), out=np.empty_like(a))
             for a in arrays]
+
+
+def poison_outputs(step):
+    """NaN-fill the output of every op ``step`` recorded that is not a view
+    and does not alias a parent, so the next replay must write them all."""
+    for out, parents, _, replay in step._records:
+        if replay != "view" and not any(np.shares_memory(out.data, p.data)
+                                         for p in parents):
+            out.data[...] = np.nan
 
 
 def _eager(spec, vals, kwargs, weight, diff):
@@ -94,7 +105,10 @@ def _run_op_sample(spec, sample_seed):
         return out.copy(), scalar, grads
 
     failures = []
-    for phase, vals in (("capture", v0), ("replay", v1), ("replay2", v0)):
+    for phase, vals in (("capture", v0), ("replay", v1), ("replay2", v0),
+                        ("poison", v1)):
+        if phase == "poison":
+            poison_outputs(step)
         before = graph_counters()["captures"]
         c_out, c_scalar, c_grads = compiled(vals)
         if phase != "capture" and graph_counters()["captures"] != before:
@@ -223,6 +237,50 @@ def test_pooled_attention_replay_reads_live_parents():
         step.release()
 
 
+@pytest.mark.parametrize("op", ["conv2d", "linear", "layernorm"])
+def test_replay_reads_rebound_weights(op):
+    """FSDP and the flat parameter buffers rebind a weight's ``.data``
+    between steps; forward and backward must read whatever array it names
+    right now, not the one captured.  Per step a new input and freshly
+    bound weight arrays, in a training step (output, loss and every
+    gradient) and a forward-only one (output), bitwise vs eager."""
+    rng = np.random.default_rng(9)
+    x_shape, shapes, kernel = {
+        "conv2d": ((2, 3, 7, 6), [(4, 3, 3, 3), (4,)],
+                   lambda xt, w, b: conv2d(xt, w, b, stride=2, pad=1)),
+        "linear": ((2, 5, 6), [(4, 6), (4,)], linear),
+        "layernorm": ((2, 5, 6), [(6,), (6,)], layernorm),
+    }[op]
+    params = [Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+              for shape in shapes]
+    probe = kernel(Tensor(np.zeros(x_shape, np.float32)), *params)
+    weight = rng.standard_normal(probe.shape).astype(np.float32)
+
+    def run(ps, xt):
+        out = kernel(xt * 2.0, *ps)
+        return (out * Tensor(weight)).sum(), out
+
+    train = CompiledStep(lambda xt: run(params, xt))
+    fwd = CompiledStep(lambda xt: run(params, xt)[1], forward_only=True)
+    for _ in range(3):
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        for prm in params:
+            prm.data = rng.standard_normal(prm.shape).astype(np.float32)
+            prm.grad = None
+        loss, out = (a.copy() for a in train(x))
+        only, = fwd(x)
+        eager = [Tensor(prm.data.copy(), requires_grad=True) for prm in params]
+        e_loss, e_out = run(eager, Tensor(x))
+        e_loss.backward()
+        assert np.array_equal(out, e_out.data)
+        assert np.array_equal(only, e_out.data)
+        assert np.array_equal(loss, e_loss.data)
+        for prm, ref in zip(params, eager):
+            assert np.array_equal(prm.grad, ref.grad)
+    train.release()
+    fwd.release()
+
+
 def test_aggregate_variables_replay_allocates_no_array():
     """Every buffer the node writes is preallocated at capture: a forward
     replay's traced peak stays under the smallest of them (x̄'s patches,
@@ -252,11 +310,12 @@ def test_aggregate_variables_replay_allocates_no_array():
     (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1),
     (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1)])
 def test_conv2d_replay_gathers_patches_without_staging(k, stride, pad, contiguous):
-    """``conv2d``'s replay copies its input into one zero-bordered buffer
-    it keeps and gathers the window view straight into ``cols`` — no
-    ``np.pad``, no staging copy (k = 1 unpadded reads the input in place).
-    Three steps with new values, outputs and all three gradients bitwise
-    vs eager; a forward replay allocates nothing of the padded size."""
+    """``conv2d`` copies its input into one zero-bordered buffer,
+    allocated with the node and kept by a plan, and gathers the window
+    view straight into ``cols`` — no ``np.pad``, no staging copy (k = 1
+    unpadded reads a contiguous input in place).  Three steps with new
+    values, outputs and all three gradients bitwise vs eager; a forward
+    replay allocates nothing of the padded size."""
     n, cin, cout, h, w = 2, 3, 4, 22, 19
     rng = np.random.default_rng([k, stride, pad])
     x_shape = (n, cin, h, w) if contiguous else (n, cin, w, h)
@@ -292,7 +351,7 @@ def test_conv2d_replay_gathers_patches_without_staging(k, stride, pad, contiguou
 
     # no bias: a broadcast ``np.add(..., out=)`` buffers up to 32 KB of its own
     fwd = CompiledStep(lambda xt: run(scale, wgt, None, xt)[1], forward_only=True)
-    for _ in range(2):                # capture, then the replay that builds the buffer
+    for _ in range(2):                # capture (which builds the buffer), then a replay
         fwd(rng.standard_normal(x_shape).astype(np.float32))
     x = rng.standard_normal(x_shape).astype(np.float32)
     gc.collect()
@@ -308,9 +367,10 @@ def test_conv2d_replay_gathers_patches_without_staging(k, stride, pad, contiguou
 
 def test_gelu_saves_one_buffer_and_a_plan_keeps_one_scratch():
     """The erfc kernel works in the output buffer, the saved ``Phi`` and
-    one scratch array: transient on the eager tape (the node holds two
-    arrays of the input's size, as before kernel epoch 3), allocated once
-    by a plan's first replay and reused by every later one."""
+    one scratch array, all three allocated with the node: the scratch is
+    transient on the eager tape (the node holds two arrays of the input's
+    size, as before kernel epoch 3), and a plan keeps it from capture on
+    and reuses it on every replay."""
     x = np.random.default_rng(8).standard_normal((64, 1024)).astype(np.float32)
     slack = x.nbytes // 8
     gc.collect()
@@ -329,10 +389,12 @@ def test_gelu_saves_one_buffer_and_a_plan_keeps_one_scratch():
         fwd = CompiledStep(gelu, forward_only=True)
         fwd(x)
         captured = held()
+        # input copy, output, Phi and the scratch
+        assert abs(captured - base - 4 * x.nbytes) < slack
         first = fwd(x)[0].copy()
-        assert abs(held() - captured - 2 * x.nbytes) < slack  # scratch + `first`
+        assert abs(held() - captured - x.nbytes) < slack  # `first` only
         again = fwd(-x)[0].copy()
-        assert abs(held() - captured - 3 * x.nbytes) < slack  # + `again` only
+        assert abs(held() - captured - 2 * x.nbytes) < slack  # + `again` only
     finally:
         tracemalloc.stop()
     assert np.array_equal(first, gelu(Tensor(x)).data)

@@ -13,7 +13,6 @@ from repro.tensor import (
     conv2d,
     dropout,
     gelu,
-    im2col,
     log_softmax,
     pixel_shuffle,
     pixel_unshuffle,
@@ -250,10 +249,6 @@ class TestConv2d:
     def test_rejects_mismatched_channels(self):
         with pytest.raises(ValueError):
             conv2d(Tensor(_x(1, 3, 4, 4)), Tensor(_x(2, 4, 3, 3)), None)
-
-    def test_im2col_count(self):
-        cols = im2col(_x(1, 2, 6, 6), k=3, stride=1, pad=0)
-        assert cols.shape == (1, 2 * 9, 4 * 4)
 
 
 class TestPooling:
