@@ -11,7 +11,6 @@ from .losses import (
     mrf_tv_prior,
 )
 from .reslim import MAX_FACTOR_LOG2, Reslim, reslim_sequence_length
-from .sparse_attention import AxialAttention, GridAttention, sparse_attention_cost
 from .swin import (
     SWIN_PAPER_MAX_TOKENS,
     PatchMerging,
@@ -60,9 +59,6 @@ __all__ = [
     "swin_stages_required",
     "swin_param_growth",
     "SWIN_PAPER_MAX_TOKENS",
-    "AxialAttention",
-    "GridAttention",
-    "sparse_attention_cost",
     "TileSpec",
     "tile_grid",
     "make_tiles",

@@ -105,6 +105,19 @@ class CrossAttention(Module):
         return self.proj(_merge_heads(naive_attention(q, k, v)))
 
 
+def _patch_rows(a: np.ndarray, p: int) -> np.ndarray:
+    """A ``(..., w)`` array as ``(..., w / p)`` whole float32 patch rows.
+
+    Each element is one ``np.void`` of ``p`` floats, so a patch gather moves
+    ``1/p`` as many elements for the same bytes.  A strided last axis (or
+    another dtype) is copied to contiguous float32 first; any other layout
+    stays a view.
+    """
+    if a.dtype != np.float32 or a.strides[-1] != 4:
+        a = np.ascontiguousarray(a, dtype=np.float32)
+    return a.view(np.dtype((np.void, 4 * p)))
+
+
 def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
                         wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
                         wv: Tensor, bv: Tensor, num_heads: int) -> Tensor:
@@ -191,12 +204,12 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
 
     def run():
         field = x.data
-        np.copyto(patches.reshape(b, gh, gw, v, p, p),
-                  field.reshape(b, v, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5))
+        np.copyto(_patch_rows(patches, p).reshape(b, gh, gw, v, p),
+                  _patch_rows(field, p).reshape(b, v, gh, p, gw).transpose(0, 2, 4, 1, 3))
         np.add.reduce(field, axis=1, out=xmean)     # np.mean stages its divide
         np.multiply(xmean, inv_v, out=xmean)
-        np.copyto(pbar.reshape(b, gh, gw, p, p),
-                  xmean.reshape(b, gh, p, gw, p).transpose(0, 1, 3, 2, 4))
+        np.copyto(_patch_rows(pbar, p).reshape(b, gh, gw, p),
+                  _patch_rows(xmean, p).reshape(b, gh, p, gw).transpose(0, 1, 3, 2))
         np.add(var_embed.data.reshape(v, d), bt.data, out=basis[:v])
         np.copyto(basis[v:], wt.data.T)
         np.add.reduce(basis[:v], axis=0, out=cbar)
@@ -258,8 +271,8 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
             gp += tokens(gs) @ tokens(rt).swapaxes(-1, -2)
             gp += ((gxbar @ wt.data) * inv_v)[:, :, None]
             gx = empty(b, v, hh, ww)
-            np.copyto(gx.reshape(b, v, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5),
-                      gp.reshape(b, gh, gw, v, p, p))
+            np.copyto(_patch_rows(gx, p).reshape(b, v, gh, p, gw).transpose(0, 2, 4, 1, 3),
+                      _patch_rows(gp, p).reshape(b, gh, gw, v, p))
         return (
             (x, gx), (wt, gwt), (bt, gc.sum(axis=0)),
             (var_embed, gc.reshape(v, 1, d)),

@@ -37,7 +37,7 @@ from .tensor import (
     reset_graph_counters,
 )
 
-KERNEL_EPOCH = 6
+KERNEL_EPOCH = 7
 """Generation of the numeric kernels' *bits* (the rule is DESIGN.md §12).
 
 Every oracle compares two paths through the same kernels, so a kernel may
@@ -57,7 +57,9 @@ argument floored at −64 on tiles that hold a sharp item;
 ``bilinear_upsample`` as separable resize-matrix GEMMs, forward and
 adjoint.  Epoch 6: ``flash_attention`` shifts only sharp items, each by
 its true max, and runs every other item unshifted, which its score bound
-proves safe; its row sums over ``d`` are GEMVs.
+proves safe; its row sums over ``d`` are GEMVs.  Epoch 7: ``layernorm``'s
+row mean and variance as one GEMV per leading item, in preallocated
+buffers.
 """
 
 __all__ = [

@@ -204,31 +204,48 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Ten
     ``dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``
     with per-feature reductions for the affine parameters.  Replaces the
     ~8-node composition previously built by ``nn.LayerNorm``.
+
+    Every row mean is one GEMV per leading item against a ``(d, 1)``
+    vector of ``1/d`` (broadcasting ``np.matmul``); the leading dims are
+    never flattened into one GEMV, so a sample's bits do not depend on
+    its batch.  The forward allocates nothing: centred values land in
+    ``xhat``, their squares in the output buffer as scratch, and the
+    inverse stddev in ``inv``.  The backward allocates the input
+    gradient and one scratch array.
     """
     a, w, b = x, weight, bias
+    d = a.shape[-1]
+    avg = np.full((d, 1), 1.0 / d, dtype=np.float32)
     inv = np.empty((*a.shape[:-1], 1), dtype=np.float32)
     xhat = np.empty_like(a.data)
     out_data = np.empty_like(a.data)
 
     def run():
-        mu = a.data.mean(axis=-1, keepdims=True, dtype=np.float32)
-        centered = a.data - mu
-        var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float32)
-        np.divide(1.0, np.sqrt(var + np.float32(eps)), out=inv)
-        np.multiply(centered, inv, out=xhat)
+        np.matmul(a.data, avg, out=inv)                 # mean
+        np.subtract(a.data, inv, out=xhat)
+        np.multiply(xhat, xhat, out=out_data)
+        np.matmul(out_data, avg, out=inv)               # variance
+        np.add(inv, np.float32(eps), out=inv)
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        np.multiply(xhat, inv, out=xhat)
         np.multiply(xhat, w.data, out=out_data)
         np.add(out_data, b.data, out=out_data)
 
     red_axes = tuple(range(a.data.ndim - 1))  # all but the feature axis
 
     def backward(g):
-        dxhat = g * w.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        gx = inv * (dxhat - m1 - xhat * m2)
-        gw = _unbroadcast((g * xhat).sum(axis=red_axes), w.shape)
+        gx = np.multiply(g, w.data)                     # dxhat
+        tmp = np.multiply(gx, xhat)
+        m1, m2 = np.matmul(gx, avg), np.matmul(tmp, avg)
+        np.multiply(g, xhat, out=tmp)
+        gw = _unbroadcast(tmp.sum(axis=red_axes), w.shape)
         gb = _unbroadcast(g.sum(axis=red_axes), b.shape)
-        return ((a, gx.astype(np.float32)), (w, gw), (b, gb))
+        np.subtract(gx, m1, out=gx)
+        np.multiply(xhat, m2, out=tmp)
+        np.subtract(gx, tmp, out=gx)
+        np.multiply(gx, inv, out=gx)
+        return ((a, gx), (w, gw), (b, gb))
 
     run()
     return Tensor._from_op(out_data, (a, w, b), backward, "layernorm", replay=run)
@@ -302,7 +319,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     ``weight`` has shape ``(out_features, in_features)``; ``x`` may carry
     arbitrary leading dimensions.  Replaces the transpose + matmul + add
     chain previously built by ``nn.Linear`` and computes the weight
-    gradient as a single flattened GEMM.
+    gradient as a single flattened GEMM (the input gradient only when ``x``
+    asks for one).
     """
     a, w = x, weight
     out_f, in_f = w.shape
@@ -317,7 +335,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             np.add(out, bias.data, out=out)
 
     def backward(g):
-        gx = g @ w.data
+        gx = g @ w.data if a.requires_grad else None
         g2 = g.reshape(-1, out_f)
         x2 = a.data.reshape(-1, in_f)
         gw = g2.T @ x2
@@ -452,7 +470,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
     stride-1, unpadded, contiguous input is read in place instead — then
     runs one GEMM per sample (broadcasting ``np.matmul``), so a sample's
     output bits do not depend on who else is in the batch.  Forward and
-    backward read the weights' live ``.data``.
+    backward read the weights' live ``.data``; the input gradient is
+    computed only when ``x`` asks for one.
     """
     a, wgt = x, weight
     n, in_c, h, w = a.shape
@@ -488,8 +507,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
     def backward(g):
         g2 = g.reshape(n, out_c, out_h * out_w)
         gw = (g2 @ np.swapaxes(patches(), -1, -2)).sum(axis=0).reshape(wgt.shape)
-        gcols = wgt.data.reshape(out_c, -1).T @ g2
-        gx = col2im_shape(gcols, a.shape, k, stride, pad)
+        gx = None
+        if a.requires_grad:
+            gx = col2im_shape(wgt.data.reshape(out_c, -1).T @ g2, a.shape, k, stride, pad)
         grads = [(a, gx), (wgt, gw)]
         if bias is not None:
             grads.append((bias, g.sum(axis=(0, 2, 3))))

@@ -398,6 +398,35 @@ class TestPooledAttention:
         for t in ts:
             assert np.all(np.isfinite(t.grad))
 
+    @pytest.mark.parametrize("patch", [2, 3])
+    def test_strided_fields_gather_the_same_patches(self, patch):
+        """The patch gather views the field as whole ``p``-float rows: a
+        row- and column-sliced field (what ``extract_tile`` hands a tile's
+        model), one whose last axis is strided (copied to contiguous
+        first) and a contiguous copy give the same output and gradient
+        bits."""
+        b, v, h, w = 2, 5, 3 * patch, 4 * patch
+        base = RNG.standard_normal((b, v, h, w)).astype(np.float32)
+        halo = np.zeros((b, v, h + 3, w + 5), dtype=np.float32)
+        halo[:, :, 1:1 + h, 3:3 + w] = base
+        wide = np.zeros((b, v, h, 2 * w), dtype=np.float32)
+        wide[..., ::2] = base
+        fields = [base.copy(), halo[:, :, 1:1 + h, 3:3 + w], wide[..., ::2]]
+        assert fields[2].strides[-1] == 8 and not fields[1].flags.c_contiguous
+        params = self._parents(b, v, h, w, 8, patch=patch)[1:]
+        g = RNG.standard_normal((b, 12, 2, 4)).astype(np.float32)
+        results = []
+        for field in fields:
+            ts = [Tensor(field, requires_grad=True)] + [
+                Tensor(a, requires_grad=True) for a in params]
+            assert ts[0].data.strides == field.strides
+            out = aggregate_variables(*ts, num_heads=2)
+            out.backward(g)
+            results.append([out.data] + [t.grad for t in ts])
+        for other in results[1:]:
+            for want, got in zip(results[0], other):
+                assert np.array_equal(want, got)
+
     @pytest.mark.parametrize("field,wt,embed", [
         ((1, 3, 4, 4), (8, 3), (3, 1, 8)),      # weight is not (D, p*p)
         ((1, 3, 4, 5), (8, 4), (3, 1, 8)),      # grid not divisible by p

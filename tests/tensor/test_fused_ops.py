@@ -109,6 +109,30 @@ class TestFusedBackwardBits:
         np.testing.assert_allclose(wf.grad, wc.grad, rtol=1e-6, atol=1e-7)
         np.testing.assert_allclose(xf.grad, xc.grad, rtol=1e-6, atol=1e-7)
 
+    @pytest.mark.parametrize("op", ["linear", "conv2d"])
+    def test_input_gradient_only_when_asked(self, op):
+        """A non-grad input gets ``None`` from the closure, not a GEMM the
+        walk throws away; a grad-requiring one gets the bits of the
+        explicit formula (``g @ W``; ``col2im(Wᵀ g)``)."""
+        if op == "linear":
+            x, w, g = _arr(2, 5, 8), _arr(6, 8), _arr(2, 5, 6)
+            run = F.linear
+            expected = g @ w
+        else:
+            x, w, g = _arr(2, 3, 9, 11), _arr(4, 3, 3, 3), _arr(2, 4, 9, 11)
+            run = lambda t, wt: F.conv2d(t, wt, None, pad=1)  # noqa: E731
+            expected = F.col2im_shape(w.reshape(4, -1).T @ g.reshape(2, 4, -1),
+                                      x.shape, 3, 1, 1)
+        for wants in (False, True):
+            xt = Tensor(x, requires_grad=wants)
+            out = run(xt, Tensor(w, requires_grad=True))
+            (parent, gx), (_, gw) = out._backward(g)
+            assert parent is xt and gw is not None
+            if wants:
+                assert np.array_equal(gx, expected)
+            else:
+                assert gx is None
+
 
 def test_fuzz_sweep_over_fused_ops():
     fuzz_ops(n_samples=60, seed=123,

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import aggregate_variables
-from repro.tensor import Tensor, bilinear_upsample, conv2d, gelu, linear, softmax
+from repro.tensor import (Tensor, bilinear_upsample, conv2d, gelu, layernorm, linear,
+                          softmax)
 
 dims = st.integers(1, 6)
 
@@ -171,6 +172,24 @@ class TestBatchInvariance:
         g = rng.standard_normal((b, length, out_f)).astype(np.float32)
         _assert_alone_equals_batched(
             lambda t: linear(t, wgt, bias), x, g,
+            data.draw(st.integers(0, b - 1)))
+
+    @given(st.integers(2, 4), st.sampled_from([(), (1,), (3,)]), st.integers(1, 40),
+           st.integers(1, 67), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_layernorm(self, b, heads, length, d, data):
+        """Row means are one GEMV per leading ``(L, d)`` item, forward and
+        backward.  Odd ``L·d`` starts items at unaligned offsets; a GEMV
+        over the flattened ``(B·L, d)`` rows would be the batch-dependent
+        shape this test exists to catch."""
+        rng = np.random.default_rng([b, len(heads), length, d])
+        shape = (b, *heads, length, d)
+        x = (rng.standard_normal(shape) * 2.0 + 0.5).astype(np.float32)
+        w = Tensor(rng.standard_normal(d).astype(np.float32))
+        bias = Tensor(rng.standard_normal(d).astype(np.float32))
+        g = rng.standard_normal(shape).astype(np.float32)
+        _assert_alone_equals_batched(
+            lambda t: layernorm(t, w, bias), x, g,
             data.draw(st.integers(0, b - 1)))
 
     @given(st.sampled_from([2, 3, 8]), st.integers(1, 30), st.integers(1, 5),
