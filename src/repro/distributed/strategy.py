@@ -1,23 +1,23 @@
-"""One interface over every parallelism: the strategy layer (Sec. III-C).
+"""The strategy layer (Sec. III-C): every parallelism that trains.
 
-:class:`ParallelStrategy` is the shape the equivalence oracle drives on
-every parallelism:
+Training runs through exactly one strategy, :class:`CompositeStrategy`:
 
-* ``setup(model_factory, group)`` — build the engine(s) on a process group;
-* ``forward(inputs)`` — full-batch inference for output comparison;
-* ``reference(inputs)`` — the single-rank output (forward-only engines:
-  tensor parallel, Ulysses, Hybrid-OP, pipeline);
+* ``setup(model_factory)`` builds its model units and process groups;
+* ``forward(inputs)`` — full-batch inference;
+* ``forward_backward(inputs, targets)`` (per-unit compute, NO
+  collectives) then ``reduce_gradients()`` (all gradient communication
+  for the step) — the train-step split;
+* ``optimizer_params()`` — per-unit ``(params, FlatParamBuffer)``
+  pairs, so optimizers adopt the *same* buffer the collectives use;
+* ``reference_forward`` / ``reference_step`` — the single-model
+  semantics the equivalence oracle compares against;
 * ``comm_summary()`` / ``reset_comm()`` — per-level byte accounting.
 
-Training runs through exactly one strategy, :class:`CompositeStrategy`,
-which adds the train-step split — ``forward_backward(inputs, targets)``
-(per-unit compute, NO collectives) then ``reduce_gradients()`` (all
-gradient communication for the step) — ``optimizer_params()`` (per-unit
-``(params, FlatParamBuffer)`` pairs, so optimizers adopt the *same*
-buffer the collectives use) and the single-model ``reference_forward``
-/ ``reference_step`` the oracle compares against.  Plain DDP, FSDP and
-TILES are its degenerate plans ``CompositePlan(ddp=W)``, ``(fsdp=W)``,
-``(tiles=W)``: a size-1 level's collective is a copy.
+Plain DDP, FSDP and TILES are its degenerate plans
+``CompositePlan(ddp=W)``, ``(fsdp=W)``, ``(tiles=W)``: a size-1 level's
+collective is a copy.  The forward-only engines (tensor parallel,
+Ulysses, Hybrid-OP, pipeline) are not strategies; the oracle drives
+them directly.
 
 :class:`CompositePlan` is Fig. 5's orthogonal layout as the explicit
 four-factor decomposition ``tp x fsdp x tiles x ddp == world`` with the
@@ -60,19 +60,10 @@ from ..nn.module import Parameter
 from ..tensor import CompiledStep, Tensor
 from .bucketer import GradBucketer, aligned_ring_chunks
 from .comm import ProcessGroup, VirtualCluster
-from .hybrid_op import HybridOpChain
-from .pipeline import PipelineParallel
-from .tensor_parallel import TensorParallelMLP
-from .ulysses import UlyssesAttention, merge_sequence, split_sequence
 
 __all__ = [
-    "ParallelStrategy",
     "CompositePlan",
     "CompositeStrategy",
-    "TensorParallelStrategy",
-    "UlyssesStrategy",
-    "HybridOpStrategy",
-    "PipelineStrategy",
     "tile_core_loss",
 ]
 
@@ -99,72 +90,6 @@ def tile_core_loss(out: Tensor, spec: TileSpec, factor: int,
     return loss_fn(core, tile_target)
 
 
-# --------------------------------------------------------------------- #
-# the protocol
-# --------------------------------------------------------------------- #
-class ParallelStrategy:
-    """What every simulated-cluster parallelism shares.
-
-    Forward-only strategies implement ``setup``, ``forward`` and
-    ``reference``; the one trainable strategy
-    (:class:`CompositeStrategy`, ``trainable = True``) adds the
-    train-step split and its single-model references.
-    """
-
-    name: str = "?"
-    trainable: bool = False
-
-    def setup(self, model_factory, group: ProcessGroup) -> None:
-        raise NotImplementedError
-
-    def forward(self, inputs) -> np.ndarray:
-        raise NotImplementedError
-
-    def reference(self, inputs) -> np.ndarray:
-        """Single-rank output for forward-only strategies."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # communication accounting
-    # ------------------------------------------------------------------ #
-    def level_groups(self) -> dict[str, list[ProcessGroup]]:
-        """Process groups per parallelism level, e.g. ``{"ddp": [...]}."""
-        return {}
-
-    def comm_summary(self, reset: bool = False) -> dict:
-        """``{"<level>_level_bytes": total, "calls": {...}}`` per level.
-
-        ``calls`` holds per-op call counts per level; ``async_launches``
-        counts the subset issued through the async API (bucketed
-        overlap).  ``reset=True`` zeroes the accounting after the
-        snapshot, so callers measuring per-phase traffic stop
-        hand-rolling the snapshot/reset pair.
-        """
-        out: dict = {"calls": {}, "async_launches": {}}
-        for level, groups in self.level_groups().items():
-            out[f"{level}_level_bytes"] = float(
-                sum(g.stats.total_bytes() for g in groups)
-            )
-            calls: dict[str, int] = {}
-            launches: dict[str, int] = {}
-            for g in groups:
-                for op, n in g.stats.calls.items():
-                    calls[op] = calls.get(op, 0) + n
-                for op, n in g.stats.async_launches.items():
-                    launches[op] = launches.get(op, 0) + n
-            out["calls"][level] = calls
-            out["async_launches"][level] = launches
-        if reset:
-            self.reset_comm()
-        return out
-
-    def reset_comm(self) -> None:
-        """Zero every group's :class:`~.comm.CommStats` (epoch accounting)."""
-        for groups in self.level_groups().values():
-            for g in groups:
-                g.stats.reset()
-
-
 def _microbatch_mean_grads(model: Module, losses) -> np.ndarray:
     """Backward each microbatch loss thunk; float64-average the grads."""
     grads = []
@@ -173,103 +98,6 @@ def _microbatch_mean_grads(model: Module, losses) -> np.ndarray:
         compute_loss().backward()
         grads.append(flatten_grads(model).astype(np.float64))
     return np.mean(grads, axis=0).astype(np.float32)
-
-
-# --------------------------------------------------------------------- #
-# forward-only adapters
-# --------------------------------------------------------------------- #
-class TensorParallelStrategy(ParallelStrategy):
-    """Megatron MLP: column-parallel fc1 -> GELU -> row-parallel fc2."""
-
-    name = "tp"
-
-    def __init__(self, w1, b1, w2, b2):
-        self._weights = (w1, b1, w2, b2)
-
-    def setup(self, model_factory, group: ProcessGroup) -> None:
-        self.group = group
-        self.mlp = TensorParallelMLP(*self._weights, group)
-
-    def forward(self, inputs) -> np.ndarray:
-        return self.mlp.forward(inputs)
-
-    def reference(self, inputs) -> np.ndarray:
-        return TensorParallelMLP.reference(inputs, *self._weights)
-
-    def level_groups(self):
-        return {"tp": [self.group]}
-
-
-class UlyssesStrategy(ParallelStrategy):
-    """DeepSpeed-Ulysses attention: four all-to-alls per layer."""
-
-    name = "ulysses"
-
-    def __init__(self, num_heads: int):
-        self.num_heads = num_heads
-
-    def setup(self, model_factory, group: ProcessGroup) -> None:
-        self.group = group
-        self.attn = UlyssesAttention(group, num_heads=self.num_heads)
-
-    def forward(self, inputs) -> np.ndarray:
-        q, k, v = inputs
-        world = self.group.size
-        shards = self.attn.forward(split_sequence(q, world),
-                                   split_sequence(k, world),
-                                   split_sequence(v, world))
-        return merge_sequence(shards)
-
-    def reference(self, inputs) -> np.ndarray:
-        return self.attn.reference(*inputs)
-
-    def level_groups(self):
-        return {"ulysses": [self.group]}
-
-
-class HybridOpStrategy(ParallelStrategy):
-    """Alternating column/row sharded matrix chain (ORBIT Hybrid-OP)."""
-
-    name = "hybrid_op"
-
-    def __init__(self, weights: list[np.ndarray]):
-        self.weights = weights
-
-    def setup(self, model_factory, group: ProcessGroup) -> None:
-        self.group = group
-        self.chain = HybridOpChain(self.weights, group)
-
-    def forward(self, inputs) -> np.ndarray:
-        return self.chain.forward(inputs)
-
-    def reference(self, inputs) -> np.ndarray:
-        return self.chain.reference(inputs)
-
-    def level_groups(self):
-        return {"hybrid_op": [self.group]}
-
-
-class PipelineStrategy(ParallelStrategy):
-    """GPipe microbatched stage pipeline (one stage per rank)."""
-
-    name = "pipeline"
-
-    def __init__(self, stages: list[Module], n_microbatches: int = 4):
-        self.stages = stages
-        self.n_microbatches = n_microbatches
-
-    def setup(self, model_factory, group: ProcessGroup) -> None:
-        self.group = group
-        self.pipe = PipelineParallel(self.stages, group)
-
-    def forward(self, inputs) -> np.ndarray:
-        return self.pipe.forward(inputs, self.n_microbatches)
-
-    def reference(self, inputs) -> np.ndarray:
-        return self.pipe.reference(inputs)
-
-    def level_groups(self):
-        return {"pipeline": [self.group]}
 
 
 # --------------------------------------------------------------------- #
@@ -439,7 +267,7 @@ class CompositePlan:
 # --------------------------------------------------------------------- #
 # the composite strategy: the full Fig. 5 stack, end-to-end
 # --------------------------------------------------------------------- #
-class CompositeStrategy(ParallelStrategy):
+class CompositeStrategy:
     """TP x FSDP x TILES x DDP executed together on the virtual cluster.
 
     See the module docstring for the execution and reduction schedule.
@@ -447,9 +275,6 @@ class CompositeStrategy(ParallelStrategy):
     byte accounting is real; results are identical across ``p`` (the
     inputs are), so the last result is used.
     """
-
-    name = "composite"
-    trainable = True
 
     def __init__(self, plan: CompositePlan, loss_fn,
                  halo: int = 2, factor: int = 2, overlap: bool = False,
@@ -472,7 +297,7 @@ class CompositeStrategy(ParallelStrategy):
         self._plan_epoch = 0
 
     # ------------------------------------------------------------------ #
-    def setup(self, model_factory, group: ProcessGroup | None = None) -> None:
+    def setup(self, model_factory) -> None:
         self._model_factory = model_factory
         self._release_compiled()
         plan = self.plan
@@ -893,7 +718,8 @@ class CompositeStrategy(ParallelStrategy):
                 self.import_state(canonical)
 
     # ------------------------------------------------------------------ #
-    def level_groups(self):
+    def level_groups(self) -> dict[str, list[ProcessGroup]]:
+        """Process groups per parallelism level, ``{"tp": [...], ...}``."""
         return {
             "tp": list(self._tp_groups.values()),
             "fsdp": list(self._fsdp_groups.values()),
@@ -902,7 +728,29 @@ class CompositeStrategy(ParallelStrategy):
         }
 
     def comm_summary(self, reset: bool = False) -> dict:
-        out = super().comm_summary()
+        """``{"<level>_level_bytes": total, "calls": {...}}`` per level.
+
+        ``calls`` holds per-op call counts per level; ``async_launches``
+        counts the subset issued through the async API (bucketed
+        overlap); ``per_step`` divides each level's bytes by ``steps``.
+        ``reset=True`` zeroes the accounting after the snapshot, so
+        callers measuring per-phase traffic stop hand-rolling the
+        snapshot/reset pair.
+        """
+        out: dict = {"calls": {}, "async_launches": {}}
+        for level, groups in self.level_groups().items():
+            out[f"{level}_level_bytes"] = float(
+                sum(g.stats.total_bytes() for g in groups)
+            )
+            calls: dict[str, int] = {}
+            launches: dict[str, int] = {}
+            for g in groups:
+                for op, n in g.stats.calls.items():
+                    calls[op] = calls.get(op, 0) + n
+                for op, n in g.stats.async_launches.items():
+                    launches[op] = launches.get(op, 0) + n
+            out["calls"][level] = calls
+            out["async_launches"][level] = launches
         out["steps"] = self.steps
         out["per_step"] = {
             level: (out[f"{level}_level_bytes"] / self.steps
@@ -914,7 +762,11 @@ class CompositeStrategy(ParallelStrategy):
         return out
 
     def reset_comm(self) -> None:
-        super().reset_comm()
+        """Zero every group's :class:`~.comm.CommStats` and the step count
+        (epoch accounting)."""
+        for groups in self.level_groups().values():
+            for g in groups:
+                g.stats.reset()
         self.steps = 0
 
     # ------------------------------------------------------------------ #

@@ -54,7 +54,7 @@ ASYNC_COLLECTIVES: tuple[str, ...] = (
 )
 
 #: float32 ring reductions reorder additions; everything else is a copy.
-_VALUE_TOLERANCES: dict[str, tuple[float, float]] = {
+_VALUE_TOLS: dict[str, tuple[float, float]] = {
     "all_reduce": (1e-5, 1e-6),
     "all_gather": (0.0, 0.0),
     "reduce_scatter": (1e-6, 1e-7),
@@ -185,14 +185,14 @@ def check_collective(op: str, world: int, shape: Sequence[int],
 
     if len(outs) != world:
         raise ConformanceFailure(f"{ctx}: {len(outs)} outputs for {world} ranks")
-    rtol, atol = _VALUE_TOLERANCES[op]
+    rtol, atol = _VALUE_TOLS[op]
     max_err = 0.0
     for rank, (got, ref) in enumerate(zip(outs, refs)):
         if got.shape != ref.shape:
             raise ConformanceFailure(
                 f"{ctx}: rank {rank} output shape {got.shape} != {ref.shape}")
         err = np.abs(got.astype(np.float64) - ref)
-        if np.any(err > atol + rtol * np.abs(ref)):
+        if np.any(~(err <= atol + rtol * np.abs(ref))):  # NaN is beyond
             raise ConformanceFailure(
                 f"{ctx}: rank {rank} value mismatch, max_abs_err={err.max():.3g} "
                 f"(rtol={rtol} atol={atol})")

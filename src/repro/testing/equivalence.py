@@ -7,13 +7,14 @@ a tiny Reslim (or the strategy's natural micro-workload) under a
 single-rank reference path and under one of the simulated-cluster
 engines, then compares outputs, gradients, and post-SGD-step parameters.
 
-The oracle has exactly two runners — one for training rows (output,
-gradients, params), all of which are a
+Every row is one :class:`OracleSpec` in one table: a builder, a note
+and a tolerance.  Training rows (output, gradients, params) are all a
 :class:`~repro.distributed.strategy.CompositeStrategy` on some plan
-(``ddp`` / ``fsdp`` / ``tiles`` put the whole world on one level), and
-one for the forward-only engines (output) — plus a per-row
-:class:`OracleSpec` that builds the strategy and its micro-workload.
-Adding a parallelism to the oracle is one table entry.
+(``ddp`` / ``fsdp`` / ``tiles`` put the whole world on one level) and
+share one runner.  The forward-only rows (tensor parallel, Ulysses,
+Hybrid-OP, pipeline) build their engine directly and hand back its
+output next to the engine's single-rank reference; the oracle compares
+the two.  Adding a parallelism to the oracle is one table entry.
 
 Exactness tiers (recorded per comparison in the returned report):
 
@@ -45,15 +46,16 @@ from typing import Callable
 import numpy as np
 
 from ..core import ModelConfig, Reslim
-from ..distributed import VirtualCluster
-from ..distributed.strategy import (
+from ..distributed import (
     CompositePlan,
     CompositeStrategy,
-    HybridOpStrategy,
-    ParallelStrategy,
-    PipelineStrategy,
-    TensorParallelStrategy,
-    UlyssesStrategy,
+    HybridOpChain,
+    PipelineParallel,
+    TensorParallelMLP,
+    UlyssesAttention,
+    VirtualCluster,
+    merge_sequence,
+    split_sequence,
 )
 from ..nn import Linear
 from ..tensor import Tensor
@@ -68,41 +70,6 @@ __all__ = [
     "oracle_config",
     "warm_head",
 ]
-
-#: Every row the oracle knows how to drive.  The ``*_overlap``
-#: variants run the same plans with backward-driven bucketed async
-#: reduction — the oracle is the proof they are numerically the same
-#: schedule.  The ``*_compiled`` variants replay captured step programs
-#: (:mod:`repro.tensor.compile`) instead of re-walking the tape; the
-#: bitwise-vs-eager claim is asserted separately in the test suite.
-PARALLELISMS: tuple[str, ...] = (
-    "ddp", "fsdp", "tp", "ulysses", "hybrid_op", "tiles", "pipeline", "composite",
-    "ddp_overlap", "fsdp_overlap", "composite_overlap",
-    "ddp_compiled", "composite_compiled", "composite_overlap_compiled",
-    "grow", "shrink", "grow_compiled",
-)
-
-#: (rtol, atol) per strategy — float32 ring-reduction rounding for most;
-#: Hybrid-OP compares against a float64 reference so it needs headroom.
-_TOLERANCES: dict[str, tuple[float, float]] = {
-    "ddp": (1e-4, 1e-5),
-    "fsdp": (1e-4, 1e-5),
-    "tp": (1e-4, 1e-4),
-    "ulysses": (1e-4, 1e-5),
-    "hybrid_op": (1e-3, 1e-4),
-    "tiles": (1e-4, 1e-5),
-    "pipeline": (1e-4, 1e-5),
-    "composite": (1e-4, 1e-5),
-    "ddp_overlap": (1e-4, 1e-5),
-    "fsdp_overlap": (1e-4, 1e-5),
-    "composite_overlap": (1e-4, 1e-5),
-    "ddp_compiled": (1e-4, 1e-5),
-    "composite_compiled": (1e-4, 1e-5),
-    "composite_overlap_compiled": (1e-4, 1e-5),
-    "grow": (1e-4, 1e-5),
-    "shrink": (1e-4, 1e-5),
-    "grow_compiled": (1e-4, 1e-5),
-}
 
 #: world → (tp, fsdp, tiles, ddp) for the composite oracle runs.  Chosen
 #: so every level with headroom is exercised: world 8 runs a genuine
@@ -219,10 +186,11 @@ def _compare(quantity: str, actual: np.ndarray, expected: np.ndarray,
             f"{context}: {quantity} shape {actual.shape} != reference {expected.shape}")
     err = np.abs(actual.astype(np.float64) - expected.astype(np.float64))
     bound = atol + rtol * np.abs(expected.astype(np.float64))
-    if np.any(err > bound):
+    beyond = ~(err <= bound)  # NaN is beyond
+    if np.any(beyond):
         worst = np.unravel_index(int(np.argmax(err)), err.shape)
         raise EquivalenceFailure(
-            f"{context}: {quantity} diverged — {int(np.sum(err > bound))} elements "
+            f"{context}: {quantity} diverged — {int(np.sum(beyond))} elements "
             f"beyond rtol={rtol} atol={atol}; worst at {list(worst)}: "
             f"parallel={actual[worst]:.6g} reference={expected[worst]:.6g}")
     return Comparison(quantity, float(err.max()) if err.size else 0.0,
@@ -234,10 +202,19 @@ def _compare(quantity: str, actual: np.ndarray, expected: np.ndarray,
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class OracleSpec:
-    """One oracle entry: a builder plus the note for its report."""
+    """One oracle entry: a builder, the note for its report, and the
+    row's ``(rtol, atol)``.
 
-    build: Callable  # (world, config, seed, rng) -> (strategy, data)
+    A training row's builder returns ``(strategy, (x, y))`` with a
+    :class:`CompositeStrategy`; a forward-only row's builder runs its
+    engine and returns ``(parallel_output, reference_output)``.
+    """
+
+    build: Callable  # (world, config, seed, rng) -> (strategy, data) | (out, ref)
     note: str
+    #: float32 ring-reduction rounding; Hybrid-OP compares against a
+    #: float64 reference so it needs headroom
+    tol: tuple[float, float] = (1e-4, 1e-5)
 
 
 def _diverse_factory(config: ModelConfig, seed: int):
@@ -314,9 +291,8 @@ def _build_tp(world, config, seed, rng):
     w2 = rng.standard_normal((d, hidden)).astype(np.float32) * 0.3
     b2 = rng.standard_normal(d).astype(np.float32)
     x = rng.standard_normal((5, d)).astype(np.float32)
-    strat = TensorParallelStrategy(w1, b1, w2, b2)
-    strat.setup(None, VirtualCluster(world).world_group())
-    return strat, x
+    mlp = TensorParallelMLP(w1, b1, w2, b2, VirtualCluster(world).world_group())
+    return mlp.forward(x), TensorParallelMLP.reference(x, w1, b1, w2, b2)
 
 
 def _build_ulysses(world, config, seed, rng):
@@ -324,9 +300,11 @@ def _build_ulysses(world, config, seed, rng):
     head_dim = config.embed_dim // heads
     q, k, v = (rng.standard_normal((16, heads, head_dim)).astype(np.float32)
                for _ in range(3))
-    strat = UlyssesStrategy(num_heads=heads)
-    strat.setup(None, VirtualCluster(world).world_group())
-    return strat, (q, k, v)
+    attn = UlyssesAttention(VirtualCluster(world).world_group(), num_heads=heads)
+    out = merge_sequence(attn.forward(split_sequence(q, world),
+                                      split_sequence(k, world),
+                                      split_sequence(v, world)))
+    return out, attn.reference(q, k, v)
 
 
 def _build_hybrid_op(world, config, seed, rng):
@@ -336,9 +314,8 @@ def _build_hybrid_op(world, config, seed, rng):
     weights = [rng.standard_normal((dims[i + 1], dims[i])).astype(np.float32) * 0.3
                for i in range(len(dims) - 1)]
     x = rng.standard_normal((3, d)).astype(np.float32)
-    strat = HybridOpStrategy(weights)
-    strat.setup(None, VirtualCluster(world).world_group())
-    return strat, x
+    chain = HybridOpChain(weights, VirtualCluster(world).world_group())
+    return chain.forward(x), chain.reference(x)
 
 
 def _build_pipeline(world, config, seed, rng):
@@ -346,9 +323,8 @@ def _build_pipeline(world, config, seed, rng):
     stages = [Linear(d, d, rng=np.random.default_rng(seed + s))
               for s in range(world)]
     x = rng.standard_normal((8, d)).astype(np.float32)
-    strat = PipelineStrategy(stages, n_microbatches=4)
-    strat.setup(None, VirtualCluster(world).world_group())
-    return strat, x
+    pipe = PipelineParallel(stages, VirtualCluster(world).world_group())
+    return pipe.forward(x, n_microbatches=4), pipe.reference(x)
 
 
 _SPECS: dict[str, OracleSpec] = {
@@ -361,13 +337,15 @@ _SPECS: dict[str, OracleSpec] = {
         partial(_build_composite, level="fsdp"),
         "reduce-scatter accumulates in float64; identical contributions → exact"),
     "tp": OracleSpec(
-        _build_tp, "forward-only engine: one all-reduce of row-parallel partials"),
+        _build_tp, "forward-only engine: one all-reduce of row-parallel partials",
+        tol=(1e-4, 1e-4)),
     "ulysses": OracleSpec(
         _build_ulysses,
         "per-head attention is rank-local; all-to-alls only permute data"),
     "hybrid_op": OracleSpec(
         _build_hybrid_op,
-        "reference runs in float64, so agreement is tolerance-bounded by design"),
+        "reference runs in float64, so agreement is tolerance-bounded by design",
+        tol=(1e-3, 1e-4)),
     "tiles": OracleSpec(
         partial(_build_composite, level="tiles"),
         "reference is the serial TiledDownscaler (same tiling, one rank): "
@@ -419,15 +397,18 @@ _SPECS: dict[str, OracleSpec] = {
         "reshard; replay recaptures at the new world transparently"),
 }
 
+#: Every row the oracle knows how to drive.  The ``*_overlap``
+#: variants run the same plans with backward-driven bucketed async
+#: reduction — the oracle is the proof they are numerically the same
+#: schedule.  The ``*_compiled`` variants replay captured step programs
+#: (:mod:`repro.tensor.compile`) instead of re-walking the tape; the
+#: bitwise-vs-eager claim is asserted separately in the test suite.
+PARALLELISMS: tuple[str, ...] = tuple(_SPECS)
+
 
 # --------------------------------------------------------------------- #
-# the two generic runners
+# the training-row runner
 # --------------------------------------------------------------------- #
-def _run_forward_only(strategy: ParallelStrategy, data, rtol, atol, ctx):
-    return [_compare("output", strategy.forward(data), strategy.reference(data),
-                     rtol, atol, ctx)]
-
-
 def _run_trainable(strategy: CompositeStrategy, data, config, seed, lr,
                    rtol, atol, ctx):
     x, y = data
@@ -463,16 +444,15 @@ def check_parallel_equivalence(strategy: str, world: int,
     if world < 1:
         raise ValueError("world must be >= 1")
     config = config or oracle_config()
-    d_rtol, d_atol = _TOLERANCES[strategy]
-    rtol = d_rtol if rtol is None else rtol
-    atol = d_atol if atol is None else atol
     spec = _SPECS[strategy]
+    rtol = spec.tol[0] if rtol is None else rtol
+    atol = spec.tol[1] if atol is None else atol
     rng = np.random.default_rng(seed)
-    strat, data = spec.build(world, config, seed, rng)
+    built, data = spec.build(world, config, seed, rng)
     ctx = f"{strategy}@world={world}"
-    if strat.trainable:
-        comparisons = _run_trainable(strat, data, config, seed, lr, rtol, atol, ctx)
+    if isinstance(built, CompositeStrategy):
+        comparisons = _run_trainable(built, data, config, seed, lr, rtol, atol, ctx)
     else:
-        comparisons = _run_forward_only(strat, data, rtol, atol, ctx)
+        comparisons = [_compare("output", built, data, rtol, atol, ctx)]
     return EquivalenceReport(strategy=strategy, world=world,
                              comparisons=comparisons, notes=spec.note)

@@ -38,7 +38,7 @@ __all__ = [
 #: (rtol, atol) pairs keyed by the logical dtype of the computation under
 #: test.  float32 matches the legacy checker; bfloat16 reflects its 2^-8
 #: unit roundoff.
-_DTYPE_TOLERANCES: dict[str, tuple[float, float]] = {
+_DTYPE_TOLS: dict[str, tuple[float, float]] = {
     "float32": (2e-2, 2e-3),
     "bfloat16": (8e-2, 2e-2),
     "float64": (1e-5, 1e-7),
@@ -48,11 +48,11 @@ _DTYPE_TOLERANCES: dict[str, tuple[float, float]] = {
 def default_tolerances(dtype: str = "float32") -> tuple[float, float]:
     """(rtol, atol) appropriate for gradients computed in ``dtype``."""
     try:
-        return _DTYPE_TOLERANCES[dtype]
+        return _DTYPE_TOLS[dtype]
     except KeyError:
         raise ValueError(
             f"no default tolerances for dtype {dtype!r}; "
-            f"known: {sorted(_DTYPE_TOLERANCES)}"
+            f"known: {sorted(_DTYPE_TOLS)}"
         ) from None
 
 
@@ -148,7 +148,7 @@ def numerical_grad_multi(fn, xs: Sequence[np.ndarray], eps: float = 1e-3,
 def _collect_mismatches(input_index: int, analytic: np.ndarray,
                         numeric: np.ndarray, rtol: float, atol: float,
                         max_report: int) -> list[ElementMismatch]:
-    bad = np.abs(analytic - numeric) > atol + rtol * np.abs(numeric)
+    bad = ~(np.abs(analytic - numeric) <= atol + rtol * np.abs(numeric))  # NaN is beyond
     if not np.any(bad):
         return []
     err = np.abs(analytic - numeric) * bad

@@ -104,7 +104,7 @@ class Trainer:
 
     # ------------------------------------------------------------------ #
     # template-method hooks: DistributedEngine overrides these to route
-    # compute through a ParallelStrategy while AMP/scheduling/clipping and
+    # compute through a CompositeStrategy while AMP/scheduling/clipping and
     # the epoch loop below stay shared
     # ------------------------------------------------------------------ #
     def _build_optimizer(self):

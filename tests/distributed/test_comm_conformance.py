@@ -128,6 +128,19 @@ class TestFullSweep:
         with pytest.raises(ConformanceFailure, match="value mismatch"):
             check_collective("all_reduce", 3, (5,))
 
+    def test_detects_nan_values(self, monkeypatch):
+        """A NaN never compares greater than a bound; it must still fail."""
+        orig = ProcessGroup.all_reduce
+
+        def poison(self, buffers, op="mean"):
+            out = orig(self, buffers, op=op)
+            out[0][1] = np.nan
+            return out
+
+        monkeypatch.setattr(ProcessGroup, "all_reduce", poison)
+        with pytest.raises(ConformanceFailure, match="value mismatch"):
+            check_collective("all_reduce", 3, (5,))
+
 
 class TestAsyncConformance:
     """Async collectives: bit-identity with the sync twin, equal traffic."""

@@ -14,7 +14,7 @@ from repro.distributed import (
 )
 from repro.testing import check_parallel_equivalence
 from repro.testing.equivalence import (
-    _TOLERANCES,
+    _SPECS,
     _apply_flat_sgd,
     _make_model,
     flatten_params,
@@ -195,7 +195,7 @@ def test_any_plan_matches_reference_and_its_own_schedules(factors, k):
     ref = _make_model(config, seed=0)
     ref_grads = strategy.reference_step(ref, x, y)
     _apply_flat_sgd(ref, ref_grads, 0.05)
-    rtol, atol = _TOLERANCES["composite"]
+    rtol, atol = _SPECS["composite"].tol
     for g, p in zip(grads, params):
         np.testing.assert_allclose(g, ref_grads, rtol=rtol, atol=atol)
         np.testing.assert_allclose(p, flatten_params(ref), rtol=rtol, atol=atol)

@@ -7,6 +7,12 @@ import numpy as np
 import pytest
 
 from repro.core import Reslim
+from repro.distributed import (
+    HybridOpChain,
+    PipelineParallel,
+    TensorParallelMLP,
+    UlyssesAttention,
+)
 from repro.tensor import Tensor, no_grad
 from repro.testing import (
     EquivalenceFailure,
@@ -16,6 +22,14 @@ from repro.testing import (
     warm_head,
 )
 from repro.testing.equivalence import Comparison, _compare
+
+#: the engine each forward-only oracle row drives
+_FORWARD_ENGINES = {
+    "tp": TensorParallelMLP,
+    "ulysses": UlyssesAttention,
+    "hybrid_op": HybridOpChain,
+    "pipeline": PipelineParallel,
+}
 
 
 class TestCompare:
@@ -41,6 +55,12 @@ class TestCompare:
     def test_shape_mismatch_raises(self):
         with pytest.raises(EquivalenceFailure, match="shape"):
             _compare("output", np.zeros(3), np.zeros(4), 1e-4, 1e-5, "ctx")
+
+    def test_nan_is_beyond_every_tolerance(self):
+        """A NaN never compares greater than a bound; it must still fail."""
+        with pytest.raises(EquivalenceFailure, match="1 elements beyond"):
+            _compare("output", np.array([1.0, np.nan]), np.array([1.0, 2.0]),
+                     1e-4, 1e-5, "ctx")
 
 
 class TestReport:
@@ -111,5 +131,23 @@ class TestOracleConfig:
             self.buffers()[0].grad += 0.1
 
         monkeypatch.setattr(CompositeStrategy, "reduce_gradients", corrupted)
+        with pytest.raises(EquivalenceFailure):
+            check_parallel_equivalence(strategy, 2)
+
+    @pytest.mark.parametrize("strategy", sorted(_FORWARD_ENGINES))
+    def test_oracle_catches_planted_forward_bug(self, strategy, monkeypatch):
+        """Shift a forward-only engine's output by 1e-2: the oracle must
+        flag it, so the row really compares the engine against its
+        reference."""
+        engine = _FORWARD_ENGINES[strategy]
+        orig = engine.forward
+
+        def shifted(self, *args, **kwargs):
+            out = orig(self, *args, **kwargs)
+            if isinstance(out, list):  # Ulysses returns per-rank shards
+                return [o + 1e-2 for o in out]
+            return out + 1e-2
+
+        monkeypatch.setattr(engine, "forward", shifted)
         with pytest.raises(EquivalenceFailure):
             check_parallel_equivalence(strategy, 2)

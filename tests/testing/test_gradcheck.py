@@ -81,6 +81,22 @@ class TestCheckGradients:
         assert m.numeric == pytest.approx(1.0, rel=1e-3)
         assert "analytic" in str(exc.value)
 
+    def test_detects_nan_gradient(self):
+        """A NaN never compares greater than a bound; it must still fail."""
+
+        def nan_backward(t):
+            a = t
+
+            def backward(g):
+                return ((a, np.full_like(g, np.nan)),)
+
+            return Tensor._from_op(a.data.copy(), (a,), backward, "nan").sum()
+
+        with pytest.raises(GradcheckFailure) as exc:
+            check_gradient(nan_backward, RNG.standard_normal(4).astype(np.float32))
+        assert len(exc.value.mismatches) == 4
+        assert np.isnan(exc.value.mismatches[0].analytic)
+
     def test_wrt_skips_inputs(self):
         a = RNG.standard_normal(3).astype(np.float32)
         b = RNG.standard_normal(3).astype(np.float32)
