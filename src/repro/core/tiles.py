@@ -101,9 +101,15 @@ def make_tiles(h: int, w: int, n_tiles: int, halo: int = 0,
         raise ValueError(f"grid {(h, w)} too small for {rows}x{cols} tiles")
     if halo < 0:
         raise ValueError("halo must be non-negative")
+    # the floor-division extent is the smallest tile either way (uneven
+    # splits give the trailing rows/cols this size)
     th, tw = h // rows, w // cols
     if halo >= th or halo >= tw:
-        raise ValueError(f"halo {halo} must be smaller than the tile core {(th, tw)}")
+        raise ValueError(
+            f"halo {halo} does not fit the tile extent ({th}x{tw}) of a "
+            f"{rows}x{cols} tiling over grid {(h, w)}: a tile's halo-extended "
+            f"slice would swallow its neighbours — use halo < {min(th, tw)} "
+            f"or fewer tiles")
     row_spans = _split_axis(h, rows)
     col_spans = _split_axis(w, cols)
     tiles = []

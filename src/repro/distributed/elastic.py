@@ -107,7 +107,7 @@ def unshard_state(plan: CompositePlan, shards: Mapping[int, np.ndarray],
         if owner is None:
             padded[lo:hi] = shard
             filled[lo] = rank
-        elif not np.array_equal(padded[lo:hi], shard):
+        elif padded[lo:hi].tobytes() != shard.tobytes():  # NaN-safe
             raise ValueError(
                 f"rank {rank} shard diverged from rank {owner}'s replica")
     return padded[:size].copy()

@@ -16,7 +16,7 @@ class Linear(Module):
 
     Weight layout is ``(out_features, in_features)`` so tensor-parallel
     sharding (row = input dim, column = output dim) matches Megatron's
-    convention (see ``repro.distributed.tensor_parallel``).
+    convention (see ``repro.distributed.hybrid_op``).
     """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,

@@ -476,7 +476,8 @@ class DownscalingService:
         ``batch_size -> seconds`` pricing of one dispatched batch;
         defaults to :func:`repro.distributed.perf_model.service_time_model`
         for ``config`` (or a generic constant model when no config is
-        given).
+        given).  Under ``tile_serving`` it must also price tiles: carry
+        a ``tile_time`` method or a ``per_sample_s`` attribute.
     hit_latency_s:
         Modeled latency of answering from the cache.
     max_queue_depth:
@@ -554,6 +555,12 @@ class DownscalingService:
                 raise ValueError("tile_serving needs n_tiles >= 2")
             if coarse_shape is None:
                 raise ValueError("tile_serving needs coarse_shape=(h, w)")
+            if service_time is not None and not (
+                    hasattr(service_time, "tile_time")
+                    or hasattr(service_time, "per_sample_s")):
+                raise ValueError(
+                    "tile_serving cannot price tiles from a bare service_time "
+                    "callable: give it a tile_time method or per_sample_s")
             plan_factor = factor
             if plan_factor is None:
                 # latency-only runs have no model; the factor only scales
@@ -577,8 +584,7 @@ class DownscalingService:
                 self.tile_service_time = tile_service_time_model(
                     None, coarse_shape=self.tile_plan.coarse_shape,
                     n_tiles=n_tiles, halo=halo,
-                    per_sample_s=getattr(base, "per_sample_s",
-                                         DEFAULT_SERVICE_TIME.per_sample_s),
+                    per_sample_s=base.per_sample_s,
                     dispatch_s=getattr(base, "dispatch_s",
                                        SERVE_DISPATCH_S))
 

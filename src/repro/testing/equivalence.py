@@ -51,14 +51,13 @@ from ..distributed import (
     CompositeStrategy,
     HybridOpChain,
     PipelineParallel,
-    TensorParallelMLP,
     UlyssesAttention,
     VirtualCluster,
     merge_sequence,
     split_sequence,
 )
 from ..nn import Linear
-from ..tensor import Tensor
+from ..tensor import Tensor, gelu
 
 __all__ = [
     "PARALLELISMS",
@@ -283,7 +282,13 @@ def _build_elastic(world, config, seed, rng, grow=True, compile=False):
     return strat, _batch(rng, batch, side)
 
 
+def _gelu(x: np.ndarray) -> np.ndarray:
+    return gelu(Tensor(x)).data
+
+
 def _build_tp(world, config, seed, rng):
+    """Megatron's MLP (column fc1 → GELU → row fc2): the one-pair
+    Hybrid-OP chain, against the unsharded float32 computation."""
     d = config.embed_dim
     hidden = int(config.mlp_ratio * d)
     w1 = rng.standard_normal((hidden, d)).astype(np.float32) * 0.3
@@ -291,8 +296,9 @@ def _build_tp(world, config, seed, rng):
     w2 = rng.standard_normal((d, hidden)).astype(np.float32) * 0.3
     b2 = rng.standard_normal(d).astype(np.float32)
     x = rng.standard_normal((5, d)).astype(np.float32)
-    mlp = TensorParallelMLP(w1, b1, w2, b2, VirtualCluster(world).world_group())
-    return mlp.forward(x), TensorParallelMLP.reference(x, w1, b1, w2, b2)
+    mlp = HybridOpChain([w1, w2], VirtualCluster(world).world_group(),
+                        biases=[b1, b2], activation=_gelu)
+    return mlp.forward(x), (_gelu(x @ w1.T + b1) @ w2.T + b2).astype(np.float32)
 
 
 def _build_ulysses(world, config, seed, rng):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.tiles import TiledDownscaler, make_tiles, tile_grid
+from ..core.tiles import TiledDownscaler, make_tiles
 from ..data.datasets import DownscalingDataset
 from ..data.normalize import log1p_precip
 from ..evals import evaluate_all
@@ -61,22 +61,10 @@ def build_inference_runner(model: Module, n_tiles: int = 1, halo: int = 0,
             "factor required for tiled inference: pass factor= or use a "
             "model with a .factor attribute")
     if coarse_shape is not None:
-        rows, cols = tile_grid(n_tiles)
-        h, w = int(coarse_shape[0]), int(coarse_shape[1])
-        if uneven or (h % rows == 0 and w % cols == 0):
-            # the floor-division tile extent is the smallest tile either
-            # way (uneven splits give the trailing rows/cols this size)
-            tile_h, tile_w = h // rows, w // cols
-            if halo >= tile_h or halo >= tile_w:
-                raise ValueError(
-                    f"halo {halo} does not fit the tile extent "
-                    f"({tile_h}x{tile_w}) of a {rows}x{cols} tiling over "
-                    f"grid {(h, w)}: a tile's halo-extended slice would "
-                    f"swallow its neighbours — use halo < "
-                    f"{min(tile_h, tile_w)} or fewer tiles")
-        # raises the remaining tile-geometry errors (non-divisible
-        # grid, negative halo) before any forward pass runs
-        make_tiles(h, w, n_tiles, halo, uneven=uneven)
+        # raises every tile-geometry error (non-divisible grid, a halo
+        # that does not fit the tile extent) before any forward pass runs
+        make_tiles(int(coarse_shape[0]), int(coarse_shape[1]), n_tiles, halo,
+                   uneven=uneven)
     # compile wraps the inner model: per-tile shapes are identical for
     # even tiling, so one captured program serves every tile (uneven
     # tiling falls back to one plan per distinct shape); stitching

@@ -100,6 +100,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="diverged"):
             unshard_state(plan, shards, 6)
 
+    def test_identical_nan_replicas_round_trip(self):
+        """Replicas are compared byte-for-byte, so NaN != NaN is moot."""
+        plan = _plan(fsdp=2, ddp=2)
+        v = np.arange(10, dtype=np.float32)
+        v[3] = np.nan
+        back = unshard_state(plan, shard_state(plan, v), 10)
+        assert back.tobytes() == v.tobytes()
+        moved = remap_state(plan, _plan(fsdp=4), shard_state(plan, v), 10)
+        fresh = shard_state(_plan(fsdp=4), v)
+        assert all(moved[r].tobytes() == fresh[r].tobytes() for r in fresh)
+
+    def test_nan_payload_bit_flip_is_divergence(self):
+        plan = _plan(fsdp=2, ddp=2)
+        v = np.arange(10, dtype=np.float32)
+        v[3] = np.nan
+        shards = shard_state(plan, v)
+        flipped = shards[2].copy()
+        flipped.view(np.uint32)[3] ^= 1  # still a NaN, one payload bit off
+        assert np.isnan(flipped[3])
+        shards[2] = flipped
+        with pytest.raises(ValueError, match="rank 2 shard diverged"):
+            unshard_state(plan, shards, 10)
+
 
 class TestCanonicalState:
     def test_nbytes_counts_params_and_moments(self):

@@ -15,13 +15,10 @@ import pytest
 
 from repro.core import ModelConfig, Reslim
 from repro.distributed import (
-    ColumnParallelLinear,
     CompositePlan,
     CompositeStrategy,
     HybridOpChain,
     ProcessGroup,
-    RowParallelLinear,
-    TensorParallelMLP,
     VirtualCluster,
     hybrid_chain_volume,
     naive_sharded_chain_volume,
@@ -215,41 +212,41 @@ class TestFSDP:
 
 
 class TestTensorParallel:
-    def test_column_then_gather_matches_dense(self):
-        g = ProcessGroup([0, 1])
-        w = RNG.standard_normal((8, 6)).astype(np.float32)
-        b = RNG.standard_normal(8).astype(np.float32)
-        x = RNG.standard_normal((3, 6)).astype(np.float32)
-        col = ColumnParallelLinear(w, b, g)
-        out = col.gather_output(col.forward(x))
-        np.testing.assert_allclose(out, x @ w.T + b, rtol=1e-5, atol=1e-5)
+    """Megatron TP: the MLP as a one-pair Hybrid-OP chain."""
 
-    def test_row_parallel_matches_dense(self):
-        g = ProcessGroup([0, 1])
-        w = RNG.standard_normal((4, 8)).astype(np.float32)
-        b = RNG.standard_normal(4).astype(np.float32)
-        x = RNG.standard_normal((3, 8)).astype(np.float32)
-        x_shards = [x[:, :4], x[:, 4:]]
-        out = RowParallelLinear(w, b, g).forward(x_shards)
-        np.testing.assert_allclose(out, x @ w.T + b, rtol=1e-4, atol=1e-5)
+    @staticmethod
+    def _mlp(g, d=4, hidden=8):
+        w1 = RNG.standard_normal((hidden, d)).astype(np.float32)
+        b1 = RNG.standard_normal(hidden).astype(np.float32)
+        w2 = RNG.standard_normal((d, hidden)).astype(np.float32)
+        b2 = RNG.standard_normal(d).astype(np.float32)
+        mlp = HybridOpChain([w1, w2], g, biases=[b1, b2], activation=np.tanh)
+        return mlp, (w1, b1, w2, b2)
+
+    def test_mlp_matches_dense(self):
+        mlp, (w1, b1, w2, b2) = self._mlp(ProcessGroup([0, 1]))
+        x = RNG.standard_normal((3, 4)).astype(np.float32)
+        np.testing.assert_allclose(mlp.forward(x), np.tanh(x @ w1.T + b1) @ w2.T + b2,
+                                   rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(mlp.reference(x), mlp.forward(x),
+                                   rtol=1e-4, atol=1e-5)
 
     def test_exactly_one_allreduce_per_forward(self):
         g = ProcessGroup([0, 1])
-        mlp = TensorParallelMLP(
-            RNG.standard_normal((8, 4)).astype(np.float32), np.zeros(8, dtype=np.float32),
-            RNG.standard_normal((4, 8)).astype(np.float32), np.zeros(4, dtype=np.float32), g,
-        )
+        mlp, _ = self._mlp(g)
         mlp.forward(RNG.standard_normal((2, 4)).astype(np.float32))
         assert g.stats.calls.get("all_reduce", 0) == 1
         assert g.stats.calls.get("all_gather", 0) == 0
 
     def test_per_rank_params_are_fraction(self):
-        g = ProcessGroup(list(range(4)))
-        w1 = np.zeros((16, 8), dtype=np.float32)
-        w2 = np.zeros((8, 16), dtype=np.float32)
-        mlp = TensorParallelMLP(w1, np.zeros(16, np.float32), w2, np.zeros(8, np.float32), g)
-        full = w1.nbytes + w2.nbytes
-        assert mlp.per_rank_param_bytes() < full / 2
+        mlp, (w1, _, w2, _) = self._mlp(ProcessGroup(list(range(4))), 8, 16)
+        per_rank = sum(layer[0].nbytes for layer in mlp.shards)
+        assert per_rank == (w1.nbytes + w2.nbytes) // 4
+
+    def test_rejects_misshaped_biases(self):
+        w = [np.zeros((8, 4), np.float32), np.zeros((4, 8), np.float32)]
+        with pytest.raises(ValueError, match="bias"):
+            HybridOpChain(w, ProcessGroup([0, 1]), biases=[np.zeros(8, np.float32)])
 
     def test_split_validation(self):
         from repro.distributed import split_columns, split_rows

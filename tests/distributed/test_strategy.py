@@ -147,6 +147,29 @@ class TestCompositeStrategy:
         assert summary["steps"] == 0
         assert summary["fsdp_level_bytes"] == 0
 
+    def test_tp_level_bill_is_the_modeled_megatron_all_reduces(self):
+        """TP numerics are shared within a unit, so the TP level records a
+        modeled bill: per (ddp, tile, fsdp) group one entry of 4*depth
+        ring all-reduces of the unit's output, 2(P-1)/P of it each."""
+        ddp, tiles, fsdp, tp = 2, 1, 2, 2
+        plan = CompositePlan(VirtualCluster(8), tp=tp, fsdp=fsdp,
+                             tiles=tiles, ddp=ddp)
+        strategy = CompositeStrategy(plan, loss_fn=_mse, halo=2, factor=2)
+        config = oracle_config()
+        strategy.setup(lambda u: _make_model(config, seed=u))
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((ddp, 2, 8, 8)).astype(np.float32)
+        y = rng.standard_normal((ddp, 1, 16, 16)).astype(np.float32)
+        strategy.step(x, y)
+
+        summary = strategy.comm_summary()
+        groups = ddp * tiles * fsdp
+        out_nbytes = 1 * 1 * 16 * 16 * 4  # one sample's 16x16 output per unit
+        assert summary["calls"]["tp"] == {"modeled_all_reduce": groups}
+        assert summary["tp_level_bytes"] == \
+            groups * 4 * config.depth * 2 * (tp - 1) / tp * out_nbytes
+        assert (groups, summary["tp_level_bytes"]) == (4, 16384)
+
     def test_batch_must_match_ddp_ways(self):
         plan = CompositePlan(VirtualCluster(4), tp=1, fsdp=1, tiles=2, ddp=2)
         strategy = CompositeStrategy(plan, loss_fn=_mse, halo=2, factor=2)

@@ -19,6 +19,7 @@ import pytest
 from repro.core import PAPER_CONFIGS, ModelConfig, Reslim
 from repro.data import DatasetSpec, DownscalingDataset, Grid
 from repro.distributed import (
+    ServiceTimeModel,
     cache_aware_service_time,
     serve_report,
     tile_service_time_model,
@@ -294,6 +295,18 @@ class TestTiledBitwiseServing:
                                coarse_shape=COARSE)
         with pytest.raises(ValueError, match="coarse_shape"):
             DownscalingService(model, n_tiles=4, halo=2, tile_serving=True)
+
+    def test_rejects_bare_service_time_callable(self):
+        """A plain ``batch -> seconds`` callable cannot be split per
+        tile; it must be refused, not silently swapped for the default."""
+        with pytest.raises(ValueError, match="bare service_time"):
+            DownscalingService(n_tiles=4, halo=2, coarse_shape=COARSE,
+                               tile_serving=True, service_time=lambda n: 1.0)
+        geometry = dict(n_tiles=4, halo=2, coarse_shape=COARSE, tile_serving=True)
+        default = DownscalingService(**geometry).tile_service_time
+        priced = DownscalingService(**geometry, service_time=ServiceTimeModel(
+            dispatch_s=0.0, per_sample_s=1.0)).tile_service_time
+        assert priced.mean_tile_s == pytest.approx(50 * default.mean_tile_s)
 
 
 # --------------------------------------------------------------------- #

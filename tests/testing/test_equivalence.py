@@ -10,7 +10,6 @@ from repro.core import Reslim
 from repro.distributed import (
     HybridOpChain,
     PipelineParallel,
-    TensorParallelMLP,
     UlyssesAttention,
 )
 from repro.tensor import Tensor, no_grad
@@ -25,7 +24,7 @@ from repro.testing.equivalence import Comparison, _compare
 
 #: the engine each forward-only oracle row drives
 _FORWARD_ENGINES = {
-    "tp": TensorParallelMLP,
+    "tp": HybridOpChain,
     "ulysses": UlyssesAttention,
     "hybrid_op": HybridOpChain,
     "pipeline": PipelineParallel,
