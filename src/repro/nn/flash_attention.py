@@ -73,6 +73,16 @@ _TILE_BYTES = 1 << 19
 #: ``l ≥ 1``, far below float32 rounding.
 _EXP2_FLOOR = -64.0
 
+#: NumPy reads the FPU's invalid flag after every ``matmul``, and a tiny
+#: OpenBLAS GEMM can leave it set on finite operands: the score GEMM at
+#: ``L = 19, block = 3`` (a ``(3, 5) @ (5, 3)`` tile) once warned
+#: "invalid value encountered in matmul" on unit-normal inputs and ran
+#: clean on replay.  The tile loops issue thousands of such GEMMs per
+#: call, so they run with that flag ignored.  It carries nothing here:
+#: on finite inputs every operand is finite by the bound in the module
+#: doc, and a NaN input still reaches the output.
+_TILE_ERRSTATE = {"invalid": "ignore"}
+
 
 def naive_attention(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
     """Reference O(L^2)-memory attention used as the correctness oracle."""
@@ -128,23 +138,25 @@ def flash_attention(
         qT[:, d] = 0.0
         if floor:
             ks = k1[sharp, :, :d]
-        for i0 in range(0, lq, bs):
-            qTi = qT[:, :, i0:i0 + bs]  # (nb, d + 1, bq)
-            if floor:  # s - shift <= 0 on sharp items, so l >= 1
-                qTi[sharp, d] = -(ks @ qTi[sharp, :d]).max(axis=-2)
-            acc = np.zeros((nb, qTi.shape[-1], d + 1), dtype=np.float32)
-            for j0 in range(0, lk, bs):
-                pT = k1[:, j0:j0 + bs] @ qTi  # s - shift, (nb, bk, bq)
-                if floor:
-                    np.maximum(pT, _EXP2_FLOOR, out=pT)
-                np.exp2(pT, out=pT)
-                acc += np.swapaxes(pT, -1, -2) @ v1[:, j0:j0 + bs]  # p @ [V, 1]
-                # free the tile before the next is allocated, so malloc reuses
-                # its pages; held across that allocation, glibc's heap grows
-                # and trims, and at (16, 512, 8) each call took ~1 900 faults
-                del pT
-            np.divide(acc[..., :d], acc[..., d:], out=out[:, i0:i0 + bs])
-            np.subtract(qTi[:, d], np.log2(acc[..., d]), out=qTi[:, d])  # -lse
+        with np.errstate(**_TILE_ERRSTATE):
+            for i0 in range(0, lq, bs):
+                qTi = qT[:, :, i0:i0 + bs]  # (nb, d + 1, bq)
+                if floor:  # s - shift <= 0 on sharp items, so l >= 1
+                    qTi[sharp, d] = -(ks @ qTi[sharp, :d]).max(axis=-2)
+                acc = np.zeros((nb, qTi.shape[-1], d + 1), dtype=np.float32)
+                for j0 in range(0, lk, bs):
+                    pT = k1[:, j0:j0 + bs] @ qTi  # s - shift, (nb, bk, bq)
+                    if floor:
+                        np.maximum(pT, _EXP2_FLOOR, out=pT)
+                    np.exp2(pT, out=pT)
+                    acc += np.swapaxes(pT, -1, -2) @ v1[:, j0:j0 + bs]  # p @ [V, 1]
+                    # free the tile before the next is allocated, so malloc
+                    # reuses its pages; held across that allocation, glibc's
+                    # heap grows and trims, and at (16, 512, 8) each call
+                    # took ~1 900 faults
+                    del pT
+                np.divide(acc[..., :d], acc[..., d:], out=out[:, i0:i0 + bs])
+                np.subtract(qTi[:, d], np.log2(acc[..., d]), out=qTi[:, d])  # -lse
 
     run_blocks()
     out_full = out.reshape(*batch_shape, lq, d)
@@ -159,21 +171,22 @@ def flash_attention(
         dk = np.zeros((nb, lk, d), dtype=np.float32)
         dv = np.zeros((nb, lk, d), dtype=np.float32)
         per = max(1, _TILE_BYTES // (4 * bs * bs))  # items per pass
-        for c in (slice(c0, c0 + per) for c0 in range(0, nb, per)):
-            floor = sharp[c].any()
-            for j0 in range(0, lk, bs):
-                j1 = min(j0 + bs, lk)
-                for i0 in range(0, lq, bs):
-                    i1 = min(i0 + bs, lq)
-                    pT = k1[c, j0:j1] @ qT[c, :, i0:i1]  # recomputed s - lse, log2
-                    if floor:
-                        np.maximum(pT, _EXP2_FLOOR, out=pT)
-                    np.exp2(pT, out=pT)
-                    goi = np.swapaxes(goT[c, :d, i0:i1], -1, -2)
-                    dv[c, j0:j1] += pT @ goi
-                    pT *= v1[c, j0:j1] @ goT[c, :, i0:i1]  # p * (dp - delta)
-                    dq[c, i0:i1] += np.swapaxes(pT, -1, -2) @ k1[c, j0:j1, :d]
-                    dk[c, j0:j1] += pT @ np.swapaxes(qT[c, :d, i0:i1], -1, -2)
+        with np.errstate(**_TILE_ERRSTATE):
+            for c in (slice(c0, c0 + per) for c0 in range(0, nb, per)):
+                floor = sharp[c].any()
+                for j0 in range(0, lk, bs):
+                    j1 = min(j0 + bs, lk)
+                    for i0 in range(0, lq, bs):
+                        i1 = min(i0 + bs, lq)
+                        pT = k1[c, j0:j1] @ qT[c, :, i0:i1]  # recomputed s - lse, log2
+                        if floor:
+                            np.maximum(pT, _EXP2_FLOOR, out=pT)
+                        np.exp2(pT, out=pT)
+                        goi = np.swapaxes(goT[c, :d, i0:i1], -1, -2)
+                        dv[c, j0:j1] += pT @ goi
+                        pT *= v1[c, j0:j1] @ goT[c, :, i0:i1]  # p * (dp - delta)
+                        dq[c, i0:i1] += np.swapaxes(pT, -1, -2) @ k1[c, j0:j1, :d]
+                        dk[c, j0:j1] += pT @ np.swapaxes(qT[c, :d, i0:i1], -1, -2)
         # qT carries sc * log2(e), so dk has sc and one log2(e) too many;
         # k1 carries neither
         dq *= np.float32(sc)

@@ -223,6 +223,27 @@ class TestTensorParallel:
         mlp = HybridOpChain([w1, w2], g, biases=[b1, b2], activation=np.tanh)
         return mlp, (w1, b1, w2, b2)
 
+    def test_column_then_gather_matches_dense(self):
+        """fc1 is output-sharded: gathering the per-rank slices (with their
+        bias slices) rebuilds the dense layer."""
+        g = ProcessGroup([0, 1])
+        mlp, (w1, b1, _, _) = self._mlp(g, 6, 8)
+        x = RNG.standard_normal((3, 6)).astype(np.float32)
+        slices = [(x @ w.T + b).T for w, b in zip(mlp.shards[0], np.split(b1, 2))]
+        out = g.all_gather(slices)[0].T
+        np.testing.assert_allclose(out, x @ w1.T + b1, rtol=1e-5, atol=1e-5)
+
+    def test_row_parallel_matches_dense(self):
+        """fc2 is input-sharded: each rank's feature slice times its shard,
+        all-reduced, plus the bias once, is the dense layer."""
+        g = ProcessGroup([0, 1])
+        mlp, (_, _, w2, b2) = self._mlp(g, 4, 8)
+        x = RNG.standard_normal((3, 8)).astype(np.float32)
+        partials = [(xs @ w.T).astype(np.float32)
+                    for xs, w in zip(np.split(x, 2, axis=1), mlp.shards[1])]
+        out = g.all_reduce(partials, op="sum")[0] + b2
+        np.testing.assert_allclose(out, x @ w2.T + b2, rtol=1e-4, atol=1e-5)
+
     def test_mlp_matches_dense(self):
         mlp, (w1, b1, w2, b2) = self._mlp(ProcessGroup([0, 1]))
         x = RNG.standard_normal((3, 4)).astype(np.float32)

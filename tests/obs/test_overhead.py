@@ -12,7 +12,7 @@ same two bounds, measured one way:
   Isolated costs are stable where an end-to-end ratio is not: step-time
   noise on a busy machine is several times the budget.
 * **sanity** — one interleaved A/B of whole steps (raw, tracing
-  disabled, monitored; best-of per arm, GC parked) keeps each
+  disabled, monitored; best-of-``ROUNDS`` per arm, GC parked) keeps each
   instrumented arm under 1.25x its control, ruling out a gross
   regression the isolated measurement could miss.
 """
@@ -31,6 +31,10 @@ from repro.train import TrainConfig, Trainer
 
 BUDGET = 0.03
 SANITY = 1.25
+#: Interleaved rounds per arm.  A best-of estimate needs one quiet step
+#: per arm; with other processes competing for the BLAS threads, ten
+#: rounds sometimes left one arm without any.
+ROUNDS = 30
 
 
 def _raw_step(trainer: Trainer, batch) -> None:
@@ -84,7 +88,7 @@ def measured():
     gc.collect()
     gc.disable()
     try:
-        for _ in range(10):
+        for _ in range(ROUNDS):
             raw_s = _min_time(lambda: _raw_step(trainer, batch), raw_s)
             plain_s = _min_time(lambda: trainer.train_step(batch), plain_s)
             trainer.monitor = monitor

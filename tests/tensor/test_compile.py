@@ -527,6 +527,9 @@ def test_forward_plan_cache_evicts_the_least_recently_used_plan_only():
     def arena():
         return graph_counters()["arena_bytes"] - arena0
 
+    # the gauge is process-wide: an earlier test's unreleased plan that
+    # the collector frees mid-test would move it, so free those first
+    gc.collect()
     arena0 = graph_counters()["arena_bytes"]
     reset_graph_counters()
     fwd(x(1))

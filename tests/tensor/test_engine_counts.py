@@ -12,6 +12,8 @@ Regenerate after an intentional engine change with
 ``REPRO_UPDATE_GOLDEN=1 pytest tests/tensor/test_engine_counts.py``.
 """
 
+import gc
+
 import numpy as np
 
 from repro.core import ModelConfig, Reslim
@@ -173,6 +175,7 @@ def test_compiled_counters_lifecycle():
     x = rng.standard_normal((1, 2, 8, 8)).astype(np.float32)
     y = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
     reset_graph_counters()
+    gc.collect()  # free earlier tests' unreleased plans: the gauge is process-wide
     base_arena = graph_counters()["arena_bytes"]
     step(x, y)
     after_capture = graph_counters()
