@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from ..tensor import Tensor
+from ..tensor.tensor import OUTPUT, SAVED, SCRATCH, _alloc
 from .flash_attention import flash_attention, naive_attention
 from .layers import Linear
 from .module import Module
@@ -187,20 +188,23 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
     def empty(*shape):
         return np.empty(shape, dtype=np.float32)
 
-    patches = empty(b, l, v, k)                 # P
-    xmean, pbar = empty(b, hh, ww), empty(b, l, k)
-    basis, cbar = empty(v + k, d), empty(d)     # [c; Wtᵀ], c̄
-    xbar = empty(b, l, d)
-    q = empty(b, l, h, dh)                      # sc · (W_q x̄ + b_q)
-    qt = empty(b, l, h, d)                      # q̃
+    def saved(*shape):
+        return _alloc(SAVED, shape)
+
+    patches = saved(b, l, v, k)                 # P
+    xmean, pbar = _alloc(SCRATCH, (b, hh, ww)), saved(b, l, k)
+    basis, cbar = saved(v + k, d), _alloc(SCRATCH, (d,))  # [c; Wtᵀ], c̄
+    xbar = saved(b, l, d)
+    q = saved(b, l, h, dh)                      # sc · (W_q x̄ + b_q)
+    qt = saved(b, l, h, d)                      # q̃
     # keys-major like flash_attention's tiles: reductions over V are
     # whole-slab SIMD accumulations, not 23-element row reductions
-    pa = empty(b, v + k, l, h)                  # [p; (Σ_v p_v P_v)ᵀ]
+    pa = saved(b, v + k, l, h)                  # [p; (Σ_v p_v P_v)ᵀ]
     prob, pooled = pa[:, :v], pa[:, v:]
-    rt = empty(b, k, l, h)                      # rᵀ
-    rank_k, stat = empty(b, v, l, h), empty(b, 1, l, h)   # scratch
-    px = empty(b, l, h, d)                      # Σ_v p_v x_v
-    out = empty(b, l, h, dh)
+    rt = saved(b, k, l, h)                      # rᵀ
+    rank_k, stat = saved(b, v, l, h), saved(b, 1, l, h)   # both passes' scratch
+    px = saved(b, l, h, d)                      # Σ_v p_v x_v
+    out = _alloc(OUTPUT, (b, l, h, dh))
 
     def run():
         field = x.data

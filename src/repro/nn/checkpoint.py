@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor, no_grad
+from ..tensor.tensor import OUTPUT, _alloc
 from .module import Module
 
 __all__ = ["checkpoint", "CheckpointedSequential", "checkpointed_activation_bytes"]
@@ -47,7 +48,7 @@ def checkpoint(fn, *inputs: Tensor, params: list[Tensor] | None = None) -> Tenso
         with no_grad():
             out = fn(*[Tensor(t.data) for t in inputs]).data
         if node_data is None:
-            node_data = out.copy()
+            node_data = _alloc(OUTPUT, out.shape, fill=out)
         else:
             np.copyto(node_data, out)
 

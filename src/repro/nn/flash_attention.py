@@ -55,6 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor
+from ..tensor.tensor import OUTPUT, PERSISTENT, SAVED, _alloc
 
 __all__ = ["flash_attention", "naive_attention", "attention_peak_elems"]
 
@@ -113,17 +114,17 @@ def flash_attention(
     nb = int(np.prod(batch_shape))
 
     sc2 = sc * np.log2(np.e)  # scores in log2 units
-    ones = np.ones(d, dtype=np.float32)  # row sums over d as GEMVs
-    out = np.empty((nb, lq, d), dtype=np.float32)
+    ones = _alloc(PERSISTENT, (d,), fill=1.0)  # row sums over d as GEMVs
+    out = _alloc(OUTPUT, (nb, lq, d))
     # The GEMM operands, refilled from the live parents (whatever their
     # strides) by every run_blocks(), eager or replay: qT = [sc2*Q, -shift]^T,
     # whose last row holds each query's shift while its block runs and its
     # -lse (log2 units) once it finishes, read by the backward; and
-    # kv1 = [K, 1], [V, 1].
-    qT = np.empty((nb, d + 1, lq), dtype=np.float32)
-    kv1 = np.ones((2, nb, lk, d + 1), dtype=np.float32)
+    # kv1 = [K, 1], [V, 1], whose ones column is set once, here.
+    qT = _alloc(SAVED, (nb, d + 1, lq))
+    kv1 = _alloc(PERSISTENT, (2, nb, lk, d + 1), fill=1.0)
     k1, v1 = kv1
-    sharp = np.empty(nb, dtype=bool)  # items shifted, and their tiles floored
+    sharp = _alloc(SAVED, (nb,), dtype=bool)  # items shifted, and their tiles floored
 
     def run_blocks():
         np.multiply(np.swapaxes(q.data, -1, -2), np.float32(sc2),

@@ -230,10 +230,10 @@ _MISS_SENTINEL = object()
 # forward (≈ 100 thunks of dispatch under compiled replay); past that,
 # width buys nothing at the e2e serve tile shape (B, 23, 18, 34).
 # Measured after kernel epoch 3, 60 ``serve_exec_cold`` windows, raw
-# samples/s per run and peak RSS: width 2 — 121.7 / 118.2 / 118.0 /
-# 114.2, 64.6 MB; width 4 — 113.9 / 121.8 / 126.0 / 105.6, 72.0 MB;
-# width 8 — 115.8 / 115.8, 98.1 MB.  A liveness-planned arena (ROADMAP
-# item 2) would shrink the memory column, not move the speed column.
+# samples/s per run: width 2 — 121.7 / 118.2 / 118.0 / 114.2; width 4 —
+# 113.9 / 121.8 / 126.0 / 105.6; width 8 — 115.8 / 115.8.  Since the
+# liveness-planned arena (ROADMAP item 3) a plan holds 1.24 / 2.47 /
+# 4.93 MiB at widths 2 / 4 / 8 (4.91 / 9.81 / 19.6 MiB before it).
 _EXEC_WIDTH = 2
 
 

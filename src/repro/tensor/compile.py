@@ -5,7 +5,7 @@ op even though shapes are fixed after step 1.  This module separates
 trace from execution (the record-once/replay-forever discipline the
 ORBIT/AERIS throughput stories rest on):
 
-1. **capture** — run the step function once eagerly under a recording
+1. **capture** — run the step function eagerly under a recording
    hook (:func:`repro.tensor.tensor.set_recorder`).  Every op reports
    its output tensor, parents, and its forward routine, which the eager
    call already ran: it refills the op's output and saved buffers in
@@ -23,9 +23,14 @@ ORBIT/AERIS throughput stories rest on):
    gradient with the accumulation mode the walk took (store by reference
    / cast-copy / allocate-on-second-contribution / in-place add).
    Gradient slots live in a preallocated list and are released (set to
-   None) at precomputed points.  All activation buffers are retained between steps — they are
-   the arena (``graph_counters()["arena_bytes"]``).
-3. **guard + replay** — cheap guards on input shapes/dtypes plus an
+   None) at precomputed points.
+3. **arena** — ops allocate forward buffers through ``tensor._alloc``,
+   declaring each one's kind.  A first, learning pass times each
+   buffer's life, writer to last reader through any view, and is freed;
+   the capture pass then allocates in one slab packed from those lives.
+   A forward-only plan so keeps what its forward still needs, not every
+   buffer it allocated.  Slab plus inputs is ``arena_bytes``.
+4. **guard + replay** — cheap guards on input shapes/dtypes plus an
    optional extra guard (training flag, loss scale) trigger transparent
    recapture on mismatch.  Replay copies the inputs into the captured
    input buffers, runs the forward routines, then the backward program:
@@ -62,32 +67,131 @@ holds only for non-checkpointed models.
 from __future__ import annotations
 
 import contextlib
+from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 from . import tensor as _engine
 from .flops import active_counter, price
 from .tensor import (_ADD_INPLACE, _ADD_NEW, _BW_NODE, _COUNTERS, _STORE,
-                     _STORE_CAST, Tensor, _fold_leaf_grad, _walk_backward,
-                     enable_grad, set_recorder)
+                     _STORE_CAST, PERSISTENT, SCRATCH, Tensor, _fold_leaf_grad,
+                     _walk_backward, enable_grad, set_op_hook, set_recorder)
 
 __all__ = ["CompiledStep", "CompiledForward", "CompileError"]
+
+_ALIGN = 64  # slab offset granularity, bytes: one cache line, any SIMD width
 
 
 class CompileError(RuntimeError):
     """The traced step cannot be compiled (unreplayable op, bad root)."""
 
 
+class _Buffer(NamedTuple):
+    """One allocation of a capture; ``writer`` is its op's record index."""
+    shape: tuple
+    dtype: np.dtype
+    strides: tuple
+    nbytes: int
+    kind: int
+    writer: int
+
+
+class _Plan(NamedTuple):
+    """A step's allocations, their slab offsets and the slab size."""
+    buffers: list
+    offsets: list
+    nbytes: int
+
+
 class _Recorder:
-    """Collects ``(out, parents, op, replay)`` in execution order."""
+    """Collects ``(out, parents, op, replay)`` in execution order, and the
+    buffers ops allocate: without a plan plain arrays, kept alive so each
+    has its own addresses; with one, views of ``slab`` at their offsets.
+    """
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "buffers", "arrays", "_plan", "_slab")
 
-    def __init__(self):
+    def __init__(self, plan: _Plan | None = None, slab: np.ndarray | None = None):
         self.records: list[tuple] = []
+        self.buffers: list[_Buffer] = []
+        self.arrays: list[np.ndarray] = []
+        self._plan, self._slab = plan, slab
 
     def record(self, out, parents, op, replay) -> None:
         self.records.append((out, parents, op, replay))
+
+    def alloc(self, kind, shape, dtype, like, fill) -> np.ndarray:
+        i, writer = len(self.arrays), len(self.records)
+        if self._plan is None:
+            buf = np.empty_like(like) if like is not None else np.empty(shape, dtype)
+        else:
+            spec = self._plan.buffers[i] if i < len(self._plan.buffers) else None
+            want = (like.shape, like.dtype) if like is not None else (tuple(shape), dtype)
+            if spec is None or spec[:2] != want or spec[4:] != (kind, writer):
+                raise CompileError("the step allocated differently on its second "
+                                   f"capture pass (allocation {i}, op {writer})")
+            buf = np.ndarray(spec.shape, spec.dtype, self._slab,
+                             self._plan.offsets[i], spec.strides)
+        if fill is not None:
+            buf[...] = fill
+        self.arrays.append(buf)
+        self.buffers.append(_Buffer(buf.shape, buf.dtype, buf.strides, buf.nbytes,
+                                    kind, writer))
+        return buf
+
+
+def _liveness(rec: _Recorder, outputs, forward_only: bool) -> list[tuple[int, int]]:
+    """Inclusive ``(first, last)`` record interval of every allocation.
+
+    A buffer lives from its writer to the last op reading it through any
+    view (a parent maps to the allocation holding its lowest byte).  Plan
+    outputs and persistent buffers live for the whole plan; in a training
+    plan so does every buffer but scratch, from its writer on.
+    """
+    end = len(rec.records)
+    spans = sorted((byte_bounds(a), i) for i, a in enumerate(rec.arrays) if a.nbytes)
+    keys = [lo for (lo, _), _ in spans]
+
+    def owner(a: np.ndarray) -> int | None:
+        ptr = byte_bounds(a)[0]
+        j = bisect_right(keys, ptr) - 1
+        return spans[j][1] if a.nbytes and j >= 0 and ptr < spans[j][0][1] else None
+
+    first = [b.writer for b in rec.buffers]
+    last = list(first)
+    for j, (_, parents, _, _) in enumerate(rec.records):
+        for i in map(owner, (p.data for p in parents)):
+            if i is not None:
+                last[i] = max(last[i], j)
+    for i, b in enumerate(rec.buffers):
+        if b.kind == PERSISTENT:
+            first[i], last[i] = 0, end
+        elif not forward_only and b.kind != SCRATCH:
+            last[i] = end
+    for i in map(owner, outputs):
+        if i is not None:
+            first[i], last[i] = 0, end
+    return list(zip(first, last))
+
+
+def _pack(sizes: list[int], intervals: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Slab offsets, largest buffer first, each at the lowest aligned
+    offset clear of every placed buffer whose interval meets its own; and
+    the slab size."""
+    placed: list[tuple[int, int, int, int]] = []   # (first, last, offset, end)
+    offsets = [0] * len(sizes)
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        lo, hi = intervals[i]
+        off, size = 0, -(-sizes[i] // _ALIGN) * _ALIGN
+        for o, e in sorted((o, e) for f, l, o, e in placed if f <= hi and lo <= l):
+            if off + size <= o:
+                break
+            off = max(off, e)
+        offsets[i] = off
+        placed.append((lo, hi, off, off + size))
+    return offsets, max((e for *_, e in placed), default=0)
 
 
 class CompiledStep:
@@ -102,8 +206,8 @@ class CompiledStep:
         is planned and all outputs are plain forward results.
     forward_only:
         Plan only the forward program (inference).  Capture still runs
-        with grad enabled (the tape is the program source) but the tape's
-        closures are dropped after planning to free backward-only saves.
+        with grad enabled (the tape is the program source), but the tape
+        is dropped after planning and saved buffers die with their op.
     guard_extra:
         Optional ``() -> hashable`` evaluated on every call and folded
         into the guard key — e.g. ``lambda: (model.training,
@@ -120,9 +224,15 @@ class CompiledStep:
         self.forward_only = bool(forward_only)
         self._guard_extra = guard_extra
         self._span = span
+        self._drop()
+
+    def _drop(self) -> None:
+        """Forget the plan and every buffer it holds (no gauge update)."""
         self._key = None
         self._in_bufs: list[np.ndarray] = []
         self._out_bufs: tuple[np.ndarray, ...] = ()
+        self._plan: _Plan | None = None
+        self._slab: np.ndarray | None = None
         self._fwd_program: list = []
         self._bw_program: list = []
         self._priced: list[tuple] = []
@@ -178,20 +288,9 @@ class CompiledStep:
         The next call recaptures without charging ``guard_misses``: the
         replan path releases plans whose world no longer exists.
         """
-        if self._key is None:
-            return
-        _COUNTERS["arena_bytes"] -= self._arena_bytes
-        self._key = None
-        self._in_bufs = []
-        self._out_bufs = ()
-        self._fwd_program = []
-        self._bw_program = []
-        self._priced = []
-        self._flops = 0.0
-        self._records = []
-        self._slots = []
-        self._seed = None
-        self._arena_bytes = 0
+        if self._key is not None:
+            _COUNTERS["arena_bytes"] -= self._arena_bytes
+        self._drop()
 
     # ------------------------------------------------------------------ #
     # capture + plan
@@ -199,9 +298,30 @@ class CompiledStep:
     def _capture(self, arrays, key) -> None:
         if _engine._recorder is not None:
             raise CompileError("nested capture: another CompiledStep is recording")
-        self._in_bufs = [np.array(a, dtype=np.float32) for a in arrays]
+        try:
+            self._in_bufs = [np.array(a, dtype=np.float32) for a in arrays]
+            plan = self._learn()
+            # the learning pass's buffers are gone: only now take the slab
+            raw = np.empty(plan.nbytes + _ALIGN, dtype=np.uint8)
+            start = -byte_bounds(raw)[0] % _ALIGN
+            self._slab = raw[start:start + plan.nbytes]
+            rec = _Recorder(plan, self._slab)
+            outs = self._run(rec)
+            if len(rec.buffers) != len(plan.buffers):
+                raise CompileError("the step allocated less on its second pass")
+            self._build(rec, outs)
+        except BaseException:
+            self._drop()   # a failed capture holds nothing
+            raise
+        self._plan = plan
+        self._arena_bytes = raw.nbytes + sum(b.nbytes for b in self._in_bufs)
+        self._key = key
+        _COUNTERS["captures"] += 1
+        _COUNTERS["arena_bytes"] += self._arena_bytes
+
+    def _run(self, rec: _Recorder) -> tuple[Tensor, ...]:
+        """One recorded eager run of the step on the input buffers."""
         in_tensors = tuple(Tensor(b) for b in self._in_bufs)
-        rec = _Recorder()
         set_recorder(rec)
         try:
             with enable_grad():  # record even under a caller's no_grad()
@@ -211,16 +331,35 @@ class CompiledStep:
         outs = result if isinstance(result, tuple) else (result,)
         if not outs or not all(isinstance(t, Tensor) for t in outs):
             raise CompileError("step fn must return a Tensor or tuple of Tensors")
+        return outs
 
+    def _learn(self) -> _Plan:
+        """The learning pass: run the step on plain arrays, time each
+        allocation's life and pack the slab.  Counters, FLOPs and the op
+        hook see nothing of it; its buffers are freed on return."""
+        counts, counter, hook = dict(_COUNTERS), active_counter(), _engine._op_hook
+        flops = counter.total if counter is not None else 0.0
+        set_op_hook(None)
+        try:
+            rec = _Recorder()
+            outs = self._run(rec)
+            intervals = _liveness(rec, [t.data for t in outs], self.forward_only)
+        finally:
+            set_op_hook(hook)
+            _COUNTERS.update(counts)
+            if counter is not None:
+                counter.total = flops
+        offsets, nbytes = _pack([b.nbytes for b in rec.buffers], intervals)
+        return _Plan(rec.buffers, offsets, nbytes)
+
+    def _build(self, rec: _Recorder, outs: tuple[Tensor, ...]) -> None:
+        """The forward and backward programs of the capture pass."""
         fwd, priced = [], []
-        arena: dict[int, int] = {id(b): b.nbytes for b in self._in_bufs}
         self._flops = sum(price(op).forward(out.data, parents)
                           for out, parents, op, _ in rec.records)
         for out, parents, op, replay in rec.records:
             if out.requires_grad:
                 priced.append((op, out.data, tuple(p.data for p in parents)))
-            if not any(np.shares_memory(out.data, p.data) for p in parents):
-                arena.setdefault(id(out.data), out.data.nbytes)
             if replay == "view":
                 continue
             if replay is None:
@@ -231,8 +370,8 @@ class CompiledStep:
         self._records = rec.records
 
         if self.forward_only:
-            # drop the tape: forward routines own every buffer they need,
-            # and the closures pin backward-only saves we can free now
+            # drop the tape: no backward closure will ever run, and the
+            # slab already reuses the bytes of what they saved
             for out, _, _, _ in rec.records:
                 if out._backward is not None:
                     out._backward = None
@@ -240,12 +379,7 @@ class CompiledStep:
             self._bw_program = []
         else:
             self._plan_backward(outs[0])
-
         self._out_bufs = tuple(t.data for t in outs)
-        self._arena_bytes = sum(arena.values())
-        self._key = key
-        _COUNTERS["captures"] += 1
-        _COUNTERS["arena_bytes"] += self._arena_bytes
 
     def _plan_backward(self, root: Tensor) -> None:
         """Run the capture step's backward pass and keep its program.

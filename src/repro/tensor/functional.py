@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _binary_node, _sigmoid, _unbroadcast
+from .tensor import (OUTPUT, PERSISTENT, SAVED, SCRATCH, Tensor, _alloc,
+                     _binary_node, _sigmoid, _unbroadcast)
 
 __all__ = [
     "softmax",
@@ -48,7 +49,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     halving temporary memory for long attention rows.
     """
     a = x
-    s = np.empty_like(a.data)
+    s = _alloc(OUTPUT, like=a.data)
 
     def run():
         np.subtract(a.data, a.data.max(axis=axis, keepdims=True), out=s)
@@ -72,8 +73,8 @@ def _log_softmax(x: np.ndarray, axis: int, out: np.ndarray) -> None:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """log(softmax(x)) computed stably with a fused backward."""
     a = x
-    out = np.empty_like(a.data)
-    s = np.empty_like(a.data)
+    out = _alloc(OUTPUT, like=a.data)
+    s = _alloc(SAVED, like=a.data)
 
     def run():
         _log_softmax(a.data, axis, out)
@@ -140,9 +141,9 @@ def gelu(x: Tensor) -> Tensor:
     ``g * (Phi(x) + x * pdf(x))``.
     """
     a = x
-    phi = np.empty_like(a.data)
-    out_data = np.empty_like(a.data)
-    tmp = np.empty_like(a.data)  # only run() holds it: transient on the eager tape
+    phi = _alloc(SAVED, like=a.data)
+    out_data = _alloc(OUTPUT, like=a.data)
+    tmp = _alloc(SCRATCH, like=a.data)  # only run() holds it: transient on the eager tape
 
     def run():
         _normal_cdf(a.data, phi, out_data, tmp)
@@ -177,8 +178,8 @@ def silu(x: Tensor) -> Tensor:
     Saves only the sigmoid; backward is ``g * s * (1 + x * (1 - s))``.
     """
     a = x
-    s = np.empty_like(a.data)
-    out_data = np.empty_like(a.data)
+    s = _alloc(SAVED, like=a.data)
+    out_data = _alloc(OUTPUT, like=a.data)
 
     def run():
         _sigmoid(a.data, s)
@@ -215,10 +216,10 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Ten
     """
     a, w, b = x, weight, bias
     d = a.shape[-1]
-    avg = np.full((d, 1), 1.0 / d, dtype=np.float32)
-    inv = np.empty((*a.shape[:-1], 1), dtype=np.float32)
-    xhat = np.empty_like(a.data)
-    out_data = np.empty_like(a.data)
+    avg = _alloc(PERSISTENT, (d, 1), fill=1.0 / d)
+    inv = _alloc(SAVED, (*a.shape[:-1], 1))
+    xhat = _alloc(SAVED, like=a.data)
+    out_data = _alloc(OUTPUT, like=a.data)
 
     def run():
         np.matmul(a.data, avg, out=inv)                 # mean
@@ -280,8 +281,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, axis: int = -1,
     # logits vary between replays
     idx = np.expand_dims(labels, axis)
     n = labels.size
-    logp = np.empty_like(a.data)
-    out_data = np.empty((), dtype=np.float32)
+    logp = _alloc(SAVED, like=a.data)
+    out_data = _alloc(OUTPUT)
 
     def run():
         _log_softmax(a.data, axis, logp)
@@ -326,7 +327,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     out_f, in_f = w.shape
     if a.shape[-1] != in_f:
         raise ValueError(f"input features {a.shape[-1]} != weight in {in_f}")
-    out = np.empty((*a.shape[:-1], out_f), dtype=np.float32)
+    out = _alloc(OUTPUT, (*a.shape[:-1], out_f))
     parents = (a, w) if bias is None else (a, w, bias)
 
     def run():
@@ -393,9 +394,9 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     edge.  Paper-scale grids would want a banded form.
     """
     a = x
-    my = _bilinear_matrix(a.shape[2], out_h)
-    mx = _bilinear_matrix(a.shape[3], out_w)
-    out_data = np.empty((*a.shape[:2], out_h, out_w), dtype=np.float32)
+    my = _alloc(PERSISTENT, (out_h, a.shape[2]), fill=_bilinear_matrix(a.shape[2], out_h))
+    mx = _alloc(PERSISTENT, (out_w, a.shape[3]), fill=_bilinear_matrix(a.shape[3], out_w))
+    out_data = _alloc(OUTPUT, (*a.shape[:2], out_h, out_w))
 
     def run():
         np.matmul(my, a.data @ mx.T, out=out_data)
@@ -480,15 +481,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
         raise ValueError(f"weight shape {wgt.shape} incompatible with input {a.shape}")
     out_h = _conv_out_size(h, k, stride, pad)
     out_w = _conv_out_size(w, k, stride, pad)
-    out = np.empty((n, out_c, out_h, out_w), dtype=np.float32)
+    out = _alloc(OUTPUT, (n, out_c, out_h, out_w))
     direct = k == 1 and stride == 1 and pad == 0 and a.data.flags.c_contiguous
     if not direct:  # only run() holds the bordered copy: transient on the eager tape
-        padded = np.zeros((n, in_c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        padded = _alloc(PERSISTENT, (n, in_c, h + 2 * pad, w + 2 * pad), fill=0.0)
         s0, s1, s2, s3 = padded.strides
         windows = np.lib.stride_tricks.as_strided(
             padded, shape=(n, in_c, k, k, out_h, out_w),
             strides=(s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
-        cols = np.empty((n, in_c * k * k, out_h * out_w), dtype=np.float32)
+        cols = _alloc(SAVED, (n, in_c * k * k, out_h * out_w))
 
     def patches():
         return a.data.reshape(n, in_c, h * w) if direct else cols

@@ -74,6 +74,25 @@ def set_recorder(recorder) -> None:
     global _recorder
     _recorder = recorder
 
+
+#: Forward buffer kinds: the op's result; state its backward reads; a
+#: workspace read only inside its ``run()``; content set at allocation
+#: (a zero border, a ones column) and read on every replay.
+OUTPUT, SAVED, SCRATCH, PERSISTENT = range(4)
+
+
+def _alloc(kind: int, shape=(), dtype=np.float32, like=None, fill=None) -> np.ndarray:
+    """The one allocation site of ops' forward buffers.  ``like`` is
+    ``np.empty_like``'s; ``fill`` sets the content.  Under a capture the
+    recorder places the buffer (:mod:`repro.tensor.compile`)."""
+    if _recorder is not None and is_grad_enabled():
+        return _recorder.alloc(kind, shape, dtype, like, fill)
+    buf = np.empty_like(like) if like is not None else np.empty(shape, dtype)
+    if fill is not None:
+        buf[...] = fill
+    return buf
+
+
 #: Deterministic accounting of graph construction and backward-pass memory
 #: traffic.  Unlike wall-clock these counts are machine-independent, so the
 #: golden regression test pins them to catch copy/allocation regressions.
@@ -188,7 +207,7 @@ def _unary_node(ufunc, a: "Tensor", op: str, grad, *args) -> "Tensor":
     output to the input's gradient.  ``run`` fills the output in place:
     the eager call runs it once and compiled replay re-runs it.
     """
-    out = np.empty_like(a.data)
+    out = _alloc(OUTPUT, like=a.data)
 
     def run():
         ufunc(a.data, *args, out=out)
@@ -210,7 +229,7 @@ def _binary_node(ufunc, a: "Tensor", b: "Tensor", op: str, grads,
     """
     if shape is None:
         shape = np.broadcast(a.data, b.data).shape
-    out = np.empty(shape, dtype=np.float32)
+    out = _alloc(OUTPUT, shape)
 
     def run():
         ufunc(a.data, b.data, out=out)
@@ -613,7 +632,7 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
-        out_data = np.empty(_reduced_shape(a.shape, axis, keepdims), dtype=np.float32)
+        out_data = _alloc(OUTPUT, _reduced_shape(a.shape, axis, keepdims))
 
         def run():
             np.sum(a.data, axis=axis, dtype=np.float32, out=out_data,
@@ -643,7 +662,7 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
-        out_data = np.empty(_reduced_shape(a.shape, axis, keepdims), dtype=np.float32)
+        out_data = _alloc(OUTPUT, _reduced_shape(a.shape, axis, keepdims))
 
         def run():
             np.amax(a.data, axis=axis, out=out_data, keepdims=keepdims)
@@ -686,7 +705,7 @@ class Tensor:
         try:
             out_data, run = np.reshape(a.data, shape, copy=False), "view"
         except ValueError:
-            out_data = np.empty(a.data.size, dtype=np.float32).reshape(shape)
+            out_data = _alloc(OUTPUT, (a.data.size,)).reshape(shape)
 
             def run():
                 np.copyto(out_data.reshape(orig), a.data)
@@ -717,7 +736,7 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         a = self
-        out_data = np.asarray(a.data[index], dtype=np.float32)
+        picked = a.data[index]
         items = index if isinstance(index, tuple) else (index,)
         # basic indexing (ints/slices only) selects each element at most
         # once, so the adjoint is a plain sliced add — np.add.at's slow
@@ -734,16 +753,18 @@ class Tensor:
             return ((a, full),)
 
         # basic indexing returns a view — no copy until someone needs one
-        replay = "view" if np.shares_memory(out_data, a.data) else \
-            (lambda: np.copyto(out_data, a.data[index]))
+        if np.shares_memory(picked, a.data):
+            out_data, replay = picked, "view"
+        else:
+            out_data = _alloc(OUTPUT, like=picked, fill=picked)
+            replay = lambda: np.copyto(out_data, a.data[index])
         return Tensor._from_op(out_data, (a,), backward, "getitem", replay=replay)
 
     def pad(self, pad_width: Iterable[tuple[int, int]], value: float = 0.0) -> "Tensor":
         a = self
         pw = tuple(tuple(p) for p in pad_width)
         inner = tuple(slice(lo, lo + s) for (lo, _), s in zip(pw, a.shape))
-        out_data = np.empty([lo + s + hi for (lo, hi), s in zip(pw, a.shape)],
-                            dtype=np.float32)
+        out_data = _alloc(OUTPUT, [lo + s + hi for (lo, hi), s in zip(pw, a.shape)])
 
         def run():
             out_data.fill(value)
@@ -761,7 +782,7 @@ class Tensor:
         sizes = [t.shape[axis] for t in tensors]
         shape = list(tensors[0].shape)
         shape[axis] = sum(sizes)
-        data = np.empty(shape, dtype=np.float32)
+        data = _alloc(OUTPUT, shape)
 
         def run():
             np.concatenate([t.data for t in tensors], axis=axis, out=data)
@@ -777,7 +798,7 @@ class Tensor:
         tensors = tuple(tensors)
         shape = list(tensors[0].shape)
         shape.insert(axis % (len(shape) + 1), len(tensors))
-        data = np.empty(shape, dtype=np.float32)
+        data = _alloc(OUTPUT, shape)
 
         def run():
             np.stack([t.data for t in tensors], axis=axis, out=data)

@@ -6,7 +6,8 @@ Three claims are pinned here:
   (``repro.testing.fuzz.OPS``), a compiled program replayed against fresh
   input values produces byte-identical outputs and leaf gradients to an
   eager run on the same values, also after every recorded op output was
-  NaN-filled (replay alone writes them all).  The sweep reuses the
+  NaN-filled (replay alone writes them all) and on a poisoned replay
+  (every reused arena region NaN-filled before its writer runs).  The sweep reuses the
   fuzzer's seeded samplers, so shapes, broadcasts, and the bf16 input
   lattice are all exercised and any failure reproduces from
   ``(op, sample_seed)``.
@@ -31,6 +32,7 @@ from repro.tensor import (CompiledForward, CompiledStep, Tensor, conv2d, gelu,
                           graph_counters, layernorm, linear, reset_graph_counters)
 from repro.tensor.dtypes import DTYPE_BF16, DTYPE_F32
 from repro.testing.fuzz import OPS
+from repro.testing.poison import poisoned_replay
 
 # ops where finite shape/broadcast sampling can make every input
 # non-differentiable (none currently) would be skipped here
@@ -93,11 +95,12 @@ def _run_op_sample(spec, sample_seed):
 
     step = CompiledStep(fn, forward_only=not diff)
 
-    def compiled(vals):
+    def compiled(vals, poisoned=False):
         for i in diff:
             leaves[i].data[...] = vals[i]
             leaves[i].grad = None
-        outs = step(*[vals[i] for i in step_idx])
+        step_vals = [vals[i] for i in step_idx]
+        outs = poisoned_replay(step, *step_vals) if poisoned else step(*step_vals)
         out = outs[0] if not diff else outs[1]
         scalar = None if not diff else outs[0].copy()
         grads = {i: None if leaves[i].grad is None else leaves[i].grad.copy()
@@ -106,11 +109,11 @@ def _run_op_sample(spec, sample_seed):
 
     failures = []
     for phase, vals in (("capture", v0), ("replay", v1), ("replay2", v0),
-                        ("poison", v1)):
+                        ("poison", v1), ("poison_reused", v0)):
         if phase == "poison":
             poison_outputs(step)
         before = graph_counters()["captures"]
-        c_out, c_scalar, c_grads = compiled(vals)
+        c_out, c_scalar, c_grads = compiled(vals, phase == "poison_reused")
         if phase != "capture" and graph_counters()["captures"] != before:
             failures.append(f"{spec.name}[{sample_seed}] {phase}: "
                             "unexpected recapture (guard churn)")
@@ -518,7 +521,10 @@ def test_forward_plan_cache_evicts_the_least_recently_used_plan_only():
     the cap costs one release and one capture — never the working set —
     and the arena gauge stays exact through it."""
     w = Tensor(np.arange(3, dtype=np.float32) + 1.0)
-    fwd = CompiledForward(lambda t: (t * w).tanh())
+    def model(t):
+        return (t * w).tanh()
+
+    fwd = CompiledForward(model)
     cap = CompiledForward._MAX_PLANS
 
     def x(width):
@@ -531,16 +537,20 @@ def test_forward_plan_cache_evicts_the_least_recently_used_plan_only():
     # the collector frees mid-test would move it, so free those first
     gc.collect()
     arena0 = graph_counters()["arena_bytes"]
+    size = {}                         # one plan's bytes per width, alone
+    for width in range(1, cap + 2):
+        alone = CompiledStep(model, forward_only=True)
+        alone(x(width))
+        size[width] = arena()
+        alone.release()
     reset_graph_counters()
-    fwd(x(1))
-    row = arena()                     # a plan of width n holds n rows
-    for width in range(2, cap + 1):
+    for width in range(1, cap + 1):
         fwd(x(width))
-    held = row * cap * (cap + 1) // 2
+    held = sum(size[n] for n in range(1, cap + 1))
     assert graph_counters()["captures"] == cap and arena() == held
     fwd(x(1))                         # width 1 becomes most recent,
     fwd(x(cap + 1))                   # so the new shape evicts width 2
-    held += row * (cap + 1) - row * 2
+    held += size[cap + 1] - size[2]
     assert arena() == held
     reset_graph_counters()
     for width in (1, *range(3, cap + 2)):
@@ -548,7 +558,7 @@ def test_forward_plan_cache_evicts_the_least_recently_used_plan_only():
     c = graph_counters()
     assert c["captures"] == 0 and c["replays"] == cap
     fwd(x(2))                         # back, at the cost of width 1
-    held += row * 2 - row * 1
+    held += size[2] - size[1]
     assert graph_counters()["captures"] == 1 and arena() == held
     assert len(fwd._plans) == cap
     fwd.release()
