@@ -2,10 +2,12 @@
 
 Sec. II-III argue ORBIT-2's stack (TILES + FSDP + TP/Hybrid-OP + DDP)
 against the alternatives — Ulysses-style sequence parallelism and
-pipeline parallelism.  With real implementations of all of them in this
-repository, we can put one table behind the argument: per-step bytes per
-rank, collective frequency, and idle fraction for the paper's 112→28 km
-workload on 16 ranks.
+pipeline parallelism.  One table puts numbers behind the argument:
+per-step bytes per rank, collective frequency, and idle fraction for the
+paper's 112→28 km workload on 16 ranks.  The Pipeline row, like the
+FSDP row, is modeled: a closed form with no engine behind it (no
+pipeline engine runs here, and the FSDP row bills the paper's
+gather-before-use FSDP, which the repository does not yet execute).
 """
 
 import numpy as np

@@ -21,7 +21,7 @@ Subpackages
 ``repro.evals``
     R², RMSE, quantile RMSE, SSIM, PSNR, radial power spectra.
 ``repro.train``
-    Trainer, inference runners, FLOP profiler, checkpointing.
+    Trainer, inference runners, checkpointing.
 ``repro.testing``
     The verification layer: gradient checking, parallel-equivalence
     oracles, op fuzzing, collective conformance, golden files.

@@ -6,7 +6,6 @@ from .compression import QuadLeaf, QuadTreeCompressor, build_quadtree, uniform_t
 from .config import PAPER_CONFIGS, ModelConfig, transformer_param_count
 from .losses import (
     BayesianDownscalingLoss,
-    LatitudeTileLoss,
     latitude_weighted_mse,
     mrf_tv_prior,
 )
@@ -27,7 +26,6 @@ from .tiles import (
     make_tiles,
     stitch_tiles,
     tile_grid,
-    tiled_attention_complexity,
 )
 from .vit import UpsampleViT, vit_sequence_length
 
@@ -44,7 +42,6 @@ __all__ = [
     "PAPER_CONFIGS",
     "transformer_param_count",
     "BayesianDownscalingLoss",
-    "LatitudeTileLoss",
     "latitude_weighted_mse",
     "mrf_tv_prior",
     "Reslim",
@@ -65,5 +62,4 @@ __all__ = [
     "extract_tile",
     "stitch_tiles",
     "TiledDownscaler",
-    "tiled_attention_complexity",
 ]

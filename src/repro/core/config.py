@@ -18,7 +18,7 @@ while the full-size configs drive the analytic performance model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ModelConfig", "PAPER_CONFIGS", "transformer_param_count"]
 
@@ -43,17 +43,6 @@ class ModelConfig:
             )
         if min(self.embed_dim, self.depth, self.num_heads, self.patch_size) <= 0:
             raise ValueError("all dimensions must be positive")
-
-    def scaled(self, embed_dim: int, depth: int | None = None,
-               num_heads: int | None = None, name: str | None = None) -> "ModelConfig":
-        """A reduced-width variant preserving the block structure."""
-        return replace(
-            self,
-            name=name or f"{self.name}-scaled{embed_dim}",
-            embed_dim=embed_dim,
-            depth=depth if depth is not None else self.depth,
-            num_heads=num_heads if num_heads is not None else self.num_heads,
-        )
 
 
 #: the paper's four configurations keyed by their reported parameter count

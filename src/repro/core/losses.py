@@ -20,8 +20,7 @@ import numpy as np
 
 from ..tensor import Tensor
 
-__all__ = ["latitude_weighted_mse", "mrf_tv_prior", "BayesianDownscalingLoss",
-           "LatitudeTileLoss"]
+__all__ = ["latitude_weighted_mse", "mrf_tv_prior", "BayesianDownscalingLoss"]
 
 #: 8-neighbourhood offsets with inverse-distance weights b_ij
 _NEIGHBOURS = (
@@ -111,42 +110,3 @@ class BayesianDownscalingLoss:
         data = float(latitude_weighted_mse(pred, target, self.lat_weights).data)
         prior = float(mrf_tv_prior(pred).data) if self.tv_weight > 0 else 0.0
         return {"data": data, "prior": prior, "total": data + self.tv_weight * prior}
-
-
-class LatitudeTileLoss:
-    """Latitude-weighted MSE that decomposes over equal-size tiles.
-
-    The Bayesian data term weights rows by latitude over the *full* fine
-    grid.  A tile sees only its own rows, so this loss slices the
-    full-grid weight matrix to the tile's fine-pixel window — keeping the
-    full-grid mean-1 normalization, **not** re-normalizing per tile.
-    With equal-size tiles the average of the per-tile weighted means is
-    then exactly the full-grid latitude-weighted MSE, so the distributed
-    per-tile objective matches ``Trainer``'s global data term.
-
-    The TV prior does *not* decompose over tiles (neighbour pairs cross
-    tile boundaries), so this is the ``tv_weight=0`` objective; matching
-    the full Bayesian loss with the prior enabled would need halo-aware
-    prior terms and stays out of scope.
-
-    The strategy layer detects the ``tile_aware`` attribute and passes
-    each tile's :class:`~repro.core.tiles.TileSpec` so the right weight
-    rows are selected; called without a spec (full-grid evaluation) it is
-    plain :func:`latitude_weighted_mse`.
-    """
-
-    tile_aware = True
-
-    def __init__(self, lat_weights: np.ndarray, factor: int = 1):
-        self.lat_weights = np.asarray(lat_weights, dtype=np.float32)
-        if self.lat_weights.ndim != 2:
-            raise ValueError("lat_weights must be (H, W) over the fine grid")
-        self.factor = int(factor)
-
-    def __call__(self, pred: Tensor, target: Tensor, spec=None) -> Tensor:
-        if spec is None:
-            return latitude_weighted_mse(pred, target, self.lat_weights)
-        f = self.factor
-        w = self.lat_weights[spec.y0 * f: spec.y1 * f,
-                             spec.x0 * f: spec.x1 * f]
-        return latitude_weighted_mse(pred, target, w)

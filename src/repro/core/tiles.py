@@ -29,7 +29,6 @@ __all__ = [
     "extract_tile",
     "stitch_tiles",
     "TiledDownscaler",
-    "tiled_attention_complexity",
 ]
 
 
@@ -160,13 +159,6 @@ def stitch_tiles(outputs: list[Tensor], specs: list[TileSpec], factor: int) -> T
             cores.append(out[:, :, top : top + ch * factor, left : left + cw * factor])
         row_tensors.append(Tensor.concatenate(cores, axis=3))
     return Tensor.concatenate(row_tensors, axis=2)
-
-
-def tiled_attention_complexity(n_tokens: int, n_tiles: int) -> float:
-    """Self-attention cost O(N²/T): pairwise interactions within tiles only."""
-    if n_tokens < 0 or n_tiles < 1:
-        raise ValueError("invalid token/tile counts")
-    return n_tokens**2 / n_tiles
 
 
 class TiledDownscaler(Module):

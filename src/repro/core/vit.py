@@ -71,8 +71,3 @@ class UpsampleViT(Module):
         tokens = self.head(tokens)
         gh, gw = self.patch_embed.grid_shape(out_h, out_w)
         return unpatchify(tokens, gh, gw, self.out_channels, self.config.patch_size)
-
-    def sequence_length(self, h: int, w: int) -> int:
-        """Tokens processed for a coarse (h, w) input."""
-        return vit_sequence_length(h * self.factor, w * self.factor,
-                                   self.config.patch_size)

@@ -2,12 +2,11 @@
 
 from .datasets import Batch, DatasetSpec, DownscalingDataset, year_split
 from .io import ExportedDataset, export_dataset, load_exported
-from .grids import EARTH_CIRCUMFERENCE_KM, Grid, coarsen, latitude_weights, refine_shape
-from .normalize import ChannelNormalizer, expm1_precip, log1p_precip, quantile_bias_correct
+from .grids import EARTH_CIRCUMFERENCE_KM, Grid, coarsen, latitude_weights
+from .normalize import ChannelNormalizer, log1p_precip
 from .regional import (
     CONUS_BOUNDS,
     OBS_VARIABLES,
-    ObservationWorld,
     imerg_like_observation,
     us_grid,
 )
@@ -27,15 +26,12 @@ __all__ = [
     "Grid",
     "coarsen",
     "latitude_weights",
-    "refine_shape",
     "EARTH_CIRCUMFERENCE_KM",
     "ClimateWorld",
     "gaussian_random_field",
     "LAPSE_RATE_K_PER_M",
     "ChannelNormalizer",
     "log1p_precip",
-    "expm1_precip",
-    "quantile_bias_correct",
     "DatasetSpec",
     "DownscalingDataset",
     "Batch",
@@ -43,7 +39,6 @@ __all__ = [
     "export_dataset",
     "load_exported",
     "ExportedDataset",
-    "ObservationWorld",
     "imerg_like_observation",
     "us_grid",
     "CONUS_BOUNDS",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "EARTH_CIRCUMFERENCE_KM", "latitude_weights", "coarsen", "refine_shape"]
+__all__ = ["Grid", "EARTH_CIRCUMFERENCE_KM", "latitude_weights", "coarsen"]
 
 EARTH_CIRCUMFERENCE_KM = 40075.017
 
@@ -72,20 +72,11 @@ class Grid:
         edges = np.linspace(self.lat_min, self.lat_max, self.n_lat + 1)
         return ((edges[:-1] + edges[1:]) / 2).astype(np.float64)
 
-    def longitudes(self) -> np.ndarray:
-        edges = np.linspace(self.lon_min, self.lon_max, self.n_lon + 1)
-        return ((edges[:-1] + edges[1:]) / 2).astype(np.float64)
-
     def coarsen(self, factor: int) -> "Grid":
         """The grid obtained by block-averaging ``factor x factor`` cells."""
         if self.n_lat % factor or self.n_lon % factor:
             raise ValueError(f"grid {self.shape} not divisible by factor {factor}")
         return Grid(self.n_lat // factor, self.n_lon // factor,
-                    self.lat_min, self.lat_max, self.lon_min, self.lon_max)
-
-    def refine(self, factor: int) -> "Grid":
-        """The grid ``factor`` times finer in each direction (4X downscaling → factor=4)."""
-        return Grid(self.n_lat * factor, self.n_lon * factor,
                     self.lat_min, self.lat_max, self.lon_min, self.lon_max)
 
 
@@ -113,7 +104,3 @@ def coarsen(field: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError(f"field {field.shape} not divisible by factor {factor}")
     view = field.reshape(*lead, h // factor, factor, w // factor, factor)
     return view.mean(axis=(-3, -1))
-
-
-def refine_shape(shape: tuple[int, int], factor: int) -> tuple[int, int]:
-    return (shape[0] * factor, shape[1] * factor)

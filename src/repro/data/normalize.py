@@ -1,4 +1,4 @@
-"""Per-variable normalization, bias correction, and precip transforms.
+"""Per-variable normalization and the precipitation transform.
 
 The downscaling architecture (Fig. 1) normalizes and bias-corrects every
 input channel before training.  Statistics are estimated once from a
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ChannelNormalizer", "log1p_precip", "expm1_precip", "quantile_bias_correct"]
+__all__ = ["ChannelNormalizer", "log1p_precip"]
 
 
 class ChannelNormalizer:
@@ -61,23 +61,3 @@ class ChannelNormalizer:
 def log1p_precip(x: np.ndarray) -> np.ndarray:
     """log(x + 1) transform used for all precipitation RMSEs (Sec. V-E)."""
     return np.log1p(np.maximum(x, 0.0))
-
-
-def expm1_precip(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`log1p_precip`."""
-    return np.expm1(x)
-
-
-def quantile_bias_correct(field: np.ndarray, reference: np.ndarray,
-                          n_quantiles: int = 100) -> np.ndarray:
-    """Empirical quantile mapping of ``field`` onto ``reference``'s CDF.
-
-    The standard statistical bias-correction used when fusing data sources
-    with different climatologies (e.g. ERA5 with DAYMET at 28 km before
-    fine-tuning).  Monotone, shape-preserving.
-    """
-    qs = np.linspace(0, 1, n_quantiles)
-    src_q = np.quantile(field, qs)
-    ref_q = np.quantile(reference, qs)
-    flat = np.interp(field.reshape(-1), src_q, ref_q)
-    return flat.reshape(field.shape).astype(np.float32)

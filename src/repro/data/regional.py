@@ -1,28 +1,22 @@
-"""US-regional observation datasets (PRISM/DAYMET stand-ins) and an
-IMERG-like satellite product for inference evaluation.
+"""The continental-US domain and an IMERG-like satellite product for
+inference evaluation.
 
-These reuse the :class:`~repro.data.synthetic.ClimateWorld` machinery but
-on a continental-US domain and with *source-inconsistent* statistics:
-
-* ``daymet_like`` / ``prism_like`` — fine-resolution "observations" whose
-  climatology is shifted relative to the ERA5-like world (different mean,
-  sharper spectra), exercising the fused [ERA5, DAYMET] → DAYMET
-  fine-tuning task of Table I.
-* ``imerg_like`` — a precipitation observation with multiplicative
-  retrieval noise and a detection floor, reproducing the "both ERA5 and
-  IMERG contain uncertainties, perfect alignment is not expected" setting
-  of the Fig. 8 global inference experiment.
+:func:`us_grid` is the CONUS grid of the PRISM/DAYMET tasks of Table I
+and ``OBS_VARIABLES`` their reduced variable set.
+:func:`imerg_like_observation` degrades a precipitation field with
+multiplicative retrieval noise and a detection floor, reproducing the
+"both ERA5 and IMERG contain uncertainties, perfect alignment is not
+expected" setting of the Fig. 8 global inference experiment.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid, coarsen
-from .synthetic import ClimateWorld
-from .variables import SCIENCE_TARGETS, STATIC_VARIABLES, SURFACE_VARIABLES, Variable
+from .grids import Grid
+from .variables import STATIC_VARIABLES, SURFACE_VARIABLES, Variable
 
-__all__ = ["us_grid", "ObservationWorld", "imerg_like_observation", "CONUS_BOUNDS"]
+__all__ = ["us_grid", "OBS_VARIABLES", "imerg_like_observation", "CONUS_BOUNDS"]
 
 #: continental-US bounding box (lat_min, lat_max, lon_min, lon_max)
 CONUS_BOUNDS = (24.0, 50.0, 235.0, 294.0)
@@ -40,34 +34,6 @@ OBS_VARIABLES: tuple[Variable, ...] = STATIC_VARIABLES + (
     SURFACE_VARIABLES[1],  # tmin
     SURFACE_VARIABLES[2],  # total_precipitation
 ) + (SURFACE_VARIABLES[4], SURFACE_VARIABLES[5])  # u10, v10 → 7 inputs w/o 3 targets
-
-
-class ObservationWorld(ClimateWorld):
-    """A ClimateWorld with an observation-product climatology shift.
-
-    ``bias`` adds a constant offset to temperature-like variables and a
-    multiplicative factor to precipitation; ``sharpness`` steepens the
-    spectra (station-derived products resolve finer structure than
-    reanalysis).  The shift makes input (reanalysis) and target
-    (observation) statistically distinct, as in the real fine-tune task.
-    """
-
-    def __init__(self, fine_grid: Grid, variables=OBS_VARIABLES, seed: int = 0,
-                 samples_per_year: int = 8, bias: float = 1.5,
-                 precip_factor: float = 1.2):
-        super().__init__(fine_grid, variables, seed=seed,
-                         samples_per_year=samples_per_year)
-        self.bias = float(bias)
-        self.precip_factor = float(precip_factor)
-
-    def fine_sample(self, year: int, index: int) -> np.ndarray:
-        out = super().fine_sample(year, index)
-        for c, v in enumerate(self.variables):
-            if v.name in ("t2m", "tmin"):
-                out[c] += self.bias
-            elif v.name == "total_precipitation":
-                out[c] *= self.precip_factor
-        return out
 
 
 def imerg_like_observation(truth_precip: np.ndarray, rng: np.random.Generator,

@@ -6,10 +6,6 @@ from .comm import CommStats, ProcessGroup, VirtualCluster, Work
 from .elastic import (
     CanonicalState,
     FaultPlan,
-    remap_state,
-    shard_slices,
-    shard_state,
-    unshard_state,
 )
 from .hybrid_op import (
     HybridOpChain,
@@ -19,11 +15,8 @@ from .hybrid_op import (
     split_rows,
 )
 from .pipeline import (
-    PipelineParallel,
-    gpipe_timeline,
     pipeline_activation_traffic,
     pipeline_bubble_fraction,
-    pipeline_vs_fsdp_tradeoff,
 )
 from .ulysses import UlyssesAttention, merge_sequence, split_sequence
 from .perf_model import (
@@ -64,11 +57,8 @@ __all__ = [
     "GradBucket",
     "GradBucketer",
     "aligned_ring_chunks",
-    "PipelineParallel",
     "pipeline_bubble_fraction",
-    "gpipe_timeline",
     "pipeline_activation_traffic",
-    "pipeline_vs_fsdp_tradeoff",
     "UlyssesAttention",
     "split_sequence",
     "merge_sequence",
@@ -98,10 +88,6 @@ __all__ = [
     "reshard_cost",
     "CanonicalState",
     "FaultPlan",
-    "remap_state",
-    "shard_slices",
-    "shard_state",
-    "unshard_state",
     "step_traffic_schedule",
     "modeled_step_timeline",
     "overlap_report",

@@ -76,10 +76,6 @@ class GradBucket:
         self.pending = len(params)
         self.launched = False
 
-    @property
-    def nbytes(self) -> int:
-        return 4 * (self.hi - self.lo)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"GradBucket({self.index}, [{self.lo}, {self.hi}), "
                 f"{len(self.params)} params)")

@@ -2,7 +2,7 @@
 
 Each collective operates on a list of per-rank NumPy buffers and runs the
 *actual distributed algorithm* (ring all-reduce = reduce-scatter +
-all-gather over chunks; tree broadcast; pairwise all-to-all), not just a
+all-gather over chunks; pairwise all-to-all), not just a
 mathematical shortcut — so chunking, ordering, and floating-point
 reduction order match a real ring implementation.  Every call also logs
 the bytes each rank sends, which the cost model converts into time on a
@@ -66,10 +66,6 @@ class Work:
         self._results = results
         self._handle = handle  # tracer token from collective_async, or None
         self._done = False
-
-    @property
-    def completed(self) -> bool:
-        return self._done
 
     def wait(self):
         """Complete the collective and return its result buffers."""
@@ -254,15 +250,6 @@ class ProcessGroup:
         self._trace("reduce_scatter", buffers[0].nbytes, sent)
         return results
 
-    def broadcast(self, buffer: np.ndarray, root_index: int = 0) -> list[np.ndarray]:
-        """Binomial-tree broadcast from the group member at ``root_index``."""
-        if not 0 <= root_index < self.size:
-            raise ValueError(f"root index {root_index} outside group of {self.size}")
-        sent = buffer.nbytes * np.log2(max(self.size, 2)) / self.size
-        self.stats.record("broadcast", sent)
-        self._trace("broadcast", buffer.nbytes, sent)
-        return [buffer.copy() for _ in range(self.size)]
-
     def all_to_all(self, buffers: list[np.ndarray]) -> list[np.ndarray]:
         """Pairwise exchange: rank i's output j-th slice = rank j's i-th slice.
 
@@ -327,13 +314,6 @@ class ProcessGroup:
         return self._launch_async("reduce_scatter", results,
                                   buffers[0].nbytes, sent)
 
-    def all_gather_async(self, buffers: list[np.ndarray]) -> Work:
-        """Asynchronous ring all-gather; result via ``Work.wait()``."""
-        results = self._all_gather_values(buffers)
-        sent = (self.size - 1) * buffers[0].nbytes
-        return self._launch_async("all_gather", results,
-                                  buffers[0].nbytes, sent)
-
     # ------------------------------------------------------------------ #
     # cost model
     # ------------------------------------------------------------------ #
@@ -359,11 +339,12 @@ class ProcessGroup:
 
 
 class VirtualCluster:
-    """A set of virtual ranks with hierarchical group construction.
+    """A set of virtual ranks and the process groups built over them.
 
     Ranks are integers 0..world_size-1 laid out densely over the
-    topology (8 per node).  Groups are contiguous or strided rank sets,
-    matching Fig. 5's mapping of parallelism levels onto the machine.
+    topology (8 per node); :meth:`group` builds a group over any of
+    them, which is how ``CompositePlan`` maps Fig. 5's parallelism
+    levels onto the machine.
     """
 
     def __init__(self, world_size: int, topology: FrontierTopology | None = None):
@@ -372,31 +353,8 @@ class VirtualCluster:
         self.world_size = world_size
         self.topology = topology or FrontierTopology()
 
-    @property
-    def n_nodes(self) -> int:
-        return (self.world_size + self.topology.gpus_per_node - 1) // self.topology.gpus_per_node
-
-    def world_group(self) -> ProcessGroup:
-        return ProcessGroup(list(range(self.world_size)), self.topology)
-
     def group(self, ranks: list[int]) -> ProcessGroup:
         for r in ranks:
             if not 0 <= r < self.world_size:
                 raise ValueError(f"rank {r} outside world of {self.world_size}")
         return ProcessGroup(ranks, self.topology)
-
-    def contiguous_groups(self, group_size: int) -> list[ProcessGroup]:
-        """Partition the world into contiguous groups of ``group_size``."""
-        if self.world_size % group_size:
-            raise ValueError(f"world {self.world_size} not divisible by {group_size}")
-        return [self.group(list(range(s, s + group_size)))
-                for s in range(0, self.world_size, group_size)]
-
-    def strided_groups(self, group_size: int) -> list[ProcessGroup]:
-        """Partition into groups of ranks with stride world/group_size
-        (the orthogonal complement of contiguous grouping)."""
-        if self.world_size % group_size:
-            raise ValueError(f"world {self.world_size} not divisible by {group_size}")
-        stride = self.world_size // group_size
-        return [self.group(list(range(offset, self.world_size, stride)))
-                for offset in range(stride)]

@@ -1,34 +1,25 @@
-"""Elastic re-planning: the pure state-remap layer.
+"""Elastic re-planning: the plan-independent state record and fault
+scripts.
 
 A :class:`~repro.distributed.strategy.CompositePlan` fixes how flat
 parameter and optimizer state is sliced across ranks: every rank
 ``(p, f, t, d)`` owns FSDP shard ``f`` of its unit's padded flat vector
-(the partition :meth:`CompositeStrategy.reduce_gradients` reduce-scatters
-into).  Growing or shrinking the world mid-run means moving that state
-onto a *different* slicing — without perturbing a single bit of it.
+(``FlatParamBuffer.padded_size`` and ``CompositeStrategy._shard_len``).
+Growing or shrinking the world mid-run moves that state onto a
+*different* slicing without perturbing a single bit of it.
 
-This module is the remap's pure core.  The **canonical form** of one
-flat state vector is simply the unpadded float32 vector in the model's
-deterministic ``named_parameters()`` order — the one layout every plan
-shares.  Around it:
+The move goes through one **canonical form**: the unpadded float32
+vectors in the model's deterministic ``named_parameters()`` order, the
+one layout every plan shares.  :meth:`DistributedEngine.replan
+<repro.train.engine.DistributedEngine.replan>` exports a
+:class:`CanonicalState` (``CompositeStrategy.export_state`` plus the
+AdamW moments), rebuilds units, groups and buckets for the new plan
+through ``CompositeStrategy.reshard``, and imports the same bytes back
+onto the new flat buffers.  A fresh engine at the new world fed that
+state takes a bitwise-identical next step.
 
-* :func:`shard_slices` — each rank's ``(lo, hi)`` window into the padded
-  canonical vector under a plan;
-* :func:`shard_state` — export: canonical vector → per-rank shards;
-* :func:`unshard_state` — import: per-rank shards → canonical vector,
-  verifying the cross-unit replicas agree byte-for-byte;
-* :func:`remap_state` — old plan's shards → new plan's shards, the
-  composition the round-trip property test pins bitwise.
-
-:class:`CanonicalState` bundles the three flat vectors a training run
-carries (parameters + the two AdamW moments) with the optimizer step
-count and scheduler position, and :class:`FaultPlan` scripts rank
-failures at chosen step boundaries so recovery can be driven through
-the same reshard path deterministically.
-
-Everything here is NumPy on plain vectors — no collectives, no models —
-so the bitwise round-trip guarantee is structural: export and import are
-pure slicing, and float32 bytes are never re-derived.
+:class:`FaultPlan` scripts rank failures at chosen step boundaries, so
+recovery runs through the same replan path deterministically.
 """
 
 from __future__ import annotations
@@ -38,92 +29,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .strategy import CompositePlan
-
 __all__ = [
     "CanonicalState",
     "FaultPlan",
-    "shard_slices",
-    "shard_state",
-    "unshard_state",
-    "remap_state",
 ]
-
-
-def _padded(size: int, fsdp: int) -> int:
-    return -(-size // fsdp) * fsdp
-
-
-def shard_slices(plan: CompositePlan, size: int) -> dict[int, tuple[int, int]]:
-    """Each rank's ``(lo, hi)`` window into the padded canonical vector.
-
-    Rank ``(p, f, t, d)`` owns FSDP shard ``f`` of its unit's flat state
-    — the exact partition the 4-phase reduction scatters gradients into,
-    replicated across the tensor-parallel, tile, and sample axes.
-    """
-    if size < 1:
-        raise ValueError("state size must be >= 1")
-    ln = _padded(size, plan.fsdp) // plan.fsdp
-    out: dict[int, tuple[int, int]] = {}
-    for d in range(plan.ddp):
-        for t in range(plan.tiles):
-            for f in range(plan.fsdp):
-                for p in range(plan.tp):
-                    out[plan.rank(p, f, t, d)] = (f * ln, (f + 1) * ln)
-    return out
-
-
-def shard_state(plan: CompositePlan, vec: np.ndarray) -> dict[int, np.ndarray]:
-    """Export a canonical flat vector to every rank's shard (copies)."""
-    vec = np.ascontiguousarray(vec, dtype=np.float32).reshape(-1)
-    padded = np.zeros(_padded(vec.size, plan.fsdp), dtype=np.float32)
-    padded[: vec.size] = vec
-    return {rank: padded[lo:hi].copy()
-            for rank, (lo, hi) in shard_slices(plan, vec.size).items()}
-
-
-def unshard_state(plan: CompositePlan, shards: Mapping[int, np.ndarray],
-                  size: int) -> np.ndarray:
-    """Import per-rank shards back into the canonical flat vector.
-
-    The shard of each FSDP index is replicated across every unit and
-    tensor-parallel rank; all replicas must agree byte-for-byte (a
-    diverged replica means the plan's synchronization invariant broke,
-    and silently picking one copy would hide it).
-    """
-    slices = shard_slices(plan, size)
-    missing = set(slices) - set(shards)
-    if missing:
-        raise ValueError(f"missing shards for ranks {sorted(missing)}")
-    ln = _padded(size, plan.fsdp) // plan.fsdp
-    padded = np.zeros(_padded(size, plan.fsdp), dtype=np.float32)
-    filled: dict[int, int] = {}
-    for rank, (lo, hi) in slices.items():
-        shard = np.asarray(shards[rank], dtype=np.float32).reshape(-1)
-        if shard.size != ln:
-            raise ValueError(
-                f"rank {rank} shard has {shard.size} elements, expected {ln}")
-        owner = filled.get(lo)
-        if owner is None:
-            padded[lo:hi] = shard
-            filled[lo] = rank
-        elif padded[lo:hi].tobytes() != shard.tobytes():  # NaN-safe
-            raise ValueError(
-                f"rank {rank} shard diverged from rank {owner}'s replica")
-    return padded[:size].copy()
-
-
-def remap_state(old_plan: CompositePlan, new_plan: CompositePlan,
-                shards: Mapping[int, np.ndarray], size: int
-                ) -> dict[int, np.ndarray]:
-    """Re-slice one plan's shards onto another plan — bitwise.
-
-    ``old → canonical → new`` is pure slicing of the same float32 bytes,
-    so composing with the inverse direction returns the input shards
-    unchanged (the property test in ``tests/distributed/test_elastic.py``
-    pins this over random layouts and odd worlds).
-    """
-    return shard_state(new_plan, unshard_state(old_plan, shards, size))
 
 
 @dataclass
@@ -159,10 +68,6 @@ class CanonicalState:
                 setattr(self, name, vec)
 
     @property
-    def size(self) -> int:
-        return int(self.data.size)
-
-    @property
     def nbytes(self) -> int:
         """Total state bytes the reshard must move."""
         total = self.data.nbytes
@@ -170,21 +75,6 @@ class CanonicalState:
             if vec is not None:
                 total += vec.nbytes
         return int(total)
-
-    def vectors(self) -> dict[str, np.ndarray]:
-        out = {"data": self.data}
-        if self.adam_m is not None:
-            out["adam_m"] = self.adam_m
-        if self.adam_v is not None:
-            out["adam_v"] = self.adam_v
-        return out
-
-    def copy(self) -> "CanonicalState":
-        return CanonicalState(
-            data=self.data.copy(),
-            adam_m=None if self.adam_m is None else self.adam_m.copy(),
-            adam_v=None if self.adam_v is None else self.adam_v.copy(),
-            adam_t=self.adam_t, step=self.step, extra=dict(self.extra))
 
 
 @dataclass(frozen=True)
@@ -213,7 +103,3 @@ class FaultPlan:
     def dead_at(self, step: int) -> tuple[int, ...]:
         """Ranks that die at the boundary of ``step`` (empty if none)."""
         return tuple(self.failures.get(step, ()))
-
-    @property
-    def last_step(self) -> int:
-        return max(self.failures, default=-1)

@@ -1,32 +1,20 @@
 """Pipeline parallelism (GPipe-style), one of the model-scaling
-parallelisms the paper surveys (Sec. II).
+parallelisms the paper surveys (Sec. II), in closed form.
 
 The model is partitioned into consecutive stages, one per rank; a batch
 is split into microbatches that stream through the stages.  Utilization
 is bounded by the pipeline *bubble*: with P stages and M microbatches the
 forward timeline has M + P - 1 slots of which P - 1 per stage are idle,
-giving bubble fraction (P-1)/(M+P-1).
-
-The executor runs real stage modules over real microbatches and is
-verified against unpartitioned execution; the timeline simulator
-reproduces the schedule algebra the bubble analysis rests on.  ORBIT-2
-itself prefers FSDP/tensor/Hybrid-OP over pipelining (the bubble and the
-per-microbatch activation traffic are the reasons), which
-``pipeline_vs_fsdp_tradeoff`` quantifies.
+giving bubble fraction (P-1)/(M+P-1).  ORBIT-2 prefers FSDP/tensor/
+Hybrid-OP over pipelining for that bubble and for the per-microbatch
+activation traffic; no pipeline engine runs here, and the parallelism
+ablation prices both terms with the two functions below (modeled).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..nn import Module
-from ..tensor import Tensor
-from .comm import ProcessGroup
-
 __all__ = [
-    "PipelineParallel",
     "pipeline_bubble_fraction",
-    "gpipe_timeline",
     "pipeline_activation_traffic",
 ]
 
@@ -38,109 +26,8 @@ def pipeline_bubble_fraction(n_stages: int, n_microbatches: int) -> float:
     return (n_stages - 1) / (n_microbatches + n_stages - 1)
 
 
-def gpipe_timeline(n_stages: int, n_microbatches: int) -> list[list[int | None]]:
-    """The forward schedule grid: ``timeline[t][stage]`` = microbatch id.
-
-    Slot t on stage s runs microbatch t - s (when in range); the grid has
-    ``M + P - 1`` time slots — the schedule-length identity the bubble
-    fraction follows from.
-    """
-    length = n_microbatches + n_stages - 1
-    grid: list[list[int | None]] = []
-    for t in range(length):
-        row: list[int | None] = []
-        for s in range(n_stages):
-            m = t - s
-            row.append(m if 0 <= m < n_microbatches else None)
-        grid.append(row)
-    return grid
-
-
 def pipeline_activation_traffic(microbatch_elems: int, n_stages: int,
                                 n_microbatches: int, bytes_per_elem: int = 2) -> float:
     """Bytes crossing stage boundaries per step (forward + backward)."""
     boundaries = n_stages - 1
     return 2.0 * boundaries * n_microbatches * microbatch_elems * bytes_per_elem
-
-
-class PipelineParallel:
-    """Execute a chain of stage modules with GPipe microbatching.
-
-    Parameters
-    ----------
-    stages:
-        One module per rank; stage ``i`` feeds stage ``i+1``.
-    group:
-        Process group supplying the stage ranks (size must equal the
-        stage count); inter-stage sends are logged on its stats.
-    """
-
-    def __init__(self, stages: list[Module], group: ProcessGroup):
-        if len(stages) != group.size:
-            raise ValueError(f"{len(stages)} stages for group of {group.size}")
-        self.stages = list(stages)
-        self.group = group
-        self.last_schedule: list[tuple[int, int, int]] = []  # (slot, stage, microbatch)
-
-    def forward(self, x: np.ndarray, n_microbatches: int) -> np.ndarray:
-        """Microbatched forward; returns the concatenated outputs.
-
-        Executes in true schedule order (slot by slot), so
-        ``last_schedule`` records the real GPipe interleaving; stage
-        handoffs are logged as point-to-point traffic.
-        """
-        if x.shape[0] % n_microbatches:
-            raise ValueError(
-                f"batch {x.shape[0]} not divisible into {n_microbatches} microbatches"
-            )
-        micro = np.split(x, n_microbatches, axis=0)
-        n_stages = len(self.stages)
-        # buffers[s][m] = activation of microbatch m entering stage s
-        inflight: dict[tuple[int, int], Tensor] = {
-            (0, m): Tensor(mb) for m, mb in enumerate(micro)
-        }
-        outputs: dict[int, Tensor] = {}
-        self.last_schedule = []
-        for t in range(n_microbatches + n_stages - 1):
-            for s in range(n_stages):
-                m = t - s
-                if not 0 <= m < n_microbatches:
-                    continue
-                self.last_schedule.append((t, s, m))
-                act = inflight.pop((s, m))
-                out = self.stages[s](act)
-                if s + 1 < n_stages:
-                    inflight[(s + 1, m)] = out
-                    self.group.stats.record("send", out.data.nbytes)
-                else:
-                    outputs[m] = out
-        return np.concatenate([outputs[m].data for m in range(n_microbatches)], axis=0)
-
-    def reference(self, x: np.ndarray) -> np.ndarray:
-        """Unpartitioned execution for verification."""
-        out = Tensor(x)
-        for stage in self.stages:
-            out = stage(out)
-        return out.data
-
-    def schedule_length(self, n_microbatches: int) -> int:
-        return n_microbatches + len(self.stages) - 1
-
-
-def pipeline_vs_fsdp_tradeoff(params: int, activation_elems: int,
-                              n_ranks: int, n_microbatches: int) -> dict[str, float]:
-    """Per-step communication of pipelining vs FSDP at equal rank count.
-
-    Pipeline: microbatched activations across every stage boundary plus
-    the bubble. FSDP: 2 all-gathers + 1 reduce-scatter of the parameters
-    (≈ 3·(P-1)/P·params·2 bytes), no bubble.  Returns both bills so
-    callers (and the ablation bench) can see where each wins.
-    """
-    pipe_bytes = pipeline_activation_traffic(activation_elems, n_ranks, n_microbatches)
-    fsdp_bytes = 3.0 * (n_ranks - 1) / n_ranks * params * 2
-    return {
-        "pipeline_bytes": pipe_bytes,
-        "pipeline_bubble": pipeline_bubble_fraction(n_ranks, n_microbatches),
-        "fsdp_bytes": fsdp_bytes,
-        "fsdp_bubble": 0.0,
-    }

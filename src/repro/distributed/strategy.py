@@ -16,8 +16,8 @@ Training runs through exactly one strategy, :class:`CompositeStrategy`:
 Plain DDP, FSDP and TILES are its degenerate plans
 ``CompositePlan(ddp=W)``, ``(fsdp=W)``, ``(tiles=W)``: a size-1 level's
 collective is a copy.  The forward-only engines (tensor parallel,
-Ulysses, Hybrid-OP, pipeline) are not strategies; the oracle drives
-them directly.
+Ulysses, Hybrid-OP) are not strategies; the oracle drives them
+directly.
 
 :class:`CompositePlan` is Fig. 5's orthogonal layout as the explicit
 four-factor decomposition ``tp x fsdp x tiles x ddp == world`` with the
@@ -70,13 +70,7 @@ __all__ = [
 
 def tile_core_loss(out: Tensor, spec: TileSpec, factor: int,
                    targets: np.ndarray, loss_fn) -> Tensor:
-    """Loss on a tile's core region (halo outputs cropped, Sec. III-B).
-
-    Losses carrying a truthy ``tile_aware`` attribute (e.g.
-    :class:`~repro.core.losses.LatitudeTileLoss`) receive the tile's
-    :class:`TileSpec` as a third argument so position-dependent terms can
-    slice their full-grid state to this tile's window.
-    """
+    """Loss on a tile's core region (halo outputs cropped, Sec. III-B)."""
     top, left = (spec.y0 - spec.hy0) * factor, (spec.x0 - spec.hx0) * factor
     ch, cw = spec.core_shape
     core = out[:, :, top: top + ch * factor, left: left + cw * factor]
@@ -85,8 +79,6 @@ def tile_core_loss(out: Tensor, spec: TileSpec, factor: int,
     sel = np.s_[:, :, spec.y0 * factor: spec.y1 * factor,
                 spec.x0 * factor: spec.x1 * factor]
     tile_target = targets[sel] if isinstance(targets, Tensor) else Tensor(targets[sel])
-    if getattr(loss_fn, "tile_aware", False):
-        return loss_fn(core, tile_target, spec)
     return loss_fn(core, tile_target)
 
 
@@ -671,10 +663,15 @@ class CompositeStrategy:
                     p.data -= lr * p.grad
 
     def assert_units_synchronized(self, atol: float = 0.0) -> None:
+        """Every unit's parameters match unit 0's; ``atol=0`` compares
+        bytes, so ``-0.0`` against ``+0.0`` fails and identical NaN
+        replicas pass."""
         ref = self._units[0].state_dict()
         for i, unit in enumerate(self._units[1:], start=1):
             for name, arr in unit.state_dict().items():
-                if not np.allclose(arr, ref[name], rtol=0.0, atol=atol):
+                same = (arr.tobytes() == ref[name].tobytes() if atol == 0
+                        else np.allclose(arr, ref[name], rtol=0.0, atol=atol))
+                if not same:
                     raise AssertionError(f"unit {i} drifted on {name}")
 
     # ------------------------------------------------------------------ #

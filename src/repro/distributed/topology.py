@@ -39,10 +39,6 @@ class GPUSpec:
     def usable_memory_bytes(self) -> float:
         return self.memory_bytes * self.memory_usable_fraction
 
-    @property
-    def sustained_flops(self) -> float:
-        return self.peak_bf16_flops * self.achievable_fraction
-
 
 @dataclass(frozen=True)
 class FrontierTopology:

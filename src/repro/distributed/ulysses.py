@@ -119,6 +119,3 @@ class UlyssesAttention:
         vt = Tensor(np.ascontiguousarray(v.transpose(1, 0, 2))[None])
         out = flash_attention(qt, kt, vt).data[0]
         return np.ascontiguousarray(out.transpose(1, 0, 2))
-
-    def all_to_alls_per_layer(self) -> int:
-        return 4

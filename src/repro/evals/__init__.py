@@ -7,15 +7,11 @@ from .metrics import (
     quantile_rmse,
     r2_score,
     rmse,
-    sigma_quantile_levels,
     ssim,
 )
 from .climate import (
-    annual_cycle_stats,
-    bias_decomposition,
     contingency_table,
     event_skill,
-    taylor_statistics,
 )
 from .spectrum import radial_power_spectrum, spectral_fidelity, spectral_slope
 
@@ -23,7 +19,6 @@ __all__ = [
     "r2_score",
     "rmse",
     "quantile_rmse",
-    "sigma_quantile_levels",
     "SIGMA_LEVELS",
     "psnr",
     "ssim",
@@ -33,7 +28,4 @@ __all__ = [
     "spectral_slope",
     "contingency_table",
     "event_skill",
-    "taylor_statistics",
-    "bias_decomposition",
-    "annual_cycle_stats",
 ]

@@ -1,16 +1,9 @@
 """Climate-specific verification diagnostics.
 
 Beyond the paper's image/regression metrics, operational downscaling is
-judged on event skill and distributional fidelity.  This module adds the
-standard forecast-verification suite:
-
-* categorical event skill for threshold exceedances (precipitation above
-  x mm/day): POD, FAR, CSI, frequency bias, and the equitable threat
-  score;
-* Taylor-diagram statistics (pattern correlation, normalized standard
-  deviation, centered RMS) summarizing field similarity in one triple;
-* bias decomposition (mean bias, variance ratio) and annual-cycle
-  amplitude/phase agreement for temperature-like series.
+judged on event skill: categorical skill for threshold exceedances
+(precipitation above x mm/day), i.e. POD, FAR, CSI, frequency bias and
+the equitable threat score.
 """
 
 from __future__ import annotations
@@ -20,9 +13,6 @@ import numpy as np
 __all__ = [
     "contingency_table",
     "event_skill",
-    "taylor_statistics",
-    "bias_decomposition",
-    "annual_cycle_stats",
 ]
 
 
@@ -68,65 +58,3 @@ def event_skill(pred: np.ndarray, obs: np.ndarray, threshold: float
     denom = hits + misses + fa - hits_random
     ets = (hits - hits_random) / denom if denom > 0 else 0.0
     return {"pod": pod, "far": far, "csi": csi, "bias": bias, "ets": ets}
-
-
-def taylor_statistics(pred: np.ndarray, obs: np.ndarray) -> dict[str, float]:
-    """(correlation, normalized std, centered RMS) — one Taylor-diagram point.
-
-    The identity ``crmse² = 1 + σ̂² − 2·σ̂·r`` (in obs-normalized units)
-    holds by construction and is verified in tests.
-    """
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    o = np.asarray(obs, dtype=np.float64).reshape(-1)
-    if p.shape != o.shape:
-        raise ValueError("shape mismatch")
-    o_std = o.std()
-    if o_std == 0:
-        raise ValueError("observation field is constant")
-    pa, oa = p - p.mean(), o - o.mean()
-    corr = float((pa * oa).mean() / (p.std() * o_std)) if p.std() > 0 else 0.0
-    sigma_ratio = float(p.std() / o_std)
-    crmse = float(np.sqrt(((pa - oa) ** 2).mean()) / o_std)
-    return {"correlation": corr, "sigma_ratio": sigma_ratio, "crmse": crmse}
-
-
-def bias_decomposition(pred: np.ndarray, obs: np.ndarray) -> dict[str, float]:
-    """Mean bias, variance ratio, and the MSE split into bias²+var+cov terms."""
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    o = np.asarray(obs, dtype=np.float64).reshape(-1)
-    if p.shape != o.shape:
-        raise ValueError("shape mismatch")
-    bias = float(p.mean() - o.mean())
-    var_ratio = float(p.var() / o.var()) if o.var() > 0 else float("inf")
-    mse = float(((p - o) ** 2).mean())
-    pa, oa = p - p.mean(), o - o.mean()
-    cov = float((pa * oa).mean())
-    return {
-        "mean_bias": bias,
-        "variance_ratio": var_ratio,
-        "mse": mse,
-        "mse_bias_term": bias**2,
-        "mse_variance_term": float((p.std() - o.std()) ** 2),
-        "mse_phase_term": float(2 * (p.std() * o.std() - cov)),
-    }
-
-
-def annual_cycle_stats(series: np.ndarray, samples_per_year: int
-                       ) -> dict[str, float]:
-    """Amplitude and phase of the first annual harmonic of a time series.
-
-    ``series`` is (T,) with ``samples_per_year`` samples per cycle; the
-    first-harmonic fit gives the seasonal amplitude and the phase (in
-    fractional years) of its maximum.
-    """
-    x = np.asarray(series, dtype=np.float64).reshape(-1)
-    if samples_per_year < 2 or x.size < samples_per_year:
-        raise ValueError("need at least one full year of samples")
-    t = np.arange(x.size) / samples_per_year
-    c = np.cos(2 * np.pi * t)
-    s = np.sin(2 * np.pi * t)
-    a = 2 * np.mean((x - x.mean()) * c)
-    b = 2 * np.mean((x - x.mean()) * s)
-    amplitude = float(np.hypot(a, b))
-    phase = float((np.arctan2(b, a) / (2 * np.pi)) % 1.0)
-    return {"mean": float(x.mean()), "amplitude": amplitude, "phase": phase}

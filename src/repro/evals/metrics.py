@@ -19,7 +19,6 @@ __all__ = [
     "r2_score",
     "rmse",
     "quantile_rmse",
-    "sigma_quantile_levels",
     "psnr",
     "ssim",
     "evaluate_all",
@@ -57,10 +56,6 @@ def rmse(pred: np.ndarray, target: np.ndarray, weights: np.ndarray | None = None
             raise ValueError(f"weights shape {w.shape} != data {sq.shape}")
         return float(np.sqrt(np.average(sq, weights=w)))
     return float(np.sqrt(sq.mean()))
-
-
-def sigma_quantile_levels() -> dict[str, float]:
-    return dict(SIGMA_LEVELS)
 
 
 def quantile_rmse(pred: np.ndarray, target: np.ndarray, quantile: float) -> float:

@@ -1,12 +1,12 @@
 """Neural-network layers, optimizers, and mixed precision on the autograd engine."""
 
-from .amp import Bf16Cast, GradScaler, autocast_module
+from .amp import Bf16Cast, GradScaler
 from .attention import CrossAttention, MultiHeadSelfAttention, aggregate_variables
 from .checkpoint import CheckpointedSequential, checkpoint, checkpointed_activation_bytes
 from .flash_attention import attention_peak_elems, flash_attention, naive_attention
 from .flat import FlatParamBuffer, flatten_grads
 from .layers import MLP, Conv2d, LayerNorm, Linear, Sequential
-from .module import Identity, Module, ModuleList, Parameter
+from .module import Module, ModuleList, Parameter
 from .optim import AdamW, SGD, clip_grad_norm, cosine_schedule, warmup_cosine
 from .transformer import PatchEmbed, TransformerBlock, TransformerEncoder, unpatchify
 
@@ -17,7 +17,6 @@ __all__ = [
     "checkpointed_activation_bytes",
     "ModuleList",
     "Parameter",
-    "Identity",
     "Linear",
     "Conv2d",
     "LayerNorm",
@@ -42,5 +41,4 @@ __all__ = [
     "clip_grad_norm",
     "GradScaler",
     "Bf16Cast",
-    "autocast_module",
 ]

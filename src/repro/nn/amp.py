@@ -15,7 +15,7 @@ from ..tensor import Tensor, bf16_round
 from ..tensor.tensor import _unary_node
 from .module import Module, Parameter
 
-__all__ = ["GradScaler", "autocast_module", "Bf16Cast"]
+__all__ = ["GradScaler", "Bf16Cast"]
 
 
 class GradScaler:
@@ -98,14 +98,3 @@ class Bf16Cast(Module):
     def forward(self, x: Tensor) -> Tensor:
         return _unary_node(lambda v, out: np.copyto(out, bf16_round(v)), x,
                            "bf16_cast", lambda g, v, y: g)
-
-
-def autocast_module(module: Module) -> None:
-    """Round a module's parameters to the bf16 grid in place.
-
-    Emulates casting the weights for a bf16 forward; call on a *copy* of
-    the master weights (or accept the small parity loss) — the trainer
-    keeps float32 masters and re-rounds per step when bf16 is enabled.
-    """
-    for p in module.parameters():
-        p.data[...] = bf16_round(p.data)

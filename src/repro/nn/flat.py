@@ -46,7 +46,7 @@ class FlatParamBuffer:
     Construction copies each parameter's current values into the flat
     ``data`` array once, then re-points ``p.data`` at a view of it; all
     later updates (optimizer steps, ``load_state_dict``'s in-place
-    assignment, autocast's round-tripping) mutate the shared storage.
+    assignment) mutate the shared storage.
     ``p.grad`` is attached to a zeroed view of the flat ``grad`` array so
     gradient accumulation lands in the buffer directly.
 
@@ -71,14 +71,12 @@ class FlatParamBuffer:
         self.size = int(bounds[-1])
         self.data = np.empty(self.size, dtype=np.float32)
         self.grad = np.zeros(self.size, dtype=np.float32)
-        self._data_views: list[np.ndarray] = []
         self._grad_views: list[np.ndarray] = []
         for p, (lo, hi) in zip(self.params, self.spans):
             dview = self.data[lo:hi].reshape(p.data.shape)
             dview[...] = p.data
             p.data = dview
             gview = self.grad[lo:hi].reshape(dview.shape)
-            self._data_views.append(dview)
             self._grad_views.append(gview)
         # .grad views are attached lazily by zero_grad()/sync_grads() so a
         # freshly wrapped model still reports p.grad is None until a
@@ -159,15 +157,3 @@ class FlatParamBuffer:
         if flat.size < self.size:
             raise ValueError(f"state of {flat.size} < buffer of {self.size}")
         self.data[...] = flat[: self.size]
-
-    def sync_data(self) -> None:
-        """Copy back any ``p.data`` that was re-pointed away from its view.
-
-        Defensive hook for code that *replaces* (rather than mutates)
-        parameter arrays; everything in-tree mutates in place.
-        """
-        for p, dview in zip(self.params, self._data_views):
-            if p.data is dview:
-                continue
-            dview[...] = p.data
-            p.data = dview

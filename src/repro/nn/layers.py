@@ -88,12 +88,6 @@ class Sequential(Module):
         for i, mod in enumerate(self._items):
             self._modules[str(i)] = mod
 
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
     def forward(self, x: Tensor) -> Tensor:
         for mod in self._items:
             x = mod(x)

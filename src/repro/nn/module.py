@@ -16,7 +16,7 @@ import numpy as np
 
 from ..tensor import Tensor
 
-__all__ = ["Parameter", "Module", "ModuleList", "Identity"]
+__all__ = ["Parameter", "Module", "ModuleList"]
 
 
 class Parameter(Tensor):
@@ -44,10 +44,6 @@ class Module:
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     # ------------------------------------------------------------------ #
     # iteration
     # ------------------------------------------------------------------ #
@@ -59,11 +55,6 @@ class Module:
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
-
-    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
-        yield (prefix.rstrip("."), self)
-        for name, mod in self._modules.items():
-            yield from mod.named_modules(prefix=f"{prefix}{name}.")
 
     def num_parameters(self) -> int:
         """Total scalar parameter count (used for the 9.5M/126M/1B/10B configs)."""
@@ -133,18 +124,3 @@ class ModuleList(Module):
 
     def __len__(self):
         return len(self._items)
-
-    def __getitem__(self, idx: int) -> Module:
-        return self._items[idx]
-
-    def forward(self, x):
-        for mod in self._items:
-            x = mod(x)
-        return x
-
-
-class Identity(Module):
-    """No-op module (the disabled adaptive-compression slot in Reslim)."""
-
-    def forward(self, x):
-        return x

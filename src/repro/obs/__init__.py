@@ -20,19 +20,19 @@ One subsystem answers "where did the step go?" across the whole stack:
 """
 
 from .clock import SimClock
-from .export import (chrome_trace, replan_summary, span_coverage,
+from .export import (chrome_trace, span_coverage,
                      step_summary, summary_table, write_chrome_trace)
 from .metrics import Histogram, MetricsRegistry
 from .monitor import (Alert, AlertRule, FlightRecorder, Monitor,
                       RollingWindow, TimeSeries, default_serve_rules,
-                      default_train_rules, health_summary, tile_serve_rules)
+                      default_train_rules, health_summary)
 from .tracer import Span, Tracer, active_tracer, span
 
 __all__ = [
     "SimClock", "Histogram", "MetricsRegistry", "Span", "Tracer",
     "active_tracer", "span", "chrome_trace", "write_chrome_trace",
-    "span_coverage", "summary_table", "step_summary", "replan_summary",
+    "span_coverage", "summary_table", "step_summary",
     "Alert", "AlertRule", "FlightRecorder", "Monitor", "RollingWindow",
     "TimeSeries", "default_train_rules", "default_serve_rules",
-    "health_summary", "tile_serve_rules",
+    "health_summary",
 ]

@@ -16,7 +16,7 @@ from typing import Iterable
 from .tracer import Span
 
 __all__ = ["chrome_trace", "write_chrome_trace", "span_coverage",
-           "summary_table", "step_summary", "replan_summary"]
+           "summary_table", "step_summary"]
 
 
 def chrome_trace(spans: Iterable[Span], alerts: Iterable = ()) -> dict:
@@ -138,28 +138,6 @@ def summary_table(spans: Iterable[Span]) -> str:
         lines.append(f"{name:<{name_w}s} {int(calls):>6d} {tot * 1e3:>10.3f} "
                      f"{tot / calls * 1e3:>10.3f} {share:>6.1%}")
     return "\n".join(lines) + "\n"
-
-
-def replan_summary(tracer) -> dict:
-    """Headline elasticity numbers (JSON-ready) from a finished tracer.
-
-    Aggregates the ``replan/`` span family and metrics: how many
-    reshards ran, rank failures recovered, and the wall-clock vs modeled
-    downtime distribution.  All-zero when the run never replanned.
-    """
-    m = tracer.metrics
-    downtime = m.histograms.get("replan/downtime_s")
-    modeled = m.histograms.get("replan/modeled_downtime_s")
-    reshard_spans = [sp for sp in tracer.spans
-                     if sp.name.startswith("replan/")]
-    return {
-        "replans": m.counters.get("replan/count", 0.0),
-        "rank_failures": m.counters.get("replan/rank_failures", 0.0),
-        "downtime_s_total": downtime.total if downtime else 0.0,
-        "downtime_s_max": downtime.max if downtime and downtime.count else 0.0,
-        "modeled_downtime_s_total": modeled.total if modeled else 0.0,
-        "replan_spans": len(reshard_spans),
-    }
 
 
 def step_summary(tracer) -> dict:

@@ -100,11 +100,6 @@ class MetricsRegistry:
             hist = self.histograms[name] = Histogram()
         hist.observe(value)
 
-    def reset(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-
     # ------------------------------------------------------------------ #
     # read side
     # ------------------------------------------------------------------ #

@@ -34,7 +34,6 @@ the monitor is built with ``wall_metrics=False`` — the mode the
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from collections import deque
@@ -46,7 +45,7 @@ from .metrics import MetricsRegistry
 __all__ = [
     "Alert", "AlertRule", "FlightRecorder", "Monitor", "RollingWindow",
     "TimeSeries", "default_serve_rules", "default_train_rules",
-    "health_summary", "tile_serve_rules",
+    "health_summary",
 ]
 
 RULE_KINDS = ("threshold", "nonfinite", "rate", "zscore", "slo_burn",
@@ -534,16 +533,6 @@ class Monitor:
     def dump(self, path, reason: str = "manual") -> Path:
         return self.recorder.dump(path, self, reason=reason)
 
-    @contextlib.contextmanager
-    def guard(self, path):
-        """Dump the flight recorder if the body raises, then re-raise."""
-        try:
-            yield self
-        except BaseException as exc:
-            self.event("exception", error=f"{type(exc).__name__}: {exc}")
-            self.dump(path, reason=f"exception:{type(exc).__name__}")
-            raise
-
 
 def _jsonable(d: dict) -> dict:
     """Coerce payload values to JSON-safe scalars (repr as fallback)."""
@@ -617,30 +606,6 @@ def default_serve_rules(slo_p99_s: float = 0.5,
                   op="ge", bound=1.0, cooldown=0),
         AlertRule("scale-down", "event/scale_down", "threshold",
                   op="ge", bound=1.0, cooldown=0),
-    ]
-
-
-def tile_serve_rules(slo_p99_s: float = 0.5,
-                     max_queue_depth: float = 64.0,
-                     min_hit_rate: float = 0.5,
-                     window: int = 64) -> list[AlertRule]:
-    """The serving pack plus the tile-cache collapse detector.
-
-    Tile-granular serving is sized assuming most tiles hit the cache
-    (:func:`repro.distributed.perf_model.cache_aware_service_time`); if
-    the per-request tile miss rate stays above ``1 - min_hit_rate`` for
-    more than half of the last ``window`` requests — a cold cache that
-    never warms, an eviction storm, or a plan-epoch bump mid-traffic —
-    latency will blow through the fleet plan before the p99 rule can
-    say why.  ``tile-hit-collapse`` names the cause on the same
-    timeline.
-    """
-    if not 0.0 <= min_hit_rate <= 1.0:
-        raise ValueError(f"min_hit_rate must be in [0, 1], got {min_hit_rate}")
-    return default_serve_rules(slo_p99_s, max_queue_depth) + [
-        AlertRule("tile-hit-collapse", "serve/tile_miss_rate", "slo_burn",
-                  slo=1.0 - min_hit_rate, burn=0.5, window=window,
-                  min_samples=16, cooldown=window),
     ]
 
 

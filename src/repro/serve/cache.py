@@ -172,10 +172,6 @@ class TileCache:
         """Resident keys, least- to most-recently used."""
         return list(self._entries)
 
-    def clear(self) -> None:
-        """Drop every entry; traffic counters keep accumulating."""
-        self._entries.clear()
-
     @property
     def stats(self) -> CacheStats:
         return CacheStats(capacity=self.capacity, size=len(self._entries),

@@ -140,10 +140,6 @@ class Response:
     tiles_computed: int = 0  # tiles resolved by a batch completion
 
     @property
-    def arrival_s(self) -> float:
-        return self.request.arrival_s
-
-    @property
     def latency_s(self) -> float:
         return self.complete_s - self.request.arrival_s
 
@@ -374,7 +370,7 @@ class _TileUnits:
           identity (an entry holds its cores: an ``id`` is not recycled);
         * the field is a pure function of the cores, the plan geometry
           and the normalizer fixed at construction;
-        * ``bump_plan_epoch``, ``cache.clear()`` and eviction all surface
+        * ``bump_plan_epoch`` and eviction both surface
           as *new* core objects, so a stale field cannot be served.
 
         Without a cache every core is a fresh object: nothing is kept.

@@ -3,31 +3,20 @@
 from .dtypes import (
     DTYPE_BF16,
     DTYPE_F32,
-    bf16_machine_eps,
     bf16_round,
-    cast,
     is_bf16_representable,
-    validate_dtype,
 )
 from .functional import (
     add_bias,
-    avg_pool2d,
     bilinear_upsample,
     conv2d,
-    dropout,
     gelu,
     layernorm,
     linear,
-    log_softmax,
-    pixel_shuffle,
-    pixel_unshuffle,
-    silu,
     softmax,
-    softmax_cross_entropy,
 )
 from .compile import CompiledForward, CompiledStep, CompileError
 from .flops import FlopCounter
-from .random import DEFAULT_SEED, rng_from_seed, split_rng
 from .tensor import (
     Tensor,
     enable_grad,
@@ -75,27 +64,14 @@ __all__ = [
     "CompiledForward",
     "CompileError",
     "softmax",
-    "log_softmax",
     "gelu",
-    "silu",
     "layernorm",
     "linear",
     "add_bias",
-    "softmax_cross_entropy",
     "bilinear_upsample",
-    "pixel_shuffle",
-    "pixel_unshuffle",
     "conv2d",
-    "avg_pool2d",
-    "dropout",
     "bf16_round",
-    "bf16_machine_eps",
     "is_bf16_representable",
-    "cast",
-    "validate_dtype",
     "DTYPE_F32",
     "DTYPE_BF16",
-    "rng_from_seed",
-    "split_rng",
-    "DEFAULT_SEED",
 ]

@@ -454,8 +454,9 @@ class CompiledForward:
     its batches split into.  At ``_MAX_PLANS`` the least-recently-used
     plan alone is released, so a working set at the cap never recaptures
     more than the shape that is new.  Returns a fresh copy of the output
-    so callers may hold results across calls.  Attribute access falls
-    through to the wrapped model (``factor``, ``eval()``, ...).
+    so callers may hold results across calls.  It is not the model:
+    callers read model attributes (``factor``, ``eval()``, ...) from the
+    model they wrapped.
     """
 
     # two widths (pairs + a single) x the 16 signatures an uneven tiling
@@ -466,13 +467,6 @@ class CompiledForward:
         self._model = model
         self._span = span
         self._plans: dict[tuple, CompiledStep] = {}
-
-    def __getattr__(self, name):
-        return getattr(self._model, name)
-
-    @property
-    def model(self):
-        return self._model
 
     def release(self) -> None:
         for step in self._plans.values():

@@ -24,16 +24,6 @@ FLOAT64 = np.float64
 DTYPE_F32 = "float32"
 DTYPE_BF16 = "bfloat16"
 
-_SUPPORTED = (DTYPE_F32, DTYPE_BF16)
-
-
-def validate_dtype(dtype: str) -> str:
-    """Return ``dtype`` if supported, else raise ``ValueError``."""
-    if dtype not in _SUPPORTED:
-        raise ValueError(f"unsupported dtype {dtype!r}; expected one of {_SUPPORTED}")
-    return dtype
-
-
 def bf16_round(x: np.ndarray) -> np.ndarray:
     """Round a float32/float64 array to the nearest bfloat16 value.
 
@@ -60,20 +50,3 @@ def is_bf16_representable(x: np.ndarray) -> bool:
     x32 = np.asarray(x, dtype=np.float32)
     finite = np.isfinite(x32)
     return bool(np.array_equal(x32[finite], bf16_round(x32)[finite]))
-
-
-def cast(x: np.ndarray, dtype: str) -> np.ndarray:
-    """Cast an array to the logical dtype ``dtype``.
-
-    ``float32`` returns a float32 view/copy; ``bfloat16`` rounds to the
-    bf16 grid (stored in float32, see module docstring).
-    """
-    validate_dtype(dtype)
-    if dtype == DTYPE_BF16:
-        return bf16_round(x)
-    return np.asarray(x, dtype=np.float32)
-
-
-def bf16_machine_eps() -> float:
-    """Unit roundoff of bfloat16 (2**-8), useful for test tolerances."""
-    return 2.0 ** -8

@@ -2,8 +2,8 @@
 
 Contains the numerically careful primitives the models need: stable
 softmax, exact GELU (through a branch-free pure-NumPy ``erfc``), bilinear
-interpolation with a proper adjoint, patch-gather 2-D convolution, and pixel
-shuffle for the decoder's sub-pixel upsampling.  Everything is vectorised;
+interpolation with a proper adjoint, and patch-gather 2-D convolution.
+Everything is vectorised;
 the only index arithmetic is precomputed gather/scatter tables.
 
 Each kernel allocates its output, saved and scratch buffers once and fills
@@ -16,28 +16,19 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import (OUTPUT, PERSISTENT, SAVED, SCRATCH, Tensor, _alloc,
-                     _binary_node, _sigmoid, _unbroadcast)
+                     _binary_node, _unbroadcast)
 
 __all__ = [
     "softmax",
-    "log_softmax",
     "gelu",
     "gelu_composed",
-    "silu",
-    "silu_composed",
     "layernorm",
     "layernorm_composed",
-    "softmax_cross_entropy",
-    "softmax_cross_entropy_composed",
     "linear",
     "add_bias",
     "bilinear_upsample",
-    "pixel_shuffle",
-    "pixel_unshuffle",
     "col2im_shape",
     "conv2d",
-    "avg_pool2d",
-    "dropout",
 ]
 
 
@@ -62,29 +53,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     run()
     return Tensor._from_op(s, (a,), backward, "softmax", replay=run)
-
-
-def _log_softmax(x: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """``out[...] = log(softmax(x))`` along ``axis``, shifted by the max."""
-    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
-    np.subtract(out, np.log(np.exp(out).sum(axis=axis, keepdims=True)), out=out)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(x)) computed stably with a fused backward."""
-    a = x
-    out = _alloc(OUTPUT, like=a.data)
-    s = _alloc(SAVED, like=a.data)
-
-    def run():
-        _log_softmax(a.data, axis, out)
-        np.exp(out, out=s)
-
-    def backward(g):
-        return ((a, g - s * g.sum(axis=axis, keepdims=True)),)
-
-    run()
-    return Tensor._from_op(out, (a,), backward, "log_softmax", replay=run)
 
 
 # Numerical Recipes ``erfcc``: erfc(z) = t * exp(-z*z + P(t)), t = 2 / (2 + z),
@@ -172,31 +140,6 @@ def gelu_composed(x: Tensor) -> Tensor:
     return x * ((x * inv_sqrt2).erf() + 1.0) * 0.5
 
 
-def silu(x: Tensor) -> Tensor:
-    """SiLU / swish ``x * sigmoid(x)`` as a single fused tape node.
-
-    Saves only the sigmoid; backward is ``g * s * (1 + x * (1 - s))``.
-    """
-    a = x
-    s = _alloc(SAVED, like=a.data)
-    out_data = _alloc(OUTPUT, like=a.data)
-
-    def run():
-        _sigmoid(a.data, s)
-        np.multiply(a.data, s, out=out_data)
-
-    def backward(g):
-        return ((a, g * (s * (1.0 + a.data * (1.0 - s)))),)
-
-    run()
-    return Tensor._from_op(out_data, (a,), backward, "silu", replay=run)
-
-
-def silu_composed(x: Tensor) -> Tensor:
-    """Two-node SiLU (kept as the fused kernel's reference)."""
-    return x * x.sigmoid()
-
-
 def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last axis as one fused tape node.
 
@@ -260,58 +203,6 @@ def layernorm_composed(x: Tensor, weight: Tensor, bias: Tensor,
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = (var + eps) ** -0.5
     return centered * inv * weight + bias
-
-
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, axis: int = -1,
-                          reduction: str = "mean") -> Tensor:
-    """Softmax followed by cross-entropy with integer labels, fused.
-
-    ``labels`` is an integer array shaped like ``logits`` without ``axis``.
-    The backward is the closed form ``g * (softmax - onehot)`` (scaled by
-    ``1/N`` under mean reduction) — no log/exp/gather nodes on the tape.
-    """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
-    a = logits
-    labels = np.asarray(labels)
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise TypeError(f"labels must be integers, got dtype {labels.dtype}")
-
-    # labels are a captured constant (non-Tensor argument); only the
-    # logits vary between replays
-    idx = np.expand_dims(labels, axis)
-    n = labels.size
-    logp = _alloc(SAVED, like=a.data)
-    out_data = _alloc(OUTPUT)
-
-    def run():
-        _log_softmax(a.data, axis, logp)
-        total = -np.take_along_axis(logp, idx, axis=axis).sum(dtype=np.float32)
-        out_data[...] = total / np.float32(n) if reduction == "mean" else total
-
-    def backward(g):
-        ds = np.exp(logp)  # softmax from the saved log-probabilities
-        np.put_along_axis(ds, idx, np.take_along_axis(ds, idx, axis=axis) - 1.0,
-                          axis=axis)
-        scale = g / n if reduction == "mean" else g
-        return ((a, (ds * scale).astype(np.float32)),)
-
-    run()
-    return Tensor._from_op(out_data, (a,), backward, "softmax_xent", replay=run)
-
-
-def softmax_cross_entropy_composed(logits: Tensor, labels: np.ndarray,
-                                   axis: int = -1,
-                                   reduction: str = "mean") -> Tensor:
-    """log_softmax + one-hot contraction (the fused kernel's reference)."""
-    labels = np.asarray(labels)
-    logp = log_softmax(logits, axis=axis)
-    onehot = np.zeros(logits.shape, dtype=np.float32)
-    np.put_along_axis(onehot, np.expand_dims(labels, axis), 1.0, axis=axis)
-    total = -(logp * Tensor(onehot)).sum()
-    if reduction == "mean":
-        return total * (1.0 / labels.size)
-    return total
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -408,30 +299,6 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward, "bilinear_upsample", replay=run)
 
 
-def pixel_shuffle(x: Tensor, factor: int) -> Tensor:
-    """Rearrange ``(N, C*r^2, H, W)`` to ``(N, C, H*r, W*r)`` (sub-pixel conv)."""
-    n, crr, h, w = x.shape
-    r = factor
-    if crr % (r * r) != 0:
-        raise ValueError(f"channels {crr} not divisible by factor^2 {r * r}")
-    c = crr // (r * r)
-    y = x.reshape(n, c, r, r, h, w)
-    y = y.permute(0, 1, 4, 2, 5, 3)
-    return y.reshape(n, c, h * r, w * r)
-
-
-def pixel_unshuffle(x: Tensor, factor: int) -> Tensor:
-    """Inverse of :func:`pixel_shuffle`."""
-    n, c, hr, wr = x.shape
-    r = factor
-    if hr % r or wr % r:
-        raise ValueError(f"spatial dims {(hr, wr)} not divisible by factor {r}")
-    h, w = hr // r, wr // r
-    y = x.reshape(n, c, h, r, w, r)
-    y = y.permute(0, 1, 3, 5, 2, 4)
-    return y.reshape(n, c * r * r, h, w)
-
-
 # --------------------------------------------------------------------- #
 # convolution as one GEMM over gathered patches
 # --------------------------------------------------------------------- #
@@ -518,20 +385,3 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
 
     run()
     return Tensor._from_op(out, parents, backward, "conv2d", replay=run)
-
-
-def avg_pool2d(x: Tensor, k: int) -> Tensor:
-    """Non-overlapping ``k x k`` average pooling (used for coarsening)."""
-    n, c, h, w = x.shape
-    if h % k or w % k:
-        raise ValueError(f"spatial dims {(h, w)} not divisible by pool size {k}")
-    y = x.reshape(n, c, h // k, k, w // k, k)
-    return y.mean(axis=(3, 5))
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not training or p <= 0.0:
-        return x
-    mask = (rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
-    return x * Tensor(mask)

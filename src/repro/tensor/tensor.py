@@ -445,14 +445,6 @@ class Tensor:
             _recorder.record(out, tuple(parents), op, replay)
         return out
 
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
-
     # ------------------------------------------------------------------ #
     # basic introspection
     # ------------------------------------------------------------------ #
@@ -468,10 +460,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array (no copy). Mutating it bypasses autograd."""
-        return self.data
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(
@@ -479,10 +467,6 @@ class Tensor:
                 f"got shape {self.data.shape} ({self.data.size} elements)"
             )
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        """A new leaf sharing this tensor's data, cut from the graph."""
-        return Tensor(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         grad = ", requires_grad=True" if self.requires_grad else ""
@@ -681,12 +665,6 @@ class Tensor:
         run()
         return Tensor._from_op(out_data, (a,), backward, "max", replay=run)
 
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        out = (centered * centered).mean(axis=axis, keepdims=keepdims)
-        return out
-
     # ------------------------------------------------------------------ #
     # shape manipulation
     # ------------------------------------------------------------------ #
@@ -809,13 +787,3 @@ class Tensor:
 
         run()
         return Tensor._from_op(data, tensors, backward, "stack", replay=run)
-
-    def broadcast_to(self, shape: tuple[int, ...]) -> "Tensor":
-        a = self
-
-        def backward(g):
-            return ((a, _unbroadcast(g, a.shape)),)
-
-        # read-only 0-stride view; consumers treat .data as immutable anyway
-        return Tensor._from_op(np.broadcast_to(a.data, shape), (a,), backward,
-                               "broadcast", replay="view")

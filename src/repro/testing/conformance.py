@@ -41,7 +41,7 @@ __all__ = [
 
 #: Every collective the communicator implements.
 COLLECTIVES: tuple[str, ...] = (
-    "all_reduce", "all_gather", "reduce_scatter", "broadcast", "all_to_all",
+    "all_reduce", "all_gather", "reduce_scatter", "all_to_all",
 )
 
 #: World sizes for the default sweep — primes 3/5/7 exercise the
@@ -50,7 +50,7 @@ DEFAULT_WORLDS: tuple[int, ...] = (1, 2, 3, 4, 5, 7, 8)
 
 #: Collectives with an async (``Work``-handle) variant.
 ASYNC_COLLECTIVES: tuple[str, ...] = (
-    "all_reduce", "reduce_scatter", "all_gather",
+    "all_reduce", "reduce_scatter",
 )
 
 #: float32 ring reductions reorder additions; everything else is a copy.
@@ -58,7 +58,6 @@ _VALUE_TOLS: dict[str, tuple[float, float]] = {
     "all_reduce": (1e-5, 1e-6),
     "all_gather": (0.0, 0.0),
     "reduce_scatter": (1e-6, 1e-7),
-    "broadcast": (0.0, 0.0),
     "all_to_all": (0.0, 0.0),
 }
 
@@ -74,8 +73,7 @@ def expected_sent_bytes(op: str, world: int, buffer_nbytes: int) -> float:
     (``ProcessGroup.collective_time`` prices the same expressions):
     ring all-reduce ``2(P-1)/P·n``; ring all-gather ``(P-1)·n`` with *n*
     the per-rank shard; reduce-scatter and pairwise all-to-all
-    ``(P-1)/P·n``; binomial-tree broadcast ``n·log2(max(P,2))/P``
-    amortised over the group.
+    ``(P-1)/P·n``.
     """
     p = world
     n = buffer_nbytes
@@ -85,8 +83,6 @@ def expected_sent_bytes(op: str, world: int, buffer_nbytes: int) -> float:
         return (p - 1) * n
     if op in ("reduce_scatter", "all_to_all"):
         return (p - 1) / p * n
-    if op == "broadcast":
-        return n * float(np.log2(max(p, 2))) / p
     raise ValueError(f"unknown collective {op!r}; known: {sorted(COLLECTIVES)}")
 
 
@@ -104,8 +100,6 @@ def _reference(op: str, buffers: list[np.ndarray], world: int) -> list[np.ndarra
     if op == "reduce_scatter":  # sum, the ProcessGroup default
         total = np.sum(xs, axis=0)
         return [s.copy() for s in np.array_split(total, world, axis=0)]
-    if op == "broadcast":
-        return [xs[0].copy() for _ in range(world)]
     if op == "all_to_all":
         split = [np.array_split(x, world, axis=0) for x in xs]
         return [np.concatenate([split[j][i] for j in range(world)], axis=0)
@@ -120,8 +114,6 @@ def _invoke(group: ProcessGroup, op: str, buffers: list[np.ndarray]) -> list[np.
         return group.all_gather(buffers)
     if op == "reduce_scatter":
         return group.reduce_scatter(buffers, op="sum")
-    if op == "broadcast":
-        return group.broadcast(buffers[0])
     if op == "all_to_all":
         return group.all_to_all(buffers)
     raise ValueError(f"unknown collective {op!r}")
@@ -215,8 +207,6 @@ def _invoke_async(group: ProcessGroup, op: str, buffers: list[np.ndarray]):
         return group.all_reduce_async(buffers, op="mean")
     if op == "reduce_scatter":
         return group.reduce_scatter_async(buffers, op="sum")
-    if op == "all_gather":
-        return group.all_gather_async(buffers)
     raise ValueError(f"collective {op!r} has no async variant; "
                      f"known: {sorted(ASYNC_COLLECTIVES)}")
 

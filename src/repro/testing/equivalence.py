@@ -12,7 +12,7 @@ and a tolerance.  Training rows (output, gradients, params) are all a
 :class:`~repro.distributed.strategy.CompositeStrategy` on some plan
 (``ddp`` / ``fsdp`` / ``tiles`` put the whole world on one level) and
 share one runner.  The forward-only rows (tensor parallel, Ulysses,
-Hybrid-OP, pipeline) build their engine directly and hand back its
+Hybrid-OP) build their engine directly and hand back its
 output next to the engine's single-rank reference; the oracle compares
 the two.  Adding a parallelism to the oracle is one table entry.
 
@@ -50,13 +50,12 @@ from ..distributed import (
     CompositePlan,
     CompositeStrategy,
     HybridOpChain,
-    PipelineParallel,
+    ProcessGroup,
     UlyssesAttention,
     VirtualCluster,
     merge_sequence,
     split_sequence,
 )
-from ..nn import Linear
 from ..tensor import Tensor, gelu
 
 __all__ = [
@@ -296,7 +295,7 @@ def _build_tp(world, config, seed, rng):
     w2 = rng.standard_normal((d, hidden)).astype(np.float32) * 0.3
     b2 = rng.standard_normal(d).astype(np.float32)
     x = rng.standard_normal((5, d)).astype(np.float32)
-    mlp = HybridOpChain([w1, w2], VirtualCluster(world).world_group(),
+    mlp = HybridOpChain([w1, w2], ProcessGroup(list(range(world))),
                         biases=[b1, b2], activation=_gelu)
     return mlp.forward(x), (_gelu(x @ w1.T + b1) @ w2.T + b2).astype(np.float32)
 
@@ -306,7 +305,7 @@ def _build_ulysses(world, config, seed, rng):
     head_dim = config.embed_dim // heads
     q, k, v = (rng.standard_normal((16, heads, head_dim)).astype(np.float32)
                for _ in range(3))
-    attn = UlyssesAttention(VirtualCluster(world).world_group(), num_heads=heads)
+    attn = UlyssesAttention(ProcessGroup(list(range(world))), num_heads=heads)
     out = merge_sequence(attn.forward(split_sequence(q, world),
                                       split_sequence(k, world),
                                       split_sequence(v, world)))
@@ -320,17 +319,8 @@ def _build_hybrid_op(world, config, seed, rng):
     weights = [rng.standard_normal((dims[i + 1], dims[i])).astype(np.float32) * 0.3
                for i in range(len(dims) - 1)]
     x = rng.standard_normal((3, d)).astype(np.float32)
-    chain = HybridOpChain(weights, VirtualCluster(world).world_group())
+    chain = HybridOpChain(weights, ProcessGroup(list(range(world))))
     return chain.forward(x), chain.reference(x)
-
-
-def _build_pipeline(world, config, seed, rng):
-    d = config.embed_dim
-    stages = [Linear(d, d, rng=np.random.default_rng(seed + s))
-              for s in range(world)]
-    x = rng.standard_normal((8, d)).astype(np.float32)
-    pipe = PipelineParallel(stages, VirtualCluster(world).world_group())
-    return pipe.forward(x, n_microbatches=4), pipe.reference(x)
 
 
 _SPECS: dict[str, OracleSpec] = {
@@ -356,9 +346,6 @@ _SPECS: dict[str, OracleSpec] = {
         partial(_build_composite, level="tiles"),
         "reference is the serial TiledDownscaler (same tiling, one rank): "
         "outputs bit-exact at every world, encoder included"),
-    "pipeline": OracleSpec(
-        _build_pipeline,
-        "microbatched stage streaming; reference is unpartitioned execution"),
     "composite": OracleSpec(
         _build_composite,
         "TP×FSDP×TILES×DDP composed; reference is the per-(rank, tile) "

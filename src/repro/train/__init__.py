@@ -1,9 +1,8 @@
-"""Training, inference, and profiling harness."""
+"""Training and inference harness."""
 
 from .engine import DistributedEngine, mse_loss
 from .inference import (build_inference_runner, evaluate_downscaling,
                         global_inference, predict_dataset)
-from .profiler import measure_sample_flops, parameter_bytes, profile_model
 from .trainer import (CHECKPOINT_FORMAT_VERSION, TrainConfig, Trainer,
                       load_checkpoint, save_checkpoint)
 
@@ -19,7 +18,4 @@ __all__ = [
     "predict_dataset",
     "evaluate_downscaling",
     "global_inference",
-    "measure_sample_flops",
-    "parameter_bytes",
-    "profile_model",
 ]

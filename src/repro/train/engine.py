@@ -16,14 +16,9 @@ process or on the virtual cluster.  Only three hooks differ:
 * ``_forward_loss`` (evaluation) uses the strategy's tiled forward, so
   images larger than one unit's token budget still evaluate.
 
-The loss defaults to per-tile MSE.  Passing ``latitude_loss=True``
-installs :class:`~repro.core.losses.LatitudeTileLoss` instead — the
-paper's latitude-weighted data term with each tile slicing its own rows
-out of the full-grid weight matrix (no per-tile re-normalization), so
-the distributed objective matches ``Trainer``'s full-grid weighted MSE.
-The TV prior still does not decompose over tiles (neighbour pairs cross
-tile boundaries), so the distributed objective is the ``tv_weight=0``
-Bayesian loss.
+The loss defaults to per-tile MSE.  The Bayesian loss's TV prior does
+not decompose over tiles (neighbour pairs cross tile boundaries), so the
+distributed objective is a per-tile data term.
 
 With a trivial plan (``tp=fsdp=tiles=ddp=1``) and the same loss, the
 engine's training trajectory is bit-identical to ``Trainer``'s — the
@@ -36,9 +31,7 @@ import time
 
 import numpy as np
 
-from ..core.losses import LatitudeTileLoss
 from ..data.datasets import DownscalingDataset
-from ..data.grids import latitude_weights
 from ..distributed.elastic import CanonicalState, FaultPlan
 from ..distributed.strategy import CompositePlan, CompositeStrategy
 from ..nn import AdamW
@@ -53,20 +46,6 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Plain MSE — the default per-tile training objective."""
     diff = pred - target
     return (diff * diff).mean()
-
-
-class _TileAwareLoss:
-    """Marks a wrapped ``(pred, target, spec)`` callable as tile-aware so
-    :func:`~repro.distributed.strategy.tile_core_loss` forwards the
-    :class:`~repro.core.tiles.TileSpec` through the AMP adapter."""
-
-    tile_aware = True
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __call__(self, pred: Tensor, target: Tensor, spec=None) -> Tensor:
-        return self._fn(pred, target, spec)
 
 
 class DistributedEngine(Trainer):
@@ -89,11 +68,6 @@ class DistributedEngine(Trainer):
     loss_fn:
         Per-tile loss ``(pred, target) -> Tensor``; defaults to
         :func:`mse_loss`.
-    latitude_loss:
-        Use the paper's latitude-weighted data term
-        (:class:`~repro.core.losses.LatitudeTileLoss` over the dataset's
-        fine grid) instead of plain MSE.  Mutually exclusive with
-        ``loss_fn``.
     overlap / bucket_bytes:
         Enable backward-driven bucketed async gradient reduction in the
         strategy (bit-identical to the eager reduce; see
@@ -103,7 +77,6 @@ class DistributedEngine(Trainer):
     def __init__(self, model_factory, dataset: DownscalingDataset,
                  config: TrainConfig, plan: CompositePlan,
                  halo: int = 2, factor: int = 2, loss_fn=None,
-                 latitude_loss: bool = False,
                  overlap: bool = False, bucket_bytes: int = 1 << 16,
                  val_dataset: DownscalingDataset | None = None,
                  compile: bool = False, monitor=None):
@@ -117,21 +90,12 @@ class DistributedEngine(Trainer):
                 f"dataset of {len(dataset)} does not divide into batches "
                 f"of {config.batch_size}"
             )
-        if latitude_loss and loss_fn is not None:
-            raise ValueError("pass either loss_fn or latitude_loss, not both")
         self.plan = plan
-        if latitude_loss:
-            self._tile_loss = LatitudeTileLoss(
-                latitude_weights(dataset.spec.fine_grid), factor=factor)
-        else:
-            self._tile_loss = loss_fn or mse_loss
-        strategy_loss = (_TileAwareLoss(self._strategy_loss)
-                         if getattr(self._tile_loss, "tile_aware", False)
-                         else self._strategy_loss)
+        self._tile_loss = loss_fn or mse_loss
         # the per-tile loss reads the live loss scale inside the captured
         # graph, so compiled steps must recapture whenever it moves
         self.strategy = CompositeStrategy(
-            plan, strategy_loss, halo=halo, factor=factor,
+            plan, self._strategy_loss, halo=halo, factor=factor,
             overlap=overlap, bucket_bytes=bucket_bytes, compile=compile,
             compile_guard=lambda: (
                 self.scaler.scale_value
@@ -161,14 +125,11 @@ class DistributedEngine(Trainer):
     def _optimizers(self) -> list:
         return self._unit_optimizers
 
-    def _strategy_loss(self, pred: Tensor, target: Tensor, spec=None) -> Tensor:
+    def _strategy_loss(self, pred: Tensor, target: Tensor) -> Tensor:
         """Per-tile loss with the Trainer's AMP semantics applied."""
         if self.cast is not None:
             pred = self.cast(pred)
-        if spec is not None and getattr(self._tile_loss, "tile_aware", False):
-            loss = self._tile_loss(pred, target, spec)
-        else:
-            loss = self._tile_loss(pred, target)
+        loss = self._tile_loss(pred, target)
         if self.scaler is not None:
             loss = self.scaler.scale(loss)
         return loss

@@ -13,7 +13,6 @@ from repro.core import (
     make_tiles,
     stitch_tiles,
     tile_grid,
-    tiled_attention_complexity,
 )
 from repro.nn import Module
 from repro.tensor import Tensor, bilinear_upsample
@@ -130,23 +129,6 @@ class TestStitching:
         specs = make_tiles(8, 8, 4, halo=0)
         with pytest.raises(ValueError):
             stitch_tiles([Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))], specs, 1)
-
-
-class TestComplexity:
-    def test_linear_scaling_with_fixed_tile_size(self):
-        """T ∝ N keeps N²/T linear in N — the headline complexity claim."""
-        tile_tokens = 1024
-        costs = [tiled_attention_complexity(n, n // tile_tokens)
-                 for n in (2**14, 2**15, 2**16)]
-        ratios = [costs[1] / costs[0], costs[2] / costs[1]]
-        np.testing.assert_allclose(ratios, 2.0)  # linear, not 4x
-
-    def test_quadratic_without_tiling(self):
-        assert tiled_attention_complexity(200, 1) == 4 * tiled_attention_complexity(100, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tiled_attention_complexity(100, 0)
 
 
 class TestTiledReslim:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import Grid, coarsen, latitude_weights, refine_shape
+from repro.data import Grid, coarsen, latitude_weights
 
 
 class TestGridResolution:
@@ -29,10 +29,6 @@ class TestGridResolution:
         full = Grid(100, 200)
         assert conus.resolution_km < full.resolution_km
 
-    def test_coarsen_refine_roundtrip(self):
-        g = Grid(128, 256)
-        assert g.coarsen(4).refine(4) == g
-
     def test_coarsen_rejects_indivisible(self):
         with pytest.raises(ValueError):
             Grid(130, 256).coarsen(4)
@@ -49,7 +45,6 @@ class TestGridResolution:
         assert len(lats) == 4
         assert lats[0] == pytest.approx(-67.5)
         assert lats[-1] == pytest.approx(67.5)
-        assert len(g.longitudes()) == 8
 
 
 class TestLatitudeWeights:
@@ -94,6 +89,3 @@ class TestCoarsen:
         x = rng.standard_normal((factor * 3, factor * 5))
         c = coarsen(x, factor)
         np.testing.assert_allclose(c[0, 0], x[:factor, :factor].mean(), atol=1e-12)
-
-    def test_refine_shape(self):
-        assert refine_shape((10, 20), 4) == (40, 80)

@@ -1,4 +1,4 @@
-"""Tests for the synthetic climate world and observation products."""
+"""Tests for the synthetic climate world and the IMERG-like product."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,12 @@ from repro.data import (
     ClimateWorld,
     Grid,
     INPUT_VARIABLES,
-    ObservationWorld,
     coarsen,
     gaussian_random_field,
     imerg_like_observation,
     us_grid,
     variable_index,
 )
-from repro.data.regional import OBS_VARIABLES
 
 
 class TestGaussianRandomField:
@@ -121,24 +119,6 @@ class TestClimateWorld:
         warm = world.fine_sample(2000, 2)[t].mean()
         cold = world.fine_sample(2000, 6)[t].mean()
         assert warm > cold
-
-
-class TestObservationWorld:
-    def test_bias_applied_to_temperature(self):
-        grid = us_grid(16, 36)
-        base = ClimateWorld(grid, OBS_VARIABLES, seed=2)
-        obs = ObservationWorld(grid, seed=2, bias=2.0)
-        t = variable_index("t2m", OBS_VARIABLES)
-        delta = obs.fine_sample(2000, 0)[t] - base.fine_sample(2000, 0)[t]
-        np.testing.assert_allclose(delta, 2.0, atol=1e-4)
-
-    def test_precip_factor(self):
-        grid = us_grid(16, 36)
-        base = ClimateWorld(grid, OBS_VARIABLES, seed=2)
-        obs = ObservationWorld(grid, seed=2, precip_factor=2.0)
-        p = variable_index("total_precipitation", OBS_VARIABLES)
-        ratio = obs.fine_sample(2000, 0)[p] / np.maximum(base.fine_sample(2000, 0)[p], 1e-9)
-        assert np.nanmedian(ratio[base.fine_sample(2000, 0)[p] > 0.1]) == pytest.approx(2.0, rel=0.01)
 
 
 class TestImergLike:

@@ -33,7 +33,7 @@ class TestEveryCollective:
         result = check_collective(op, world, shape, seed=world)
         assert result.recorded_bytes == pytest.approx(result.expected_bytes)
 
-    @pytest.mark.parametrize("op", ["all_reduce", "all_gather", "broadcast"])
+    @pytest.mark.parametrize("op", ["all_reduce", "all_gather"])
     @pytest.mark.parametrize("world", ODD_WORLDS)
     @pytest.mark.parametrize("shape", RAGGED_SHAPES)
     def test_ragged_shapes_on_odd_worlds(self, op, world, shape):
@@ -78,23 +78,14 @@ class TestAnalyticFormulas:
             assert expected_sent_bytes("all_gather", p, n) == (p - 1) * n
             assert expected_sent_bytes("reduce_scatter", p, n) == (p - 1) / p * n
             assert expected_sent_bytes("all_to_all", p, n) == (p - 1) / p * n
-            assert expected_sent_bytes("broadcast", p, n) == \
-                n * np.log2(max(p, 2)) / p
 
     def test_world_one_records_zero_bytes(self):
-        """Degenerate single-rank groups must still account their calls.
-
-        Every collective moves zero bytes at world=1 except broadcast,
-        whose log2(max(P, 2)) floor deliberately keeps the tree model's
-        one-hop cost (the formula the perf model prices).
-        """
+        """Degenerate single-rank groups must still account their calls,
+        and every collective moves zero bytes at world=1."""
         for op in COLLECTIVES:
             shape = (1,) if op not in ("reduce_scatter", "all_to_all") else (1, 2)
             r = check_collective(op, 1, shape)
-            if op == "broadcast":
-                assert r.recorded_bytes == pytest.approx(4.0)  # 1 float32 x log2(2)
-            else:
-                assert r.recorded_bytes == 0.0
+            assert r.recorded_bytes == 0.0
 
 
 class TestFullSweep:
@@ -159,7 +150,6 @@ class TestAsyncConformance:
     def test_odd_worlds_with_ragged_shapes(self, world):
         for shape in RAGGED_SHAPES:
             check_async_collective("all_reduce", world, shape, seed=17)
-            check_async_collective("all_gather", world, shape, seed=17)
 
     def test_full_async_sweep_passes(self):
         report = run_async_conformance()
@@ -182,6 +172,6 @@ class TestAsyncConformance:
 
     def test_sync_only_collectives_rejected(self):
         with pytest.raises(ValueError, match="no async variant"):
-            check_async_collective("broadcast", 2, (4,))
+            check_async_collective("all_gather", 2, (4,))
         with pytest.raises(ValueError, match="no async variant"):
             run_async_conformance(ops=("all_to_all",))

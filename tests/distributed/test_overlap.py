@@ -21,6 +21,7 @@ from repro.core import PAPER_CONFIGS, ModelConfig, Reslim
 from repro.distributed import (
     CompositePlan,
     CompositeStrategy,
+    ProcessGroup,
     VirtualCluster,
     GradBucketer,
     aligned_ring_chunks,
@@ -88,12 +89,12 @@ class TestAlignedRingChunks:
         rng = np.random.default_rng(0)
         n, p = 1031, 4
         bufs = [rng.standard_normal(n).astype(np.float32) for _ in range(p)]
-        group = VirtualCluster(p).world_group()
+        group = ProcessGroup(list(range(p)))
         whole = group.all_reduce([b.copy() for b in bufs], op="mean")
         pieces = [np.empty(n, dtype=np.float32) for _ in range(p)]
         for lo, hi in [(0, 400), (400, 1000), (1000, 1031)]:
             chunks = aligned_ring_chunks(lo, hi, n, p)
-            part = VirtualCluster(p).world_group().all_reduce(
+            part = ProcessGroup(list(range(p))).all_reduce(
                 [b[lo:hi].copy() for b in bufs], op="mean", chunks=chunks)
             for dst, flat in zip(pieces, part):
                 dst[lo:hi] = flat
@@ -216,7 +217,7 @@ class TestEagerVsOverlapBitIdentity:
 
 class TestCommStatsAsyncAccounting:
     def test_reset_clears_async_launches(self):
-        group = VirtualCluster(4).world_group()
+        group = ProcessGroup(list(range(4)))
         bufs = [np.ones(32, dtype=np.float32) for _ in range(4)]
         group.all_reduce_async(bufs, op="mean").wait()
         assert group.stats.async_launches.get("all_reduce") == 1
@@ -225,7 +226,7 @@ class TestCommStatsAsyncAccounting:
         assert group.stats.calls == {}
 
     def test_wait_is_idempotent(self):
-        group = VirtualCluster(2).world_group()
+        group = ProcessGroup(list(range(2)))
         bufs = [np.ones(8, dtype=np.float32) * r for r in range(2)]
         work = group.all_reduce_async(bufs, op="mean")
         first = work.wait()
@@ -242,7 +243,7 @@ def _tracer():
 
 class TestTracerCommStream:
     def test_async_spans_run_on_the_comm_stream(self):
-        group = VirtualCluster(4).world_group()
+        group = ProcessGroup(list(range(4)))
         bufs = [np.ones(256, dtype=np.float32) for _ in range(4)]
         tr = _tracer()
         with tr:
@@ -260,7 +261,7 @@ class TestTracerCommStream:
         assert tr.metrics.counters.get("comm/overlapped_time_s", 0.0) == 0.0
 
     def test_compute_between_launch_and_wait_is_overlapped(self):
-        group = VirtualCluster(4).world_group()
+        group = ProcessGroup(list(range(4)))
         bufs = [np.ones(1 << 16, dtype=np.float32) for _ in range(4)]
         tr = _tracer()
         total = group.collective_time("all_reduce", bufs[0].nbytes)
@@ -278,7 +279,7 @@ class TestTracerCommStream:
         assert tr.clock.offset(0) == pytest.approx(total)
 
     def test_two_track_chrome_export(self):
-        group = VirtualCluster(2).world_group()
+        group = ProcessGroup(list(range(2)))
         bufs = [np.ones(64, dtype=np.float32) for _ in range(2)]
         tr = _tracer()
         with tr:

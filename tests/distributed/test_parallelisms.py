@@ -154,6 +154,20 @@ class TestDDP:
         with pytest.raises(AssertionError, match="unit 1 drifted"):
             strat.assert_units_synchronized(atol=0.0)
 
+    def test_exact_sync_check_rejects_a_signed_zero(self):
+        """``+0.0`` and ``-0.0`` compare equal but differ in their bytes."""
+        strat = _one_level(lambda r: _SmallNet(), ddp=2)
+        for unit, zero in zip(strat.units(), (0.0, -0.0)):
+            unit.fc1.weight.data[0, 0] = zero
+        with pytest.raises(AssertionError, match="unit 1 drifted"):
+            strat.assert_units_synchronized(atol=0.0)
+
+    def test_exact_sync_check_accepts_identical_nan_replicas(self):
+        strat = _one_level(lambda r: _SmallNet(), ddp=2)
+        for unit in strat.units():
+            unit.fc1.weight.data[0, 0] = np.nan
+        strat.assert_units_synchronized(atol=0.0)
+
     def test_replicas_stay_synchronized_through_sgd(self):
         from repro.nn import SGD
         strat = _one_level(lambda r: _SmallNet(seed=r), ddp=2)

@@ -2,15 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.evals.climate import (
-    annual_cycle_stats,
-    bias_decomposition,
     contingency_table,
     event_skill,
-    taylor_statistics,
 )
 
 
@@ -59,78 +54,3 @@ class TestEventSkill:
     def test_degenerate_no_events(self):
         s = event_skill(np.zeros(10), np.zeros(10), threshold=0.5)
         assert s["bias"] == 1.0 and s["pod"] == 0.0
-
-
-class TestTaylor:
-    def test_perfect_point(self):
-        rng = np.random.default_rng(3)
-        obs = rng.standard_normal(500)
-        s = taylor_statistics(obs, obs)
-        assert s["correlation"] == pytest.approx(1.0)
-        assert s["sigma_ratio"] == pytest.approx(1.0)
-        assert s["crmse"] == pytest.approx(0.0, abs=1e-12)
-
-    @given(st.integers(0, 100))
-    @settings(max_examples=20, deadline=None)
-    def test_taylor_identity(self, seed):
-        """crmse² = 1 + σ̂² − 2·σ̂·r — the law of cosines behind the
-        Taylor diagram."""
-        rng = np.random.default_rng(seed)
-        obs = rng.standard_normal(400)
-        pred = 0.5 * obs + 0.5 * rng.standard_normal(400)
-        s = taylor_statistics(pred, obs)
-        lhs = s["crmse"] ** 2
-        rhs = 1 + s["sigma_ratio"] ** 2 - 2 * s["sigma_ratio"] * s["correlation"]
-        assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
-
-    def test_constant_obs_rejected(self):
-        with pytest.raises(ValueError):
-            taylor_statistics(np.ones(10), np.ones(10))
-
-
-class TestBiasDecomposition:
-    def test_mse_decomposes(self):
-        rng = np.random.default_rng(4)
-        obs = rng.standard_normal(1000)
-        pred = 1.5 * obs + 0.3 + 0.2 * rng.standard_normal(1000)
-        d = bias_decomposition(pred, obs)
-        total = d["mse_bias_term"] + d["mse_variance_term"] + d["mse_phase_term"]
-        assert d["mse"] == pytest.approx(total, rel=1e-6)
-
-    def test_pure_offset(self):
-        obs = np.random.default_rng(5).standard_normal(200)
-        d = bias_decomposition(obs + 2.0, obs)
-        assert d["mean_bias"] == pytest.approx(2.0)
-        assert d["mse"] == pytest.approx(4.0, rel=1e-6)
-        assert d["variance_ratio"] == pytest.approx(1.0)
-
-
-class TestAnnualCycle:
-    def test_recovers_known_harmonic(self):
-        spy = 12
-        t = np.arange(10 * spy) / spy
-        series = 5.0 + 3.0 * np.cos(2 * np.pi * (t - 0.25))
-        s = annual_cycle_stats(series, spy)
-        assert s["mean"] == pytest.approx(5.0, abs=1e-9)
-        assert s["amplitude"] == pytest.approx(3.0, rel=1e-6)
-        assert s["phase"] == pytest.approx(0.25, abs=1e-6)
-
-    def test_no_cycle(self):
-        s = annual_cycle_stats(np.full(24, 7.0), 12)
-        assert s["amplitude"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            annual_cycle_stats(np.ones(5), 12)
-
-    def test_synthetic_world_has_seasonal_cycle(self):
-        """End-to-end: the ClimateWorld's t2m carries a detectable annual
-        harmonic (the seasonal forcing built into the generator)."""
-        from repro.data import ClimateWorld, Grid, variable_index
-        world = ClimateWorld(Grid(8, 16), seed=2, samples_per_year=8)
-        series = np.array([
-            world.fine_sample(2000 + y, i)[variable_index("t2m")].mean()
-            for y in range(2) for i in range(8)
-        ])
-        s = annual_cycle_stats(series, samples_per_year=8)
-        assert s["amplitude"] > 1.0  # Kelvin-scale seasonal swing

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evals import (
+    SIGMA_LEVELS,
     evaluate_all,
     psnr,
     quantile_rmse,
     r2_score,
     rmse,
-    sigma_quantile_levels,
     ssim,
 )
 
@@ -73,8 +73,7 @@ class TestQuantileRmse:
         assert quantile_rmse(p, t, 0.95) == pytest.approx(0.0)
 
     def test_sigma_levels_match_paper(self):
-        lv = sigma_quantile_levels()
-        assert lv == {"sigma1": 0.68, "sigma2": 0.95, "sigma3": 0.997}
+        assert SIGMA_LEVELS == {"sigma1": 0.68, "sigma2": 0.95, "sigma3": 0.997}
 
     def test_monotone_difficulty_for_heteroscedastic_error(self):
         # error grows with target magnitude → tail RMSE above bulk RMSE

@@ -6,7 +6,6 @@ import pytest
 from repro.nn import (
     MLP,
     Conv2d,
-    Identity,
     LayerNorm,
     Linear,
     Module,
@@ -21,6 +20,11 @@ RNG = np.random.default_rng(7)
 
 def _x(*shape):
     return RNG.standard_normal(shape).astype(np.float32)
+
+
+class _Identity(Module):
+    def forward(self, x):
+        return x
 
 
 class Tiny(Module):
@@ -83,13 +87,13 @@ class TestModule:
         assert m.fc.weight.grad is None
 
     def test_module_list(self):
-        ml = ModuleList([Identity(), Identity()])
+        ml = ModuleList([_Identity(), _Identity()])
         assert len(ml) == 2
-        names = [n for n, _ in ml.named_modules()]
-        assert "0" in names and "1" in names
+        assert list(ml) == list(ml._modules.values())
+        assert list(ml._modules) == ["0", "1"]
 
     def test_sequential(self):
-        seq = Sequential(Linear(4, 4, rng=np.random.default_rng(0)), Identity())
+        seq = Sequential(Linear(4, 4, rng=np.random.default_rng(0)), _Identity())
         out = seq(Tensor(_x(2, 4)))
         assert out.shape == (2, 4)
         assert len(list(seq.named_parameters())) == 2

@@ -9,7 +9,6 @@ from repro.nn import (
     GradScaler,
     Linear,
     SGD,
-    autocast_module,
     clip_grad_norm,
     cosine_schedule,
     warmup_cosine,
@@ -193,8 +192,3 @@ class TestBf16Cast:
         x = Tensor(np.array([1.2345], dtype=np.float32), requires_grad=True)
         cast(x).sum().backward()
         np.testing.assert_allclose(x.grad, 1.0)
-
-    def test_autocast_module_rounds_weights(self):
-        lin = Linear(16, 16, rng=np.random.default_rng(0))
-        autocast_module(lin)
-        assert is_bf16_representable(lin.weight.data)

@@ -77,13 +77,6 @@ class TestMetrics:
         text = m.dump()
         assert "counters:" in text and "gauges:" in text and "histograms:" in text
 
-    def test_reset(self):
-        m = MetricsRegistry()
-        m.inc("c")
-        m.observe("h", 1.0)
-        m.reset()
-        assert not m.counters and not m.gauges and not m.histograms
-
 
 class _BuiltinHistogram(Histogram):
     """``observe`` as the ``min()``/``max()`` builtins formulate it — the

@@ -40,15 +40,6 @@ class TestProcessGroupTracing:
         # the modeled time advanced every member's simulated clock
         assert tr.clock.offset(0) == pytest.approx(expected)
 
-    def test_broadcast_traced(self):
-        cluster = VirtualCluster(2)
-        group = cluster.group([0, 1])
-        tr = _tracer()
-        with tr:
-            group.broadcast(np.ones(64, dtype=np.float32))
-        (sp0, sp1) = sorted((s for s in tr.spans), key=lambda s: s.rank)
-        assert sp0.name == "comm/broadcast" and sp1.rank == 1
-
     def test_size_one_group_emits_nothing(self):
         group = VirtualCluster(2).group([0])
         tr = _tracer()

@@ -250,16 +250,6 @@ class TestFlightRecorder:
         doc = json.loads(path.read_text())
         assert doc["reason"] == "alert:boom"
 
-    def test_guard_dumps_on_exception(self, tmp_path):
-        path = tmp_path / "guard.json"
-        mon = self._monitor()
-        with pytest.raises(RuntimeError):
-            with mon.guard(path):
-                raise RuntimeError("step exploded")
-        doc = json.loads(path.read_text())
-        assert doc["reason"] == "exception:RuntimeError"
-        assert any(e["kind"] == "event/exception" for e in doc["events"])
-
     def test_health_summary_round_trip(self):
         mon = self._monitor()
         mon.record("m", 99.0, t=0.0)

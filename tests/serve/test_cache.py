@@ -201,10 +201,3 @@ class TestCacheSemantics:
         assert cache.get("frozen") is frozen
         cache.put("writable", np.arange(6, dtype=np.float32))
         assert cache.get("writable") is cache.get("writable")
-
-    def test_clear_empties_but_keeps_counters(self):
-        cache = TileCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 1 and cache.insertions == 1

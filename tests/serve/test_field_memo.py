@@ -7,7 +7,7 @@ contracts they extend (``test_tileserve.py``,
 ``test_batched_execution.py``); here is what the memo must never do:
 
 * change a served byte or a scheduler observable — under eviction
-  mid-sequence, ``bump_plan_epoch()`` and ``cache.clear()`` mid-run and a
+  mid-sequence, ``bump_plan_epoch()`` and a cache emptied mid-run and a
   second ``run()``, every output equals the width-1 reference and every
   ``summary()`` equals that of the parent's ``finish`` (no memo) on the
   same traffic;
@@ -121,7 +121,7 @@ def test_memoised_fields_are_the_parents_bytes_and_observables(
 
     def serve(service):
         poke = {"none": lambda: None, "bump": service.bump_plan_epoch,
-                "clear": service.cache.clear}[action]
+                "clear": service.cache._entries.clear}[action]
         # the action lands inside whichever run() holds arrival ``at``
         runs = [service.run(requests[:cut], monitor=_Poke(poke, at)),
                 service.run(requests[cut:], monitor=_Poke(poke, at - cut))]

@@ -24,7 +24,6 @@ from repro.distributed import (
     serve_report,
     tile_service_time_model,
 )
-from repro.obs import Monitor, tile_serve_rules
 from repro.serve import (
     ROLLING,
     BatchPolicy,
@@ -367,35 +366,6 @@ class TestRollingForecast:
         assert s["tile_hits"] > 0
         assert all(r.output is None and r.status == "ok"
                    for r in result.responses)
-
-    def test_monitor_flags_hit_rate_collapse(self):
-        """An eviction storm — a cache smaller than one request's tile
-        set — keeps the miss rate pinned at 1; the tile-hit-collapse
-        rule must name it."""
-        gen = TrafficGenerator(ROLLING, rate_rps=60.0, duration_s=2.0,
-                               seed=2, n_tiles=4, tile_update_rate=1.0)
-        reqs = gen.generate()
-        svc = DownscalingService(
-            n_replicas=2, policy=BatchPolicy(max_batch=4, max_wait_s=0.02),
-            cache=TileCache(1), n_tiles=4, halo=2, coarse_shape=COARSE,
-            tile_serving=True)
-        mon = Monitor(tile_serve_rules(min_hit_rate=0.5, window=32),
-                      wall_metrics=False)
-        svc.run(reqs, monitor=mon)
-        assert any(a.rule == "tile-hit-collapse" for a in mon.alerts)
-
-    def test_warm_stable_traffic_stays_quiet(self):
-        gen = TrafficGenerator(ROLLING, rate_rps=60.0, duration_s=2.0,
-                               seed=2, n_tiles=4, tile_update_rate=0.0)
-        reqs = gen.generate()
-        svc = DownscalingService(
-            n_replicas=2, policy=BatchPolicy(max_batch=4, max_wait_s=0.02),
-            cache=TileCache(64), n_tiles=4, halo=2, coarse_shape=COARSE,
-            tile_serving=True)
-        mon = Monitor(tile_serve_rules(min_hit_rate=0.5, window=32),
-                      wall_metrics=False)
-        svc.run(reqs, monitor=mon)
-        assert not [a for a in mon.alerts if a.rule == "tile-hit-collapse"]
 
 
 # --------------------------------------------------------------------- #

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tensor import bf16_machine_eps, bf16_round, cast, is_bf16_representable
-from repro.tensor.dtypes import DTYPE_BF16, DTYPE_F32, validate_dtype
+from repro.tensor import bf16_round, is_bf16_representable
 from repro.testing import seeded_arrays
+
+#: unit roundoff of bfloat16's 8-bit significand
+BF16_EPS = 2.0 ** -8
 
 
 class TestBf16Round:
@@ -20,7 +22,7 @@ class TestBf16Round:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(10_000).astype(np.float32) * 100
         err = np.abs(bf16_round(x) - x) / np.maximum(np.abs(x), 1e-30)
-        assert err.max() <= bf16_machine_eps()
+        assert err.max() <= BF16_EPS
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
@@ -57,7 +59,7 @@ class TestBf16Round:
     def test_property_error_bound(self, v):
         x = np.array([v], dtype=np.float32)
         out = bf16_round(x)
-        assert abs(float(out[0]) - float(x[0])) <= bf16_machine_eps() * abs(float(x[0])) + 1e-40
+        assert abs(float(out[0]) - float(x[0])) <= BF16_EPS * abs(float(x[0])) + 1e-40
 
 
 class TestBf16FuzzerProperties:
@@ -76,7 +78,7 @@ class TestBf16FuzzerProperties:
             out = bf16_round(x)
             finite = np.isfinite(out)  # near-overflow values may round up to inf
             err = np.abs(out[finite] - x[finite])
-            assert np.all(err <= bf16_machine_eps() * np.abs(x[finite]) + 1e-40)
+            assert np.all(err <= BF16_EPS * np.abs(x[finite]) + 1e-40)
 
     def test_round_to_nearest_even_on_exact_ties(self):
         """Construct exact midpoints 2^e * (1 + (2m+1)/256): halfway
@@ -115,19 +117,6 @@ class TestBf16FuzzerProperties:
 
 
 class TestCastPolicy:
-    def test_cast_f32_passthrough(self):
-        x = np.array([1.2345678], dtype=np.float64)
-        out = cast(x, DTYPE_F32)
-        assert out.dtype == np.float32
-
-    def test_cast_bf16_representable(self):
-        rng = np.random.default_rng(5)
-        out = cast(rng.standard_normal(100), DTYPE_BF16)
-        assert is_bf16_representable(out)
-
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            validate_dtype("float16")
 
     def test_is_representable_detects_violation(self):
         assert not is_bf16_representable(np.array([1.0 + 2.0**-12], dtype=np.float32))

@@ -1,4 +1,4 @@
-"""Tests for functional ops: softmax, gelu, interpolation, conv, pooling."""
+"""Tests for functional ops: softmax, gelu, interpolation, conv."""
 
 import warnings
 
@@ -8,15 +8,9 @@ from scipy import signal, special
 
 from repro.tensor import (
     Tensor,
-    avg_pool2d,
     bilinear_upsample,
     conv2d,
-    dropout,
     gelu,
-    log_softmax,
-    pixel_shuffle,
-    pixel_unshuffle,
-    silu,
     softmax,
 )
 
@@ -43,16 +37,6 @@ class TestSoftmax:
         w = Tensor(_x(3, 5))
         check_gradient(lambda t: (softmax(t, axis=-1) * w).sum(), _x(3, 5))
 
-    def test_log_softmax_matches_log_of_softmax(self):
-        x = Tensor(_x(2, 6))
-        np.testing.assert_allclose(
-            log_softmax(x).data, np.log(softmax(x).data), rtol=1e-5, atol=1e-6
-        )
-
-    def test_log_softmax_gradient(self):
-        w = Tensor(_x(2, 4))
-        check_gradient(lambda t: (log_softmax(t, axis=-1) * w).sum(), _x(2, 4))
-
 
 class TestActivations:
     def test_gelu_known_values(self):
@@ -62,9 +46,6 @@ class TestActivations:
 
     def test_gelu_gradient(self):
         check_gradient(lambda t: gelu(t).sum(), _x(3, 3))
-
-    def test_silu_gradient(self):
-        check_gradient(lambda t: silu(t).sum(), _x(3, 3))
 
 
 def _gelu64(x):
@@ -188,26 +169,6 @@ class TestBilinear:
         assert np.all(np.diff(out) >= 0)  # monotone along ramp
 
 
-class TestPixelShuffle:
-    def test_roundtrip(self):
-        x = _x(2, 8, 3, 5)
-        out = pixel_unshuffle(pixel_shuffle(Tensor(x), 2), 2)
-        np.testing.assert_allclose(out.data, x)
-
-    def test_shapes(self):
-        assert pixel_shuffle(Tensor(_x(1, 12, 4, 4)), 2).shape == (1, 3, 8, 8)
-        assert pixel_unshuffle(Tensor(_x(1, 3, 8, 8)), 2).shape == (1, 12, 4, 4)
-
-    def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            pixel_shuffle(Tensor(_x(1, 7, 4, 4)), 2)
-        with pytest.raises(ValueError):
-            pixel_unshuffle(Tensor(_x(1, 3, 7, 8)), 2)
-
-    def test_gradient(self):
-        check_gradient(lambda t: (pixel_shuffle(t, 2) ** 2.0).sum(), _x(1, 4, 2, 2))
-
-
 class TestConv2d:
     def test_matches_scipy_correlate(self):
         x = _x(1, 1, 8, 8)
@@ -249,33 +210,3 @@ class TestConv2d:
     def test_rejects_mismatched_channels(self):
         with pytest.raises(ValueError):
             conv2d(Tensor(_x(1, 3, 4, 4)), Tensor(_x(2, 4, 3, 3)), None)
-
-
-class TestPooling:
-    def test_avg_pool_constant(self):
-        x = np.full((1, 1, 4, 4), 5.0, dtype=np.float32)
-        np.testing.assert_allclose(avg_pool2d(Tensor(x), 2).data, 5.0)
-
-    def test_avg_pool_gradient(self):
-        check_gradient(lambda t: (avg_pool2d(t, 2) ** 2.0).sum(), _x(1, 1, 4, 4))
-
-    def test_rejects_indivisible(self):
-        with pytest.raises(ValueError):
-            avg_pool2d(Tensor(_x(1, 1, 5, 4)), 2)
-
-
-class TestDropout:
-    def test_identity_in_eval(self):
-        x = Tensor(_x(10, 10))
-        out = dropout(x, 0.5, np.random.default_rng(0), training=False)
-        np.testing.assert_allclose(out.data, x.data)
-
-    def test_preserves_expectation(self):
-        x = Tensor(np.ones((200, 200), dtype=np.float32))
-        out = dropout(x, 0.3, np.random.default_rng(0), training=True)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_zero_prob_is_identity(self):
-        x = Tensor(_x(5, 5))
-        out = dropout(x, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(out.data, x.data)

@@ -128,9 +128,6 @@ class TestReductions:
         a.max().backward()
         assert a.grad.sum() == pytest.approx(1.0)
 
-    def test_var(self):
-        check_gradient(lambda t: t.var(axis=1).sum(), _x(3, 6))
-
 
 class TestShapes:
     def test_reshape_roundtrip_grad(self):
@@ -179,11 +176,6 @@ class TestShapes:
         (out * out).sum().backward()
         np.testing.assert_allclose(a.grad, 2 * a.data, rtol=1e-5)
 
-    def test_broadcast_to(self):
-        a = Tensor(_x(1, 3), requires_grad=True)
-        a.broadcast_to((4, 3)).sum().backward()
-        np.testing.assert_allclose(a.grad, np.full((1, 3), 4.0))
-
 
 class TestEngine:
     def test_no_grad_blocks_graph(self):
@@ -212,11 +204,6 @@ class TestEngine:
     def test_backward_on_constant_raises(self):
         with pytest.raises(RuntimeError):
             Tensor(_x(2)).backward()
-
-    def test_detach_cuts_graph(self):
-        a = Tensor(_x(3), requires_grad=True)
-        out = (a * 2.0).detach() * 3.0
-        assert not out.requires_grad
 
     def test_deep_chain_no_recursion_error(self):
         a = Tensor(np.ones(1), requires_grad=True)

@@ -9,7 +9,6 @@ import pytest
 from repro.core import Reslim
 from repro.distributed import (
     HybridOpChain,
-    PipelineParallel,
     UlyssesAttention,
 )
 from repro.tensor import Tensor, no_grad
@@ -27,7 +26,6 @@ _FORWARD_ENGINES = {
     "tp": HybridOpChain,
     "ulysses": UlyssesAttention,
     "hybrid_op": HybridOpChain,
-    "pipeline": PipelineParallel,
 }
 
 

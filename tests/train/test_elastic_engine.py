@@ -9,7 +9,7 @@ import pytest
 from repro.core import ModelConfig, Reslim
 from repro.data import DatasetSpec, DownscalingDataset, Grid
 from repro.distributed import CompositePlan, FaultPlan, VirtualCluster
-from repro.obs import Tracer, replan_summary
+from repro.obs import Tracer
 from repro.train import (
     CHECKPOINT_FORMAT_VERSION,
     DistributedEngine,
@@ -120,11 +120,10 @@ class TestFaultRecovery:
         assert len(engine.replan_log) == 1
         assert engine.replan_log[0]["dead_ranks"] == [4, 5, 6, 7]
         assert engine.replan_log[0]["step"] == 1
-        summary = replan_summary(tracer)
-        assert summary["replans"] == 1
-        assert summary["rank_failures"] == 4
-        assert summary["downtime_s_total"] > 0
-        assert summary["replan_spans"] > 0
+        assert tracer.metrics.counters["replan/count"] == 1
+        assert tracer.metrics.counters["replan/rank_failures"] == 4
+        assert tracer.metrics.histograms["replan/downtime_s"].total > 0
+        assert any(sp.name.startswith("replan/") for sp in tracer.spans)
 
     def test_fault_outside_world_rejected(self):
         engine = _engine(_plan(1, 1, 2, 2))

@@ -101,78 +101,6 @@ class TestDistributedEngine:
             assert np.shares_memory(opt.flat.grad, buf.grad)
 
 
-class TestLatitudeTileLoss:
-    def test_world1_bit_identical_to_trainer_bayesian_data_term(self):
-        """latitude_loss=True on the trivial plan reproduces the Trainer's
-        full-grid latitude-weighted MSE (tv_weight=0) bit for bit."""
-        config = TrainConfig(epochs=3, batch_size=1, lr=2e-3, seed=7,
-                             tv_weight=0.0)
-        plan = CompositePlan(VirtualCluster(1))
-        engine = DistributedEngine(_factory(seed=5), _dataset(), config, plan,
-                                   halo=2, factor=4, latitude_loss=True)
-        eng_history = engine.fit()
-
-        trainer = Trainer(_factory(seed=5)(), _dataset(), config)
-        ref_history = trainer.fit()  # Trainer default IS the Bayesian loss
-
-        assert eng_history.train_loss == ref_history.train_loss
-        for p_eng, p_ref in zip(engine.model.parameters(),
-                                trainer.model.parameters()):
-            np.testing.assert_array_equal(p_eng.data, p_ref.data)
-
-    def test_world4_tile_losses_decompose_to_full_grid_loss(self):
-        """Oracle at world=4: the mean of the per-tile latitude-weighted
-        losses equals the full-grid latitude-weighted MSE of the stitched
-        prediction — the tiles slice the global weight matrix, they do
-        not re-normalize."""
-        from repro.core import LatitudeTileLoss, latitude_weighted_mse
-        from repro.data.grids import latitude_weights
-        from repro.distributed import CompositeStrategy
-        from repro.tensor import Tensor
-
-        spec = _dataset().spec
-        w = latitude_weights(spec.fine_grid)
-        loss = LatitudeTileLoss(w, factor=spec.factor)
-        plan = CompositePlan(VirtualCluster(4), tp=1, fsdp=1, tiles=2, ddp=2)
-        strategy = CompositeStrategy(plan, loss, halo=2, factor=spec.factor)
-        strategy.setup(lambda u: _factory(seed=5)())
-
-        rng = np.random.default_rng(0)
-        coarse = spec.fine_grid.n_lat // spec.factor, spec.fine_grid.n_lon // spec.factor
-        x = rng.standard_normal((2, 23, *coarse)).astype(np.float32)
-        y = rng.standard_normal(
-            (2, 3, spec.fine_grid.n_lat, spec.fine_grid.n_lon)).astype(np.float32)
-        losses = strategy.forward_backward(x, y)
-        strategy.reduce_gradients()
-        pred = strategy.forward(x)
-
-        tiles = plan.tiles
-        assert len(losses) == 2 * tiles
-        for d in range(2):
-            per_tile = losses[d * tiles:(d + 1) * tiles]
-            full = float(latitude_weighted_mse(
-                Tensor(pred[d:d + 1]), Tensor(y[d:d + 1]), w).data)
-            assert np.isclose(np.mean(per_tile), full, rtol=1e-6, atol=0.0)
-
-    def test_latitude_loss_excludes_custom_loss_fn(self):
-        plan = CompositePlan(VirtualCluster(1))
-        with pytest.raises(ValueError, match="not both"):
-            DistributedEngine(_factory(), _dataset(),
-                              TrainConfig(epochs=1, batch_size=1), plan,
-                              loss_fn=mse_loss, latitude_loss=True)
-
-    def test_world4_latitude_training_runs_and_stays_synchronized(self):
-        config = TrainConfig(epochs=2, batch_size=2, lr=2e-3, seed=1,
-                             tv_weight=0.0)
-        plan = CompositePlan(VirtualCluster(4), tp=1, fsdp=1, tiles=2, ddp=2)
-        engine = DistributedEngine(_factory(seed=2), _dataset(), config, plan,
-                                   halo=2, factor=4, latitude_loss=True)
-        history = engine.fit()
-        assert np.isfinite(history.train_loss).all()
-        assert history.train_loss[-1] < history.train_loss[0]
-        engine.assert_synchronized(atol=0.0)
-
-
 class TestEngineOverlap:
     def test_overlap_training_bit_identical_to_eager(self):
         """The engine's full training loop (AdamW, LR schedule, clipping)
