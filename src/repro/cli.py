@@ -17,7 +17,7 @@ Entry points for downstream users who want results without writing code:
 * ``repro serve``    — run a traffic scenario through the downscaling
   service (queue, dynamic batching, tile cache, replicas) and print the
   latency/throughput/utilization report; ``--replicas 0`` sizes the
-  fleet against the SLO via ``perf_model.serve_report``;
+  fleet against the SLO via ``repro.serve.serve_report``;
 * ``repro monitor`` — run a seeded health-monitoring scenario (clean or
   fault-injected) and print the alert timeline + verdict; optionally
   write the flight-recorder dump and an alert-annotated Chrome trace;
@@ -511,8 +511,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.core import PAPER_CONFIGS
-    from repro.distributed import serve_report
-    from repro.serve import BatchPolicy, DownscalingService, TileCache, TrafficGenerator
+    from repro.serve import (BatchPolicy, DownscalingService, TileCache,
+                             TrafficGenerator, serve_report, service_time_model)
 
     cfg = PAPER_CONFIGS[args.model]
     tiled = args.tiles > 1
@@ -563,6 +563,9 @@ def _cmd_serve(args) -> int:
                            tile_update_rate=args.tile_update_rate)
     cache = TileCache(args.cache_capacity) if args.cache_capacity else None
     policy = BatchPolicy(max_batch=args.max_batch, max_wait_s=args.max_wait)
+    service_time = service_time_model(
+        cfg, n_tiles=args.tiles if tiled else 1, halo=args.halo,
+        coarse_shape=coarse_shape, gpus_per_replica=args.gpus_per_replica)
     if args.execute:
         from repro.core import ModelConfig, Reslim
 
@@ -580,7 +583,8 @@ def _cmd_serve(args) -> int:
             gpus_per_replica=args.gpus_per_replica, policy=policy,
             cache=cache, target_normalizer=ds.target_normalizer,
             n_tiles=args.tiles, halo=args.halo, coarse_shape=coarse_shape,
-            tile_serving=tiled, config=cfg, compile=args.compile)
+            tile_serving=tiled, service_time=service_time,
+            compile=args.compile)
         requests = gen.generate(
             inputs=inputs[:1] if args.scenario == "rolling" else inputs)
     else:
@@ -588,7 +592,7 @@ def _cmd_serve(args) -> int:
             n_replicas=n_replicas, gpus_per_replica=args.gpus_per_replica,
             policy=policy, cache=cache, n_tiles=args.tiles, halo=args.halo,
             coarse_shape=coarse_shape if tiled else None,
-            tile_serving=tiled, config=cfg)
+            tile_serving=tiled, service_time=service_time)
         requests = gen.generate()
     result = service.run(requests)
     s = result.summary()

@@ -21,10 +21,6 @@ from .pipeline import (
 from .ulysses import UlyssesAttention, merge_sequence, split_sequence
 from .perf_model import (
     DownscalingWorkload,
-    ServiceTimeModel,
-    TileServiceTimeModel,
-    cache_aware_service_time,
-    inference_time_per_sample,
     max_output_tokens,
     memory_per_gpu_bytes,
     modeled_step_timeline,
@@ -32,13 +28,9 @@ from .perf_model import (
     plan_comm_costs,
     plan_cost_diff,
     reshard_cost,
-    serve_report,
-    service_time_model,
     step_traffic_schedule,
     strong_scaling_efficiency,
     sustained_flops,
-    tile_inference_times,
-    tile_service_time_model,
     time_per_sample,
     transformer_flops,
     workload_flops_per_sample,
@@ -91,14 +83,6 @@ __all__ = [
     "step_traffic_schedule",
     "modeled_step_timeline",
     "overlap_report",
-    "ServiceTimeModel",
-    "TileServiceTimeModel",
-    "cache_aware_service_time",
-    "tile_inference_times",
-    "tile_service_time_model",
-    "inference_time_per_sample",
-    "service_time_model",
-    "serve_report",
     "time_per_sample",
     "sustained_flops",
     "strong_scaling_efficiency",

@@ -51,16 +51,7 @@ __all__ = [
     "step_traffic_schedule",
     "modeled_step_timeline",
     "overlap_report",
-    "ServiceTimeModel",
-    "TileServiceTimeModel",
-    "DEFAULT_SERVICE_TIME",
-    "SERVE_DISPATCH_S",
-    "inference_time_per_sample",
-    "service_time_model",
-    "tile_inference_times",
-    "tile_service_time_model",
-    "cache_aware_service_time",
-    "serve_report",
+    "roofline_rate",
     "time_per_sample",
     "sustained_flops",
     "strong_scaling_efficiency",
@@ -276,8 +267,8 @@ def max_output_tokens(config: ModelConfig, n_gpus: int, architecture: str = "res
 # ---------------------------------------------------------------------- #
 # time & throughput
 # ---------------------------------------------------------------------- #
-def _roofline_rate(gemm_tokens: float, embed_dim: int,
-                   topology: FrontierTopology = FRONTIER) -> float:
+def roofline_rate(gemm_tokens: float, embed_dim: int,
+                  topology: FrontierTopology = FRONTIER) -> float:
     """Achieved FLOP/s per GPU as a saturating function of GEMM shape.
 
     Two independent saturation factors: the GEMM inner width (d² — narrow
@@ -322,7 +313,7 @@ def time_per_sample(w: DownscalingWorkload, n_gpus: int,
     group = min(n_gpus, w.tiles * tp)
     concurrent = max(1, n_gpus // group)
     seq_tile = w.attention_tokens_per_tile()
-    rate = _roofline_rate(seq_tile, w.config.embed_dim, topology)
+    rate = roofline_rate(seq_tile, w.config.embed_dim, topology)
     t_compute = flops / (group * rate)
     # per-layer tensor-parallel all-reduces, partially overlapped
     if tp > 1:
@@ -575,8 +566,8 @@ def modeled_step_timeline(plan: CompositePlan, config: ModelConfig,
                               args={"modeled": True}))
             t[r] += dur
 
-    rate = _roofline_rate(tokens_per_tile, config.embed_dim,
-                          cluster.topology)
+    rate = roofline_rate(tokens_per_tile, config.embed_dim,
+                         cluster.topology)
     fwd_flops = transformer_flops(tokens_per_tile, config, training=False)
     t_fwd = fwd_flops / (plan.tp * rate)
 
@@ -727,292 +718,6 @@ def overlap_report(plan: CompositePlan, config: ModelConfig,
         "speedup": step_barrier / step_overlap if step_overlap else 1.0,
         "n_buckets": n_buckets,
     }
-
-
-# ---------------------------------------------------------------------- #
-# serving: inference pricing and replica-count planning
-# ---------------------------------------------------------------------- #
-#: host-side cost of one dispatched batch: staging the coarse fields to
-#: the replica, kernel launches, and output writeback — paid once per
-#: batch, which is exactly the overhead dynamic coalescing amortizes
-SERVE_DISPATCH_S = 2.0e-3
-
-
-@dataclass(frozen=True)
-class ServiceTimeModel:
-    """Modeled wall time of one coalesced inference batch.
-
-    Linear in batch size: a fixed per-dispatch cost plus a per-sample
-    roofline inference time.  Callable so the scheduler treats any
-    ``batch_size -> seconds`` function interchangeably.
-    """
-
-    dispatch_s: float
-    per_sample_s: float
-
-    def __call__(self, batch_size: int) -> float:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return self.dispatch_s + batch_size * self.per_sample_s
-
-
-#: generic fallback when no model config is supplied: a 126M-class
-#: replica on a single GCD (~20 ms/sample at 4096 tokens)
-DEFAULT_SERVICE_TIME = ServiceTimeModel(dispatch_s=SERVE_DISPATCH_S,
-                                        per_sample_s=2.0e-2)
-
-
-def inference_time_per_sample(config: ModelConfig,
-                              tokens_per_sample: int = 4096,
-                              gpus_per_replica: int = 1,
-                              topology: FrontierTopology = FRONTIER) -> float:
-    """Roofline seconds for one forward pass over one sample's tokens.
-
-    The replica's GPUs split the work evenly (TILES/TP inside the
-    replica are embarrassingly parallel at inference — no gradient
-    traffic), so per-sample time scales 1/gpus_per_replica on top of
-    the same saturating rate the training model uses.
-    """
-    if gpus_per_replica < 1:
-        raise ValueError("gpus_per_replica must be >= 1")
-    rate = _roofline_rate(tokens_per_sample, config.embed_dim, topology)
-    flops = transformer_flops(tokens_per_sample, config, training=False)
-    return flops / (gpus_per_replica * rate)
-
-
-def service_time_model(config: ModelConfig, tokens_per_sample: int = 4096,
-                       gpus_per_replica: int = 1,
-                       topology: FrontierTopology = FRONTIER,
-                       dispatch_s: float = SERVE_DISPATCH_S) -> ServiceTimeModel:
-    """The :class:`ServiceTimeModel` for one replica of ``config``."""
-    return ServiceTimeModel(
-        dispatch_s=dispatch_s,
-        per_sample_s=inference_time_per_sample(
-            config, tokens_per_sample, gpus_per_replica, topology))
-
-
-# ---------------------------------------------------------------------- #
-# tile-granular serving: per-tile pricing and cache-hit-aware sizing
-# ---------------------------------------------------------------------- #
-def tile_inference_times(config: ModelConfig | None, *,
-                         coarse_shape: tuple[int, int], n_tiles: int,
-                         halo: int = 0, tokens_per_sample: int = 4096,
-                         gpus_per_replica: int = 1,
-                         per_sample_s: float | None = None,
-                         topology: FrontierTopology = FRONTIER,
-                         ) -> dict[tuple[int, int], float]:
-    """Roofline seconds per distinct halo-extended tile shape.
-
-    A tile's forward covers its *halo-extended* input, so interior tiles
-    (full halos on all four sides) cost more than clamped edge tiles —
-    the halo overhead the paper's Table II(b) measures.  Tokens scale
-    with tile area relative to the full grid; the roofline rate is
-    re-evaluated at the tile's own token count, so small tiles also pay
-    the short-sequence underutilization penalty.
-
-    With ``config=None`` the times are an area-proportional scaling of
-    ``per_sample_s`` (default: :data:`DEFAULT_SERVICE_TIME`'s) — the
-    generic fallback the service uses when no model config is given.
-    """
-    from ..core.tiles import make_tiles
-
-    h, w = int(coarse_shape[0]), int(coarse_shape[1])
-    specs = make_tiles(h, w, n_tiles, halo)
-    area = float(h * w)
-    out: dict[tuple[int, int], float] = {}
-    for s in specs:
-        sig = s.halo_shape
-        if sig in out:
-            continue
-        ratio = (sig[0] * sig[1]) / area
-        if config is None:
-            base = DEFAULT_SERVICE_TIME.per_sample_s \
-                if per_sample_s is None else per_sample_s
-            out[sig] = base * ratio
-        else:
-            tokens = max(1.0, tokens_per_sample * ratio)
-            rate = _roofline_rate(tokens, config.embed_dim, topology)
-            flops = transformer_flops(tokens, config, training=False)
-            out[sig] = flops / (gpus_per_replica * rate)
-    return out
-
-
-class TileServiceTimeModel:
-    """Modeled wall time of one coalesced *tile* batch.
-
-    ``dispatch_s`` is paid once per batch (the amortization cross-request
-    tile batching buys); each tile adds its shape's roofline time.  The
-    scheduler batches tiles of one shape signature at a time, so a call
-    carries the batch's signature; unknown signatures fall back to the
-    mean tile time.
-    """
-
-    def __init__(self, dispatch_s: float, tile_s: dict[tuple[int, int], float]):
-        if dispatch_s < 0.0:
-            raise ValueError("dispatch_s must be >= 0")
-        if not tile_s or any(v < 0.0 for v in tile_s.values()):
-            raise ValueError("tile_s must be a non-empty map of >= 0 times")
-        self.dispatch_s = dispatch_s
-        self.tile_s = dict(tile_s)
-        self.mean_tile_s = sum(tile_s.values()) / len(tile_s)
-
-    def tile_time(self, shape: tuple[int, int] | None = None) -> float:
-        if shape is None:
-            return self.mean_tile_s
-        return self.tile_s.get(tuple(shape), self.mean_tile_s)
-
-    def __call__(self, batch_size: int,
-                 shape: tuple[int, int] | None = None) -> float:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return self.dispatch_s + batch_size * self.tile_time(shape)
-
-
-def tile_service_time_model(config: ModelConfig | None = None, *,
-                            coarse_shape: tuple[int, int], n_tiles: int,
-                            halo: int = 0, tokens_per_sample: int = 4096,
-                            gpus_per_replica: int = 1,
-                            per_sample_s: float | None = None,
-                            dispatch_s: float = SERVE_DISPATCH_S,
-                            topology: FrontierTopology = FRONTIER,
-                            ) -> TileServiceTimeModel:
-    """The :class:`TileServiceTimeModel` for one replica serving tiles."""
-    return TileServiceTimeModel(
-        dispatch_s=dispatch_s,
-        tile_s=tile_inference_times(
-            config, coarse_shape=coarse_shape, n_tiles=n_tiles, halo=halo,
-            tokens_per_sample=tokens_per_sample,
-            gpus_per_replica=gpus_per_replica, per_sample_s=per_sample_s,
-            topology=topology))
-
-
-def cache_aware_service_time(tile_model: TileServiceTimeModel, n_tiles: int,
-                             hit_rate: float) -> ServiceTimeModel:
-    """Request-level pricing of tile-granular serving at an assumed
-    per-tile cache hit rate.
-
-    A request recomputes ``n_tiles * (1 - hit_rate)`` tiles in
-    expectation; hits cost nothing on the replica.  The result is a
-    plain :class:`ServiceTimeModel`, so the whole-request scheduler in
-    :func:`serve_report` can price fleets across the hit-rate axis
-    without running tile-level events — the sensitivity analysis that
-    tells the capacity plan how many replicas a cache collapse costs.
-    """
-    if not 0.0 <= hit_rate <= 1.0:
-        raise ValueError(f"hit_rate must be in [0, 1], got {hit_rate}")
-    if n_tiles < 1:
-        raise ValueError("n_tiles must be >= 1")
-    expected_tiles = n_tiles * (1.0 - hit_rate)
-    return ServiceTimeModel(
-        dispatch_s=tile_model.dispatch_s,
-        per_sample_s=expected_tiles * tile_model.mean_tile_s)
-
-
-def serve_report(config: ModelConfig, *, scenario: str = "burst",
-                 rate_rps: float = 50.0, duration_s: float = 60.0,
-                 slo_p99_s: float = 0.5, max_replicas: int = 8,
-                 gpus_per_replica: int = 8, max_batch: int = 8,
-                 max_wait_s: float = 0.05, tokens_per_sample: int = 4096,
-                 seed: int = 0, replica_counts: list[int] | None = None,
-                 n_tiles: int = 1, halo: int = 0,
-                 coarse_shape: tuple[int, int] | None = None,
-                 hit_rates: tuple[float, ...] = (0.0, 0.5, 0.9),
-                 topology: FrontierTopology = FRONTIER) -> dict:
-    """Price replica counts against a p99 latency SLO.
-
-    For each candidate replica count the traffic scenario is played
-    through the *actual* serving scheduler (latency-only — no model
-    executes), so the report and a real service run on the same
-    configuration agree number-for-number.  Returns one row per count
-    (p50/p99 latency, throughput, mean utilization, SLO verdict) plus
-    ``recommended_replicas``: the smallest count whose simulated p99
-    meets the SLO, or ``None`` if none does — the "how many GPUs does
-    this traffic cost" answer the capacity plan needs.
-
-    With ``n_tiles > 1`` (and ``coarse_shape`` for the tile geometry)
-    the report adds ``hit_rate_sensitivity``: the same sizing pass
-    repeated under the cache-hit-aware tile service-time model at each
-    assumed per-tile hit rate — one row per rate, each with its own
-    recommended fleet.  A rolling-forecast deployment reads its steady
-    state off the high-hit-rate row and its cold-start / cache-collapse
-    exposure off the 0%-row; the spread between them is the capacity the
-    tile cache is worth.
-    """
-    # function-level import: repro.serve depends on this module
-    from ..serve import BatchPolicy, DownscalingService, TrafficGenerator
-    from .comm import VirtualCluster
-
-    if slo_p99_s <= 0:
-        raise ValueError("slo_p99_s must be positive")
-    counts = replica_counts or list(range(1, max_replicas + 1))
-    if not counts or min(counts) < 1:
-        raise ValueError("replica_counts must be positive")
-    st = service_time_model(config, tokens_per_sample, gpus_per_replica,
-                            topology)
-    gen = TrafficGenerator(scenario, rate_rps, duration_s, seed=seed)
-
-    def size_fleet(service_time) -> tuple[list[dict], int | None]:
-        rows: list[dict] = []
-        recommended = None
-        for n in sorted(counts):
-            service = DownscalingService(
-                n_replicas=n,
-                policy=BatchPolicy(max_batch=max_batch, max_wait_s=max_wait_s),
-                cluster=VirtualCluster(n * gpus_per_replica, topology),
-                service_time=service_time)
-            summary = service.run(gen.generate()).summary()
-            meets = summary["latency_p99_s"] <= slo_p99_s
-            rows.append({
-                "replicas": n,
-                "gpus": n * gpus_per_replica,
-                "p50_s": summary["latency_p50_s"],
-                "p99_s": summary["latency_p99_s"],
-                "throughput_rps": summary["throughput_rps"],
-                "utilization_mean": summary["utilization_mean"],
-                "meets_slo": meets,
-            })
-            if meets and recommended is None:
-                recommended = n
-        return rows, recommended
-
-    rows, recommended = size_fleet(st)
-    report = {
-        "scenario": scenario,
-        "rate_rps": rate_rps,
-        "duration_s": duration_s,
-        "slo_p99_s": slo_p99_s,
-        "gpus_per_replica": gpus_per_replica,
-        "per_sample_s": st.per_sample_s,
-        "dispatch_s": st.dispatch_s,
-        "rows": rows,
-        "recommended_replicas": recommended,
-    }
-    if n_tiles > 1:
-        if coarse_shape is None:
-            raise ValueError("tiled serve_report needs coarse_shape=(h, w)")
-        tm = tile_service_time_model(
-            config, coarse_shape=coarse_shape, n_tiles=n_tiles, halo=halo,
-            tokens_per_sample=tokens_per_sample,
-            gpus_per_replica=gpus_per_replica, topology=topology)
-        sensitivity = []
-        for hr in hit_rates:
-            hr_rows, hr_rec = size_fleet(
-                cache_aware_service_time(tm, n_tiles, hr))
-            at_rec = next((r for r in hr_rows if r["replicas"] == hr_rec),
-                          None)
-            sensitivity.append({
-                "hit_rate": hr,
-                "recommended_replicas": hr_rec,
-                "p99_at_recommended_s":
-                    at_rec["p99_s"] if at_rec else None,
-                "rows": hr_rows,
-            })
-        report["tiles"] = {"n_tiles": n_tiles, "halo": halo,
-                           "coarse_shape": list(coarse_shape),
-                           "per_tile_s": tm.mean_tile_s,
-                           "dispatch_s": tm.dispatch_s}
-        report["hit_rate_sensitivity"] = sensitivity
-    return report
 
 
 def sustained_flops(w: DownscalingWorkload, n_gpus: int,

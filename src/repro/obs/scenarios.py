@@ -243,7 +243,8 @@ def _elastic_engine(ds, config, monitor, seed: int, *, rank_death: bool,
 # ---------------------------------------------------------------------- #
 def _serve_scenario(inject: str, expected, *, seed: int, wall_metrics: bool,
                     trace: bool) -> ScenarioResult:
-    from ..serve import BatchPolicy, DownscalingService, TrafficGenerator
+    from ..serve import (BatchPolicy, DownscalingService, ServiceTimeModel,
+                         TrafficGenerator)
 
     slo_p99_s = 0.08
     if inject == "burst":
@@ -253,7 +254,8 @@ def _serve_scenario(inject: str, expected, *, seed: int, wall_metrics: bool,
                                seed=seed, n_inputs=8, burst_factor=8.0)
         service = DownscalingService(
             n_replicas=1, policy=BatchPolicy(max_batch=4, max_wait_s=0.002),
-            service_time=lambda b: 0.03 + 0.004 * b, max_queue_depth=24)
+            service_time=ServiceTimeModel(0.03, {(): 0.004}),
+            max_queue_depth=24)
         max_depth = 16.0
     else:
         # four replicas ambling through steady traffic: every latency
@@ -262,7 +264,7 @@ def _serve_scenario(inject: str, expected, *, seed: int, wall_metrics: bool,
                                seed=seed, n_inputs=8)
         service = DownscalingService(
             n_replicas=4, policy=BatchPolicy(max_batch=4, max_wait_s=0.002),
-            service_time=lambda b: 0.002 + 0.0005 * b)
+            service_time=ServiceTimeModel(0.002, {(): 0.0005}))
         max_depth = 64.0
     monitor = Monitor(default_serve_rules(slo_p99_s=slo_p99_s,
                                           max_queue_depth=max_depth),

@@ -11,12 +11,20 @@ really executes stacked, in pairs, against a reference that runs every
 unit alone (see ``service.py`` for the determinism contract, and
 DESIGN.md §11 for the architecture).
 
-Replica-count pricing against a latency SLO lives in
-:func:`repro.distributed.perf_model.serve_report`, which drives this
-package's scheduler in latency-only mode.
+One :class:`ServiceTimeModel` prices every dispatched batch — a whole
+request is the one-tile case (``pricing.py``) — and :func:`serve_report`
+sizes the replica count against a latency SLO by driving this package's
+scheduler in latency-only mode (``sizing.py``).
 """
 
 from .cache import CacheStats, TileCache, content_key
+from .pricing import (
+    DEFAULT_SERVICE_TIME,
+    SERVE_DISPATCH_S,
+    ServiceTimeModel,
+    cache_aware_service_time,
+    service_time_model,
+)
 from .service import (
     AutoscalePolicy,
     BatchPolicy,
@@ -24,6 +32,7 @@ from .service import (
     Response,
     ServeResult,
 )
+from .sizing import serve_report
 from .tiling import TilePlan
 from .traffic import ROLLING, SCENARIOS, Request, TrafficGenerator
 
@@ -31,6 +40,12 @@ __all__ = [
     "CacheStats",
     "TileCache",
     "content_key",
+    "DEFAULT_SERVICE_TIME",
+    "SERVE_DISPATCH_S",
+    "ServiceTimeModel",
+    "cache_aware_service_time",
+    "service_time_model",
+    "serve_report",
     "AutoscalePolicy",
     "BatchPolicy",
     "DownscalingService",

@@ -9,10 +9,10 @@ max-batch/max-wait policy, and N model replicas — each owning a
 contiguous slice of the virtual cluster — serve batches in parallel.
 One discrete-event loop (:meth:`DownscalingService.run`) schedules
 both modes; what differs between them (keys, in-flight coalescing,
-execute + finish, pricing, metric vocabulary) sits behind a private
-unit policy (``_WholeUnits`` / ``_TileUnits``, DESIGN.md §11).  *Time*
-is modeled (dispatch overhead + per-sample roofline inference time, as
-in ``repro.distributed.perf_model``), while *outputs* are real.
+execute + finish, metric vocabulary) sits behind a private unit policy
+(``_WholeUnits`` / ``_TileUnits``, DESIGN.md §11).  *Time* is modeled —
+one :class:`~repro.serve.pricing.ServiceTimeModel` prices every batch,
+a whole request being the one-tile case — while *outputs* are real.
 
 **Determinism contract.**  Served outputs are bit-identical to a direct
 :func:`repro.train.predict_dataset` pass over the same inputs,
@@ -55,19 +55,20 @@ from operator import is_
 import numpy as np
 
 from ..distributed.comm import VirtualCluster
-from ..distributed.perf_model import (DEFAULT_SERVICE_TIME, SERVE_DISPATCH_S,
-                                      service_time_model,
-                                      tile_service_time_model)
 from ..obs.metrics import Histogram, MetricsRegistry
 from ..obs.tracer import Span
 from ..tensor import Tensor, no_grad
 from ..train.inference import build_inference_runner
 from .cache import TileCache, content_key
+from .pricing import DEFAULT_SERVICE_TIME, ServiceTimeModel, service_time_model
 from .tiling import TilePlan
 from .traffic import Request
 
 __all__ = ["AutoscalePolicy", "BatchPolicy", "Response", "ServeResult",
-           "DownscalingService"]
+           "DownscalingService", "HIT_LATENCY_S"]
+
+#: modeled latency of answering a request whose every unit hit the cache
+HIT_LATENCY_S = 1.0e-4
 
 
 @dataclass(frozen=True)
@@ -290,9 +291,6 @@ class _WholeUnits:
                    else f"sample:{req.sample}")
         return [f"{content}/e:{self.svc.plan_epoch}"], [()]
 
-    def price(self, n: int, sig: tuple) -> float:
-        return self.svc.service_time(n)
-
     def execute(self, jobs: list[_Job]) -> list[np.ndarray]:
         """One forward over the jobs' stacked inputs: the
         ``predict_dataset`` pipeline, each row denormalized on its own."""
@@ -337,9 +335,6 @@ class _TileUnits:
         return ([plan.tile_key(i, input=req.input, versions=req.tile_versions,
                                sample=req.sample, epoch=epoch) for i in tiles],
                 [plan.signature(i) for i in tiles])
-
-    def price(self, n: int, sig: tuple) -> float:
-        return self.svc.tile_service_time(n, sig)
 
     def execute(self, jobs: list[_Job]) -> list[np.ndarray]:
         """One forward over the jobs' tiles, each exactly the slice
@@ -401,8 +396,7 @@ class _TileUnits:
                         len(batch) / self.svc.policy.max_batch)
         # child spans: the dispatch overhead leads, then the tiles run
         # back to back inside the batch window
-        dispatch_s = getattr(self.svc.tile_service_time, "dispatch_s", 0.0)
-        tile_s = max(0.0, dur - dispatch_s) / len(batch)
+        tile_s = max(0.0, dur - self.svc.service_time.dispatch_s) / len(batch)
         t0 = start + (dur - tile_s * len(batch))
         for k, job in enumerate(batch):
             spans.append(Span(
@@ -436,8 +430,8 @@ class DownscalingService:
         The downscaler to execute (any ``(1, C, h, w) -> (1, C', H, W)``
         module).  ``None`` runs the scheduler latency-only — same queue
         dynamics, no outputs — which is how
-        :func:`repro.distributed.perf_model.serve_report` prices replica
-        counts without paying for compute.
+        :func:`repro.serve.sizing.serve_report` prices replica counts
+        without paying for compute.
     n_replicas:
         Model replicas; the cluster's ranks are split into contiguous
         equal slices, one per replica (replica sharding).
@@ -469,13 +463,13 @@ class DownscalingService:
         swap) invalidates all resident entries without touching the
         cache.
     service_time:
-        ``batch_size -> seconds`` pricing of one dispatched batch;
-        defaults to :func:`repro.distributed.perf_model.service_time_model`
-        for ``config`` (or a generic constant model when no config is
-        given).  Under ``tile_serving`` it must also price tiles: carry
-        a ``tile_time`` method or a ``per_sample_s`` attribute.
-    hit_latency_s:
-        Modeled latency of answering from the cache.
+        The :class:`~repro.serve.pricing.ServiceTimeModel` pricing each
+        dispatched batch; it must price every signature the service
+        batches — ``()`` for whole requests, each of the plan's tile
+        signatures under ``tile_serving``.  Defaults to the generic
+        :data:`~repro.serve.pricing.DEFAULT_SERVICE_TIME`, split per
+        tile by area under ``tile_serving``; build one for a model
+        config with :func:`~repro.serve.pricing.service_time_model`.
     max_queue_depth:
         Admission control: a request that would add a job while this
         many are already pending is *shed* — answered immediately with
@@ -498,16 +492,12 @@ class DownscalingService:
                  factor: int | None = None,
                  coarse_shape: tuple[int, int] | None = None,
                  tile_serving: bool = False, plan_epoch: int = 0,
-                 service_time=None, config=None,
-                 tokens_per_sample: int = 4096,
-                 hit_latency_s: float = 1.0e-4,
+                 service_time: ServiceTimeModel | None = None,
                  compile: bool = False,
                  max_queue_depth: int | None = None,
                  autoscale: AutoscalePolicy | None = None):
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
-        if hit_latency_s < 0.0:
-            raise ValueError("hit_latency_s must be >= 0")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1 (or None)")
         if autoscale is not None and autoscale.min_replicas > n_replicas:
@@ -525,7 +515,6 @@ class DownscalingService:
                 f"{n_replicas} replicas")
         self.n_replicas = n_replicas
         self.gpus_per_replica = self.cluster.world_size // n_replicas
-        self.hit_latency_s = hit_latency_s
         self.model = model
         self._runner = None
         if model is not None:
@@ -534,29 +523,14 @@ class DownscalingService:
                 model, n_tiles=n_tiles, halo=halo, factor=factor,
                 coarse_shape=coarse_shape, compile=compile)
         self._target_normalizer = target_normalizer
-        if service_time is not None:
-            self.service_time = service_time
-        elif config is not None:
-            self.service_time = service_time_model(
-                config, tokens_per_sample=tokens_per_sample,
-                gpus_per_replica=self.gpus_per_replica,
-                topology=self.cluster.topology)
-        else:
-            self.service_time = DEFAULT_SERVICE_TIME
         self.plan_epoch = int(plan_epoch)
         self.tile_plan: TilePlan | None = None
-        self.tile_service_time = None
+        sigs = {()}
         if tile_serving:
             if n_tiles < 2:
                 raise ValueError("tile_serving needs n_tiles >= 2")
             if coarse_shape is None:
                 raise ValueError("tile_serving needs coarse_shape=(h, w)")
-            if service_time is not None and not (
-                    hasattr(service_time, "tile_time")
-                    or hasattr(service_time, "per_sample_s")):
-                raise ValueError(
-                    "tile_serving cannot price tiles from a bare service_time "
-                    "callable: give it a tile_time method or per_sample_s")
             plan_factor = factor
             if plan_factor is None:
                 # latency-only runs have no model; the factor only scales
@@ -564,25 +538,17 @@ class DownscalingService:
                 plan_factor = getattr(model, "factor", None) or 1
             self.tile_plan = TilePlan.build(coarse_shape, n_tiles, halo,
                                             int(plan_factor))
-            if hasattr(service_time, "tile_time"):
-                self.tile_service_time = service_time
-            elif config is not None:
-                self.tile_service_time = tile_service_time_model(
-                    config, coarse_shape=self.tile_plan.coarse_shape,
+            sigs = self.tile_plan.signatures()
+            if service_time is None:
+                service_time = service_time_model(
                     n_tiles=n_tiles, halo=halo,
-                    tokens_per_sample=tokens_per_sample,
-                    gpus_per_replica=self.gpus_per_replica,
-                    topology=self.cluster.topology)
-            else:
-                # derive per-tile pricing from whatever request-level
-                # model was supplied (or the generic default)
-                base = self.service_time
-                self.tile_service_time = tile_service_time_model(
-                    None, coarse_shape=self.tile_plan.coarse_shape,
-                    n_tiles=n_tiles, halo=halo,
-                    per_sample_s=base.per_sample_s,
-                    dispatch_s=getattr(base, "dispatch_s",
-                                       SERVE_DISPATCH_S))
+                    coarse_shape=self.tile_plan.coarse_shape)
+        self.service_time = (DEFAULT_SERVICE_TIME if service_time is None
+                             else service_time)
+        unpriced = sigs - self.service_time.unit_s.keys()
+        if unpriced:
+            raise ValueError(
+                f"service_time prices no signature {sorted(unpriced)}")
 
         self._units = (_TileUnits(self) if self.tile_plan is not None
                        else _WholeUnits(self))
@@ -773,9 +739,7 @@ class DownscalingService:
                 batch = [pending[k] for k in picked]
                 for k in reversed(picked):
                     del pending[k]
-                dur = float(units.price(len(batch), sig))
-                if dur < 0.0:
-                    raise ValueError("service_time returned a negative duration")
+                dur = self.service_time(len(batch), sig)
                 end = now + dur
                 free[replica] = end
                 busy_s[replica] += dur
@@ -905,7 +869,7 @@ class DownscalingService:
                     missed = len(keys) - hits
                     if not missed:
                         # every unit hit: respond from the probe's values
-                        end = now + self.hit_latency_s
+                        end = now + HIT_LATENCY_S
                         duration = max(duration, end)
                         respond(req, values if executed else None, hits, 0,
                                 now, end, None, 1)

@@ -12,6 +12,7 @@ from repro.serve import (
     BatchPolicy,
     DownscalingService,
     Request,
+    ServiceTimeModel,
     TileCache,
     TrafficGenerator,
 )
@@ -25,7 +26,7 @@ def _burst(n=80, spacing_s=0.001):
 
 def _service(**kw):
     kw.setdefault("policy", BatchPolicy(max_batch=4, max_wait_s=0.002))
-    kw.setdefault("service_time", lambda b: 0.02)
+    kw.setdefault("service_time", ServiceTimeModel(0.02, {(): 0.0}))
     return DownscalingService(**kw)
 
 

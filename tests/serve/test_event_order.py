@@ -8,17 +8,18 @@ scheduler golden file pins the rest.  Batches are priced by a constant,
 so every timestamp below is exact.
 """
 
-from repro.serve import BatchPolicy, DownscalingService, Request, TileCache
+from repro.serve import (BatchPolicy, DownscalingService, Request,
+                         ServiceTimeModel, TileCache)
+from repro.serve.service import HIT_LATENCY_S as HIT_S
 
 SERVICE_S = 0.25
-HIT_S = 1.0e-4
 
 
 def _service(max_wait_s, max_batch=8):
     return DownscalingService(
         policy=BatchPolicy(max_batch=max_batch, max_wait_s=max_wait_s),
-        cache=TileCache(8), service_time=lambda n: SERVICE_S,
-        hit_latency_s=HIT_S)
+        cache=TileCache(8),
+        service_time=ServiceTimeModel(SERVICE_S, {(): 0.0}))
 
 
 def _timing(r):

@@ -20,6 +20,7 @@ from repro.serve import (
     TileCache,
     TrafficGenerator,
 )
+from repro.serve.service import HIT_LATENCY_S
 
 N_REPLICAS = 3
 
@@ -126,11 +127,11 @@ class TestCacheMetrics:
         assert service.cache.hit_rate != rate
 
     def test_hits_cost_hit_latency_only(self, run):
-        service, _, result = run
+        _, _, result = run
         for r in result.responses:
             if r.cache_hit:
                 assert r.replica is None and r.batch_size == 1
-                assert r.latency_s == pytest.approx(service.hit_latency_s)
+                assert r.latency_s == pytest.approx(HIT_LATENCY_S)
 
 
 class TestSpanContract:

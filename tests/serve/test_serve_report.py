@@ -1,30 +1,45 @@
-"""Tests for the perf_model serving extensions: per-sample inference
-pricing, the replica-count-vs-SLO report, and every traffic scenario
-served at the fleet that report recommends."""
+"""Tests for serve pricing and sizing: the one service-time model (a
+whole request is the one-tile case), the replica-count-vs-SLO report,
+and every traffic scenario served at the fleet that report recommends."""
 
 import pytest
 
 from repro.core import PAPER_CONFIGS
-from repro.distributed import (
-    inference_time_per_sample,
-    serve_report,
-    service_time_model,
-)
-from repro.distributed.perf_model import DEFAULT_SERVICE_TIME, ServiceTimeModel
 from repro.serve import (
+    DEFAULT_SERVICE_TIME,
     SCENARIOS,
     BatchPolicy,
     DownscalingService,
+    ServiceTimeModel,
     TileCache,
     TrafficGenerator,
+    serve_report,
+    service_time_model,
 )
 
 from tests.golden import assert_golden
 
+# roofline seconds per unit, captured before the whole-request and tile
+# models were merged into one, so any moved priced float fails here:
+# (config, gpus per replica) -> whole request, and 1B tiles on 8 GPUs at
+# halo 2 over a (32, 64) grid -> {signature: seconds}
+WHOLE_S = {
+    ("126M", 1): 0.021017598039338555,
+    ("126M", 8): 0.0026271997549173194,
+    ("1B", 1): 0.11128649344779808,
+    ("1B", 8): 0.01391081168097476,
+}
+TILE_S = {
+    4: {(18, 34): 0.005908188932741515},
+    8: {(18, 18): 0.004522356296083551, (18, 20): 0.004691581181201044},
+    16: {(10, 18): 0.0038568973112271545, (10, 20): 0.003948227549173194,
+         (12, 18): 0.004021545974099217, (12, 20): 0.004131947335770236},
+}
+
 
 class TestServiceTimeModel:
     def test_affine_in_batch_size(self):
-        m = ServiceTimeModel(dispatch_s=2e-3, per_sample_s=1e-2)
+        m = ServiceTimeModel(dispatch_s=2e-3, unit_s={(): 1e-2})
         assert m(1) == pytest.approx(1.2e-2)
         assert m(4) == pytest.approx(2e-3 + 4e-2)
         # amortization: per-request cost falls with batch size
@@ -34,20 +49,48 @@ class TestServiceTimeModel:
         with pytest.raises(ValueError):
             DEFAULT_SERVICE_TIME(0)
 
+    @pytest.mark.parametrize("dispatch_s,unit_s", [
+        (-1e-3, {(): 1e-2}), (2e-3, {(): -1e-2}), (2e-3, {})])
+    def test_rejects_negative_or_no_times_when_built(self, dispatch_s, unit_s):
+        with pytest.raises(ValueError):
+            ServiceTimeModel(dispatch_s, unit_s)
+
+    def test_service_rejects_a_model_missing_a_signature(self):
+        whole_only = ServiceTimeModel(2e-3, {(): 1e-2})
+        with pytest.raises(ValueError, match="prices no signature"):
+            DownscalingService(n_tiles=4, halo=2, coarse_shape=(8, 16),
+                               tile_serving=True, service_time=whole_only)
+        with pytest.raises(ValueError, match="prices no signature"):
+            DownscalingService(
+                service_time=ServiceTimeModel(2e-3, {(6, 10): 1.0}))
+
+    def test_defaults_are_pinned(self):
+        assert DEFAULT_SERVICE_TIME == ServiceTimeModel(2e-3, {(): 2e-2})
+        tiled = DownscalingService(n_tiles=4, halo=2, coarse_shape=(8, 16),
+                                   tile_serving=True).service_time
+        assert tiled == ServiceTimeModel(2e-3, {(6, 10): 0.009375})
+
     def test_inference_time_scales_with_model_and_gpus(self):
-        small = inference_time_per_sample(PAPER_CONFIGS["126M"])
-        big = inference_time_per_sample(PAPER_CONFIGS["1B"])
+        small = service_time_model(PAPER_CONFIGS["126M"]).unit_s[()]
+        big = service_time_model(PAPER_CONFIGS["1B"]).unit_s[()]
         assert big > small > 0.0
-        sharded = inference_time_per_sample(PAPER_CONFIGS["1B"],
-                                            gpus_per_replica=8)
+        sharded = service_time_model(PAPER_CONFIGS["1B"],
+                                     gpus_per_replica=8).unit_s[()]
         assert sharded == pytest.approx(big / 8)
 
     def test_service_time_model_uses_roofline_per_sample(self):
-        cfg = PAPER_CONFIGS["126M"]
-        m = service_time_model(cfg, gpus_per_replica=4)
-        per_sample = inference_time_per_sample(cfg, gpus_per_replica=4)
-        assert m.per_sample_s == pytest.approx(per_sample)
-        assert m(2) == pytest.approx(m.dispatch_s + 2 * per_sample)
+        for (name, gpus), per_sample in WHOLE_S.items():
+            m = service_time_model(PAPER_CONFIGS[name], gpus_per_replica=gpus)
+            assert m.unit_s == {(): per_sample}, (name, gpus)
+            assert m(2) == m.dispatch_s + 2 * per_sample
+
+    @pytest.mark.parametrize("n_tiles", sorted(TILE_S))
+    def test_tile_roofline_is_pinned_per_signature(self, n_tiles):
+        m = service_time_model(PAPER_CONFIGS["1B"], n_tiles=n_tiles, halo=2,
+                               coarse_shape=(32, 64), gpus_per_replica=8)
+        assert m.unit_s == TILE_S[n_tiles]
+        # a tile pays the short-sequence penalty but covers less grid
+        assert all(t < WHOLE_S["1B", 8] for t in m.unit_s.values())
 
 
 class TestServeReport:
@@ -98,6 +141,12 @@ class TestServeReport:
                               replica_counts=[2, 4], gpus_per_replica=4)
         assert [r["replicas"] for r in report["rows"]] == [2, 4]
 
+    def test_empty_replica_counts_are_rejected(self):
+        """``[]`` is not "unset": only ``None`` sizes ``1..max_replicas``."""
+        with pytest.raises(ValueError, match="replica_counts"):
+            serve_report(PAPER_CONFIGS["126M"], scenario="steady",
+                         rate_rps=20.0, duration_s=5.0, replica_counts=[])
+
 
 class TestScenarioSweep:
     """Every traffic scenario, latency-only, at the fleet ``serve_report``
@@ -127,7 +176,8 @@ class TestScenarioSweep:
                 n_replicas=pricing["recommended_replicas"],
                 gpus_per_replica=self.GPUS, policy=self.POLICY,
                 cache=TileCache(self.CACHE_CAPACITY),
-                config=PAPER_CONFIGS["1B"])
+                service_time=service_time_model(PAPER_CONFIGS["1B"],
+                                                gpus_per_replica=self.GPUS))
             rows[scenario] = service.run(gen.generate()).summary()
         return pricing, rows
 

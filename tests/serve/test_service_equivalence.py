@@ -224,8 +224,6 @@ class TestServiceValidation:
         with pytest.raises(ValueError):
             DownscalingService(n_replicas=0)
         with pytest.raises(ValueError):
-            DownscalingService(hit_latency_s=-1.0)
-        with pytest.raises(ValueError):
             BatchPolicy(max_batch=0)
         with pytest.raises(ValueError):
             BatchPolicy(max_wait_s=-0.1)

@@ -18,19 +18,18 @@ import pytest
 
 from repro.core import PAPER_CONFIGS, ModelConfig, Reslim
 from repro.data import DatasetSpec, DownscalingDataset, Grid
-from repro.distributed import (
-    ServiceTimeModel,
-    cache_aware_service_time,
-    serve_report,
-    tile_service_time_model,
-)
 from repro.serve import (
+    DEFAULT_SERVICE_TIME,
     ROLLING,
     BatchPolicy,
     DownscalingService,
+    ServiceTimeModel,
     TileCache,
     TilePlan,
     TrafficGenerator,
+    cache_aware_service_time,
+    serve_report,
+    service_time_model,
 )
 from repro.tensor import Tensor, no_grad
 from repro.testing import warm_head
@@ -295,17 +294,13 @@ class TestTiledBitwiseServing:
         with pytest.raises(ValueError, match="coarse_shape"):
             DownscalingService(model, n_tiles=4, halo=2, tile_serving=True)
 
-    def test_rejects_bare_service_time_callable(self):
-        """A plain ``batch -> seconds`` callable cannot be split per
-        tile; it must be refused, not silently swapped for the default."""
-        with pytest.raises(ValueError, match="bare service_time"):
+    def test_rejects_a_model_missing_a_tile_signature(self):
+        """A whole-request model cannot price tiles; it must be refused,
+        not silently swapped for the default."""
+        with pytest.raises(ValueError, match="prices no signature"):
             DownscalingService(n_tiles=4, halo=2, coarse_shape=COARSE,
-                               tile_serving=True, service_time=lambda n: 1.0)
-        geometry = dict(n_tiles=4, halo=2, coarse_shape=COARSE, tile_serving=True)
-        default = DownscalingService(**geometry).tile_service_time
-        priced = DownscalingService(**geometry, service_time=ServiceTimeModel(
-            dispatch_s=0.0, per_sample_s=1.0)).tile_service_time
-        assert priced.mean_tile_s == pytest.approx(50 * default.mean_tile_s)
+                               tile_serving=True,
+                               service_time=ServiceTimeModel(0.0, {(): 1.0}))
 
 
 # --------------------------------------------------------------------- #
@@ -373,33 +368,45 @@ class TestRollingForecast:
 # --------------------------------------------------------------------- #
 class TestHitRateAwarePerfModel:
     def test_tile_service_time_partitions_request_time(self):
-        from repro.core import make_tiles
-
-        tm = tile_service_time_model(None, coarse_shape=(8, 16), n_tiles=8,
-                                     halo=1, per_sample_s=0.1)
-        sigs = [s.halo_shape for s in make_tiles(8, 16, 8, 1)]
+        tm = service_time_model(coarse_shape=(8, 16), n_tiles=8, halo=1)
+        plan = TilePlan.build((8, 16), 8, 1, 1)
         # per-tile work sums back to slightly more than the whole-request
         # work — the halo-overlap overhead, and nothing else
-        total = sum(tm.tile_time(sig) for sig in sigs)
-        assert 0.1 < total < 0.2
+        whole = DEFAULT_SERVICE_TIME.unit_s[()]
+        total = sum(tm.unit_s[plan.signature(i)] for i in range(8))
+        assert whole < total < 2 * whole
         # interior-column tiles carry halos on both sides — they cost
         # more than the clamped corner tiles
-        assert {(5, 5), (5, 6)} == set(tm.tile_s)
-        assert tm.tile_time((5, 5)) < tm.tile_time((5, 6))
+        assert {(5, 5), (5, 6)} == set(tm.unit_s) == plan.signatures()
+        assert tm.unit_s[(5, 5)] < tm.unit_s[(5, 6)]
         # batching pays dispatch once
-        assert tm(4, (5, 5)) == pytest.approx(
-            tm.dispatch_s + 4 * tm.tile_time((5, 5)))
+        assert tm(4, (5, 5)) == tm.dispatch_s + 4 * tm.unit_s[(5, 5)]
 
     def test_cache_aware_interpolates(self):
-        tm = tile_service_time_model(None, coarse_shape=(8, 16), n_tiles=4,
-                                     halo=2, per_sample_s=0.1)
-        cold = cache_aware_service_time(tm, 4, 0.0)
-        warm = cache_aware_service_time(tm, 4, 0.9)
-        hot = cache_aware_service_time(tm, 4, 1.0)
-        assert cold.per_sample_s > warm.per_sample_s > hot.per_sample_s
-        assert hot.per_sample_s == 0.0
+        tm = service_time_model(coarse_shape=(8, 16), n_tiles=4, halo=2)
+        sigs = [(6, 10)] * 4
+        cold = cache_aware_service_time(tm, sigs, 0.0).unit_s[()]
+        warm = cache_aware_service_time(tm, sigs, 0.9).unit_s[()]
+        hot = cache_aware_service_time(tm, sigs, 1.0).unit_s[()]
+        assert cold > warm > hot == 0.0
         with pytest.raises(ValueError):
-            cache_aware_service_time(tm, 4, 1.5)
+            cache_aware_service_time(tm, sigs, 1.5)
+
+    @pytest.mark.parametrize("n_tiles,grid", [
+        (4, (32, 64)), (6, (12, 18)), (9, (12, 12))])
+    def test_cold_request_is_the_sum_over_its_tiles(self, n_tiles, grid):
+        """At 6 and 9 tiles the signatures occur unequally often (6: four
+        corners and two middles), so ``n_tiles`` × the mean over distinct
+        signatures over-prices the cold request (by 2.1 and 5.4 % at 1B);
+        the sum over the plan's tiles is the price."""
+        tm = service_time_model(PAPER_CONFIGS["1B"], n_tiles=n_tiles, halo=2,
+                                coarse_shape=grid)
+        plan = TilePlan.build(grid, n_tiles, 2, 1)
+        sigs = [plan.signature(i) for i in range(n_tiles)]
+        cold = cache_aware_service_time(tm, sigs, 0.0)
+        assert cold.unit_s[()] == pytest.approx(
+            sum(tm.unit_s[sig] for sig in sigs), rel=1e-12)
+        assert cold.dispatch_s == tm.dispatch_s
 
     def test_serve_report_hit_rate_sensitivity(self):
         report = serve_report(TINY, rate_rps=40.0, slo_p99_s=0.5,
@@ -437,14 +444,16 @@ class TestRollingVsWholeRequest:
         svc = DownscalingService(
             n_replicas=self.N_REPLICAS, gpus_per_replica=self.GPUS,
             policy=self.POLICY, cache=TileCache(64),
-            config=PAPER_CONFIGS["1B"], **tiling)
+            service_time=service_time_model(PAPER_CONFIGS["1B"],
+                                            gpus_per_replica=self.GPUS,
+                                            **tiling),
+            tile_serving=bool(tiling), **tiling)
         return svc.run(gen.generate()).summary()
 
     @pytest.fixture(scope="class")
     def rolling(self):
         whole = self._run()
-        tile = self._run(n_tiles=N_TILES, halo=HALO, coarse_shape=self.GRID,
-                         tile_serving=True)
+        tile = self._run(n_tiles=N_TILES, halo=HALO, coarse_shape=self.GRID)
         sizing = serve_report(
             PAPER_CONFIGS["1B"], scenario="burst", rate_rps=40.0,
             duration_s=10.0, slo_p99_s=0.5, max_replicas=8,
