@@ -58,6 +58,7 @@ from ..obs.tracer import active_tracer, span
 from ..nn.flat import FlatParamBuffer, flatten_grads
 from ..nn.module import Parameter
 from ..tensor import CompiledStep, Tensor
+from ..tensor.compile import Arena
 from .bucketer import GradBucketer, aligned_ring_chunks
 from .comm import ProcessGroup, VirtualCluster
 
@@ -281,6 +282,7 @@ class CompositeStrategy:
         self.compile = bool(compile)
         self._compile_guard = compile_guard
         self._compiled: dict[tuple[int, int], CompiledStep] = {}
+        self._arena = Arena()   # the units' plans replay one after another
         self._active_loss_fn = loss_fn
         self.steps = 0
         self._model_factory = None
@@ -425,7 +427,7 @@ class CompositeStrategy:
         step = self._compiled.get((d, t))
         if step is None:
             step = CompiledStep(self._make_tile_fn(d, t),
-                                guard_extra=self._guard_key)
+                                guard_extra=self._guard_key, arena=self._arena)
             self._compiled[(d, t)] = step
         return step
 

@@ -27,9 +27,14 @@ ORBIT/AERIS throughput stories rest on):
 3. **arena** — ops allocate forward buffers through ``tensor._alloc``,
    declaring each one's kind.  A first, learning pass times each
    buffer's life, writer to last reader through any view, and is freed;
-   the capture pass then allocates in one slab packed from those lives.
+   the capture pass then allocates in slabs packed from those lives.
    A forward-only plan so keeps what its forward still needs, not every
-   buffer it allocated.  Slab plus inputs is ``arena_bytes``.
+   buffer it allocated.  Persistent buffers (content set at allocation)
+   go in the plan's own slab; every other buffer is rewritten by its
+   writer on every replay, so it goes in the shared slab of the plan's
+   :class:`Arena`, which the owner's plans take in turn: they never run
+   at once.  Distinct shared slabs, plus each plan's own slab and
+   inputs, are ``arena_bytes``.
 4. **guard + replay** — cheap guards on input shapes/dtypes plus an
    optional extra guard (training flag, loss scale) trigger transparent
    recapture on mismatch.  Replay copies the inputs into the captured
@@ -99,25 +104,72 @@ class _Buffer(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """A step's allocations, their slab offsets and the slab size."""
+    """A step's allocations and their offsets: a persistent buffer's in
+    the plan's own slab of ``own`` bytes, any other's in the shared slab
+    of ``nbytes``."""
     buffers: list
     offsets: list
     nbytes: int
+    own: int
+
+
+def _aligned(nbytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh allocation and its ``nbytes`` view at an aligned address."""
+    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -byte_bounds(raw)[0] % _ALIGN
+    return raw, raw[start:start + nbytes]
+
+
+class Arena:
+    """The shared slab of one owner's plans, which never run at once.
+
+    A plan that fits takes the current slab; one that does not takes a
+    new, larger slab, which becomes current, while older plans keep
+    theirs, so the arena never forces a recapture.  A slab is freed with
+    its last plan; ``arena_bytes`` counts each live slab once.
+    """
+
+    def __init__(self):
+        self._current: np.ndarray | None = None   # aligned view of a raw slab
+        self._plans: dict[int, int] = {}          # id(raw slab) -> plans on it
+
+    def take(self, nbytes: int) -> np.ndarray:
+        """The first ``nbytes`` of the current slab, grown to fit."""
+        if self._current is None or self._current.nbytes < nbytes:
+            self._current = _aligned(nbytes)[1]
+        raw = self._current.base
+        if id(raw) not in self._plans:
+            self._plans[id(raw)] = 0
+            _COUNTERS["arena_bytes"] += raw.nbytes
+        self._plans[id(raw)] += 1
+        return self._current[:nbytes]
+
+    def give(self, slab: np.ndarray) -> None:
+        """Return a slab ``take`` handed out; its last plan frees it."""
+        raw = slab.base
+        self._plans[id(raw)] -= 1
+        if not self._plans[id(raw)]:
+            del self._plans[id(raw)]
+            _COUNTERS["arena_bytes"] -= raw.nbytes
+            if self._current is not None and self._current.base is raw:
+                self._current = None
 
 
 class _Recorder:
     """Collects ``(out, parents, op, replay)`` in execution order, and the
     buffers ops allocate: without a plan plain arrays, kept alive so each
-    has its own addresses; with one, views of ``slab`` at their offsets.
+    has its own addresses; with one, views of the ``shared`` slab, or of
+    ``own`` for a persistent buffer, at their offsets.
     """
 
-    __slots__ = ("records", "buffers", "arrays", "_plan", "_slab")
+    __slots__ = ("records", "buffers", "arrays", "_plan", "_slabs")
 
-    def __init__(self, plan: _Plan | None = None, slab: np.ndarray | None = None):
+    def __init__(self, plan: _Plan | None = None, shared: np.ndarray | None = None,
+                 own: np.ndarray | None = None):
         self.records: list[tuple] = []
         self.buffers: list[_Buffer] = []
         self.arrays: list[np.ndarray] = []
-        self._plan, self._slab = plan, slab
+        self._plan, self._slabs = plan, (shared, own)
 
     def record(self, out, parents, op, replay) -> None:
         self.records.append((out, parents, op, replay))
@@ -132,8 +184,10 @@ class _Recorder:
             if spec is None or spec[:2] != want or spec[4:] != (kind, writer):
                 raise CompileError("the step allocated differently on its second "
                                    f"capture pass (allocation {i}, op {writer})")
-            buf = np.ndarray(spec.shape, spec.dtype, self._slab,
-                             self._plan.offsets[i], spec.strides)
+            shared, own = self._slabs
+            slab = own if kind == PERSISTENT else shared
+            buf = np.ndarray(spec.shape, spec.dtype, slab, self._plan.offsets[i],
+                             spec.strides)
         if fill is not None:
             buf[...] = fill
         self.arrays.append(buf)
@@ -216,23 +270,33 @@ class CompiledStep:
         Optional ``(name: str) -> context manager`` used to wrap capture
         and replay in ``engine/capture`` / ``engine/replay`` tracing
         spans (see :mod:`repro.obs`).
+    arena:
+        The :class:`Arena` whose shared slab the plan takes; its owner's
+        other plans must never run at once with this one.  Default: a
+        private one.
     """
 
     def __init__(self, fn, forward_only: bool = False, guard_extra=None,
-                 span=None):
+                 span=None, arena: Arena | None = None):
         self._fn = fn
         self.forward_only = bool(forward_only)
         self._guard_extra = guard_extra
         self._span = span
+        self._arena = arena if arena is not None else Arena()
+        self._slab: np.ndarray | None = None
         self._drop()
 
     def _drop(self) -> None:
-        """Forget the plan and every buffer it holds (no gauge update)."""
+        """Forget the plan and every buffer it holds; the shared slab goes
+        back to the arena (the plan's own gauge share is the caller's)."""
+        if self._slab is not None:
+            self._arena.give(self._slab)
         self._key = None
         self._in_bufs: list[np.ndarray] = []
         self._out_bufs: tuple[np.ndarray, ...] = ()
         self._plan: _Plan | None = None
-        self._slab: np.ndarray | None = None
+        self._slab: np.ndarray | None = None   # the shared slab
+        self._own: np.ndarray | None = None    # the persistent buffers' slab
         self._fwd_program: list = []
         self._bw_program: list = []
         self._priced: list[tuple] = []
@@ -257,7 +321,8 @@ class CompiledStep:
         """Run one step; returns the output buffers (refreshed in place).
 
         The returned arrays are the live arena buffers: read or copy them
-        before the next call, never hold them across steps.
+        before the next call of any plan in its arena, never hold them
+        across steps.
         """
         arrays = [np.asarray(a) for a in arrays]
         key = self._guard_key(arrays)
@@ -283,7 +348,8 @@ class CompiledStep:
         return self._key is not None
 
     def release(self) -> None:
-        """Drop the current plan and return its arena to the allocator.
+        """Drop the current plan, free its own slab and give the shared
+        one back to the arena.
 
         The next call recaptures without charging ``guard_misses``: the
         replan path releases plans whose world no longer exists.
@@ -301,11 +367,10 @@ class CompiledStep:
         try:
             self._in_bufs = [np.array(a, dtype=np.float32) for a in arrays]
             plan = self._learn()
-            # the learning pass's buffers are gone: only now take the slab
-            raw = np.empty(plan.nbytes + _ALIGN, dtype=np.uint8)
-            start = -byte_bounds(raw)[0] % _ALIGN
-            self._slab = raw[start:start + plan.nbytes]
-            rec = _Recorder(plan, self._slab)
+            # the learning pass's buffers are gone: only now take the slabs
+            self._slab = self._arena.take(plan.nbytes)
+            raw, self._own = _aligned(plan.own)
+            rec = _Recorder(plan, self._slab, self._own)
             outs = self._run(rec)
             if len(rec.buffers) != len(plan.buffers):
                 raise CompileError("the step allocated less on its second pass")
@@ -349,8 +414,16 @@ class CompiledStep:
             _COUNTERS.update(counts)
             if counter is not None:
                 counter.total = flops
-        offsets, nbytes = _pack([b.nbytes for b in rec.buffers], intervals)
-        return _Plan(rec.buffers, offsets, nbytes)
+        offsets, sizes = [0] * len(rec.buffers), []
+        for persistent in (False, True):
+            group = [i for i, b in enumerate(rec.buffers)
+                     if (b.kind == PERSISTENT) == persistent]
+            packed, size = _pack([rec.buffers[i].nbytes for i in group],
+                                 [intervals[i] for i in group])
+            for i, off in zip(group, packed):
+                offsets[i] = off
+            sizes.append(size)
+        return _Plan(rec.buffers, offsets, *sizes)
 
     def _build(self, rec: _Recorder, outs: tuple[Tensor, ...]) -> None:
         """The forward and backward programs of the capture pass."""
@@ -451,7 +524,8 @@ class CompiledForward:
 
     Keeps a small LRU plan cache, one program per input shape — batch
     width included: tile serving runs each tile signature at the widths
-    its batches split into.  At ``_MAX_PLANS`` the least-recently-used
+    its batches split into.  The plans never run at once, so they take
+    one :class:`Arena`.  At ``_MAX_PLANS`` the least-recently-used
     plan alone is released, so a working set at the cap never recaptures
     more than the shape that is new.  Returns a fresh copy of the output
     so callers may hold results across calls.  It is not the model:
@@ -467,6 +541,7 @@ class CompiledForward:
         self._model = model
         self._span = span
         self._plans: dict[tuple, CompiledStep] = {}
+        self._arena = Arena()
 
     def release(self) -> None:
         for step in self._plans.values():
@@ -482,7 +557,7 @@ class CompiledForward:
             if len(self._plans) >= self._MAX_PLANS:
                 self._plans.pop(next(iter(self._plans))).release()
             step = CompiledStep(lambda t: self._model(t), forward_only=True,
-                                span=self._span)
+                                span=self._span, arena=self._arena)
         self._plans[key] = step     # most recently used last
         out, = step(arr)
         return Tensor(out.copy())

@@ -1,26 +1,29 @@
 """Poisoned replay, the oracle for a compiled plan's liveness: NaN
-shows a read of reused slab bytes that stale bytes can hide."""
+shows a read of shared slab bytes that stale bytes can hide."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..tensor.tensor import PERSISTENT
 
 __all__ = ["poisoned_replay"]
 
 
 def poisoned_replay(step, *arrays) -> tuple[np.ndarray, ...]:
     """Replay ``step`` on ``arrays``, which it holds a plan for, with every
-    reused slab region (one another buffer shares bytes of) NaN-filled
-    just before the op that writes it runs.  Returns the step's outputs."""
+    region of its shared slab NaN-filled just before the op that writes it
+    runs.  In a shared arena any of those bytes may hold another plan's
+    data, so none may be read before its writer; the plan's own slab of
+    persistent buffers is left as it is.  Returns the step's outputs."""
     arrays = [np.asarray(a) for a in arrays]
     if not step.captured or step._guard_key(arrays) != step._key:
         raise ValueError("poisoned_replay needs a plan captured for these inputs")
     plan, slab, program = step._plan, step._slab, step._fwd_program
-    spans = [(o, o + b.nbytes) for o, b in zip(plan.offsets, plan.buffers)]
     regions: dict[int, list[tuple[int, int]]] = {}
-    for i, (lo, hi) in enumerate(spans):
-        if any(j != i and lo < e and o < hi for j, (o, e) in enumerate(spans)):
-            regions.setdefault(plan.buffers[i].writer, []).append((lo, hi))
+    for off, b in zip(plan.offsets, plan.buffers):
+        if b.kind != PERSISTENT:
+            regions.setdefault(b.writer, []).append((off, off + b.nbytes))
 
     def poisoned(thunk, owned):
         def run():
@@ -30,6 +33,8 @@ def poisoned_replay(step, *arrays) -> tuple[np.ndarray, ...]:
         return run
 
     writers = [j for j, rec in enumerate(step._records) if rec[3] != "view"]
+    if set(regions) - set(writers):
+        raise ValueError("a shared buffer has no forward writer to poison it before")
     step._fwd_program = [poisoned(t, regions[j]) if j in regions else t
                          for t, j in zip(program, writers)]
     try:

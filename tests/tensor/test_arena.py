@@ -9,9 +9,16 @@
   the slab at once.
 * **training plan** — one ``CompositeStrategy`` tile step: ``arena_bytes``
   within 2 % of the bytes retained.
+* **shared arena** — a ``CompositeStrategy``'s unit plans share one slab:
+  ``arena_bytes`` is that slab once plus each plan's own slab and inputs,
+  within 2 % of the bytes retained, and back at its baseline after the
+  plans are released or resharded away; either capture order of two
+  widths captures once per plan, the larger first into one slab; and
+  interleaved poisoned replays of two units are bitwise equal to eager.
 * **planted faults** — a liveness interval ended one record early, and
   flash's ``kv1`` with its persistent kind dropped, each fail the
-  poisoned replay.
+  poisoned replay, the latter also in a training plan where no buffer of
+  its own shares those bytes.
 * **failed capture** — a step that raises mid-capture, on either pass,
   leaves no bytes and no gauge behind.
 """
@@ -26,7 +33,8 @@ import pytest
 import repro.tensor.compile as compile_module
 from repro.core import ModelConfig, Reslim
 from repro.distributed import CompositePlan, CompositeStrategy, VirtualCluster
-from repro.tensor import CompiledStep, CompileError, Tensor, graph_counters, no_grad
+from repro.tensor import (CompiledForward, CompiledStep, CompileError, Tensor,
+                          graph_counters, no_grad)
 from repro.tensor.tensor import PERSISTENT, SAVED
 from repro.testing import warm_head
 from repro.testing.poison import poisoned_replay
@@ -103,14 +111,8 @@ def test_serve_plan_is_small_exact_and_poison_clean(width):
 
 
 def test_training_plan_arena_matches_retained_bytes():
-    cfg = ModelConfig("e2e-composite", embed_dim=32, depth=2, num_heads=4)
-    strategy = CompositeStrategy(CompositePlan(VirtualCluster(2), tiles=2),
-                                 loss_fn=_mse, halo=2, factor=2, compile=True)
-    strategy.setup(lambda u: warm_head(Reslim(
-        cfg, TILE[0], 3, factor=2, max_tokens=512, rng=np.random.default_rng(u))))
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((1, TILE[0], 16, 32)).astype(np.float32)
-    y = rng.standard_normal((1, 3, 32, 64)).astype(np.float32)
+    strategy = _composite()
+    x, y = _batch(1)
     strategy._active_loss_fn = _mse
     strategy._buffer(0, 0).zero_grad()   # leaf gradients land in the flat buffer
     step = strategy._compiled_step(0, 0)
@@ -131,6 +133,117 @@ def test_training_plan_arena_matches_retained_bytes():
 def _mse(pred, target):
     d = pred - target
     return (d * d).mean()
+
+
+def _composite(ddp=1, tiles=2):
+    cfg = ModelConfig("e2e-composite", embed_dim=32, depth=2, num_heads=4)
+    strategy = CompositeStrategy(CompositePlan(VirtualCluster(ddp * tiles), tiles=tiles,
+                                               ddp=ddp),
+                                 loss_fn=_mse, halo=2, factor=2, compile=True)
+    strategy.setup(lambda u: warm_head(Reslim(
+        cfg, TILE[0], 3, factor=2, max_tokens=512, rng=np.random.default_rng(u))))
+    return strategy
+
+
+def _batch(n, seed=3):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, TILE[0], 16, 32)).astype(np.float32),
+            rng.standard_normal((n, 3, 32, 64)).astype(np.float32))
+
+
+def _slabs(steps):
+    """The distinct shared slabs ``steps`` hold."""
+    return {id(s._slab.base): s._slab.base for s in steps}.values()
+
+
+def test_unit_plans_share_one_slab_counted_once():
+    strategy = _composite(ddp=2, tiles=2)
+    x, y = _batch(2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        np_base, arena0 = _numpy_bytes(), graph_counters()["arena_bytes"]
+        strategy.forward_backward(x, y)
+        arena = graph_counters()["arena_bytes"] - arena0
+        np_retained = _numpy_bytes() - np_base
+    finally:
+        tracemalloc.stop()
+    steps = list(strategy._compiled.values())
+    slabs = list(_slabs(steps))
+    assert len(steps) == 4 and len(slabs) == 1
+    assert arena == slabs[0].nbytes + sum(s._arena_bytes for s in steps)
+    assert abs(arena - np_retained) <= 0.02 * np_retained, (arena, np_retained)
+    # one slab, not four: every plan's own share is small beside it
+    assert sum(s._arena_bytes for s in steps) < slabs[0].nbytes
+    strategy._release_compiled()
+
+
+def test_gauge_returns_to_baseline_after_release_and_reshard():
+    strategy = _composite(ddp=2, tiles=2)
+    x, y = _batch(2)
+    gc.collect()
+    arena0 = graph_counters()["arena_bytes"]
+    strategy.forward_backward(x, y)
+    held = graph_counters()["arena_bytes"] - arena0
+    assert held > 0
+    strategy._release_compiled()
+    assert graph_counters()["arena_bytes"] == arena0
+    strategy.forward_backward(x, y)
+    assert graph_counters()["arena_bytes"] - arena0 == held
+    strategy.reshard(CompositePlan(VirtualCluster(2), tiles=2))
+    assert graph_counters()["arena_bytes"] == arena0
+    strategy.forward_backward(x[:1], y[:1])
+    assert 0 < graph_counters()["arena_bytes"] - arena0 < held
+    strategy._release_compiled()
+    assert graph_counters()["arena_bytes"] == arena0
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_either_capture_order_captures_once_per_plan(order):
+    model = _serve_model()
+    fwd = CompiledForward(model)
+    tiles = {w: _tile(w, 6 + w) for w in order}
+    c0 = graph_counters()
+    for _ in range(3):
+        for w in order:
+            assert np.array_equal(fwd(tiles[w]).data, _eager(model, tiles[w]))
+    c = graph_counters()
+    assert c["captures"] - c0["captures"] == 2
+    assert c["guard_misses"] == c0["guard_misses"]
+    steps = list(fwd._plans.values())
+    slabs = list(_slabs(steps))
+    # a narrower plan keeps the slab it took; a wider-first arena has one
+    assert len(slabs) == (2 if order == (1, 2) else 1)
+    assert c["arena_bytes"] - c0["arena_bytes"] == (
+        sum(s.nbytes for s in slabs) + sum(s._arena_bytes for s in steps))
+    fwd.release()
+    assert graph_counters()["arena_bytes"] == c0["arena_bytes"]
+
+
+def test_interleaved_poisoned_replays_of_two_units_are_eager_bitwise():
+    strategy = _composite(tiles=2)
+    x, y = _batch(1)
+    strategy._active_loss_fn = _mse
+    steps = [strategy._compiled_step(0, t) for t in range(2)]
+    eager = []
+    for t, step in enumerate(steps):
+        buf = strategy._buffer(0, t)
+        buf.zero_grad()
+        loss, out = strategy._unit_loss(strategy._unit(0, t), Tensor(x), Tensor(y),
+                                        t, _mse)
+        loss.backward()
+        eager.append((loss.data.copy(), out.data.copy(), buf.grad.copy()))
+        buf.zero_grad()
+        step(x, y)                        # capture, both into one slab
+    assert len(list(_slabs(steps))) == 1
+    for _ in range(2):
+        for t, step in enumerate(steps):
+            buf = strategy._buffer(0, t)
+            buf.zero_grad()
+            loss, out = poisoned_replay(step, x, y)
+            for got, want in zip((loss, out, buf.grad), eager[t]):
+                assert np.array_equal(got, want)
+    strategy._release_compiled()
 
 
 def _end_one_interval_early(liveness):
@@ -169,6 +282,31 @@ def test_planner_catches_planted_liveness_bug(fault, monkeypatch):
     out, = poisoned_replay(step, x)
     assert not np.array_equal(out, _eager(model, x))
     step.release()
+
+
+def test_fill_read_from_a_shared_slab_fails_without_reuse_in_its_plan(monkeypatch):
+    """``kv1`` declared saved lives to the end of a training plan, so no
+    buffer of that plan shares its bytes; in a shared arena another plan
+    may write them, and the poisoned replay shows the ones column read."""
+    monkeypatch.setattr(flash_module, "_alloc",
+                        _drop_kv1_persistent(flash_module._alloc))
+    strategy = _composite(tiles=2)
+    x, y = _batch(1)
+    strategy._active_loss_fn = _mse
+    step = strategy._compiled_step(0, 0)
+    loss, _ = step(x, y)
+    loss = loss.copy()
+    plan = step._plan
+    spans = [(o, o + b.nbytes) for o, b in zip(plan.offsets, plan.buffers)
+             if b.kind != PERSISTENT]
+    kv1 = [(o, o + b.nbytes) for o, b in zip(plan.offsets, plan.buffers)
+           if b.kind == SAVED and len(b.shape) == 4 and b.shape[0] == 2]
+    assert kv1
+    for lo, hi in kv1:
+        assert sum(lo < e and o < hi for o, e in spans) == 1   # only itself
+    assert np.array_equal(step(x, y)[0], loss)   # alone in its arena: hidden
+    assert not np.array_equal(poisoned_replay(step, x, y)[0], loss)
+    strategy._release_compiled()
 
 
 @pytest.mark.parametrize("when", ["first_pass", "second_pass"])

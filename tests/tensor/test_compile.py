@@ -537,28 +537,34 @@ def test_forward_plan_cache_evicts_the_least_recently_used_plan_only():
     # the collector frees mid-test would move it, so free those first
     gc.collect()
     arena0 = graph_counters()["arena_bytes"]
-    size = {}                         # one plan's bytes per width, alone
-    for width in range(1, cap + 2):
+    size, own = {}, {}   # one plan's bytes per width, alone; and those of
+    for width in range(1, cap + 2):   # its own slab and input
         alone = CompiledStep(model, forward_only=True)
         alone(x(width))
-        size[width] = arena()
+        size[width], own[width] = arena(), alone._arena_bytes
         alone.release()
+    # the plans share one arena: a plan takes a new shared slab only where
+    # it outgrows the current one (64-byte aligned, so about five widths
+    # fit one slab), and each older slab keeps a plan on it
+    grown = {1} | {n for n in range(2, cap + 2)
+                   if size[n] - own[n] > size[n - 1] - own[n - 1]}
+    assert 1 < len(grown) < cap and not {2, 3} & grown
     reset_graph_counters()
     for width in range(1, cap + 1):
         fwd(x(width))
-    held = sum(size[n] for n in range(1, cap + 1))
+    held = sum(size[n] if n in grown else own[n] for n in range(1, cap + 1))
     assert graph_counters()["captures"] == cap and arena() == held
     fwd(x(1))                         # width 1 becomes most recent,
-    fwd(x(cap + 1))                   # so the new shape evicts width 2
-    held += size[cap + 1] - size[2]
-    assert arena() == held
+    fwd(x(cap + 1))                   # so the new shape evicts width 2;
+    held += (size if cap + 1 in grown else own)[cap + 1] - own[2]
+    assert arena() == held            # width 3 holds width 1's slab
     reset_graph_counters()
     for width in (1, *range(3, cap + 2)):
         assert np.array_equal(fwd(x(width)).data, np.tanh(x(width) * w.data))
     c = graph_counters()
     assert c["captures"] == 0 and c["replays"] == cap
-    fwd(x(2))                         # back, at the cost of width 1
-    held += size[2] - size[1]
+    fwd(x(2))                         # back, at the cost of width 1, into
+    held += own[2] - own[1]           # the current slab
     assert graph_counters()["captures"] == 1 and arena() == held
     assert len(fwd._plans) == cap
     fwd.release()
