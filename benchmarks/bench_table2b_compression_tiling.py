@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import ModelConfig, PAPER_CONFIGS, Reslim, TiledDownscaler
 from repro.distributed import DownscalingWorkload, time_per_sample
-from repro.tensor import Tensor, no_grad
+from repro.tensor import FlopCounter, Tensor, no_grad
 
 from benchmarks.common import write_table
 
@@ -101,8 +101,10 @@ def test_table2b_modelled_speedups(benchmark):
 
 
 def test_measured_compression_speedup_and_accuracy(benchmark):
-    """At toy scale: compression reduces sequence length and wall time
-    without wrecking the output (accuracy columns of Table II(b))."""
+    """At toy scale: compression reduces sequence length and forward
+    FLOPs (accuracy columns of Table II(b)).  The golden pins the
+    deterministic columns exactly; wall clock is appended to the results
+    table, never pinned (it drifts run to run and with kernel epochs)."""
     base = Reslim(TINY, 23, 3, factor=4, max_tokens=1024,
                   rng=np.random.default_rng(0))
     comp = Reslim(TINY, 23, 3, factor=4, compression=0.01,
@@ -113,14 +115,23 @@ def test_measured_compression_speedup_and_accuracy(benchmark):
     t_base = _timeit(lambda: base(x))
     t_comp = benchmark.pedantic(lambda: _timeit(lambda: comp(x)),
                                 rounds=1, iterations=1)
-    with no_grad():
+    with no_grad(), FlopCounter() as base_flops:
+        base(x)
+    with no_grad(), FlopCounter() as comp_flops:
         comp(x)
     assert comp.last_compression_ratio > 1.0
     assert comp.last_sequence_length < base.sequence_length(*COARSE)
     lines = [
-        "Measured (toy scale): compression forward-time effect",
-        f"baseline: {t_base * 1e3:.2f} ms, seq {base.sequence_length(*COARSE)}",
-        f"compressed: {t_comp * 1e3:.2f} ms, seq {comp.last_sequence_length} "
-        f"(ratio {comp.last_compression_ratio:.1f}x)",
+        "Measured (toy scale): compression forward cost",
+        f"baseline: seq {base.sequence_length(*COARSE)}, "
+        f"{base_flops.total:.0f} FLOPs",
+        f"compressed: seq {comp.last_sequence_length} "
+        f"(ratio {comp.last_compression_ratio:.1f}x), "
+        f"{comp_flops.total:.0f} FLOPs",
     ]
-    write_table("table2b_measured_compression", lines)
+    path = write_table("table2b_measured_compression", lines, golden_rtol=0.0)
+    wall = (f"wall clock (not pinned): baseline {t_base * 1e3:.2f} ms, "
+            f"compressed {t_comp * 1e3:.2f} ms")
+    print(wall)
+    with path.open("a") as f:
+        f.write(wall + "\n")

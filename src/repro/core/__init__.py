@@ -21,6 +21,7 @@ from .swin import (
 )
 from .tiles import (
     TiledDownscaler,
+    TilePlan,
     TileSpec,
     extract_tile,
     make_tiles,
@@ -61,5 +62,6 @@ __all__ = [
     "make_tiles",
     "extract_tile",
     "stitch_tiles",
+    "TilePlan",
     "TiledDownscaler",
 ]

@@ -15,7 +15,7 @@ pixels see the same neighbourhood they would in the untiled model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "make_tiles",
     "extract_tile",
     "stitch_tiles",
+    "TilePlan",
     "TiledDownscaler",
 ]
 
@@ -59,6 +60,30 @@ class TileSpec:
     @property
     def halo_shape(self) -> tuple[int, int]:
         return (self.hy1 - self.hy0, self.hx1 - self.hx0)
+
+    def crop(self, factor: int) -> tuple[int, int, int, int]:
+        """(top, left, core_h, core_w) of the core inside this tile's
+        halo-extended output, in fine pixels."""
+        ch, cw = self.core_shape
+        return ((self.y0 - self.hy0) * factor, (self.x0 - self.hx0) * factor,
+                ch * factor, cw * factor)
+
+    def fine_core(self, factor: int) -> tuple[slice, slice]:
+        """(rows, cols) of this tile's core in the fine grid."""
+        return (slice(self.y0 * factor, self.y1 * factor),
+                slice(self.x0 * factor, self.x1 * factor))
+
+    def core_of(self, out, factor: int):
+        """The core of this tile's (B, C, H_h, W_h) fine output — a
+        :class:`Tensor` (a differentiable view) or an array — after
+        checking that its grid is the halo-extended extent × ``factor``.
+        """
+        want = (self.halo_shape[0] * factor, self.halo_shape[1] * factor)
+        if tuple(out.shape[-2:]) != want:
+            raise ValueError(
+                f"tile output {tuple(out.shape[-2:])} != expected {want}")
+        top, left, ch, cw = self.crop(factor)
+        return out[:, :, top:top + ch, left:left + cw]
 
 
 def tile_grid(n_tiles: int) -> tuple[int, int]:
@@ -144,21 +169,101 @@ def stitch_tiles(outputs: list[Tensor], specs: list[TileSpec], factor: int) -> T
         raise ValueError("tiles do not form a complete grid")
     row_tensors = []
     for r in range(rows):
-        cores = []
-        for c in range(cols):
-            out, s = by_pos[(r, c)]
-            top = (s.y0 - s.hy0) * factor
-            left = (s.x0 - s.hx0) * factor
-            ch, cw = s.core_shape
-            expected_h = (s.hy1 - s.hy0) * factor
-            expected_w = (s.hx1 - s.hx0) * factor
-            if out.shape[-2] != expected_h or out.shape[-1] != expected_w:
-                raise ValueError(
-                    f"tile output {out.shape[-2:]} != expected {(expected_h, expected_w)}"
-                )
-            cores.append(out[:, :, top : top + ch * factor, left : left + cw * factor])
+        cores = [s.core_of(out, factor)
+                 for out, s in (by_pos[(r, c)] for c in range(cols))]
         row_tensors.append(Tensor.concatenate(cores, axis=3))
     return Tensor.concatenate(row_tensors, axis=2)
+
+
+@dataclass(frozen=True)
+class TilePlan:
+    """The tile geometry of one coarse grid: every tiling path reads it.
+
+    :meth:`build` partitions ``coarse_shape`` with :func:`make_tiles`;
+    ``specs`` are in its row-major order, which :meth:`stitch` (the
+    differentiable reassembly, training and inference) and
+    :meth:`assemble` (the array reassembly of served cores) both follow,
+    so the two give the same bytes.
+    """
+
+    coarse_shape: tuple[int, int]
+    n_tiles: int
+    halo: int
+    factor: int
+    specs: tuple[TileSpec, ...]
+    # per tile, derived once: :meth:`signature`
+    _sigs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_sigs",
+                           tuple(s.halo_shape for s in self.specs))
+
+    @classmethod
+    def build(cls, coarse_shape: tuple[int, int], n_tiles: int, halo: int,
+              factor: int, uneven: bool = False) -> "TilePlan":
+        """The plan of an (h, w) grid; raises every geometry error of
+        :func:`make_tiles` (``uneven`` as there) and a factor below 1."""
+        h, w = int(coarse_shape[0]), int(coarse_shape[1])
+        if factor < 1:
+            raise ValueError(f"factor must be >= 1, got {factor}")
+        specs = tuple(make_tiles(h, w, n_tiles, halo, uneven=uneven))
+        return cls(coarse_shape=(h, w), n_tiles=n_tiles, halo=halo,
+                   factor=int(factor), specs=specs)
+
+    def signature(self, i: int) -> tuple[int, int]:
+        """Halo-extended input shape of tile ``i`` — the batching key.
+
+        Interior tiles share one signature; edge and corner tiles carry
+        clamped halos and therefore smaller ones.  Tiles in a coalesced
+        batch must share a signature so they stack into fixed-shape
+        forwards (one ``CompiledForward`` plan per width).
+        """
+        return self._sigs[i]
+
+    def signatures(self) -> set[tuple[int, int]]:
+        return set(self._sigs)
+
+    def stitch(self, outputs: list[Tensor]) -> Tensor:
+        """Differentiable reassembly of the tiles' fine outputs
+        (:func:`stitch_tiles`)."""
+        return stitch_tiles(outputs, self.specs, self.factor)
+
+    def slice_halo(self, x: np.ndarray, i: int) -> np.ndarray:
+        """Halo-extended input region of tile ``i`` from a (C, h, w) field."""
+        s = self.specs[i]
+        return x[:, s.hy0:s.hy1, s.hx0:s.hx1]
+
+    def crop_core(self, out: np.ndarray, i: int) -> np.ndarray:
+        """Crop tile ``i``'s core from its (1, C', H_h, W_h) fine output.
+
+        Returns a frozen contiguous copy — exactly what the tile cache
+        stores (frozen inputs skip the cache's defensive copy).
+        """
+        core = self.specs[i].core_of(out, self.factor).copy()
+        core.flags.writeable = False
+        return core
+
+    def assemble(self, cores: list[np.ndarray]) -> np.ndarray:
+        """Place per-tile (1, C', ch·f, cw·f) cores into the (C', H, W)
+        fine field, each copied once to where :meth:`stitch` puts it, so
+        the bytes match a whole-grid tiled forward.  Shapes are checked
+        exactly: slice assignment would broadcast a mis-shaped core
+        silently.
+        """
+        if len(cores) != self.n_tiles:
+            raise ValueError(f"{len(cores)} cores for {self.n_tiles} tiles")
+        f, (h, w), first = self.factor, self.coarse_shape, cores[0]
+        channels = first.shape[1] if first.ndim == 4 else 0
+        out = np.empty((channels, h * f, w * f), dtype=first.dtype)
+        for core, s in zip(cores, self.specs):
+            want = (1, channels, *s.crop(f)[2:])
+            if core.shape != want or core.dtype != first.dtype:
+                raise ValueError(
+                    f"tile ({s.row}, {s.col}) core {core.dtype}{core.shape} "
+                    f"!= expected {first.dtype}{want}")
+            ys, xs = s.fine_core(f)
+            out[:, ys, xs] = core[0]
+        return out
 
 
 class TiledDownscaler(Module):
@@ -200,17 +305,16 @@ class TiledDownscaler(Module):
         self.last_tile_sequence_lengths: list[int] = []
 
     def forward(self, x: Tensor) -> Tensor:
-        b, c, h, w = x.shape
         if self.n_tiles == 1:
             return self.model(x)
-        specs = make_tiles(h, w, self.n_tiles, self.halo, uneven=self.uneven)
+        plan = TilePlan.build(x.shape[-2:], self.n_tiles, self.halo,
+                              self.factor, uneven=self.uneven)
         outputs = []
         self.last_tile_sequence_lengths = []
-        for spec in specs:
-            tile_in = extract_tile(x, spec)
-            out = self.model(tile_in)
+        for spec in plan.specs:
+            out = self.model(extract_tile(x, spec))
             seq = getattr(self.model, "last_sequence_length", None)
             if seq is not None:
                 self.last_tile_sequence_lengths.append(seq)
             outputs.append(out)
-        return stitch_tiles(outputs, specs, self.factor)
+        return plan.stitch(outputs)

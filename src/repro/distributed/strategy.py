@@ -51,8 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.tiles import (TiledDownscaler, TileSpec, extract_tile, make_tiles,
-                          stitch_tiles)
+from ..core.tiles import TiledDownscaler, TilePlan, TileSpec, extract_tile
 from ..nn import Module
 from ..obs.tracer import active_tracer, span
 from ..nn.flat import FlatParamBuffer, flatten_grads
@@ -72,14 +71,16 @@ __all__ = [
 def tile_core_loss(out: Tensor, spec: TileSpec, factor: int,
                    targets: np.ndarray, loss_fn) -> Tensor:
     """Loss on a tile's core region (halo outputs cropped, Sec. III-B)."""
-    top, left = (spec.y0 - spec.hy0) * factor, (spec.x0 - spec.hx0) * factor
-    ch, cw = spec.core_shape
-    core = out[:, :, top: top + ch * factor, left: left + cw * factor]
+    core = spec.core_of(out, factor)
     # Tensor targets slice through the graph (a view getitem) so compiled
     # steps see the target as a live input instead of a frozen constant
-    sel = np.s_[:, :, spec.y0 * factor: spec.y1 * factor,
-                spec.x0 * factor: spec.x1 * factor]
+    ys, xs = spec.fine_core(factor)
+    sel = np.s_[:, :, ys, xs]
     tile_target = targets[sel] if isinstance(targets, Tensor) else Tensor(targets[sel])
+    if tile_target.shape[-2:] != core.shape[-2:]:
+        raise ValueError(
+            f"tile ({spec.row}, {spec.col}) target {tile_target.shape[-2:]} "
+            f"!= its core {core.shape[-2:]}")
     return loss_fn(core, tile_target)
 
 
@@ -351,24 +352,38 @@ class CompositeStrategy:
         k = batch // ddp
         return [slice(d * k, (d + 1) * k) for d in range(ddp)]
 
-    def _tile_specs(self, inputs) -> list[TileSpec] | None:
+    def _tile_plan(self, grid) -> TilePlan:
+        return TilePlan.build(grid, self.plan.tiles, self.halo, self.factor)
+
+    def _check_batch(self, inputs, targets) -> None:
+        """Targets pair with inputs: one per sample and, under TILES,
+        on the input grid × ``factor`` (each tile slices its core's
+        target out of it)."""
+        if targets.shape[0] != inputs.shape[0]:
+            raise ValueError(
+                f"inputs/targets batch sizes differ: "
+                f"{inputs.shape[0]} != {targets.shape[0]}")
         if self.plan.tiles == 1:
-            return None
-        h, w = inputs.shape[-2:]
-        return make_tiles(h, w, self.plan.tiles, self.halo)
+            return
+        want = tuple(n * self.factor for n in inputs.shape[-2:])
+        if tuple(targets.shape[-2:]) != want:
+            raise ValueError(
+                f"targets grid {tuple(targets.shape[-2:])} != inputs grid "
+                f"{tuple(inputs.shape[-2:])} x factor {self.factor}")
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Inference: each rank's samples, tiled over its units, stitched."""
-        specs = self._tile_specs(inputs)
+        tiles = (self._tile_plan(inputs.shape[-2:]) if self.plan.tiles > 1
+                 else None)
         outs = []
         for d, rows in enumerate(self._rank_rows(inputs.shape[0])):
             x = Tensor(inputs[rows])
-            if specs is None:
+            if tiles is None:
                 outs.append(self._unit(d, 0)(x).data)
                 continue
             tile_outs = [self._unit(d, t)(extract_tile(x, spec))
-                         for t, spec in enumerate(specs)]
-            outs.append(stitch_tiles(tile_outs, specs, self.factor).data)
+                         for t, spec in enumerate(tiles.specs)]
+            outs.append(tiles.stitch(tile_outs).data)
         return np.concatenate(outs)
 
     def forward_backward(self, inputs: np.ndarray, targets: np.ndarray,
@@ -377,10 +392,7 @@ class CompositeStrategy:
         loss_fn = loss_fn or self.loss_fn
         self._active_loss_fn = loss_fn
         plan = self.plan
-        if targets.shape[0] != inputs.shape[0]:
-            raise ValueError(
-                f"inputs/targets batch sizes differ: "
-                f"{inputs.shape[0]} != {targets.shape[0]}")
+        self._check_batch(inputs, targets)
         rank_rows = self._rank_rows(inputs.shape[0])
         if self.overlap:
             self._begin_overlap_step()
@@ -456,8 +468,7 @@ class CompositeStrategy:
         if self.plan.tiles == 1:
             out = model(xt)
             return loss_fn(out, yt), out
-        h, w = xt.shape[-2:]
-        spec = make_tiles(h, w, self.plan.tiles, self.halo)[t]
+        spec = self._tile_plan(xt.shape[-2:]).specs[t]
         out = model(extract_tile(xt, spec))
         return tile_core_loss(out, spec, self.factor, yt, loss_fn), out
 
@@ -782,6 +793,7 @@ class CompositeStrategy:
         """Flat single-model gradient matching the plan's loss
         decomposition: per-(rank, tile) microbatch gradients averaged in
         float64 (the mirror of the collectives' reduction)."""
+        self._check_batch(inputs, targets)
         thunks = []
         for rows in self._rank_rows(inputs.shape[0]):
             xt, yt = Tensor(inputs[rows]), Tensor(targets[rows])

@@ -140,7 +140,7 @@ class TileCache:
         in-place mutation of the caller's buffer cannot change what a
         future hit returns.  Arrays that arrive already frozen
         (``writeable`` flag off — e.g. tile cores cropped by
-        :class:`~repro.serve.tiling.TilePlan`) are stored as-is: the
+        :class:`~repro.core.tiles.TilePlan`) are stored as-is: the
         caller has promised immutability, so the defensive copy would be
         pure overhead.
         """

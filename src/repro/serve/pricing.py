@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..core.config import ModelConfig
-from ..core.tiles import make_tiles
+from ..core.tiles import TilePlan
 from ..distributed.perf_model import roofline_rate, transformer_flops
 from ..distributed.topology import FRONTIER, FrontierTopology
 
@@ -87,9 +87,10 @@ def service_time_model(config: ModelConfig | None = None, *,
     elif coarse_shape is None:
         raise ValueError("pricing tiles needs coarse_shape=(h, w)")
     else:
-        h, w = int(coarse_shape[0]), int(coarse_shape[1])
+        plan = TilePlan.build(coarse_shape, n_tiles, halo, 1)
+        h, w = plan.coarse_shape
         shares = {s.halo_shape: (s.halo_shape[0] * s.halo_shape[1]) / (h * w)
-                  for s in make_tiles(h, w, n_tiles, halo)}
+                  for s in plan.specs}
 
     def unit_s(share: float) -> float:
         if config is None:

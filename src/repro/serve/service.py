@@ -352,7 +352,7 @@ class _TileUnits:
 
     def finish(self, cores: list) -> np.ndarray:
         """Reassemble cached/computed cores into the served output:
-        place normalized cores where ``stitch_tiles`` does, then
+        place normalized cores where ``TilePlan.stitch`` does, then
         denormalize the assembled field — value for value what a
         whole-request forward does, so the bytes match it regardless
         of which tiles were hits.  The result is frozen, and memoised
@@ -418,11 +418,11 @@ class DownscalingService:
     A response's ``status`` is ``"ok"``, ``"shed"`` (see
     ``max_queue_depth``) or ``"rejected"``: a request whose input is not
     a finite float32 ``(C, h, w)`` array with the model's
-    ``in_channels`` — and, under ``tile_serving``, ``coarse_shape`` as
-    its grid — is answered at arrival with no output, counted on
-    ``serve/requests`` and ``serve/rejected``, kept out of the latency
-    histograms, and never probed, queued, batched or cached.  Each input
-    object is checked once per run.
+    ``in_channels`` — and, when the service tiles (``n_tiles > 1`` with a
+    ``coarse_shape``), that grid — is answered at arrival with no
+    output, counted on ``serve/requests`` and ``serve/rejected``, kept
+    out of the latency histograms, and never probed, queued, batched or
+    cached.  Each input object is checked once per run.
 
     Parameters
     ----------
@@ -447,7 +447,8 @@ class DownscalingService:
         ``predict_dataset`` does (pass the dataset's).
     n_tiles / halo / factor / coarse_shape:
         Tiled-inference configuration, validated up front through
-        :func:`repro.train.build_inference_runner`.
+        :func:`repro.train.build_inference_runner`.  A model served in
+        tiles needs ``coarse_shape``: every request is admitted on it.
     tile_serving:
         Make the *tile* the unit of serving: requests are split into
         halo tiles at admission, the cache is keyed per tile (content
@@ -455,8 +456,8 @@ class DownscalingService:
         epoch), and only missed tiles are recomputed — coalesced
         across requests into shared per-signature batches.  Requires
         ``n_tiles >= 2`` and ``coarse_shape``.  Outputs stay bitwise
-        identical to the whole-request path (the reassembly transcribes
-        ``stitch_tiles`` exactly).
+        identical to the whole-request path (both reassemble by one
+        geometry, :class:`~repro.core.tiles.TilePlan`).
     plan_epoch:
         Starting epoch folded into every cache key (whole-request and
         tile); :meth:`bump_plan_epoch` (call it after a reshard / weight
@@ -498,6 +499,9 @@ class DownscalingService:
                  autoscale: AutoscalePolicy | None = None):
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
+        if model is not None and n_tiles > 1 and coarse_shape is None:
+            raise ValueError(
+                "a model served in tiles needs coarse_shape=(h, w)")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1 (or None)")
         if autoscale is not None and autoscale.min_replicas > n_replicas:
@@ -524,20 +528,21 @@ class DownscalingService:
                 coarse_shape=coarse_shape, compile=compile)
         self._target_normalizer = target_normalizer
         self.plan_epoch = int(plan_epoch)
+        # the grid every request is admitted on, whenever the service tiles
         self.tile_plan: TilePlan | None = None
+        if n_tiles > 1 and coarse_shape is not None:
+            # latency-only runs have no model; the factor only scales
+            # the crop geometry inside keys, so any constant works
+            plan_factor = (factor if factor is not None
+                           else getattr(model, "factor", None) or 1)
+            self.tile_plan = TilePlan.build(coarse_shape, n_tiles, halo,
+                                            int(plan_factor))
         sigs = {()}
         if tile_serving:
             if n_tiles < 2:
                 raise ValueError("tile_serving needs n_tiles >= 2")
             if coarse_shape is None:
                 raise ValueError("tile_serving needs coarse_shape=(h, w)")
-            plan_factor = factor
-            if plan_factor is None:
-                # latency-only runs have no model; the factor only scales
-                # the crop geometry inside keys, so any constant works
-                plan_factor = getattr(model, "factor", None) or 1
-            self.tile_plan = TilePlan.build(coarse_shape, n_tiles, halo,
-                                            int(plan_factor))
             sigs = self.tile_plan.signatures()
             if service_time is None:
                 service_time = service_time_model(
@@ -550,8 +555,7 @@ class DownscalingService:
             raise ValueError(
                 f"service_time prices no signature {sorted(unpriced)}")
 
-        self._units = (_TileUnits(self) if self.tile_plan is not None
-                       else _WholeUnits(self))
+        self._units = _TileUnits(self) if tile_serving else _WholeUnits(self)
 
     def _denormalize(self, pred: np.ndarray) -> np.ndarray:
         """Model output to physical units, as ``predict_dataset`` does."""
@@ -561,8 +565,8 @@ class DownscalingService:
 
     def _admissible(self, x: np.ndarray | None) -> bool:
         """Admission check of a request's input: a finite float32
-        ``(C, h, w)`` array with the model's channel count and, under
-        tile serving, the plan's coarse grid.  ``None`` — a latency-only
+        ``(C, h, w)`` array with the model's channel count and, when the
+        service tiles, the plan's coarse grid.  ``None`` — a latency-only
         request — passes."""
         if x is None:
             return True

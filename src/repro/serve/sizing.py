@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from ..core.config import ModelConfig
+from ..core.tiles import TilePlan
 from ..distributed.comm import VirtualCluster
 from ..distributed.topology import FRONTIER, FrontierTopology
 from .pricing import cache_aware_service_time, service_time_model
 from .service import BatchPolicy, DownscalingService
-from .tiling import TilePlan
 from .traffic import TrafficGenerator
 
 __all__ = ["serve_report"]

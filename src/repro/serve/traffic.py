@@ -232,12 +232,10 @@ class TrafficGenerator:
                 update_times.append(t)
         update_tiles = rng.integers(0, self.n_tiles, size=len(update_times))
 
-        core_regions = None
+        plan = None
         if base is not None:
-            from ..core.tiles import make_tiles
-            h, w = base.shape[-2:]
-            core_regions = [(s.y0, s.y1, s.x0, s.x1)
-                            for s in make_tiles(h, w, self.n_tiles, 0)]
+            from ..core.tiles import TilePlan
+            plan = TilePlan.build(base.shape[-2:], self.n_tiles, 0, 1)
 
         versions = [0] * self.n_tiles
         current = base
@@ -251,10 +249,10 @@ class TrafficGenerator:
                 tile = int(update_tiles[next_update])
                 versions[tile] += 1
                 if current is not None:
-                    y0, y1, x0, x1 = core_regions[tile]
+                    ys, xs = plan.specs[tile].fine_core(1)
                     current = current.copy()
-                    current[..., y0:y1, x0:x1] = rng.standard_normal(
-                        current[..., y0:y1, x0:x1].shape).astype(current.dtype)
+                    current[..., ys, xs] = rng.standard_normal(
+                        current[..., ys, xs].shape).astype(current.dtype)
                 next_update += 1
             vt = tuple(versions)
             sample = state_index.get(vt)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.tiles import TiledDownscaler, make_tiles
+from ..core.tiles import TiledDownscaler, TilePlan
 from ..data.datasets import DownscalingDataset
 from ..data.normalize import log1p_precip
 from ..evals import evaluate_all
@@ -63,8 +63,7 @@ def build_inference_runner(model: Module, n_tiles: int = 1, halo: int = 0,
     if coarse_shape is not None:
         # raises every tile-geometry error (non-divisible grid, a halo
         # that does not fit the tile extent) before any forward pass runs
-        make_tiles(int(coarse_shape[0]), int(coarse_shape[1]), n_tiles, halo,
-                   uneven=uneven)
+        TilePlan.build(coarse_shape, n_tiles, halo, factor, uneven=uneven)
     # compile wraps the inner model: per-tile shapes are identical for
     # even tiling, so one captured program serves every tile (uneven
     # tiling falls back to one plan per distinct shape); stitching

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PAPER_CONFIGS
+from repro.core.tiles import TilePlan, extract_tile
 from repro.distributed import (
     CompositePlan,
     CompositeStrategy,
     VirtualCluster,
     plan_comm_costs,
+    tile_core_loss,
 )
+from repro.tensor import Tensor
 from repro.testing import check_parallel_equivalence
 from repro.testing.equivalence import (
     _SPECS,
@@ -183,6 +186,33 @@ class TestCompositeStrategy:
         assert strategy.forward(x).shape == (4, 1, 32, 32)
         assert len(strategy.forward_backward(
             x, np.zeros((4, 1, 32, 32), dtype=np.float32))) == 4  # units
+
+    @pytest.mark.parametrize("grid", [(32, 17), (32, 40), (30, 32)])
+    def test_targets_must_be_the_input_grid_times_factor(self, grid):
+        """A 1 x 2 tile grid slices each tile's target out of the fine
+        field: a target one column wide where the second core is 16
+        would broadcast, and a wider one would be cropped, so either
+        trained silently before the check."""
+        plan = CompositePlan(VirtualCluster(2), tiles=2)
+        strategy = CompositeStrategy(plan, loss_fn=_mse, halo=2, factor=2)
+        strategy.setup(lambda u: _make_model(oracle_config(), seed=0))
+        model = _make_model(oracle_config(), seed=0)
+        x = np.random.default_rng(0).standard_normal(
+            (2, 2, 16, 16)).astype(np.float32)
+        bad = np.zeros((2, 1, *grid), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"targets grid .* x factor 2"):
+            strategy.forward_backward(x, bad)
+        with pytest.raises(ValueError, match=r"targets grid .* x factor 2"):
+            strategy.reference_step(model, x, bad)
+        good = np.zeros((2, 1, 32, 32), dtype=np.float32)
+        assert len(strategy.forward_backward(x, good)) == 2
+        # each tile's target is checked against its core as well
+        spec = TilePlan.build((16, 16), 2, 2, 2).specs[1]
+        out = model(extract_tile(Tensor(x), spec))
+        short = np.zeros((2, 1, 32, 17), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"tile \(0, 1\) target"):
+            tile_core_loss(out, spec, 2, short, _mse)
+        assert tile_core_loss(out, spec, 2, good, _mse).shape == ()
 
 
 PLANS = st.tuples(*[st.sampled_from([1, 2, 4])] * 3).filter(

@@ -2,7 +2,7 @@
 
 ``DownscalingService.run`` checks each input once per object per run —
 a finite float32 ``(C, h, w)`` array with the model's channel count and,
-under tile serving, the plan's coarse grid.  A request that fails is
+when the service tiles, the plan's coarse grid.  A request that fails is
 answered at arrival with ``status="rejected"``: counted on
 ``serve/requests`` and ``serve/rejected``, outside the latency
 histograms, and never probed, queued, batched or cached — so a healthy
@@ -57,27 +57,33 @@ def _hostile(kind):
     return x
 
 
+#: service arguments per mode: whole requests, whole requests through a
+#: tiled runner, tile serving
+MODES = {"whole": {}, "whole_tiled": TILING,
+         "tiled": dict(TILING, tile_serving=True)}
+
+
 def _service(model, mode, max_batch=2):
     # max_batch 2 at width 2: a queued hostile unit would share the
     # healthy one's batch and forward
     return DownscalingService(
         model, n_replicas=1,
         policy=BatchPolicy(max_batch=max_batch, max_wait_s=0.02),
-        cache=TileCache(64), target_normalizer=NORMALIZER,
-        **(dict(TILING, tile_serving=True) if mode == "tiled" else {}))
+        cache=TileCache(64), target_normalizer=NORMALIZER, **MODES[mode])
 
 
 def _reference(model, mode, x):
     runner = build_inference_runner(model,
-                                    **(TILING if mode == "tiled" else {}))
+                                    **(TILING if mode != "whole" else {}))
     with no_grad():
         return NORMALIZER.denormalize(runner(Tensor(x[None])).data[0])
 
 
-#: kinds rejected in both modes; a wrong grid only under tile serving
-#: (a whole request may have any grid the model accepts)
-KINDS = {"whole": ["nan", "inf", "float64", "channels", "batched"],
-         "tiled": ["nan", "inf", "float64", "channels", "batched", "grid"]}
+#: kinds rejected in every mode; a wrong grid only when the service
+#: tiles (an untiled whole request may have any grid the model accepts)
+BASIC = ["nan", "inf", "float64", "channels", "batched"]
+KINDS = {"whole": BASIC, "whole_tiled": BASIC + ["grid"],
+         "tiled": BASIC + ["grid"]}
 
 
 @pytest.mark.parametrize("mode,kind", [(m, k) for m, kinds in KINDS.items()
@@ -140,3 +146,10 @@ def test_latency_only_requests_need_no_input():
         [Request(rid=0, arrival_s=0.0, sample=0)])
     assert result.responses[0].status == "ok"
     assert "serve/rejected" not in result.metrics.counters
+
+
+def test_a_model_served_in_tiles_needs_its_grid(model):
+    """Without ``coarse_shape`` there is no plan to admit on, and one
+    request on a grid the tiling cannot split would raise inside ``run``."""
+    with pytest.raises(ValueError, match="coarse_shape"):
+        DownscalingService(model, n_tiles=N_TILES, halo=HALO)

@@ -140,7 +140,7 @@ class TestTileKeys:
         # two tiles with byte-equal halo regions (the all-zero field)
         # must not collide when their crop geometry differs
         keys = {plan.tile_key(i, input=x) for i in range(N_TILES)}
-        assert len(keys) == len({plan._geom(i) for i in range(N_TILES)})
+        assert len(keys) == len({s.crop(plan.factor) for s in plan.specs})
 
     def test_version_keys(self):
         plan = self._plan()

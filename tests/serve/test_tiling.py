@@ -1,41 +1,15 @@
-"""``TilePlan`` geometry against the tiling it transcribes.
+"""What ``TilePlan.assemble`` — the reassembly of served cores — refuses.
 
-``assemble`` writes each cropped core straight into the fine field;
-``stitch_tiles`` concatenates columns into rows and rows into a field.
-Both are pure copies of the same pixels, so over random geometry —
-uneven ``array_split`` boundaries and clamped edge halos included — the
-bytes must agree.  Slice assignment broadcasts where concatenation
-refuses, so the shape and dtype checks are pinned too.
+``assemble`` writes each cropped core straight into the fine field, and
+slice assignment broadcasts where ``TilePlan.stitch``'s concatenation
+refuses, so the shape and dtype checks are pinned here
+(``tests/core/test_tiles.py`` pins the bytes against ``stitch``).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.tiles import make_tiles, stitch_tiles, tile_grid
-from repro.serve import TilePlan
-from repro.tensor import Tensor
-
-
-@st.composite
-def _geometry(draw):
-    """(h, w, n_tiles, halo, factor): every tile core wider than the
-    halo, up to ``rows - 1`` / ``cols - 1`` leftover pixels (uneven)."""
-    n_tiles = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]))
-    halo = draw(st.integers(0, 3))
-    rows, cols = tile_grid(n_tiles)
-    h = rows * draw(st.integers(halo + 1, halo + 4)) + draw(
-        st.integers(0, rows - 1))
-    w = cols * draw(st.integers(halo + 1, halo + 4)) + draw(
-        st.integers(0, cols - 1))
-    return h, w, n_tiles, halo, draw(st.integers(1, 4))
-
-
-def _plan(h, w, n_tiles, halo, factor) -> TilePlan:
-    specs = tuple(make_tiles(h, w, n_tiles, halo, uneven=True))
-    return TilePlan(coarse_shape=(h, w), n_tiles=n_tiles, halo=halo,
-                    factor=factor, specs=specs)
+from repro.core.tiles import TilePlan
 
 
 def _tile_outputs(plan, channels, seed, dtype=np.float32):
@@ -43,33 +17,6 @@ def _tile_outputs(plan, channels, seed, dtype=np.float32):
     return [rng.standard_normal(
         (1, channels, s.halo_shape[0] * plan.factor,
          s.halo_shape[1] * plan.factor)).astype(dtype) for s in plan.specs]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(geometry=_geometry(), channels=st.integers(1, 3),
-       seed=st.integers(0, 2**16))
-def test_assemble_is_bitwise_stitch_tiles(geometry, channels, seed):
-    h, w, n_tiles, halo, factor = geometry
-    plan = _plan(*geometry)
-    outs = _tile_outputs(plan, channels, seed)
-    want = stitch_tiles([Tensor(o) for o in outs], list(plan.specs),
-                        factor).data[0]
-    got = plan.assemble([plan.crop_core(o, i) for i, o in enumerate(outs)])
-    assert got.shape == want.shape == (channels, h * factor, w * factor)
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-    # the per-tile tables precomputed at construction agree with the specs
-    for i, s in enumerate(plan.specs):
-        assert plan.signature(i) == s.halo_shape
-        assert plan.crop(i) == ((s.y0 - s.hy0) * factor,
-                                (s.x0 - s.hx0) * factor,
-                                s.core_shape[0] * factor,
-                                s.core_shape[1] * factor)
-        assert plan._geom(i) == ",".join(map(str, plan.crop(i)))
-    assert plan.signatures() == {s.halo_shape for s in plan.specs}
-    rows, cols = tile_grid(n_tiles)
-    if h % rows == 0 and w % cols == 0:
-        assert plan == TilePlan.build((h, w), n_tiles, halo, factor)
 
 
 class TestAssembleRejects:
