@@ -30,7 +30,12 @@ __all__ = [
     "stitch_tiles",
     "TilePlan",
     "TiledDownscaler",
+    "TileShapeError",
 ]
+
+
+class TileShapeError(ValueError):
+    """A tile shape the model cannot patch."""
 
 
 @dataclass(frozen=True)

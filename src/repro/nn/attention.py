@@ -286,4 +286,5 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
         )
 
     return Tensor._from_op(out, (x, wt, bt, var_embed, wq, bq, wk, bk, wv, bv),
-                           backward, "aggregate_variables", replay=run)
+                           backward, "aggregate_variables", replay=run,
+                           reads=(wt.data, wq.data, wk.data, wv.data))

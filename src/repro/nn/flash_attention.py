@@ -198,7 +198,8 @@ def flash_attention(
             (v, dv.reshape(v.shape)),
         )
 
-    return Tensor._from_op(out_full, (q, k, v), backward, "flash_attention", replay=run_blocks)
+    return Tensor._from_op(out_full, (q, k, v), backward, "flash_attention", replay=run_blocks,
+                           reads=(out_full,))
 
 
 def attention_peak_elems(seq_len: int, head_dim: int, block_size: int, flash: bool) -> int:

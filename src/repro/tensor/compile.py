@@ -25,16 +25,17 @@ ORBIT/AERIS throughput stories rest on):
    Gradient slots live in a preallocated list and are released (set to
    None) at precomputed points.
 3. **arena** — ops allocate forward buffers through ``tensor._alloc``,
-   declaring each one's kind.  A first, learning pass times each
-   buffer's life, writer to last reader through any view, and is freed;
-   the capture pass then allocates in slabs packed from those lives.
-   A forward-only plan so keeps what its forward still needs, not every
-   buffer it allocated.  Persistent buffers (content set at allocation)
-   go in the plan's own slab; every other buffer is rewritten by its
-   writer on every replay, so it goes in the shared slab of the plan's
-   :class:`Arena`, which the owner's plans take in turn: they never run
-   at once.  Distinct shared slabs, plus each plan's own slab and
-   inputs, are ``arena_bytes``.
+   declaring each one's kind.  A first, learning pass keeps no tape and
+   times each buffer's life from its writer to its last reader through
+   any view, or to the plan's end for outputs and what a training plan's
+   backward reads: an op's SAVED buffers and what it declares with
+   ``_from_op(..., reads=)``, by default its parents and output.  The
+   capture pass allocates in slabs packed from those lives.  Persistent
+   buffers (content set at allocation) go in the plan's own slab; every
+   other buffer is rewritten by its writer on every replay, so it goes in
+   the shared slab of the plan's :class:`Arena`, which the owner's plans
+   take in turn: they never run at once.  Distinct shared slabs, plus
+   each plan's own slab and inputs, are ``arena_bytes``.
 4. **guard + replay** — cheap guards on input shapes/dtypes plus an
    optional extra guard (training flag, loss scale) trigger transparent
    recapture on mismatch.  Replay copies the inputs into the captured
@@ -72,7 +73,8 @@ holds only for non-checkpointed models.
 from __future__ import annotations
 
 import contextlib
-from bisect import bisect_right
+import weakref
+from bisect import bisect_right, insort
 from typing import NamedTuple
 
 import numpy as np
@@ -81,12 +83,13 @@ from numpy.lib.array_utils import byte_bounds
 from . import tensor as _engine
 from .flops import active_counter, price
 from .tensor import (_ADD_INPLACE, _ADD_NEW, _BW_NODE, _COUNTERS, _STORE,
-                     _STORE_CAST, PERSISTENT, SCRATCH, Tensor, _fold_leaf_grad,
+                     _STORE_CAST, PERSISTENT, SAVED, Tensor, _fold_leaf_grad,
                      _walk_backward, enable_grad, set_op_hook, set_recorder)
 
 __all__ = ["CompiledStep", "CompiledForward", "CompileError"]
 
 _ALIGN = 64  # slab offset granularity, bytes: one cache line, any SIMD width
+_END = 1 << 62  # a learned life that reaches the plan's end
 
 
 class CompileError(RuntimeError):
@@ -104,10 +107,11 @@ class _Buffer(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """A step's allocations and their offsets: a persistent buffer's in
-    the plan's own slab of ``own`` bytes, any other's in the shared slab
-    of ``nbytes``."""
+    """A step's allocations, their record intervals and their offsets: a
+    persistent buffer's in the plan's own slab of ``own`` bytes, any
+    other's in the shared slab of ``nbytes``."""
     buffers: list
+    intervals: list
     offsets: list
     nbytes: int
     own: int
@@ -155,79 +159,97 @@ class Arena:
                 self._current = None
 
 
+class _Learner:
+    """The learning pass's recorder: it keeps no tape, so a buffer dies
+    with its last reference, and ``weakref.finalize`` then drops its
+    address, which a later one may take.  An array maps to the live
+    allocation holding its lowest byte."""
+
+    tape = False   # ``Tensor._from_op`` attaches no parents or closure
+
+    def __init__(self, forward_only: bool):
+        self.buffers: list[_Buffer] = []
+        self.last: list[int] = []        # last reader; _END: a backward's
+        self.n = 0                       # records so far
+        self._forward_only = forward_only
+        self._taped: set[int] = set()    # records whose backward will run
+        self._keys: list[int] = []       # sorted lowest bytes of live buffers
+        self._live: dict[int, tuple[int, int]] = {}   # lowest -> (end, index)
+
+    def alloc(self, kind, shape, dtype, like, fill) -> np.ndarray:
+        buf = np.empty_like(like) if like is not None else np.empty(shape, dtype)
+        if fill is not None:
+            buf[...] = fill
+        self.buffers.append(_Buffer(buf.shape, buf.dtype, buf.strides, buf.nbytes,
+                                    kind, self.n))
+        self.last.append(self.n)
+        if buf.nbytes:
+            lo, hi = byte_bounds(buf)
+            insort(self._keys, lo)
+            self._live[lo] = (hi, len(self.buffers) - 1)
+            weakref.finalize(buf, self._die, lo)
+        return buf
+
+    def _die(self, lo: int) -> None:
+        del self._live[lo], self._keys[bisect_right(self._keys, lo) - 1]
+
+    def _mark(self, arrays, when: int) -> None:
+        """Extend the life of each array's allocation to record ``when``."""
+        for a in arrays:
+            ptr = byte_bounds(a)[0]
+            j = bisect_right(self._keys, ptr) - 1
+            if a.nbytes and j >= 0 and ptr < self._live[self._keys[j]][0]:
+                i = self._live[self._keys[j]][1]
+                self.last[i] = max(self.last[i], when)
+
+    def record(self, out, parents, op, replay, reads) -> None:
+        self._mark((p.data for p in parents), self.n)
+        if not self._forward_only and out.requires_grad:
+            self._taped.add(self.n)
+            self._mark((*(p.data for p in parents), out.data) if reads is None
+                       else reads, _END)
+        self.n += 1
+
+    def intervals(self, outputs) -> list[tuple[int, int]]:
+        """Inclusive ``(first, last)`` record interval of every allocation;
+        persistent buffers live for the whole plan, outputs to its end."""
+        self._mark(outputs, _END)
+        return [(0, self.n) if b.kind == PERSISTENT else
+                (b.writer, self.n if b.kind == SAVED and b.writer in self._taped
+                 else min(last, self.n)) for b, last in zip(self.buffers, self.last)]
+
+
 class _Recorder:
-    """Collects ``(out, parents, op, replay)`` in execution order, and the
-    buffers ops allocate: without a plan plain arrays, kept alive so each
-    has its own addresses; with one, views of the ``shared`` slab, or of
-    ``own`` for a persistent buffer, at their offsets.
-    """
+    """The capture pass's recorder: collects ``(out, parents, op,
+    replay)`` in execution order, and places each buffer an op allocates
+    in the ``shared`` slab, or ``own`` for a persistent one, at its
+    planned offset.  Ops attach their tape only if ``tape``."""
 
-    __slots__ = ("records", "buffers", "arrays", "_plan", "_slabs")
+    __slots__ = ("records", "buffers", "tape", "_plan", "_slabs")
 
-    def __init__(self, plan: _Plan | None = None, shared: np.ndarray | None = None,
-                 own: np.ndarray | None = None):
+    def __init__(self, plan: _Plan, shared: np.ndarray, own: np.ndarray, tape: bool):
         self.records: list[tuple] = []
         self.buffers: list[_Buffer] = []
-        self.arrays: list[np.ndarray] = []
-        self._plan, self._slabs = plan, (shared, own)
+        self.tape, self._plan, self._slabs = tape, plan, (shared, own)
 
-    def record(self, out, parents, op, replay) -> None:
+    def record(self, out, parents, op, replay, reads) -> None:
         self.records.append((out, parents, op, replay))
 
     def alloc(self, kind, shape, dtype, like, fill) -> np.ndarray:
-        i, writer = len(self.arrays), len(self.records)
-        if self._plan is None:
-            buf = np.empty_like(like) if like is not None else np.empty(shape, dtype)
-        else:
-            spec = self._plan.buffers[i] if i < len(self._plan.buffers) else None
-            want = (like.shape, like.dtype) if like is not None else (tuple(shape), dtype)
-            if spec is None or spec[:2] != want or spec[4:] != (kind, writer):
-                raise CompileError("the step allocated differently on its second "
-                                   f"capture pass (allocation {i}, op {writer})")
-            shared, own = self._slabs
-            slab = own if kind == PERSISTENT else shared
-            buf = np.ndarray(spec.shape, spec.dtype, slab, self._plan.offsets[i],
-                             spec.strides)
+        i, writer = len(self.buffers), len(self.records)
+        spec = self._plan.buffers[i] if i < len(self._plan.buffers) else None
+        want = (like.shape, like.dtype) if like is not None else (tuple(shape), dtype)
+        if spec is None or spec[:2] != want or spec[4:] != (kind, writer):
+            raise CompileError("the step allocated differently on its second "
+                               f"capture pass (allocation {i}, op {writer})")
+        shared, own = self._slabs
+        slab = own if kind == PERSISTENT else shared
+        buf = np.ndarray(spec.shape, spec.dtype, slab, self._plan.offsets[i],
+                         spec.strides)
         if fill is not None:
             buf[...] = fill
-        self.arrays.append(buf)
-        self.buffers.append(_Buffer(buf.shape, buf.dtype, buf.strides, buf.nbytes,
-                                    kind, writer))
+        self.buffers.append(spec)
         return buf
-
-
-def _liveness(rec: _Recorder, outputs, forward_only: bool) -> list[tuple[int, int]]:
-    """Inclusive ``(first, last)`` record interval of every allocation.
-
-    A buffer lives from its writer to the last op reading it through any
-    view (a parent maps to the allocation holding its lowest byte).  Plan
-    outputs and persistent buffers live for the whole plan; in a training
-    plan so does every buffer but scratch, from its writer on.
-    """
-    end = len(rec.records)
-    spans = sorted((byte_bounds(a), i) for i, a in enumerate(rec.arrays) if a.nbytes)
-    keys = [lo for (lo, _), _ in spans]
-
-    def owner(a: np.ndarray) -> int | None:
-        ptr = byte_bounds(a)[0]
-        j = bisect_right(keys, ptr) - 1
-        return spans[j][1] if a.nbytes and j >= 0 and ptr < spans[j][0][1] else None
-
-    first = [b.writer for b in rec.buffers]
-    last = list(first)
-    for j, (_, parents, _, _) in enumerate(rec.records):
-        for i in map(owner, (p.data for p in parents)):
-            if i is not None:
-                last[i] = max(last[i], j)
-    for i, b in enumerate(rec.buffers):
-        if b.kind == PERSISTENT:
-            first[i], last[i] = 0, end
-        elif not forward_only and b.kind != SCRATCH:
-            last[i] = end
-    for i in map(owner, outputs):
-        if i is not None:
-            first[i], last[i] = 0, end
-    return list(zip(first, last))
 
 
 def _pack(sizes: list[int], intervals: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -370,7 +392,7 @@ class CompiledStep:
             # the learning pass's buffers are gone: only now take the slabs
             self._slab = self._arena.take(plan.nbytes)
             raw, self._own = _aligned(plan.own)
-            rec = _Recorder(plan, self._slab, self._own)
+            rec = _Recorder(plan, self._slab, self._own, not self.forward_only)
             outs = self._run(rec)
             if len(rec.buffers) != len(plan.buffers):
                 raise CompileError("the step allocated less on its second pass")
@@ -384,7 +406,7 @@ class CompiledStep:
         _COUNTERS["captures"] += 1
         _COUNTERS["arena_bytes"] += self._arena_bytes
 
-    def _run(self, rec: _Recorder) -> tuple[Tensor, ...]:
+    def _run(self, rec: _Learner | _Recorder) -> tuple[Tensor, ...]:
         """One recorded eager run of the step on the input buffers."""
         in_tensors = tuple(Tensor(b) for b in self._in_bufs)
         set_recorder(rec)
@@ -406,9 +428,8 @@ class CompiledStep:
         flops = counter.total if counter is not None else 0.0
         set_op_hook(None)
         try:
-            rec = _Recorder()
-            outs = self._run(rec)
-            intervals = _liveness(rec, [t.data for t in outs], self.forward_only)
+            rec = _Learner(self.forward_only)
+            intervals = rec.intervals([t.data for t in self._run(rec)])
         finally:
             set_op_hook(hook)
             _COUNTERS.update(counts)
@@ -423,7 +444,7 @@ class CompiledStep:
             for i, off in zip(group, packed):
                 offsets[i] = off
             sizes.append(size)
-        return _Plan(rec.buffers, offsets, *sizes)
+        return _Plan(rec.buffers, intervals, offsets, *sizes)
 
     def _build(self, rec: _Recorder, outs: tuple[Tensor, ...]) -> None:
         """The forward and backward programs of the capture pass."""
@@ -442,15 +463,7 @@ class CompiledStep:
         self._priced = priced
         self._records = rec.records
 
-        if self.forward_only:
-            # drop the tape: no backward closure will ever run, and the
-            # slab already reuses the bytes of what they saved
-            for out, _, _, _ in rec.records:
-                if out._backward is not None:
-                    out._backward = None
-                    out._parents = ()
-            self._bw_program = []
-        else:
+        if not self.forward_only:   # a forward-only capture keeps no tape
             self._plan_backward(outs[0])
         self._out_bufs = tuple(t.data for t in outs)
 

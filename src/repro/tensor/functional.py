@@ -131,7 +131,7 @@ def gelu(x: Tensor) -> Tensor:
         return ((a, t),)
 
     run()
-    return Tensor._from_op(out_data, (a,), backward, "gelu", replay=run)
+    return Tensor._from_op(out_data, (a,), backward, "gelu", replay=run, reads=(a.data,))
 
 
 def gelu_composed(x: Tensor) -> Tensor:
@@ -192,7 +192,7 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Ten
         return ((a, gx), (w, gw), (b, gb))
 
     run()
-    return Tensor._from_op(out_data, (a, w, b), backward, "layernorm", replay=run)
+    return Tensor._from_op(out_data, (a, w, b), backward, "layernorm", replay=run, reads=(w.data,))
 
 
 def layernorm_composed(x: Tensor, weight: Tensor, bias: Tensor,
@@ -237,7 +237,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         return tuple(grads)
 
     run()
-    return Tensor._from_op(out, parents, backward, "linear", replay=run)
+    return Tensor._from_op(out, parents, backward, "linear", replay=run, reads=(a.data, w.data))
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
@@ -246,7 +246,7 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     Identical numerics to ``x + bias`` but records one node whose backward
     hands the upstream gradient through to ``x`` zero-copy.
     """
-    return _binary_node(np.add, x, bias, "add_bias", lambda g, *_: (g, g))
+    return _binary_node(np.add, x, bias, "add_bias", lambda g, *_: (g, g), reads=())
 
 
 # --------------------------------------------------------------------- #
@@ -296,7 +296,7 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
         return ((a, (my.T @ g) @ mx),)
 
     run()
-    return Tensor._from_op(out_data, (a,), backward, "bilinear_upsample", replay=run)
+    return Tensor._from_op(out_data, (a,), backward, "bilinear_upsample", replay=run, reads=())
 
 
 # --------------------------------------------------------------------- #
@@ -384,4 +384,5 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
         return tuple(grads)
 
     run()
-    return Tensor._from_op(out, parents, backward, "conv2d", replay=run)
+    return Tensor._from_op(out, parents, backward, "conv2d", replay=run,
+                           reads=(wgt.data, a.data) if direct else (wgt.data,))

@@ -84,7 +84,8 @@ OUTPUT, SAVED, SCRATCH, PERSISTENT = range(4)
 def _alloc(kind: int, shape=(), dtype=np.float32, like=None, fill=None) -> np.ndarray:
     """The one allocation site of ops' forward buffers.  ``like`` is
     ``np.empty_like``'s; ``fill`` sets the content.  Under a capture the
-    recorder places the buffer (:mod:`repro.tensor.compile`)."""
+    recorder places the buffer (:mod:`repro.tensor.compile`); SAVED ones,
+    and those a backward ``reads`` (``_from_op``), live to a training plan's end."""
     if _recorder is not None and is_grad_enabled():
         return _recorder.alloc(kind, shape, dtype, like, fill)
     buf = np.empty_like(like) if like is not None else np.empty(shape, dtype)
@@ -220,12 +221,12 @@ def _unary_node(ufunc, a: "Tensor", op: str, grad, *args) -> "Tensor":
 
 
 def _binary_node(ufunc, a: "Tensor", b: "Tensor", op: str, grads,
-                 shape: tuple[int, ...] | None = None) -> "Tensor":
+                 shape: tuple[int, ...] | None = None, reads=None) -> "Tensor":
     """The node whose forward is the one call ``ufunc(a.data, b.data)``.
 
     ``grads(g, x, y)`` maps the upstream gradient and the live inputs to
     both inputs' gradients before un-broadcasting; ``shape`` defaults to
-    the broadcast of the inputs' shapes.
+    the broadcast of the inputs' shapes; ``reads`` is ``_from_op``'s.
     """
     if shape is None:
         shape = np.broadcast(a.data, b.data).shape
@@ -239,7 +240,7 @@ def _binary_node(ufunc, a: "Tensor", b: "Tensor", op: str, grads,
         return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
 
     run()
-    return Tensor._from_op(out, (a, b), backward, op, replay=run)
+    return Tensor._from_op(out, (a, b), backward, op, replay=run, reads=reads)
 
 
 def _backward_released(g):
@@ -423,7 +424,11 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
         op: str,
         replay=None,
+        reads=None,
     ) -> "Tensor":
+        """``reads``: the arrays ``backward`` reads beyond the op's SAVED
+        buffers (None: its parents' and output's); a training plan may
+        reuse any other's bytes once the forward is done with it."""
         out = cls(data)
         rule = FLOPS.get(op)
         if rule is not None:
@@ -433,8 +438,9 @@ class Tensor:
         grad_enabled = is_grad_enabled()
         if grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+            if _recorder is None or _recorder.tape:
+                out._parents = tuple(parents)
+                out._backward = backward
             out._op = op
             _COUNTERS["nodes"] += 1
             if _op_hook is not None:
@@ -442,7 +448,7 @@ class Tensor:
         if _recorder is not None and grad_enabled:
             # capture records *every* op (even ones with no grad-requiring
             # parent): input-only chains must still be refreshed on replay
-            _recorder.record(out, tuple(parents), op, replay)
+            _recorder.record(out, tuple(parents), op, replay, reads)
         return out
 
     # ------------------------------------------------------------------ #
@@ -525,20 +531,21 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         return _binary_node(np.add, self, self._coerce(other), "add",
-                            lambda g, x, y: (g, g))
+                            lambda g, x, y: (g, g), reads=())
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
         return _binary_node(np.subtract, self, self._coerce(other), "sub",
-                            lambda g, x, y: (g, -g))
+                            lambda g, x, y: (g, -g), reads=())
 
     def __rsub__(self, other) -> "Tensor":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Tensor":
-        return _binary_node(np.multiply, self, self._coerce(other), "mul",
-                            lambda g, x, y: (g * y, g * x))
+        b = self._coerce(other)
+        return _binary_node(np.multiply, self, b, "mul",
+                            lambda g, x, y: (g * y, g * x), reads=(self.data, b.data))
 
     __rmul__ = __mul__
 
@@ -631,7 +638,7 @@ class Tensor:
             return ((a, np.broadcast_to(g_full, a.shape)),)
 
         run()
-        return Tensor._from_op(out_data, (a,), backward, "sum", replay=run)
+        return Tensor._from_op(out_data, (a,), backward, "sum", replay=run, reads=())
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
@@ -689,7 +696,7 @@ class Tensor:
                 np.copyto(out_data.reshape(orig), a.data)
 
             run()
-        return Tensor._from_op(out_data, (a,), backward, "reshape", replay=run)
+        return Tensor._from_op(out_data, (a,), backward, "reshape", replay=run, reads=())
 
     def transpose(self, axis0: int, axis1: int) -> "Tensor":
         a = self
@@ -698,7 +705,7 @@ class Tensor:
             return ((a, np.swapaxes(g, axis0, axis1)),)
 
         return Tensor._from_op(np.swapaxes(a.data, axis0, axis1), (a,), backward,
-                               "transpose", replay="view")
+                               "transpose", replay="view", reads=())
 
     def permute(self, *axes: int) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -710,7 +717,7 @@ class Tensor:
             return ((a, np.transpose(g, inverse)),)
 
         return Tensor._from_op(np.transpose(a.data, axes), (a,), backward,
-                               "permute", replay="view")
+                               "permute", replay="view", reads=())
 
     def __getitem__(self, index) -> "Tensor":
         a = self
@@ -736,7 +743,7 @@ class Tensor:
         else:
             out_data = _alloc(OUTPUT, like=picked, fill=picked)
             replay = lambda: np.copyto(out_data, a.data[index])
-        return Tensor._from_op(out_data, (a,), backward, "getitem", replay=replay)
+        return Tensor._from_op(out_data, (a,), backward, "getitem", replay=replay, reads=())
 
     def pad(self, pad_width: Iterable[tuple[int, int]], value: float = 0.0) -> "Tensor":
         a = self
@@ -752,7 +759,7 @@ class Tensor:
             return ((a, g[inner]),)
 
         run()
-        return Tensor._from_op(out_data, (a,), backward, "pad", replay=run)
+        return Tensor._from_op(out_data, (a,), backward, "pad", replay=run, reads=())
 
     @staticmethod
     def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -769,7 +776,7 @@ class Tensor:
             return tuple(zip(tensors, np.split(g, np.cumsum(sizes)[:-1], axis=axis)))
 
         run()
-        return Tensor._from_op(data, tensors, backward, "concat", replay=run)
+        return Tensor._from_op(data, tensors, backward, "concat", replay=run, reads=())
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -786,4 +793,4 @@ class Tensor:
             return tuple((t, np.squeeze(p, axis=axis)) for t, p in zip(tensors, parts))
 
         run()
-        return Tensor._from_op(data, tensors, backward, "stack", replay=run)
+        return Tensor._from_op(data, tensors, backward, "stack", replay=run, reads=())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.tiles import TiledDownscaler, TilePlan
+from ..core.tiles import TiledDownscaler, TilePlan, TileShapeError
 from ..data.datasets import DownscalingDataset
 from ..data.normalize import log1p_precip
 from ..evals import evaluate_all
@@ -37,7 +37,8 @@ def build_inference_runner(model: Module, n_tiles: int = 1, halo: int = 0,
 
     ``coarse_shape`` (the input grid ``(h, w)``), when known, lets the
     tile partition be validated before any compute: the grid must divide
-    into the tile layout and the halo must be smaller than the tile core.
+    into the tile layout, the halo must be smaller than the tile core, and
+    a model's coarse-grid ``tokenizer`` must patch every tile shape.
 
     ``compile=True`` wraps the *model* in a
     :class:`~repro.tensor.compile.CompiledForward` so repeated
@@ -63,7 +64,11 @@ def build_inference_runner(model: Module, n_tiles: int = 1, halo: int = 0,
     if coarse_shape is not None:
         # raises every tile-geometry error (non-divisible grid, a halo
         # that does not fit the tile extent) before any forward pass runs
-        TilePlan.build(coarse_shape, n_tiles, halo, factor, uneven=uneven)
+        p = getattr(getattr(model, "tokenizer", None), "patch_size", 1)
+        for h, w in sorted(TilePlan.build(coarse_shape, n_tiles, halo, factor,
+                                          uneven=uneven).signatures()):
+            if h % p or w % p:
+                raise TileShapeError(f"tile shape {(h, w)} is not divisible by patch size {p}")
     # compile wraps the inner model: per-tile shapes are identical for
     # even tiling, so one captured program serves every tile (uneven
     # tiling falls back to one plan per distinct shape); stitching

@@ -4,18 +4,21 @@
   widths 1, 2 and 4: a poisoned replay (every reused slab region
   NaN-filled before its writer runs) is bitwise equal to the eager
   ``no_grad`` forward; the plan retains at most 0.8 MB per tile row, and
-  ``arena_bytes`` is within 2 % of the bytes it retains; a second replay
-  retains nothing; capture never holds the learning pass's buffers and
-  the slab at once.
+  ``arena_bytes`` is within 2 % of the bytes it retains; at width 2 the
+  shared slab is 826 304 B, outputs living from their writer; a second
+  replay retains nothing; capture never holds the learning pass's
+  buffers and the slab at once.
 * **training plan** — one ``CompositeStrategy`` tile step: ``arena_bytes``
   within 2 % of the bytes retained.
+* **learning pass** — a composite unit plan's learning pass peaks under
+  half the bytes of all its buffers: it keeps no tape.
 * **shared arena** — a ``CompositeStrategy``'s unit plans share one slab:
   ``arena_bytes`` is that slab once plus each plan's own slab and inputs,
   within 2 % of the bytes retained, and back at its baseline after the
   plans are released or resharded away; either capture order of two
   widths captures once per plan, the larger first into one slab; and
   interleaved poisoned replays of two units are bitwise equal to eager.
-* **planted faults** — a liveness interval ended one record early, and
+* **planted faults** — a learned interval ended one record early, and
   flash's ``kv1`` with its persistent kind dropped, each fail the
   poisoned replay, the latter also in a training plan where no buffer of
   its own shares those bytes.
@@ -104,6 +107,8 @@ def test_serve_plan_is_small_exact_and_poison_clean(width):
     if width > 1:
         assert peak <= 1.05 * unplanned, (peak, unplanned)
     assert step._plan.nbytes < unplanned / 3
+    if width == 2:   # plan outputs live from their writer, not from record 0
+        assert step._plan.nbytes == 826_304
     for xi in (x2, x):
         out, = poisoned_replay(step, xi)
         assert np.array_equal(out, _eager(model, xi))
@@ -154,6 +159,29 @@ def _batch(n, seed=3):
 def _slabs(steps):
     """The distinct shared slabs ``steps`` hold."""
     return {id(s._slab.base): s._slab.base for s in steps}.values()
+
+
+def test_learning_pass_holds_the_live_set_not_every_buffer():
+    """The learning pass keeps no tape: each buffer dies with its last
+    reference, so its peak is the live set, well under the sum of every
+    buffer the unit plan allocates."""
+    strategy = _composite()
+    x, y = _batch(1)
+    strategy._active_loss_fn = _mse
+    step = strategy._compiled_step(0, 0)
+    step._in_bufs = [np.array(a, dtype=np.float32) for a in (x, y)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        plan = step._learn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    total = sum(b.nbytes for b in plan.buffers)
+    assert peak < total / 2, (peak, total)
+    strategy._release_compiled()
 
 
 def test_unit_plans_share_one_slab_counted_once():
@@ -246,12 +274,11 @@ def test_interleaved_poisoned_replays_of_two_units_are_eager_bitwise():
     strategy._release_compiled()
 
 
-def _end_one_interval_early(liveness):
+def _end_one_interval_early(intervals):
     """The largest buffer read after its writer stops one record short."""
-    def planted(rec, outputs, forward_only):
-        spans = liveness(rec, outputs, forward_only)
-        end = len(rec.records)
-        i = max((i for i, (lo, hi) in enumerate(spans) if lo < hi < end),
+    def planted(rec, outputs):
+        spans = intervals(rec, outputs)
+        i = max((i for i, (lo, hi) in enumerate(spans) if lo < hi < rec.n),
                 key=lambda i: rec.buffers[i].nbytes)
         spans[i] = (spans[i][0], spans[i][1] - 1)
         return spans
@@ -272,8 +299,8 @@ def test_planner_catches_planted_liveness_bug(fault, monkeypatch):
     model = _serve_model()
     x = _tile(1, 4)
     if fault == "early_end":
-        monkeypatch.setattr(compile_module, "_liveness",
-                            _end_one_interval_early(compile_module._liveness))
+        monkeypatch.setattr(compile_module._Learner, "intervals",
+                            _end_one_interval_early(compile_module._Learner.intervals))
     else:
         monkeypatch.setattr(flash_module, "_alloc",
                             _drop_kv1_persistent(flash_module._alloc))

@@ -89,9 +89,9 @@ def _ops_on_tape(monkeypatch, run) -> set[str]:
     seen = set()
     from_op = Tensor._from_op.__func__
 
-    def spy(cls, data, parents, backward, op, replay=None):
+    def spy(cls, data, parents, backward, op, replay=None, reads=None):
         seen.add(op)
-        return from_op(cls, data, parents, backward, op, replay)
+        return from_op(cls, data, parents, backward, op, replay, reads)
 
     with monkeypatch.context() as m:
         m.setattr(Tensor, "_from_op", classmethod(spy))

@@ -93,6 +93,22 @@ class TestInferenceValidation:
         with pytest.raises(ValueError, match="divisible|divide"):
             predict_dataset(_model(), _dataset(), n_tiles=3)
 
+    def test_tile_shape_off_the_patch_grid_refused_at_construction(self):
+        # 2 x 2 tiles of an (8, 16) grid with halo 1 are (5, 9): a
+        # patch-2 model cannot tokenize them, so no request could succeed
+        from repro.core.tiles import TileShapeError
+        from repro.serve import DownscalingService
+        from repro.train import build_inference_runner
+        model = Reslim(TINY, 23, 3, factor=2, max_tokens=64,
+                       rng=np.random.default_rng(0))
+        for tile_serving in (False, True):
+            with pytest.raises(TileShapeError, match=r"tile shape \(5, 9\)"):
+                DownscalingService(model, n_tiles=4, halo=1, factor=2,
+                                   coarse_shape=(8, 16), tile_serving=tile_serving)
+        with pytest.raises(TileShapeError, match=r"tile shape \(5, 9\)"):
+            build_inference_runner(model, n_tiles=4, halo=1, coarse_shape=(8, 16))
+        build_inference_runner(model, n_tiles=4, halo=2, coarse_shape=(8, 16))
+
     def test_global_inference_validates_too(self):
         rng = np.random.default_rng(7)
         model = _model()
