@@ -9,7 +9,13 @@ the bytes each rank sends, which the cost model converts into time on a
 given topology.
 
 This follows the mpi4py buffer-communication idiom from the guides:
-collectives take/return explicit ndarray buffers, never pickled objects.
+collectives take explicit ndarray buffers, never pickled objects.  The
+reductions are **in place** (the ``MPI_IN_PLACE`` / NCCL in-place
+idiom): ``all_reduce`` leaves the result in every rank's float32
+buffer and ``reduce_scatter`` writes rank ``r``'s block over block
+``r`` of its own buffer.  Both return views of the callers' buffers,
+so a caller that needs its inputs intact copies them first.
+``all_gather`` and ``all_to_all`` return new buffers.
 """
 
 from __future__ import annotations
@@ -51,18 +57,16 @@ class CommStats:
 class Work:
     """Handle for an asynchronously launched collective.
 
-    The simulated collective's *values* are computed eagerly at launch
-    (sharing the exact ring arithmetic with the synchronous path, so the
-    results are bit-identical), but its *time* is scheduled on the
-    member ranks' comm streams.  ``wait()`` returns the result buffers
-    and charges each member's compute clock only for the **exposed**
-    residual — the part of the collective that had not yet finished when
-    the rank stopped to wait.  ``wait()`` is idempotent.
+    The simulated collective's *values* are computed eagerly at launch,
+    in place (sharing the exact ring arithmetic with the synchronous
+    path, so the results are bit-identical), but its *time* is scheduled
+    on the member ranks' comm streams.  ``wait()`` returns the result
+    views and charges each member's compute clock only for the
+    **exposed** residual — the part of the collective that had not yet
+    finished when the rank stopped to wait.  ``wait()`` is idempotent.
     """
 
-    def __init__(self, op: str, results, ranks: list[int], handle=None):
-        self.op = op
-        self.ranks = list(ranks)
+    def __init__(self, results, handle=None):
         self._results = results
         self._handle = handle  # tracer token from collective_async, or None
         self._done = False
@@ -76,15 +80,6 @@ class Work:
                 if tracer is not None:
                     tracer.complete_async(self._handle)
         return self._results
-
-
-def _check_buffers(buffers: list[np.ndarray]) -> None:
-    if not buffers:
-        raise ValueError("no rank buffers")
-    shape, dtype = buffers[0].shape, buffers[0].dtype
-    for i, b in enumerate(buffers):
-        if b.shape != shape or b.dtype != dtype:
-            raise ValueError(f"rank {i} buffer {b.shape}/{b.dtype} != rank 0 {shape}/{dtype}")
 
 
 def _ring_spans(n: int, p: int, chunks) -> list[slice]:
@@ -120,30 +115,67 @@ class ProcessGroup:
     def size(self) -> int:
         return len(self.ranks)
 
-    def _trace(self, op: str, payload_nbytes: float, sent: float) -> None:
-        """Emit a per-rank span for one collective when a tracer is active.
+    def _check_buffers(self, buffers: list[np.ndarray],
+                       in_place: bool = True) -> None:
+        """One buffer per member, of one shape and dtype; in place, also
+        writable C-contiguous float32 (every reshape is then a view)."""
+        if not buffers:
+            raise ValueError("no rank buffers")
+        if len(buffers) != self.size:
+            raise ValueError(f"expected {self.size} buffers, got {len(buffers)}")
+        shape, dtype = buffers[0].shape, buffers[0].dtype
+        for i, b in enumerate(buffers):
+            if b.shape != shape or b.dtype != dtype:
+                raise ValueError(f"rank {i} buffer {b.shape}/{b.dtype} != rank 0 {shape}/{dtype}")
+        if in_place and not (dtype == np.float32 and all(
+                b.flags.c_contiguous and b.flags.writeable for b in buffers)):
+            raise ValueError("in-place collectives need writable C-contiguous "
+                             f"float32 rank buffers, got {dtype}")
 
-        ``payload_nbytes`` is the per-rank buffer size — the quantity
-        ``collective_time`` and ``perf_model.plan_comm_costs`` both price,
-        so traced bytes/durations match the planner exactly.  Size-1
-        groups are skipped: nothing moves, and trivial plans would
-        otherwise drown the timeline in zero-duration spans.
-        """
-        if self.size == 1:
-            return
-        tracer = active_tracer()
-        if tracer is None:
-            return
-        tracer.collective(op, self.ranks, payload_nbytes,
-                          self.collective_time(op, payload_nbytes),
-                          sent_bytes=sent)
+    def _block_rows(self, buffers: list[np.ndarray]) -> int:
+        """Rows of axis 0 per rank block (the leading dim must split)."""
+        rows, rest = divmod(buffers[0].shape[0], self.size)
+        if rest:
+            raise ValueError(f"leading dim {buffers[0].shape[0]} not "
+                             f"divisible by group size {self.size}")
+        return rows
+
+    def bill(self, op: str, buffers: list[np.ndarray], launch: bool = False,
+             results=None) -> Work | None:
+        """Account one ``op`` over ``buffers`` without moving values: the
+        bytes each rank sends, then a span on the members' compute clocks
+        or, with ``launch=True``, a comm-stream launch whose
+        :class:`Work` carries ``results``.  The payload, ``buffers[0]``,
+        is what ``collective_time`` and ``plan_comm_costs`` price.  Every
+        collective bills itself; a caller whose ranks' shared buffers
+        already hold the result bills the group alone.  Size-1 groups
+        send nothing and emit no span."""
+        p, payload = self.size, buffers[0].nbytes
+        sent = {"all_reduce": 2 * (p - 1) / p, "all_gather": p - 1,
+                "reduce_scatter": (p - 1) / p,
+                "all_to_all": (p - 1) / p}[op] * payload
+        self.stats.record(op, sent)
+        tracer = active_tracer() if p > 1 else None
+        if not launch:
+            if tracer is not None:
+                tracer.collective(op, self.ranks, payload,
+                                  self.collective_time(op, payload),
+                                  sent_bytes=sent)
+            return None
+        self.stats.record_async(op)
+        handle = None
+        if tracer is not None:
+            handle = tracer.collective_async(
+                op, self.ranks, payload, self.collective_time(op, payload),
+                sent_bytes=sent)
+        return Work(results, handle)
 
     # ------------------------------------------------------------------ #
     # collectives — each takes one buffer per group member, in group order
     # ------------------------------------------------------------------ #
     def _all_reduce_values(self, buffers: list[np.ndarray], op: str,
                            chunks=None) -> list[np.ndarray]:
-        """Shared ring all-reduce arithmetic (sync and async paths).
+        """Shared in-place ring all-reduce arithmetic (sync and async).
 
         ``chunks`` optionally overrides the ring's chunk partition with an
         explicit list of P index arrays (empty arrays allowed).  A chunk
@@ -152,17 +184,20 @@ class ProcessGroup:
         *globally aligned* partition so a bucket-sized all-reduce is
         bit-identical to the corresponding slice of a whole-buffer
         all-reduce.  The chunks must be ascending contiguous runs that
-        tile the buffer in order; anything else raises ``ValueError``.
+        tile the buffer in order; anything else raises ``ValueError``,
+        and so do rank buffers that share memory: the ring would read
+        a partial sum as another rank's input.
         """
-        _check_buffers(buffers)
-        if len(buffers) != self.size:
-            raise ValueError(f"expected {self.size} buffers, got {len(buffers)}")
+        self._check_buffers(buffers)
         if op not in ("mean", "sum"):
             raise ValueError(f"unsupported op {op!r}")
         p = self.size
+        if any(np.shares_memory(a, b)
+               for i, a in enumerate(buffers) for b in buffers[:i]):
+            raise ValueError("rank buffers share memory")
         if p == 1:
-            return [buffers[0].copy()]
-        flat = [b.astype(np.float32, order="C").reshape(-1) for b in buffers]
+            return list(buffers)
+        flat = [b.reshape(-1) for b in buffers]
         spans = _ring_spans(flat[0].size, p, chunks)
         # reduce-scatter phase: after p-1 steps rank r owns the full
         # reduction of chunk (r+1) mod p
@@ -180,74 +215,62 @@ class ProcessGroup:
         if op == "mean":
             for f in flat:
                 f /= p
-        return [f.reshape(buffers[0].shape) for f in flat]
+        return list(buffers)
 
     def all_reduce(self, buffers: list[np.ndarray], op: str = "mean",
                    chunks=None) -> list[np.ndarray]:
-        """Ring all-reduce: reduce-scatter then all-gather over P chunks.
+        """Ring all-reduce in place: reduce-scatter then all-gather over
+        P chunks; returns ``buffers``.
 
         Each rank sends 2·(P−1)/P of its buffer — the canonical
         bandwidth-optimal volume.  Reduction order follows the ring, so
         float32 rounding matches a real NCCL/RCCL ring.
         """
         results = self._all_reduce_values(buffers, op, chunks)
-        if self.size == 1:
-            self.stats.record("all_reduce", 0.0)
-            return results
-        sent = 2 * (self.size - 1) / self.size * buffers[0].nbytes
-        self.stats.record("all_reduce", sent)
-        self._trace("all_reduce", buffers[0].nbytes, sent)
+        self.bill("all_reduce", buffers)
         return results
-
-    def _all_gather_values(self, buffers: list[np.ndarray]) -> list[np.ndarray]:
-        _check_buffers(buffers)
-        if len(buffers) != self.size:
-            raise ValueError(f"expected {self.size} buffers, got {len(buffers)}")
-        full = np.concatenate(buffers, axis=0)
-        return [full.copy() for _ in range(self.size)]
 
     def all_gather(self, buffers: list[np.ndarray]) -> list[np.ndarray]:
         """Ring all-gather: every rank ends with the concatenation
         (axis 0) of all ranks' buffers in group order."""
-        results = self._all_gather_values(buffers)
+        self._check_buffers(buffers, in_place=False)
+        full = np.concatenate(buffers, axis=0)
         # ring all-gather: each rank forwards its shard (p-1) hops
-        sent = (self.size - 1) * buffers[0].nbytes
-        self.stats.record("all_gather", sent)
-        self._trace("all_gather", buffers[0].nbytes, sent)
-        return results
+        self.bill("all_gather", buffers)
+        return [full.copy() for _ in range(self.size)]
 
     def _reduce_scatter_values(self, buffers: list[np.ndarray],
                                op: str) -> list[np.ndarray]:
-        """Element-wise float64 reduction then 1/P split.
+        """Element-wise float64 reduction, rank ``r``'s 1/P block of it
+        written in place over block ``r`` of its own buffer.
 
-        Unlike the ring all-reduce, the reduction here is element-wise
-        over *all* ranks at once, so any partition of the parameter space
-        into buckets reduces bit-identically to one whole-buffer call.
+        Unlike the ring all-reduce, each element is reduced over *all*
+        ranks at once, in rank order, so any partition of the parameter
+        space into buckets reduces bit-identically to one whole-buffer
+        call.  Every input is read before any block is written, so ranks
+        may pass one shared buffer.  Returns the block views.
         """
-        _check_buffers(buffers)
-        if len(buffers) != self.size:
-            raise ValueError(f"expected {self.size} buffers, got {len(buffers)}")
-        if buffers[0].shape[0] % self.size:
-            raise ValueError(
-                f"leading dim {buffers[0].shape[0]} not divisible by group size {self.size}"
-            )
-        total = np.sum([b.astype(np.float64) for b in buffers], axis=0)
+        self._check_buffers(buffers)
+        k = self._block_rows(buffers)
+        if op not in ("mean", "sum"):
+            raise ValueError(f"unsupported op {op!r}")
+        total = buffers[0].astype(np.float64)
+        for b in buffers[1:]:
+            total += b
         if op == "mean":
             total /= self.size
-        elif op != "sum":
-            raise ValueError(f"unsupported op {op!r}")
-        shards = np.array_split(total.astype(np.float32), self.size, axis=0)
-        return [s.copy() for s in shards]
+        for r, b in enumerate(buffers):
+            b[r * k:(r + 1) * k] = total[r * k:(r + 1) * k]
+        return [b[r * k:(r + 1) * k] for r, b in enumerate(buffers)]
 
     def reduce_scatter(self, buffers: list[np.ndarray], op: str = "sum") -> list[np.ndarray]:
-        """Each rank ends with its 1/P slice of the element-wise reduction.
+        """Each rank ends with its 1/P block of the element-wise reduction,
+        in place; returns the block views.
 
         Buffers must have leading dimension divisible by the group size.
         """
         results = self._reduce_scatter_values(buffers, op)
-        sent = (self.size - 1) / self.size * buffers[0].nbytes
-        self.stats.record("reduce_scatter", sent)
-        self._trace("reduce_scatter", buffers[0].nbytes, sent)
+        self.bill("reduce_scatter", buffers)
         return results
 
     def all_to_all(self, buffers: list[np.ndarray]) -> list[np.ndarray]:
@@ -257,62 +280,32 @@ class ProcessGroup:
         This is the collective sequence parallelism (Ulysses-style) needs
         every attention layer — the overhead TILES avoids.
         """
-        _check_buffers(buffers)
-        if len(buffers) != self.size:
-            raise ValueError(f"expected {self.size} buffers, got {len(buffers)}")
-        if buffers[0].shape[0] % self.size:
-            raise ValueError("leading dim not divisible by group size")
+        self._check_buffers(buffers, in_place=False)
+        self._block_rows(buffers)
         split = [np.array_split(b, self.size, axis=0) for b in buffers]
         out = [np.concatenate([split[j][i] for j in range(self.size)], axis=0)
                for i in range(self.size)]
-        sent = (self.size - 1) / self.size * buffers[0].nbytes
-        self.stats.record("all_to_all", sent)
-        self._trace("all_to_all", buffers[0].nbytes, sent)
+        self.bill("all_to_all", buffers)
         return out
 
     # ------------------------------------------------------------------ #
     # async collectives — same math, comm-stream timing
     # ------------------------------------------------------------------ #
-    def _launch_async(self, op: str, results, payload_nbytes: float,
-                      sent: float) -> Work:
-        """Record stats and schedule the collective on the comm stream.
-
-        Values were already computed (eagerly, bit-identically to the
-        sync path); here we only account for the *time*: the span starts
-        at the latest member's current position (compute clock or comm
-        frontier, whichever is later) and the member compute clocks are
-        NOT advanced — ``Work.wait()`` charges only the exposed residual.
-        """
-        self.stats.record(op, sent)
-        self.stats.record_async(op)
-        handle = None
-        if self.size > 1:
-            tracer = active_tracer()
-            if tracer is not None:
-                handle = tracer.collective_async(
-                    op, self.ranks, payload_nbytes,
-                    self.collective_time(op, payload_nbytes),
-                    sent_bytes=sent)
-        return Work(op, results, self.ranks, handle)
-
     def all_reduce_async(self, buffers: list[np.ndarray], op: str = "mean",
                          chunks=None) -> Work:
-        """Asynchronous ring all-reduce; result via ``Work.wait()``."""
+        """Asynchronous in-place ring all-reduce; ``Work.wait()`` returns
+        ``buffers``.  The span starts at the latest member's position;
+        member compute clocks do not advance until ``wait()``."""
         results = self._all_reduce_values(buffers, op, chunks)
-        if self.size == 1:
-            self.stats.record("all_reduce", 0.0)
-            self.stats.record_async("all_reduce")
-            return Work("all_reduce", results, self.ranks)
-        sent = 2 * (self.size - 1) / self.size * buffers[0].nbytes
-        return self._launch_async("all_reduce", results, buffers[0].nbytes, sent)
+        return self.bill("all_reduce", buffers, launch=True, results=results)
 
     def reduce_scatter_async(self, buffers: list[np.ndarray],
                              op: str = "sum") -> Work:
-        """Asynchronous reduce-scatter; result via ``Work.wait()``."""
+        """Asynchronous in-place reduce-scatter; ``Work.wait()`` returns
+        the block views."""
         results = self._reduce_scatter_values(buffers, op)
-        sent = (self.size - 1) / self.size * buffers[0].nbytes
-        return self._launch_async("reduce_scatter", results,
-                                  buffers[0].nbytes, sent)
+        return self.bill("reduce_scatter", buffers, launch=True,
+                         results=results)
 
     # ------------------------------------------------------------------ #
     # cost model

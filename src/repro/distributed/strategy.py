@@ -15,9 +15,9 @@ Training runs through exactly one strategy, :class:`CompositeStrategy`:
 
 Plain DDP, FSDP and TILES are its degenerate plans
 ``CompositePlan(ddp=W)``, ``(fsdp=W)``, ``(tiles=W)``: a size-1 level's
-collective is a copy.  The forward-only engines (tensor parallel,
-Ulysses, Hybrid-OP) are not strategies; the oracle drives them
-directly.
+collective leaves its buffer as it is.  The forward-only engines
+(tensor parallel, Ulysses, Hybrid-OP) are not strategies; the oracle
+drives them directly.
 
 :class:`CompositePlan` is Fig. 5's orthogonal layout as the explicit
 four-factor decomposition ``tp x fsdp x tiles x ddp == world`` with the
@@ -31,14 +31,17 @@ the full stack end-to-end on the virtual cluster:
   ddp``.  The FSDP and TP ranks of a unit share its compute (shared
   arithmetic, genuine traffic), with the per-layer TP all-reduce volume
   recorded as modelled traffic on the TP groups;
-* FSDP reduce-scatters each unit's flat gradient into per-rank shards
-  (identical contributions accumulate in float64 — exact);
+* FSDP reduce-scatters each unit's per-step *work gradient* (its flat
+  gradient padded to a multiple of ``fsdp``) in place into per-rank
+  shards, its blocks (identical contributions accumulate in float64 —
+  exact); the later phases reduce those blocks in place too;
 * the TILES all-reduce averages shards across the tiles of one sample
   (once per batch, Sec. III-B);
 * the DDP all-reduce averages across data-parallel ranks;
-* an FSDP all-gather re-materialises the full averaged gradient into the
-  unit's :class:`~repro.nn.flat.FlatParamBuffer` via ``load_grad`` — the
-  pre-attached ``.grad`` views see it with zero copies.
+* the FSDP all-gather moves nothing (the shards tile the work gradient)
+  and is billed; ``load_grad`` copies the result into the unit's
+  :class:`~repro.nn.flat.FlatParamBuffer` — the pre-attached ``.grad``
+  views see it with zero copies.
 
 The two ring phases average over all (d, t) units, so every unit ends
 with the single-process gradient of the whole batch — the composition
@@ -265,9 +268,9 @@ class CompositeStrategy:
     """TP x FSDP x TILES x DDP executed together on the virtual cluster.
 
     See the module docstring for the execution and reduction schedule.
-    Collectives run once per tensor-parallel index so every group's
-    byte accounting is real; results are identical across ``p`` (the
-    inputs are), so the last result is used.
+    Each FSDP, TILES and DDP rank set has one group per tensor-parallel
+    index ``p``; the ``P`` groups share one set of buffers, so
+    :meth:`_reduce_once` reduces them once and bills the others.
     """
 
     def __init__(self, plan: CompositePlan, loss_fn,
@@ -312,26 +315,25 @@ class CompositeStrategy:
         self._fired: dict = {}
         self._work_grads: dict = {}
         # one ProcessGroup object per rank set, built once so CommStats
-        # accumulate across steps
+        # accumulate across steps; a reduction level keys the P groups
+        # of its tensor-parallel replicas together
+        P = range(plan.tp)
         self._tp_groups = {
             (d, t, f): cluster.group(plan.tp_ranks(d, t, f))
             for d in range(plan.ddp) for t in range(plan.tiles)
             for f in range(plan.fsdp)
         }
         self._fsdp_groups = {
-            (d, t, p): cluster.group(plan.fsdp_ranks(d, t, p))
+            (d, t): [cluster.group(plan.fsdp_ranks(d, t, p)) for p in P]
             for d in range(plan.ddp) for t in range(plan.tiles)
-            for p in range(plan.tp)
         }
         self._tiles_groups = {
-            (d, f, p): cluster.group(plan.tiles_ranks(d, f, p))
+            (d, f): [cluster.group(plan.tiles_ranks(d, f, p)) for p in P]
             for d in range(plan.ddp) for f in range(plan.fsdp)
-            for p in range(plan.tp)
         }
         self._ddp_groups = {
-            (t, f, p): cluster.group(plan.ddp_ranks(t, f, p))
+            (t, f): [cluster.group(plan.ddp_ranks(t, f, p)) for p in P]
             for t in range(plan.tiles) for f in range(plan.fsdp)
-            for p in range(plan.tp)
         }
 
     def _unit(self, d: int, t: int) -> Module:
@@ -477,9 +479,7 @@ class CompositeStrategy:
     # ------------------------------------------------------------------ #
     def _begin_overlap_step(self) -> None:
         plan = self.plan
-        F = plan.fsdp
-        lpad = self._buffers[0].padded_size(F)
-        self._shard_len = lpad // F
+        lpad = self._buffers[0].padded_size(plan.fsdp)
         self._work_grads = {
             (d, t): np.zeros(lpad, dtype=np.float32)
             for d in range(plan.ddp) for t in range(plan.tiles)
@@ -488,32 +488,42 @@ class CompositeStrategy:
         self._ph2_works = {}
         self._fired = {}
 
+    @staticmethod
+    def _reduce_once(groups: list[ProcessGroup], name: str, buffers,
+                     launch: bool = False, **kw):
+        """Run collective ``name`` once for the ``P`` TP replica groups.
+
+        They share one set of buffers, and a second in-place mean of
+        averaged values re-rounds: every group but the last is billed
+        alone, then the last runs it (the order of P separate calls)."""
+        for g in groups[:-1]:
+            g.bill(name, buffers, launch)
+        last = groups[-1]
+        return getattr(last, name + "_async" if launch else name)(buffers, **kw)
+
     def _on_bucket_ready(self, d: int, t: int, bucket) -> None:
         """Phase 1 of one bucket, launched from unit (d, t)'s tape walk.
 
-        Every FSDP rank contributes the identical unit gradient, and the
-        float64 mean of identical float32 values is exact, so the
-        reduce-scatter's output *is* its input — the collective runs for
-        real traffic and comm-stream time, while the values ride in the
-        unit's working padded-gradient vector.  The tail bucket (index 0)
-        also owns the zero padding up to ``padded_size(F)``.
+        The bucket's gradient is copied into the unit's work gradient;
+        the FSDP reduce-scatter runs in place on it, rounded up to a
+        multiple of F elements (shifted left at the end).  The float64
+        mean of the F ranks' identical values is exact, so every element
+        is rewritten unchanged: the collective runs for real traffic and
+        comm-stream time.  The tail bucket (index 0) also owns the zero
+        padding up to ``padded_size(F)``.
         """
-        plan = self.plan
-        P, F, T = plan.tp, plan.fsdp, plan.tiles
+        F, T = self.plan.fsdp, self.plan.tiles
         buf = self._buffer(d, t)
         wg = self._work_grads[(d, t)]
         lo = bucket.lo
         hi = wg.size if bucket.hi == buf.size else bucket.hi
         wg[lo:bucket.hi] = buf.grad[lo:bucket.hi]
-        seg = wg[lo:hi]
-        m = -(-seg.size // F) * F
-        seg_p = np.zeros(m, dtype=np.float32)
-        seg_p[:seg.size] = seg
-        contributions = [seg_p.reshape(F, -1)] * F
-        for p in range(P):
-            w1 = self._fsdp_groups[(d, t, p)].reduce_scatter_async(
-                contributions, op="mean")
-        self._ph1_works.append(w1)
+        m = -(-(hi - lo) // F) * F
+        s = min(lo, wg.size - m)
+        seg = wg[s:s + m].reshape(F, -1)
+        self._ph1_works.append(self._reduce_once(
+            self._fsdp_groups[(d, t)], "reduce_scatter", [seg] * F,
+            launch=True, op="mean"))
         # phase 2 is reducible once every tile of sample d finished this
         # bucket; the tracer's per-rank comm frontier carries the
         # phase-1 -> phase-2 dependency (each TILES member rank sits in
@@ -527,24 +537,23 @@ class CompositeStrategy:
         """Phase 2 of one bucket: TILES all-reduce of the shard sub-ranges.
 
         The bucket's padded range intersects each FSDP shard ``f`` in a
-        sub-range; reducing that slice with the globally aligned ring
-        chunk partition is bit-identical to the eager whole-shard call.
+        sub-range; reducing that slice of the tiles' work gradients in
+        place with the globally aligned ring chunk partition is
+        bit-identical to the eager whole-shard call.
         """
-        plan = self.plan
-        P, F, T = plan.tp, plan.fsdp, plan.tiles
-        ln = self._shard_len
-        entries = []
+        F, T = self.plan.fsdp, self.plan.tiles
+        ln = self._work_grads[(d, 0)].size // F
+        works = []
         for f in range(F):
             s, e = max(lo, f * ln), min(hi, (f + 1) * ln)
             if e <= s:
                 continue
             bufs = [self._work_grads[(d, t)][s:e] for t in range(T)]
             chunks = aligned_ring_chunks(s - f * ln, e - f * ln, ln, T)
-            for p in range(P):
-                work = self._tiles_groups[(d, f, p)].all_reduce_async(
-                    bufs, op="mean", chunks=chunks)
-            entries.append((f, s, e, work))
-        self._ph2_works[(d, b_idx)] = entries
+            works.append(self._reduce_once(
+                self._tiles_groups[(d, f)], "all_reduce", bufs,
+                launch=True, op="mean", chunks=chunks))
+        self._ph2_works[(d, b_idx)] = works
 
     def _record_tp_traffic(self, unit: Module, act_nbytes: int,
                            d: int, t: int) -> None:
@@ -577,76 +586,60 @@ class CompositeStrategy:
     # the four-phase reduction
     # ------------------------------------------------------------------ #
     def reduce_gradients(self) -> None:
-        """All gradient collectives of one step."""
+        """All gradient collectives of one step, in place on the per-step
+        work gradients; ``load_grad`` reads each unit's result from its
+        own."""
         plan = self.plan
-        P, F, T, D = plan.tp, plan.fsdp, plan.tiles, plan.ddp
-        shards: dict[tuple[int, int], list[np.ndarray]] = {}
+        F, T, D = plan.fsdp, plan.tiles, plan.ddp
         if self.overlap:
-            # phases 1-2 already launched bucket-by-bucket during
-            # backward; drain the works and assemble the per-unit shard
-            # vectors from the bucket results (each shard element is
-            # covered by exactly one bucket)
-            ln = self._shard_len
+            # phases 1-2 already ran bucket by bucket during backward;
+            # waiting completes their comm-stream time
             with span("reduce/overlap_wait", cat="reduce"):
                 for w in self._ph1_works:
                     w.wait()
-                for d in range(D):
-                    for t in range(T):
-                        wg = self._work_grads[(d, t)]
-                        shards[(d, t)] = [wg[f * ln:(f + 1) * ln].copy()
-                                          for f in range(F)]
-                for (d, _b), entries in sorted(self._ph2_works.items()):
-                    for f, s, e, work in entries:
-                        results = work.wait()
-                        for t in range(T):
-                            shards[(d, t)][f][s - f * ln:e - f * ln] = results[t]
-            self._ph1_works, self._ph2_works, self._fired = [], {}, {}
-            self._work_grads = {}
+                for _, works in sorted(self._ph2_works.items()):
+                    for w in works:
+                        w.wait()
+            work = self._work_grads
         else:
+            # the live gradient itself when already F-aligned
+            work = {(d, t): self._buffer(d, t).padded_grad(F)
+                    for d in range(D) for t in range(T)}
+        shards = {key: wg.reshape(F, -1) for key, wg in work.items()}
+        if not self.overlap:
             # phase 1 — FSDP reduce-scatter: every rank of a unit
             # contributes the (identical) unit gradient and keeps its own
             # shard.  The float64 accumulation of identical contributions
             # is exact.
             with span("reduce/fsdp_reduce_scatter", cat="reduce"):
-                for d in range(D):
-                    for t in range(T):
-                        padded = self._buffer(d, t).padded_grad(F).reshape(F, -1)
-                        contributions = [padded] * F
-                        for p in range(P):
-                            result = self._fsdp_groups[(d, t, p)].reduce_scatter(
-                                contributions, op="mean")
-                        shards[(d, t)] = [r.reshape(-1) for r in result]
+                for key, rows in shards.items():
+                    self._reduce_once(self._fsdp_groups[key], "reduce_scatter",
+                                      [rows] * F, op="mean")
             # phase 2 — TILES all-reduce: average each shard across the
             # tiles of one sample (the once-per-batch collective of
             # Sec. III-B)
             with span("reduce/tiles_all_reduce", cat="reduce"):
                 for d in range(D):
                     for f in range(F):
-                        bufs = [shards[(d, t)][f] for t in range(T)]
-                        for p in range(P):
-                            result = self._tiles_groups[(d, f, p)].all_reduce(
-                                bufs, op="mean")
-                        for t in range(T):
-                            shards[(d, t)][f] = result[t]
+                        self._reduce_once(
+                            self._tiles_groups[(d, f)], "all_reduce",
+                            [shards[(d, t)][f] for t in range(T)], op="mean")
         # phase 3 — DDP all-reduce: average across data-parallel ranks
         with span("reduce/ddp_all_reduce", cat="reduce"):
             for t in range(T):
                 for f in range(F):
-                    bufs = [shards[(d, t)][f] for d in range(D)]
-                    for p in range(P):
-                        result = self._ddp_groups[(t, f, p)].all_reduce(
-                            bufs, op="mean")
-                    for d in range(D):
-                        shards[(d, t)][f] = result[d]
-        # phase 4 — FSDP all-gather: re-materialise the averaged flat
-        # gradient straight into each unit's buffer (zero per-param copies)
+                    self._reduce_once(
+                        self._ddp_groups[(t, f)], "all_reduce",
+                        [shards[(d, t)][f] for d in range(D)], op="mean")
+        # phase 4 — FSDP all-gather: the shards already tile each work
+        # gradient, so it is billed, and load_grad copies the result
         with span("reduce/fsdp_all_gather", cat="reduce"):
-            for d in range(D):
-                for t in range(T):
-                    for p in range(P):
-                        result = self._fsdp_groups[(d, t, p)].all_gather(
-                            shards[(d, t)])
-                    self._buffer(d, t).load_grad(result[0])
+            for key, wg in work.items():
+                for g in self._fsdp_groups[key]:
+                    g.bill("all_gather", list(shards[key]))
+                self._buffer(*key).load_grad(wg)
+        self._ph1_works, self._ph2_works, self._fired = [], {}, {}
+        self._work_grads = {}
         self.steps += 1
 
     # ------------------------------------------------------------------ #
@@ -730,11 +723,14 @@ class CompositeStrategy:
     # ------------------------------------------------------------------ #
     def level_groups(self) -> dict[str, list[ProcessGroup]]:
         """Process groups per parallelism level, ``{"tp": [...], ...}``."""
+        def flat(replicas):
+            return [g for groups in replicas.values() for g in groups]
+
         return {
             "tp": list(self._tp_groups.values()),
-            "fsdp": list(self._fsdp_groups.values()),
-            "tiles": list(self._tiles_groups.values()),
-            "ddp": list(self._ddp_groups.values()),
+            "fsdp": flat(self._fsdp_groups),
+            "tiles": flat(self._tiles_groups),
+            "ddp": flat(self._ddp_groups),
         }
 
     def comm_summary(self, reset: bool = False) -> dict:

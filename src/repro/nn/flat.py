@@ -117,9 +117,11 @@ class FlatParamBuffer:
     def padded_grad(self, multiple: int) -> np.ndarray:
         """The flat gradient, zero-padded to a multiple of ``multiple``.
 
-        Returns the live buffer itself when already aligned (zero-copy);
-        collectives in :mod:`repro.distributed.comm` never mutate their
-        input buffers, so sharing is safe.
+        Returns the live buffer itself when already aligned (zero-copy),
+        else a padded copy.  The collectives in
+        :mod:`repro.distributed.comm` work in place, so reducing the
+        result reduces the live gradient when it is aligned; a caller
+        that needs the unreduced gradient afterwards copies first.
         """
         padded = self.padded_size(multiple)
         if padded == self.size:
@@ -136,7 +138,8 @@ class FlatParamBuffer:
         """
         if flat.size < self.size:
             raise ValueError(f"gradient of {flat.size} < buffer of {self.size}")
-        self.grad[...] = flat.reshape(-1)[: self.size]
+        if flat is not self.grad:  # the live buffer, reduced in place
+            self.grad[...] = flat.reshape(-1)[: self.size]
 
     def export_data(self) -> np.ndarray:
         """Copy out the flat parameter vector (canonical layout).

@@ -25,9 +25,11 @@ from .conformance import (
     ConformanceReport,
     check_async_collective,
     check_collective,
+    check_in_place,
     expected_sent_bytes,
     run_async_conformance,
     run_conformance,
+    run_in_place_conformance,
 )
 from .equivalence import (
     PARALLELISMS,
@@ -88,9 +90,11 @@ __all__ = [
     "ConformanceReport",
     "check_async_collective",
     "check_collective",
+    "check_in_place",
     "expected_sent_bytes",
     "run_async_conformance",
     "run_conformance",
+    "run_in_place_conformance",
     # golden
     "GoldenMismatch",
     "check_golden",

@@ -12,6 +12,13 @@ Every ``ProcessGroup`` collective is validated two ways:
   traffic without updating the formula (or vice versa), the performance
   tables would silently drift from the simulation.
 
+``all_reduce`` and ``reduce_scatter`` work in place, so each check
+hands the collective copies of its inputs and also requires their
+results to live in each rank's own buffer.
+:func:`check_in_place` pins the in-place ring all-reduce bitwise to a
+copy-then-reduce ring written out here, with and without explicit
+``chunks``, and checks the aliasing guard.
+
 Ring algorithms commonly break off the power-of-two path, so the default
 sweep includes odd world sizes and ragged (prime-dimensioned,
 non-contiguous-friendly) buffer shapes.
@@ -35,8 +42,10 @@ __all__ = [
     "expected_sent_bytes",
     "check_collective",
     "check_async_collective",
+    "check_in_place",
     "run_conformance",
     "run_async_conformance",
+    "run_in_place_conformance",
 ]
 
 #: Every collective the communicator implements.
@@ -47,6 +56,12 @@ COLLECTIVES: tuple[str, ...] = (
 #: World sizes for the default sweep — primes 3/5/7 exercise the
 #: non-power-of-two ring paths.
 DEFAULT_WORLDS: tuple[int, ...] = (1, 2, 3, 4, 5, 7, 8)
+
+#: Collectives that work in place in the callers' buffers.
+IN_PLACE_COLLECTIVES: tuple[str, ...] = ("all_reduce", "reduce_scatter")
+
+#: World sizes of the in-place all-reduce sweep.
+IN_PLACE_WORLDS: tuple[int, ...] = (2, 3, 4, 8)
 
 #: Collectives with an async (``Work``-handle) variant.
 ASYNC_COLLECTIVES: tuple[str, ...] = (
@@ -171,12 +186,18 @@ def check_collective(op: str, world: int, shape: Sequence[int],
     shape = tuple(int(s) for s in shape)
     buffers = [rng.standard_normal(shape).astype(np.float32) for _ in range(world)]
     group = ProcessGroup(list(range(world)))
-    outs = _invoke(group, op, buffers)
+    rank_buffers = [b.copy() for b in buffers]
+    outs = _invoke(group, op, rank_buffers)
     refs = _reference(op, buffers, world)
     ctx = f"{op}@world={world} shape={shape}"
 
     if len(outs) != world:
         raise ConformanceFailure(f"{ctx}: {len(outs)} outputs for {world} ranks")
+    if op in IN_PLACE_COLLECTIVES:
+        for rank, (got, own) in enumerate(zip(outs, rank_buffers)):
+            if not np.shares_memory(got, own):
+                raise ConformanceFailure(
+                    f"{ctx}: rank {rank} result is not in its own buffer")
     rtol, atol = _VALUE_TOLS[op]
     max_err = 0.0
     for rank, (got, ref) in enumerate(zip(outs, refs)):
@@ -308,4 +329,83 @@ def run_conformance(worlds: Sequence[int] = DEFAULT_WORLDS,
                 report.results.append(
                     check_collective(op, world, shape,
                                      seed=seed + 7919 * len(report.results)))
+    return report
+
+
+# --------------------------------------------------------------------- #
+# in-place all-reduce: bitwise against copy-then-reduce
+# --------------------------------------------------------------------- #
+def _copy_ring_mean(inputs: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """The ring all-reduce's float32 mean on copies, chunk by chunk
+    (``sizes`` elements each, in order): chunk ``c``'s cyclic sum starts
+    at rank ``c`` and adds ranks ``c+1, c+2, …`` in turn, then divides
+    by the world size."""
+    p = len(inputs)
+    out = np.empty_like(inputs[0])
+    edges = np.cumsum([0] + sizes)
+    for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        acc = inputs[c][lo:hi].copy()
+        for j in range(1, p):
+            acc = acc + inputs[(c + j) % p][lo:hi]
+        out[lo:hi] = acc / np.float32(p)
+    return out
+
+
+def check_in_place(world: int, n: int, chunks: bool = False,
+                   seed: int = 0) -> CollectiveResult:
+    """Validate the in-place ring all-reduce against copy-then-reduce.
+
+    The mean lands in the callers' own buffers, is returned as them,
+    and equals :func:`_copy_ring_mean` on copies of the inputs *bit for
+    bit*, under the default chunk partition or (``chunks=True``) a
+    random ascending one with empty runs, like a bucket's aligned
+    chunks.  The recorded bytes are the analytic volume, and rank
+    buffers that share memory are refused.  Raises
+    :class:`ConformanceFailure` otherwise.
+    """
+    rng = np.random.default_rng(seed)
+    inputs = [rng.standard_normal(n).astype(np.float32) for _ in range(world)]
+    if chunks:
+        edges = [0, *np.sort(rng.integers(0, n + 1, world - 1)).tolist(), n]
+        part = [np.arange(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    else:
+        part = None
+    sizes = [len(c) for c in (part or np.array_split(np.arange(n), world))]
+    want = _copy_ring_mean(inputs, sizes)
+    bufs = [x.copy() for x in inputs]
+    group = ProcessGroup(list(range(world)))
+    outs = group.all_reduce(bufs, op="mean", chunks=part)
+    ctx = f"in-place all_reduce@world={world} n={n} chunks={chunks}"
+    for rank, (got, own) in enumerate(zip(outs, bufs)):
+        if got is not own:
+            raise ConformanceFailure(
+                f"{ctx}: rank {rank} result is not its own buffer")
+        if got.tobytes() != want.tobytes():
+            raise ConformanceFailure(
+                f"{ctx}: rank {rank} differs from copy-then-reduce")
+    recorded = group.stats.bytes_per_rank.get("all_reduce", 0.0)
+    expected = expected_sent_bytes("all_reduce", world, inputs[0].nbytes)
+    if recorded != expected:
+        raise ConformanceFailure(
+            f"{ctx}: recorded sent_bytes_per_rank {recorded} != {expected}")
+    try:
+        group.all_reduce([bufs[0]] * world, op="mean")
+    except ValueError:
+        pass
+    else:
+        raise ConformanceFailure(f"{ctx}: aliased rank buffers accepted")
+    return CollectiveResult("all_reduce", world, (n,), 0.0, recorded, expected)
+
+
+def run_in_place_conformance(worlds: Sequence[int] = IN_PLACE_WORLDS,
+                             sizes: Sequence[int] = (1, 37, 1031),
+                             seed: int = 0) -> ConformanceReport:
+    """:func:`check_in_place` over every (world, size), with and without
+    explicit chunks; raises at the first failing combination."""
+    report = ConformanceReport()
+    for world in worlds:
+        for n in sizes:
+            for chunks in (False, True):
+                report.results.append(check_in_place(
+                    world, n, chunks, seed=seed + 7919 * len(report.results)))
     return report

@@ -37,8 +37,10 @@ def build_inference_runner(model: Module, n_tiles: int = 1, halo: int = 0,
 
     ``coarse_shape`` (the input grid ``(h, w)``), when known, lets the
     tile partition be validated before any compute: the grid must divide
-    into the tile layout, the halo must be smaller than the tile core, and
-    a model's coarse-grid ``tokenizer`` must patch every tile shape.
+    into the tile layout, the halo must be smaller than the tile core, a
+    model's coarse-grid ``tokenizer`` must patch every tile shape, and a
+    fine-grid ``patch_embed`` (times ``deep_stride``, for Swin) every tile
+    shape × ``factor``.
 
     ``compile=True`` wraps the *model* in a
     :class:`~repro.tensor.compile.CompiledForward` so repeated
@@ -63,12 +65,21 @@ def build_inference_runner(model: Module, n_tiles: int = 1, halo: int = 0,
             "model with a .factor attribute")
     if coarse_shape is not None:
         # raises every tile-geometry error (non-divisible grid, a halo
-        # that does not fit the tile extent) before any forward pass runs
+        # that does not fit the tile extent) before any forward pass runs;
+        # then every tile must patch: a coarse-grid tokenizer patches the
+        # tile, a fine-grid patch embed (times a Swin's deep stride) the
+        # tile upsampled by factor
         p = getattr(getattr(model, "tokenizer", None), "patch_size", 1)
+        fine = (getattr(getattr(model, "patch_embed", None), "patch_size", 1)
+                * getattr(model, "deep_stride", 1))
         for h, w in sorted(TilePlan.build(coarse_shape, n_tiles, halo, factor,
                                           uneven=uneven).signatures()):
             if h % p or w % p:
                 raise TileShapeError(f"tile shape {(h, w)} is not divisible by patch size {p}")
+            if (h * factor) % fine or (w * factor) % fine:
+                raise TileShapeError(
+                    f"tile shape {(h, w)} x factor {factor} is not divisible "
+                    f"by fine-grid patch size {fine}")
     # compile wraps the inner model: per-tile shapes are identical for
     # even tiling, so one captured program serves every tile (uneven
     # tiling falls back to one plan per distinct shape); stitching

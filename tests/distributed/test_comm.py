@@ -111,9 +111,27 @@ class TestAllReduce:
         g = ProcessGroup([0, 1, 2])
         bufs = _bufs(3, n=10)
         empty = np.empty(0, dtype=np.int64)
-        got = g.all_reduce(bufs, op="sum",
+        got = g.all_reduce([b.copy() for b in bufs], op="sum",
                            chunks=[np.arange(0, 10), empty, empty])
         np.testing.assert_allclose(got[0], np.sum(bufs, axis=0), rtol=1e-6)
+
+    def test_rejects_rank_buffers_that_share_memory(self):
+        g = ProcessGroup([0, 1])
+        base = np.zeros(12, dtype=np.float32)
+        for bufs in ([base, base], [base[:8], base[4:]]):
+            with pytest.raises(ValueError, match="share memory"):
+                g.all_reduce(bufs)
+            with pytest.raises(ValueError, match="share memory"):
+                g.all_reduce_async(bufs)
+        g.all_reduce([base[:6], base[6:]])  # disjoint views are fine
+
+    @pytest.mark.parametrize("bufs", [
+        [np.zeros(4), np.zeros(4)],                                  # float64
+        [np.zeros(8, np.float32)[::2], np.zeros(8, np.float32)[::2]],  # strided
+    ])
+    def test_rejects_buffers_it_cannot_reduce_in_place(self, bufs):
+        with pytest.raises(ValueError, match="in-place"):
+            ProcessGroup([0, 1]).all_reduce(bufs)
 
     @given(st.integers(2, 7), st.integers(1, 64))
     @settings(max_examples=20, deadline=None)
@@ -142,7 +160,7 @@ class TestOtherCollectives:
     def test_reduce_scatter_then_gather_equals_allreduce(self):
         g = ProcessGroup(list(range(4)))
         bufs = [b.reshape(4, 5) for b in _bufs(4, n=20, seed=3)]
-        rs = g.reduce_scatter(bufs, op="sum")
+        rs = g.reduce_scatter([b.copy() for b in bufs], op="sum")
         ag = g.all_gather(rs)
         ar = g.all_reduce(bufs, op="sum")
         np.testing.assert_allclose(ag[0], ar[0], rtol=1e-5, atol=1e-5)

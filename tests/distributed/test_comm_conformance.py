@@ -12,9 +12,11 @@ from repro.testing import (
     ConformanceFailure,
     check_async_collective,
     check_collective,
+    check_in_place,
     expected_sent_bytes,
     run_async_conformance,
     run_conformance,
+    run_in_place_conformance,
 )
 
 ODD_WORLDS = (3, 5, 7)
@@ -175,3 +177,54 @@ class TestAsyncConformance:
             check_async_collective("all_gather", 2, (4,))
         with pytest.raises(ValueError, match="no async variant"):
             run_async_conformance(ops=("all_to_all",))
+
+
+class TestInPlaceConformance:
+    """The in-place ring all-reduce: bitwise copy-then-reduce, in the
+    callers' buffers, same bytes, aliased buffers refused."""
+
+    @pytest.mark.parametrize("chunks", [False, True], ids=["ring", "chunks"])
+    @pytest.mark.parametrize("world", [2, 3, 4, 8])
+    def test_bitwise_copy_then_reduce(self, world, chunks):
+        for n in (1, 37, 1031):
+            r = check_in_place(world, n, chunks=chunks, seed=world + n)
+            assert r.recorded_bytes == expected_sent_bytes("all_reduce", world, 4 * n)
+
+    def test_full_in_place_sweep_passes(self):
+        assert run_in_place_conformance().checks == 4 * 3 * 2
+
+    def test_detects_a_copying_all_reduce(self, monkeypatch):
+        orig = ProcessGroup.all_reduce
+
+        def copying(self, buffers, op="mean", chunks=None):
+            return orig(self, [b.copy() for b in buffers], op=op, chunks=chunks)
+
+        monkeypatch.setattr(ProcessGroup, "all_reduce", copying)
+        with pytest.raises(ConformanceFailure, match="not its own buffer"):
+            check_in_place(3, 37)
+
+    def test_detects_a_reordered_sum(self, monkeypatch):
+        orig = ProcessGroup.all_reduce
+
+        def reordered(self, buffers, op="mean", chunks=None):
+            mean = np.mean(np.stack(buffers), axis=0, dtype=np.float32)
+            orig(self, buffers, op=op, chunks=chunks)
+            for b in buffers:
+                b[...] = mean
+            return buffers
+
+        monkeypatch.setattr(ProcessGroup, "all_reduce", reordered)
+        with pytest.raises(ConformanceFailure, match="copy-then-reduce"):
+            check_in_place(7, 1031)
+
+    def test_detects_a_missing_aliasing_guard(self, monkeypatch):
+        orig = ProcessGroup.all_reduce
+
+        def unguarded(self, buffers, op="mean", chunks=None):
+            if len({id(b) for b in buffers}) < len(buffers):
+                return list(buffers)
+            return orig(self, buffers, op=op, chunks=chunks)
+
+        monkeypatch.setattr(ProcessGroup, "all_reduce", unguarded)
+        with pytest.raises(ConformanceFailure, match="aliased"):
+            check_in_place(2, 37)

@@ -14,6 +14,8 @@ The load-bearing guarantees:
   Chrome export renders compute and comm as separate tracks per rank.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,96 @@ class TestEagerVsOverlapBitIdentity:
         strat.reduce_gradients()
         launches = strat.comm_summary()["async_launches"]
         assert sum(n for per in launches.values() for n in per.values()) > 0
+
+
+class TestInPlaceReduction:
+    """Every reduce phase runs in place on the per-step work gradients:
+    after backward the step holds them and nothing else, and draining
+    the reduction allocates nothing of a gradient's size."""
+
+    SLACK = 64 << 10
+
+    def test_overlap_step_holds_only_the_work_gradients(self):
+        strat, (x, y) = _run_composite(True)
+        strat.step(x, y)  # warm: grad views, tile plans, hooks
+        work = sum(b.padded_size(2) * 4 for b in strat.buffers())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            strat.forward_backward(x, y)
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            strat.reduce_gradients()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entry - base <= work + self.SLACK
+        assert peak - entry <= self.SLACK
+
+    @staticmethod
+    def _tp_run(overlap):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 2, 16, 16)).astype(np.float32)
+        y = rng.standard_normal((2, 1, 32, 32)).astype(np.float32)
+        plan = CompositePlan(VirtualCluster(16), tp=2, fsdp=2, tiles=2, ddp=2)
+        strat = CompositeStrategy(plan, _mse, halo=2, factor=2,
+                                  overlap=overlap, bucket_bytes=1 << 12)
+        strat.setup(lambda u: _model(3 + u))
+        trail = []
+        for _ in range(3):
+            losses = strat.forward_backward(x, y)
+            strat.reduce_gradients()
+            grads = [strat.unit_grads(i) for i in range(len(strat.units()))]
+            strat.apply_sgd(0.05)
+            params = [strat.unit_params(i) for i in range(len(strat.units()))]
+            trail.append((losses, grads, params))
+        stats = {level: {tuple(g.ranks): (g.stats.calls, g.stats.bytes_per_rank,
+                                          g.stats.async_launches)
+                         for g in groups}
+                 for level, groups in strat.level_groups().items()}
+        return trail, stats
+
+    def test_world16_schedules_agree_and_bill_every_tp_replica(self):
+        """tp=2: both TP indices' groups share the in-place buffers.
+        composite and composite_overlap stay bitwise over 3 steps, and
+        each replica group is billed exactly as its p = 0 sibling."""
+        eager, eager_stats = self._tp_run(False)
+        overlap, overlap_stats = self._tp_run(True)
+        for (l0, g0, p0), (l1, g1, p1) in zip(eager, overlap):
+            assert l0 == l1
+            for a, b in zip(g0 + p0, g1 + p1):
+                np.testing.assert_array_equal(a, b)
+        for stats in (eager_stats, overlap_stats):
+            for level in ("fsdp", "tiles", "ddp"):
+                for ranks, got in stats[level].items():
+                    if ranks[0] % 2:  # TP index 1
+                        sibling = tuple(r - 1 for r in ranks)
+                        assert got == stats[level][sibling]
+        # the drain phases are the same calls in both schedules
+        assert eager_stats["ddp"] == overlap_stats["ddp"]
+        for ranks, (calls, sent, _) in eager_stats["fsdp"].items():
+            o_calls, o_sent, _ = overlap_stats["fsdp"][ranks]
+            assert calls["all_gather"] == o_calls["all_gather"] == 3
+            assert sent["all_gather"] == o_sent["all_gather"]
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_tensor_parallel_is_transparent_at_a_rerounding_level(self, overlap):
+        """The ring mean of 6 copies of a 6-way mean re-rounds some
+        elements, so at ddp=6 a second in-place reduction by the other
+        TP index would move bits: tp=2 must reduce exactly like tp=1."""
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((6, 2, 8, 8)).astype(np.float32)
+        y = rng.standard_normal((6, 1, 16, 16)).astype(np.float32)
+
+        def grads(tp):
+            plan = CompositePlan(VirtualCluster(6 * tp), tp=tp, ddp=6)
+            strat = CompositeStrategy(plan, _mse, halo=2, factor=2,
+                                      overlap=overlap, bucket_bytes=1 << 12)
+            strat.setup(lambda u: _model(3 + u))
+            strat.step(x, y)
+            return strat.unit_grads(0)
+
+        np.testing.assert_array_equal(grads(2), grads(1))
 
 
 class TestCommStatsAsyncAccounting:

@@ -109,6 +109,30 @@ class TestInferenceValidation:
             build_inference_runner(model, n_tiles=4, halo=1, coarse_shape=(8, 16))
         build_inference_runner(model, n_tiles=4, halo=2, coarse_shape=(8, 16))
 
+    @pytest.mark.parametrize("fine_grid_model", ["vit", "swin"])
+    def test_tile_off_the_fine_patch_grid_refused_at_construction(
+            self, fine_grid_model):
+        # 2 x 2 tiles of an (8, 16) grid with halo 1 are (5, 9); at factor
+        # 1 a fine-grid patch of 4 (ViT) or 2 x deep stride 2 (Swin)
+        # cannot tokenize them, so no request could succeed
+        from repro.core import SwinDownscaler, UpsampleViT
+        from repro.core.tiles import TileShapeError
+        from repro.serve import DownscalingService
+        rng = np.random.default_rng(0)
+        if fine_grid_model == "vit":
+            model = UpsampleViT(ModelConfig("vit", embed_dim=16, depth=1,
+                                            num_heads=2, patch_size=4),
+                                3, 3, factor=1, max_tokens=64, rng=rng)
+        else:
+            model = SwinDownscaler(TINY, 3, 3, factor=1, window=2,
+                                   n_stages=2, rng=rng)
+        with pytest.raises(TileShapeError, match="fine-grid patch size 4"):
+            DownscalingService(model, n_tiles=4, halo=1, factor=1,
+                               coarse_shape=(8, 16))
+        # without a halo the (4, 8) tiles patch by 4
+        DownscalingService(model, n_tiles=4, halo=0, factor=1,
+                           coarse_shape=(8, 16))
+
     def test_global_inference_validates_too(self):
         rng = np.random.default_rng(7)
         model = _model()
