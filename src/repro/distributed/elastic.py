@@ -4,7 +4,7 @@ scripts.
 A :class:`~repro.distributed.strategy.CompositePlan` fixes how flat
 parameter and optimizer state is sliced across ranks: every rank
 ``(p, f, t, d)`` owns FSDP shard ``f`` of its unit's padded flat vector
-(``FlatParamBuffer.padded_size`` and ``CompositeStrategy._shard_len``).
+(``FlatParamBuffer.padded_size(F) // F`` elements per shard).
 Growing or shrinking the world mid-run moves that state onto a
 *different* slicing without perturbing a single bit of it.
 

@@ -55,8 +55,8 @@ class TestAllReduce:
     def test_mean_matches_numpy(self, world):
         g = ProcessGroup(list(range(world)))
         bufs = _bufs(world, n=37, seed=world)
-        out = g.all_reduce(bufs, op="mean")
         expected = np.mean(bufs, axis=0)
+        out = g.all_reduce(bufs, op="mean")
         for o in out:
             np.testing.assert_allclose(o, expected, rtol=1e-5, atol=1e-6)
 
@@ -138,8 +138,9 @@ class TestAllReduce:
     def test_property_mean_invariant(self, world, n):
         g = ProcessGroup(list(range(world)))
         bufs = _bufs(world, n=n, seed=world * 100 + n)
+        expected = np.mean(bufs, axis=0)
         out = g.all_reduce(bufs, op="mean")
-        np.testing.assert_allclose(out[0], np.mean(bufs, axis=0), rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(out[0], expected, rtol=1e-4, atol=1e-5)
 
 
 class TestOtherCollectives:
