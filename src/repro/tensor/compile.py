@@ -25,17 +25,19 @@ ORBIT/AERIS throughput stories rest on):
    Gradient slots live in a preallocated list and are released (set to
    None) at precomputed points.
 3. **arena** — ops allocate forward buffers through ``tensor._alloc``,
-   declaring each one's kind.  A first, learning pass keeps no tape and
-   times each buffer's life from its writer to its last reader through
-   any view, or to the plan's end for outputs and what a training plan's
-   backward reads: an op's SAVED buffers and what it declares with
-   ``_from_op(..., reads=)``, by default its parents and output.  The
-   capture pass allocates in slabs packed from those lives.  Persistent
-   buffers (content set at allocation) go in the plan's own slab; every
-   other buffer is rewritten by its writer on every replay, so it goes in
-   the shared slab of the plan's :class:`Arena`, which the owner's plans
-   take in turn: they never run at once.  Distinct shared slabs, plus
-   each plan's own slab and inputs, are ``arena_bytes``.
+   declaring each one's kind; the step's inputs are buffers too, written
+   by the replay's copy-in before record 0.  A first, learning pass keeps
+   no tape and times each buffer's life from its writer to its last
+   reader through any view, or to the plan's end for outputs and what a
+   training plan's backward reads: an op's SAVED buffers and what it
+   declares with ``_from_op(..., reads=)``, by default its parents and
+   output.  The capture pass allocates in two slabs of the plan's
+   :class:`Arena`, whose plans never run at once.  Every buffer but the
+   persistent ones is rewritten on every replay, so it goes in the
+   arena's shared slab, packed from those lives.  Persistent buffers
+   (content set at allocation) go in the arena's slab for their layout,
+   which every plan of that layout takes.  ``arena_bytes`` is the
+   distinct shared slabs plus the distinct persistent slabs.
 4. **guard + replay** — cheap guards on input shapes/dtypes plus an
    optional extra guard (training flag, loss scale) trigger transparent
    recapture on mismatch.  Replay copies the inputs into the captured
@@ -73,6 +75,7 @@ holds only for non-checkpointed models.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import weakref
 from bisect import bisect_right, insort
 from typing import NamedTuple
@@ -83,7 +86,7 @@ from numpy.lib.array_utils import byte_bounds
 from . import tensor as _engine
 from .flops import active_counter, price
 from .tensor import (_ADD_INPLACE, _ADD_NEW, _BW_NODE, _COUNTERS, _STORE,
-                     _STORE_CAST, PERSISTENT, SAVED, Tensor, _fold_leaf_grad,
+                     _STORE_CAST, INPUT, PERSISTENT, SAVED, Tensor, _fold_leaf_grad,
                      _walk_backward, enable_grad, set_op_hook, set_recorder)
 
 __all__ = ["CompiledStep", "CompiledForward", "CompileError"]
@@ -97,7 +100,8 @@ class CompileError(RuntimeError):
 
 
 class _Buffer(NamedTuple):
-    """One allocation of a capture; ``writer`` is its op's record index."""
+    """One allocation of a capture; ``writer`` is its op's record index,
+    or -1 for an input, which the replay's copy-in writes."""
     shape: tuple
     dtype: np.dtype
     strides: tuple
@@ -108,13 +112,16 @@ class _Buffer(NamedTuple):
 
 class _Plan(NamedTuple):
     """A step's allocations, their record intervals and their offsets: a
-    persistent buffer's in the plan's own slab of ``own`` bytes, any
-    other's in the shared slab of ``nbytes``."""
+    persistent buffer's in the persistent slab of ``own`` bytes, any
+    other's in the shared slab of ``nbytes``.  ``layout`` keys the
+    persistent slab: each persistent buffer's shape, dtype, strides and
+    offset, and a digest of their fill bytes."""
     buffers: list
     intervals: list
     offsets: list
     nbytes: int
     own: int
+    layout: tuple
 
 
 def _aligned(nbytes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,31 +132,47 @@ def _aligned(nbytes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Arena:
-    """The shared slab of one owner's plans, which never run at once.
+    """The slabs of one owner's plans, which never run at once.
 
-    A plan that fits takes the current slab; one that does not takes a
-    new, larger slab, which becomes current, while older plans keep
-    theirs, so the arena never forces a recapture.  A slab is freed with
-    its last plan; ``arena_bytes`` counts each live slab once.
+    Every plan takes the shared slab: one that fits takes the current
+    slab; one that does not takes a new, larger slab, which becomes
+    current, while older plans keep theirs, so the arena never forces a
+    recapture.  A plan's persistent buffers go in the slab of its
+    persistent layout, which all plans of that layout take.  Sharing it
+    is safe because the plans run in turn and each op rewrites its
+    persistent buffer's non-fill bytes before reading them (conv2d's
+    bordered interior, flash's ``kv1`` k/v columns).  A slab is freed
+    with its last plan; ``arena_bytes`` counts each live slab once.
     """
 
     def __init__(self):
         self._current: np.ndarray | None = None   # aligned view of a raw slab
+        self._layouts: dict[tuple, np.ndarray] = {}   # persistent layout -> slab
         self._plans: dict[int, int] = {}          # id(raw slab) -> plans on it
 
     def take(self, nbytes: int) -> np.ndarray:
-        """The first ``nbytes`` of the current slab, grown to fit."""
+        """The first ``nbytes`` of the current shared slab, grown to fit."""
         if self._current is None or self._current.nbytes < nbytes:
             self._current = _aligned(nbytes)[1]
-        raw = self._current.base
+        return self._hold(self._current)[:nbytes]
+
+    def take_persistent(self, layout: tuple, nbytes: int) -> np.ndarray:
+        """The persistent slab of ``layout``, made on its first plan."""
+        if layout not in self._layouts:
+            self._layouts[layout] = _aligned(nbytes)[1]
+        return self._hold(self._layouts[layout])
+
+    def _hold(self, slab: np.ndarray) -> np.ndarray:
+        raw = slab.base
         if id(raw) not in self._plans:
             self._plans[id(raw)] = 0
             _COUNTERS["arena_bytes"] += raw.nbytes
         self._plans[id(raw)] += 1
-        return self._current[:nbytes]
+        return slab
 
     def give(self, slab: np.ndarray) -> None:
-        """Return a slab ``take`` handed out; its last plan frees it."""
+        """Return a slab ``take`` or ``take_persistent`` handed out; its
+        last plan frees it."""
         raw = slab.base
         self._plans[id(raw)] -= 1
         if not self._plans[id(raw)]:
@@ -157,6 +180,8 @@ class Arena:
             _COUNTERS["arena_bytes"] -= raw.nbytes
             if self._current is not None and self._current.base is raw:
                 self._current = None
+            self._layouts = {k: v for k, v in self._layouts.items()
+                             if v.base is not raw}
 
 
 class _Learner:
@@ -175,13 +200,16 @@ class _Learner:
         self._taped: set[int] = set()    # records whose backward will run
         self._keys: list[int] = []       # sorted lowest bytes of live buffers
         self._live: dict[int, tuple[int, int]] = {}   # lowest -> (end, index)
+        self.fills = hashlib.sha256()    # persistent buffers' bytes as set
 
     def alloc(self, kind, shape, dtype, like, fill) -> np.ndarray:
         buf = np.empty_like(like) if like is not None else np.empty(shape, dtype)
         if fill is not None:
             buf[...] = fill
+        if kind == PERSISTENT:
+            self.fills.update(buf.tobytes())
         self.buffers.append(_Buffer(buf.shape, buf.dtype, buf.strides, buf.nbytes,
-                                    kind, self.n))
+                                    kind, -1 if kind == INPUT else self.n))
         self.last.append(self.n)
         if buf.nbytes:
             lo, hi = byte_bounds(buf)
@@ -221,9 +249,9 @@ class _Learner:
 
 class _Recorder:
     """The capture pass's recorder: collects ``(out, parents, op,
-    replay)`` in execution order, and places each buffer an op allocates
-    in the ``shared`` slab, or ``own`` for a persistent one, at its
-    planned offset.  Ops attach their tape only if ``tape``."""
+    replay)`` in execution order, and places each buffer in the
+    ``shared`` slab, or ``own`` for a persistent one, at its planned
+    offset.  Ops attach their tape only if ``tape``."""
 
     __slots__ = ("records", "buffers", "tape", "_plan", "_slabs")
 
@@ -236,7 +264,7 @@ class _Recorder:
         self.records.append((out, parents, op, replay))
 
     def alloc(self, kind, shape, dtype, like, fill) -> np.ndarray:
-        i, writer = len(self.buffers), len(self.records)
+        i, writer = len(self.buffers), -1 if kind == INPUT else len(self.records)
         spec = self._plan.buffers[i] if i < len(self._plan.buffers) else None
         want = (like.shape, like.dtype) if like is not None else (tuple(shape), dtype)
         if spec is None or spec[:2] != want or spec[4:] != (kind, writer):
@@ -293,9 +321,9 @@ class CompiledStep:
         and replay in ``engine/capture`` / ``engine/replay`` tracing
         spans (see :mod:`repro.obs`).
     arena:
-        The :class:`Arena` whose shared slab the plan takes; its owner's
-        other plans must never run at once with this one.  Default: a
-        private one.
+        The :class:`Arena` whose slabs the plan takes; its owner's other
+        plans must never run at once with this one.  Default: a private
+        one.
     """
 
     def __init__(self, fn, forward_only: bool = False, guard_extra=None,
@@ -305,20 +333,21 @@ class CompiledStep:
         self._guard_extra = guard_extra
         self._span = span
         self._arena = arena if arena is not None else Arena()
-        self._slab: np.ndarray | None = None
+        self._slab = self._own = None
         self._drop()
 
     def _drop(self) -> None:
-        """Forget the plan and every buffer it holds; the shared slab goes
-        back to the arena (the plan's own gauge share is the caller's)."""
-        if self._slab is not None:
-            self._arena.give(self._slab)
+        """Forget the plan and every buffer it holds; both slabs go back
+        to the arena."""
+        for slab in (self._slab, self._own):
+            if slab is not None:
+                self._arena.give(slab)
         self._key = None
         self._in_bufs: list[np.ndarray] = []
         self._out_bufs: tuple[np.ndarray, ...] = ()
         self._plan: _Plan | None = None
         self._slab: np.ndarray | None = None   # the shared slab
-        self._own: np.ndarray | None = None    # the persistent buffers' slab
+        self._own: np.ndarray | None = None    # the persistent slab
         self._fwd_program: list = []
         self._bw_program: list = []
         self._priced: list[tuple] = []
@@ -326,7 +355,6 @@ class CompiledStep:
         self._records: list = []
         self._slots: list = []
         self._seed: np.ndarray | None = None
-        self._arena_bytes = 0
 
     # ------------------------------------------------------------------ #
     # guard + dispatch
@@ -370,14 +398,11 @@ class CompiledStep:
         return self._key is not None
 
     def release(self) -> None:
-        """Drop the current plan, free its own slab and give the shared
-        one back to the arena.
+        """Drop the current plan and give its slabs back to the arena.
 
         The next call recaptures without charging ``guard_misses``: the
         replan path releases plans whose world no longer exists.
         """
-        if self._key is not None:
-            _COUNTERS["arena_bytes"] -= self._arena_bytes
         self._drop()
 
     # ------------------------------------------------------------------ #
@@ -387,13 +412,12 @@ class CompiledStep:
         if _engine._recorder is not None:
             raise CompileError("nested capture: another CompiledStep is recording")
         try:
-            self._in_bufs = [np.array(a, dtype=np.float32) for a in arrays]
-            plan = self._learn()
+            plan = self._learn(arrays)
             # the learning pass's buffers are gone: only now take the slabs
             self._slab = self._arena.take(plan.nbytes)
-            raw, self._own = _aligned(plan.own)
+            self._own = self._arena.take_persistent(plan.layout, plan.own)
             rec = _Recorder(plan, self._slab, self._own, not self.forward_only)
-            outs = self._run(rec)
+            self._in_bufs, outs = self._run(rec, arrays)
             if len(rec.buffers) != len(plan.buffers):
                 raise CompileError("the step allocated less on its second pass")
             self._build(rec, outs)
@@ -401,35 +425,34 @@ class CompiledStep:
             self._drop()   # a failed capture holds nothing
             raise
         self._plan = plan
-        self._arena_bytes = raw.nbytes + sum(b.nbytes for b in self._in_bufs)
         self._key = key
         _COUNTERS["captures"] += 1
-        _COUNTERS["arena_bytes"] += self._arena_bytes
 
-    def _run(self, rec: _Learner | _Recorder) -> tuple[Tensor, ...]:
-        """One recorded eager run of the step on the input buffers."""
-        in_tensors = tuple(Tensor(b) for b in self._in_bufs)
+    def _run(self, rec: _Learner | _Recorder, arrays) -> tuple[list, tuple[Tensor, ...]]:
+        """One recorded eager run of the step on float32 copies of
+        ``arrays``, which ``rec`` places; returns them and the outputs."""
         set_recorder(rec)
         try:
+            ins = [rec.alloc(INPUT, a.shape, np.float32, None, a) for a in arrays]
             with enable_grad():  # record even under a caller's no_grad()
-                result = self._fn(*in_tensors)
+                result = self._fn(*map(Tensor, ins))
         finally:
             set_recorder(None)
         outs = result if isinstance(result, tuple) else (result,)
         if not outs or not all(isinstance(t, Tensor) for t in outs):
             raise CompileError("step fn must return a Tensor or tuple of Tensors")
-        return outs
+        return ins, outs
 
-    def _learn(self) -> _Plan:
+    def _learn(self, arrays) -> _Plan:
         """The learning pass: run the step on plain arrays, time each
-        allocation's life and pack the slab.  Counters, FLOPs and the op
+        allocation's life and pack the slabs.  Counters, FLOPs and the op
         hook see nothing of it; its buffers are freed on return."""
         counts, counter, hook = dict(_COUNTERS), active_counter(), _engine._op_hook
         flops = counter.total if counter is not None else 0.0
         set_op_hook(None)
         try:
             rec = _Learner(self.forward_only)
-            intervals = rec.intervals([t.data for t in self._run(rec)])
+            intervals = rec.intervals([t.data for t in self._run(rec, arrays)[1]])
         finally:
             set_op_hook(hook)
             _COUNTERS.update(counts)
@@ -444,7 +467,10 @@ class CompiledStep:
             for i, off in zip(group, packed):
                 offsets[i] = off
             sizes.append(size)
-        return _Plan(rec.buffers, intervals, offsets, *sizes)
+        layout = tuple((b.shape, b.dtype.str, b.strides, off)
+                       for b, off in zip(rec.buffers, offsets) if b.kind == PERSISTENT)
+        return _Plan(rec.buffers, intervals, offsets, *sizes,
+                     (layout, rec.fills.digest()))
 
     def _build(self, rec: _Recorder, outs: tuple[Tensor, ...]) -> None:
         """The forward and backward programs of the capture pass."""

@@ -77,8 +77,9 @@ def set_recorder(recorder) -> None:
 
 #: Forward buffer kinds: the op's result; state its backward reads; a
 #: workspace read only inside its ``run()``; content set at allocation
-#: (a zero border, a ones column) and read on every replay.
-OUTPUT, SAVED, SCRATCH, PERSISTENT = range(4)
+#: (a zero border, a ones column) and read on every replay; and a
+#: compiled plan's input, which its replay copies in before record 0.
+OUTPUT, SAVED, SCRATCH, PERSISTENT, INPUT = range(5)
 
 
 def _alloc(kind: int, shape=(), dtype=np.float32, like=None, fill=None) -> np.ndarray:

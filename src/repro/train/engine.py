@@ -9,7 +9,8 @@ process or on the virtual cluster.  Only three hooks differ:
 
 * ``_build_optimizer`` makes one AdamW per model unit, each *adopting*
   the unit's :class:`~repro.nn.flat.FlatParamBuffer` — optimizer steps
-  and gradient collectives share one allocation (no re-flattening);
+  and gradient collectives share one allocation (no re-flattening) —
+  and all adopting one scratch pair, since they step in turn;
 * ``_backward`` routes through
   :meth:`CompositeStrategy.forward_backward` +
   :meth:`~CompositeStrategy.reduce_gradients`;
@@ -114,13 +115,15 @@ class DistributedEngine(Trainer):
     # ------------------------------------------------------------------ #
     def _build_optimizer(self):
         # one AdamW per unit, adopting the unit's flat buffer so the
-        # optimizer step and the gradient collectives share storage
-        self._unit_optimizers = [
-            AdamW(params, lr=self.config.lr,
-                  weight_decay=self.config.weight_decay, flat=buf)
-            for params, buf in self.strategy.optimizer_params()
-        ]
-        return self._unit_optimizers[0]
+        # optimizer step and the gradient collectives share storage, and
+        # unit 0's scratch pair: the units step one after another
+        opts: list[AdamW] = []
+        for params, buf in self.strategy.optimizer_params():
+            opts.append(AdamW(params, lr=self.config.lr,
+                              weight_decay=self.config.weight_decay, flat=buf,
+                              scratch=opts[0].scratch if opts else None))
+        self._unit_optimizers = opts
+        return opts[0]
 
     def _optimizers(self) -> list:
         return self._unit_optimizers

@@ -61,6 +61,58 @@ class TestFlatBitExact:
             assert np.array_equal(flat[name], loop[name]), name
 
 
+class TestSharedScratch:
+    """Flat AdamWs that step in turn may share one scratch pair: each step
+    rewrites both buffers before it reads them."""
+
+    @staticmethod
+    def _run(share):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((6, 8)).astype(np.float32)
+        y = rng.standard_normal((6, 4)).astype(np.float32)
+        models = [TinyNet(seed) for seed in (0, 1)]
+
+        def build(**kw):
+            opts = []
+            for m, k in zip(models, kw.get("flats", (None, None))):
+                opts.append(AdamW(m.parameters(), lr=1e-2, flatten=k is None, flat=k,
+                                  scratch=opts[0].scratch if share and opts else None))
+            return opts
+
+        def steps(opts, n):
+            for _ in range(n):
+                for m, opt in zip(models, opts):
+                    opt.zero_grad()
+                    _loss(m, x, y).backward()
+                    opt.step()
+
+        opts = build()
+        assert (opts[1].scratch is opts[0].scratch) == share
+        steps(opts, 3)
+        state = [opt.export_state() for opt in opts]
+        # round trip: fresh optimizers on the same buffers import the state
+        opts = build(flats=[opt.flat for opt in opts])
+        for opt, st in zip(opts, state):
+            opt.import_state(*st)
+        steps(opts, 2)
+        return state, [m.state_dict() for m in models], [o.export_state() for o in opts]
+
+    def test_shared_scratch_matches_private_pairs_bitwise(self):
+        shared, private = self._run(True), self._run(False)
+        for got, want in zip(shared, private):
+            for a, b in zip(got, want):
+                if isinstance(a, dict):
+                    assert all(np.array_equal(a[k], b[k]) for k in b)
+                else:
+                    assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    def test_scratch_of_another_shape_refused(self):
+        opt = AdamW(TinyNet().parameters(), flatten=True)
+        small = Linear(2, 2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="scratch"):
+            AdamW(small.parameters(), flatten=True, scratch=opt.scratch)
+
+
 class TestFlatParamBuffer:
     def test_data_repointed_to_views(self):
         model = TinyNet()

@@ -33,7 +33,9 @@ class TestProcessGroupTracing:
             getattr(group, op)(buffers)
         spans = [s for s in tr.spans if s.name == f"comm/{op}"]
         assert sorted(s.rank for s in spans) == [0, 1, 2, 3]
-        expected = group.collective_time(op, buffers[0].nbytes)
+        # all_gather's buffers are shards: the ring moves the gathered P
+        expected = group.collective_time(
+            op, buffers[0].nbytes * (len(buffers) if op == "all_gather" else 1))
         for sp in spans:
             assert sp.args["bytes"] == buffers[0].nbytes
             assert sp.dur_s == pytest.approx(expected)

@@ -2,26 +2,29 @@
 
 * **serve shape** — the e2e serve model's tile ``(w, 23, 18, 34)`` at
   widths 1, 2 and 4: a poisoned replay (every reused slab region
-  NaN-filled before its writer runs) is bitwise equal to the eager
-  ``no_grad`` forward; the plan retains at most 0.8 MB per tile row, and
-  ``arena_bytes`` is within 2 % of the bytes it retains; at width 2 the
-  shared slab is 826 304 B, outputs living from their writer; a second
+  NaN-filled before its writer runs and after its last reader) is
+  bitwise equal to the eager ``no_grad`` forward; the plan retains at
+  most 0.8 MB per tile row, and ``arena_bytes`` is within 2 % of the
+  bytes it retains; at width 2 the shared slab is 940 160 B, the input
+  in it, outputs living from their writer; a second
   replay retains nothing; capture never holds the learning pass's
   buffers and the slab at once.
 * **training plan** — one ``CompositeStrategy`` tile step: ``arena_bytes``
   within 2 % of the bytes retained.
 * **learning pass** — a composite unit plan's learning pass peaks under
   half the bytes of all its buffers: it keeps no tape.
-* **shared arena** — a ``CompositeStrategy``'s unit plans share one slab:
-  ``arena_bytes`` is that slab once plus each plan's own slab and inputs,
-  within 2 % of the bytes retained, and back at its baseline after the
-  plans are released or resharded away; either capture order of two
-  widths captures once per plan, the larger first into one slab; and
-  interleaved poisoned replays of two units are bitwise equal to eager.
+* **shared arena** — a ``CompositeStrategy``'s unit plans share one
+  shared slab and one persistent slab: ``arena_bytes`` is those two
+  once, within 2 % of the bytes retained, the same for two units as for
+  four, and back at its baseline after the plans are released or
+  resharded away; either capture order of two widths captures once per
+  plan, the larger first into one shared slab; and interleaved poisoned
+  replays of two units are bitwise equal to eager.
 * **planted faults** — a learned interval ended one record early, and
   flash's ``kv1`` with its persistent kind dropped, each fail the
   poisoned replay, the latter also in a training plan where no buffer of
-  its own shares those bytes.
+  its own shares those bytes; conv2d's bordered interior written only at
+  capture fails the interleaved replays of two units, which share it.
 * **failed capture** — a step that raises mid-capture, on either pass,
   leaves no bytes and no gauge behind.
 """
@@ -98,17 +101,16 @@ def test_serve_plan_is_small_exact_and_poison_clean(width):
     assert retained <= 0.8 * MB * width, retained
     assert abs(arena - np_retained) <= 0.02 * np_retained, (arena, np_retained)
     assert again == held           # a second replay retains no array
-    # the unplanned buffer set, which the learning pass holds with its
-    # tape's Python objects (≈ 0.12 MB, 5.5 % of it at width 1) and frees
-    # before the slab is taken
-    unplanned = (sum(b.nbytes for b in step._plan.buffers)
-                 + sum(b.nbytes for b in step._in_bufs))
+    # the unplanned buffer set, input included, which the learning pass
+    # holds with its tape's Python objects (≈ 0.12 MB, 5.5 % of it at
+    # width 1) and frees before the slab is taken
+    unplanned = sum(b.nbytes for b in step._plan.buffers)
     assert peak < unplanned + step._plan.nbytes / 2, (peak, unplanned)
     if width > 1:
         assert peak <= 1.05 * unplanned, (peak, unplanned)
     assert step._plan.nbytes < unplanned / 3
-    if width == 2:   # plan outputs live from their writer, not from record 0
-        assert step._plan.nbytes == 826_304
+    if width == 2:   # outputs live from their writer, the input from the copy-in
+        assert step._plan.nbytes == 940_160
     for xi in (x2, x):
         out, = poisoned_replay(step, xi)
         assert np.array_equal(out, _eager(model, xi))
@@ -156,9 +158,10 @@ def _batch(n, seed=3):
             rng.standard_normal((n, 3, 32, 64)).astype(np.float32))
 
 
-def _slabs(steps):
-    """The distinct shared slabs ``steps`` hold."""
-    return {id(s._slab.base): s._slab.base for s in steps}.values()
+def _slabs(steps, slab="_slab"):
+    """The distinct shared slabs ``steps`` hold, or with ``"_own"`` the
+    distinct persistent slabs."""
+    return {id(getattr(s, slab).base): getattr(s, slab).base for s in steps}.values()
 
 
 def test_learning_pass_holds_the_live_set_not_every_buffer():
@@ -169,13 +172,12 @@ def test_learning_pass_holds_the_live_set_not_every_buffer():
     x, y = _batch(1)
     strategy._active_loss_fn = _mse
     step = strategy._compiled_step(0, 0)
-    step._in_bufs = [np.array(a, dtype=np.float32) for a in (x, y)]
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        plan = step._learn()
+        plan = step._learn([x, y])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -197,12 +199,11 @@ def test_unit_plans_share_one_slab_counted_once():
     finally:
         tracemalloc.stop()
     steps = list(strategy._compiled.values())
-    slabs = list(_slabs(steps))
-    assert len(steps) == 4 and len(slabs) == 1
-    assert arena == slabs[0].nbytes + sum(s._arena_bytes for s in steps)
+    slabs, persistent = list(_slabs(steps)), list(_slabs(steps, "_own"))
+    assert len(steps) == 4 and len(slabs) == 1 and len(persistent) == 1
+    assert arena == slabs[0].nbytes + persistent[0].nbytes
     assert abs(arena - np_retained) <= 0.02 * np_retained, (arena, np_retained)
-    # one slab, not four: every plan's own share is small beside it
-    assert sum(s._arena_bytes for s in steps) < slabs[0].nbytes
+    assert all(np.shares_memory(b, slabs[0]) for s in steps for b in s._in_bufs)
     strategy._release_compiled()
 
 
@@ -220,8 +221,9 @@ def test_gauge_returns_to_baseline_after_release_and_reshard():
     assert graph_counters()["arena_bytes"] - arena0 == held
     strategy.reshard(CompositePlan(VirtualCluster(2), tiles=2))
     assert graph_counters()["arena_bytes"] == arena0
+    # two units of the same shapes hold the two slabs four units held
     strategy.forward_backward(x[:1], y[:1])
-    assert 0 < graph_counters()["arena_bytes"] - arena0 < held
+    assert graph_counters()["arena_bytes"] - arena0 == held
     strategy._release_compiled()
     assert graph_counters()["arena_bytes"] == arena0
 
@@ -240,19 +242,20 @@ def test_either_capture_order_captures_once_per_plan(order):
     assert c["guard_misses"] == c0["guard_misses"]
     steps = list(fwd._plans.values())
     slabs = list(_slabs(steps))
-    # a narrower plan keeps the slab it took; a wider-first arena has one
+    # a narrower plan keeps the slab it took; a wider-first arena has one;
+    # the widths' persistent layouts differ, so each has its own
     assert len(slabs) == (2 if order == (1, 2) else 1)
+    persistent = list(_slabs(steps, "_own"))
+    assert len(persistent) == 2
     assert c["arena_bytes"] - c0["arena_bytes"] == (
-        sum(s.nbytes for s in slabs) + sum(s._arena_bytes for s in steps))
+        sum(s.nbytes for s in slabs) + sum(s.nbytes for s in persistent))
     fwd.release()
     assert graph_counters()["arena_bytes"] == c0["arena_bytes"]
 
 
-def test_interleaved_poisoned_replays_of_two_units_are_eager_bitwise():
-    strategy = _composite(tiles=2)
-    x, y = _batch(1)
-    strategy._active_loss_fn = _mse
-    steps = [strategy._compiled_step(0, t) for t in range(2)]
+def _captured_units(strategy, steps, x, y):
+    """Capture each unit's plan after its eager step; the eager loss,
+    output and flat gradient of each."""
     eager = []
     for t, step in enumerate(steps):
         buf = strategy._buffer(0, t)
@@ -262,16 +265,57 @@ def test_interleaved_poisoned_replays_of_two_units_are_eager_bitwise():
         loss.backward()
         eager.append((loss.data.copy(), out.data.copy(), buf.grad.copy()))
         buf.zero_grad()
-        step(x, y)                        # capture, both into one slab
-    assert len(list(_slabs(steps))) == 1
+        step(x, y)
+    return eager
+
+
+def _interleaved_replays_match(strategy, steps, eager, x, y) -> bool:
+    same = True
     for _ in range(2):
         for t, step in enumerate(steps):
             buf = strategy._buffer(0, t)
             buf.zero_grad()
             loss, out = poisoned_replay(step, x, y)
-            for got, want in zip((loss, out, buf.grad), eager[t]):
-                assert np.array_equal(got, want)
+            same &= all(np.array_equal(got, want)
+                        for got, want in zip((loss, out, buf.grad), eager[t]))
+    return same
+
+
+def test_interleaved_poisoned_replays_of_two_units_are_eager_bitwise():
+    strategy = _composite(tiles=2)
+    x, y = _batch(1)
+    strategy._active_loss_fn = _mse
+    steps = [strategy._compiled_step(0, t) for t in range(2)]
+    eager = _captured_units(strategy, steps, x, y)
+    assert len(list(_slabs(steps))) == 1 and len(list(_slabs(steps, "_own"))) == 1
+    assert _interleaved_replays_match(strategy, steps, eager, x, y)
     strategy._release_compiled()
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_persistent_bytes_written_only_at_capture_fail_shared_units(shared, monkeypatch):
+    """conv2d's bordered interior, copied in only at capture: each unit
+    with a persistent slab of its own replays its capture's interior,
+    which hides the fault; units that share one read the other's."""
+    strategy = _composite(tiles=2)
+    x, y = _batch(1)
+    strategy._active_loss_fn = _mse
+    steps = [strategy._compiled_step(0, t) if shared else
+             CompiledStep(strategy._make_tile_fn(0, t), guard_extra=strategy._guard_key)
+             for t in range(2)]
+    eager = _captured_units(strategy, steps, x, y)
+    persistent = list(_slabs(steps, "_own"))
+    assert len(persistent) == (1 if shared else 2)
+    copyto = np.copyto
+
+    def planted(dst, src, *args, **kwargs):
+        if not any(np.shares_memory(dst, slab) for slab in persistent):
+            copyto(dst, src, *args, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", planted)
+    assert _interleaved_replays_match(strategy, steps, eager, x, y) != shared
+    for step in steps:
+        step.release()
 
 
 def _end_one_interval_early(intervals):

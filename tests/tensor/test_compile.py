@@ -537,26 +537,27 @@ def test_forward_plan_cache_evicts_the_least_recently_used_plan_only():
     # the collector frees mid-test would move it, so free those first
     gc.collect()
     arena0 = graph_counters()["arena_bytes"]
-    size, own = {}, {}   # one plan's bytes per width, alone; and those of
-    for width in range(1, cap + 2):   # its own slab and input
+    size = {}   # one plan's shared slab per width, alone
+    for width in range(1, cap + 2):
         alone = CompiledStep(model, forward_only=True)
         alone(x(width))
-        size[width], own[width] = arena(), alone._arena_bytes
+        size[width], own = alone._slab.base.nbytes, alone._own.base.nbytes
+        assert arena() == size[width] + own
         alone.release()
     # the plans share one arena: a plan takes a new shared slab only where
     # it outgrows the current one (64-byte aligned, so about five widths
-    # fit one slab), and each older slab keeps a plan on it
-    grown = {1} | {n for n in range(2, cap + 2)
-                   if size[n] - own[n] > size[n - 1] - own[n - 1]}
+    # fit one slab), and each older slab keeps a plan on it; no plan has
+    # a persistent buffer, so all take the one empty persistent slab
+    grown = {1} | {n for n in range(2, cap + 2) if size[n] > size[n - 1]}
     assert 1 < len(grown) < cap and not {2, 3} & grown
     reset_graph_counters()
     for width in range(1, cap + 1):
         fwd(x(width))
-    held = sum(size[n] if n in grown else own[n] for n in range(1, cap + 1))
+    held = own + sum(size[n] for n in grown if n <= cap)
     assert graph_counters()["captures"] == cap and arena() == held
     fwd(x(1))                         # width 1 becomes most recent,
     fwd(x(cap + 1))                   # so the new shape evicts width 2;
-    held += (size if cap + 1 in grown else own)[cap + 1] - own[2]
+    held += size[cap + 1] if cap + 1 in grown else 0
     assert arena() == held            # width 3 holds width 1's slab
     reset_graph_counters()
     for width in (1, *range(3, cap + 2)):
@@ -564,8 +565,7 @@ def test_forward_plan_cache_evicts_the_least_recently_used_plan_only():
     c = graph_counters()
     assert c["captures"] == 0 and c["replays"] == cap
     fwd(x(2))                         # back, at the cost of width 1, into
-    held += own[2] - own[1]           # the current slab
-    assert graph_counters()["captures"] == 1 and arena() == held
+    assert graph_counters()["captures"] == 1 and arena() == held   # the current slab
     assert len(fwd._plans) == cap
     fwd.release()
     assert arena() == 0
