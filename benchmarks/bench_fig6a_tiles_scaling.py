@@ -80,8 +80,9 @@ def test_distributed_tiles_gradients_match_serial(benchmark):
                             loss_fn, halo=2, factor=2)
     tsp.setup(lambda t: Reslim(cfg, 4, 2, factor=2, max_tokens=64,
                                rng=np.random.default_rng(t)))
+    # the reduction raises unless every tile ends with one gradient
     benchmark.pedantic(lambda: tsp.step(x, y), rounds=1, iterations=1)
-    ref = tsp.unit_grads(0)
-    for t in range(1, world):
-        np.testing.assert_allclose(tsp.unit_grads(t), ref, rtol=1e-5, atol=1e-6)
+    ref = Reslim(cfg, 4, 2, factor=2, max_tokens=64, rng=np.random.default_rng(0))
+    np.testing.assert_allclose(tsp.unit_grads(), tsp.reference_step(ref, x, y),
+                               rtol=1e-4, atol=1e-5)
     assert tsp.comm_summary()["calls"]["tiles"]["all_reduce"] == 1

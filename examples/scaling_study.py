@@ -122,7 +122,7 @@ def verify_ddp_equivalence():
     ddp.setup(lambda r: Reslim(cfg, 5, 2, factor=2, max_tokens=64,
                                rng=np.random.default_rng(1)))
     ddp.step(x, y)
-    err = np.abs(ddp.unit_grads(0) - ref_grads).max()
+    err = np.abs(ddp.unit_grads() - ref_grads).max()
     print(f"  max |DDP grad - single-process grad| = {err:.2e}  "
           f"({'OK' if err < 1e-4 else 'MISMATCH'})")
 

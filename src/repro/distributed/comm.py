@@ -145,30 +145,30 @@ class ProcessGroup:
         """Account one ``op`` over ``buffers`` without moving values: the
         bytes each rank sends, then a span on the members' compute clocks
         or, with ``launch=True``, a comm-stream launch whose
-        :class:`Work` carries ``results``.  The payload is ``buffers[0]``;
-        ``collective_time`` prices the full buffer, as ``plan_comm_costs``
-        does: the payload, or for ``all_gather`` the ``P`` gathered
-        shards.  Every collective bills itself; a caller whose ranks'
-        shared buffers already hold the result bills the group alone.
-        Size-1 groups send nothing and emit no span."""
-        p, payload = self.size, buffers[0].nbytes
+        :class:`Work` carries ``results``.  The span's payload, which
+        ``collective_time`` prices, is the full buffer, as in
+        ``plan_comm_costs``: ``buffers[0]``, or for ``all_gather`` the
+        ``P`` gathered shards.  Every collective bills itself; a caller
+        whose ranks' shared buffers already hold the result bills the
+        group alone.  Size-1 groups send nothing and emit no span."""
+        p, nbytes = self.size, buffers[0].nbytes
         sent = {"all_reduce": 2 * (p - 1) / p, "all_gather": p - 1,
                 "reduce_scatter": (p - 1) / p,
-                "all_to_all": (p - 1) / p}[op] * payload
+                "all_to_all": (p - 1) / p}[op] * nbytes
         self.stats.record(op, sent)
-        priced = p * payload if op == "all_gather" else payload
+        payload = p * nbytes if op == "all_gather" else nbytes
         tracer = active_tracer() if p > 1 else None
         if not launch:
             if tracer is not None:
                 tracer.collective(op, self.ranks, payload,
-                                  self.collective_time(op, priced),
+                                  self.collective_time(op, payload),
                                   sent_bytes=sent)
             return None
         self.stats.record_async(op)
         handle = None
         if tracer is not None:
             handle = tracer.collective_async(
-                op, self.ranks, payload, self.collective_time(op, priced),
+                op, self.ranks, payload, self.collective_time(op, payload),
                 sent_bytes=sent)
         return Work(results, handle)
 

@@ -8,15 +8,15 @@ parameter and optimizer state is sliced across ranks: every rank
 Growing or shrinking the world mid-run moves that state onto a
 *different* slicing without perturbing a single bit of it.
 
-The move goes through one **canonical form**: the unpadded float32
-vectors in the model's deterministic ``named_parameters()`` order, the
-one layout every plan shares.  :meth:`DistributedEngine.replan
-<repro.train.engine.DistributedEngine.replan>` exports a
-:class:`CanonicalState` (``CompositeStrategy.export_state`` plus the
-AdamW moments), rebuilds units, groups and buckets for the new plan
-through ``CompositeStrategy.reshard``, and imports the same bytes back
-onto the new flat buffers.  A fresh engine at the new world fed that
-state takes a bitwise-identical next step.
+All plans share one **canonical form**: the unpadded float32 vectors
+in the model's deterministic ``named_parameters()`` order.  The
+process holds the parameters and AdamW moments once, in that layout,
+so :meth:`DistributedEngine.replan
+<repro.train.engine.DistributedEngine.replan>` moves no bytes: it
+rebuilds the process groups through ``CompositeStrategy.reshard``.
+A :class:`CanonicalState` (``CompositeStrategy.export_state`` plus the
+AdamW moments) carries the run into a fresh engine at the new world,
+which then takes a bitwise-identical next step.
 
 :class:`FaultPlan` scripts rank failures at chosen step boundaries, so
 recovery runs through the same replan path deterministically.

@@ -2,13 +2,14 @@
 
 Training runs through exactly one strategy, :class:`CompositeStrategy`:
 
-* ``setup(model_factory)`` builds its model units and process groups;
+* ``setup(model_factory)`` builds its one model and the process groups;
 * ``forward(inputs)`` — full-batch inference;
 * ``forward_backward(inputs, targets)`` (per-unit compute, NO
   collectives) then ``reduce_gradients()`` (all gradient communication
   for the step) — the train-step split;
-* ``optimizer_params()`` — per-unit ``(params, FlatParamBuffer)``
-  pairs, so optimizers adopt the *same* buffer the collectives use;
+* ``model`` and ``buffers()[0]`` — the model and its
+  :class:`~repro.nn.flat.FlatParamBuffer`, which the optimizer adopts,
+  so it steps the buffer the collectives fill;
 * ``reference_forward`` / ``reference_step`` — the single-model
   semantics the equivalence oracle compares against;
 * ``comm_summary()`` / ``reset_comm()`` — per-level byte accounting.
@@ -26,26 +27,30 @@ rank layout ``rank = ((d*tiles + t)*fsdp + f)*tp
 of TP on the fast in-node links).  :class:`CompositeStrategy` executes
 the full stack end-to-end on the virtual cluster:
 
-* one **model unit** per (data-parallel rank ``d``, tile ``t``) pair;
-  rank ``d`` holds rows ``d*k:(d+1)*k`` of the batch, ``k = batch //
-  ddp``.  The FSDP and TP ranks of a unit share its compute (shared
-  arithmetic, genuine traffic), with the per-layer TP all-reduce volume
-  recorded as modelled traffic on the TP groups;
-* FSDP reduce-scatters each unit's per-step *work gradient* (its flat
-  gradient padded to a multiple of ``fsdp``) in place into per-rank
+* one **compute unit** per (data-parallel rank ``d``, tile ``t``)
+  pair: rank ``d`` holds rows ``d*k:(d+1)*k`` of the batch, ``k = batch
+  // ddp``.  Every replica would hold the same bytes, so the units share
+  one model and one flat buffer: a unit is a row slice and a tile
+  index, run in turn, and its gradient is copied into its own per-step
+  *work gradient* (the flat gradient padded to a multiple of ``fsdp``).
+  The FSDP and TP ranks of a unit share its compute (shared arithmetic,
+  genuine traffic), with the per-layer TP all-reduce volume recorded as
+  modelled traffic on the TP groups;
+* FSDP reduce-scatters each unit's work gradient in place into per-rank
   shards, its blocks (identical contributions accumulate in float64 —
   exact); the later phases reduce those blocks in place too;
 * the TILES all-reduce averages shards across the tiles of one sample
   (once per batch, Sec. III-B);
 * the DDP all-reduce averages across data-parallel ranks;
 * the FSDP all-gather moves nothing (the shards tile the work gradient)
-  and is billed; ``load_grad`` copies the result into the unit's
-  :class:`~repro.nn.flat.FlatParamBuffer` — the pre-attached ``.grad``
-  views see it with zero copies.
+  and is billed.
 
 The two ring phases average over all (d, t) units, so every unit ends
 with the single-process gradient of the whole batch — the composition
-law the oracle verifies.
+law the oracle verifies.  ``reduce_gradients`` checks that every unit's
+reduced work gradient has unit (0, 0)'s bytes, then ``load_grad``
+copies that one result into the flat buffer, whose pre-attached
+``.grad`` views see it with zero copies.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from ..core.tiles import TiledDownscaler, TilePlan, TileSpec, extract_tile
 from ..nn import Module
 from ..obs.tracer import active_tracer, span
 from ..nn.flat import FlatParamBuffer, flatten_grads
-from ..nn.module import Parameter
 from ..tensor import CompiledStep, Tensor
 from ..tensor.compile import Arena
 from .bucketer import GradBucketer, aligned_ring_chunks
@@ -285,38 +289,36 @@ class CompositeStrategy:
         self.bucket_bytes = bucket_bytes
         self.compile = bool(compile)
         self._compile_guard = compile_guard
-        self._compiled: dict[tuple[int, int], CompiledStep] = {}
-        self._arena = Arena()   # the units' plans replay one after another
+        # one captured plan per tile index: every rank's rows replay it
+        self._compiled: dict[int, CompiledStep] = {}
+        self._arena = Arena()   # the tile plans replay one after another
         self._active_loss_fn = loss_fn
         self.steps = 0
-        self._model_factory = None
-        # bumped by every reshard; part of the compiled-step guard key so
-        # stale captured plans recapture transparently on the next call
+        self.model: Module | None = None
+        # counts reshards, for the monitor; plans do not depend on it
         self._plan_epoch = 0
 
     # ------------------------------------------------------------------ #
     def setup(self, model_factory) -> None:
-        self._model_factory = model_factory
+        """Build the one model, ``model_factory(0)``, its flat buffer and
+        bucketer, and the plan's process groups."""
         self._release_compiled()
-        plan = self.plan
-        cluster = plan.cluster
-        n_units = plan.ddp * plan.tiles
-        self._units: list[Module] = [model_factory(u) for u in range(n_units)]
-        state = self._units[0].state_dict()
-        for unit in self._units[1:]:
-            unit.load_state_dict(state)
-        self._buffers = [FlatParamBuffer(list(u.parameters()))
-                         for u in self._units]
-        self._bucketers = ([GradBucketer(buf, self.bucket_bytes)
-                            for buf in self._buffers]
-                           if self.overlap else [])
+        self.model = model_factory(0)
+        self._buffer = FlatParamBuffer(list(self.model.parameters()))
+        self._bucketer = (GradBucketer(self._buffer, self.bucket_bytes)
+                          if self.overlap else None)
         self._ph1_works: list = []
         self._ph2_works: dict = {}
         self._fired: dict = {}
-        self._work_grads: dict = {}
-        # one ProcessGroup object per rank set, built once so CommStats
-        # accumulate across steps; a reduction level keys the P groups
-        # of its tensor-parallel replicas together
+        self._work_grads: dict[tuple[int, int], np.ndarray] = {}
+        self._build_groups()
+
+    def _build_groups(self) -> None:
+        """One ProcessGroup object per rank set, built once per plan so
+        CommStats accumulate across steps; a reduction level keys the P
+        groups of its tensor-parallel replicas together."""
+        plan = self.plan
+        cluster = plan.cluster
         P = range(plan.tp)
         self._tp_groups = {
             (d, t, f): cluster.group(plan.tp_ranks(d, t, f))
@@ -335,12 +337,6 @@ class CompositeStrategy:
             (t, f): [cluster.group(plan.ddp_ranks(t, f, p)) for p in P]
             for t in range(plan.tiles) for f in range(plan.fsdp)
         }
-
-    def _unit(self, d: int, t: int) -> Module:
-        return self._units[d * self.plan.tiles + t]
-
-    def _buffer(self, d: int, t: int) -> FlatParamBuffer:
-        return self._buffers[d * self.plan.tiles + t]
 
     # ------------------------------------------------------------------ #
     # execution
@@ -378,44 +374,47 @@ class CompositeStrategy:
         tiles = (self._tile_plan(inputs.shape[-2:]) if self.plan.tiles > 1
                  else None)
         outs = []
-        for d, rows in enumerate(self._rank_rows(inputs.shape[0])):
+        for rows in self._rank_rows(inputs.shape[0]):
             x = Tensor(inputs[rows])
             if tiles is None:
-                outs.append(self._unit(d, 0)(x).data)
+                outs.append(self.model(x).data)
                 continue
-            tile_outs = [self._unit(d, t)(extract_tile(x, spec))
-                         for t, spec in enumerate(tiles.specs)]
+            tile_outs = [self.model(extract_tile(x, spec)) for spec in tiles.specs]
             outs.append(tiles.stitch(tile_outs).data)
         return np.concatenate(outs)
 
     def forward_backward(self, inputs: np.ndarray, targets: np.ndarray,
                          loss_fn=None) -> list[float]:
-        """Per-unit forward/backward (no communication); per-unit losses."""
+        """Per-unit forward/backward (no communication); per-unit losses.
+
+        The units run in turn on the one model: each zeroes its gradient,
+        and its result lands in the unit's work gradient, bucket by
+        bucket under overlap, else copied after its backward."""
         loss_fn = loss_fn or self.loss_fn
         self._active_loss_fn = loss_fn
         plan = self.plan
         self._check_batch(inputs, targets)
         rank_rows = self._rank_rows(inputs.shape[0])
-        if self.overlap:
-            self._begin_overlap_step()
+        buf, bucketer = self._buffer, self._bucketer
+        lpad = buf.padded_size(plan.fsdp)
+        self._ph1_works, self._ph2_works, self._fired = [], {}, {}
+        self._work_grads = {}
         losses = []
         for d, rows in enumerate(rank_rows):
             x, y = Tensor(inputs[rows]), Tensor(targets[rows])
             for t in range(plan.tiles):
-                unit, buf = self._unit(d, t), self._buffer(d, t)
                 buf.zero_grad()
-                bucketer = None
-                if self.overlap:
-                    bucketer = self._bucketers[d * plan.tiles + t]
+                wg = self._work_grads[(d, t)] = np.zeros(lpad, dtype=np.float32)
+                if bucketer is not None:
                     bucketer.arm(lambda bucket, d=d, t=t:
                                  self._on_bucket_ready(d, t, bucket))
                 try:
                     if self.compile:
-                        loss_data, out_data = self._compiled_step(d, t)(
+                        loss_data, out_data = self._compiled_step(t)(
                             inputs[rows], targets[rows])
                         loss_val, out_nbytes = float(loss_data), out_data.nbytes
                     else:
-                        loss, out = self._unit_loss(unit, x, y, t, loss_fn)
+                        loss, out = self._unit_loss(self.model, x, y, t, loss_fn)
                         loss.backward()
                         loss_val, out_nbytes = float(loss.data), out.data.nbytes
                     if bucketer is not None:
@@ -424,7 +423,9 @@ class CompositeStrategy:
                     if bucketer is not None:
                         bucketer.disarm()
                 buf.sync_grads()
-                self._record_tp_traffic(unit, out_nbytes, d, t)
+                if bucketer is None:
+                    wg[:buf.size] = buf.grad
+                self._record_tp_traffic(out_nbytes, d, t)
                 losses.append(loss_val)
         return losses
 
@@ -435,21 +436,23 @@ class CompositeStrategy:
         return losses
 
     # ------------------------------------------------------------------ #
-    # compiled per-(d, t) steps
+    # compiled per-tile steps
     # ------------------------------------------------------------------ #
-    def _compiled_step(self, d: int, t: int) -> CompiledStep:
-        step = self._compiled.get((d, t))
+    def _compiled_step(self, t: int) -> CompiledStep:
+        """Tile ``t``'s plan.  Every rank's rows have the shapes of rank
+        0's and run the same model, so they replay the plan rank 0
+        captured (replay equals eager bit for bit)."""
+        step = self._compiled.get(t)
         if step is None:
-            step = CompiledStep(self._make_tile_fn(d, t),
+            step = CompiledStep(self._make_tile_fn(t),
                                 guard_extra=self._guard_key, arena=self._arena)
-            self._compiled[(d, t)] = step
+            self._compiled[t] = step
         return step
 
     def _guard_key(self):
         extra = self._compile_guard() if self._compile_guard is not None else None
         return (id(self._active_loss_fn),
-                bool(getattr(self._units[0], "training", True)),
-                self._plan_epoch, extra)
+                bool(getattr(self.model, "training", True)), extra)
 
     def _release_compiled(self) -> None:
         """Free every captured plan (arena bytes drop to zero for them)."""
@@ -457,10 +460,10 @@ class CompositeStrategy:
             step.release()
         self._compiled.clear()
 
-    def _make_tile_fn(self, d: int, t: int):
-        """Step function for one unit's tile: loss first (backward root),
-        then the tile output (its nbytes feed the TP traffic model)."""
-        return lambda xt, yt: self._unit_loss(self._unit(d, t), xt, yt, t,
+    def _make_tile_fn(self, t: int):
+        """Step function for tile ``t``: loss first (backward root), then
+        the tile output (its nbytes feed the TP traffic model)."""
+        return lambda xt, yt: self._unit_loss(self.model, xt, yt, t,
                                               self._active_loss_fn)
 
     def _unit_loss(self, model: Module, xt: Tensor, yt: Tensor, t: int,
@@ -477,17 +480,6 @@ class CompositeStrategy:
     # ------------------------------------------------------------------ #
     # backward-driven overlapped reduction (phases 1-2 under backward)
     # ------------------------------------------------------------------ #
-    def _begin_overlap_step(self) -> None:
-        plan = self.plan
-        lpad = self._buffers[0].padded_size(plan.fsdp)
-        self._work_grads = {
-            (d, t): np.zeros(lpad, dtype=np.float32)
-            for d in range(plan.ddp) for t in range(plan.tiles)
-        }
-        self._ph1_works = []
-        self._ph2_works = {}
-        self._fired = {}
-
     @staticmethod
     def _reduce_once(groups: list[ProcessGroup], name: str, buffers,
                      launch: bool = False, **kw):
@@ -513,7 +505,7 @@ class CompositeStrategy:
         padding up to ``padded_size(F)``.
         """
         F, T = self.plan.fsdp, self.plan.tiles
-        buf = self._buffer(d, t)
+        buf = self._buffer
         wg = self._work_grads[(d, t)]
         lo = bucket.lo
         hi = wg.size if bucket.hi == buf.size else bucket.hi
@@ -555,8 +547,7 @@ class CompositeStrategy:
                 launch=True, op="mean", chunks=chunks))
         self._ph2_works[(d, b_idx)] = works
 
-    def _record_tp_traffic(self, unit: Module, act_nbytes: int,
-                           d: int, t: int) -> None:
+    def _record_tp_traffic(self, act_nbytes: int, d: int, t: int) -> None:
         """Model the Megatron per-layer all-reduce bill on the TP groups.
 
         TP compute is shared within a unit (no sharded numerics to run),
@@ -567,7 +558,7 @@ class CompositeStrategy:
         P = self.plan.tp
         if P == 1:
             return
-        depth = getattr(getattr(unit, "config", None), "depth", 1)
+        depth = getattr(getattr(self.model, "config", None), "depth", 1)
         volume = 4 * depth * 2 * (P - 1) / P * act_nbytes
         tracer = active_tracer()
         for f in range(self.plan.fsdp):
@@ -587,8 +578,7 @@ class CompositeStrategy:
     # ------------------------------------------------------------------ #
     def reduce_gradients(self) -> None:
         """All gradient collectives of one step, in place on the per-step
-        work gradients; ``load_grad`` reads each unit's result from its
-        own."""
+        work gradients; then the drift check and one ``load_grad``."""
         plan = self.plan
         F, T, D = plan.fsdp, plan.tiles, plan.ddp
         if self.overlap:
@@ -600,11 +590,7 @@ class CompositeStrategy:
                 for _, works in sorted(self._ph2_works.items()):
                     for w in works:
                         w.wait()
-            work = self._work_grads
-        else:
-            # the live gradient itself when already F-aligned
-            work = {(d, t): self._buffer(d, t).padded_grad(F)
-                    for d in range(D) for t in range(T)}
+        work = self._work_grads
         shards = {key: wg.reshape(F, -1) for key, wg in work.items()}
         if not self.overlap:
             # phase 1 — FSDP reduce-scatter: every rank of a unit
@@ -632,93 +618,81 @@ class CompositeStrategy:
                         self._ddp_groups[(t, f)], "all_reduce",
                         [shards[(d, t)][f] for d in range(D)], op="mean")
         # phase 4 — FSDP all-gather: the shards already tile each work
-        # gradient, so it is billed, and load_grad copies the result
+        # gradient, so it is billed; every unit now holds one result
         with span("reduce/fsdp_all_gather", cat="reduce"):
-            for key, wg in work.items():
+            for key in work:
                 for g in self._fsdp_groups[key]:
                     g.bill("all_gather", list(shards[key]))
-                self._buffer(*key).load_grad(wg)
+            self._buffer.load_grad(self._agreed(work))
         self._ph1_works, self._ph2_works, self._fired = [], {}, {}
         self._work_grads = {}
         self.steps += 1
 
+    @staticmethod
+    def _agreed(work: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+        """Unit (0, 0)'s reduced work gradient, once every unit's has its
+        bytes: ``-0.0`` against ``+0.0`` is drift, identical NaNs are
+        not.  The reduction leaves all units one result, so a unit that
+        differs means a collective broke that."""
+        ref = work[(0, 0)]
+        bits = ref.view(np.uint32)
+        for key, wg in work.items():
+            if wg is not ref and not np.array_equal(wg.view(np.uint32), bits):
+                raise RuntimeError(
+                    f"unit {key}'s reduced gradient drifted from unit (0, 0)'s")
+        return ref
+
     # ------------------------------------------------------------------ #
-    def optimizer_params(self) -> list[tuple[list[Parameter], FlatParamBuffer]]:
-        """Per-unit ``(params, flat_buffer)`` for optimizer construction."""
-        return [(list(u.parameters()), buf)
-                for u, buf in zip(self._units, self._buffers)]
-
-    def units(self) -> list[Module]:
-        """The executed model instances, one per (d, t) compute unit."""
-        return self._units
-
     def buffers(self) -> list[FlatParamBuffer]:
-        return self._buffers
+        """The model's flat buffer, the one the optimizer adopts."""
+        return [self._buffer]
 
-    def unit_grads(self, index: int = 0) -> np.ndarray:
-        return flatten_grads(self._units[index])
+    def unit_grads(self) -> np.ndarray:
+        return flatten_grads(self.model)
 
-    def unit_params(self, index: int = 0) -> np.ndarray:
-        return self._buffers[index].export_data()
+    def unit_params(self) -> np.ndarray:
+        return self._buffer.export_data()
 
     def apply_sgd(self, lr: float) -> None:
-        """Plain SGD on every unit (oracle/test helper)."""
-        for model in self._units:
-            for p in model.parameters():
-                if p.grad is not None:
-                    p.data -= lr * p.grad
-
-    def assert_units_synchronized(self, atol: float = 0.0) -> None:
-        """Every unit's parameters match unit 0's; ``atol=0`` compares
-        bytes, so ``-0.0`` against ``+0.0`` fails and identical NaN
-        replicas pass."""
-        ref = self._units[0].state_dict()
-        for i, unit in enumerate(self._units[1:], start=1):
-            for name, arr in unit.state_dict().items():
-                same = (arr.tobytes() == ref[name].tobytes() if atol == 0
-                        else np.allclose(arr, ref[name], rtol=0.0, atol=atol))
-                if not same:
-                    raise AssertionError(f"unit {i} drifted on {name}")
+        """Plain SGD on the model (oracle/test helper)."""
+        for p in self.model.parameters():
+            if p.grad is not None:
+                p.data -= lr * p.grad
 
     # ------------------------------------------------------------------ #
     # elasticity: live reshard onto a new plan
     # ------------------------------------------------------------------ #
     def export_state(self) -> np.ndarray:
-        """The canonical flat parameter vector (all units agree on it)."""
-        return self._buffers[0].export_data()
+        """The canonical flat parameter vector."""
+        return self._buffer.export_data()
 
     def import_state(self, canonical: np.ndarray) -> None:
-        """Overwrite every unit's flat buffer with the canonical vector."""
-        for buf in self._buffers:
-            buf.load_data(canonical)
+        """Overwrite the flat buffer with the canonical vector."""
+        self._buffer.load_data(canonical)
 
     def reshard(self, new_plan: CompositePlan) -> None:
         """Move the live run onto ``new_plan``, bitwise.
 
-        Export the canonical parameter vector, validate the new plan,
-        rebuild units/buffers/process groups/bucketers at the new world
-        via :meth:`setup`, and re-import the state.  Every captured
-        :class:`CompiledStep` is released and the plan epoch bumped, so
-        a surviving ``CompiledStep`` handle held elsewhere also sees a
-        guard-key mismatch and recaptures transparently.  After this
-        returns, the strategy is bitwise-identical to one constructed
-        fresh on ``new_plan`` and fed the same canonical state.
+        The model, its flat buffer and bucketer do not depend on the
+        plan, so only the process groups are rebuilt.  A tile's plan
+        replays on any rank's rows, so captured plans (and their arena
+        slabs) are kept unless the tile count changes, which releases
+        them.  After this returns, the strategy is bitwise-identical to
+        one constructed fresh on ``new_plan`` with the same parameters.
         """
-        if self._model_factory is None:
-            raise RuntimeError("reshard before setup: no model factory")
+        if self.model is None:
+            raise RuntimeError("reshard before setup: no model")
         with span("replan/reshard", cat="replan",
                   old=str(self.plan.level_sizes()),
                   new=str(new_plan.level_sizes())):
             with span("replan/validate", cat="replan"):
                 new_plan.validate()
-            with span("replan/export", cat="replan"):
-                canonical = self.export_state()
+            if new_plan.tiles != self.plan.tiles:
+                self._release_compiled()
             self._plan_epoch += 1
             self.plan = new_plan
             with span("replan/rebuild", cat="replan"):
-                self.setup(self._model_factory)
-            with span("replan/import", cat="replan"):
-                self.import_state(canonical)
+                self._build_groups()
 
     # ------------------------------------------------------------------ #
     def level_groups(self) -> dict[str, list[ProcessGroup]]:

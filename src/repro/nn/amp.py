@@ -60,26 +60,14 @@ class GradScaler:
 
         Returns True if the step was taken.
         """
-        return self.step_all([optimizer])
-
-    def step_all(self, optimizers) -> bool:
-        """One scaler decision over several optimizers (one per replica).
-
-        Distributed strategies hold one optimizer per model unit but the
-        units share a gradient (post-reduction), so overflow must skip
-        *all* steps together and the scale bookkeeping advances once per
-        training step, not once per unit.  Returns True if stepped.
-        """
-        if any(self.found_overflow(opt.params) for opt in optimizers):
+        if self.found_overflow(optimizer.params):
             self.num_overflows += 1
             self._good_steps = 0
             self.scale_value = max(self.scale_value * self.backoff_factor, 1.0)
-            for opt in optimizers:
-                opt.zero_grad()
+            optimizer.zero_grad()
             return False
-        for opt in optimizers:
-            self.unscale(opt.params)
-            opt.step()
+        self.unscale(optimizer.params)
+        optimizer.step()
         self._good_steps += 1
         if self._good_steps >= self.growth_interval:
             self.scale_value = min(self.scale_value * self.growth_factor, self.max_scale)

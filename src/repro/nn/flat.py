@@ -114,22 +114,6 @@ class FlatParamBuffer:
             raise ValueError("multiple must be >= 1")
         return -(-self.size // multiple) * multiple
 
-    def padded_grad(self, multiple: int) -> np.ndarray:
-        """The flat gradient, zero-padded to a multiple of ``multiple``.
-
-        Returns the live buffer itself when already aligned (zero-copy),
-        else a padded copy.  The collectives in
-        :mod:`repro.distributed.comm` work in place, so reducing the
-        result reduces the live gradient when it is aligned; a caller
-        that needs the unreduced gradient afterwards copies first.
-        """
-        padded = self.padded_size(multiple)
-        if padded == self.size:
-            return self.grad
-        out = np.zeros(padded, dtype=np.float32)
-        out[: self.size] = self.grad
-        return out
-
     def load_grad(self, flat: np.ndarray) -> None:
         """Write a flat (possibly padded) gradient back into the buffer.
 
@@ -138,8 +122,7 @@ class FlatParamBuffer:
         """
         if flat.size < self.size:
             raise ValueError(f"gradient of {flat.size} < buffer of {self.size}")
-        if flat is not self.grad:  # the live buffer, reduced in place
-            self.grad[...] = flat.reshape(-1)[: self.size]
+        self.grad[...] = flat.reshape(-1)[: self.size]
 
     def export_data(self) -> np.ndarray:
         """Copy out the flat parameter vector (canonical layout).

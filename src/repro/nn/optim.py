@@ -103,16 +103,12 @@ class SGD(Optimizer):
 class AdamW(Optimizer):
     """Adam with decoupled weight decay (Loshchilov & Hutter).
 
-    In flat mode two scratch buffers make the step allocation-free.  A
-    flat step rewrites both before it reads them, so optimizers that step
-    in turn may share one pair: ``scratch=`` adopts another flat
-    optimizer's ``scratch`` of the same shape.
+    In flat mode two scratch buffers make the step allocation-free.
     """
 
     def __init__(self, params, lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.01,
-                 flatten: bool = False, flat: FlatParamBuffer | None = None,
-                 scratch: tuple[np.ndarray, np.ndarray] | None = None):
+                 flatten: bool = False, flat: FlatParamBuffer | None = None):
         super().__init__(params, lr, flatten=flatten, flat=flat)
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -121,12 +117,8 @@ class AdamW(Optimizer):
         if self.flat is not None:
             self._m = [np.zeros_like(self.flat.data)]
             self._v = [np.zeros_like(self.flat.data)]
-            if scratch is None:
-                scratch = (np.empty_like(self.flat.data), np.empty_like(self.flat.data))
-            elif any(s.shape != self.flat.data.shape or s.dtype != self.flat.data.dtype
-                     for s in scratch):
-                raise ValueError("adopted scratch does not match the flat buffer")
-            self.scratch = scratch
+            self._scratch = (np.empty_like(self.flat.data),
+                             np.empty_like(self.flat.data))
         else:
             self._m = [np.zeros_like(p.data) for p in self.params]
             self._v = [np.zeros_like(p.data) for p in self.params]
@@ -142,7 +134,7 @@ class AdamW(Optimizer):
             self.flat.sync_grads()
             g = self.flat.grad
             m, v = self._m[0], self._v[0]
-            s, s2 = self.scratch
+            s, s2 = self._scratch
             m *= self.beta1
             np.multiply(g, 1 - self.beta1, out=s)
             m += s

@@ -160,10 +160,10 @@ class Tracer:
         """Record one collective: a span per participating rank with the
         modeled ring duration, advancing each rank's simulated clock.
 
-        ``nbytes`` is the per-rank payload (``buffers[0].nbytes``, an
-        all-gather's shard) and ``modeled_s`` the ring time of ONE call
-        on the full buffer, as
-        :func:`~repro.distributed.perf_model.plan_comm_costs` prices it.  ``calls`` > 1
+        ``nbytes`` is the payload, the full buffer (an all-gather's P
+        gathered shards), and ``modeled_s`` the ring time of ONE call on
+        it, as :func:`~repro.distributed.perf_model.plan_comm_costs`
+        prices it.  ``calls`` > 1
         coalesces a burst of identical collectives (e.g. the per-layer
         TP all-reduces) into one span of ``calls * modeled_s``.
         """

@@ -400,8 +400,8 @@ class CompiledStep:
     def release(self) -> None:
         """Drop the current plan and give its slabs back to the arena.
 
-        The next call recaptures without charging ``guard_misses``: the
-        replan path releases plans whose world no longer exists.
+        The next call recaptures without charging ``guard_misses``: a
+        replan that changes the tile count releases its plans this way.
         """
         self._drop()
 

@@ -216,8 +216,8 @@ class OracleSpec:
 
 
 def _diverse_factory(config: ModelConfig, seed: int):
-    """Replica factory with deliberately diverse init seeds: the engines
-    must broadcast rank 0's weights for the oracle to pass."""
+    """Replica factory with deliberately diverse init seeds: the oracle
+    passes only if the strategy runs ``factory(0)``'s weights alone."""
     return lambda r: _make_model(config, seed if r == 0 else seed + 100 + r)
 
 
@@ -264,8 +264,9 @@ def _build_elastic(world, config, seed, rng, grow=True, compile=False):
     double (8→4 at world 4).  The oracle then drives the resharded
     strategy exactly like a fresh composite — passing means the live
     reshard left no trace.  The compiled variant captures step programs
-    at the start world first, so the reshard must also invalidate them
-    and replay recaptures at the new world.
+    at the start world first: a reshard that keeps the tile count keeps
+    them (any rank's rows replay a tile's plan), one that changes it
+    releases them and the next step recaptures.
     """
     start_plan, start_batch, side = _oracle_workload(
         max(1, world // 2) if grow else world * 2, None)
@@ -273,7 +274,8 @@ def _build_elastic(world, config, seed, rng, grow=True, compile=False):
                               bucket_bytes=1 << 12, compile=compile)
     strat.setup(_diverse_factory(config, seed))
     if compile:
-        # capture programs at the start world; the reshard must invalidate
+        # capture programs at the start world; the reshard keeps them
+        # unless it changes the tile count
         strat.forward_backward(
             *_batch(np.random.default_rng(seed + 7), start_batch, side))
     plan, batch, side = _oracle_workload(world, None)
@@ -386,8 +388,9 @@ _SPECS: dict[str, OracleSpec] = {
         "repartition exact"),
     "grow_compiled": OracleSpec(
         partial(_build_elastic, grow=True, compile=True),
-        "programs captured at the start world are invalidated by the "
-        "reshard; replay recaptures at the new world transparently"),
+        "programs captured at the start world survive a reshard that "
+        "keeps the tile count and replay at the new world; a tile-count "
+        "change releases them and the next step recaptures"),
 }
 
 #: Every row the oracle knows how to drive.  The ``*_overlap``
@@ -412,11 +415,11 @@ def _run_trainable(strategy: CompositeStrategy, data, config, seed, lr,
     ]
     strategy.step(x, y)
     ref_grads = strategy.reference_step(ref, x, y)
-    comparisons.append(_compare("gradients", strategy.unit_grads(0),
+    comparisons.append(_compare("gradients", strategy.unit_grads(),
                                 ref_grads, rtol, atol, ctx))
     strategy.apply_sgd(lr)
     _apply_flat_sgd(ref, ref_grads, lr)
-    comparisons.append(_compare("params", strategy.unit_params(0),
+    comparisons.append(_compare("params", strategy.unit_params(),
                                 flatten_params(ref), rtol, atol, ctx))
     return comparisons
 

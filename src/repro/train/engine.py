@@ -7,10 +7,11 @@ scaling, gradient clipping, the warmup-cosine schedule, history tracking,
 and checkpointing are the *same code* whether training runs on one
 process or on the virtual cluster.  Only three hooks differ:
 
-* ``_build_optimizer`` makes one AdamW per model unit, each *adopting*
-  the unit's :class:`~repro.nn.flat.FlatParamBuffer` — optimizer steps
-  and gradient collectives share one allocation (no re-flattening) —
-  and all adopting one scratch pair, since they step in turn;
+* ``_build_optimizer`` makes one flat AdamW *adopting* the strategy's
+  :class:`~repro.nn.flat.FlatParamBuffer` — the optimizer step and the
+  gradient collectives share one allocation (no re-flattening).  The
+  strategy holds one model for all its compute units and leaves one
+  reduced gradient, so the engine clips and steps once per step;
 * ``_backward`` routes through
   :meth:`CompositeStrategy.forward_backward` +
   :meth:`~CompositeStrategy.reduce_gradients`;
@@ -55,8 +56,8 @@ class DistributedEngine(Trainer):
     Parameters
     ----------
     model_factory:
-        ``factory(unit_index) -> Module`` building one model unit; all
-        units are synchronized to unit 0's weights.
+        ``factory(unit_index) -> Module``; called once, as
+        ``factory(0)``, to build the one model every compute unit runs.
     dataset / config / val_dataset:
         As for :class:`Trainer`.  ``config.batch_size`` must equal the
         plan's data-parallel ways, and the dataset must divide evenly
@@ -102,7 +103,7 @@ class DistributedEngine(Trainer):
                 self.scaler.scale_value
                 if getattr(self, "scaler", None) is not None else None))
         self.strategy.setup(model_factory)
-        super().__init__(self.strategy.units()[0], dataset, config,
+        super().__init__(self.strategy.model, dataset, config,
                          val_dataset=val_dataset, monitor=monitor)
         # Trainer installs the full-grid Bayesian loss; the engine's
         # objective is the per-tile loss (see the module docstring)
@@ -114,19 +115,11 @@ class DistributedEngine(Trainer):
     # hooks
     # ------------------------------------------------------------------ #
     def _build_optimizer(self):
-        # one AdamW per unit, adopting the unit's flat buffer so the
-        # optimizer step and the gradient collectives share storage, and
-        # unit 0's scratch pair: the units step one after another
-        opts: list[AdamW] = []
-        for params, buf in self.strategy.optimizer_params():
-            opts.append(AdamW(params, lr=self.config.lr,
-                              weight_decay=self.config.weight_decay, flat=buf,
-                              scratch=opts[0].scratch if opts else None))
-        self._unit_optimizers = opts
-        return opts[0]
-
-    def _optimizers(self) -> list:
-        return self._unit_optimizers
+        # adopt the strategy's flat buffer: the optimizer step and the
+        # gradient collectives share storage
+        return AdamW(self.model.parameters(), lr=self.config.lr,
+                     weight_decay=self.config.weight_decay,
+                     flat=self.strategy.buffers()[0])
 
     def _strategy_loss(self, pred: Tensor, target: Tensor) -> Tensor:
         """Per-tile loss with the Trainer's AMP semantics applied."""
@@ -160,7 +153,7 @@ class DistributedEngine(Trainer):
     # ------------------------------------------------------------------ #
     def export_state(self) -> CanonicalState:
         """Snapshot the run into the plan-independent canonical form."""
-        m, v, t = self._unit_optimizers[0].export_state()
+        m, v, t = self.optimizer.export_state()
         extra: dict = {}
         if self.scaler is not None:
             extra["loss_scale"] = self.scaler.scale_value
@@ -172,8 +165,7 @@ class DistributedEngine(Trainer):
         """Restore a canonical snapshot onto the current plan, bitwise."""
         self.strategy.import_state(state.data)
         if state.adam_m is not None:
-            for opt in self._unit_optimizers:
-                opt.import_state(state.adam_m, state.adam_v, state.adam_t)
+            self.optimizer.import_state(state.adam_m, state.adam_v, state.adam_t)
         self._step = int(state.step)
         if self.scaler is not None and "loss_scale" in state.extra:
             self.scaler.scale_value = float(state.extra["loss_scale"])
@@ -181,13 +173,13 @@ class DistributedEngine(Trainer):
     def replan(self, new_plan: CompositePlan) -> dict:
         """Reshard the live run onto ``new_plan``; returns a replan report.
 
-        Re-validates the new plan against the run's batch semantics,
-        exports canonical state, rebuilds units/groups/buckets through
-        :meth:`CompositeStrategy.reshard` (which also invalidates every
-        captured :class:`~repro.tensor.compile.CompiledStep` so compiled
-        replay recaptures transparently), rebuilds the per-unit
-        optimizers on the new flat buffers, and re-imports parameters +
-        AdamW moments.  The next training step is bitwise-identical to a
+        Re-validates the new plan against the run's batch semantics and
+        rebuilds the process groups through
+        :meth:`CompositeStrategy.reshard`.  The model, its flat buffer
+        and the AdamW moments do not depend on the plan, so they stay
+        in place, and so do the captured plans unless the tile count
+        changes.  The canonical state is exported only for the report's
+        byte count.  The next training step is bitwise-identical to a
         fresh engine at the new world fed the same canonical state.
         """
         from ..distributed.perf_model import reshard_cost
@@ -205,11 +197,6 @@ class DistributedEngine(Trainer):
                   new=str(new_plan.level_sizes())):
             self.strategy.reshard(new_plan)
             self.plan = new_plan
-            with span("replan/optimizers", cat="replan"):
-                self.optimizer = self._build_optimizer()
-                for opt in self._unit_optimizers:
-                    opt.import_state(state.adam_m, state.adam_v, state.adam_t)
-            self.model = self.strategy.units()[0]
         downtime_s = time.perf_counter() - t0
         cost = reshard_cost(old_plan, new_plan, state.nbytes)
         tracer = active_tracer()
@@ -275,25 +262,14 @@ class DistributedEngine(Trainer):
         return state
 
     def save(self, path, extra: dict | None = None) -> None:
-        """Checkpoint unit 0 with this run's plan-layout metadata."""
+        """Checkpoint the model with this run's plan-layout metadata."""
         save_checkpoint(self.model, path, extra=extra, plan=self.plan)
 
     def load(self, path) -> dict:
         """Load a checkpoint, validating its layout against this plan."""
-        extra = load_checkpoint(self.model, path, expect_plan=self.plan)
-        self.sync_units()
-        return extra
+        return load_checkpoint(self.model, path, expect_plan=self.plan)
 
     # ------------------------------------------------------------------ #
-    def sync_units(self) -> None:
-        """Re-broadcast unit 0's weights (after a checkpoint load)."""
-        state = self.model.state_dict()
-        for unit in self.strategy.units()[1:]:
-            unit.load_state_dict(state)
-
-    def assert_synchronized(self, atol: float = 1e-6) -> None:
-        self.strategy.assert_units_synchronized(atol=atol)
-
     def communication_summary(self, reset: bool = False) -> dict:
         return self.strategy.comm_summary(reset=reset)
 

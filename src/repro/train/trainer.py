@@ -113,17 +113,6 @@ class Trainer:
         return AdamW(self.model.parameters(), lr=self.config.lr,
                      weight_decay=self.config.weight_decay, flatten=True)
 
-    def _optimizers(self) -> list:
-        return [self.optimizer]
-
-    def _set_lr(self, lr: float) -> None:
-        for opt in self._optimizers():
-            opt.lr = lr
-
-    def _zero_grad(self) -> None:
-        for opt in self._optimizers():
-            opt.zero_grad()
-
     def _backward(self, batch) -> float:
         """Forward + backward; returns the (unscaled) loss value."""
         if self._compiled_step is not None:
@@ -139,25 +128,18 @@ class Trainer:
         return float(loss.data)
 
     def _clip_and_step(self) -> float:
-        """Clip each optimizer's gradients and step; returns grad norm."""
-        optimizers = self._optimizers()
-        if self.scaler is not None:
-            # clip in unscaled units by scaling the threshold instead
-            scale = self.scaler.scale_value
-            norms = [clip_grad_norm(opt.params, self.config.grad_clip * scale) / scale
-                     for opt in optimizers]
-            # single optimizer goes through scaler.step so instance-level
-            # wrappers (failure injection) stay effective
-            stepped = (self.scaler.step(optimizers[0]) if len(optimizers) == 1
-                       else self.scaler.step_all(optimizers))
-            if not stepped:
-                self.history.skipped_steps += 1
-        else:
-            norms = [clip_grad_norm(opt.params, self.config.grad_clip)
-                     for opt in optimizers]
-            for opt in optimizers:
-                opt.step()
-        return norms[0]
+        """Clip the gradients and step; returns the pre-clip grad norm."""
+        opt = self.optimizer
+        if self.scaler is None:
+            norm = clip_grad_norm(opt.params, self.config.grad_clip)
+            opt.step()
+            return norm
+        # clip in unscaled units by scaling the threshold instead
+        scale = self.scaler.scale_value
+        norm = clip_grad_norm(opt.params, self.config.grad_clip * scale) / scale
+        if not self.scaler.step(opt):
+            self.history.skipped_steps += 1
+        return norm
 
     # ------------------------------------------------------------------ #
     def _loss_from_tensors(self, x: Tensor, y: Tensor) -> Tensor:
@@ -248,11 +230,11 @@ class Trainer:
 
     def _train_step_impl(self, batch) -> float:
         with span("train/zero_grad", cat="step"):
-            self._set_lr(warmup_cosine(
+            self.optimizer.lr = warmup_cosine(
                 self._step, self.config.warmup_steps, self._total_steps,
                 self.config.lr, self.config.min_lr,
-            ))
-            self._zero_grad()
+            )
+            self.optimizer.zero_grad()
         loss = self._backward(batch)
         skipped_before = self.history.skipped_steps
         with span("train/optim", cat="step"):

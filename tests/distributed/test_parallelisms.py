@@ -97,9 +97,9 @@ class TestEquivalenceOracle:
                 xs = data_rng.standard_normal(x.shape).astype(np.float32)
                 ys = data_rng.standard_normal(y.shape).astype(np.float32)
                 strat.step(xs, ys)
-                grads = strat.unit_grads(0).copy()
+                grads = strat.unit_grads()
                 strat.apply_sgd(0.05)
-                trace.append((grads, strat.unit_params(0).copy()))
+                trace.append((grads, strat.unit_params()))
             return trace
 
         eager = run(eager_name)
@@ -138,47 +138,76 @@ def _one_level(factory, **level) -> CompositeStrategy:
     return strat
 
 
+def _reduce_with_ddp_fault(fault):
+    """One ddp=2 step whose DDP all-reduce runs ``fault(buffers)`` on
+    the two ranks' buffers after reducing them in place."""
+    strat = _one_level(lambda r: _SmallNet(), ddp=2)
+    group = strat._ddp_groups[(0, 0)][-1]
+    all_reduce = group.all_reduce
+
+    def faulty(buffers, **kw):
+        out = all_reduce(buffers, **kw)
+        fault(buffers)
+        return out
+
+    group.all_reduce = faulty
+    strat.forward_backward(RNG.standard_normal((4, 6)).astype(np.float32),
+                           RNG.standard_normal((4, 2)).astype(np.float32))
+    strat.reduce_gradients()
+    return strat
+
+
 class TestDDP:
     # the averaged-gradients-match-full-batch invariant is covered by
     # TestEquivalenceOracle; these tests pin the data-parallel contracts
 
     def test_replicas_synchronized_after_init(self):
-        strat = _one_level(lambda r: _SmallNet(seed=r), ddp=3)
-        strat.assert_units_synchronized()
+        """The ranks hold no replicas: the one model is ``factory(0)``."""
+        calls = []
+        strat = _one_level(lambda r: calls.append(r) or _SmallNet(seed=r), ddp=3)
+        assert calls == [0]
+        ref = _SmallNet(seed=0).state_dict()
+        for name, arr in strat.model.state_dict().items():
+            assert arr.tobytes() == ref[name].tobytes(), name
 
     def test_exact_sync_check_rejects_one_ulp_drift(self):
-        """``atol=0.0`` means bitwise: one ulp in one unit fails it."""
-        strat = _one_level(lambda r: _SmallNet(), ddp=2)
-        w = strat.units()[1].fc1.weight.data
-        w[0, 0] = np.nextafter(w[0, 0], np.float32(np.inf))
-        with pytest.raises(AssertionError, match="unit 1 drifted"):
-            strat.assert_units_synchronized(atol=0.0)
+        """The per-step check compares bytes: one ulp in one rank's
+        reduced gradient fails it."""
+        def drift(buffers):
+            buffers[1][0] = np.nextafter(buffers[1][0], np.float32(np.inf))
+        with pytest.raises(RuntimeError, match=r"unit \(1, 0\)'s reduced gradient drifted"):
+            _reduce_with_ddp_fault(drift)
 
     def test_exact_sync_check_rejects_a_signed_zero(self):
         """``+0.0`` and ``-0.0`` compare equal but differ in their bytes."""
-        strat = _one_level(lambda r: _SmallNet(), ddp=2)
-        for unit, zero in zip(strat.units(), (0.0, -0.0)):
-            unit.fc1.weight.data[0, 0] = zero
-        with pytest.raises(AssertionError, match="unit 1 drifted"):
-            strat.assert_units_synchronized(atol=0.0)
+        def zeros(buffers):
+            buffers[0][0], buffers[1][0] = 0.0, -0.0
+        with pytest.raises(RuntimeError, match="drifted"):
+            _reduce_with_ddp_fault(zeros)
 
     def test_exact_sync_check_accepts_identical_nan_replicas(self):
-        strat = _one_level(lambda r: _SmallNet(), ddp=2)
-        for unit in strat.units():
-            unit.fc1.weight.data[0, 0] = np.nan
-        strat.assert_units_synchronized(atol=0.0)
+        def nans(buffers):
+            for b in buffers:
+                b[0] = np.nan
+        strat = _reduce_with_ddp_fault(nans)
+        assert np.isnan(strat.buffers()[0].grad[0])
 
     def test_replicas_stay_synchronized_through_sgd(self):
+        """Three SGD steps on the one model track the single-model
+        reference; each step's reduction checks that the ranks agree."""
         from repro.nn import SGD
         strat = _one_level(lambda r: _SmallNet(seed=r), ddp=2)
-        opts = [SGD(u.parameters(), lr=0.1) for u in strat.units()]
+        opt = SGD(strat.model.parameters(), lr=0.1)
+        ref = _SmallNet(seed=0)
+        ref_buf = FlatParamBuffer(list(ref.parameters()))
         for step in range(3):
             x = RNG.standard_normal((4, 6)).astype(np.float32)
             y = RNG.standard_normal((4, 2)).astype(np.float32)
             strat.step(x, y)  # two samples per rank
-            for opt in opts:
-                opt.step()
-        strat.assert_units_synchronized(atol=1e-6)
+            opt.step()
+            ref_buf.data -= 0.1 * strat.reference_step(ref, x, y)
+        np.testing.assert_allclose(strat.unit_params(), ref_buf.data,
+                                   rtol=1e-5, atol=1e-6)
 
     def test_batch_rows_per_rank(self):
         """Rank ``d`` holds rows ``d*k:(d+1)*k``; the batch must split
@@ -330,11 +359,12 @@ class TestTilesParallel:
                              rng=np.random.default_rng(r)), tiles=4)
         x = RNG.standard_normal((1, 2, 16, 16)).astype(np.float32)
         y = RNG.standard_normal((1, 1, 32, 32)).astype(np.float32)
-        strat.step(x, y)
-        ref = strat.unit_grads(0)
-        for t in range(1, 4):
-            np.testing.assert_allclose(strat.unit_grads(t), ref,
-                                       rtol=1e-5, atol=1e-6)
+        strat.step(x, y)  # raises unless every tile's reduced gradient agrees
+        ref = Reslim(TINY, 2, 1, factor=2, max_tokens=256,
+                     rng=np.random.default_rng(0))
+        np.testing.assert_allclose(strat.unit_grads(),
+                                   strat.reference_step(ref, x, y),
+                                   rtol=1e-4, atol=1e-5)
         # only ONE all-reduce for the whole batch — the TILES property
         assert strat.comm_summary()["calls"]["tiles"]["all_reduce"] == 1
 

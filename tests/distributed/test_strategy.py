@@ -122,7 +122,7 @@ class TestCompositeStrategy:
         for loss in losses[1:]:
             total = total + loss
         (total * (1.0 / len(losses))).backward()
-        np.testing.assert_allclose(strategy.unit_grads(0),
+        np.testing.assert_allclose(strategy.unit_grads(),
                                    flatten_grads(ref_model),
                                    rtol=1e-4, atol=1e-6)
 
@@ -239,10 +239,9 @@ def test_any_plan_matches_reference_and_its_own_schedules(factors, k):
                                      bucket_bytes=1 << 12, **mode)
         strategy.setup(lambda u: _make_model(config, seed=u))
         strategy.step(x, y)
-        grads = [strategy.unit_grads(u) for u in range(tiles * ddp)]
+        grads = [strategy.unit_grads()]
         strategy.apply_sgd(0.05)
-        return strategy, grads, [strategy.unit_params(u)
-                                 for u in range(tiles * ddp)]
+        return strategy, grads, [strategy.unit_params()]
 
     strategy, grads, params = run()
     ref = _make_model(config, seed=0)

@@ -33,11 +33,11 @@ class TestProcessGroupTracing:
             getattr(group, op)(buffers)
         spans = [s for s in tr.spans if s.name == f"comm/{op}"]
         assert sorted(s.rank for s in spans) == [0, 1, 2, 3]
-        # all_gather's buffers are shards: the ring moves the gathered P
-        expected = group.collective_time(
-            op, buffers[0].nbytes * (len(buffers) if op == "all_gather" else 1))
+        # all_gather's buffers are shards: the payload is the gathered P
+        payload = buffers[0].nbytes * (len(buffers) if op == "all_gather" else 1)
+        expected = group.collective_time(op, payload)
         for sp in spans:
-            assert sp.args["bytes"] == buffers[0].nbytes
+            assert sp.args["bytes"] == payload
             assert sp.dur_s == pytest.approx(expected)
         # the modeled time advanced every member's simulated clock
         assert tr.clock.offset(0) == pytest.approx(expected)

@@ -40,10 +40,10 @@ ROUNDS = 30
 def _raw_step(trainer: Trainer, batch) -> None:
     """``Trainer._train_step_impl`` with every span site stripped — the
     control arm.  Mirrors that method phase for phase."""
-    trainer._set_lr(warmup_cosine(
+    trainer.optimizer.lr = warmup_cosine(
         trainer._step, trainer.config.warmup_steps, trainer._total_steps,
-        trainer.config.lr, trainer.config.min_lr))
-    trainer._zero_grad()
+        trainer.config.lr, trainer.config.min_lr)
+    trainer.optimizer.zero_grad()
     loss = trainer._forward_loss(batch)
     loss.backward()
     trainer.history.grad_norms.append(trainer._clip_and_step())

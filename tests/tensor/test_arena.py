@@ -13,11 +13,12 @@
   within 2 % of the bytes retained.
 * **learning pass** — a composite unit plan's learning pass peaks under
   half the bytes of all its buffers: it keeps no tape.
-* **shared arena** — a ``CompositeStrategy``'s unit plans share one
+* **shared arena** — a ``CompositeStrategy``'s tile plans share one
   shared slab and one persistent slab: ``arena_bytes`` is those two
   once, within 2 % of the bytes retained, the same for two units as for
-  four, and back at its baseline after the plans are released or
-  resharded away; either capture order of two widths captures once per
+  four; a reshard that keeps the tile count keeps them, and the gauge is
+  back at its baseline after the plans are released or a tile-count
+  change resharded them away; either capture order of two widths captures once per
   plan, the larger first into one shared slab; and interleaved poisoned
   replays of two units are bitwise equal to eager.
 * **planted faults** — a learned interval ended one record early, and
@@ -121,8 +122,8 @@ def test_training_plan_arena_matches_retained_bytes():
     strategy = _composite()
     x, y = _batch(1)
     strategy._active_loss_fn = _mse
-    strategy._buffer(0, 0).zero_grad()   # leaf gradients land in the flat buffer
-    step = strategy._compiled_step(0, 0)
+    strategy._buffer.zero_grad()   # leaf gradients land in the flat buffer
+    step = strategy._compiled_step(0)
     gc.collect()
     tracemalloc.start()
     try:
@@ -171,7 +172,7 @@ def test_learning_pass_holds_the_live_set_not_every_buffer():
     strategy = _composite()
     x, y = _batch(1)
     strategy._active_loss_fn = _mse
-    step = strategy._compiled_step(0, 0)
+    step = strategy._compiled_step(0)
     gc.collect()
     tracemalloc.start()
     try:
@@ -187,20 +188,21 @@ def test_learning_pass_holds_the_live_set_not_every_buffer():
 
 
 def test_unit_plans_share_one_slab_counted_once():
+    """ddp=2 x tiles=2: four units, one plan per tile, one slab each kind."""
     strategy = _composite(ddp=2, tiles=2)
     x, y = _batch(2)
     gc.collect()
     tracemalloc.start()
     try:
         np_base, arena0 = _numpy_bytes(), graph_counters()["arena_bytes"]
-        strategy.forward_backward(x, y)
+        strategy.step(x, y)   # the reduction frees the work gradients
         arena = graph_counters()["arena_bytes"] - arena0
         np_retained = _numpy_bytes() - np_base
     finally:
         tracemalloc.stop()
     steps = list(strategy._compiled.values())
     slabs, persistent = list(_slabs(steps)), list(_slabs(steps, "_own"))
-    assert len(steps) == 4 and len(slabs) == 1 and len(persistent) == 1
+    assert len(steps) == 2 and len(slabs) == 1 and len(persistent) == 1
     assert arena == slabs[0].nbytes + persistent[0].nbytes
     assert abs(arena - np_retained) <= 0.02 * np_retained, (arena, np_retained)
     assert all(np.shares_memory(b, slabs[0]) for s in steps for b in s._in_bufs)
@@ -219,12 +221,16 @@ def test_gauge_returns_to_baseline_after_release_and_reshard():
     assert graph_counters()["arena_bytes"] == arena0
     strategy.forward_backward(x, y)
     assert graph_counters()["arena_bytes"] - arena0 == held
+    # a reshard that keeps the tile count keeps the plans and their slabs,
+    # and two units of the same shapes replay them
     strategy.reshard(CompositePlan(VirtualCluster(2), tiles=2))
-    assert graph_counters()["arena_bytes"] == arena0
-    # two units of the same shapes hold the two slabs four units held
-    strategy.forward_backward(x[:1], y[:1])
     assert graph_counters()["arena_bytes"] - arena0 == held
-    strategy._release_compiled()
+    captures = graph_counters()["captures"]
+    strategy.forward_backward(x[:1], y[:1])
+    assert graph_counters()["captures"] == captures
+    assert graph_counters()["arena_bytes"] - arena0 == held
+    # one that changes it releases them
+    strategy.reshard(CompositePlan(VirtualCluster(1)))
     assert graph_counters()["arena_bytes"] == arena0
 
 
@@ -258,10 +264,9 @@ def _captured_units(strategy, steps, x, y):
     output and flat gradient of each."""
     eager = []
     for t, step in enumerate(steps):
-        buf = strategy._buffer(0, t)
+        buf = strategy._buffer
         buf.zero_grad()
-        loss, out = strategy._unit_loss(strategy._unit(0, t), Tensor(x), Tensor(y),
-                                        t, _mse)
+        loss, out = strategy._unit_loss(strategy.model, Tensor(x), Tensor(y), t, _mse)
         loss.backward()
         eager.append((loss.data.copy(), out.data.copy(), buf.grad.copy()))
         buf.zero_grad()
@@ -273,7 +278,7 @@ def _interleaved_replays_match(strategy, steps, eager, x, y) -> bool:
     same = True
     for _ in range(2):
         for t, step in enumerate(steps):
-            buf = strategy._buffer(0, t)
+            buf = strategy._buffer
             buf.zero_grad()
             loss, out = poisoned_replay(step, x, y)
             same &= all(np.array_equal(got, want)
@@ -285,7 +290,7 @@ def test_interleaved_poisoned_replays_of_two_units_are_eager_bitwise():
     strategy = _composite(tiles=2)
     x, y = _batch(1)
     strategy._active_loss_fn = _mse
-    steps = [strategy._compiled_step(0, t) for t in range(2)]
+    steps = [strategy._compiled_step(t) for t in range(2)]
     eager = _captured_units(strategy, steps, x, y)
     assert len(list(_slabs(steps))) == 1 and len(list(_slabs(steps, "_own"))) == 1
     assert _interleaved_replays_match(strategy, steps, eager, x, y)
@@ -300,8 +305,8 @@ def test_persistent_bytes_written_only_at_capture_fail_shared_units(shared, monk
     strategy = _composite(tiles=2)
     x, y = _batch(1)
     strategy._active_loss_fn = _mse
-    steps = [strategy._compiled_step(0, t) if shared else
-             CompiledStep(strategy._make_tile_fn(0, t), guard_extra=strategy._guard_key)
+    steps = [strategy._compiled_step(t) if shared else
+             CompiledStep(strategy._make_tile_fn(t), guard_extra=strategy._guard_key)
              for t in range(2)]
     eager = _captured_units(strategy, steps, x, y)
     persistent = list(_slabs(steps, "_own"))
@@ -364,7 +369,7 @@ def test_fill_read_from_a_shared_slab_fails_without_reuse_in_its_plan(monkeypatc
     strategy = _composite(tiles=2)
     x, y = _batch(1)
     strategy._active_loss_fn = _mse
-    step = strategy._compiled_step(0, 0)
+    step = strategy._compiled_step(0)
     loss, _ = step(x, y)
     loss = loss.copy()
     plan = step._plan

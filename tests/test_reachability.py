@@ -54,7 +54,6 @@ DEFERRED = {
     "repro.nn.checkpoint:": "18 (activation checkpointing's first entry)",
     "repro.train.engine:DistributedEngine.save": "6 (checkpoint format)",
     "repro.train.engine:DistributedEngine.load": "6 (checkpoint format)",
-    "repro.train.engine:DistributedEngine.sync_units": "6 (checkpoint format)",
     "repro.obs.tracer:Tracer.collective_async": "13 (step-path tracing)",
     "repro.obs.tracer:Tracer.complete_async": "13 (step-path tracing)",
     "repro.serve.service:DownscalingService.bump_plan_epoch":
