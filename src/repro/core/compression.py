@@ -163,7 +163,7 @@ class QuadTreeCompressor:
                 gp = g[:, i, :].reshape(b, c, p, 1, p, 1) / (f * f)
                 gp = np.broadcast_to(gp, (b, c, p, f, p, f)).reshape(b, c, leaf.size, leaf.size)
                 gx[:, :, leaf.y0 : leaf.y0 + leaf.size, leaf.x0 : leaf.x0 + leaf.size] += gp
-            return ((x, gx),)
+            return (gx,)
 
         return Tensor._from_op(out, (x,), backward, "quadtree_compress")
 
@@ -192,6 +192,6 @@ class QuadTreeCompressor:
                 region = g[:, :, leaf.y0 : leaf.y0 + leaf.size, leaf.x0 : leaf.x0 + leaf.size]
                 pooled = region.reshape(b, channels, p, f, p, f).sum(axis=(3, 5))
                 gt[:, i, :] = pooled.reshape(b, channels * p * p)
-            return ((tokens, gt),)
+            return (gt,)
 
         return Tensor._from_op(out, (tokens,), backward, "quadtree_decompress")

@@ -240,6 +240,7 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
         np.add(out, bv.data.reshape(h, dh), out=out)
 
     run()
+    wants_gx, bk_shape = x.requires_grad, bk.shape
 
     def backward(g):
         gwv = per_head(g).swapaxes(-1, -2) @ per_head(px)
@@ -255,7 +256,7 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
         np.sum(rank_k, axis=1, keepdims=True, out=stat)
         np.subtract(gs, stat, out=gs)
         np.multiply(gs, prob, out=gs)
-        gpooled = gk.copy() if x.requires_grad else None
+        gpooled = gk.copy() if wants_gx else None
         np.matmul(patches.swapaxes(-1, -2), tokens(gs), out=tokens(gk))
         gbasis += (keys(ga) @ rows(qt)).sum(axis=0)
         np.matmul(keys(ga).swapaxes(-1, -2), basis, out=rows(wide))
@@ -270,20 +271,17 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
         gwt = gxbar2.T @ pbar.reshape(n, k)
         gwt += gbasis[v:].T
         gx = None
-        if x.requires_grad:
+        if wants_gx:
             gp = tokens(prob) @ tokens(gpooled).swapaxes(-1, -2)    # (B, L, V, k)
             gp += tokens(gs) @ tokens(rt).swapaxes(-1, -2)
             gp += ((gxbar @ wt.data) * inv_v)[:, :, None]
             gx = empty(b, v, hh, ww)
             np.copyto(_patch_rows(gx, p).reshape(b, v, gh, p, gw).transpose(0, 2, 4, 1, 3),
                       _patch_rows(gp, p).reshape(b, gh, gw, v, p))
-        return (
-            (x, gx), (wt, gwt), (bt, gc.sum(axis=0)),
-            (var_embed, gc.reshape(v, 1, d)),
-            (wq, gq2.T @ xbar.reshape(n, d)), (bq, gq2.sum(axis=0)),
-            (wk, gwk.reshape(d, d)), (bk, np.zeros_like(bk.data)),
-            (wv, gwv.reshape(d, d)), (bv, g.reshape(n, d).sum(axis=0)),
-        )
+        return (gx, gwt, gc.sum(axis=0), gc.reshape(v, 1, d),
+                gq2.T @ xbar.reshape(n, d), gq2.sum(axis=0),
+                gwk.reshape(d, d), np.zeros(bk_shape, np.float32),
+                gwv.reshape(d, d), g.reshape(n, d).sum(axis=0))
 
     return Tensor._from_op(out, (x, wt, bt, var_embed, wq, bq, wk, bk, wv, bv),
                            backward, "aggregate_variables", replay=run,

@@ -37,6 +37,7 @@ def checkpoint(fn, *inputs: Tensor, params: list[Tensor] | None = None) -> Tenso
     if params is None and isinstance(fn, Module):
         params = fn.parameters()
     params = tuple(params or ())
+    n_params = len(params)
     node_data = None
 
     def run():
@@ -59,9 +60,8 @@ def checkpoint(fn, *inputs: Tensor, params: list[Tensor] | None = None) -> Tenso
         leaves = [Tensor(t.data, requires_grad=True) for t in inputs]
         out = fn(*leaves)
         out.backward(np.asarray(g, dtype=np.float32))
-        grads = [(orig, leaf.grad) for orig, leaf in zip(inputs, leaves)]
-        grads.extend((p, None) for p in params)  # already accumulated
-        return tuple(grads)
+        # the parameters' gradients are already accumulated
+        return (*(leaf.grad for leaf in leaves), *(None,) * n_params)
 
     run()
     return Tensor._from_op(node_data, inputs + params, backward, "checkpoint", replay=run)

@@ -161,6 +161,7 @@ def flash_attention(
 
     run_blocks()
     out_full = out.reshape(*batch_shape, lq, d)
+    q_shape, kv_shape = q.shape, k.shape
 
     def backward(g):
         # [dO, -delta]^T, delta_i = rowsum(dO * O) being the softmax-
@@ -192,11 +193,7 @@ def flash_attention(
         # k1 carries neither
         dq *= np.float32(sc)
         dk *= np.float32(np.log(2.0))
-        return (
-            (q, dq.reshape(q.shape)),
-            (k, dk.reshape(k.shape)),
-            (v, dv.reshape(v.shape)),
-        )
+        return dq.reshape(q_shape), dk.reshape(kv_shape), dv.reshape(kv_shape)
 
     return Tensor._from_op(out_full, (q, k, v), backward, "flash_attention", replay=run_blocks,
                            reads=(out_full,))

@@ -31,7 +31,12 @@ ORBIT/AERIS throughput stories rest on):
    reader through any view, or to the plan's end for outputs and what a
    training plan's backward reads: an op's SAVED buffers and what it
    declares with ``_from_op(..., reads=)``, by default its parents and
-   output.  The capture pass allocates in two slabs of the plan's
+   output.  That is the eager tape's rule too (``Tensor.backward``): a
+   backward closure holds exactly those arrays, so an eager step holds
+   the learned live set when its forward ends, and a walk that frees
+   each node as it goes ends a saved buffer at its backward read.  The
+   capture's walk keeps its closures: they are the replay program.
+   The capture pass allocates in two slabs of the plan's
    :class:`Arena`, whose plans never run at once.  Every buffer but the
    persistent ones is rewritten on every replay, so it goes in the
    arena's shared slab, packed from those lives.  Persistent buffers
@@ -190,7 +195,7 @@ class _Learner:
     address, which a later one may take.  An array maps to the live
     allocation holding its lowest byte."""
 
-    tape = False   # ``Tensor._from_op`` attaches no parents or closure
+    tape = False   # ``Tensor._from_op`` attaches no tape node
 
     def __init__(self, forward_only: bool):
         self.buffers: list[_Buffer] = []
@@ -508,9 +513,10 @@ class CompiledStep:
             raise CompileError("backward root must be a scalar loss")
         self._seed = np.ones_like(root.data)
         self._bw_program = []
-        topo, flops = _walk_backward(root, self._seed, self._bw_program)
+        n, flops = _walk_backward(root if root._node is None else root._node,
+                                  self._seed, self._bw_program)
         self._flops += flops
-        self._slots = [None] * len(topo)
+        self._slots = [None] * n
 
     # ------------------------------------------------------------------ #
     # replay
@@ -543,7 +549,7 @@ class CompiledStep:
             g = slots[si]
             slots[si] = None  # release point: the slot's last read
             if kind == _BW_NODE:
-                for (parent, pg), (pi, mode) in zip(payload(g), extra):
+                for pg, (pi, mode) in zip(payload(g), extra):
                     if mode == _STORE:
                         slots[pi] = pg
                     elif mode == _ADD_INPLACE:

@@ -49,7 +49,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
-        return ((a, s * (g - dot)),)
+        return (s * (g - dot),)
 
     run()
     return Tensor._from_op(s, (a,), backward, "softmax", replay=run)
@@ -128,7 +128,7 @@ def gelu(x: Tensor) -> Tensor:
         t *= a.data
         t += phi
         t *= g
-        return ((a, t),)
+        return (t,)
 
     run()
     return Tensor._from_op(out_data, (a,), backward, "gelu", replay=run, reads=(a.data,))
@@ -177,19 +177,20 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Ten
         np.add(out_data, b.data, out=out_data)
 
     red_axes = tuple(range(a.data.ndim - 1))  # all but the feature axis
+    w_shape, b_shape = w.shape, b.shape
 
     def backward(g):
         gx = np.multiply(g, w.data)                     # dxhat
         tmp = np.multiply(gx, xhat)
         m1, m2 = np.matmul(gx, avg), np.matmul(tmp, avg)
         np.multiply(g, xhat, out=tmp)
-        gw = _unbroadcast(tmp.sum(axis=red_axes), w.shape)
-        gb = _unbroadcast(g.sum(axis=red_axes), b.shape)
+        gw = _unbroadcast(tmp.sum(axis=red_axes), w_shape)
+        gb = _unbroadcast(g.sum(axis=red_axes), b_shape)
         np.subtract(gx, m1, out=gx)
         np.multiply(xhat, m2, out=tmp)
         np.subtract(gx, tmp, out=gx)
         np.multiply(gx, inv, out=gx)
-        return ((a, gx), (w, gw), (b, gb))
+        return gx, gw, gb
 
     run()
     return Tensor._from_op(out_data, (a, w, b), backward, "layernorm", replay=run, reads=(w.data,))
@@ -220,6 +221,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(f"input features {a.shape[-1]} != weight in {in_f}")
     out = _alloc(OUTPUT, (*a.shape[:-1], out_f))
     parents = (a, w) if bias is None else (a, w, bias)
+    wants_gx, has_bias = a.requires_grad, bias is not None
 
     def run():
         np.matmul(a.data, w.data.T, out=out)
@@ -227,14 +229,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             np.add(out, bias.data, out=out)
 
     def backward(g):
-        gx = g @ w.data if a.requires_grad else None
+        gx = g @ w.data if wants_gx else None
         g2 = g.reshape(-1, out_f)
         x2 = a.data.reshape(-1, in_f)
         gw = g2.T @ x2
-        grads = [(a, gx), (w, gw)]
-        if bias is not None:
-            grads.append((bias, g2.sum(axis=0)))
-        return tuple(grads)
+        return (gx, gw, g2.sum(axis=0)) if has_bias else (gx, gw)
 
     run()
     return Tensor._from_op(out, parents, backward, "linear", replay=run, reads=(a.data, w.data))
@@ -293,7 +292,7 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
         np.matmul(my, a.data @ mx.T, out=out_data)
 
     def backward(g):
-        return ((a, (my.T @ g) @ mx),)
+        return ((my.T @ g) @ mx,)
 
     run()
     return Tensor._from_op(out_data, (a,), backward, "bilinear_upsample", replay=run, reads=())
@@ -358,8 +357,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
             strides=(s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
         cols = _alloc(SAVED, (n, in_c * k * k, out_h * out_w))
 
+    held = a if direct else None   # the backward reads the input only in place
+
     def patches():
-        return a.data.reshape(n, in_c, h * w) if direct else cols
+        return held.data.reshape(n, in_c, h * w) if direct else cols
 
     def run():
         if not direct:
@@ -371,17 +372,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
             np.add(out, bias.data.reshape(1, out_c, 1, 1), out=out)
 
     parents = (a, wgt) if bias is None else (a, wgt, bias)
+    a_shape, wants_gx, has_bias = a.shape, a.requires_grad, bias is not None
 
     def backward(g):
         g2 = g.reshape(n, out_c, out_h * out_w)
         gw = (g2 @ np.swapaxes(patches(), -1, -2)).sum(axis=0).reshape(wgt.shape)
         gx = None
-        if a.requires_grad:
-            gx = col2im_shape(wgt.data.reshape(out_c, -1).T @ g2, a.shape, k, stride, pad)
-        grads = [(a, gx), (wgt, gw)]
-        if bias is not None:
-            grads.append((bias, g.sum(axis=(0, 2, 3))))
-        return tuple(grads)
+        if wants_gx:
+            gx = col2im_shape(wgt.data.reshape(out_c, -1).T @ g2, a_shape, k, stride, pad)
+        return (gx, gw, g.sum(axis=(0, 2, 3))) if has_bias else (gx, gw)
 
     run()
     return Tensor._from_op(out, parents, backward, "conv2d", replay=run,

@@ -16,9 +16,11 @@ The public surface mirrors a small subset of ``torch.Tensor``:
 array([[2., 2., 2.],
        [2., 2., 2.]], dtype=float32)
 
-Gradients accumulate into ``.grad`` (float32).  A computation graph node
-stores its parents and a closure that maps the upstream gradient to
-parent gradients; ``backward`` runs a topological sort and walks it once.
+Gradients accumulate into ``.grad`` (float32).  A tape node (``_Node``)
+is apart from the ``Tensor`` it produced: it holds its parents' nodes and a
+closure that maps the upstream gradient to one gradient per parent, and
+the closure holds only the arrays that backward reads.  ``backward`` runs
+a topological sort and walks it once.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.lib.array_utils import normalize_axis_tuple
 
-from .flops import FLOPS, active_counter, price
+from .flops import FLOPS, active_counter
 
 __all__ = [
     "Tensor",
@@ -215,7 +217,7 @@ def _unary_node(ufunc, a: "Tensor", op: str, grad, *args) -> "Tensor":
         ufunc(a.data, *args, out=out)
 
     def backward(g):
-        return ((a, grad(g, a.data, out)),)
+        return (grad(g, a.data, out),)
 
     run()
     return Tensor._from_op(out, (a,), backward, op, replay=run)
@@ -228,29 +230,71 @@ def _binary_node(ufunc, a: "Tensor", b: "Tensor", op: str, grads,
     ``grads(g, x, y)`` maps the upstream gradient and the live inputs to
     both inputs' gradients before un-broadcasting; ``shape`` defaults to
     the broadcast of the inputs' shapes; ``reads`` is ``_from_op``'s.
+    With ``reads=()`` the backward holds neither input and ``grads`` gets
+    None for both.
     """
     if shape is None:
         shape = np.broadcast(a.data, b.data).shape
     out = _alloc(OUTPUT, shape)
+    sa, sb = a.shape, b.shape
 
     def run():
         ufunc(a.data, b.data, out=out)
 
-    def backward(g):
-        ga, gb = grads(g, a.data, b.data)
-        return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
+    if reads is not None and not reads:
+        def backward(g):
+            ga, gb = grads(g, None, None)
+            return _unbroadcast(ga, sa), _unbroadcast(gb, sb)
+    else:
+        def backward(g):
+            ga, gb = grads(g, a.data, b.data)
+            return _unbroadcast(ga, sa), _unbroadcast(gb, sb)
 
     run()
     return Tensor._from_op(out, (a, b), backward, op, replay=run, reads=reads)
 
 
+def _zeros_like(arr: np.ndarray):
+    """A maker of ``np.zeros_like(arr)``, same memory order included, that
+    holds ``arr``'s shape and strides but not its bytes."""
+    shape, dtype = arr.shape, arr.dtype
+    if arr.flags.c_contiguous or arr.ndim <= 1:
+        return lambda: np.zeros(shape, dtype)
+    if arr.flags.f_contiguous:
+        return lambda: np.zeros(shape, dtype, order="F")
+    # NumPy's keep-order rule: axes by descending |stride|, ties in axis order
+    perm = sorted(range(arr.ndim), key=lambda i: -abs(arr.strides[i]))
+    permuted, inverse = [shape[i] for i in perm], tuple(map(perm.index, range(arr.ndim)))
+    return lambda: np.zeros(permuted, dtype).transpose(inverse)
+
+
 def _backward_released(g):
-    """Sentinel installed on interior nodes after their graph is freed."""
+    """Sentinel installed on a node once a backward has run and freed it."""
     raise RuntimeError(
         "backward through a released graph: intermediate activations were "
         "freed by a previous backward(). Pass retain_graph=True to the "
         "first backward() if you need to backpropagate twice."
     )
+
+
+class _Node:
+    """One tape entry, apart from the ``Tensor`` it produced.
+
+    ``parents`` holds one entry per op parent: the parent's node, the
+    parent itself if it is a leaf that requires grad (its gradient lands
+    in ``.grad``), or None if it needs no gradient.  ``backward(g)``
+    returns one gradient per parent (None: none), and holds exactly the
+    arrays it reads: the op's SAVED buffers and its declared ``reads``,
+    parameters through their leaf ``Tensor``.  ``flops`` is the backward
+    price, set when the op is recorded.
+    """
+
+    __slots__ = ("parents", "backward", "flops")
+
+    def __init__(self, parents: tuple, backward: Callable, flops: float):
+        self.parents = parents
+        self.backward = backward
+        self.flops = flops
 
 
 # how the backward walk routed one closure-returned parent gradient: dropped,
@@ -285,9 +329,10 @@ def _fold_leaf_grad(leaf: "Tensor", grad: np.ndarray, owned: bool) -> str | None
     return "leaf_copies"
 
 
-def _walk_backward(root: "Tensor", seed: np.ndarray,
-                   program: list | None = None) -> tuple[list, float]:
-    """Backpropagate ``seed`` from ``root``: the engine's one backward walk.
+def _walk_backward(root: "_Node | Tensor", seed: np.ndarray,
+                   program: list | None = None, release: bool = False) -> tuple[int, float]:
+    """Backpropagate ``seed`` from ``root`` (a node, or a leaf ``Tensor``):
+    the engine's one backward walk.
 
     The walk accumulates in-place wherever it is provably safe: a
     parent's first contribution is stored by reference (zero-copy —
@@ -298,56 +343,60 @@ def _walk_backward(root: "Tensor", seed: np.ndarray,
     closure outputs that alias forward activations or the upstream
     gradient are never corrupted.
 
-    With a ``program`` list the walk also records itself for compiled
-    replay (:mod:`repro.tensor.compile`): ``(_BW_LEAF, slot, leaf,
-    owned)`` per leaf fold and ``(_BW_NODE, slot, closure, edges)`` per
-    closure call, ``edges`` holding one ``(parent slot, mode)`` per
-    returned gradient.  Slots index the walk's topological order, whose
-    last entry is ``root``.
+    With ``release`` the walk frees each node as soon as its closure has
+    run, so a saved buffer ends at its backward read; the released node
+    raises if a later walk reaches it.  With a ``program`` list the walk
+    also records itself for compiled replay (:mod:`repro.tensor.compile`),
+    whose program the closures become: ``(_BW_LEAF, slot, leaf, owned)``
+    per leaf fold and ``(_BW_NODE, slot, closure, edges)`` per closure
+    call, ``edges`` holding one ``(parent slot, mode)`` per returned
+    gradient.  Slots index the walk's topological order, whose last entry
+    is ``root``.
 
-    Returns the topological order and the backward FLOPs, which are also
+    Returns the number of slots and the backward FLOPs, which are also
     charged to the active :class:`~repro.tensor.flops.FlopCounter`.
     """
-    topo: list[Tensor] = []
+    topo: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:  # iterative DFS: deep ViT graphs overflow recursion limits
-        node, processed = stack.pop()
+        entry, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(entry)
             continue
-        if id(node) in visited:
+        if id(entry) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
-                stack.append((parent, False))
+        visited.add(id(entry))
+        stack.append((entry, True))
+        if type(entry) is _Node:
+            for parent in entry.parents:
+                if parent is not None and id(parent) not in visited:
+                    stack.append((parent, False))
 
     slot = None if program is None else {id(n): i for i, n in enumerate(topo)}
     grads: dict[int, np.ndarray] = {id(root): seed}
     owned: set[int] = set()  # keys whose buffer was allocated by this walk
     flops = 0.0
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        g_owned = id(node) in owned
-        owned.discard(id(node))
+    for entry in reversed(topo):
+        g = grads.pop(id(entry), None)
+        g_owned = id(entry) in owned
+        owned.discard(id(entry))
         if g is None:
             continue
-        if node._backward is None:
-            node._accumulate(g, owned=g_owned)
-            if node._ready_hook is not None:
+        if type(entry) is not _Node:  # a leaf
+            entry._accumulate(g, owned=g_owned)
+            if entry._ready_hook is not None:
                 # a leaf's grad is final exactly once per walk (reverse
                 # topological order runs it after every consumer), so
                 # this is the bucketed-reduction launch point
-                node._ready_hook(node)
+                entry._ready_hook(entry)
             if program is not None:
-                program.append((_BW_LEAF, slot[id(node)], node, g_owned))
+                program.append((_BW_LEAF, slot[id(entry)], entry, g_owned))
             continue
         edges = []
-        for parent, pg in node._backward(g):
+        for parent, pg in zip(entry.parents, entry.backward(g), strict=True):
             key = id(parent)
-            if not parent.requires_grad or pg is None:
+            if parent is None or pg is None:
                 mode = _SKIP
             elif key in grads:
                 if key in owned:
@@ -373,12 +422,14 @@ def _walk_backward(root: "Tensor", seed: np.ndarray,
                     mode = _STORE
             if program is not None:
                 edges.append((-1 if mode == _SKIP else slot[key], mode))
-        flops += price(node._op).backward(node.data, node._parents)
+        flops += entry.flops
         if program is not None:
-            program.append((_BW_NODE, slot[id(node)], node._backward, tuple(edges)))
-    # Invariant: every key inserted above names a node in ``topo`` (DFS
-    # pushes exactly the requires_grad parents), and reverse topological
-    # order processes each node after all of its consumers — so the walk
+            program.append((_BW_NODE, slot[id(entry)], entry.backward, tuple(edges)))
+        if release:  # its closure, and the saved buffers only it held, go now
+            entry.backward, entry.parents = _backward_released, ()
+    # Invariant: every key inserted above names an entry in ``topo`` (DFS
+    # pushes every parent that needs a gradient), and reverse topological
+    # order processes each entry after all of its consumers — so the walk
     # pops every entry.
     if grads:
         raise AssertionError(
@@ -387,11 +438,12 @@ def _walk_backward(root: "Tensor", seed: np.ndarray,
     counter = active_counter()
     if counter is not None:
         counter.total += flops
-    return topo, flops
+    return len(topo), flops
 
 
 class Tensor:
-    """A NumPy array plus an autograd tape node.
+    """A NumPy array, and the tape node that produced it (``_node``; None
+    for a leaf or an op recorded without grad).
 
     Parameters
     ----------
@@ -401,17 +453,14 @@ class Tensor:
         If True this tensor is a graph leaf whose gradient is retained.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_op", "_ready_hook")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_ready_hook")
     __array_priority__ = 100.0  # make NumPy defer to our __r*__ operators
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._op = "leaf"
+        self._node: _Node | None = None
         self._ready_hook: Callable[["Tensor"], None] | None = None
 
     # ------------------------------------------------------------------ #
@@ -422,14 +471,16 @@ class Tensor:
         cls,
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[[np.ndarray], tuple],
         op: str,
         replay=None,
         reads=None,
     ) -> "Tensor":
-        """``reads``: the arrays ``backward`` reads beyond the op's SAVED
-        buffers (None: its parents' and output's); a training plan may
-        reuse any other's bytes once the forward is done with it."""
+        """``backward(g)`` returns one gradient per parent.  ``reads``:
+        the arrays ``backward`` reads beyond the op's SAVED buffers (None:
+        its parents' and output's); a training plan may reuse any other's
+        bytes once the forward is done with it, and ``backward`` holds no
+        other array, so the eager tape frees them then too."""
         out = cls(data)
         rule = FLOPS.get(op)
         if rule is not None:
@@ -440,9 +491,10 @@ class Tensor:
         if grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             if _recorder is None or _recorder.tape:
-                out._parents = tuple(parents)
-                out._backward = backward
-            out._op = op
+                out._node = _Node(
+                    tuple((p if p._node is None else p._node) if p.requires_grad
+                          else None for p in parents),
+                    backward, 0.0 if rule is None else rule.backward(data, parents))
             _COUNTERS["nodes"] += 1
             if _op_hook is not None:
                 _op_hook(op, data, tuple(p.data for p in parents))
@@ -477,7 +529,7 @@ class Tensor:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         grad = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, op={self._op!r}{grad})"
+        return f"Tensor(shape={self.shape}{grad})"
 
     # ------------------------------------------------------------------ #
     # gradient accumulation and backward pass
@@ -503,10 +555,14 @@ class Tensor:
         it is provably safe and never mutates an array it did not
         allocate.
 
-        Unless ``retain_graph=True``, the traversed graph is released
-        before returning: interior nodes drop their parent references and
-        saved-activation closures so memory is freed eagerly.  A second
-        backward through a released graph raises ``RuntimeError``.
+        Each node's closure holds only what its backward reads (the op's
+        SAVED buffers and declared ``reads``), so an activation no
+        backward reads dies when the forward drops its ``Tensor``.
+        Unless ``retain_graph=True``, the walk releases each node right
+        after running it, so a saved buffer ends at its backward read:
+        the lifetime rule a training plan's arena follows
+        (:mod:`repro.tensor.compile`).  A second backward through a
+        released graph raises ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
@@ -517,12 +573,8 @@ class Tensor:
         grad = np.asarray(grad, dtype=np.float32)
         if grad.shape != self.data.shape:
             raise ValueError(f"grad shape {grad.shape} != tensor shape {self.data.shape}")
-        topo, _ = _walk_backward(self, grad)
-        if not retain_graph:
-            for node in topo:
-                if node._backward is not None:
-                    node._backward = _backward_released
-                    node._parents = ()
+        _walk_backward(self if self._node is None else self._node, grad,
+                       release=not retain_graph)
 
     # ------------------------------------------------------------------ #
     # arithmetic
@@ -630,13 +682,15 @@ class Tensor:
             np.sum(a.data, axis=axis, dtype=np.float32, out=out_data,
                    keepdims=keepdims)
 
+        shape = a.shape
+
         def backward(g):
             g_full = g
             if axis is not None and not keepdims:
                 g_full = np.expand_dims(g, axis=axis)
             # read-only 0-stride view: the walk's ownership tracking never
             # mutates it, and leaves materialise it in a single copy
-            return ((a, np.broadcast_to(g_full, a.shape)),)
+            return (np.broadcast_to(g_full, shape),)
 
         run()
         return Tensor._from_op(out_data, (a,), backward, "sum", replay=run, reads=())
@@ -668,7 +722,7 @@ class Tensor:
             mask = (a.data == out_full).astype(np.float32)
             # split gradient across ties so the total is conserved
             denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            return ((a, g_full * mask / np.maximum(denom, 1.0)),)
+            return (g_full * mask / np.maximum(denom, 1.0),)
 
         run()
         return Tensor._from_op(out_data, (a,), backward, "max", replay=run)
@@ -683,7 +737,7 @@ class Tensor:
         orig = a.data.shape
 
         def backward(g):
-            return ((a, g.reshape(orig)),)
+            return (g.reshape(orig),)
 
         # a view whenever the source's layout allows one (nothing to
         # replay); otherwise a buffer of its own, filled through a view of
@@ -703,7 +757,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            return ((a, np.swapaxes(g, axis0, axis1)),)
+            return (np.swapaxes(g, axis0, axis1),)
 
         return Tensor._from_op(np.swapaxes(a.data, axis0, axis1), (a,), backward,
                                "transpose", replay="view", reads=())
@@ -712,10 +766,10 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         a = self
-        inverse = np.argsort(axes)
+        inverse = tuple(np.argsort(axes).tolist())
 
         def backward(g):
-            return ((a, np.transpose(g, inverse)),)
+            return (np.transpose(g, inverse),)
 
         return Tensor._from_op(np.transpose(a.data, axes), (a,), backward,
                                "permute", replay="view", reads=())
@@ -729,14 +783,15 @@ class Tensor:
         # general scatter is only needed for advanced (array) indexing
         basic = all(isinstance(i, (int, np.integer, slice, type(None),
                                    type(Ellipsis))) for i in items)
+        zeros = _zeros_like(a.data)
 
         def backward(g):
-            full = np.zeros_like(a.data)
+            full = zeros()
             if basic:
                 full[index] += g
             else:
                 np.add.at(full, index, g)
-            return ((a, full),)
+            return (full,)
 
         # basic indexing returns a view — no copy until someone needs one
         if np.shares_memory(picked, a.data):
@@ -757,7 +812,7 @@ class Tensor:
             np.copyto(out_data[inner], a.data)
 
         def backward(g):
-            return ((a, g[inner]),)
+            return (g[inner],)
 
         run()
         return Tensor._from_op(out_data, (a,), backward, "pad", replay=run, reads=())
@@ -774,7 +829,7 @@ class Tensor:
             np.concatenate([t.data for t in tensors], axis=axis, out=data)
 
         def backward(g):  # slice views; the walk never mutates them
-            return tuple(zip(tensors, np.split(g, np.cumsum(sizes)[:-1], axis=axis)))
+            return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
         run()
         return Tensor._from_op(data, tensors, backward, "concat", replay=run, reads=())
@@ -789,9 +844,10 @@ class Tensor:
         def run():
             np.stack([t.data for t in tensors], axis=axis, out=data)
 
+        n = len(tensors)
+
         def backward(g):
-            parts = np.split(g, len(tensors), axis=axis)
-            return tuple((t, np.squeeze(p, axis=axis)) for t, p in zip(tensors, parts))
+            return tuple(np.squeeze(p, axis=axis) for p in np.split(g, n, axis=axis))
 
         run()
         return Tensor._from_op(data, tensors, backward, "stack", replay=run, reads=())

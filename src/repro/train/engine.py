@@ -178,9 +178,10 @@ class DistributedEngine(Trainer):
         :meth:`CompositeStrategy.reshard`.  The model, its flat buffer
         and the AdamW moments do not depend on the plan, so they stay
         in place, and so do the captured plans unless the tile count
-        changes.  The canonical state is exported only for the report's
-        byte count.  The next training step is bitwise-identical to a
-        fresh engine at the new world fed the same canonical state.
+        changes; the report's ``state_bytes`` is their size (parameters
+        and both moments), which a move of the canonical state would
+        cost.  The next training step is bitwise-identical to a fresh
+        engine at the new world fed the same canonical state.
         """
         from ..distributed.perf_model import reshard_cost
 
@@ -190,7 +191,7 @@ class DistributedEngine(Trainer):
                 f"data-parallel ways {new_plan.ddp}"
             )
         old_plan = self.plan
-        state = self.export_state()
+        state_bytes = self.optimizer.flat.data.nbytes + self.optimizer.state_nbytes()
         t0 = time.perf_counter()
         with span("replan/engine", cat="replan",
                   old=str(old_plan.level_sizes()),
@@ -198,7 +199,7 @@ class DistributedEngine(Trainer):
             self.strategy.reshard(new_plan)
             self.plan = new_plan
         downtime_s = time.perf_counter() - t0
-        cost = reshard_cost(old_plan, new_plan, state.nbytes)
+        cost = reshard_cost(old_plan, new_plan, state_bytes)
         tracer = active_tracer()
         if tracer is not None:
             tracer.metrics.inc("replan/count")
@@ -207,7 +208,7 @@ class DistributedEngine(Trainer):
                                    cost["downtime_s"])
         report = {
             "old": old_plan.layout(), "new": new_plan.layout(),
-            "step": self._step, "state_bytes": state.nbytes,
+            "step": self._step, "state_bytes": state_bytes,
             "downtime_s": downtime_s, "modeled": cost,
         }
         self.replan_log.append(report)
@@ -215,7 +216,7 @@ class DistributedEngine(Trainer):
             self.monitor.event(
                 "replan", t=float(self._step),
                 old=dict(old_plan.layout()), new=dict(new_plan.layout()),
-                step=self._step, state_bytes=state.nbytes,
+                step=self._step, state_bytes=state_bytes,
                 modeled_downtime_s=cost["downtime_s"])
         return report
 

@@ -20,6 +20,7 @@ from repro.nn import AdamW, Module, Parameter, PatchEmbed
 from repro.obs import Tracer
 from repro.tensor import CompiledStep, FlopCounter, Tensor, bilinear_upsample
 from repro.tensor.flops import aggregate_variables_flops
+from repro.tensor.tensor import _Node
 from repro.testing import OPS, warm_head
 from tests.tensor.test_compile import poison_outputs
 
@@ -136,20 +137,20 @@ def _largest_block_through_backward(loss):
     """Largest traced block alive after the forward and at the return of
     every tape node's backward closure (its parent gradients still held)."""
     seen = [_largest_live_block()]
-    stack, visited = [loss], set()
+    stack, visited = [loss._node], set()
     while stack:
         node = stack.pop()
-        if id(node) in visited or node._backward is None:
+        if id(node) in visited or not isinstance(node, _Node):
             continue
         visited.add(id(node))
 
-        def watched(g, inner=node._backward):
+        def watched(g, inner=node.backward):
             grads = inner(g)
             seen.append(_largest_live_block())
             return grads
 
-        node._backward = watched
-        stack.extend(node._parents)
+        node.backward = watched
+        stack.extend(node.parents)
     loss.backward()
     return max(seen)
 

@@ -13,6 +13,7 @@ import pytest
 from repro.distributed import CompositePlan, CompositeStrategy, VirtualCluster
 from repro.nn import CheckpointedSequential, Linear, MLP, Module, Sequential
 from repro.tensor import Tensor
+from tests.tape import tape_bytes, tape_nodes
 
 DIM = 6
 DEPTH = 3
@@ -37,19 +38,10 @@ class _PixelNet(Module):
 
 
 def _graph_size(t: Tensor) -> tuple[int, int]:
-    """(nodes, bytes) of the tape reachable from ``t`` — the retained
-    forward graph a backward pass would walk."""
-    seen: set[int] = set()
-    stack, nodes, nbytes = [t], 0, 0
-    while stack:
-        cur = stack.pop()
-        if id(cur) in seen or not cur._parents:
-            continue
-        seen.add(id(cur))
-        nodes += 1
-        nbytes += cur.data.nbytes
-        stack.extend(cur._parents)
-    return nodes, nbytes
+    """(nodes, bytes) of the tape reachable from ``t``: the retained
+    forward graph a backward pass would walk, and the activation bytes
+    its closures hold."""
+    return len(tape_nodes(t)), tape_bytes(t)
 
 
 def _run(checkpointed: bool, overlap: bool):

@@ -61,7 +61,7 @@ class TestCheckpoint:
         out = checkpoint(mlp, x)
         # parents are exactly the input + parameters: no intermediate
         # activation nodes are retained
-        assert set(map(id, out._parents)) == {id(x), *map(id, mlp.parameters())}
+        assert set(map(id, out._node.parents)) == {id(x), *map(id, mlp.parameters())}
 
     def test_multi_input_checkpoint(self):
         def fn(a, b):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, graph_counters, reset_graph_counters
+from tests.tape import closure_arrays
 
 
 def _t(*shape, grad=True, seed=0):
@@ -53,6 +54,22 @@ class TestGraphRelease:
         x.zero_grad()
         (x * x).sum().backward()  # new graph over the same leaf
         np.testing.assert_array_equal(x.grad, g1)
+
+
+class TestGetitemAdjoint:
+    @pytest.mark.parametrize("view", [
+        lambda t: t * 1.0, lambda t: t.permute(2, 1, 0), lambda t: t.transpose(0, 1),
+        lambda t: t[:, ::-2], lambda t: t.permute(2, 0, 1)[1:, :, ::2],
+    ])
+    def test_gradient_buffer_has_zeros_likes_layout_without_the_input(self, view):
+        """The scatter buffer is laid out as ``np.zeros_like(input)``,
+        while the closure holds only the input's shape and strides."""
+        x = Tensor(np.arange(60, dtype=np.float32).reshape(3, 4, 5), requires_grad=True)
+        held = view(x)
+        y = held[1:, [0, 1]]
+        gx, = y._node.backward(np.ones(y.shape, np.float32))
+        assert gx.strides == np.zeros_like(held.data).strides
+        assert closure_arrays(y._node.backward) == {}
 
 
 class TestAccumulation:

@@ -15,7 +15,15 @@ checked three ways:
   backward does not read ``h``;
 * a planted fault — ``linear`` declaring no read of its input — makes
   the poisoned replay differ from eager.
+
+The eager tape follows the same rule: after an eager forward, ``h``'s
+bytes are alive exactly when the op's backward reads ``h``, and the
+arrays the op's backward closure holds are its SAVED buffers plus its
+declared ``reads`` (persistent buffers aside), so a declaration that
+drifts from its closure fails here, not only under the poisoned replay.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -23,8 +31,9 @@ import pytest
 from repro.nn import aggregate_variables, flash_attention
 from repro.tensor import (CompiledStep, Tensor, add_bias, bilinear_upsample,
                           conv2d, gelu, layernorm, linear)
-from repro.tensor.tensor import PERSISTENT
+from repro.tensor.tensor import PERSISTENT, SAVED, set_recorder
 from repro.testing.poison import poisoned_replay
+from tests.tape import closure_arrays, owner
 
 SHAPE = (2, 3, 4, 6)   # (B, C, H, W): every op below takes it
 _rng = np.random.default_rng(11)
@@ -69,6 +78,7 @@ def _chain(case):
 
     def fn(x):
         h = x * w0            # read by the op under test and no other
+        fn.h = weakref.ref(h.data)
         z = op(h, *params)    # read later by its own backward, if at all
         y = z + 0.5
         later = x * w1        # h's size, written after h's last forward read
@@ -139,3 +149,52 @@ def test_linear_without_its_declared_read_fails_the_poisoned_replay(monkeypatch)
     step(x0)
     assert not _same(_poisoned(step, leaves, x1), _eager(fn, leaves, x1))
     step.release()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_eager_tape_keeps_h_exactly_when_the_backward_reads_it(name):
+    fn, _ = _chain(CASES[name])
+    loss, _ = fn(Tensor(_inputs()[0]))
+    assert (fn.h() is not None) == CASES[name][2], name
+    loss.backward()
+    assert fn.h() is None, name
+
+
+class _Spy:
+    """A recorder that only watches an eager run: each op's allocations
+    by kind, its output and its declared reads."""
+
+    tape = True
+
+    def __init__(self):
+        self.ops, self._allocs = [], []
+
+    def alloc(self, kind, shape, dtype, like, fill):
+        buf = np.empty_like(like) if like is not None else np.empty(shape, dtype)
+        if fill is not None:
+            buf[...] = fill
+        self._allocs.append((kind, buf))
+        return buf
+
+    def record(self, out, parents, op, replay, reads):
+        self.ops.append((op, out, reads, self._allocs))
+        self._allocs = []
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_backward_closure_holds_its_saved_buffers_and_declared_reads(name):
+    fn, _ = _chain(CASES[name])
+    spy = _Spy()
+    set_recorder(spy)
+    try:
+        fn(Tensor(_inputs()[0]))
+    finally:
+        set_recorder(None)
+    op = "conv2d" if name.startswith("conv2d") else name
+    _, out, reads, allocs = next(r for r in spy.ops[1:] if r[0] == op)
+    assert reads is not None, name
+    persistent = {id(owner(b)) for kind, b in allocs if kind == PERSISTENT}
+    want = {id(owner(b)) for kind, b in allocs if kind == SAVED}
+    want |= {id(owner(r)) for r in reads}
+    held = set(closure_arrays(out._node.backward)) - persistent
+    assert held == want, name

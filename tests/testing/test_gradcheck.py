@@ -69,7 +69,7 @@ class TestCheckGradients:
             a = t
 
             def backward(g):
-                return ((a, 3.0 * g),)  # wrong: identity's grad is g, not 3g
+                return (3.0 * g,)  # wrong: identity's grad is g, not 3g
 
             return Tensor._from_op(a.data.copy(), (a,), backward, "bad").sum()
 
@@ -88,7 +88,7 @@ class TestCheckGradients:
             a = t
 
             def backward(g):
-                return ((a, np.full_like(g, np.nan)),)
+                return (np.full_like(g, np.nan),)
 
             return Tensor._from_op(a.data.copy(), (a,), backward, "nan").sum()
 

@@ -100,6 +100,24 @@ class TestReplanBitwise:
                             eager.model.parameters()):
             np.testing.assert_array_equal(p_c.data, p_e.data)
 
+    def test_replan_copies_no_state(self, monkeypatch):
+        """A replan's report, ``state_bytes`` and the modeled reshard cost
+        included, comes from the buffer and moment sizes: the canonical
+        state is never exported."""
+        twin, engine = _engine(_plan(1, 1, 2, 2)), _engine(_plan(1, 1, 2, 2))
+        for e in (twin, engine):
+            _steps(e, _batches(e), 2)
+        want = twin.replan(_plan(1, 2, 2, 2))
+
+        def copies(self):
+            raise AssertionError("replan exported the canonical state")
+
+        monkeypatch.setattr(DistributedEngine, "export_state", copies)
+        got = engine.replan(_plan(1, 2, 2, 2))
+        del got["downtime_s"], want["downtime_s"]   # wall clock
+        assert got == want
+        assert got["state_bytes"] == 3 * engine.optimizer.flat.data.nbytes
+
     def test_replan_rejects_batch_size_change(self):
         engine = _engine(_plan(1, 1, 2, 2))
         with pytest.raises(ValueError, match="batch_size"):
