@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..tensor import Tensor
-from ..tensor.tensor import OUTPUT, SAVED, SCRATCH, _alloc
+from ..tensor.tensor import _POOL, OUTPUT, SAVED, SCRATCH, _alloc
 from .flash_attention import flash_attention, naive_attention
 from .layers import Linear
 from .module import Module
@@ -185,8 +185,8 @@ def aggregate_variables(x: Tensor, wt: Tensor, bt: Tensor, var_embed: Tensor,
     def split(w):  # (D, D) weight as its H row blocks W^h
         return w.data.reshape(h, dh, d)
 
-    def empty(*shape):
-        return np.empty(shape, dtype=np.float32)
+    def empty(*shape):   # the backward's buffers, from the eager pool
+        return _POOL.take(shape)
 
     def saved(*shape):
         return _alloc(SAVED, shape)

@@ -55,7 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor
-from ..tensor.tensor import OUTPUT, PERSISTENT, SAVED, _alloc
+from ..tensor.tensor import _POOL, OUTPUT, PERSISTENT, SAVED, _alloc
 
 __all__ = ["flash_attention", "naive_attention", "attention_peak_elems"]
 
@@ -166,12 +166,12 @@ def flash_attention(
     def backward(g):
         # [dO, -delta]^T, delta_i = rowsum(dO * O) being the softmax-
         # jacobian diagonal correction
-        goT = np.empty((nb, d + 1, lq), dtype=np.float32)
+        goT = _POOL.take((nb, d + 1, lq))
         goT.reshape(*batch_shape, d + 1, lq)[..., :d, :] = np.swapaxes(g, -1, -2)
         np.negative(((g * out_full) @ ones).reshape(nb, lq), out=goT[:, d])
-        dq = np.zeros((nb, lq, d), dtype=np.float32)
-        dk = np.zeros((nb, lk, d), dtype=np.float32)
-        dv = np.zeros((nb, lk, d), dtype=np.float32)
+        dq, dk, dv = (_POOL.take((nb, n, d)) for n in (lq, lk, lk))
+        for acc in (dq, dk, dv):
+            acc.fill(0)
         per = max(1, _TILE_BYTES // (4 * bs * bs))  # items per pass
         with np.errstate(**_TILE_ERRSTATE):
             for c in (slice(c0, c0 + per) for c0 in range(0, nb, per)):

@@ -90,9 +90,9 @@ from numpy.lib.array_utils import byte_bounds
 
 from . import tensor as _engine
 from .flops import active_counter, price
-from .tensor import (_ADD_INPLACE, _ADD_NEW, _BW_NODE, _COUNTERS, _STORE,
+from .tensor import (_ADD_INPLACE, _ADD_NEW, _BW_NODE, _COUNTERS, _POOL, _STORE,
                      _STORE_CAST, INPUT, PERSISTENT, SAVED, Tensor, _fold_leaf_grad,
-                     _walk_backward, enable_grad, set_op_hook, set_recorder)
+                     _sum_new, _walk_backward, enable_grad, set_op_hook, set_recorder)
 
 __all__ = ["CompiledStep", "CompiledForward", "CompileError"]
 
@@ -555,13 +555,14 @@ class CompiledStep:
                     elif mode == _ADD_INPLACE:
                         np.add(slots[pi], pg, out=slots[pi])
                     elif mode == _ADD_NEW:
-                        slots[pi] = slots[pi] + pg
+                        slots[pi] = _sum_new(slots[pi], pg)
                     elif mode == _STORE_CAST:
                         slots[pi] = np.asarray(pg, dtype=np.float32)
             else:
                 _fold_leaf_grad(payload, g, extra)  # counter-free on replay
                 if payload._ready_hook is not None:
                     payload._ready_hook(payload)
+        _POOL.boundary()   # a step's end, as the eager walk's
 
 
 class CompiledForward:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (OUTPUT, PERSISTENT, SAVED, SCRATCH, Tensor, _alloc,
-                     _binary_node, _unbroadcast)
+from .tensor import (_POOL, OUTPUT, PERSISTENT, SAVED, SCRATCH, Tensor, _alloc,
+                     _binary_node, _reshaped, _unbroadcast)
 
 __all__ = [
     "softmax",
@@ -121,7 +121,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def backward(g):
         # one scratch buffer end to end: t = x*pdf(x) + phi, then *= g
-        t = np.multiply(a.data, a.data)
+        t = np.multiply(a.data, a.data, out=_POOL.take_like(a.data))
         t *= -0.5
         np.exp(t, out=t)
         t *= inv_sqrt_2pi
@@ -180,8 +180,14 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Ten
     w_shape, b_shape = w.shape, b.shape
 
     def backward(g):
-        gx = np.multiply(g, w.data)                     # dxhat
-        tmp = np.multiply(gx, xhat)
+        # pooled only where NumPy gives both products C order: ``tmp``'s
+        # sums below run in its layout order
+        if g.flags.c_contiguous and xhat.flags.c_contiguous:
+            gx = np.multiply(g, w.data, out=_POOL.take(g.shape))   # dxhat
+            tmp = np.multiply(gx, xhat, out=_POOL.take(g.shape))
+        else:
+            gx = np.multiply(g, w.data)
+            tmp = np.multiply(gx, xhat)
         m1, m2 = np.matmul(gx, avg), np.matmul(tmp, avg)
         np.multiply(g, xhat, out=tmp)
         gw = _unbroadcast(tmp.sum(axis=red_axes), w_shape)
@@ -229,9 +235,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             np.add(out, bias.data, out=out)
 
     def backward(g):
-        gx = g @ w.data if wants_gx else None
-        g2 = g.reshape(-1, out_f)
-        x2 = a.data.reshape(-1, in_f)
+        gx = None
+        if wants_gx:   # pooled where NumPy gives the product C order
+            c_order = g.ndim <= 3 or g.flags.c_contiguous   # one batch axis at most
+            gx = (np.matmul(g, w.data, out=_POOL.take((*g.shape[:-1], in_f)))
+                  if c_order else g @ w.data)
+        g2, x2 = _reshaped(g, (-1, out_f)), _reshaped(a.data, (-1, in_f))
         gw = g2.T @ x2
         return (gx, gw, g2.sum(axis=0)) if has_bias else (gx, gw)
 
@@ -316,7 +325,8 @@ def col2im_shape(
     n, c, h, w = in_shape
     out_h = _conv_out_size(h, k, stride, pad)
     out_w = _conv_out_size(w, k, stride, pad)
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+    padded = _POOL.take((n, c, h + 2 * pad, w + 2 * pad))
+    padded.fill(0)
     cols6 = cols.reshape(n, c, k, k, out_h, out_w)
     for ky in range(k):  # k is tiny (<=7); inner work stays vectorised
         for kx in range(k):
@@ -379,7 +389,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
         gw = (g2 @ np.swapaxes(patches(), -1, -2)).sum(axis=0).reshape(wgt.shape)
         gx = None
         if wants_gx:
-            gx = col2im_shape(wgt.data.reshape(out_c, -1).T @ g2, a_shape, k, stride, pad)
+            wt2 = wgt.data.reshape(out_c, -1).T   # one batch axis: a C-order product
+            cols_g = np.matmul(wt2, g2, out=_POOL.take((n, wt2.shape[0], out_h * out_w)))
+            gx = col2im_shape(cols_g, a_shape, k, stride, pad)
         return (gx, gw, g.sum(axis=(0, 2, 3))) if has_bias else (gx, gw)
 
     run()

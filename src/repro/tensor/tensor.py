@@ -27,6 +27,9 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from bisect import bisect_left, bisect_right, insort
+from math import prod
+from sys import getrefcount
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -84,14 +87,134 @@ def set_recorder(recorder) -> None:
 OUTPUT, SAVED, SCRATCH, PERSISTENT, INPUT = range(5)
 
 
+_probe = [np.empty(0, np.uint8)]
+#: ``getrefcount(bases[i])`` of a base that only the list ``bases`` holds
+_IDLE_REFS = getrefcount(_probe[0])
+del _probe
+_F32 = np.dtype(np.float32)
+
+
+class _Pool:
+    """The eager step's buffers, reused from one step to the next as a
+    compiled plan reuses its slab (:mod:`repro.tensor.compile`): free
+    lists of ``uint8`` bases keyed by byte size.  Eager forward buffers
+    (``_alloc`` with grad enabled and no recorder) and the backward's
+    large temporaries are cut from it.
+
+    A base is free exactly when the pool holds its only reference: NumPy
+    collapses every view's ``.base`` to the owning array, so any view,
+    reshape, transpose, ``memoryview`` or ``.grad`` handoff of an array
+    cut from it pins it.  ``take`` cuts a request from the first free
+    base, in the order they were made, of the smallest size that holds
+    it and is at most twice its size.  If there is none, it makes a base
+    of the request's size and drops a free base of the largest size
+    below it, down to half of it: that base's requests fit the new one,
+    so the pool grows by the difference, not by a second base.
+    ``boundary`` runs at the end of every backward walk, eager or
+    replayed, and drops the bases nothing took since the previous one,
+    so the pool keeps one step's working set.
+
+    The free check reads reference counts between calls, so the pool
+    assumes one thread; ``src/`` starts none.
+    """
+
+    def __init__(self):
+        self._bases: dict[int, list[np.ndarray]] = {}
+        self._sizes: list[int] = []     # the keys of ``_bases``, ascending
+        self._taken: set[int] = set()   # ids of bases taken since the last boundary
+        self.made = 0                   # bases allocated so far
+
+    def _free(self, lo: int, hi: int, largest: bool = False) -> tuple[int, int] | None:
+        """``(size, index)`` of the first free base of the smallest size
+        in ``[lo, hi]``, or with ``largest`` of the largest size."""
+        sizes = self._sizes
+        js = range(bisect_left(sizes, lo), bisect_right(sizes, hi))
+        for j in (reversed(js) if largest else js):
+            bases = self._bases[sizes[j]]
+            for i in range(len(bases)):
+                if getrefcount(bases[i]) == _IDLE_REFS:
+                    return sizes[j], i
+        return None
+
+    def take(self, shape, dtype=np.float32, axes=None) -> np.ndarray:
+        """An uninitialised array of ``shape`` in C order, or, with
+        ``axes``, the C-order ``shape`` transposed by them."""
+        dtype = _F32 if dtype is np.float32 else np.dtype(dtype)
+        nbytes = prod(shape) * dtype.itemsize
+        if not nbytes:
+            arr = np.empty(shape, dtype)
+            return arr if axes is None else arr.transpose(axes)
+        found = self._free(nbytes, 2 * nbytes)
+        if found is not None:
+            base = self._bases[found[0]][found[1]]
+        else:
+            smaller = self._free((nbytes + 1) // 2, nbytes - 1, largest=True)
+            if smaller is not None:
+                self._forget(*smaller)
+            base = np.empty(nbytes, np.uint8)
+            if nbytes not in self._bases:
+                insort(self._sizes, nbytes)
+                self._bases[nbytes] = []
+            self._bases[nbytes].append(base)
+            self.made += 1
+        self._taken.add(id(base))
+        arr = np.ndarray(shape, dtype, base)
+        return arr if axes is None else arr.transpose(axes)
+
+    def take_like(self, arr: np.ndarray) -> np.ndarray:
+        """An uninitialised array in ``np.empty_like(arr)``'s memory order."""
+        shape, axes = _order(arr)
+        return self.take(shape, arr.dtype, axes)
+
+    def _forget(self, nbytes: int, i: int) -> None:
+        bases = self._bases[nbytes]
+        del bases[i]
+        if not bases:
+            del self._bases[nbytes]
+            self._sizes.remove(nbytes)
+
+    def boundary(self) -> None:
+        """End a step: drop the bases not taken since the last boundary."""
+        taken = self._taken
+        for nbytes, bases in list(self._bases.items()):
+            kept = [b for b in bases if id(b) in taken]
+            if kept:
+                self._bases[nbytes] = kept
+            else:
+                del self._bases[nbytes]
+        self._sizes = sorted(self._bases)
+        taken.clear()
+
+
+_POOL = _Pool()
+
+
+def _order(arr: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """``np.empty_like(arr)``'s memory order: the shape to allocate in C
+    order, and the axes that transpose it to ``arr``'s (None: none)."""
+    shape = arr.shape
+    if arr.flags.c_contiguous or arr.ndim <= 1:
+        return shape, None
+    if arr.flags.f_contiguous:
+        return shape[::-1], tuple(range(arr.ndim - 1, -1, -1))
+    # NumPy's keep-order rule: axes by descending |stride|, ties in axis order
+    perm = sorted(range(arr.ndim), key=lambda i: -abs(arr.strides[i]))
+    return tuple(shape[i] for i in perm), tuple(map(perm.index, range(arr.ndim)))
+
+
 def _alloc(kind: int, shape=(), dtype=np.float32, like=None, fill=None) -> np.ndarray:
     """The one allocation site of ops' forward buffers.  ``like`` is
     ``np.empty_like``'s; ``fill`` sets the content.  Under a capture the
     recorder places the buffer (:mod:`repro.tensor.compile`); SAVED ones,
-    and those a backward ``reads`` (``_from_op``), live to a training plan's end."""
-    if _recorder is not None and is_grad_enabled():
-        return _recorder.alloc(kind, shape, dtype, like, fill)
-    buf = np.empty_like(like) if like is not None else np.empty(shape, dtype)
+    and those a backward ``reads`` (``_from_op``), live to a training plan's end.
+    Any other forward with grad enabled takes it from the eager pool
+    (``_Pool``); one without grad never reaches a step boundary."""
+    if is_grad_enabled():
+        if _recorder is not None:
+            return _recorder.alloc(kind, shape, dtype, like, fill)
+        buf = _POOL.take_like(like) if like is not None else _POOL.take(shape, dtype)
+    else:
+        buf = np.empty_like(like) if like is not None else np.empty(shape, dtype)
     if fill is not None:
         buf[...] = fill
     return buf
@@ -204,23 +327,38 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
     np.divide(1.0, out, out=out)
 
 
-def _unary_node(ufunc, a: "Tensor", op: str, grad, *args) -> "Tensor":
+def _unary_node(ufunc, a: "Tensor", op: str, grad, *args, reads: str | None) -> "Tensor":
     """The node whose forward is the one call ``ufunc(a.data, *args)``.
 
-    ``grad(g, x, y)`` maps the upstream gradient, the live input and the
-    output to the input's gradient.  ``run`` fills the output in place:
-    the eager call runs it once and compiled replay re-runs it.
+    ``reads`` names the one array the backward reads: ``"input"`` (the
+    live input), ``"output"``, or None (neither).  ``grad(g, r)`` maps the
+    upstream gradient and that array (None if neither) to the input's
+    gradient, and the closure holds only it.  ``run`` fills the output in
+    place: the eager call runs it once and compiled replay re-runs it.
     """
     out = _alloc(OUTPUT, like=a.data)
 
     def run():
         ufunc(a.data, *args, out=out)
 
-    def backward(g):
-        return (grad(g, a.data, out),)
+    if reads == "input":
+        held = (a.data,)
+
+        def backward(g):
+            return (grad(g, a.data),)
+    elif reads == "output":
+        held = (out,)
+
+        def backward(g):
+            return (grad(g, out),)
+    else:
+        held = ()
+
+        def backward(g):
+            return (grad(g, None),)
 
     run()
-    return Tensor._from_op(out, (a,), backward, op, replay=run)
+    return Tensor._from_op(out, (a,), backward, op, replay=run, reads=held)
 
 
 def _binary_node(ufunc, a: "Tensor", b: "Tensor", op: str, grads,
@@ -255,17 +393,39 @@ def _binary_node(ufunc, a: "Tensor", b: "Tensor", op: str, grads,
 
 
 def _zeros_like(arr: np.ndarray):
-    """A maker of ``np.zeros_like(arr)``, same memory order included, that
-    holds ``arr``'s shape and strides but not its bytes."""
-    shape, dtype = arr.shape, arr.dtype
-    if arr.flags.c_contiguous or arr.ndim <= 1:
-        return lambda: np.zeros(shape, dtype)
-    if arr.flags.f_contiguous:
-        return lambda: np.zeros(shape, dtype, order="F")
-    # NumPy's keep-order rule: axes by descending |stride|, ties in axis order
-    perm = sorted(range(arr.ndim), key=lambda i: -abs(arr.strides[i]))
-    permuted, inverse = [shape[i] for i in perm], tuple(map(perm.index, range(arr.ndim)))
-    return lambda: np.zeros(permuted, dtype).transpose(inverse)
+    """A maker of ``np.zeros_like(arr)``, same memory order included, cut
+    from the eager pool; it holds ``arr``'s shape and strides but not its
+    bytes."""
+    (shape, axes), dtype = _order(arr), arr.dtype
+
+    def zeros():
+        full = _POOL.take(shape, dtype, axes)
+        full.fill(0)
+        return full
+
+    return zeros
+
+
+def _reshaped(arr: np.ndarray, shape) -> np.ndarray:
+    """``arr.reshape(shape)``: a view where the layout allows one, else
+    reshape's C-order copy, cut from the eager pool."""
+    if arr.flags.c_contiguous:
+        return arr.reshape(shape)
+    try:
+        return np.reshape(arr, shape, copy=False)
+    except ValueError:
+        out = _POOL.take(arr.shape)
+        np.copyto(out, arr)
+        return out.reshape(shape)
+
+
+def _sum_new(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b`` in a new buffer, cut from the eager pool where NumPy
+    would give the sum C order: two C-order float32 operands of one shape."""
+    if (a.shape == b.shape and a.dtype == b.dtype == np.float32
+            and a.flags.c_contiguous and b.flags.c_contiguous):
+        return np.add(a, b, out=_POOL.take(a.shape))
+    return a + b
 
 
 def _backward_released(g):
@@ -406,7 +566,7 @@ def _walk_backward(root: "_Node | Tensor", seed: np.ndarray,
                 else:
                     # second contribution: allocate the accumulation
                     # buffer once; later ones add into it in-place
-                    grads[key] = grads[key] + pg
+                    grads[key] = _sum_new(grads[key], pg)
                     owned.add(key)
                     _COUNTERS["bwd_new_buffers"] += 1
                     mode = _ADD_NEW
@@ -438,6 +598,7 @@ def _walk_backward(root: "_Node | Tensor", seed: np.ndarray,
     counter = active_counter()
     if counter is not None:
         counter.total += flops
+    _POOL.boundary()
     return len(topo), flops
 
 
@@ -610,14 +771,14 @@ class Tensor:
         return self._coerce(other) / self
 
     def __neg__(self) -> "Tensor":
-        return _unary_node(np.negative, self, "neg", lambda g, x, y: -g)
+        return _unary_node(np.negative, self, "neg", lambda g, _: -g, reads=None)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
         p = float(exponent)
         return _unary_node(np.power, self, "pow",
-                           lambda g, x, y: g * p * np.power(x, p - 1.0), p)
+                           lambda g, x: g * p * np.power(x, p - 1.0), p, reads="input")
 
     def __matmul__(self, other) -> "Tensor":
         a, b = self, self._coerce(other)
@@ -633,39 +794,41 @@ class Tensor:
     # elementwise transcendental
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        return _unary_node(np.exp, self, "exp", lambda g, x, y: g * y)
+        return _unary_node(np.exp, self, "exp", lambda g, y: g * y, reads="output")
 
     def log(self) -> "Tensor":
-        return _unary_node(np.log, self, "log", lambda g, x, y: g / x)
+        return _unary_node(np.log, self, "log", lambda g, x: g / x, reads="input")
 
     def sqrt(self) -> "Tensor":
         return _unary_node(np.sqrt, self, "sqrt",
-                           lambda g, x, y: g * 0.5 / np.maximum(y, 1e-12))
+                           lambda g, y: g * 0.5 / np.maximum(y, 1e-12), reads="output")
 
     def tanh(self) -> "Tensor":
-        return _unary_node(np.tanh, self, "tanh", lambda g, x, y: g * (1.0 - y * y))
+        return _unary_node(np.tanh, self, "tanh", lambda g, y: g * (1.0 - y * y),
+                           reads="output")
 
     def sigmoid(self) -> "Tensor":
-        return _unary_node(_sigmoid, self, "sigmoid", lambda g, x, y: g * y * (1.0 - y))
+        return _unary_node(_sigmoid, self, "sigmoid", lambda g, y: g * y * (1.0 - y),
+                           reads="output")
 
     def erf(self) -> "Tensor":
         from scipy import special
 
         coeff = np.float32(2.0 / np.sqrt(np.pi))
         return _unary_node(special.erf, self, "erf",
-                           lambda g, x, y: g * coeff * np.exp(-x * x))
+                           lambda g, x: g * coeff * np.exp(-x * x), reads="input")
 
     def abs(self) -> "Tensor":
-        return _unary_node(np.abs, self, "abs", lambda g, x, y: g * np.sign(x))
+        return _unary_node(np.abs, self, "abs", lambda g, x: g * np.sign(x), reads="input")
 
     # the masks below are taken from the live input when backward runs
     def relu(self) -> "Tensor":
         return _unary_node(lambda x, out: np.multiply(x, x > 0, out=out), self,
-                           "relu", lambda g, x, y: g * (x > 0))
+                           "relu", lambda g, x: g * (x > 0), reads="input")
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         return _unary_node(np.clip, self, "clip",
-                           lambda g, x, y: g * ((x >= lo) & (x <= hi)), lo, hi)
+                           lambda g, x: g * ((x >= lo) & (x <= hi)), lo, hi, reads="input")
 
     def maximum(self, other) -> "Tensor":
         return _binary_node(np.maximum, self, self._coerce(other), "maximum",
@@ -737,7 +900,7 @@ class Tensor:
         orig = a.data.shape
 
         def backward(g):
-            return (g.reshape(orig),)
+            return (_reshaped(g, orig),)
 
         # a view whenever the source's layout allows one (nothing to
         # replay); otherwise a buffer of its own, filled through a view of

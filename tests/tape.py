@@ -5,14 +5,40 @@ through its backward closure: arrays it captured, and parameters it reads
 live through their leaf ``Tensor``.  These helpers find them by walking
 closure cells, so a test can compare them with an op's declared reads or
 sum the bytes a tape retains.
+
+Eager buffers come from a pool (``repro.tensor.tensor._Pool``) that keeps
+its idle bases between steps, so a ``tracemalloc`` measurement counts
+live bytes as the traced bytes minus the pool's idle ones, from a pool
+drained before tracing starts (``drain_pool``), whose every base is then
+traced.
 """
 
+import tracemalloc
 import types
+from sys import getrefcount
 
 import numpy as np
 
 from repro.tensor import Tensor
-from repro.tensor.tensor import _Node
+from repro.tensor.tensor import _IDLE_REFS, _POOL, _Node
+
+
+def drain_pool() -> None:
+    """Empty the eager pool: two step boundaries with nothing taken
+    between them drop every base it holds."""
+    _POOL.boundary()
+    _POOL.boundary()
+
+
+def pool_idle_bytes() -> int:
+    """Bytes of the pool's bases that nothing but the pool holds."""
+    return sum(nbytes for nbytes, bases in _POOL._bases.items()
+               for i in range(len(bases)) if getrefcount(bases[i]) == _IDLE_REFS)
+
+
+def live_bytes() -> int:
+    """Traced bytes minus the bytes of the pool's idle bases."""
+    return tracemalloc.get_traced_memory()[0] - pool_idle_bytes()
 
 
 def owner(arr: np.ndarray) -> np.ndarray:

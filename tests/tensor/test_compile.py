@@ -33,6 +33,7 @@ from repro.tensor import (CompiledForward, CompiledStep, Tensor, conv2d, gelu,
 from repro.tensor.dtypes import DTYPE_BF16, DTYPE_F32
 from repro.testing.fuzz import OPS
 from repro.testing.poison import poisoned_replay
+from tests.tape import drain_pool, live_bytes
 
 # ops where finite shape/broadcast sampling can make every input
 # non-differentiable (none currently) would be skipped here
@@ -377,11 +378,12 @@ def test_gelu_saves_one_buffer_and_a_plan_keeps_one_scratch():
     x = np.random.default_rng(8).standard_normal((64, 1024)).astype(np.float32)
     slack = x.nbytes // 8
     gc.collect()
+    drain_pool()
     tracemalloc.start()
     try:
-        def held():
+        def held():   # live bytes: the eager pool's idle bases aside
             gc.collect()
-            return tracemalloc.get_traced_memory()[0]
+            return live_bytes()
 
         base = held()
         out = gelu(Tensor(x, requires_grad=True))

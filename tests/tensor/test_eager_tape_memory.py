@@ -7,8 +7,9 @@ rule through refcounts: each backward closure holds only what it reads,
 and ``backward()`` releases each node once it has run.  On a small Reslim
 train step this is checked two ways:
 
-* the traced bytes at the forward's end are at most 5 % above the bytes
-  the step's learned plan keeps live there;
+* the live bytes at the forward's end (traced, less the eager pool's
+  idle bases, from a drained pool) are at most 5 % above the bytes the
+  step's learned plan keeps live there;
 * a SAVED buffer of the last op recorded, whose node the walk runs
   first, is freed before ``backward()`` returns.
 """
@@ -21,6 +22,7 @@ import numpy as np
 from repro.core import ModelConfig, Reslim
 from repro.tensor import CompiledStep, Tensor
 from repro.tensor.tensor import INPUT, SAVED, set_recorder
+from tests.tape import drain_pool, live_bytes
 
 
 def _setup():
@@ -47,11 +49,12 @@ def test_forward_end_bytes_match_the_learned_plan():
     n = max(hi for _, hi in plan.intervals)
     planned = sum(b.nbytes for b, (_, hi) in zip(plan.buffers, plan.intervals)
                   if hi == n and b.kind != INPUT)
+    drain_pool()
     tracemalloc.start()
     try:
-        entry = tracemalloc.get_traced_memory()[0]
+        entry = live_bytes()
         loss = loss_fn(Tensor(x), Tensor(y))
-        held = tracemalloc.get_traced_memory()[0] - entry
+        held = live_bytes() - entry
     finally:
         tracemalloc.stop()
     loss.backward()

@@ -50,6 +50,9 @@ CASES = {
     "mul": ((_param(6),), lambda h, b: h * b, True),
     "add_bias": ((_param(6),), lambda h, b: add_bias(h, b), False),
     "sum": ((), lambda h: h.sum(axis=-1), False),
+    "pow": ((), lambda h: h ** 2, True),
+    "exp": ((), lambda h: h.exp(), False),   # reads its output
+    "neg": ((), lambda h: -h, False),
     "reshape": ((), lambda h: h.permute(0, 1, 3, 2).reshape(2, 3, 24), False),
     "getitem": ((), lambda h: h[:, [0, 2]], False),
     "pad": ((), lambda h: h.pad(((0, 0), (0, 0), (1, 1), (2, 0))), False),
